@@ -40,11 +40,24 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import matcore, processes, sampling, serialize
-from .entropy import entropy_of_spectrum, parse_functional, von_neumann
+from .entropy import (
+    entropies_of_spectra,
+    entropy_of_spectrum,
+    expected_entropy_stack,
+    parse_functional,
+    von_neumann,
+)
 from .errors import ValidationError
 from .majorization import check_fan, check_pinching_double, check_schur_majorization, entropy_gap
 from .povm import ancilla_factors, apply_povm, counterexample_1, counterexample_2
-from .states import diagonal_projector_partition, gram_from_projectors, ZERO_PROBABILITY
+from .states import (
+    ZERO_PROBABILITY,
+    clean_probabilities,
+    diagonal_projector_partition,
+    gram_from_projectors,
+    validate_probing_stack,
+    validate_stack,
+)
 
 #: Slack for hard inequality assertions (the --tol default).
 HARD_TOL = 1e-9
@@ -64,6 +77,15 @@ NEAR_TRIVIAL_MARGIN = 1e-7
 SINGULAR_SKIP = 1e-12
 
 LN2 = math.log(2.0)
+
+#: Largest stacked array, in bytes, that a campaign builds at once.  At dim 4
+#: a whole 200-trial campaign fits in one chunk; at dim 32 with 32 branches
+#: each trial is a chunk of its own, which keeps peak memory at the looped
+#: level.
+CHUNK_BYTES = 512 * 1024
+
+#: Random mixtures in the holevo campaign have 2 to this many branches.
+_MAX_MIXTURE_SIZE = 5
 
 
 @dataclass(frozen=True)
@@ -164,6 +186,34 @@ def _display_scale(cfg: CampaignConfig) -> float:
     return 1.0 / LN2 if cfg.units == "bits" else 1.0
 
 
+def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
+    """Split the trial axis into chunks for the stacked campaign kernels.
+
+    A campaign's largest stack holds ``slots`` complex (dim, dim) matrices
+    per trial: the observation branches, or the padded mixture states.  Each
+    chunk holds as many trials as keep that stack within :data:`CHUNK_BYTES`,
+    and at least one.
+    """
+    per_trial = slots * dim * dim * np.dtype(complex).itemsize
+    size = max(1, CHUNK_BYTES // per_trial)
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _descending(spectra: np.ndarray) -> np.ndarray:
+    """Ascending eigvalsh spectra reversed into contiguous rows, as hermitian_spectrum orders them."""
+    return np.ascontiguousarray(spectra[..., ::-1])
+
+
+def _inequality_row(trial, dim, label, side, lhs, rhs, trivial, tol) -> Row:
+    """Margin record of one check lhs <= rhs + tol."""
+    margin = entropy_gap(rhs, lhs)
+    violation = not (lhs <= rhs + tol)
+    strict = None
+    if trivial is not None and not trivial and not violation:
+        strict = margin > NEAR_TRIVIAL_MARGIN
+    return Row(trial, dim, label, side, lhs, rhs, margin, trivial, violation, strict)
+
+
 def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     """Random-probing campaign over both entropy inequalities.
 
@@ -173,52 +223,75 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     for every selected functional.  The averaging identity (branch average
     equals the Schur form with the row Gram matrix) is asserted to 1e-12 as
     a side condition.
+
+    Trial t draws from its own stream (seed, t); the draws are then stacked
+    in chunks (:func:`plan_chunks`) and every map, check and entropy runs on
+    the whole chunk.  The report does not depend on the chunking.
     """
     functionals = [parse_functional(text) for text in cfg.functionals]
-    response_dim = cfg.response_dim or cfg.dim
+    dim = cfg.dim
+    response_dim = cfg.response_dim or dim
     rows: list[Row] = []
     skipped_singular = 0
     near_trivial = 0
     consistency_max = 0.0
-    for trial in range(cfg.trials):
-        rng = sampling.trial_stream(cfg.seed, trial)
-        rho = sampling.random_density(cfg.dim, rng)
-        probe = sampling.random_probing(cfg.dim, response_dim, rng)
-        ensemble = processes.observe(rho, probe)
-        averaged = processes.ensemble_average(ensemble)
-        decohered = processes.decohere(rho, processes.response_gram(probe))
-        consistency_max = max(consistency_max, matcore.max_abs(averaged.mat - decohered.mat))
+    for chunk in plan_chunks(cfg.trials, response_dim, dim):
+        rho = np.empty((len(chunk), dim, dim), dtype=complex)
+        probe = np.empty((len(chunk), dim, response_dim), dtype=complex)
+        for i, trial in enumerate(chunk):
+            rng = sampling.trial_stream(cfg.seed, trial)
+            rho[i] = sampling.draw_density(dim, rng)
+            probe[i] = sampling.draw_probing(dim, response_dim, rng)
 
-        lam_rho = matcore.hermitian_spectrum(rho.mat)
-        lam_dec = matcore.hermitian_spectrum(decohered.mat)
-        branches = [
-            (outcome.probability, matcore.hermitian_spectrum(outcome.state.mat))
-            for outcome in ensemble.live()
-        ]
-        obs_trivial = all(matcore.max_abs(lam - lam_rho) <= TRIVIALITY_TOL for _, lam in branches)
-        dec_trivial = matcore.max_abs(lam_dec - lam_rho) <= TRIVIALITY_TOL
+        # the checks run in the order a one-trial loop makes them: state,
+        # probing, branches, branch probabilities, average, Gram, decohered state
+        lam_rho = validate_stack(rho, "density")
+        validate_probing_stack(probe)
+        probs, branches = processes.observe_stack(rho, probe)
+        live = probs > 0.0
+        # all branches are live unless a probing column vanishes on the state
+        live_branches = branches.reshape(-1, dim, dim) if live.all() else branches[live]
+        lam_branch = validate_stack(live_branches, "density")
+        del live_branches
+        clean_probabilities(probs)
+        averaged = processes.average_stack(probs, branches)
+        del branches
+        validate_stack(averaged, "density")
+        gram = processes.response_gram_stack(probe)
+        validate_stack(gram, "gram")
+        decohered = rho * gram  # the Schur product, as processes.decohere forms it
+        lam_dec = validate_stack(decohered, "density")
+        consistency_max = max(consistency_max, float(abs(averaged - decohered).max()))
 
-        for functional in functionals:
-            if functional.kind == "log-det" and lam_rho[-1] < SINGULAR_SKIP:
-                skipped_singular += 1
-                continue
-            s_rho = entropy_of_spectrum(lam_rho, functional)
-            s_dec = entropy_of_spectrum(lam_dec, functional)
-            s_expected = sum(p * entropy_of_spectrum(lam, functional) for p, lam in branches)
-            for side, lhs, rhs, trivial in (
-                ("observation", s_expected, s_rho, obs_trivial),
-                ("decoherence", s_rho, s_dec, dec_trivial),
-            ):
-                margin = entropy_gap(rhs, lhs)
-                violation = not (lhs <= rhs + cfg.tol)
-                strict = None
-                if not trivial and not violation:
-                    strict = margin > NEAR_TRIVIAL_MARGIN
-                    if not strict:
-                        near_trivial += 1
-                rows.append(
-                    Row(trial, cfg.dim, functional.label, side, lhs, rhs, margin, trivial, violation, strict)
-                )
+        branch_gap = np.zeros(live.shape)
+        branch_gap[live] = abs(lam_branch - lam_rho[np.nonzero(live)[0]]).max(axis=-1)
+        obs_trivial = (branch_gap <= TRIVIALITY_TOL).all(axis=-1).tolist()
+        dec_trivial = (abs(lam_dec - lam_rho).max(axis=-1) <= TRIVIALITY_TOL).tolist()
+        regular = (lam_rho[:, 0] >= SINGULAR_SKIP).tolist()
+
+        # one entropy table per chunk; its columns are the states, the
+        # decohered states and the live branches
+        count = len(chunk)
+        spectra = np.concatenate((lam_rho, lam_dec, lam_branch))
+        table = entropies_of_spectra(_descending(spectra), functionals)
+        s_branch = np.zeros((len(functionals),) + live.shape)
+        s_branch[:, live] = table[:, 2 * count :]
+        s_expected = expected_entropy_stack(probs, s_branch).tolist()
+        s_rho = table[:, :count].tolist()
+        s_dec = table[:, count : 2 * count].tolist()
+
+        for i, trial in enumerate(chunk):
+            for f, functional in enumerate(functionals):
+                if functional.kind == "log-det" and not regular[i]:
+                    skipped_singular += 1
+                    continue
+                for side, lhs, rhs, trivial in (
+                    ("observation", s_expected[f][i], s_rho[f][i], obs_trivial[i]),
+                    ("decoherence", s_rho[f][i], s_dec[f][i], dec_trivial[i]),
+                ):
+                    row = _inequality_row(trial, dim, functional.label, side, lhs, rhs, trivial, cfg.tol)
+                    near_trivial += row.strict is False
+                    rows.append(row)
 
     scale = _display_scale(cfg)
     consistency_ok = consistency_max <= CONSISTENCY_TOL
@@ -313,25 +386,44 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
 
 
 def run_holevo(cfg: CampaignConfig) -> CampaignResult:
-    """Random-mixture campaign: average branch entropy vs entropy of the average."""
+    """Random-mixture campaign: average branch entropy vs entropy of the average.
+
+    Trial t draws from its own stream (seed, t).  The ragged mixtures of a
+    chunk are padded to a common number of slots with dead (p = 0) slots,
+    which add exact zeros to every sum and are never validated or solved.
+    """
     functionals = [parse_functional(text) for text in cfg.functionals]
+    dim = cfg.dim
+    slots = cfg.ensemble_size or _MAX_MIXTURE_SIZE
     rows: list[Row] = []
-    for trial in range(cfg.trials):
-        rng = sampling.trial_stream(cfg.seed, trial)
-        size = cfg.ensemble_size or int(rng.integers(2, 6))
-        ensemble = sampling.random_ensemble(cfg.dim, size, rng)
-        average = processes.ensemble_average(ensemble)
-        lam_avg = matcore.hermitian_spectrum(average.mat)
-        branches = [
-            (outcome.probability, matcore.hermitian_spectrum(outcome.state.mat))
-            for outcome in ensemble.live()
-        ]
-        for functional in functionals:
-            lhs = sum(p * entropy_of_spectrum(lam, functional) for p, lam in branches)
-            rhs = entropy_of_spectrum(lam_avg, functional)
-            margin = entropy_gap(rhs, lhs)
-            violation = not (lhs <= rhs + cfg.tol)
-            rows.append(Row(trial, cfg.dim, functional.label, "holevo", lhs, rhs, margin, None, violation))
+    for chunk in plan_chunks(cfg.trials, slots, dim):
+        probs = np.zeros((len(chunk), slots))
+        mats = np.zeros((len(chunk), slots, dim, dim), dtype=complex)
+        present = np.zeros((len(chunk), slots), dtype=bool)
+        for i, trial in enumerate(chunk):
+            rng = sampling.trial_stream(cfg.seed, trial)
+            size = cfg.ensemble_size or int(rng.integers(2, _MAX_MIXTURE_SIZE + 1))
+            probs[i, :size], mats[i, :size] = sampling.draw_ensemble(dim, size, rng)
+            present[i, :size] = True
+
+        lam_state = validate_stack(mats[present], "density")
+        probs = clean_probabilities(probs)
+        average = processes.average_stack(probs, mats)
+        lam_avg = validate_stack(average, "density")
+        live = probs > 0.0
+
+        # one entropy table per chunk; its columns are the averages, then the live branches
+        count = len(chunk)
+        spectra = np.concatenate((lam_avg, lam_state[live[present]]))
+        table = entropies_of_spectra(_descending(spectra), functionals)
+        s_branch = np.zeros((len(functionals),) + live.shape)
+        s_branch[:, live] = table[:, count:]
+        lhs = expected_entropy_stack(probs, s_branch).tolist()
+        rhs = table[:, :count].tolist()
+        for i, trial in enumerate(chunk):
+            for f, functional in enumerate(functionals):
+                row = _inequality_row(trial, dim, functional.label, "holevo", lhs[f][i], rhs[f][i], None, cfg.tol)
+                rows.append(row)
 
     scale = _display_scale(cfg)
     report = _base_report(
@@ -610,8 +702,9 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
         raise ValueError("--response-dim must be >= 1")
     if cfg.ensemble_size is not None and cfg.ensemble_size < 1:
         raise ValueError("--ensemble-size must be >= 1")
-    if cfg.tol <= 0:
-        raise ValueError("--tol must be positive")
+    # inf would pass every check vacuously and nan would fail every one
+    if not (cfg.tol > 0 and math.isfinite(cfg.tol)):
+        raise ValueError("--tol must be positive and finite")
     return cfg
 
 

@@ -137,6 +137,84 @@ def builtin_functionals() -> tuple[EntropyFunctional, ...]:
     return (von_neumann(), linear(), renyi(0.5), renyi(2.0), log_det())
 
 
+def _check_spectra(lam: np.ndarray) -> None:
+    """Raise the first failing row's NotADistributionError, in the scalar order."""
+    if lam.shape[-1] == 0:
+        raise NotADistributionError("spectrum-nonempty")
+    finite = np.isfinite(lam).all(axis=-1)
+    low = lam.min(axis=-1)
+    high = lam.max(axis=-1)
+    sum_residual = abs(lam.sum(axis=-1) - 1.0)
+    with np.errstate(invalid="ignore"):
+        failed = ~finite | (low < -SPECTRUM_RANGE_TOL) | (high > 1.0 + SPECTRUM_RANGE_TOL)
+        failed |= sum_residual > SPECTRUM_SUM_TOL
+    if not failed.any():
+        return
+    first = int(np.argmax(failed))
+    if not finite[first]:
+        raise NotADistributionError("spectrum-finite")
+    low, high = float(low[first]), float(high[first])
+    if low < -SPECTRUM_RANGE_TOL or high > 1.0 + SPECTRUM_RANGE_TOL:
+        residual = max(-low - SPECTRUM_RANGE_TOL, high - 1.0 - SPECTRUM_RANGE_TOL)
+        raise NotADistributionError("spectrum-in-unit-interval", residual=residual)
+    raise NotADistributionError("spectrum-sums-to-one", residual=float(sum_residual[first]))
+
+
+def _von_neumann_rows(lam: np.ndarray) -> np.ndarray:
+    """-sum x ln x over the positive entries of each row of a clamped (n, d) array.
+
+    Each row's positive entries are summed on their own, in order, as a
+    length-r array, so that numpy's pairwise summation groups them exactly as
+    it does for the one-row case.  Zeros left in place would regroup the
+    sum, so rows are gathered by their count r of positive entries.
+    """
+    positive = lam > 0.0
+    rank = positive.sum(axis=-1)
+    out = np.empty(lam.shape[0])
+    for r in set(rank.tolist()):
+        rows = rank == r
+        values = lam[rows][positive[rows]].reshape(np.count_nonzero(rows), r)
+        # + 0.0 normalizes the -0.0 produced by pure spectra
+        out[rows] = -(values * np.log(values)).sum(axis=-1) + 0.0
+    return out
+
+
+def entropies_of_spectra(values, functionals) -> np.ndarray:
+    """Every functional's entropy of every row of a (..., d) stack of spectra.
+
+    Returns an array of shape (len(functionals), ...).  Row by row this is
+    :func:`entropy_of_spectrum`, bit for bit: the checks and the clamping are
+    the same, and each row is summed in its given order as its own 1-D
+    reduction.  The checks run once for all functionals; a failing stack
+    raises the error of its first failing row.
+    """
+    lam = np.ascontiguousarray(values, dtype=float)
+    if lam.ndim == 0:
+        raise NotADistributionError("spectrum-nonempty", detail="expected a (..., d) array")
+    batch = lam.shape[:-1]
+    lam = lam.reshape(-1, lam.shape[-1])
+    _check_spectra(lam)
+    lam = np.clip(lam, 0.0, 1.0)
+    lam = np.where(lam <= SINGULAR_EIGENVALUE, 0.0, lam)
+
+    out = np.empty((len(functionals), lam.shape[0]))
+    for row, functional in zip(out, functionals):
+        if functional.kind == "von-neumann":
+            row[:] = _von_neumann_rows(lam)
+        elif functional.kind == "linear":
+            row[:] = (lam - lam**2).sum(axis=-1)
+        elif functional.kind == "renyi":
+            total = (lam**functional.alpha).sum(axis=-1)
+            row[:] = total if functional.alpha < 1.0 else -total
+        elif functional.kind == "log-det":
+            singular = lam.min(axis=-1) <= SINGULAR_EIGENVALUE
+            logs = np.log(np.where(singular[:, None], 1.0, lam)).sum(axis=-1)
+            row[:] = np.where(singular, NEG_INFINITY, logs)
+        else:
+            row[:] = [float(sum(functional.h(float(x)) for x in spectrum)) for spectrum in lam]
+    return out.reshape((len(functionals),) + batch)
+
+
 def entropy_of_spectrum(values, functional: EntropyFunctional) -> float:
     """Sum of h over a probability spectrum.
 
@@ -147,37 +225,24 @@ def entropy_of_spectrum(values, functional: EntropyFunctional) -> float:
     otherwise amplify eigensolver noise on structurally zero eigenvalues far
     beyond the working tolerances.  The log-det functional returns the -inf
     sentinel whenever such a zero is present.
-    """
-    lam = np.asarray(values, dtype=float).ravel()
-    if lam.size == 0:
-        raise NotADistributionError("spectrum-nonempty")
-    if not np.all(np.isfinite(lam)):
-        raise NotADistributionError("spectrum-finite")
-    low = float(lam.min())
-    high = float(lam.max())
-    if low < -SPECTRUM_RANGE_TOL or high > 1.0 + SPECTRUM_RANGE_TOL:
-        residual = max(-low - SPECTRUM_RANGE_TOL, high - 1.0 - SPECTRUM_RANGE_TOL)
-        raise NotADistributionError("spectrum-in-unit-interval", residual=residual)
-    sum_residual = abs(float(lam.sum()) - 1.0)
-    if sum_residual > SPECTRUM_SUM_TOL:
-        raise NotADistributionError("spectrum-sums-to-one", residual=sum_residual)
-    lam = np.clip(lam, 0.0, 1.0)
-    lam = np.where(lam <= SINGULAR_EIGENVALUE, 0.0, lam)
 
-    if functional.kind == "von-neumann":
-        positive = lam[lam > 0.0]
-        # + 0.0 normalizes the -0.0 produced by pure spectra
-        return float(-(positive * np.log(positive)).sum() + 0.0)
-    if functional.kind == "linear":
-        return float((lam - lam**2).sum())
-    if functional.kind == "renyi":
-        total = float((lam**functional.alpha).sum())
-        return total if functional.alpha < 1.0 else -total
-    if functional.kind == "log-det":
-        if float(lam.min()) <= SINGULAR_EIGENVALUE:
-            return NEG_INFINITY
-        return float(np.log(lam).sum())
-    return float(sum(functional.h(float(x)) for x in lam))
+    This is the one-row, one-functional case of :func:`entropies_of_spectra`.
+    """
+    return float(entropies_of_spectra(np.ravel(np.asarray(values, dtype=float)), (functional,))[0])
+
+
+def expected_entropy_stack(probs, entropies) -> np.ndarray:
+    """sum_k p_k S_k over the last axis of (..., m) probability and entropy stacks.
+
+    Dead branches (p_k at or below the zero threshold) contribute exactly 0,
+    whatever their entropy slot holds (the -inf sentinel, or nothing
+    meaningful).  The terms are added in k order, one branch at a time, as
+    :func:`expected_entropy` accumulates them.
+    """
+    probs = np.asarray(probs, dtype=float)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(probs > ZERO_PROBABILITY, probs * np.asarray(entropies, dtype=float), 0.0)
+    return matcore.sequential_sum(terms)
 
 
 def entropy(rho: DensityMatrix, functional: EntropyFunctional) -> float:
@@ -191,11 +256,12 @@ def expected_entropy(ensemble: OutcomeEnsemble, functional: EntropyFunctional) -
     Zero-probability branches contribute exactly 0 even when their entropy
     would be the -inf sentinel.
     """
-    total = 0.0
-    for outcome in ensemble:
-        if outcome.probability > ZERO_PROBABILITY:
-            total += outcome.probability * entropy(outcome.state, functional)
-    return total
+    probs = [outcome.probability for outcome in ensemble]
+    entropies = [
+        entropy(outcome.state, functional) if outcome.probability > ZERO_PROBABILITY else 0.0
+        for outcome in ensemble
+    ]
+    return float(expected_entropy_stack(probs, entropies))
 
 
 def to_bits(value: float) -> float:

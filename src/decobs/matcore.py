@@ -42,6 +42,20 @@ def max_abs(values) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def sequential_sum(values) -> np.ndarray:
+    """Sum over the last axis, added strictly left to right from 0.0.
+
+    This is how a Python loop ``total += x`` (or ``sum`` on Python 3.11)
+    adds one term at a time; ``np.sum`` would group the terms pairwise.
+    ``cumsum`` adds left to right, and ``+ 0.0`` turns its -0.0 into the
+    +0.0 that a sum started at 0.0 gives.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] == 0:
+        return np.zeros(values.shape[:-1])
+    return np.cumsum(values, axis=-1)[..., -1] + 0.0
+
+
 def require_square(values) -> np.ndarray:
     mat = as_matrix(values)
     if mat.shape[0] != mat.shape[1]:

@@ -44,9 +44,52 @@ def von_neumann_reduce(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.diag(rho.mat.diagonal()))
 
 
+def response_gram_stack(probes) -> np.ndarray:
+    """Row Gram matrices S S^dagger of a (..., n, m) probing stack."""
+    probes = np.asarray(probes)
+    return probes @ probes.conj().swapaxes(-1, -2)
+
+
 def response_gram(probe: ProbingMatrix) -> GramMatrix:
     """Row Gram matrix S S^dagger of a probing; unit rows give unit diagonal."""
-    return GramMatrix(probe.mat @ probe.mat.conj().T)
+    return GramMatrix(response_gram_stack(probe.mat))
+
+
+def observe_stack(rhos, probes) -> tuple[np.ndarray, np.ndarray]:
+    """Observation branches of a (..., d, d) state stack under (..., d, m) probings.
+
+    Returns the branch probabilities, shape (..., m), and the branch states
+    rho_ij S_ik S_jk^* / p_k, shape (..., m, d, d).  Dead branches (p_k at or
+    below the zero threshold) get probability exactly 0 and an all-zero
+    state.  The states are not validated.
+
+    Every entry is rounded exactly as the one-branch-at-a-time form rounds
+    it, so a stack of one gives :func:`observe` bit for bit:
+
+    - each p_k is its own 1-D dot of the (strided) populations with the
+      contiguous column weights; a batched matmul would reorder that sum;
+    - the masks S_ik S_jk^* are built by broadcasting, the same elementwise
+      products as ``np.outer``; ``einsum`` rounds the complex products
+      differently;
+    - rho * mask / p_k keeps that operand order and is done in place.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    probes = np.asarray(probes, dtype=complex)
+    populations = rhos.diagonal(axis1=-2, axis2=-1).real
+    columns = np.ascontiguousarray(probes.swapaxes(-1, -2))
+    weights = np.abs(columns) ** 2
+    probs = np.empty(columns.shape[:-1])
+    for index in np.ndindex(populations.shape[:-1]):
+        row = populations[index]
+        for k, weight in enumerate(weights[index]):
+            probs[index + (k,)] = row @ weight
+    live = probs > ZERO_PROBABILITY
+    probs[~live] = 0.0
+    states = columns[..., :, None] * columns.conj()[..., None, :]
+    np.multiply(rhos[..., None, :, :], states, out=states)
+    np.divide(states, np.where(live, probs, 1.0)[..., None, None], out=states)
+    states[~live] = 0.0
+    return probs, states
 
 
 def observe(rho: DensityMatrix, probe: ProbingMatrix) -> OutcomeEnsemble:
@@ -61,17 +104,27 @@ def observe(rho: DensityMatrix, probe: ProbingMatrix) -> OutcomeEnsemble:
             "probing-rows-match-state",
             detail=f"probing has {probe.n_object} rows, state dim {rho.dim}",
         )
-    populations = rho.mat.diagonal().real
-    outcomes = []
-    for k in range(probe.n_perception):
-        column = probe.mat[:, k]
-        p = float(populations @ (np.abs(column) ** 2))
-        if p <= ZERO_PROBABILITY:
-            outcomes.append(Outcome(0.0, None))
-        else:
-            mask = np.outer(column, column.conj())
-            outcomes.append(Outcome(p, DensityMatrix(rho.mat * mask / p)))
-    return OutcomeEnsemble(tuple(outcomes))
+    probs, states = observe_stack(rho.mat, probe.mat)
+    outcomes = tuple(
+        Outcome(float(p), DensityMatrix(state)) if p > 0.0 else Outcome(0.0, None)
+        for p, state in zip(probs, states)
+    )
+    return OutcomeEnsemble(outcomes)
+
+
+def average_stack(probs, states) -> np.ndarray:
+    """Probability-weighted sums sum_k p_k rho_k over a (..., m, d, d) branch stack.
+
+    The sum runs over k in order, one branch at a time, as
+    :func:`ensemble_average` adds up the live branches; dead branches
+    (p_k = 0, finite state) add exact zeros.
+    """
+    probs = np.asarray(probs, dtype=float)
+    states = np.asarray(states, dtype=complex)
+    total = np.zeros(states.shape[:-3] + states.shape[-2:], dtype=complex)
+    for k in range(states.shape[-3]):
+        total += probs[..., k, None, None] * states[..., k, :, :]
+    return total
 
 
 def ensemble_average(ensemble: OutcomeEnsemble) -> DensityMatrix:
@@ -79,10 +132,8 @@ def ensemble_average(ensemble: OutcomeEnsemble) -> DensityMatrix:
     live = ensemble.live()
     if not live:
         raise ValidationError("ensemble-has-live-outcome")
-    total = np.zeros_like(live[0].state.mat)
-    for outcome in live:
-        total = total + outcome.probability * outcome.state.mat
-    return DensityMatrix(total)
+    probs = [outcome.probability for outcome in live]
+    return DensityMatrix(average_stack(probs, np.stack([outcome.state.mat for outcome in live])))
 
 
 def luders(rho: DensityMatrix, projectors: ProjectorSet) -> DensityMatrix:

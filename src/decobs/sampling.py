@@ -62,11 +62,16 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
-    """Trace-normalized G G^dagger of a complex Gaussian G (full rank a.s.)."""
+def draw_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Trace-normalized G G^dagger of a complex Gaussian G, not yet validated."""
     g = complex_gaussian(rng, n, n)
     mat = g @ g.conj().T
-    return DensityMatrix(mat / np.trace(mat).real)
+    return mat / np.trace(mat).real
+
+
+def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
+    """Trace-normalized G G^dagger of a complex Gaussian G (full rank a.s.)."""
+    return DensityMatrix(draw_density(n, rng))
 
 
 def random_pure(n: int, rng: np.random.Generator) -> PureState:
@@ -92,11 +97,15 @@ def random_gram(n: int, response_dim: int, rng: np.random.Generator) -> GramMatr
     return gram_from_vectors(vectors)
 
 
+def draw_probing(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent random unit rows of length m, not yet validated."""
+    rows = complex_gaussian(rng, n, m)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def random_probing(n: int, m: int, rng: np.random.Generator) -> ProbingMatrix:
     """n independent random unit rows of length m."""
-    rows = complex_gaussian(rng, n, m)
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    return ProbingMatrix(rows)
+    return ProbingMatrix(draw_probing(n, m, rng))
 
 
 def random_block_sizes(n: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -126,11 +135,16 @@ def random_simplex(k: int, rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(k))
 
 
+def draw_ensemble(dim: int, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Simplex weights, shape (size,), and states, shape (size, dim, dim), not yet validated."""
+    probs = random_simplex(size, rng)
+    return probs, np.array([draw_density(dim, rng) for _ in range(size)]).reshape(size, dim, dim)
+
+
 def random_ensemble(dim: int, size: int, rng: np.random.Generator) -> OutcomeEnsemble:
     """Random mixture: simplex-distributed weights over random density matrices."""
-    probs = random_simplex(size, rng)
-    outcomes = tuple(Outcome(float(p), random_density(dim, rng)) for p in probs)
-    return OutcomeEnsemble(outcomes)
+    probs, mats = draw_ensemble(dim, size, rng)
+    return OutcomeEnsemble(tuple(Outcome(float(p), DensityMatrix(mat)) for p, mat in zip(probs, mats)))
 
 
 def random_pppovm(object_dim: int, ancilla_dim: int, rng: np.random.Generator) -> Povm:

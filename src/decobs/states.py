@@ -18,6 +18,7 @@ from .errors import (
     InvalidPartitionError,
     NormViolationError,
     NotDiagonalBasisError,
+    NotSquareError,
     ShapeMismatchError,
     ValidationError,
 )
@@ -33,6 +34,11 @@ COMPLETENESS_TOL = 1e-9
 PROBABILITY_SUM_TOL = 1e-10
 NEGATIVE_PROBABILITY_TOL = 1e-12
 
+#: Largest block of a stack, in bytes, that :func:`validate_stack` checks at
+#: once.  The checks allocate about three times the block, so this bounds
+#: their memory whatever the stack size; the spectra do not depend on it.
+_BLOCK_BYTES = 128 * 1024
+
 #: Probabilities at or below this value are clamped to exactly zero and their
 #: outcome states are exempt from validation.
 ZERO_PROBABILITY = 1e-12
@@ -44,6 +50,81 @@ def _readonly(values, dtype=complex) -> np.ndarray:
     return arr
 
 
+def _first_failure(bad: np.ndarray) -> int:
+    """Flat index of the first True entry of a failure mask."""
+    return int(np.argmax(bad.ravel()))
+
+
+def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
+    """Every DensityMatrix or GramMatrix check on a finite (..., d, d) stack.
+
+    Returns the ascending eigenvalues of each matrix.  The checks run for the
+    whole stack at once; the error raised is the one the scalar type raises
+    for the first failing matrix, in the scalar order of checks (Hermitian,
+    then unit trace or unit diagonal, then PSD), with the same residual.
+    """
+    adjoint = mats.conj().swapaxes(-1, -2)
+    work = mats - adjoint
+    hermitian = abs(work).max(axis=(-2, -1), initial=0.0)
+    if kind == "density":
+        unit = abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
+        unit_invariant, unit_tol = "density-unit-trace", TRACE_TOL
+    else:
+        unit = abs(mats.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1, initial=0.0)
+        unit_invariant, unit_tol = "gram-unit-diagonal", UNIT_DIAGONAL_TOL
+    # the symmetrized matrices reuse the residual's buffer
+    symmetrized = np.add(mats, adjoint, out=work)
+    del adjoint
+    symmetrized /= 2.0
+    spectra = np.linalg.eigvalsh(symmetrized)
+    lowest = spectra[..., 0] if mats.shape[-1] else np.zeros(mats.shape[:-2])
+    failed = (hermitian > HERMITIAN_TOL) | (unit > unit_tol) | (lowest < -PSD_TOL)
+    # a single matrix gives numpy scalars, whose .any() costs more than bool()
+    if failed.any() if failed.ndim else failed:
+        first = _first_failure(failed)
+        if hermitian.flat[first] > HERMITIAN_TOL:
+            raise ValidationError(f"{kind}-hermitian", residual=float(hermitian.flat[first]))
+        if unit.flat[first] > unit_tol:
+            raise ValidationError(unit_invariant, residual=float(unit.flat[first]))
+        raise ValidationError(f"{kind}-psd", residual=float(-lowest.flat[first]))
+    return spectra
+
+
+def validate_stack(mats, kind: str) -> np.ndarray:
+    """Run the ``"density"`` or ``"gram"`` checks on a (..., d, d) stack.
+
+    Every matrix gets the checks of :class:`DensityMatrix` or
+    :class:`GramMatrix`: finite entries, Hermitian, unit trace or unit
+    diagonal, and PSD.  The return value is the ascending ``eigvalsh``
+    spectra of the symmetrized matrices, shape (..., d): the PSD check solves
+    them anyway, and :func:`~decobs.matcore.hermitian_spectrum` of each
+    matrix is the same spectrum reversed, bit for bit.
+
+    A failing stack raises the error its first failing matrix (in C order)
+    raises as a scalar type, with the same invariant and residual.
+    """
+    if kind not in ("density", "gram"):
+        raise ValueError(f"kind must be 'density' or 'gram', got {kind!r}")
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim < 2:
+        raise ValidationError("matrix-rank", detail=f"expected a stack of matrices, got ndim={mats.ndim}")
+    if mats.shape[-1] != mats.shape[-2]:
+        raise NotSquareError("square", detail=f"shape {mats.shape[-2:]}")
+    flat = mats.reshape((-1,) + mats.shape[-2:])
+    spectra = np.empty(flat.shape[:-1])
+    # blocks bound the checks' temporaries; they run in stack order
+    size = max(1, _BLOCK_BYTES // max(1, flat.itemsize * flat.shape[-1] ** 2))
+    for start in range(0, len(flat), size):
+        block = flat[start : start + size]
+        finite = np.isfinite(block).all(axis=(-2, -1))
+        if not finite.all():
+            # the matrices before the first non-finite one are checked first
+            _check_square_stack(block[: _first_failure(~finite)], kind)
+            raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
+        spectra[start : start + size] = _check_square_stack(block, kind)
+    return spectra.reshape(mats.shape[:-1])
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix."""
@@ -52,15 +133,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = matcore.require_square(self.mat)
-        residual = matcore.hermiticity_residual(mat)
-        if residual > HERMITIAN_TOL:
-            raise ValidationError("density-hermitian", residual=residual)
-        trace_residual = abs(complex(np.trace(mat)) - 1.0)
-        if trace_residual > TRACE_TOL:
-            raise ValidationError("density-unit-trace", residual=trace_residual)
-        lowest = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0]
-        if lowest < -PSD_TOL:
-            raise ValidationError("density-psd", residual=float(-lowest))
+        _check_square_stack(mat, "density")
         object.__setattr__(self, "mat", _readonly(mat))
 
     @property
@@ -96,20 +169,36 @@ class GramMatrix:
 
     def __post_init__(self):
         mat = matcore.require_square(self.mat)
-        residual = matcore.hermiticity_residual(mat)
-        if residual > HERMITIAN_TOL:
-            raise ValidationError("gram-hermitian", residual=residual)
-        diag_residual = matcore.max_abs(mat.diagonal() - 1.0)
-        if diag_residual > UNIT_DIAGONAL_TOL:
-            raise ValidationError("gram-unit-diagonal", residual=diag_residual)
-        lowest = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0]
-        if lowest < -PSD_TOL:
-            raise ValidationError("gram-psd", residual=float(-lowest))
+        _check_square_stack(mat, "gram")
         object.__setattr__(self, "mat", _readonly(mat))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _check_unit_rows(mats: np.ndarray) -> None:
+    """The ProbingMatrix check on a finite (..., n, m) stack: unit-norm rows."""
+    norms = np.linalg.norm(mats, axis=-1)
+    residual = np.max(np.abs(norms - 1.0), axis=-1, initial=0.0)
+    failed = residual > UNIT_NORM_TOL
+    if failed.any():
+        raise NormViolationError("probing-unit-rows", residual=float(residual.flat[_first_failure(failed)]))
+
+
+def validate_probing_stack(mats) -> None:
+    """Run the :class:`ProbingMatrix` checks on a (..., n, m) stack.
+
+    A failing stack raises the error of its first failing matrix.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim < 2:
+        raise ValidationError("matrix-rank", detail=f"expected a stack of matrices, got ndim={mats.ndim}")
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        _check_unit_rows(mats.reshape((-1,) + mats.shape[-2:])[: _first_failure(~finite)])
+        raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
+    _check_unit_rows(mats)
 
 
 @dataclass(frozen=True)
@@ -125,10 +214,7 @@ class ProbingMatrix:
 
     def __post_init__(self):
         mat = matcore.as_matrix(self.mat)
-        norms = np.linalg.norm(mat, axis=1)
-        residual = matcore.max_abs(norms - 1.0)
-        if residual > UNIT_NORM_TOL:
-            raise NormViolationError("probing-unit-rows", residual=residual)
+        _check_unit_rows(mat)
         object.__setattr__(self, "mat", _readonly(mat))
 
     @property
@@ -197,6 +283,42 @@ class Outcome:
     state: DensityMatrix | None
 
 
+def clean_probabilities(probs, missing=None) -> np.ndarray:
+    """Run the :class:`OutcomeEnsemble` probability checks on a (..., m) stack.
+
+    Each row is one ensemble's branch probabilities.  Every entry must be
+    finite and not below -1e-12; entries at or below :data:`ZERO_PROBABILITY`
+    become exactly 0 (dead branches).  ``missing`` marks branches without a
+    state, which must be dead.  Each row must sum to one within 1e-10, added
+    left to right over k.
+
+    Returns the cleaned probabilities.  A failing stack raises the error of
+    its first failing row, in the scalar order of checks.
+    """
+    p = np.asarray(probs, dtype=float)
+    with np.errstate(invalid="ignore"):
+        cleaned = np.where(p <= ZERO_PROBABILITY, 0.0, p)
+        entry_failed = ~np.isfinite(p) | (p < -NEGATIVE_PROBABILITY_TOL)
+        if missing is not None:
+            entry_failed |= np.asarray(missing, dtype=bool) & (cleaned > ZERO_PROBABILITY)
+        residual = np.abs(matcore.sequential_sum(cleaned) - 1.0)
+        failed = entry_failed.any(axis=-1) | (residual > PROBABILITY_SUM_TOL)
+    if failed.any():
+        first = _first_failure(failed)
+        row = p.reshape(failed.size, p.shape[-1])[first]
+        for idx, value in enumerate(row):
+            if not np.isfinite(value):
+                raise ValidationError("outcome-probability-finite", detail=f"outcome {idx}")
+            if value < -NEGATIVE_PROBABILITY_TOL:
+                raise ValidationError(
+                    "outcome-probability-nonnegative", residual=float(-value), detail=f"outcome {idx}"
+                )
+            if entry_failed.reshape(failed.size, row.size)[first, idx]:
+                raise ValidationError("outcome-state-missing", detail=f"outcome {idx} has p={float(value)}")
+        raise ValidationError("probabilities-sum-to-one", residual=float(residual.flat[first]))
+    return cleaned
+
+
 @dataclass(frozen=True)
 class OutcomeEnsemble:
     """Probability-weighted collection of post-measurement states.
@@ -209,24 +331,14 @@ class OutcomeEnsemble:
     outcomes: tuple[Outcome, ...]
 
     def __post_init__(self):
-        cleaned = []
-        for idx, out in enumerate(self.outcomes):
-            p = float(out.probability)
-            if not np.isfinite(p):
-                raise ValidationError("outcome-probability-finite", detail=f"outcome {idx}")
-            if p < -NEGATIVE_PROBABILITY_TOL:
-                raise ValidationError("outcome-probability-nonnegative", residual=-p, detail=f"outcome {idx}")
-            if p <= ZERO_PROBABILITY:
-                cleaned.append(Outcome(0.0, out.state))
-            else:
-                if out.state is None:
-                    raise ValidationError("outcome-state-missing", detail=f"outcome {idx} has p={p}")
-                cleaned.append(out)
-        total = sum(o.probability for o in cleaned)
-        residual = abs(total - 1.0)
-        if residual > PROBABILITY_SUM_TOL:
-            raise ValidationError("probabilities-sum-to-one", residual=residual)
-        object.__setattr__(self, "outcomes", tuple(cleaned))
+        probabilities = clean_probabilities(
+            [float(out.probability) for out in self.outcomes],
+            missing=[out.state is None for out in self.outcomes],
+        )
+        cleaned = tuple(
+            out if p > 0.0 else Outcome(0.0, out.state) for out, p in zip(self.outcomes, probabilities)
+        )
+        object.__setattr__(self, "outcomes", cleaned)
 
     def live(self) -> tuple[Outcome, ...]:
         """Branches with nonzero probability."""

@@ -205,3 +205,10 @@ class TestFlagValidation:
     def test_rejects_bad_tol(self, capsys):
         code, out, err = run_cli(capsys, "majorization", "--tol", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_rejects_non_finite_tol(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify-s-theorems", "--trials", "2", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: --tol must be positive and finite"
