@@ -42,13 +42,21 @@ import numpy as np
 from . import matcore, processes, sampling, serialize
 from .entropy import (
     entropies_of_spectra,
-    entropy_of_spectrum,
+    entropy,
+    expected_entropy,
     expected_entropy_stack,
     parse_functional,
+    to_bits,
     von_neumann,
 )
 from .errors import ValidationError
-from .majorization import check_fan, check_pinching_double, check_schur_majorization, entropy_gap
+from .majorization import (
+    DEFAULT_MAJORIZATION_TOL,
+    check_fan,
+    check_pinching_double,
+    check_schur_majorization,
+    entropy_gap,
+)
 from .povm import ancilla_factors, apply_povm, counterexample_1, counterexample_2
 from .states import (
     ZERO_PROBABILITY,
@@ -60,14 +68,14 @@ from .states import (
 )
 
 #: Slack for hard inequality assertions (the --tol default).
-HARD_TOL = 1e-9
+HARD_TOL = DEFAULT_MAJORIZATION_TOL
 
 #: Max-norm bound for exact-identity checks (averaging vs decoherence,
 #: pinching vs block Schur form, counterexample regressions).
 CONSISTENCY_TOL = 1e-12
 
 #: Componentwise spectrum tolerance used by the triviality flags.
-TRIVIALITY_TOL = 1e-9
+TRIVIALITY_TOL = processes.DEFAULT_TRIVIALITY_TOL
 
 #: Nontrivial trials with margins at or below this are counted as
 #: near-trivial instead of being held to strictness.
@@ -75,8 +83,6 @@ NEAR_TRIVIAL_MARGIN = 1e-7
 
 #: log-det campaigns skip states whose smallest eigenvalue is below this.
 SINGULAR_SKIP = 1e-12
-
-LN2 = math.log(2.0)
 
 #: Largest stacked array, in bytes, that a campaign builds at once.  At dim 4
 #: a whole 200-trial campaign fits in one chunk; at dim 32 with 32 branches
@@ -138,19 +144,24 @@ def sanitize_report(obj):
     return obj
 
 
-def _scaled(value: float, scale: float) -> float:
-    return value * scale if math.isfinite(value) else value
+def _display(flags: dict):
+    """The conversion from nats to a report's display units.
+
+    Only the entropy campaigns declare units; dominance and residual rows
+    are shown as computed.
+    """
+    return to_bits if flags.get("units") == "bits" else float
 
 
-def _row_dict(row: Row, scale: float) -> dict:
+def _row_dict(row: Row, convert) -> dict:
     out = {
         "trial": row.trial,
         "dim": row.dim,
         "functional": row.functional,
         "side": row.side,
-        "lhs": _scaled(row.lhs, scale),
-        "rhs": _scaled(row.rhs, scale),
-        "margin": _scaled(row.margin, scale),
+        "lhs": convert(row.lhs),
+        "rhs": convert(row.rhs),
+        "margin": convert(row.margin),
         "trivial": row.trivial,
         "violation": row.violation,
     }
@@ -159,8 +170,8 @@ def _row_dict(row: Row, scale: float) -> dict:
     return out
 
 
-def _margin_summary(rows: list[Row], scale: float) -> dict:
-    finite = [_scaled(r.margin, scale) for r in rows if math.isfinite(r.margin)]
+def _margin_summary(rows: list[Row], convert) -> dict:
+    finite = [convert(r.margin) for r in rows if math.isfinite(r.margin)]
     summary = {
         "rows": len(rows),
         "violations": sum(r.violation for r in rows),
@@ -182,8 +193,28 @@ def _base_report(cfg: CampaignConfig, flags: dict) -> dict:
     }
 
 
-def _display_scale(cfg: CampaignConfig) -> float:
-    return 1.0 / LN2 if cfg.units == "bits" else 1.0
+def _campaign_result(
+    cfg: CampaignConfig,
+    flags: dict,
+    rows: list[Row],
+    fields: dict | None = None,
+    summary: dict | None = None,
+    failed: bool | None = None,
+) -> CampaignResult:
+    """The report of a row campaign: header, extra fields, summary and rows.
+
+    The summary is the margin summary followed by the campaign's own keys.
+    The exit code is 1 when ``failed``, which by default means that a row is
+    a violation.
+    """
+    convert = _display(flags)
+    report = _base_report(cfg, flags)
+    report.update(fields or {})
+    report["summary"] = {**_margin_summary(rows, convert), **(summary or {})}
+    report["rows"] = [_row_dict(r, convert) for r in rows]
+    if failed is None:
+        failed = report["summary"]["violations"] > 0
+    return CampaignResult(report, rows, 1 if failed else 0)
 
 
 def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
@@ -199,9 +230,22 @@ def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 
 
-def _descending(spectra: np.ndarray) -> np.ndarray:
-    """Ascending eigvalsh spectra reversed into contiguous rows, as hermitian_spectrum orders them."""
-    return np.ascontiguousarray(spectra[..., ::-1])
+def _entropy_table(functionals, states: tuple, branches: np.ndarray, probs: np.ndarray):
+    """Entropies of stacked states and the expected entropy of their live branches.
+
+    ``states`` holds ascending (n, d) spectra stacks and ``branches`` the
+    ascending spectra of the live (p > 0) branches, in the order of ``probs``;
+    all of them go through one :func:`entropies_of_spectra` call.  Returns
+    the state entropies, shape (len(functionals), sum of n), and the
+    expected branch entropies, shape (len(functionals),) + probs.shape[:-1].
+    """
+    spectra = np.concatenate(states + (branches,))
+    # reversed into contiguous rows, as hermitian_spectrum orders them
+    table = entropies_of_spectra(np.ascontiguousarray(spectra[:, ::-1]), functionals)
+    head = len(spectra) - len(branches)
+    s_branch = np.zeros((len(functionals),) + probs.shape)
+    s_branch[:, probs > 0.0] = table[:, head:]
+    return table[:, :head], expected_entropy_stack(probs, s_branch)
 
 
 def _inequality_row(trial, dim, label, side, lhs, rhs, trivial, tol) -> Row:
@@ -269,16 +313,10 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         dec_trivial = (abs(lam_dec - lam_rho).max(axis=-1) <= TRIVIALITY_TOL).tolist()
         regular = (lam_rho[:, 0] >= SINGULAR_SKIP).tolist()
 
-        # one entropy table per chunk; its columns are the states, the
-        # decohered states and the live branches
-        count = len(chunk)
-        spectra = np.concatenate((lam_rho, lam_dec, lam_branch))
-        table = entropies_of_spectra(_descending(spectra), functionals)
-        s_branch = np.zeros((len(functionals),) + live.shape)
-        s_branch[:, live] = table[:, 2 * count :]
-        s_expected = expected_entropy_stack(probs, s_branch).tolist()
-        s_rho = table[:, :count].tolist()
-        s_dec = table[:, count : 2 * count].tolist()
+        table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
+        s_rho = table[:, : len(chunk)].tolist()
+        s_dec = table[:, len(chunk) :].tolist()
+        s_expected = s_expected.tolist()
 
         for i, trial in enumerate(chunk):
             for f, functional in enumerate(functionals):
@@ -293,42 +331,23 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
                     near_trivial += row.strict is False
                     rows.append(row)
 
-    scale = _display_scale(cfg)
     consistency_ok = consistency_max <= CONSISTENCY_TOL
-    report = _base_report(
-        cfg,
-        {
-            "dim": cfg.dim,
-            "trials": cfg.trials,
-            "response_dim": response_dim,
-            "entropy": [f.label for f in functionals],
-            "tol": cfg.tol,
-            "units": cfg.units,
-        },
-    )
-    summary = _margin_summary(rows, scale)
-    summary["near_trivial"] = near_trivial
-    summary["skipped_singular"] = skipped_singular
-    summary["consistency_max_residual"] = consistency_max
-    summary["consistency_ok"] = consistency_ok
-    report["summary"] = summary
-    report["rows"] = [_row_dict(r, scale) for r in rows]
-    exit_code = 0 if summary["violations"] == 0 and consistency_ok else 1
-    return CampaignResult(report, rows, exit_code)
-
-
-def _dominance_row(trial: int, dim: int, side: str, dominator, dominated, tol: float) -> Row:
-    """Margin record for one prefix-sum dominance check, at its worst prefix."""
-    lam = -np.sort(-np.asarray(dominator, dtype=float))
-    mu = -np.sort(-np.asarray(dominated, dtype=float))
-    prefix_lam = np.cumsum(lam)
-    prefix_mu = np.cumsum(mu)
-    margins = prefix_lam - prefix_mu
-    worst = int(np.argmin(margins))
-    sum_residual = abs(float(prefix_lam[-1] - prefix_mu[-1]))
-    margin = float(margins[worst])
-    violation = margin < -tol or sum_residual > tol
-    return Row(trial, dim, "", side, float(prefix_mu[worst]), float(prefix_lam[worst]), margin, None, violation)
+    flags = {
+        "dim": cfg.dim,
+        "trials": cfg.trials,
+        "response_dim": response_dim,
+        "entropy": [f.label for f in functionals],
+        "tol": cfg.tol,
+        "units": cfg.units,
+    }
+    summary = {
+        "near_trivial": near_trivial,
+        "skipped_singular": skipped_singular,
+        "consistency_max_residual": consistency_max,
+        "consistency_ok": consistency_ok,
+    }
+    failed = not consistency_ok or any(row.violation for row in rows)
+    return _campaign_result(cfg, flags, rows, summary=summary, failed=failed)
 
 
 def run_majorization(cfg: CampaignConfig) -> CampaignResult:
@@ -339,9 +358,6 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
         rho = sampling.random_density(cfg.dim, rng)
         env = sampling.random_gram(cfg.dim, cfg.response_dim or cfg.dim, rng)
         schur = check_schur_majorization(rho, env, cfg.tol, trial)
-        rows.append(
-            _dominance_row(trial, cfg.dim, "schur", schur.spectra["rho"], schur.spectra["schur_product"], cfg.tol)
-        )
 
         # the upper pinching dominance needs a PSD input (zero-diagonal-block
         # counterexamples break it for indefinite matrices), so sample a state
@@ -350,39 +366,20 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
             cfg.dim, sampling.random_block_sizes(cfg.dim, rng), rng
         )
         pinching = check_pinching_double(pinch_input, partition, cfg.tol, trial)
-        rows.append(
-            _dominance_row(
-                trial, cfg.dim, "pinching-upper",
-                pinching.spectra["pinched_parts_sum"], pinching.spectra["matrix"], cfg.tol,
-            )
-        )
-        rows.append(
-            _dominance_row(
-                trial, cfg.dim, "pinching-lower",
-                pinching.spectra["matrix"], pinching.spectra["pinched"], cfg.tol,
-            )
-        )
 
         a = sampling.random_hermitian(cfg.dim, rng)
         b = sampling.random_hermitian(cfg.dim, rng)
         fan = check_fan(a, b, cfg.tol, trial)
-        rows.append(
-            _dominance_row(trial, cfg.dim, "fan", fan.spectra["sum_of_spectra"], fan.spectra["spectrum_of_sum"], cfg.tol)
-        )
 
-    report = _base_report(
-        cfg,
-        {
-            "dim": cfg.dim,
-            "trials": cfg.trials,
-            "response_dim": cfg.response_dim or cfg.dim,
-            "tol": cfg.tol,
-        },
-    )
-    summary = _margin_summary(rows, 1.0)
-    report["summary"] = summary
-    report["rows"] = [_row_dict(r, 1.0) for r in rows]
-    return CampaignResult(report, rows, 0 if summary["violations"] == 0 else 1)
+        # each row is its check's worst prefix: dominated prefix sum <= dominating one
+        checks = schur.dominance + pinching.dominance + fan.dominance
+        for side, check in zip(("schur", "pinching-upper", "pinching-lower", "fan"), checks):
+            margin, violation = check.worst_margin, not check.holds(cfg.tol)
+            row = Row(trial, cfg.dim, "", side, check.dominated_prefix, check.dominator_prefix, margin, None, violation)
+            rows.append(row)
+
+    flags = {"dim": cfg.dim, "trials": cfg.trials, "response_dim": cfg.response_dim or cfg.dim, "tol": cfg.tol}
+    return _campaign_result(cfg, flags, rows)
 
 
 def run_holevo(cfg: CampaignConfig) -> CampaignResult:
@@ -412,35 +409,22 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
         lam_avg = validate_stack(average, "density")
         live = probs > 0.0
 
-        # one entropy table per chunk; its columns are the averages, then the live branches
-        count = len(chunk)
-        spectra = np.concatenate((lam_avg, lam_state[live[present]]))
-        table = entropies_of_spectra(_descending(spectra), functionals)
-        s_branch = np.zeros((len(functionals),) + live.shape)
-        s_branch[:, live] = table[:, count:]
-        lhs = expected_entropy_stack(probs, s_branch).tolist()
-        rhs = table[:, :count].tolist()
+        rhs, lhs = _entropy_table(functionals, (lam_avg,), lam_state[live[present]], probs)
+        rhs, lhs = rhs.tolist(), lhs.tolist()
         for i, trial in enumerate(chunk):
             for f, functional in enumerate(functionals):
                 row = _inequality_row(trial, dim, functional.label, "holevo", lhs[f][i], rhs[f][i], None, cfg.tol)
                 rows.append(row)
 
-    scale = _display_scale(cfg)
-    report = _base_report(
-        cfg,
-        {
-            "dim": cfg.dim,
-            "trials": cfg.trials,
-            "ensemble_size": cfg.ensemble_size,
-            "entropy": [f.label for f in functionals],
-            "tol": cfg.tol,
-            "units": cfg.units,
-        },
-    )
-    summary = _margin_summary(rows, scale)
-    report["summary"] = summary
-    report["rows"] = [_row_dict(r, scale) for r in rows]
-    return CampaignResult(report, rows, 0 if summary["violations"] == 0 else 1)
+    flags = {
+        "dim": cfg.dim,
+        "trials": cfg.trials,
+        "ensemble_size": cfg.ensemble_size,
+        "entropy": [f.label for f in functionals],
+        "tol": cfg.tol,
+        "units": cfg.units,
+    }
+    return _campaign_result(cfg, flags, rows)
 
 
 def run_luders(cfg: CampaignConfig) -> CampaignResult:
@@ -461,11 +445,12 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
             )
         )
 
-    report = _base_report(cfg, {"dim": cfg.dim, "trials": cfg.trials})
-    summary = _margin_summary(rows, 1.0)
-    report["summary"] = summary
-    report["rows"] = [_row_dict(r, 1.0) for r in rows]
-    return CampaignResult(report, rows, 0 if summary["violations"] == 0 else 1)
+    return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, rows)
+
+
+def _exact_check(name: str, residual: float) -> dict:
+    """A counterexample check: it passes when the residual is within CONSISTENCY_TOL."""
+    return {"name": name, "pass": residual <= CONSISTENCY_TOL, "residual": residual}
 
 
 def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
@@ -476,6 +461,8 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
     and the identity of the violated side.  The selected functional's
     entropies are reported alongside.
     """
+    if len(cfg.functionals) > 1:
+        raise ValueError("counterexample takes at most one --entropy")
     functional = parse_functional(cfg.functionals[0])
     vn = von_neumann()
     if cfg.which == 1:
@@ -484,7 +471,7 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
         expected_state = np.eye(2, dtype=complex) / 2.0
         expected_purity_preserving = False
         violated_side = "observation"
-        expected_before_vn, expected_jump_vn = 0.0, LN2
+        expected_before_vn, expected_jump_vn = 0.0, math.log(2.0)
     else:
         measurement, initial = counterexample_2()
         expected_probs = [0.5, 0.5]
@@ -492,9 +479,10 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
         expected_state[0, 0] = 1.0
         expected_purity_preserving = True
         violated_side = "decoherence"
-        expected_before_vn, expected_jump_vn = LN2, 0.0
+        expected_before_vn, expected_jump_vn = math.log(2.0), 0.0
 
     ensemble = apply_povm(initial, measurement)
+    average = processes.ensemble_average(ensemble)
     probabilities = [outcome.probability for outcome in ensemble]
     prob_residual = max(abs(p - e) for p, e in zip(probabilities, expected_probs))
     outcome_residual = max(
@@ -502,89 +490,51 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
         for outcome in ensemble
         if outcome.probability > ZERO_PROBABILITY
     )
-
-    lam_initial = matcore.hermitian_spectrum(initial.mat)
-    average = processes.ensemble_average(ensemble)
-    lam_average = matcore.hermitian_spectrum(average.mat)
-    branches = [
-        (outcome.probability, matcore.hermitian_spectrum(outcome.state.mat))
-        for outcome in ensemble.live()
-    ]
-
-    def entropies(f):
-        before = entropy_of_spectrum(lam_initial, f)
-        expected_after = sum(p * entropy_of_spectrum(lam, f) for p, lam in branches)
-        of_average = entropy_of_spectrum(lam_average, f)
-        return before, expected_after, of_average
-
-    before_vn, expected_vn, average_vn = entropies(vn)
-    # the measured quantity on the violated side, against the initial entropy
-    jump_value = expected_vn if cfg.which == 1 else average_vn
     purity_preserving = ancilla_factors(measurement) is not None
 
+    rows: list[Row] = []
+    entropies = {}
+    for f in [vn] if functional == vn else [vn, functional]:
+        before, expected_after, of_average = entropies[f.label] = (
+            entropy(initial, f),
+            expected_entropy(ensemble, f),
+            entropy(average, f),
+        )
+        rows.append(_inequality_row(0, 2, f.label, "observation", expected_after, before, None, cfg.tol))
+        rows.append(_inequality_row(0, 2, f.label, "decoherence", before, of_average, None, cfg.tol))
+
+    before_vn, expected_vn, average_vn = entropies[vn.label]
+    # the measured quantity on the violated side, against the initial entropy
+    jump_value = expected_vn if cfg.which == 1 else average_vn
+    observed_violation = next((r.side for r in rows if r.functional == vn.label and r.violation), None)
     checks = [
-        {"name": "probabilities", "pass": prob_residual <= CONSISTENCY_TOL, "residual": prob_residual},
-        {"name": "outcome-states", "pass": outcome_residual <= CONSISTENCY_TOL, "residual": outcome_residual},
-        {
-            "name": "entropy-before",
-            "pass": abs(before_vn - expected_before_vn) <= CONSISTENCY_TOL,
-            "residual": abs(before_vn - expected_before_vn),
-        },
-        {
-            "name": "entropy-jump",
-            "pass": abs(jump_value - expected_jump_vn) <= CONSISTENCY_TOL,
-            "residual": abs(jump_value - expected_jump_vn),
-        },
-        {
-            "name": "purity-preserving-classification",
-            "pass": purity_preserving == expected_purity_preserving,
-            "residual": 0.0 if purity_preserving == expected_purity_preserving else 1.0,
-        },
+        _exact_check("probabilities", prob_residual),
+        _exact_check("outcome-states", outcome_residual),
+        _exact_check("entropy-before", abs(before_vn - expected_before_vn)),
+        _exact_check("entropy-jump", abs(jump_value - expected_jump_vn)),
+        _exact_check("purity-preserving-classification", float(purity_preserving != expected_purity_preserving)),
+        _exact_check("violated-side", float(observed_violation != violated_side)),
     ]
 
-    rows: list[Row] = []
-    labels = [vn.label] + ([functional.label] if functional.label != vn.label else [])
-    for label in labels:
-        f = parse_functional(label)
-        before, expected_after, of_average = entropies(f)
-        obs_margin = entropy_gap(before, expected_after)
-        dec_margin = entropy_gap(of_average, before)
-        rows.append(
-            Row(0, 2, label, "observation", expected_after, before, obs_margin, None, obs_margin < -cfg.tol)
-        )
-        rows.append(
-            Row(0, 2, label, "decoherence", before, of_average, dec_margin, None, dec_margin < -cfg.tol)
-        )
-    observed_violation = next((r.side for r in rows if r.functional == vn.label and r.violation), None)
-    checks.append(
-        {
-            "name": "violated-side",
-            "pass": observed_violation == violated_side,
-            "residual": 0.0 if observed_violation == violated_side else 1.0,
-        }
-    )
-
-    scale = _display_scale(cfg)
-    sel_before, sel_expected, sel_average = entropies(functional)
-    report = _base_report(cfg, {"which": cfg.which, "entropy": functional.label, "units": cfg.units})
-    report["probabilities"] = probabilities
-    report["expected_probabilities"] = expected_probs
-    report["purity_preserving"] = purity_preserving
-    report["expected_purity_preserving"] = expected_purity_preserving
-    report["violated_side"] = violated_side
-    report["entropy"] = {
-        "functional": functional.label,
-        "before": _scaled(sel_before, scale),
-        "expected_after_observation": _scaled(sel_expected, scale),
-        "of_average": _scaled(sel_average, scale),
+    flags = {"which": cfg.which, "entropy": functional.label, "units": cfg.units}
+    convert = _display(flags)
+    sel_before, sel_expected, sel_average = entropies[functional.label]
+    fields = {
+        "probabilities": probabilities,
+        "expected_probabilities": expected_probs,
+        "purity_preserving": purity_preserving,
+        "expected_purity_preserving": expected_purity_preserving,
+        "violated_side": violated_side,
+        "entropy": {
+            "functional": functional.label,
+            "before": convert(sel_before),
+            "expected_after_observation": convert(sel_expected),
+            "of_average": convert(sel_average),
+        },
+        "checks": checks,
     }
-    report["checks"] = checks
-    summary = _margin_summary(rows, scale)
-    summary["checks_failed"] = sum(not c["pass"] for c in checks)
-    report["summary"] = summary
-    report["rows"] = [_row_dict(r, scale) for r in rows]
-    exit_code = 0 if summary["checks_failed"] == 0 else 1
-    return CampaignResult(report, rows, exit_code)
+    checks_failed = sum(not c["pass"] for c in checks)
+    return _campaign_result(cfg, flags, rows, fields, {"checks_failed": checks_failed}, checks_failed > 0)
 
 
 def run_povm_classify(cfg: CampaignConfig) -> CampaignResult:
@@ -626,7 +576,7 @@ def _add_entropy(parser: argparse.ArgumentParser) -> None:
         "--entropy",
         action="append",
         metavar="F",
-        help="entropy selector, repeatable: von-neumann | linear | renyi:<alpha> | log-det",
+        help="entropy selector, repeatable except for counterexample: von-neumann | linear | renyi:<alpha> | log-det",
     )
     parser.add_argument("--units", choices=("nats", "bits"), default="nats", help="display units")
 
@@ -710,7 +660,7 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
 
 def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
     if cfg.fmt == "csv":
-        scale = _display_scale(cfg)
+        convert = _display(result.report["flags"])
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["trial", "dim", "functional", "side", "lhs", "rhs", "margin", "trivial"])
         for row in result.rows:
@@ -721,9 +671,9 @@ def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
                     row.dim,
                     row.functional,
                     row.side,
-                    repr(_scaled(row.lhs, scale)),
-                    repr(_scaled(row.rhs, scale)),
-                    repr(_scaled(row.margin, scale)),
+                    repr(convert(row.lhs)),
+                    repr(convert(row.rhs)),
+                    repr(convert(row.margin)),
                     trivial,
                 ]
             )

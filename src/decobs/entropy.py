@@ -57,8 +57,9 @@ class EntropyFunctional:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown entropy kind {self.kind!r}")
         if self.kind == "renyi":
-            if self.alpha is None or self.alpha <= 0.0:
-                raise ValueError("renyi requires alpha > 0")
+            # nan would fail every check and inf would zero every entropy
+            if self.alpha is None or not (0.0 < self.alpha < math.inf):
+                raise ValueError("renyi requires a finite alpha > 0")
             if self.alpha == 1.0:
                 raise ValueError("renyi alpha = 1 is excluded; use von-neumann")
         elif self.alpha is not None:
@@ -265,7 +266,5 @@ def expected_entropy(ensemble: OutcomeEnsemble, functional: EntropyFunctional) -
 
 
 def to_bits(value: float) -> float:
-    """Convert nats to bits for display; the sentinel passes through."""
-    if value == NEG_INFINITY or value == float("inf"):
-        return value
-    return value / math.log(2.0)
+    """Convert nats to bits for display; non-finite values pass through."""
+    return value * (1.0 / math.log(2.0)) if math.isfinite(value) else value

@@ -5,9 +5,11 @@ prefix sum of lam (sorted descending) dominates the corresponding prefix sum
 of mu.  For any concave h this forces sum h(lam) <= sum h(mu), which is the
 engine behind every entropy inequality verified here.
 
-Checks return a :class:`CheckReport` carrying the spectra involved, the
-prefix-sum margins, and a pass flag; reports serialize to plain dicts for the
-JSON output of campaigns.
+Every dominance check sorts and prefix-sums each pair once, in
+:func:`dominance`.  Checks return a :class:`CheckReport` carrying the spectra
+involved, the prefix-sum margins, the :class:`Dominance` results behind them,
+and a pass flag; the ``majorization`` campaign builds its rows from those
+results.
 """
 
 from __future__ import annotations
@@ -26,28 +28,54 @@ DEFAULT_MAJORIZATION_TOL = 1e-9
 
 
 def _padded_descending(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Sort both sequences descending, zero-padding the shorter one."""
+    """Sort both sequences descending, zero-padding the shorter one (and empty ones to [0])."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
-    size = max(a.size, b.size)
-    a = np.pad(a, (0, size - a.size))
-    b = np.pad(b, (0, size - b.size))
+    size = max(a.size, b.size, 1)
+    a = np.concatenate((a, np.zeros(size - a.size)))
+    b = np.concatenate((b, np.zeros(size - b.size)))
     return -np.sort(-a), -np.sort(-b)
+
+
+@dataclass(frozen=True)
+class Dominance:
+    """cumsum(lam) - cumsum(mu) of one pair sorted descending, read at its smallest margin."""
+
+    margins: np.ndarray
+    worst_margin: float
+    dominator_prefix: float  # the prefix sums of lam and mu at the smallest margin
+    dominated_prefix: float
+    sum_residual: float  # |sum lam - sum mu|, from the last prefix sums
+
+    def holds(self, tol: float) -> bool:
+        """True when the totals agree within tol and every prefix margin is >= -tol."""
+        return self.worst_margin >= -tol and self.sum_residual <= tol
+
+
+def dominance(lam, mu) -> Dominance:
+    """Sort, pad and prefix-sum one pair once; every dominance check reads its result."""
+    lam, mu = _padded_descending(lam, mu)
+    prefix_lam = np.cumsum(lam)
+    prefix_mu = np.cumsum(mu)
+    margins = prefix_lam - prefix_mu
+    worst = int(np.argmin(margins))
+    return Dominance(
+        margins=margins,
+        worst_margin=float(margins[worst]),
+        dominator_prefix=float(prefix_lam[worst]),
+        dominated_prefix=float(prefix_mu[worst]),
+        sum_residual=abs(float(prefix_lam[-1] - prefix_mu[-1])),
+    )
 
 
 def prefix_margins(lam, mu) -> np.ndarray:
     """Prefix-sum differences cumsum(lam) - cumsum(mu), both sorted descending."""
-    lam, mu = _padded_descending(lam, mu)
-    return np.cumsum(lam) - np.cumsum(mu)
+    return dominance(lam, mu).margins
 
 
 def majorizes(lam, mu, tol: float = DEFAULT_MAJORIZATION_TOL) -> bool:
     """True when the sums agree within tol and every prefix margin is >= -tol."""
-    lam, mu = _padded_descending(lam, mu)
-    if abs(float(lam.sum()) - float(mu.sum())) > tol:
-        return False
-    margins = np.cumsum(lam) - np.cumsum(mu)
-    return bool(np.all(margins >= -tol))
+    return dominance(lam, mu).holds(tol)
 
 
 @dataclass(frozen=True)
@@ -59,6 +87,8 @@ class CheckReport:
     spectra: dict = field(default_factory=dict)
     trial: int | None = None
     note: str = ""
+    #: The prefix-sum comparisons behind ``margins``, one per dominance checked.
+    dominance: tuple[Dominance, ...] = ()
 
     def to_dict(self) -> dict:
         out = {
@@ -73,6 +103,18 @@ class CheckReport:
         return out
 
 
+def _dominance_report(pairs, tol: float, spectra: dict, trial: int | None) -> CheckReport:
+    """Check that each (dominator, dominated) pair majorizes; margins run pair by pair."""
+    checks = tuple(dominance(lam, mu) for lam, mu in pairs)
+    return CheckReport(
+        passed=all(check.holds(tol) for check in checks),
+        margins=tuple(float(m) for check in checks for m in check.margins),
+        spectra=spectra,
+        trial=trial,
+        dominance=checks,
+    )
+
+
 def check_schur_majorization(
     rho: DensityMatrix,
     env_overlap: GramMatrix,
@@ -82,13 +124,8 @@ def check_schur_majorization(
     """Verify that the spectrum of rho dominates the spectrum of rho o E."""
     lam_rho = matcore.hermitian_spectrum(rho.mat)
     lam_schur = matcore.hermitian_spectrum(matcore.schur_product(rho.mat, env_overlap.mat))
-    margins = prefix_margins(lam_rho, lam_schur)
-    return CheckReport(
-        passed=majorizes(lam_rho, lam_schur, tol),
-        margins=tuple(float(m) for m in margins),
-        spectra={"rho": tuple(lam_rho), "schur_product": tuple(lam_schur)},
-        trial=trial,
-    )
+    spectra = {"rho": tuple(lam_rho), "schur_product": tuple(lam_schur)}
+    return _dominance_report([(lam_rho, lam_schur)], tol, spectra, trial)
 
 
 def check_pinching_double(
@@ -116,18 +153,8 @@ def check_pinching_double(
         parts = parts + matcore.hermitian_spectrum(piece)
         pinched = pinched + piece
     lam_pinched = matcore.hermitian_spectrum(pinched)
-    upper = prefix_margins(parts, lam)
-    lower = prefix_margins(lam, lam_pinched)
-    return CheckReport(
-        passed=majorizes(parts, lam, tol) and majorizes(lam, lam_pinched, tol),
-        margins=tuple(float(m) for m in upper) + tuple(float(m) for m in lower),
-        spectra={
-            "pinched_parts_sum": tuple(parts),
-            "matrix": tuple(lam),
-            "pinched": tuple(lam_pinched),
-        },
-        trial=trial,
-    )
+    spectra = {"pinched_parts_sum": tuple(parts), "matrix": tuple(lam), "pinched": tuple(lam_pinched)}
+    return _dominance_report([(parts, lam), (lam, lam_pinched)], tol, spectra, trial)
 
 
 def check_fan(
@@ -143,13 +170,8 @@ def check_fan(
         raise ShapeMismatchError("fan-same-dim", detail=f"{a.shape} vs {b.shape}")
     combined = matcore.hermitian_spectrum(a) + matcore.hermitian_spectrum(b)
     lam_sum = matcore.hermitian_spectrum(a + b)
-    margins = prefix_margins(combined, lam_sum)
-    return CheckReport(
-        passed=majorizes(combined, lam_sum, tol),
-        margins=tuple(float(m) for m in margins),
-        spectra={"sum_of_spectra": tuple(combined), "spectrum_of_sum": tuple(lam_sum)},
-        trial=trial,
-    )
+    spectra = {"sum_of_spectra": tuple(combined), "spectrum_of_sum": tuple(lam_sum)}
+    return _dominance_report([(combined, lam_sum)], tol, spectra, trial)
 
 
 def entropy_gap(rhs: float, lhs: float) -> float:

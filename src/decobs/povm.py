@@ -39,8 +39,6 @@ from .states import (
     purity,
 )
 
-UNITARY_TOL = 1e-10
-
 #: Residual threshold for the structural purity-preservation test; looser than
 #: construction tolerances because it compares products of validated objects.
 PPPOVM_TOL = 1e-8
@@ -72,7 +70,7 @@ class Povm:
             raise DimensionMismatchError(
                 "joint-unitary-dim", detail=f"got {unitary.shape[0]}, expected {joint_dim}"
             )
-        if not matcore.is_unitary(unitary, UNITARY_TOL):
+        if not matcore.is_unitary(unitary):
             residual = matcore.max_abs(unitary.conj().T @ unitary - np.eye(joint_dim))
             raise ValidationError("joint-unitary", residual=residual)
         if self.joint_projectors.dim != joint_dim:

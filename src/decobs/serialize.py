@@ -15,6 +15,7 @@ and a measurement is ``{"object_dim", "ancilla_dim", "ancilla_state",
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -30,6 +31,17 @@ from .states import (
     ProjectorSet,
     PureState,
 )
+
+
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of the given kinds that a float can hold.
+
+    bool is an int subclass in Python, so it is ruled out, as are integers
+    beyond the float range; non-finite floats are left to the callers.
+    """
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
@@ -52,7 +64,7 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise ValidationError("json-matrix-keys", detail=f"{where}: missing {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not _is_number(rows, int) or not _is_number(cols, int) or rows < 1 or cols < 1:
         raise ValidationError("json-matrix-shape", detail=f"{where}: rows/cols must be positive integers")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -62,8 +74,8 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
         )
     out = np.empty(rows * cols, dtype=complex)
     for idx, entry in enumerate(data):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ValidationError("json-matrix-entry", detail=f"{where}: entry {idx} is not [re, im]")
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry))):
+            raise ValidationError("json-matrix-entry", detail=f"{where}: entry {idx} is not [re, im] numbers")
         re, im = entry
         out[idx] = complex(float(re), float(im))
     if not np.all(np.isfinite(out)):
@@ -144,8 +156,8 @@ def ensemble_from_json(obj: Any, where: str = "ensemble") -> OutcomeEnsemble:
         raise ValidationError("json-outcomes", detail=f"{where}: 'outcomes' must be a non-empty list")
     outcomes = []
     for idx, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "p" not in entry:
-            raise ValidationError("json-outcome", detail=f"{where}: outcome {idx} needs a 'p' field")
+        if not isinstance(entry, dict) or not _is_number(entry.get("p")):
+            raise ValidationError("json-outcome", detail=f"{where}: outcome {idx} needs a numeric 'p' field")
         state_obj = entry.get("state")
         state = None if state_obj is None else DensityMatrix(matrix_from_json(state_obj, f"{where}.outcomes[{idx}].state"))
         outcomes.append(Outcome(float(entry["p"]), state))
@@ -168,12 +180,15 @@ def povm_from_json(obj: Any, where: str = "povm") -> Povm:
     for key in ("object_dim", "ancilla_dim", "ancilla_state", "unitary", "projectors"):
         if key not in obj:
             raise ValidationError("json-povm-keys", detail=f"{where}: missing {key!r}")
+    for key in ("object_dim", "ancilla_dim"):
+        if not _is_number(obj[key], int):
+            raise ValidationError("json-povm-dims", detail=f"{where}: {key!r} must be an integer")
     projectors = obj["projectors"]
     if not isinstance(projectors, list) or not projectors:
         raise ValidationError("json-povm-projectors", detail=f"{where}: 'projectors' must be a non-empty list")
     return Povm(
-        object_dim=int(obj["object_dim"]),
-        ancilla_dim=int(obj["ancilla_dim"]),
+        object_dim=obj["object_dim"],
+        ancilla_dim=obj["ancilla_dim"],
         ancilla_state=DensityMatrix(matrix_from_json(obj["ancilla_state"], f"{where}.ancilla_state")),
         joint_unitary=matrix_from_json(obj["unitary"], f"{where}.unitary"),
         joint_projectors=ProjectorSet(

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 
-HERMITIAN_TOL = 1e-10
+HERMITIAN_TOL = matcore.DEFAULT_TOL
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10

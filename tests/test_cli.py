@@ -123,6 +123,21 @@ class TestCounterexampleCommand:
         assert report["entropy"]["before"] == pytest.approx(-0.5)
         assert report["entropy"]["of_average"] == pytest.approx(-1.0)
 
+    def test_rows_use_the_selected_order_not_its_rounded_label(self, capsys):
+        # the label keeps 6 significant digits; the rows and the entropy block use the full order
+        code, report = run_json(capsys, "counterexample", "--which", "2", "--entropy", "renyi:0.1234567891")
+        assert code == 0
+        renyi_rows = {row["side"]: row for row in report["rows"] if row["functional"] == "renyi:0.123457"}
+        assert renyi_rows["decoherence"]["lhs"] == report["entropy"]["before"]
+        assert renyi_rows["observation"]["lhs"] == report["entropy"]["expected_after_observation"]
+        assert renyi_rows["decoherence"]["rhs"] == report["entropy"]["of_average"]
+
+    def test_rejects_more_than_one_entropy(self, capsys):
+        code, out, err = run_cli(capsys, "counterexample", "--which", "1", "--entropy", "linear", "--entropy", "renyi:2")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: counterexample takes at most one --entropy"
+
     def test_bits_display(self, capsys):
         code, report = run_json(capsys, "counterexample", "--which", "1", "--units", "bits")
         assert code == 0
@@ -196,6 +211,33 @@ class TestPovmClassify:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize(
+        "field, value, invariant",
+        [
+            ("object_dim", [2], "json-povm-dims"),
+            ("object_dim", None, "json-povm-dims"),
+            ("object_dim", 2.7, "json-povm-dims"),
+            ("object_dim", "2", "json-povm-dims"),
+            ("ancilla_dim", True, "json-povm-dims"),
+            ("entry", [[1], 0], "json-matrix-entry"),
+            ("entry", ["1.5", 0], "json-matrix-entry"),
+            ("entry", [False, 0], "json-matrix-entry"),
+            ("entry", [10**400, 0], "json-matrix-entry"),
+        ],
+    )
+    def test_malformed_numbers_are_input_errors(self, capsys, tmp_path, field, value, invariant):
+        obj = povm_to_json(counterexample_1()[0])
+        if field == "entry":
+            obj["unitary"]["data"][0] = value
+        else:
+            obj[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "povm-classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {invariant}")
+
 
 class TestFlagValidation:
     def test_rejects_bad_dim(self, capsys):
@@ -205,6 +247,14 @@ class TestFlagValidation:
     def test_rejects_bad_tol(self, capsys):
         code, out, err = run_cli(capsys, "majorization", "--tol", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["verify-s-theorems", "holevo"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_renyi_order(self, capsys, command, alpha):
+        code, out, err = run_cli(capsys, command, "--trials", "2", "--entropy", f"renyi:{alpha}")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: renyi requires a finite alpha > 0"
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_rejects_non_finite_tol(self, capsys, tol):

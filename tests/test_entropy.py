@@ -53,6 +53,13 @@ class TestFunctionalConstruction:
         with pytest.raises(ValueError):
             renyi(-2.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="renyi requires a finite alpha > 0"):
+            renyi(alpha)
+        with pytest.raises(ValueError, match="renyi requires a finite alpha > 0"):
+            parse_functional(f"renyi:{alpha}")
+
     def test_custom_concave_accepted(self):
         f = custom(lambda x: math.sqrt(x))
         assert entropy_of_spectrum([0.25, 0.75], f) == pytest.approx(0.5 + math.sqrt(0.75))

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, sampling
+from decobs.cli import CampaignConfig, Row, run_majorization
 from decobs.entropy import builtin_functionals, log_det, von_neumann
 from decobs.majorization import (
+    DEFAULT_MAJORIZATION_TOL,
     check_fan,
     check_holevo,
     check_pinching_double,
     check_schur_majorization,
+    dominance,
     entropy_from_majorization_consistency,
     majorizes,
     prefix_margins,
@@ -77,6 +80,71 @@ class TestMajorizes:
         assert majorizes(lam, mu) and majorizes(mu, lam)
         forward = prefix_margins(lam, mu)
         assert matcore.max_abs(forward) <= 1e-12
+
+
+def reference_dominance_row(dominator, dominated, tol):
+    """(lhs, rhs, margin, violation) of a majorization campaign row, each step written out."""
+    lam = -np.sort(-np.asarray(dominator, dtype=float))
+    mu = -np.sort(-np.asarray(dominated, dtype=float))
+    prefix_lam = np.cumsum(lam)
+    prefix_mu = np.cumsum(mu)
+    margins = prefix_lam - prefix_mu
+    worst = int(np.argmin(margins))
+    sum_residual = abs(float(prefix_lam[-1] - prefix_mu[-1]))
+    margin = float(margins[worst])
+    return float(prefix_mu[worst]), float(prefix_lam[worst]), margin, margin < -tol or sum_residual > tol
+
+
+HAND_CASES = [
+    ([1.0, 0.0], [0.5, 0.5], True),
+    ([0.5, 0.5], [1.0, 0.0], False),
+    ([0.7, 0.3], [0.6, 0.4], True),
+    ([0.7, 0.2], [0.6, 0.4], False),
+    ([1.0], [0.5, 0.5], True),
+    ([0.6, 0.4, 0.0], [0.6, 0.4], True),
+    ([0.3, 0.7], [0.4, 0.6], True),
+]
+
+
+class TestDominanceKernel:
+    @pytest.mark.parametrize("lam, mu, expected", HAND_CASES)
+    def test_prefix_margins_and_majorizes_agree_with_the_kernel(self, lam, mu, expected):
+        check = dominance(lam, mu)
+        assert np.array_equal(prefix_margins(lam, mu), check.margins)
+        assert majorizes(lam, mu) is check.holds(DEFAULT_MAJORIZATION_TOL) is expected
+        size = max(len(lam), len(mu))
+        padded = [np.pad(np.asarray(x, dtype=float), (0, size - len(x))) for x in (lam, mu)]
+        lhs, rhs, margin, violation = reference_dominance_row(*padded, DEFAULT_MAJORIZATION_TOL)
+        assert (check.dominated_prefix, check.dominator_prefix, check.worst_margin) == (lhs, rhs, margin)
+        assert violation is not expected
+
+    @pytest.mark.parametrize("tol", [DEFAULT_MAJORIZATION_TOL, 1e-30])
+    @pytest.mark.parametrize("response", ["1", "d"])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_campaign_rows_match_the_row_formula(self, seed, dim, response, tol):
+        # replays each trial's draws and checks, then builds the rows from the spectra
+        response_dim = 1 if response == "1" else dim
+        cfg = CampaignConfig("majorization", seed=seed, dim=dim, trials=15, response_dim=response_dim, tol=tol)
+        expected = []
+        for trial in range(cfg.trials):
+            rng = sampling.trial_stream(seed, trial)
+            rho = sampling.random_density(dim, rng)
+            schur = check_schur_majorization(rho, sampling.random_gram(dim, response_dim, rng), tol).spectra
+            pinch_input = sampling.random_density(dim, rng).mat
+            partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
+            pinching = check_pinching_double(pinch_input, partition, tol).spectra
+            a = sampling.random_hermitian(dim, rng)
+            fan = check_fan(a, sampling.random_hermitian(dim, rng), tol).spectra
+            for side, dominator, dominated in (
+                ("schur", schur["rho"], schur["schur_product"]),
+                ("pinching-upper", pinching["pinched_parts_sum"], pinching["matrix"]),
+                ("pinching-lower", pinching["matrix"], pinching["pinched"]),
+                ("fan", fan["sum_of_spectra"], fan["spectrum_of_sum"]),
+            ):
+                lhs, rhs, margin, violation = reference_dominance_row(dominator, dominated, tol)
+                expected.append(Row(trial, dim, "", side, lhs, rhs, margin, None, violation))
+        assert run_majorization(cfg).rows == expected
 
 
 class TestSchurMajorization:

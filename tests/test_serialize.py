@@ -37,6 +37,11 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValidationError):
             serialize.matrix_from_json({"rows": 1, "cols": 1, "data": [[1.0]]})
 
+    def test_rejects_bool_shape(self):
+        with pytest.raises(ValidationError) as err:
+            serialize.matrix_from_json({"rows": True, "cols": 1, "data": [[1.0, 0.0]]})
+        assert err.value.invariant == "json-matrix-shape"
+
     def test_json_serializable(self):
         rho = sampling.random_density(3, sampling.stream(0))
         text = json.dumps(serialize.density_to_json(rho))
@@ -87,6 +92,13 @@ class TestEnsembleRoundTrip:
         back = serialize.ensemble_from_json(obj)
         assert [o.probability for o in back] == [o.probability for o in ens]
         assert back.outcomes[3].state is None
+
+    @pytest.mark.parametrize("p", ["0.5", None, True, [0.5], 10**400])
+    def test_rejects_non_numeric_probability(self, p):
+        obj = {"kind": "ensemble", "outcomes": [{"p": p, "state": None}]}
+        with pytest.raises(ValidationError) as err:
+            serialize.ensemble_from_json(obj)
+        assert err.value.invariant == "json-outcome"
 
     def test_live_states_survive(self):
         rng = sampling.stream(8)
