@@ -1,0 +1,123 @@
+"""Print one digest line per report of a fixed grid of decobs command lines.
+
+Usage: PYTHONPATH=src python scripts/report_digests.py > digests.txt
+
+Each line is ``exit sha256 argv``: the exit code of ``decobs.cli.main``, the
+SHA-256 of its stdout with the JSON timestamp blanked, and the arguments.
+The grid covers every subcommand: dims 1 to 16, two seeds, JSON and CSV,
+nats and bits, default, unit and large response dims and ensemble sizes, all
+seven entropy functionals, ``--tol 1e-30``, both counterexamples with each
+functional, and ``povm-classify`` on both counterexample exports.
+
+The script takes no flags, so two versions of the package can be compared
+by running it against each and diffing the outputs::
+
+    PYTHONPATH=<other checkout>/src python scripts/report_digests.py > before.txt
+    PYTHONPATH=src python scripts/report_digests.py > after.txt
+    diff before.txt after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+
+from decobs.cli import main as decobs_main
+from decobs.povm import counterexample_1, counterexample_2, probing_as_povm
+from decobs.serialize import povm_to_json
+from decobs.states import basis_state
+
+DIMS = (1, 2, 3, 4, 8, 16)
+SEEDS = (0, 7)
+TRIALS = "4"
+FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det", "renyi:0.1", "renyi:3")
+FORMATS = ("json", "csv")
+UNITS = ("nats", "bits")
+TIGHT_TOL = ("--tol", "1e-30")
+POVM_FILES = {
+    "counterexample-1.json": lambda: counterexample_1()[0],
+    "counterexample-2.json": lambda: counterexample_2()[0],
+    "probing.json": lambda: probing_as_povm([basis_state(2, 0), basis_state(2, 1)]),
+}
+
+_TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+
+def _entropy_flags(functionals) -> list[str]:
+    return [flag for name in functionals for flag in ("--entropy", name)]
+
+
+def grid() -> list[list[str]]:
+    """Every command line of the grid, in a fixed order."""
+    configs = []
+    every = _entropy_flags(FUNCTIONALS)
+    for dim in DIMS:
+        for seed in SEEDS:
+            seeded = ["--dim", str(dim), "--seed", str(seed), "--trials", TRIALS]
+            for command, option, sizes in (
+                ("verify-s-theorems", "--response-dim", (1, dim + 3)),
+                ("holevo", "--ensemble-size", (1, 7)),
+            ):
+                for size in (None, *sizes):
+                    sized = [] if size is None else [option, str(size)]
+                    for fmt in FORMATS:
+                        for units in UNITS:
+                            configs.append([command, *seeded, *sized, *every, "--format", fmt, "--units", units])
+            for response in (None, 1, dim + 3):
+                sized = [] if response is None else ["--response-dim", str(response)]
+                for fmt in FORMATS:
+                    configs.append(["majorization", *seeded, *sized, "--format", fmt])
+            for fmt in FORMATS:
+                configs.append(["luders-equiv", *seeded, "--format", fmt])
+        configs.append(["majorization", "--dim", str(dim), "--trials", TRIALS, *TIGHT_TOL])
+    for command in ("verify-s-theorems", "holevo"):
+        for name in FUNCTIONALS:
+            configs.append([command, "--dim", "3", "--trials", TRIALS, *_entropy_flags([name])])
+        for dim in (2, 4):
+            for fmt in FORMATS:
+                configs.append([command, "--dim", str(dim), "--trials", TRIALS, *every, *TIGHT_TOL, "--format", fmt])
+    for which in ("1", "2"):
+        configs.append(["counterexample", "--which", which])
+        for name in FUNCTIONALS:
+            for fmt in FORMATS:
+                for units in UNITS:
+                    configs.append(["counterexample", "--which", which, "--entropy", name, "--format", fmt, "--units", units])
+        configs.append(["counterexample", "--which", which, *TIGHT_TOL])
+        configs.append(["counterexample", "--which", which, *TIGHT_TOL, "--format", "csv"])
+    for name in POVM_FILES:
+        configs.append(["povm-classify", name])
+    return configs
+
+
+def digest(argv: list[str]) -> str:
+    """``exit sha256 argv`` of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = decobs_main(argv)
+    text = _TIMESTAMP.sub('"timestamp": ""', out.getvalue())
+    return f"{code} {hashlib.sha256(text.encode()).hexdigest()} {' '.join(argv)}"
+
+
+def main() -> int:
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        # the measurement files are named relative to the working directory,
+        # so the reports, which echo the path, do not depend on where it is
+        os.chdir(scratch)
+        try:
+            for name, build in POVM_FILES.items():
+                with open(name, "w") as out:
+                    json.dump(povm_to_json(build()), out)
+            lines = [digest(argv) for argv in grid()]
+        finally:
+            os.chdir(start)
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

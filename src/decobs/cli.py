@@ -33,6 +33,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -55,7 +56,7 @@ from .majorization import (
     check_fan,
     check_pinching_double,
     check_schur_majorization,
-    entropy_gap,
+    inequality_verdict,
 )
 from .povm import ancilla_factors, apply_povm, counterexample_1, counterexample_2
 from .states import (
@@ -108,6 +109,29 @@ class CampaignConfig:
     ensemble_size: int | None = None
     which: int | None = None
     povm_file: str | None = None
+
+    def __post_init__(self):
+        """Reject a config no campaign can run, with the message the CLI prints."""
+        labels = [parse_functional(text).label for text in self.functionals]
+        for i, label in enumerate(labels):
+            # rows are told apart by label alone
+            if label in labels[:i]:
+                raise ValueError(f"duplicate entropy functional {label!r}")
+        if self.dim < 1:
+            raise ValueError("--dim must be >= 1")
+        if self.trials < 1:
+            raise ValueError("--trials must be >= 1")
+        if self.response_dim is not None and self.response_dim < 1:
+            raise ValueError("--response-dim must be >= 1")
+        if self.ensemble_size is not None and self.ensemble_size < 1:
+            raise ValueError("--ensemble-size must be >= 1")
+        # inf would pass every check vacuously and nan would fail every one
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("--tol must be positive and finite")
+        if self.command == "counterexample" and self.which not in (1, 2):
+            raise ValueError("--which must be 1 or 2")
+        if self.units not in ("nats", "bits"):
+            raise ValueError("--units must be nats or bits")
 
 
 @dataclass
@@ -250,8 +274,8 @@ def _entropy_table(functionals, states: tuple, branches: np.ndarray, probs: np.n
 
 def _inequality_row(trial, dim, label, side, lhs, rhs, trivial, tol) -> Row:
     """Margin record of one check lhs <= rhs + tol."""
-    margin = entropy_gap(rhs, lhs)
-    violation = not (lhs <= rhs + tol)
+    margin, holds = inequality_verdict(lhs, rhs, tol)
+    violation = not holds
     strict = None
     if trivial is not None and not trivial and not violation:
         strict = margin > NEAR_TRIVIAL_MARGIN
@@ -307,10 +331,11 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         lam_dec = validate_stack(decohered, "density")
         consistency_max = max(consistency_max, float(abs(averaged - decohered).max()))
 
-        branch_gap = np.zeros(live.shape)
-        branch_gap[live] = abs(lam_branch - lam_rho[np.nonzero(live)[0]]).max(axis=-1)
-        obs_trivial = (branch_gap <= TRIVIALITY_TOL).all(axis=-1).tolist()
-        dec_trivial = (abs(lam_dec - lam_rho).max(axis=-1) <= TRIVIALITY_TOL).tolist()
+        # an observation is trivial when every live branch keeps the state's spectrum
+        branch_unchanged = np.ones(live.shape, dtype=bool)
+        branch_unchanged[live] = processes.spectra_unchanged(lam_rho[np.nonzero(live)[0]], lam_branch, TRIVIALITY_TOL)
+        obs_trivial = branch_unchanged.all(axis=-1).tolist()
+        dec_trivial = processes.spectra_unchanged(lam_rho, lam_dec, TRIVIALITY_TOL).tolist()
         regular = (lam_rho[:, 0] >= SINGULAR_SKIP).tolist()
 
         table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
@@ -627,35 +652,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
-    selectors = getattr(args, "entropy", None) or ["von-neumann"]
-    for text in selectors:
-        parse_functional(text)
-    cfg = CampaignConfig(
-        command=args.command,
-        seed=getattr(args, "seed", 0),
-        dim=getattr(args, "dim", 2),
-        trials=getattr(args, "trials", 100),
-        response_dim=getattr(args, "response_dim", None),
-        functionals=tuple(selectors),
-        tol=getattr(args, "tol", HARD_TOL),
-        fmt=getattr(args, "fmt", "json"),
-        units=getattr(args, "units", "nats"),
-        ensemble_size=getattr(args, "ensemble_size", None),
-        which=getattr(args, "which", None),
-        povm_file=getattr(args, "povm_file", None),
-    )
-    if cfg.dim < 1:
-        raise ValueError("--dim must be >= 1")
-    if cfg.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    if cfg.response_dim is not None and cfg.response_dim < 1:
-        raise ValueError("--response-dim must be >= 1")
-    if cfg.ensemble_size is not None and cfg.ensemble_size < 1:
-        raise ValueError("--ensemble-size must be >= 1")
-    # inf would pass every check vacuously and nan would fail every one
-    if not (cfg.tol > 0 and math.isfinite(cfg.tol)):
-        raise ValueError("--tol must be positive and finite")
-    return cfg
+    fields = dict(vars(args))
+    selectors = fields.pop("entropy", None)
+    if selectors:
+        fields["functionals"] = tuple(selectors)
+    return CampaignConfig(**fields)
 
 
 def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
@@ -690,7 +691,15 @@ def main(argv=None) -> int:
     except (ValidationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(result, cfg)
+    try:
+        _emit(result, cfg)
+        # flushed here, so that a reader closing the pipe early is caught here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return result.exit_code
 
 

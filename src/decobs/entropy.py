@@ -248,7 +248,7 @@ def expected_entropy_stack(probs, entropies) -> np.ndarray:
 
 def entropy(rho: DensityMatrix, functional: EntropyFunctional) -> float:
     """S(rho) = sum_i h(lambda_i) over the eigenvalues of rho."""
-    return entropy_of_spectrum(matcore.hermitian_spectrum(rho.mat), functional)
+    return entropy_of_spectrum(rho.spectrum, functional)
 
 
 def expected_entropy(ensemble: OutcomeEnsemble, functional: EntropyFunctional) -> float:

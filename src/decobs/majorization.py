@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .entropy import EntropyFunctional, entropy, entropy_of_spectrum, expected_entropy
+from .entropy import EntropyFunctional, entropy, expected_entropy
 from .errors import ShapeMismatchError
 from .processes import ensemble_average
 from .states import DensityMatrix, GramMatrix, OutcomeEnsemble, ProjectorSet
@@ -122,7 +122,7 @@ def check_schur_majorization(
     trial: int | None = None,
 ) -> CheckReport:
     """Verify that the spectrum of rho dominates the spectrum of rho o E."""
-    lam_rho = matcore.hermitian_spectrum(rho.mat)
+    lam_rho = rho.spectrum
     lam_schur = matcore.hermitian_spectrum(matcore.schur_product(rho.mat, env_overlap.mat))
     spectra = {"rho": tuple(lam_rho), "schur_product": tuple(lam_schur)}
     return _dominance_report([(lam_rho, lam_schur)], tol, spectra, trial)
@@ -181,6 +181,11 @@ def entropy_gap(rhs: float, lhs: float) -> float:
     return rhs - lhs
 
 
+def inequality_verdict(lhs: float, rhs: float, tol: float) -> tuple[float, bool]:
+    """The margin ``entropy_gap(rhs, lhs)`` of lhs <= rhs + tol, and whether it holds."""
+    return entropy_gap(rhs, lhs), bool(lhs <= rhs + tol)
+
+
 def check_holevo(
     ensemble: OutcomeEnsemble,
     functional: EntropyFunctional,
@@ -190,13 +195,11 @@ def check_holevo(
     """Verify that the average branch entropy never exceeds the entropy of the
     average state."""
     average = ensemble_average(ensemble)
-    lhs = expected_entropy(ensemble, functional)
-    rhs = entropy(average, functional)
-    margin = entropy_gap(rhs, lhs)
+    margin, passed = inequality_verdict(expected_entropy(ensemble, functional), entropy(average, functional), tol)
     return CheckReport(
-        passed=bool(lhs <= rhs + tol),
+        passed=passed,
         margins=(margin,),
-        spectra={"average": tuple(matcore.hermitian_spectrum(average.mat))},
+        spectra={"average": tuple(average.spectrum)},
         trial=trial,
         note=functional.label,
     )
@@ -211,16 +214,12 @@ def entropy_from_majorization_consistency(
 ) -> CheckReport:
     """When lambda(rho1) dominates lambda(rho2), the entropies must order the
     other way; incomparable spectra produce a no-claim report."""
-    lam1 = matcore.hermitian_spectrum(rho1.mat)
-    lam2 = matcore.hermitian_spectrum(rho2.mat)
-    spectra = {"rho1": tuple(lam1), "rho2": tuple(lam2)}
-    if not majorizes(lam1, lam2, tol):
+    spectra = {"rho1": tuple(rho1.spectrum), "rho2": tuple(rho2.spectrum)}
+    if not majorizes(rho1.spectrum, rho2.spectrum, tol):
         return CheckReport(passed=True, margins=(), spectra=spectra, trial=trial, note="not comparable")
-    s1 = entropy_of_spectrum(lam1, functional)
-    s2 = entropy_of_spectrum(lam2, functional)
-    margin = entropy_gap(s2, s1)
+    margin, passed = inequality_verdict(entropy(rho1, functional), entropy(rho2, functional), tol)
     return CheckReport(
-        passed=bool(s1 <= s2 + tol),
+        passed=passed,
         margins=(margin,),
         spectra=spectra,
         trial=trial,

@@ -149,31 +149,28 @@ def luders(rho: DensityMatrix, projectors: ProjectorSet) -> DensityMatrix:
     return DensityMatrix(total)
 
 
+def spectra_unchanged(before, after, tol: float = DEFAULT_TRIVIALITY_TOL) -> np.ndarray:
+    """max_i |after_i - before_i| <= tol over the last axis of (..., d) spectra.
+
+    Both stacks must be sorted the same way.  For Hermitian matrices,
+    equality up to a unitary is spectral equality, so this is the triviality
+    test of a probing or decoherence step.
+    """
+    return abs(np.asarray(after) - np.asarray(before)).max(axis=-1, initial=0.0) <= tol
+
+
 def is_trivial_probing_for(
     rho: DensityMatrix, probe: ProbingMatrix, tol: float = DEFAULT_TRIVIALITY_TOL
 ) -> bool:
-    """True when every live observation branch equals rho up to a unitary.
-
-    For Hermitian matrices, equality up to a unitary is spectral equality, so
-    the test compares each branch spectrum against the input spectrum
-    componentwise within tol.
-    """
-    reference = matcore.hermitian_spectrum(rho.mat)
-    for outcome in observe(rho, probe):
-        if outcome.probability > ZERO_PROBABILITY:
-            branch = matcore.hermitian_spectrum(outcome.state.mat)
-            if matcore.max_abs(branch - reference) > tol:
-                return False
-    return True
+    """True when every live observation branch equals rho up to a unitary."""
+    return all(spectra_unchanged(rho.spectrum, o.state.spectrum, tol) for o in observe(rho, probe).live())
 
 
 def is_trivial_decoherence_for(
     rho: DensityMatrix, env_overlap: GramMatrix, tol: float = DEFAULT_TRIVIALITY_TOL
 ) -> bool:
     """True when rho o E has the same spectrum as rho within tol."""
-    reference = matcore.hermitian_spectrum(rho.mat)
-    after = matcore.hermitian_spectrum(decohere(rho, env_overlap).mat)
-    return matcore.max_abs(after - reference) <= tol
+    return bool(spectra_unchanged(rho.spectrum, decohere(rho, env_overlap).spectrum, tol))
 
 
 def _complete_unitary_from_first_column(first: np.ndarray) -> np.ndarray:

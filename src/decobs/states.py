@@ -8,7 +8,7 @@ measured residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -127,14 +127,21 @@ def validate_stack(mats, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace complex matrix."""
+    """Hermitian, positive-semidefinite, unit-trace complex matrix.
+
+    ``spectrum`` holds its eigenvalues in non-increasing order, read-only:
+    the PSD check solves them, and they are bit for bit what
+    :func:`~decobs.matcore.hermitian_spectrum` of ``mat`` returns.
+    """
 
     mat: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = matcore.require_square(self.mat)
-        _check_square_stack(mat, "density")
+        spectrum = _check_square_stack(mat, "density")[::-1]
         object.__setattr__(self, "mat", _readonly(mat))
+        object.__setattr__(self, "spectrum", _readonly(spectrum, dtype=float))
 
     @property
     def dim(self) -> int:

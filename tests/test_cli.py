@@ -1,15 +1,22 @@
+import csv
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from decobs.cli import main
+from decobs.cli import CampaignConfig, _config_from_args, build_parser, main, run_s_theorems
 from decobs.povm import counterexample_1, counterexample_2, probing_as_povm
 from decobs.serialize import povm_to_json
 from decobs.states import basis_state
 
 LN2 = math.log(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -262,3 +269,158 @@ class TestFlagValidation:
         assert code == 2
         assert out == ""
         assert err.strip() == "error: --tol must be positive and finite"
+
+
+def _reject_constant(name):
+    raise AssertionError(f"bare {name} in a JSON report")
+
+
+class TestNonFiniteValues:
+    """log-det of the pure input of counterexample 1 is the -inf sentinel."""
+
+    def test_json_spells_them_as_strings(self, capsys):
+        code, out, _ = run_cli(capsys, "counterexample", "--which", "1", "--entropy", "log-det")
+        assert code == 0
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["entropy"]["before"] == "-inf"
+        rows = {row["side"]: row for row in report["rows"] if row["functional"] == "log-det"}
+        assert (rows["observation"]["rhs"], rows["observation"]["margin"]) == ("-inf", "-inf")
+        assert (rows["decoherence"]["lhs"], rows["decoherence"]["margin"]) == ("-inf", "inf")
+
+    def test_csv_spells_them_as_python_does(self, capsys):
+        code, out, _ = run_cli(capsys, "counterexample", "--which", "1", "--entropy", "log-det", "--format", "csv")
+        assert code == 0
+        rows = {row["side"]: row for row in csv.DictReader(io.StringIO(out)) if row["functional"] == "log-det"}
+        assert (rows["observation"]["rhs"], rows["observation"]["margin"]) == ("-inf", "-inf")
+        assert (rows["decoherence"]["lhs"], rows["decoherence"]["margin"]) == ("-inf", "inf")
+
+
+class TestDuplicateFunctionals:
+    @pytest.mark.parametrize("command", ["verify-s-theorems", "holevo"])
+    @pytest.mark.parametrize(
+        "selectors, label",
+        [(("renyi:0.1234567", "renyi:0.1234568"), "renyi:0.123457"), (("log-det", "log-det"), "log-det")],
+    )
+    def test_selectors_sharing_a_label_exit_2(self, capsys, command, selectors, label):
+        entropy_flags = [flag for name in selectors for flag in ("--entropy", name)]
+        code, out, err = run_cli(capsys, command, "--trials", "1", *entropy_flags, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: duplicate entropy functional '{label}'"
+
+    def test_library_config_rejects_them(self):
+        with pytest.raises(ValueError, match="^duplicate entropy functional 'linear'$"):
+            CampaignConfig("holevo", functionals=("linear", "von-neumann", " linear"))
+
+    def test_distinct_labels_pass(self, capsys):
+        code, report = run_json(capsys, "holevo", "--trials", "1", "--entropy", "renyi:0.5", "--entropy", "renyi:0.50001")
+        assert code == 0
+        assert report["flags"]["entropy"] == ["renyi:0.5", "renyi:0.50001"]
+
+
+class TestCampaignConfigValidatesItself:
+    @pytest.mark.parametrize(
+        "command, fields, message",
+        [
+            ("verify-s-theorems", {"tol": math.inf}, "--tol must be positive and finite"),
+            ("verify-s-theorems", {"tol": math.nan}, "--tol must be positive and finite"),
+            ("luders-equiv", {"tol": 0.0}, "--tol must be positive and finite"),
+            ("verify-s-theorems", {"dim": 0}, "--dim must be >= 1"),
+            ("majorization", {"trials": 0}, "--trials must be >= 1"),
+            ("verify-s-theorems", {"response_dim": 0}, "--response-dim must be >= 1"),
+            ("holevo", {"ensemble_size": 0}, "--ensemble-size must be >= 1"),
+            ("counterexample", {"which": 3}, "--which must be 1 or 2"),
+            ("counterexample", {}, "--which must be 1 or 2"),
+            ("holevo", {"units": "furlongs"}, "--units must be nats or bits"),
+            ("verify-s-theorems", {"functionals": ("renyi:1",)}, "renyi alpha = 1 is excluded; use von-neumann"),
+        ],
+    )
+    def test_library_callers_get_the_cli_message(self, command, fields, message):
+        with pytest.raises(ValueError) as err:
+            CampaignConfig(command, **fields)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify-s-theorems", "--dim", "0"), "--dim must be >= 1"),
+            (("majorization", "--trials", "0"), "--trials must be >= 1"),
+            (("verify-s-theorems", "--response-dim", "0"), "--response-dim must be >= 1"),
+            (("holevo", "--ensemble-size", "0"), "--ensemble-size must be >= 1"),
+            (("holevo", "--tol", "0"), "--tol must be positive and finite"),
+        ],
+    )
+    def test_the_cli_prints_the_same_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: {message}"
+
+    def test_checks_run_in_the_cli_order(self):
+        order = [
+            ({"functionals": ("bogus",)}, "unknown entropy functional 'bogus'"),
+            ({"dim": 0}, "--dim must be >= 1"),
+            ({"trials": 0}, "--trials must be >= 1"),
+            ({"response_dim": 0}, "--response-dim must be >= 1"),
+            ({"ensemble_size": 0}, "--ensemble-size must be >= 1"),
+            ({"tol": -1.0}, "--tol must be positive and finite"),
+            ({"units": "furlongs"}, "--units must be nats or bits"),
+        ]
+        for first in range(len(order)):
+            fields = {key: value for bad, _ in order[first:] for key, value in bad.items()}
+            with pytest.raises(ValueError) as err:
+                CampaignConfig("holevo", **fields)
+            assert str(err.value) == order[first][1]
+
+    def test_campaigns_are_not_reached(self):
+        with pytest.raises(ValueError):
+            run_s_theorems(CampaignConfig("verify-s-theorems", tol=math.inf))
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (("verify-s-theorems",), {}),
+            (("majorization",), {}),
+            (("counterexample", "--which", "2"), {"which": 2}),
+            (("holevo",), {}),
+            (("luders-equiv",), {}),
+            (("povm-classify", "m.json"), {"povm_file": "m.json"}),
+        ],
+    )
+    def test_cli_defaults_are_the_config_defaults(self, argv, fields):
+        cfg = _config_from_args(build_parser().parse_args(list(argv)))
+        assert cfg == CampaignConfig(argv[0], **fields)
+
+
+class TestEarlyClosedStdout:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_reader_taking_one_line_is_not_an_error(self, fmt):
+        # the report is larger than a pipe holds, so the writer is still
+        # writing when the reader closes its end
+        functionals = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det")
+        argv = ["verify-s-theorems", "--dim", "4", "--trials", "200", "--format", fmt]
+        argv += [flag for name in functionals for flag in ("--entropy", name)]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "decobs", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert first
+        assert err == b""
+        assert code == 0
+
+
+def test_counterexample_solves_at_most_five_matrices(capsys, solved):
+    for which in ("1", "2"):
+        solved[0] = 0
+        assert main(["counterexample", "--which", which]) == 0
+        assert solved[0] <= 5
+    capsys.readouterr()

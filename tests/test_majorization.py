@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, sampling
 from decobs.cli import CampaignConfig, Row, run_majorization
-from decobs.entropy import builtin_functionals, log_det, von_neumann
+from decobs.processes import ensemble_average
+from decobs.entropy import builtin_functionals, entropy, expected_entropy, log_det, von_neumann
 from decobs.majorization import (
     DEFAULT_MAJORIZATION_TOL,
     check_fan,
@@ -15,6 +16,7 @@ from decobs.majorization import (
     check_schur_majorization,
     dominance,
     entropy_from_majorization_consistency,
+    inequality_verdict,
     majorizes,
     prefix_margins,
 )
@@ -336,3 +338,52 @@ class TestEntropyFromMajorizationConsistency:
             report = entropy_from_majorization_consistency(rho, softer, f)
             assert report.note != "not comparable"
             assert report.passed, (f.label, report.to_dict())
+
+
+class TestInequalityVerdict:
+    @pytest.mark.parametrize(
+        "lhs, rhs, tol, margin, holds",
+        [
+            (0.25, 0.5, 1e-9, 0.25, True),
+            (0.5, 0.5, 1e-9, 0.0, True),
+            (0.5 + 5e-10, 0.5, 1e-9, -5e-10, True),
+            (0.5 + 2e-9, 0.5, 1e-9, -2e-9, False),
+            (-math.inf, -1.0, 1e-9, math.inf, True),
+            (-1.0, -math.inf, 1e-9, -math.inf, False),
+            (-math.inf, -math.inf, 1e-9, 0.0, True),
+        ],
+    )
+    def test_margin_and_verdict(self, lhs, rhs, tol, margin, holds):
+        got_margin, got_holds = inequality_verdict(lhs, rhs, tol)
+        assert got_margin == pytest.approx(margin, rel=1e-6)
+        assert got_holds is holds
+
+    def test_holevo_report_is_the_verdict_of_its_two_entropies(self):
+        ens = sampling.random_ensemble(3, 3, sampling.stream(4))
+        report = check_holevo(ens, von_neumann())
+        lhs = expected_entropy(ens, von_neumann())
+        rhs = entropy(ensemble_average(ens), von_neumann())
+        assert (report.margins[0], report.passed) == inequality_verdict(lhs, rhs, DEFAULT_MAJORIZATION_TOL)
+
+
+class TestSpectraAreSolvedOnce:
+    def test_holevo_solves_only_the_average(self, solved):
+        ens = sampling.random_ensemble(3, 3, sampling.stream(5))
+        solved[0] = 0
+        report = check_holevo(ens, von_neumann())
+        assert solved[0] == 1
+        assert np.array_equal(report.spectra["average"], matcore.hermitian_spectrum(ensemble_average(ens).mat))
+
+    def test_consistency_check_solves_nothing(self, solved):
+        rho1, rho2 = density_from_pure(basis_state(3, 0)), maximally_mixed(3)
+        solved[0] = 0
+        report = entropy_from_majorization_consistency(rho1, rho2, von_neumann())
+        assert solved[0] == 0
+        assert report.passed and report.spectra["rho1"] == tuple(matcore.hermitian_spectrum(rho1.mat))
+
+    def test_schur_check_solves_only_the_product(self, solved):
+        rng = sampling.stream(6)
+        rho, env = sampling.random_density(4, rng), sampling.random_gram(4, 4, rng)
+        solved[0] = 0
+        check_schur_majorization(rho, env)
+        assert solved[0] == 1

@@ -13,6 +13,7 @@ from decobs.processes import (
     observe,
     probing_joint_unitary,
     response_gram,
+    spectra_unchanged,
     von_neumann_reduce,
 )
 from decobs.states import (
@@ -289,3 +290,42 @@ class TestProbingJointUnitary:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(DimensionMismatchError):
             probing_joint_unitary([basis_state(2, 0), basis_state(3, 0)])
+
+
+class TestSpectraUnchanged:
+    def test_compares_the_largest_componentwise_change(self):
+        before = np.array([[0.5, 0.5], [0.9, 0.1], [1.0, 0.0]])
+        after = np.array([[0.5, 0.5], [0.9 - 2e-9, 0.1 + 2e-9], [1.0 - 5e-10, 5e-10]])
+        assert spectra_unchanged(before, after, 1e-9).tolist() == [True, False, True]
+
+    def test_broadcasts_one_spectrum_against_a_stack(self):
+        branches = np.array([[[0.5, 0.5], [0.6, 0.4]], [[0.5, 0.5], [0.5, 0.5]]])
+        assert spectra_unchanged(np.array([0.5, 0.5]), branches).all(axis=-1).tolist() == [False, True]
+
+    def test_empty_spectra_are_unchanged(self):
+        assert spectra_unchanged(np.zeros((3, 0)), np.zeros((3, 0))).tolist() == [True] * 3
+
+    @given(dim=dims, seed=seeds)
+    def test_is_trivial_functions_read_the_state_spectra(self, dim, seed):
+        rng = sampling.stream(seed)
+        rho = sampling.random_density(dim, rng)
+        env = sampling.random_gram(dim, dim, rng)
+        probe = sampling.random_probing(dim, dim, rng)
+        after = matcore.hermitian_spectrum(decohere(rho, env).mat)
+        reference = matcore.hermitian_spectrum(rho.mat)
+        assert is_trivial_decoherence_for(rho, env) == bool(matcore.max_abs(after - reference) <= 1e-9)
+        branches = [matcore.hermitian_spectrum(o.state.mat) for o in observe(rho, probe).live()]
+        expected = all(matcore.max_abs(lam - reference) <= 1e-9 for lam in branches)
+        assert is_trivial_probing_for(rho, probe) == expected
+
+    def test_decoherence_solves_only_the_decohered_state(self, solved):
+        rho, env = plus(), GramMatrix(np.eye(2))
+        solved[0] = 0
+        assert not is_trivial_decoherence_for(rho, env)
+        assert solved[0] == 1
+
+    def test_probing_solves_only_the_live_branches(self, solved):
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
+        solved[0] = 0
+        assert is_trivial_probing_for(rho, ProbingMatrix(np.ones((2, 3)) / np.sqrt(3.0)))
+        assert solved[0] == 3

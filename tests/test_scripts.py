@@ -1,6 +1,7 @@
 """Smoke tests: each script under scripts/ runs end to end on a tiny size."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,27 @@ def test_show_counterexamples_runs():
     assert result.returncode == 0, result.stderr
     assert "breaks the observation inequality" in result.stdout
     assert "breaks the decoherence inequality" in result.stdout
+
+
+def test_report_digests_prints_one_line_per_config(tmp_path):
+    result = run_script("report_digests.py", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert len(lines) > 400
+    commands = set()
+    for line in lines:
+        code, digest, command, *_ = line.split(" ")
+        assert code in {"0", "1"}
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        commands.add(command)
+    assert commands == {
+        "verify-s-theorems", "majorization", "counterexample", "holevo", "luders-equiv", "povm-classify",
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_digests_blanks_the_timestamp():
+    script = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))
+    argv = ["counterexample", "--which", "1"]
+    assert script["digest"](argv) == script["digest"](argv)

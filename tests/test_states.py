@@ -242,3 +242,30 @@ class TestOutcomeEnsemble:
         with pytest.raises(ValidationError) as err:
             OutcomeEnsemble((Outcome(0.6, maximally_mixed(2)), Outcome(0.6, maximally_mixed(2))))
         assert err.value.invariant == "probabilities-sum-to-one"
+
+
+class TestDensityMatrixSpectrum:
+    @given(dim=st.integers(1, 8), seed=seeds)
+    def test_is_the_hermitian_spectrum_bit_for_bit(self, dim, seed):
+        rho = sampling.random_density(dim, sampling.stream(seed))
+        assert np.array_equal(rho.spectrum, matcore.hermitian_spectrum(rho.mat))
+        assert rho.spectrum.dtype == float
+
+    def test_rank_deficient_state_keeps_its_zero(self):
+        rho = density_from_pure(PureState(np.array([1.0, 1.0]) / np.sqrt(2.0)))
+        assert np.array_equal(rho.spectrum, matcore.hermitian_spectrum(rho.mat))
+        assert rho.spectrum[0] == pytest.approx(1.0)
+
+    def test_is_readonly(self):
+        rho = maximally_mixed(2)
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 1.0
+
+    def test_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            DensityMatrix(np.eye(2) / 2.0, spectrum=np.array([0.5, 0.5]))
+        assert "spectrum" not in repr(maximally_mixed(2))
+
+    def test_construction_solves_one_matrix(self, solved):
+        DensityMatrix(np.diag([0.7, 0.3]))
+        assert solved[0] == 1
