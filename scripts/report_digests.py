@@ -7,7 +7,10 @@ SHA-256 of its stdout with the JSON timestamp blanked, and the arguments.
 The grid covers every subcommand: dims 1 to 16, two seeds, JSON and CSV,
 nats and bits, default, unit and large response dims and ensemble sizes, all
 seven entropy functionals, ``--tol 1e-30``, both counterexamples with each
-functional, and ``povm-classify`` on both counterexample exports.
+functional, and ``povm-classify`` on both counterexample exports.  The
+grid's last lines run each stacked campaign at dim 16 with 20 trials, which
+the default chunk budget splits into several chunks, so chunk seams are
+covered too.
 
 The script takes no flags, so two versions of the package can be compared
 by running it against each and diffing the outputs::
@@ -38,6 +41,7 @@ FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det", "reny
 FORMATS = ("json", "csv")
 UNITS = ("nats", "bits")
 TIGHT_TOL = ("--tol", "1e-30")
+MULTI_CHUNK = ("--dim", "16", "--trials", "20")
 POVM_FILES = {
     "counterexample-1.json": lambda: counterexample_1()[0],
     "counterexample-2.json": lambda: counterexample_2()[0],
@@ -90,6 +94,15 @@ def grid() -> list[list[str]]:
         configs.append(["counterexample", "--which", which, *TIGHT_TOL, "--format", "csv"])
     for name in POVM_FILES:
         configs.append(["povm-classify", name])
+    # holevo's default mixtures are small enough for one chunk at this size
+    for command, sized in (
+        ("verify-s-theorems", every),
+        ("holevo", ["--ensemble-size", "7", *every]),
+        ("majorization", []),
+        ("luders-equiv", []),
+    ):
+        for fmt in FORMATS:
+            configs.append([command, *MULTI_CHUNK, *sized, "--format", fmt])
     return configs
 
 

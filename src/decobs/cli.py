@@ -53,18 +53,20 @@ from .entropy import (
 from .errors import ValidationError
 from .majorization import (
     DEFAULT_MAJORIZATION_TOL,
-    check_fan,
-    check_pinching_double,
-    check_schur_majorization,
+    fan_dominance,
     inequality_verdict,
+    pinching_dominance,
+    schur_dominance,
 )
 from .povm import ancilla_factors, apply_povm, counterexample_1, counterexample_2
 from .states import (
     ZERO_PROBABILITY,
+    block_projectors,
     clean_probabilities,
-    diagonal_projector_partition,
-    gram_from_projectors,
+    gram_from_projector_stack,
+    gram_from_unit_rows,
     validate_probing_stack,
+    validate_projector_stack,
     validate_stack,
 )
 
@@ -93,6 +95,11 @@ CHUNK_BYTES = 512 * 1024
 
 #: Random mixtures in the holevo campaign have 2 to this many branches.
 _MAX_MIXTURE_SIZE = 5
+
+#: A projector family has dim slots, and the families and a second stack of
+#: their size (the pinched pieces, or a product's temporaries) are alive at
+#: once, so the chunk planner counts twice the slots of a family.
+_FAMILY_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,8 @@ def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
     """Split the trial axis into chunks for the stacked campaign kernels.
 
     A campaign's largest stack holds ``slots`` complex (dim, dim) matrices
-    per trial: the observation branches, or the padded mixture states.  Each
+    per trial: the observation branches, the padded mixture states, or the
+    projector families with their pinched pieces.  Each
     chunk holds as many trials as keep that stack within :data:`CHUNK_BYTES`,
     and at least one.
     """
@@ -376,34 +384,69 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
 
 
 def run_majorization(cfg: CampaignConfig) -> CampaignResult:
-    """Spectral dominance campaign: Schur products, pinchings, spectrum sums."""
+    """Spectral dominance campaign: Schur products, pinchings, spectrum sums.
+
+    Per trial: the spectrum of a state against that of its Schur product
+    with the Gram matrix of random responses; the two-sided dominance around
+    the pinching of a second state by a Haar-rotated block partition; and
+    Fan's dominance for two random Hermitian matrices.
+
+    Trial t draws from its own stream (seed, t); the draws are stacked in
+    chunks and every check runs once per chunk.  A partition has dim slots,
+    and the slots past its blocks are dead (all-zero projectors), which add
+    exact zeros to every sum and are never solved.  The report does not
+    depend on the chunking.
+    """
+    dim = cfg.dim
+    response_dim = cfg.response_dim or dim
     rows: list[Row] = []
-    for trial in range(cfg.trials):
-        rng = sampling.trial_stream(cfg.seed, trial)
-        rho = sampling.random_density(cfg.dim, rng)
-        env = sampling.random_gram(cfg.dim, cfg.response_dim or cfg.dim, rng)
-        schur = check_schur_majorization(rho, env, cfg.tol, trial)
+    for chunk in plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim):
+        rho = np.empty((len(chunk), dim, dim), dtype=complex)
+        responses = np.empty((len(chunk), dim, response_dim), dtype=complex)
+        pinch_input = np.empty((len(chunk), dim, dim), dtype=complex)
+        projectors = np.empty((len(chunk), dim, dim, dim), dtype=complex)
+        ginibre = np.empty((len(chunk), dim, dim), dtype=complex)
+        hermitian = np.empty((len(chunk), 2, dim, dim), dtype=complex)
+        for i, trial in enumerate(chunk):
+            rng = sampling.trial_stream(cfg.seed, trial)
+            rho[i] = sampling.draw_density(dim, rng)
+            responses[i] = sampling.draw_responses(dim, response_dim, rng)
+            # the upper pinching dominance needs a PSD input (zero-diagonal-block
+            # counterexamples break it for indefinite matrices), so sample a state
+            pinch_input[i] = sampling.draw_density(dim, rng)
+            projectors[i] = block_projectors(sampling.random_block_sizes(dim, rng), dim)
+            ginibre[i] = sampling.draw_ginibre(dim, rng)
+            hermitian[i, 0] = sampling.draw_hermitian(dim, rng)
+            hermitian[i, 1] = sampling.draw_hermitian(dim, rng)
 
-        # the upper pinching dominance needs a PSD input (zero-diagonal-block
-        # counterexamples break it for indefinite matrices), so sample a state
-        pinch_input = sampling.random_density(cfg.dim, rng).mat
-        partition = sampling.random_projector_partition(
-            cfg.dim, sampling.random_block_sizes(cfg.dim, rng), rng
-        )
-        pinching = check_pinching_double(pinch_input, partition, cfg.tol, trial)
-
-        a = sampling.random_hermitian(cfg.dim, rng)
-        b = sampling.random_hermitian(cfg.dim, rng)
-        fan = check_fan(a, b, cfg.tol, trial)
+        # the checks run in the order a one-trial loop makes them: state,
+        # responses, Gram, Schur product, pinching state, diagonal and rotated
+        # partitions, pinching, Fan
+        lam_rho = validate_stack(rho, "density")[..., ::-1]
+        env = gram_from_unit_rows(responses)
+        validate_stack(env, "gram")
+        _, schur = schur_dominance(lam_rho, rho * env)
+        lam_input = validate_stack(pinch_input, "density")[..., ::-1]
+        validate_projector_stack(projectors)
+        projectors = sampling.conjugated_projectors(sampling.haar_from_ginibre(ginibre), projectors)
+        validate_projector_stack(projectors)
+        *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)
+        del projectors
+        hermitian = sampling.unit_spectral_radius(hermitian)
+        *_, fan = fan_dominance(hermitian[:, 0], hermitian[:, 1])
 
         # each row is its check's worst prefix: dominated prefix sum <= dominating one
-        checks = schur.dominance + pinching.dominance + fan.dominance
-        for side, check in zip(("schur", "pinching-upper", "pinching-lower", "fan"), checks):
-            margin, violation = check.worst_margin, not check.holds(cfg.tol)
-            row = Row(trial, cfg.dim, "", side, check.dominated_prefix, check.dominator_prefix, margin, None, violation)
-            rows.append(row)
+        sides = ("schur", "pinching-upper", "pinching-lower", "fan")
+        columns = [
+            (check.dominated_prefix.tolist(), check.dominator_prefix.tolist(), check.worst_margin.tolist(),
+             (~check.holds(cfg.tol)).tolist())
+            for check in (schur, upper, lower, fan)
+        ]
+        for i, trial in enumerate(chunk):
+            for side, (lhs, rhs, margin, violation) in zip(sides, columns):
+                rows.append(Row(trial, dim, "", side, lhs[i], rhs[i], margin[i], None, violation[i]))
 
-    flags = {"dim": cfg.dim, "trials": cfg.trials, "response_dim": cfg.response_dim or cfg.dim, "tol": cfg.tol}
+    flags = {"dim": cfg.dim, "trials": cfg.trials, "response_dim": response_dim, "tol": cfg.tol}
     return _campaign_result(cfg, flags, rows)
 
 
@@ -453,22 +496,39 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
 
 
 def run_luders(cfg: CampaignConfig) -> CampaignResult:
-    """Random diagonal partitions: pinching equals the block Schur form to 1e-12."""
+    """Random diagonal partitions: pinching equals the block Schur form to 1e-12.
+
+    Trial t draws from its own stream (seed, t); the draws are stacked in
+    chunks as in :func:`run_majorization`, with dead partition slots.
+    """
+    dim = cfg.dim
     rows: list[Row] = []
-    for trial in range(cfg.trials):
-        rng = sampling.trial_stream(cfg.seed, trial)
-        rho = sampling.random_density(cfg.dim, rng)
-        partition = diagonal_projector_partition(sampling.random_block_sizes(cfg.dim, rng))
-        pinched = processes.luders(rho, partition)
-        schur_form = processes.decohere(rho, gram_from_projectors(partition))
-        residual = matcore.max_abs(pinched.mat - schur_form.mat)
-        rows.append(
-            Row(
-                trial, cfg.dim, "", "luders-equivalence",
-                residual, CONSISTENCY_TOL, CONSISTENCY_TOL - residual,
-                None, residual > CONSISTENCY_TOL,
+    for chunk in plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim):
+        rho = np.empty((len(chunk), dim, dim), dtype=complex)
+        projectors = np.empty((len(chunk), dim, dim, dim), dtype=complex)
+        for i, trial in enumerate(chunk):
+            rng = sampling.trial_stream(cfg.seed, trial)
+            rho[i] = sampling.draw_density(dim, rng)
+            projectors[i] = block_projectors(sampling.random_block_sizes(dim, rng), dim)
+
+        # state, partition, pinching, block Gram matrix, Schur form
+        validate_stack(rho, "density")
+        validate_projector_stack(projectors)
+        _, pinched = processes.pinch(projectors, rho)
+        validate_stack(pinched, "density")
+        gram = gram_from_projector_stack(projectors)
+        validate_stack(gram, "gram")
+        schur_form = rho * gram
+        validate_stack(schur_form, "density")
+        residuals = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0).tolist()
+        for trial, residual in zip(chunk, residuals):
+            rows.append(
+                Row(
+                    trial, dim, "", "luders-equivalence",
+                    residual, CONSISTENCY_TOL, CONSISTENCY_TOL - residual,
+                    None, residual > CONSISTENCY_TOL,
+                )
             )
-        )
 
     return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, rows)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matcore
+from . import matcore, processes
 from .entropy import EntropyFunctional, entropy, expected_entropy
 from .errors import ShapeMismatchError
 from .processes import ensemble_average
@@ -28,18 +28,22 @@ DEFAULT_MAJORIZATION_TOL = 1e-9
 
 
 def _padded_descending(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Sort both sequences descending, zero-padding the shorter one (and empty ones to [0])."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    size = max(a.size, b.size, 1)
-    a = np.concatenate((a, np.zeros(size - a.size)))
-    b = np.concatenate((b, np.zeros(size - b.size)))
-    return -np.sort(-a), -np.sort(-b)
+    """Sort both stacks descending along the last axis, zero-padding the shorter one (and empty ones to [0])."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    size = max(a.shape[-1], b.shape[-1], 1)
+    a = np.concatenate((a, np.zeros(a.shape[:-1] + (size - a.shape[-1],))), axis=-1)
+    b = np.concatenate((b, np.zeros(b.shape[:-1] + (size - b.shape[-1],))), axis=-1)
+    return -np.sort(-a, axis=-1), -np.sort(-b, axis=-1)
 
 
 @dataclass(frozen=True)
 class Dominance:
-    """cumsum(lam) - cumsum(mu) of one pair sorted descending, read at its smallest margin."""
+    """cumsum(lam) - cumsum(mu) of pairs sorted descending, read at each pair's smallest margin.
+
+    For one pair the fields other than ``margins`` are floats; for stacks
+    of pairs they are arrays of the stacks' leading shape.
+    """
 
     margins: np.ndarray
     worst_margin: float
@@ -47,25 +51,30 @@ class Dominance:
     dominated_prefix: float
     sum_residual: float  # |sum lam - sum mu|, from the last prefix sums
 
-    def holds(self, tol: float) -> bool:
-        """True when the totals agree within tol and every prefix margin is >= -tol."""
-        return self.worst_margin >= -tol and self.sum_residual <= tol
+    def holds(self, tol: float):
+        """True when the totals agree within tol and every prefix margin is >= -tol (per pair)."""
+        return (self.worst_margin >= -tol) & (self.sum_residual <= tol)
 
 
 def dominance(lam, mu) -> Dominance:
-    """Sort, pad and prefix-sum one pair once; every dominance check reads its result."""
+    """Sort, pad and prefix-sum pairs once; every dominance check reads its result.
+
+    ``lam`` and ``mu`` are sequences, or (..., n) and (..., m) stacks whose
+    pairs run along the last axis; each pair is sorted, padded and summed
+    as it would be alone.
+    """
     lam, mu = _padded_descending(lam, mu)
-    prefix_lam = np.cumsum(lam)
-    prefix_mu = np.cumsum(mu)
+    prefix_lam = np.cumsum(lam, axis=-1)
+    prefix_mu = np.cumsum(mu, axis=-1)
     margins = prefix_lam - prefix_mu
-    worst = int(np.argmin(margins))
-    return Dominance(
-        margins=margins,
-        worst_margin=float(margins[worst]),
-        dominator_prefix=float(prefix_lam[worst]),
-        dominated_prefix=float(prefix_mu[worst]),
-        sum_residual=abs(float(prefix_lam[-1] - prefix_mu[-1])),
-    )
+    worst = np.argmin(margins, axis=-1)[..., None]
+    fields = [
+        np.take_along_axis(values, worst, axis=-1)[..., 0] for values in (margins, prefix_lam, prefix_mu)
+    ]
+    fields.append(abs(prefix_lam[..., -1] - prefix_mu[..., -1]))
+    if margins.ndim == 1:
+        fields = [float(value) for value in fields]
+    return Dominance(margins, *fields)
 
 
 def prefix_margins(lam, mu) -> np.ndarray:
@@ -103,16 +112,56 @@ class CheckReport:
         return out
 
 
-def _dominance_report(pairs, tol: float, spectra: dict, trial: int | None) -> CheckReport:
-    """Check that each (dominator, dominated) pair majorizes; margins run pair by pair."""
-    checks = tuple(dominance(lam, mu) for lam, mu in pairs)
+def _dominance_report(checks, tol: float, spectra: dict, trial: int | None) -> CheckReport:
+    """The report of single-pair dominance checks; margins run check by check."""
     return CheckReport(
         passed=all(check.holds(tol) for check in checks),
         margins=tuple(float(m) for check in checks for m in check.margins),
         spectra=spectra,
         trial=trial,
-        dominance=checks,
+        dominance=tuple(checks),
     )
+
+
+def schur_dominance(lam_rho, schur) -> tuple[np.ndarray, Dominance]:
+    """The spectra of Schur products rho o E and the dominance of the spectra of rho over them.
+
+    ``lam_rho`` holds the spectra of the states, (..., d), and ``schur``
+    the products, (..., d, d).
+    """
+    lam_schur = matcore.hermitian_spectrum(schur)
+    return lam_schur, dominance(lam_rho, lam_schur)
+
+
+def pinching_dominance(lam, hermitian, projectors) -> tuple[np.ndarray, np.ndarray, Dominance, Dominance]:
+    """Both dominances around the pinchings of (..., d, d) matrices with spectra ``lam``.
+
+    ``projectors`` is a (..., k, d, d) stack of families whose dead slots are
+    all-zero matrices.  Returns the componentwise sums of the spectra of the
+    pinched pieces P_k H P_k (added left to right over the live slots), the
+    spectra of the pinched matrices, and the dominances parts >= lam (upper)
+    and lam >= pinched (lower).
+    """
+    pieces, pinched = processes.pinch(projectors, hermitian)
+    live = np.asarray(projectors).any(axis=(-2, -1))
+    piece_spectra = np.zeros(pieces.shape[:-1])
+    piece_spectra[live] = matcore.hermitian_spectrum(pieces[live])
+    del pieces
+    parts = matcore.sequential_sum(piece_spectra.swapaxes(-1, -2))
+    lam_pinched = matcore.hermitian_spectrum(pinched)
+    return parts, lam_pinched, dominance(parts, lam), dominance(lam, lam_pinched)
+
+
+def fan_dominance(a, b) -> tuple[np.ndarray, np.ndarray, Dominance]:
+    """lambda(A) + lambda(B), lambda(A + B) and the dominance of the first over the second.
+
+    ``a`` and ``b`` are Hermitian (..., d, d) stacks of the same shape; the
+    three spectra of each pair come from one solve, in the order A, B, A + B.
+    """
+    spectra = matcore.hermitian_spectrum(np.stack((a, b, a + b), axis=-3))
+    combined = spectra[..., 0, :] + spectra[..., 1, :]
+    lam_sum = spectra[..., 2, :]
+    return combined, lam_sum, dominance(combined, lam_sum)
 
 
 def check_schur_majorization(
@@ -122,10 +171,9 @@ def check_schur_majorization(
     trial: int | None = None,
 ) -> CheckReport:
     """Verify that the spectrum of rho dominates the spectrum of rho o E."""
-    lam_rho = rho.spectrum
-    lam_schur = matcore.hermitian_spectrum(matcore.schur_product(rho.mat, env_overlap.mat))
-    spectra = {"rho": tuple(lam_rho), "schur_product": tuple(lam_schur)}
-    return _dominance_report([(lam_rho, lam_schur)], tol, spectra, trial)
+    lam_schur, check = schur_dominance(rho.spectrum, matcore.schur_product(rho.mat, env_overlap.mat))
+    spectra = {"rho": tuple(rho.spectrum), "schur_product": tuple(lam_schur)}
+    return _dominance_report([check], tol, spectra, trial)
 
 
 def check_pinching_double(
@@ -146,15 +194,9 @@ def check_pinching_double(
     """
     hermitian = matcore.require_square(hermitian)
     lam = matcore.hermitian_spectrum(hermitian)
-    parts = np.zeros_like(lam)
-    pinched = np.zeros_like(hermitian)
-    for p in projectors:
-        piece = p @ hermitian @ p
-        parts = parts + matcore.hermitian_spectrum(piece)
-        pinched = pinched + piece
-    lam_pinched = matcore.hermitian_spectrum(pinched)
+    parts, lam_pinched, upper, lower = pinching_dominance(lam, hermitian, np.array(projectors.projectors))
     spectra = {"pinched_parts_sum": tuple(parts), "matrix": tuple(lam), "pinched": tuple(lam_pinched)}
-    return _dominance_report([(parts, lam), (lam, lam_pinched)], tol, spectra, trial)
+    return _dominance_report([upper, lower], tol, spectra, trial)
 
 
 def check_fan(
@@ -168,10 +210,9 @@ def check_fan(
     b = matcore.require_square(b)
     if a.shape != b.shape:
         raise ShapeMismatchError("fan-same-dim", detail=f"{a.shape} vs {b.shape}")
-    combined = matcore.hermitian_spectrum(a) + matcore.hermitian_spectrum(b)
-    lam_sum = matcore.hermitian_spectrum(a + b)
+    combined, lam_sum, check = fan_dominance(a, b)
     spectra = {"sum_of_spectra": tuple(combined), "spectrum_of_sum": tuple(lam_sum)}
-    return _dominance_report([(combined, lam_sum)], tol, spectra, trial)
+    return _dominance_report([check], tol, spectra, trial)
 
 
 def entropy_gap(rhs: float, lhs: float) -> float:

@@ -63,6 +63,25 @@ def require_square(values) -> np.ndarray:
     return mat
 
 
+def square_stack(values) -> np.ndarray:
+    """Coerce input to a complex (..., d, d) stack of square matrices.
+
+    A single matrix is a stack with no leading axes.  Entries are not
+    checked here: a stack validator checks them matrix by matrix.
+    """
+    mats = np.asarray(values, dtype=complex)
+    if mats.ndim < 2:
+        raise ValidationError("matrix-rank", detail=f"expected a stack of matrices, got ndim={mats.ndim}")
+    if mats.shape[-1] != mats.shape[-2]:
+        raise NotSquareError("square", detail=f"shape {mats.shape[-2:]}")
+    return mats
+
+
+def first_failure(bad: np.ndarray) -> int:
+    """Flat index of the first True entry of a failure mask."""
+    return int(np.argmax(np.ravel(bad)))
+
+
 def hermiticity_residual(mat: np.ndarray) -> float:
     """Max-norm of M minus its conjugate transpose."""
     return max_abs(mat - mat.conj().T)
@@ -90,16 +109,29 @@ def is_psd(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 def hermitian_spectrum(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted in non-increasing order.
 
-    The input must be Hermitian within ``tol`` in max-norm.  It is
-    symmetrized before the solve so the result does not depend on which
-    triangle carries the rounding noise.
+    ``mat`` may also be a (..., d, d) stack; each matrix's spectrum then runs
+    along the last axis of the result, bit for bit what the matrix alone
+    gives.  Every matrix must be finite and Hermitian within ``tol`` in
+    max-norm; a stack raises the error of its first failing matrix (in C
+    order), with that matrix's residual.  Each matrix is symmetrized before
+    the solve so the result does not depend on which triangle carries the
+    rounding noise.
     """
-    mat = require_square(mat)
-    residual = hermiticity_residual(mat)
-    if residual > tol:
-        raise NotHermitianError("hermitian", residual=residual)
-    ascending = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    return ascending[::-1].copy()
+    mats = square_stack(mat)
+    adjoint = mats.conj().swapaxes(-1, -2)
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        residual = abs(mats - adjoint).max(axis=(-2, -1), initial=0.0)
+        failed = ~finite | (residual > tol)
+    if failed.any():
+        first = first_failure(failed)
+        if not np.ravel(finite)[first]:
+            raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
+        raise NotHermitianError("hermitian", residual=float(np.ravel(residual)[first]))
+    symmetrized = np.add(mats, adjoint, out=adjoint)
+    symmetrized /= 2.0
+    ascending = np.linalg.eigvalsh(symmetrized)
+    return ascending[..., ::-1].copy()
 
 
 def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

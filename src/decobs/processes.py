@@ -143,10 +143,29 @@ def luders(rho: DensityMatrix, projectors: ProjectorSet) -> DensityMatrix:
             "projectors-match-state",
             detail=f"projector dim {projectors.dim}, state dim {rho.dim}",
         )
-    total = np.zeros_like(rho.mat)
-    for p in projectors:
-        total = total + p @ rho.mat @ p
-    return DensityMatrix(total)
+    return DensityMatrix(pinch(np.array(projectors.projectors), rho.mat)[1])
+
+
+def pinch(projectors, mats) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces P_k H P_k and the pinching sum_k P_k H P_k of (..., d, d) matrices.
+
+    ``projectors`` is a (..., k, d, d) stack of families, whose dead slots
+    are all-zero matrices, and ``mats`` has the same leading shape.  Returns
+    the pieces, shape (..., k, d, d), and their sum, shape (..., d, d), added
+    left to right over k from 0; a dead slot's piece is not computed, is
+    zero and adds exact zeros.  The triple products round as ``p @ h @ p``
+    does for one matrix.
+    """
+    projectors = np.asarray(projectors, dtype=complex)
+    mats = np.asarray(mats, dtype=complex)
+    live = projectors.any(axis=(-2, -1))
+    chosen = projectors[live]
+    pieces = np.zeros_like(projectors)
+    pieces[live] = chosen @ mats[np.nonzero(live)[:-1]] @ chosen
+    total = np.zeros(pieces.shape[:-3] + pieces.shape[-2:], dtype=complex)
+    for k in range(pieces.shape[-3]):
+        total += pieces[..., k, :, :]
+    return pieces, total
 
 
 def spectra_unchanged(before, after, tol: float = DEFAULT_TRIVIALITY_TOL) -> np.ndarray:

@@ -46,20 +46,29 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int | None = Non
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+def draw_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian n x n matrix with E|z_ij|^2 = 1: the raw draw of :func:`haar_unitary`."""
+    return complex_gaussian(rng, n, n) / np.sqrt(2.0)
+
+
+def haar_from_ginibre(z) -> np.ndarray:
+    """Haar unitaries from the QR factors of a (..., n, n) complex Gaussian stack.
 
     The triangular factor's diagonal phases are divided out so the factor has
     positive real diagonal, which is what makes the distribution Haar rather
-    than merely unitary.
+    than merely unitary.  A stacked QR factors each matrix bit for bit as it
+    factors the matrix alone.
     """
+    q, r = np.linalg.qr(z)
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    z = complex_gaussian(rng, n, n) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = r.diagonal()
-    phases = diag / np.abs(diag)
-    return q * phases
+    return haar_from_ginibre(draw_ginibre(n, rng))
 
 
 def draw_density(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -74,17 +83,40 @@ def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(draw_density(n, rng))
 
 
-def random_pure(n: int, rng: np.random.Generator) -> PureState:
+def draw_pure(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A complex Gaussian vector divided by its norm, not yet validated."""
     amp = complex_gaussian(rng, n)
-    return PureState(amp / np.linalg.norm(amp))
+    return amp / np.linalg.norm(amp)
+
+
+def random_pure(n: int, rng: np.random.Generator) -> PureState:
+    return PureState(draw_pure(n, rng))
+
+
+def draw_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Hermitian part (G + G^dagger) / 2 of a complex Gaussian G, not yet rescaled."""
+    g = complex_gaussian(rng, n, n)
+    return (g + g.conj().T) / 2.0
+
+
+def unit_spectral_radius(h) -> np.ndarray:
+    """A (..., n, n) Hermitian stack rescaled to unit spectral radius; zero matrices stay."""
+    h = np.asarray(h, dtype=complex)
+    radius = abs(np.linalg.eigvalsh(h)).max(axis=-1, initial=0.0)[..., None, None]
+    return np.divide(h, radius, out=h.copy(), where=radius > 0)
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix rescaled to unit spectral radius."""
-    g = complex_gaussian(rng, n, n)
-    h = (g + g.conj().T) / 2.0
-    radius = matcore.max_abs(np.linalg.eigvalsh(h))
-    return h / radius if radius > 0 else h
+    return unit_spectral_radius(draw_hermitian(n, rng))
+
+
+def draw_responses(n: int, response_dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n random unit vectors of the given dimension, shape (n, response_dim), not yet validated.
+
+    Each vector is divided by its own norm, as :func:`random_pure` divides it.
+    """
+    return np.array([draw_pure(response_dim, rng) for _ in range(n)]).reshape(n, response_dim)
 
 
 def random_gram(n: int, response_dim: int, rng: np.random.Generator) -> GramMatrix:
@@ -93,8 +125,7 @@ def random_gram(n: int, response_dim: int, rng: np.random.Generator) -> GramMatr
     response_dim = 1 gives phase-only (rank-1, unit-modulus) overlaps; large
     response_dim approaches the identity in expectation.
     """
-    vectors = [random_pure(response_dim, rng) for _ in range(n)]
-    return gram_from_vectors(vectors)
+    return gram_from_vectors([PureState(v) for v in draw_responses(n, response_dim, rng)])
 
 
 def draw_probing(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -118,6 +149,22 @@ def random_block_sizes(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(int(b - a) for a, b in zip(edges[:-1], edges[1:]))
 
 
+def conjugated_projectors(basis, projectors) -> np.ndarray:
+    """U P_k U^dagger for (..., n, n) unitaries and (..., k, n, n) projector families.
+
+    Each product rounds as ``u @ p @ u.conj().T`` does for one matrix; dead
+    (all-zero) slots are not computed and stay zero.  ``basis`` has the
+    leading shape of the families.
+    """
+    basis = np.asarray(basis, dtype=complex)
+    projectors = np.asarray(projectors, dtype=complex)
+    live = projectors.any(axis=(-2, -1))
+    owners = basis[np.nonzero(live)[:-1]]
+    out = np.zeros_like(projectors)
+    out[live] = owners @ projectors[live] @ owners.conj().swapaxes(-1, -2)
+    return out
+
+
 def random_projector_partition(
     n: int, block_sizes: Sequence[int], rng: np.random.Generator
 ) -> ProjectorSet:
@@ -127,7 +174,7 @@ def random_projector_partition(
         raise InvalidPartitionError("blocks-partition-dim", detail=f"{sizes} vs n={n}")
     basis = haar_unitary(n, rng)
     diagonal = diagonal_projector_partition(sizes)
-    return ProjectorSet(tuple(basis @ p @ basis.conj().T for p in diagonal))
+    return ProjectorSet(tuple(conjugated_projectors(basis, np.array(diagonal.projectors))))
 
 
 def random_simplex(k: int, rng: np.random.Generator) -> np.ndarray:

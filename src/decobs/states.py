@@ -50,11 +50,6 @@ def _readonly(values, dtype=complex) -> np.ndarray:
     return arr
 
 
-def _first_failure(bad: np.ndarray) -> int:
-    """Flat index of the first True entry of a failure mask."""
-    return int(np.argmax(bad.ravel()))
-
-
 def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
     """Every DensityMatrix or GramMatrix check on a finite (..., d, d) stack.
 
@@ -81,7 +76,7 @@ def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
     failed = (hermitian > HERMITIAN_TOL) | (unit > unit_tol) | (lowest < -PSD_TOL)
     # a single matrix gives numpy scalars, whose .any() costs more than bool()
     if failed.any() if failed.ndim else failed:
-        first = _first_failure(failed)
+        first = matcore.first_failure(failed)
         if hermitian.flat[first] > HERMITIAN_TOL:
             raise ValidationError(f"{kind}-hermitian", residual=float(hermitian.flat[first]))
         if unit.flat[first] > unit_tol:
@@ -105,24 +100,27 @@ def validate_stack(mats, kind: str) -> np.ndarray:
     """
     if kind not in ("density", "gram"):
         raise ValueError(f"kind must be 'density' or 'gram', got {kind!r}")
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim < 2:
-        raise ValidationError("matrix-rank", detail=f"expected a stack of matrices, got ndim={mats.ndim}")
-    if mats.shape[-1] != mats.shape[-2]:
-        raise NotSquareError("square", detail=f"shape {mats.shape[-2:]}")
+    mats = matcore.square_stack(mats)
     flat = mats.reshape((-1,) + mats.shape[-2:])
     spectra = np.empty(flat.shape[:-1])
-    # blocks bound the checks' temporaries; they run in stack order
-    size = max(1, _BLOCK_BYTES // max(1, flat.itemsize * flat.shape[-1] ** 2))
-    for start in range(0, len(flat), size):
-        block = flat[start : start + size]
-        finite = np.isfinite(block).all(axis=(-2, -1))
+    for block in _blocks(len(flat), flat[:1].nbytes):
+        finite = np.isfinite(flat[block]).all(axis=(-2, -1))
         if not finite.all():
             # the matrices before the first non-finite one are checked first
-            _check_square_stack(block[: _first_failure(~finite)], kind)
+            _check_square_stack(flat[block][: matcore.first_failure(~finite)], kind)
             raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
-        spectra[start : start + size] = _check_square_stack(block, kind)
+        spectra[block] = _check_square_stack(flat[block], kind)
     return spectra.reshape(mats.shape[:-1])
+
+
+def _blocks(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of ``count`` stacked items, each block within :data:`_BLOCK_BYTES`.
+
+    A validator checks one block at a time, in stack order, so its
+    temporaries stay small whatever the stack size.
+    """
+    size = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
 @dataclass(frozen=True)
@@ -148,6 +146,30 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
+def unit_vector_norms(vectors) -> np.ndarray:
+    """Run the :class:`PureState` checks on a (..., m) stack of vectors.
+
+    Every vector must be non-empty and finite, with norm 1 within 1e-10.
+    Returns the norms, shape (...).  Each norm is its own 1-D
+    ``np.linalg.norm`` call: no stacked norm (``axis=-1``, matmul, einsum,
+    ``vecdot``) rounds like it for m >= 4.  A failing stack raises the error
+    of its first failing vector.
+    """
+    vectors = np.asarray(vectors, dtype=complex)
+    flat = vectors.reshape(-1, vectors.shape[-1])
+    norms = np.array([np.linalg.norm(v) for v in flat]).reshape(vectors.shape[:-1])
+    finite = np.isfinite(vectors).all(axis=-1) & (vectors.shape[-1] > 0)
+    with np.errstate(invalid="ignore"):
+        residual = abs(norms - 1.0)
+        failed = ~finite | (residual > UNIT_NORM_TOL)
+    if failed.any():
+        first = matcore.first_failure(failed)
+        if not np.ravel(finite)[first]:
+            raise ValidationError("pure-finite", detail="empty or non-finite amplitudes")
+        raise NormViolationError("pure-unit-norm", residual=float(np.ravel(residual)[first]))
+    return norms
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm complex column vector."""
@@ -156,11 +178,7 @@ class PureState:
 
     def __post_init__(self):
         amp = np.asarray(self.amp, dtype=complex).ravel()
-        if amp.size == 0 or not np.all(np.isfinite(amp)):
-            raise ValidationError("pure-finite", detail="empty or non-finite amplitudes")
-        residual = abs(float(np.linalg.norm(amp)) - 1.0)
-        if residual > UNIT_NORM_TOL:
-            raise NormViolationError("pure-unit-norm", residual=residual)
+        unit_vector_norms(amp)
         object.__setattr__(self, "amp", _readonly(amp))
 
     @property
@@ -190,7 +208,7 @@ def _check_unit_rows(mats: np.ndarray) -> None:
     residual = np.max(np.abs(norms - 1.0), axis=-1, initial=0.0)
     failed = residual > UNIT_NORM_TOL
     if failed.any():
-        raise NormViolationError("probing-unit-rows", residual=float(residual.flat[_first_failure(failed)]))
+        raise NormViolationError("probing-unit-rows", residual=float(residual.flat[matcore.first_failure(failed)]))
 
 
 def validate_probing_stack(mats) -> None:
@@ -203,7 +221,7 @@ def validate_probing_stack(mats) -> None:
         raise ValidationError("matrix-rank", detail=f"expected a stack of matrices, got ndim={mats.ndim}")
     finite = np.isfinite(mats).all(axis=(-2, -1))
     if not finite.all():
-        _check_unit_rows(mats.reshape((-1,) + mats.shape[-2:])[: _first_failure(~finite)])
+        _check_unit_rows(mats.reshape((-1,) + mats.shape[-2:])[: matcore.first_failure(~finite)])
         raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
     _check_unit_rows(mats)
 
@@ -233,6 +251,90 @@ class ProbingMatrix:
         return self.mat.shape[1]
 
 
+def _projector_residuals(mats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ProjectorSet residuals of a finite (n, k, d, d) stack of families.
+
+    Returns the Hermitian and idempotent residuals, (n, k), the
+    orthogonality residuals of the pairs (i, j), i < j, in the order the
+    scalar loop visits them, (n, k (k - 1) / 2), and the completeness
+    residuals, (n,).
+    """
+    slots, dim = mats.shape[-3], mats.shape[-1]
+    hermitian = abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    square = mats @ mats
+    square -= mats
+    idempotent = abs(square).max(axis=(-2, -1), initial=0.0)
+    del square
+    orthogonal = np.empty((len(mats), slots * (slots - 1) // 2))
+    done = 0
+    for i in range(slots - 1):
+        products = abs(mats[:, i : i + 1] @ mats[:, i + 1 :])
+        orthogonal[:, done : done + slots - 1 - i] = products.max(axis=(-2, -1), initial=0.0)
+        done += slots - 1 - i
+    total = np.zeros((len(mats), dim, dim), dtype=complex)
+    for k in range(slots):
+        total += mats[:, k]
+    total -= np.eye(dim)
+    return hermitian, idempotent, orthogonal, abs(total).max(axis=(-2, -1), initial=0.0)
+
+
+def _raise_projector_error(family: np.ndarray) -> None:
+    """Raise the error a failing (k, d, d) family raises as a ProjectorSet."""
+    hermitian, idempotent, orthogonal, complete = (r[0].tolist() for r in _projector_residuals(family[None]))
+    for idx, (residual, idempotent_residual) in enumerate(zip(hermitian, idempotent)):
+        if residual > HERMITIAN_TOL:
+            raise ValidationError("projector-hermitian", residual=residual, detail=f"projector {idx}")
+        if idempotent_residual > IDEMPOTENT_TOL:
+            raise ValidationError("projector-idempotent", residual=idempotent_residual, detail=f"projector {idx}")
+    pairs = [(i, j) for i in range(len(family)) for j in range(i + 1, len(family))]
+    for (i, j), residual in zip(pairs, orthogonal):
+        if residual > ORTHOGONALITY_TOL:
+            raise ValidationError("projectors-orthogonal", residual=residual, detail=f"pair ({i}, {j})")
+    raise ValidationError("projectors-complete", residual=complete)
+
+
+def validate_projector_stack(mats) -> None:
+    """Run the :class:`ProjectorSet` checks on a (..., k, d, d) stack of families.
+
+    Each family is k slots of (d, d) matrices.  A family with fewer
+    projectors is padded with dead slots, all-zero matrices: a zero matrix
+    passes every check and adds exact zeros to the completeness sum, so a
+    padded family checks as the family alone does, and trailing dead slots
+    are not checked at all.
+
+    The checks run in the scalar order: finite entries; then projector by
+    projector, Hermitian and then idempotent; then orthogonality pair by
+    pair (i < j); then completeness.  A failing stack raises the error its
+    first failing family (in C order) raises as a ProjectorSet, with the
+    same invariant, residual and detail.
+    """
+    mats = matcore.square_stack(mats)
+    if mats.ndim < 3:
+        raise ValidationError("matrix-rank", detail=f"expected a stack of projector families, got ndim={mats.ndim}")
+    flat = mats.reshape((-1,) + mats.shape[-3:])
+    finite = np.isfinite(flat).all(axis=(-3, -2, -1))
+    live = flat.any(axis=(-2, -1))
+    # families of equal length (last live slot + 1) are checked together on their live slots
+    length = (live * np.arange(1, live.shape[-1] + 1)).max(axis=-1, initial=0)
+    failed = ~finite
+    for size in sorted(set(length[finite].tolist())):
+        members = np.nonzero(finite & (length == size))[0]
+        for block in _blocks(len(members), flat[0, :size].nbytes):
+            chosen = members[block]
+            hermitian, idempotent, orthogonal, complete = _projector_residuals(flat[chosen, :size])
+            failed[chosen] = (
+                (hermitian > HERMITIAN_TOL).any(axis=-1)
+                | (idempotent > IDEMPOTENT_TOL).any(axis=-1)
+                | (orthogonal > ORTHOGONALITY_TOL).any(axis=-1)
+                | (complete > COMPLETENESS_TOL)
+            )
+    if failed.any():
+        first = matcore.first_failure(failed)
+        if not finite[first]:
+            raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
+        _raise_projector_error(flat[first])
+
+
 @dataclass(frozen=True)
 class ProjectorSet:
     """Complete family of mutually orthogonal Hermitian projectors."""
@@ -244,27 +346,10 @@ class ProjectorSet:
         if not mats:
             raise ValidationError("projectors-nonempty")
         dim = mats[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
         for idx, p in enumerate(mats):
             if p.shape[0] != dim:
                 raise ShapeMismatchError("projectors-same-dim", detail=f"projector {idx}")
-            residual = matcore.hermiticity_residual(p)
-            if residual > HERMITIAN_TOL:
-                raise ValidationError("projector-hermitian", residual=residual, detail=f"projector {idx}")
-            residual = matcore.max_abs(p @ p - p)
-            if residual > IDEMPOTENT_TOL:
-                raise ValidationError("projector-idempotent", residual=residual, detail=f"projector {idx}")
-            total += p
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                residual = matcore.max_abs(mats[i] @ mats[j])
-                if residual > ORTHOGONALITY_TOL:
-                    raise ValidationError(
-                        "projectors-orthogonal", residual=residual, detail=f"pair ({i}, {j})"
-                    )
-        residual = matcore.max_abs(total - np.eye(dim))
-        if residual > COMPLETENESS_TOL:
-            raise ValidationError("projectors-complete", residual=residual)
+        validate_projector_stack(np.array(mats))
         object.__setattr__(self, "projectors", tuple(_readonly(p) for p in mats))
 
     @property
@@ -311,7 +396,7 @@ def clean_probabilities(probs, missing=None) -> np.ndarray:
         residual = np.abs(matcore.sequential_sum(cleaned) - 1.0)
         failed = entry_failed.any(axis=-1) | (residual > PROBABILITY_SUM_TOL)
     if failed.any():
-        first = _first_failure(failed)
+        first = matcore.first_failure(failed)
         row = p.reshape(failed.size, p.shape[-1])[first]
         for idx, value in enumerate(row):
             if not np.isfinite(value):
@@ -382,8 +467,9 @@ def purity(rho: DensityMatrix) -> float:
 def gram_from_vectors(vectors: Sequence[PureState]) -> GramMatrix:
     """Overlap matrix E_ij = <v_j|v_i> of a family of unit vectors.
 
-    Rows are renormalized exactly before forming the overlaps, so the result
-    always carries an exactly unit diagonal.
+    Rows are renormalized before forming the overlaps.  The renormalized
+    rows have unit norm only to rounding, so the diagonal is 1 within a few
+    ulps, not exactly 1 (:func:`gram_from_unit_rows`).
     """
     if not vectors:
         raise ValidationError("gram-vectors-nonempty")
@@ -391,8 +477,44 @@ def gram_from_vectors(vectors: Sequence[PureState]) -> GramMatrix:
     for idx, v in enumerate(vectors):
         if v.dim != dim:
             raise ShapeMismatchError("gram-vectors-same-dim", detail=f"vector {idx}")
-    rows = np.array([v.amp / np.linalg.norm(v.amp) for v in vectors])
-    return GramMatrix(rows @ rows.conj().T)
+    return GramMatrix(gram_from_unit_rows(np.array([v.amp for v in vectors])))
+
+
+def gram_from_unit_rows(rows) -> np.ndarray:
+    """Overlap matrices of a (..., n, m) stack of unit row families, not validated.
+
+    Every row gets the :class:`PureState` checks, is divided by its own norm,
+    and the overlaps are the products of the rows.  A renormalized row has
+    norm 1 only to rounding, and so has each diagonal overlap: a diagonal
+    entry can differ from 1.0 by a few ulps (for dim-1 families too).
+    """
+    rows = np.asarray(rows, dtype=complex)
+    rows = rows / unit_vector_norms(rows)[..., None]
+    return rows @ rows.conj().swapaxes(-1, -2)
+
+
+def gram_from_projector_stack(mats) -> np.ndarray:
+    """Block overlap matrices of a (..., k, d, d) stack of diagonal projector families.
+
+    Each is sum_k outer(diag P_k, diag P_k), added left to right over k;
+    dead (all-zero) slots add exact zeros.  Every projector must be diagonal
+    within 1e-10; a failing stack raises the NotDiagonalBasisError of its
+    first failing projector.  The result is not validated.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    slots, dim = mats.shape[-3], mats.shape[-1]
+    off = np.where(np.eye(dim, dtype=bool), 0.0, abs(mats)).max(axis=(-2, -1), initial=0.0)
+    failed = off > HERMITIAN_TOL
+    if failed.any():
+        first = matcore.first_failure(failed)
+        raise NotDiagonalBasisError(
+            "projector-diagonal", residual=float(np.ravel(off)[first]), detail=f"projector {first % slots}"
+        )
+    diagonal = mats.diagonal(axis1=-2, axis2=-1).real
+    total = np.zeros(mats.shape[:-3] + (dim, dim), dtype=complex)
+    for k in range(slots):
+        total += diagonal[..., k, :, None] * diagonal[..., k, None, :]
+    return total
 
 
 def gram_from_projectors(projectors: ProjectorSet) -> GramMatrix:
@@ -401,16 +523,21 @@ def gram_from_projectors(projectors: ProjectorSet) -> GramMatrix:
     The projectors must be diagonal in the working basis; the result has ones
     in the square blocks they pick out and zeros elsewhere.
     """
-    dim = projectors.dim
-    total = np.zeros((dim, dim), dtype=complex)
-    for idx, p in enumerate(projectors):
-        off = p - np.diag(p.diagonal())
-        residual = matcore.max_abs(off)
-        if residual > HERMITIAN_TOL:
-            raise NotDiagonalBasisError("projector-diagonal", residual=residual, detail=f"projector {idx}")
-        d = p.diagonal().real
-        total += np.outer(d, d)
-    return GramMatrix(total)
+    return GramMatrix(gram_from_projector_stack(np.array(projectors.projectors)))
+
+
+def block_projectors(block_sizes: Sequence[int], slots: int | None = None) -> np.ndarray:
+    """Diagonal block projectors of the given sizes, in order, as a (slots, n, n) stack.
+
+    ``slots`` defaults to the number of blocks; the slots past the blocks are
+    dead (all-zero).  The sizes are not checked.
+    """
+    sizes = [int(s) for s in block_sizes]
+    dim = sum(sizes)
+    mats = np.zeros((len(sizes) if slots is None else slots, dim, dim), dtype=complex)
+    index = np.arange(dim)
+    mats[np.repeat(np.arange(len(sizes)), sizes), index, index] = 1.0
+    return mats
 
 
 def diagonal_projector_partition(block_sizes: Sequence[int]) -> ProjectorSet:
@@ -418,12 +545,4 @@ def diagonal_projector_partition(block_sizes: Sequence[int]) -> ProjectorSet:
     sizes = [int(s) for s in block_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise InvalidPartitionError("positive-block-sizes", detail=f"{sizes}")
-    dim = sum(sizes)
-    mats = []
-    start = 0
-    for size in sizes:
-        diag = np.zeros(dim)
-        diag[start : start + size] = 1.0
-        mats.append(np.diag(diag).astype(complex))
-        start += size
-    return ProjectorSet(tuple(mats))
+    return ProjectorSet(tuple(block_projectors(sizes)))

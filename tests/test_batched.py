@@ -1,11 +1,12 @@
 """The stacked campaign kernels against one-trial-at-a-time references.
 
-The campaigns ``verify-s-theorems`` and ``holevo`` stack their trials and run
-every map, check and entropy once per chunk.  Here each campaign is replayed
-trial by trial through the public scalar API, and every row must come out
-exactly equal (``==``, not approximately).  The stack kernels must also
-agree bit for bit with the scalar types on hard inputs (dead branches,
-rank-deficient spectra) and raise the scalar types' errors.
+The campaigns ``verify-s-theorems``, ``holevo``, ``majorization`` and
+``luders-equiv`` stack their trials and run every map, check and entropy
+once per chunk.  Here each campaign is replayed trial by trial through the
+public scalar API, and every row must come out exactly equal (``==``, not
+approximately).  The stack kernels must also agree bit for bit with the
+scalar types on hard inputs (dead branches, rank-deficient spectra, padded
+projector families) and raise the scalar types' errors.
 """
 
 import re
@@ -21,9 +22,15 @@ from decobs.entropy import (
     entropy_of_spectrum,
     parse_functional,
 )
-from decobs.errors import ValidationError
-from decobs.majorization import entropy_gap
-from decobs.states import DensityMatrix, GramMatrix, Outcome, OutcomeEnsemble
+from decobs.errors import NotHermitianError, ValidationError
+from decobs.majorization import (
+    check_fan,
+    check_pinching_double,
+    check_schur_majorization,
+    dominance,
+    entropy_gap,
+)
+from decobs.states import DensityMatrix, GramMatrix, Outcome, OutcomeEnsemble, ProjectorSet, PureState
 
 FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det", "renyi:0.3")
 
@@ -128,11 +135,14 @@ def _strip_timestamp(text):
         ["verify-s-theorems", "--dim", "9", "--trials", "5", "--seed", "4", "--units", "bits"],
         ["holevo", "--dim", "5", "--trials", "25", "--seed", "5"],
         ["holevo", "--dim", "3", "--trials", "25", "--seed", "6", "--ensemble-size", "4", "--units", "bits"],
+        ["majorization", "--dim", "5", "--trials", "25", "--seed", "8", "--response-dim", "7"],
+        ["luders-equiv", "--dim", "6", "--trials", "25", "--seed", "9"],
     ],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_output_does_not_depend_on_the_chunk_size(capsys, monkeypatch, argv, fmt):
-    args = argv + ["--format", fmt] + sum((["--entropy", f] for f in FUNCTIONALS), [])
+    takes_entropy = argv[0] not in ("majorization", "luders-equiv")
+    args = argv + ["--format", fmt] + sum((["--entropy", f] for f in FUNCTIONALS if takes_entropy), [])
     default_code = cli.main(args)
     default = capsys.readouterr().out
     monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
@@ -335,6 +345,225 @@ class TestStackErrorsMatchScalarTypes:
 
         monkeypatch.setattr(sampling, "draw_density", one_bad_draw)
         code = cli.main(["verify-s-theorems", "--dim", "3", "--trials", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {self.error_of(lambda: DensityMatrix(bad))[3]}\n"
+
+
+def oracle_majorization(cfg):
+    """majorization replayed one trial at a time through the scalar API."""
+    dim = cfg.dim
+    response_dim = cfg.response_dim or dim
+    rows = []
+    for trial in range(cfg.trials):
+        rng = sampling.trial_stream(cfg.seed, trial)
+        rho = sampling.random_density(dim, rng)
+        schur = check_schur_majorization(rho, sampling.random_gram(dim, response_dim, rng), cfg.tol, trial)
+        pinch_input = sampling.random_density(dim, rng).mat
+        partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
+        pinching = check_pinching_double(pinch_input, partition, cfg.tol, trial)
+        a = sampling.random_hermitian(dim, rng)
+        fan = check_fan(a, sampling.random_hermitian(dim, rng), cfg.tol, trial)
+        sides = ("schur", "pinching-upper", "pinching-lower", "fan")
+        for side, check in zip(sides, schur.dominance + pinching.dominance + fan.dominance):
+            rows.append(
+                cli.Row(
+                    trial, dim, "", side, check.dominated_prefix, check.dominator_prefix,
+                    check.worst_margin, None, not check.holds(cfg.tol),
+                )
+            )
+    return rows
+
+
+def oracle_luders(cfg):
+    """luders-equiv replayed one trial at a time through the scalar API."""
+    rows = []
+    for trial in range(cfg.trials):
+        rng = sampling.trial_stream(cfg.seed, trial)
+        rho = sampling.random_density(cfg.dim, rng)
+        partition = states.diagonal_projector_partition(sampling.random_block_sizes(cfg.dim, rng))
+        pinched = processes.luders(rho, partition)
+        schur_form = processes.decohere(rho, states.gram_from_projectors(partition))
+        residual = matcore.max_abs(pinched.mat - schur_form.mat)
+        rows.append(
+            cli.Row(
+                trial, cfg.dim, "", "luders-equivalence", residual, cli.CONSISTENCY_TOL,
+                cli.CONSISTENCY_TOL - residual, None, residual > cli.CONSISTENCY_TOL,
+            )
+        )
+    return rows
+
+
+def _majorization_grid():
+    for dim, trials in ((1, 12), (2, 12), (3, 12), (5, 10), (8, 8), (16, 5)):
+        for response_dim in sorted({1, dim, dim + 3}):
+            yield dim, trials, response_dim
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-30])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dim,trials,response_dim", list(_majorization_grid()))
+def test_majorization_rows_equal_the_scalar_oracle(dim, trials, response_dim, seed, tol):
+    cfg = cli.CampaignConfig(
+        "majorization", seed=seed, dim=dim, trials=trials, response_dim=response_dim, tol=tol
+    )
+    result = cli.run_majorization(cfg)
+    expected = oracle_majorization(cfg)
+    assert result.rows == expected
+    assert result.exit_code == int(any(row.violation for row in expected))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
+def test_luders_rows_equal_the_scalar_oracle(dim, seed):
+    cfg = cli.CampaignConfig("luders-equiv", seed=seed, dim=dim, trials=12 if dim < 16 else 6)
+    assert cli.run_luders(cfg).rows == oracle_luders(cfg)
+
+
+def _padded_family(partition, slots):
+    family = np.zeros((slots, partition.dim, partition.dim), dtype=complex)
+    family[: len(partition)] = partition.projectors
+    return family
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_pinch_matches_the_one_projector_formula(dim):
+    rng = sampling.stream(dim + 40)
+    partitions, mats = [], []
+    for _ in range(6):
+        mats.append(sampling.random_density(dim, rng).mat)
+        partitions.append(sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng))
+    families = np.array([_padded_family(partition, dim) for partition in partitions])
+    pieces, totals = processes.pinch(families, np.array(mats))
+    for partition, mat, piece_row, total_stack in zip(partitions, mats, pieces, totals):
+        total = np.zeros((dim, dim), dtype=complex)
+        for p, piece in zip(partition, piece_row):
+            assert np.array_equal(piece, p @ mat @ p)
+            total = total + p @ mat @ p
+        assert not piece_row[len(partition) :].any()
+        assert np.array_equal(total_stack, total)
+        assert np.array_equal(processes.luders(DensityMatrix(mat), partition).mat, total)
+
+
+def test_dominance_of_stacks_reads_each_pair_as_alone():
+    rng = sampling.stream(4)
+    lam = rng.standard_normal((5, 3, 6))
+    mu = rng.standard_normal((5, 3, 4))
+    lam[0, 0] = 0.25  # ties everywhere
+    mu[1, 1] = lam[1, 1, :4]
+    stacked = dominance(lam, mu)
+    for index in np.ndindex(5, 3):
+        single = dominance(lam[index], mu[index])
+        assert np.array_equal(stacked.margins[index], single.margins)
+        assert stacked.worst_margin[index] == single.worst_margin
+        assert stacked.dominator_prefix[index] == single.dominator_prefix
+        assert stacked.dominated_prefix[index] == single.dominated_prefix
+        assert stacked.sum_residual[index] == single.sum_residual
+        for tol in (1e-9, 10.0):
+            assert stacked.holds(tol)[index] == single.holds(tol)
+
+
+def test_stacked_samplers_match_the_one_matrix_formulas():
+    rng = sampling.stream(12)
+    ginibre = np.array([sampling.draw_ginibre(5, rng) for _ in range(7)])
+    hermitian = np.array([sampling.draw_hermitian(5, rng) for _ in range(7)])
+    responses = np.array([sampling.draw_responses(5, 11, rng) for _ in range(7)])
+    bases = sampling.haar_from_ginibre(ginibre)
+    rescaled = sampling.unit_spectral_radius(hermitian)
+    grams = states.gram_from_unit_rows(responses)
+    for i in range(7):
+        q, r = np.linalg.qr(ginibre[i])
+        assert np.array_equal(bases[i], q * (r.diagonal() / np.abs(r.diagonal())))
+        assert np.array_equal(rescaled[i], hermitian[i] / np.max(np.abs(np.linalg.eigvalsh(hermitian[i]))))
+        # each row renormalized by its own 1-D norm
+        rows = np.array([v / np.linalg.norm(v) for v in responses[i]])
+        assert np.array_equal(grams[i], rows @ rows.conj().T)
+
+
+class TestStackedChecksRaiseTheScalarErrors:
+    error_of = staticmethod(TestStackErrorsMatchScalarTypes.error_of)
+
+    BAD_FAMILIES = {
+        "projector-hermitian": [
+            np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]) + 1e-3 * np.eye(3, k=1), np.diag([0, 0, 1.0]),
+        ],
+        "projector-idempotent": [np.diag([1.0, 0, 0]), np.diag([0, 1.0 + 1e-6, 0]), np.diag([0, 0, 1.0])],
+        "projectors-orthogonal": [np.diag([1.0, 1.0, 0]), np.diag([0, 1.0, 1.0])],
+        "projectors-complete": [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])],
+        "finite-entries": [np.diag([1.0, 0, 0]), np.diag([0, np.nan, 1.0])],
+    }
+
+    @staticmethod
+    def families(count, rng):
+        return np.array(
+            [
+                _padded_family(sampling.random_projector_partition(3, sampling.random_block_sizes(3, rng), rng), 3)
+                for _ in range(count)
+            ]
+        )
+
+    @pytest.mark.parametrize("invariant", list(BAD_FAMILIES))
+    def test_projector_families(self, invariant):
+        bad = tuple(np.asarray(p, dtype=complex) for p in self.BAD_FAMILIES[invariant])
+        scalar = self.error_of(lambda: ProjectorSet(bad))
+        assert scalar[1] == invariant
+        stack = self.families(9, sampling.stream(21))
+        stack[4] = 0.0
+        stack[4, : len(bad)] = bad
+        assert self.error_of(lambda: states.validate_projector_stack(stack)) == scalar
+        assert self.error_of(lambda: states.validate_projector_stack(stack.reshape(3, 3, 3, 3, 3))) == scalar
+
+    def test_projector_family_past_a_block_seam(self):
+        stack = self.families(700, sampling.stream(22))
+        assert stack[:1].nbytes * 700 > 2 * states._BLOCK_BYTES
+        states.validate_projector_stack(stack)
+        bad = tuple(np.asarray(p, dtype=complex) for p in self.BAD_FAMILIES["projectors-complete"])
+        stack[650] = 0.0
+        stack[650, :2] = bad
+        stack[660, 0, 0, 1] = 1e-3
+        assert self.error_of(lambda: states.validate_projector_stack(stack)) == self.error_of(lambda: ProjectorSet(bad))
+
+    def test_non_hermitian_matrix(self):
+        rng = sampling.stream(23)
+        stack = np.array([sampling.draw_hermitian(3, rng) for _ in range(9)])
+        bad = stack[4].copy()
+        bad[0, 2] += 1e-6
+        stack[4] = bad
+        stack[6, 1, 0] += 1.0
+        scalar = self.error_of(lambda: matcore.hermitian_spectrum(bad))
+        assert scalar[0] is NotHermitianError
+        assert self.error_of(lambda: matcore.hermitian_spectrum(stack)) == scalar
+        assert self.error_of(lambda: matcore.hermitian_spectrum(stack.reshape(3, 3, 3, 3))) == scalar
+
+    def test_response_vector_off_the_unit_sphere(self):
+        rng = sampling.stream(24)
+        rows = np.array([sampling.draw_responses(4, 5, rng) for _ in range(6)])
+        rows[3, 2] *= 1.0 + 1e-6
+        scalar = self.error_of(lambda: PureState(rows[3, 2]))
+        assert scalar[1] == "pure-unit-norm"
+        assert self.error_of(lambda: states.gram_from_unit_rows(rows)) == scalar
+
+    def test_non_diagonal_projector(self):
+        partition = sampling.random_projector_partition(3, [1, 2], sampling.stream(25))
+        stack = np.array([states.block_projectors(sizes, 3) for sizes in ([3], [1, 2], [1, 1, 1], [2, 1])])
+        stack[2] = _padded_family(partition, 3)
+        scalar = self.error_of(lambda: states.gram_from_projectors(partition))
+        assert scalar[1] == "projector-diagonal"
+        assert self.error_of(lambda: states.gram_from_projector_stack(stack)) == scalar
+
+    @pytest.mark.parametrize("command", ["majorization", "luders-equiv"])
+    def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch, command):
+        bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
+        draw = sampling.draw_density
+        calls = []
+
+        def one_bad_draw(n, rng):
+            calls.append(n)
+            return bad if len(calls) == 6 else draw(n, rng)
+
+        monkeypatch.setattr(sampling, "draw_density", one_bad_draw)
+        code = cli.main([command, "--dim", "3", "--trials", "10"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
