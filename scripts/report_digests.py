@@ -10,7 +10,8 @@ seven entropy functionals, ``--tol 1e-30``, both counterexamples with each
 functional, and ``povm-classify`` on both counterexample exports.  The
 grid's last lines run each stacked campaign at dim 16 with 20 trials, which
 the default chunk budget splits into several chunks, so chunk seams are
-covered too.
+covered too, and then at dim 32 with 3 trials (one trial per chunk for most
+campaigns), the size of the benchmark's largest workload.
 
 The script takes no flags, so two versions of the package can be compared
 by running it against each and diffing the outputs::
@@ -42,6 +43,7 @@ FORMATS = ("json", "csv")
 UNITS = ("nats", "bits")
 TIGHT_TOL = ("--tol", "1e-30")
 MULTI_CHUNK = ("--dim", "16", "--trials", "20")
+LARGE = ("--dim", "32", "--trials", "3")
 POVM_FILES = {
     "counterexample-1.json": lambda: counterexample_1()[0],
     "counterexample-2.json": lambda: counterexample_2()[0],
@@ -103,6 +105,14 @@ def grid() -> list[list[str]]:
     ):
         for fmt in FORMATS:
             configs.append([command, *MULTI_CHUNK, *sized, "--format", fmt])
+    for command, sized in (
+        ("verify-s-theorems", every),
+        ("verify-s-theorems", ["--response-dim", "35", *every]),
+        ("holevo", ["--ensemble-size", "7", *every]),
+        ("majorization", []),
+        ("luders-equiv", []),
+    ):
+        configs.append([command, *LARGE, *sized, "--format", "json"])
     return configs
 
 

@@ -312,12 +312,13 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     near_trivial = 0
     consistency_max = 0.0
     for chunk in plan_chunks(cfg.trials, response_dim, dim):
-        rho = np.empty((len(chunk), dim, dim), dtype=complex)
-        probe = np.empty((len(chunk), dim, response_dim), dtype=complex)
+        # each trial's normals in stream order: its state, then its probing
+        raw = np.empty((len(chunk), 2 * dim * (dim + response_dim)))
         for i, trial in enumerate(chunk):
-            rng = sampling.trial_stream(cfg.seed, trial)
-            rho[i] = sampling.draw_density(dim, rng)
-            probe[i] = sampling.draw_probing(dim, response_dim, rng)
+            sampling.trial_stream(cfg.seed, trial).standard_normal(out=raw[i])
+        rho = sampling.density_from_normals(raw[:, : 2 * dim * dim], dim)
+        probe = sampling.probing_from_normals(raw[:, 2 * dim * dim :], dim, response_dim)
+        del raw
 
         # the checks run in the order a one-trial loop makes them: state,
         # probing, branches, branch probabilities, average, Gram, decohered state
@@ -401,23 +402,25 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
     response_dim = cfg.response_dim or dim
     rows: list[Row] = []
     for chunk in plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim):
-        rho = np.empty((len(chunk), dim, dim), dtype=complex)
-        responses = np.empty((len(chunk), dim, response_dim), dtype=complex)
-        pinch_input = np.empty((len(chunk), dim, dim), dtype=complex)
+        # each trial's normals in stream order: state, responses and pinching
+        # state; then, after its block sizes, Ginibre matrix and two Hermitian draws
+        square = 2 * dim * dim
+        raw = np.empty((len(chunk), 2 * square + 2 * dim * response_dim))
+        late = np.empty((len(chunk), 3, square))
         projectors = np.empty((len(chunk), dim, dim, dim), dtype=complex)
-        ginibre = np.empty((len(chunk), dim, dim), dtype=complex)
-        hermitian = np.empty((len(chunk), 2, dim, dim), dtype=complex)
         for i, trial in enumerate(chunk):
             rng = sampling.trial_stream(cfg.seed, trial)
-            rho[i] = sampling.draw_density(dim, rng)
-            responses[i] = sampling.draw_responses(dim, response_dim, rng)
-            # the upper pinching dominance needs a PSD input (zero-diagonal-block
-            # counterexamples break it for indefinite matrices), so sample a state
-            pinch_input[i] = sampling.draw_density(dim, rng)
+            rng.standard_normal(out=raw[i])
             projectors[i] = block_projectors(sampling.random_block_sizes(dim, rng), dim)
-            ginibre[i] = sampling.draw_ginibre(dim, rng)
-            hermitian[i, 0] = sampling.draw_hermitian(dim, rng)
-            hermitian[i, 1] = sampling.draw_hermitian(dim, rng)
+            rng.standard_normal(out=late[i])
+        rho = sampling.density_from_normals(raw[:, :square], dim)
+        responses = sampling.pure_from_normals(raw[:, square:-square].reshape(-1, dim, 2 * response_dim), response_dim)
+        # the upper pinching dominance needs a PSD input (zero-diagonal-block
+        # counterexamples break it for indefinite matrices), so sample a state
+        pinch_input = sampling.density_from_normals(raw[:, -square:], dim)
+        ginibre = sampling.ginibre_from_normals(late[:, 0], dim)
+        hermitian = sampling.hermitian_from_normals(late[:, 1:], dim)
+        del raw, late
 
         # the checks run in the order a one-trial loop makes them: state,
         # responses, Gram, Schur product, pinching state, diagonal and rotated
@@ -463,15 +466,24 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
     rows: list[Row] = []
     for chunk in plan_chunks(cfg.trials, slots, dim):
         probs = np.zeros((len(chunk), slots))
-        mats = np.zeros((len(chunk), slots, dim, dim), dtype=complex)
         present = np.zeros((len(chunk), slots), dtype=bool)
+        # the normals of every present slot, trial after trial
+        raw = np.empty((len(chunk) * slots, 2 * dim * dim))
+        filled = 0
         for i, trial in enumerate(chunk):
             rng = sampling.trial_stream(cfg.seed, trial)
             size = cfg.ensemble_size or int(rng.integers(2, _MAX_MIXTURE_SIZE + 1))
-            probs[i, :size], mats[i, :size] = sampling.draw_ensemble(dim, size, rng)
+            probs[i, :size] = sampling.random_simplex(size, rng)
+            rng.standard_normal(out=raw[filled : filled + size])
             present[i, :size] = True
+            filled += size
+        drawn = sampling.density_from_normals(raw[:filled], dim)
+        del raw
+        mats = np.zeros((len(chunk), slots, dim, dim), dtype=complex)
+        mats[present] = drawn
 
-        lam_state = validate_stack(mats[present], "density")
+        lam_state = validate_stack(drawn, "density")
+        del drawn
         probs = clean_probabilities(probs)
         average = processes.average_stack(probs, mats)
         lam_avg = validate_stack(average, "density")
@@ -504,12 +516,14 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
     dim = cfg.dim
     rows: list[Row] = []
     for chunk in plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim):
-        rho = np.empty((len(chunk), dim, dim), dtype=complex)
+        raw = np.empty((len(chunk), 2 * dim * dim))
         projectors = np.empty((len(chunk), dim, dim, dim), dtype=complex)
         for i, trial in enumerate(chunk):
             rng = sampling.trial_stream(cfg.seed, trial)
-            rho[i] = sampling.draw_density(dim, rng)
+            rng.standard_normal(out=raw[i])
             projectors[i] = block_projectors(sampling.random_block_sizes(dim, rng), dim)
+        rho = sampling.density_from_normals(raw, dim)
+        del raw
 
         # state, partition, pinching, block Gram matrix, Schur form
         validate_stack(rho, "density")
@@ -522,13 +536,8 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
         validate_stack(schur_form, "density")
         residuals = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0).tolist()
         for trial, residual in zip(chunk, residuals):
-            rows.append(
-                Row(
-                    trial, dim, "", "luders-equivalence",
-                    residual, CONSISTENCY_TOL, CONSISTENCY_TOL - residual,
-                    None, residual > CONSISTENCY_TOL,
-                )
-            )
+            rows.append(Row(trial, dim, "", "luders-equivalence", residual, CONSISTENCY_TOL,
+                            CONSISTENCY_TOL - residual, None, residual > CONSISTENCY_TOL))
 
     return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, rows)
 
@@ -726,18 +735,8 @@ def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
         writer.writerow(["trial", "dim", "functional", "side", "lhs", "rhs", "margin", "trivial"])
         for row in result.rows:
             trivial = "" if row.trivial is None else ("true" if row.trivial else "false")
-            writer.writerow(
-                [
-                    row.trial,
-                    row.dim,
-                    row.functional,
-                    row.side,
-                    repr(convert(row.lhs)),
-                    repr(convert(row.rhs)),
-                    repr(convert(row.margin)),
-                    trivial,
-                ]
-            )
+            values = [repr(convert(value)) for value in (row.lhs, row.rhs, row.margin)]
+            writer.writerow([row.trial, row.dim, row.functional, row.side, *values, trivial])
     else:
         print(json.dumps(sanitize_report(result.report), indent=2))
 

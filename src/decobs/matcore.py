@@ -56,6 +56,22 @@ def sequential_sum(values) -> np.ndarray:
     return np.cumsum(values, axis=-1)[..., -1] + 0.0
 
 
+def vector_norms(vectors) -> np.ndarray:
+    """Euclidean norms of a (..., m) stack of complex vectors, shape (...).
+
+    Each norm is sqrt(re . re + im . im), the two dot products taken as
+    (1, m) @ (m, 1) matmuls on the real and imaginary views of C-contiguous
+    rows, which is bit for bit the 1-D ``np.linalg.norm`` of each vector.
+    Rows of other strides are copied to C order first: a matmul on their
+    views may round differently.
+    """
+    rows = np.ascontiguousarray(vectors, dtype=complex)[..., None, :]
+    re, im = rows.real, rows.imag
+    squares = re @ re.swapaxes(-1, -2)
+    squares += im @ im.swapaxes(-1, -2)
+    return np.sqrt(squares[..., 0, 0])
+
+
 def require_square(values) -> np.ndarray:
     mat = as_matrix(values)
     if mat.shape[0] != mat.shape[1]:

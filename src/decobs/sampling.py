@@ -5,10 +5,19 @@ campaign's trial t always draws from the child stream ``(seed, t)``, so
 results are reproducible for a fixed seed regardless of how trials are
 scheduled across workers.  Identical seeds give bit-identical draws across
 runs on the same platform.
+
+Every Gaussian object is made in two steps: a block of standard normals,
+then a transform (``*_from_normals``) that turns a (..., k) stack of such
+blocks into a stack of objects.  A draw of k normals in one generator call
+gives the same numbers as the calls it spans, so a campaign fills one block
+per trial and transforms a whole chunk at once; the scalar ``draw_*``
+functions are the same transforms applied to one block.  Each transform
+rounds every object as it rounds that object alone.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -40,15 +49,35 @@ def trial_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),)))
 
 
+def complex_from_normals(raw, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Gaussians of the given shape from a (..., k) stack of standard normals.
+
+    The first half of each block holds the real parts and the second half
+    the imaginary parts, each in C order, as :func:`complex_gaussian` draws
+    them; k is twice the size of ``shape``.
+    """
+    raw = np.asarray(raw, dtype=float)
+    lead, half = raw.shape[:-1], raw.shape[-1] // 2
+    out = 1j * raw[..., half:].reshape(lead + shape)
+    # the same sums as real + 1j * imag, without a second complex temporary
+    out += raw[..., :half].reshape(lead + shape)
+    return out
+
+
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
     """Standard complex Gaussian array (unit-variance real and imaginary parts)."""
     shape = (rows,) if cols is None else (rows, cols)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return complex_from_normals(rng.standard_normal(2 * math.prod(shape)), shape)
+
+
+def ginibre_from_normals(raw, n: int) -> np.ndarray:
+    """Complex Gaussian n x n matrices with E|z_ij|^2 = 1 from (..., 2 n^2) normals."""
+    return complex_from_normals(raw, (n, n)) / np.sqrt(2.0)
 
 
 def draw_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian n x n matrix with E|z_ij|^2 = 1: the raw draw of :func:`haar_unitary`."""
-    return complex_gaussian(rng, n, n) / np.sqrt(2.0)
+    return ginibre_from_normals(rng.standard_normal(2 * n * n), n)
 
 
 def haar_from_ginibre(z) -> np.ndarray:
@@ -71,11 +100,17 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return haar_from_ginibre(draw_ginibre(n, rng))
 
 
+def density_from_normals(raw, n: int) -> np.ndarray:
+    """Trace-normalized G G^dagger of the complex Gaussians G of (..., 2 n^2) normals, not validated."""
+    g = complex_from_normals(raw, (n, n))
+    mats = g @ g.conj().swapaxes(-1, -2)
+    mats /= mats.trace(axis1=-2, axis2=-1).real[..., None, None]
+    return mats
+
+
 def draw_density(n: int, rng: np.random.Generator) -> np.ndarray:
     """Trace-normalized G G^dagger of a complex Gaussian G, not yet validated."""
-    g = complex_gaussian(rng, n, n)
-    mat = g @ g.conj().T
-    return mat / np.trace(mat).real
+    return density_from_normals(rng.standard_normal(2 * n * n), n)
 
 
 def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
@@ -83,20 +118,30 @@ def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(draw_density(n, rng))
 
 
+def pure_from_normals(raw, n: int) -> np.ndarray:
+    """Complex Gaussian vectors of (..., 2 n) normals, each divided by its norm, not validated."""
+    amp = complex_from_normals(raw, (n,))
+    return amp / matcore.vector_norms(amp)[..., None]
+
+
 def draw_pure(n: int, rng: np.random.Generator) -> np.ndarray:
     """A complex Gaussian vector divided by its norm, not yet validated."""
-    amp = complex_gaussian(rng, n)
-    return amp / np.linalg.norm(amp)
+    return pure_from_normals(rng.standard_normal(2 * n), n)
 
 
 def random_pure(n: int, rng: np.random.Generator) -> PureState:
     return PureState(draw_pure(n, rng))
 
 
+def hermitian_from_normals(raw, n: int) -> np.ndarray:
+    """Hermitian parts (G + G^dagger) / 2 of the complex Gaussians G of (..., 2 n^2) normals."""
+    g = complex_from_normals(raw, (n, n))
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
 def draw_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Hermitian part (G + G^dagger) / 2 of a complex Gaussian G, not yet rescaled."""
-    g = complex_gaussian(rng, n, n)
-    return (g + g.conj().T) / 2.0
+    return hermitian_from_normals(rng.standard_normal(2 * n * n), n)
 
 
 def unit_spectral_radius(h) -> np.ndarray:
@@ -114,9 +159,9 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 def draw_responses(n: int, response_dim: int, rng: np.random.Generator) -> np.ndarray:
     """n random unit vectors of the given dimension, shape (n, response_dim), not yet validated.
 
-    Each vector is divided by its own norm, as :func:`random_pure` divides it.
+    Each vector is drawn and divided by its own norm, as :func:`draw_pure` draws it.
     """
-    return np.array([draw_pure(response_dim, rng) for _ in range(n)]).reshape(n, response_dim)
+    return pure_from_normals(rng.standard_normal((n, 2 * response_dim)), response_dim)
 
 
 def random_gram(n: int, response_dim: int, rng: np.random.Generator) -> GramMatrix:
@@ -128,10 +173,15 @@ def random_gram(n: int, response_dim: int, rng: np.random.Generator) -> GramMatr
     return gram_from_vectors([PureState(v) for v in draw_responses(n, response_dim, rng)])
 
 
+def probing_from_normals(raw, n: int, m: int) -> np.ndarray:
+    """n x m complex Gaussians of (..., 2 n m) normals with every row divided by its norm, not validated."""
+    rows = complex_from_normals(raw, (n, m))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
 def draw_probing(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """n independent random unit rows of length m, not yet validated."""
-    rows = complex_gaussian(rng, n, m)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return probing_from_normals(rng.standard_normal(2 * n * m), n, m)
 
 
 def random_probing(n: int, m: int, rng: np.random.Generator) -> ProbingMatrix:
@@ -185,7 +235,7 @@ def random_simplex(k: int, rng: np.random.Generator) -> np.ndarray:
 def draw_ensemble(dim: int, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Simplex weights, shape (size,), and states, shape (size, dim, dim), not yet validated."""
     probs = random_simplex(size, rng)
-    return probs, np.array([draw_density(dim, rng) for _ in range(size)]).reshape(size, dim, dim)
+    return probs, density_from_normals(rng.standard_normal((size, 2 * dim * dim)), dim)
 
 
 def random_ensemble(dim: int, size: int, rng: np.random.Generator) -> OutcomeEnsemble:

@@ -8,6 +8,7 @@ measured residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -101,7 +102,7 @@ def validate_stack(mats, kind: str) -> np.ndarray:
     if kind not in ("density", "gram"):
         raise ValueError(f"kind must be 'density' or 'gram', got {kind!r}")
     mats = matcore.square_stack(mats)
-    flat = mats.reshape((-1,) + mats.shape[-2:])
+    flat = _flat_stack(mats, 2)
     spectra = np.empty(flat.shape[:-1])
     for block in _blocks(len(flat), flat[:1].nbytes):
         finite = np.isfinite(flat[block]).all(axis=(-2, -1))
@@ -111,6 +112,14 @@ def validate_stack(mats, kind: str) -> np.ndarray:
             raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
         spectra[block] = _check_square_stack(flat[block], kind)
     return spectra.reshape(mats.shape[:-1])
+
+
+def _flat_stack(arr: np.ndarray, item_ndim: int) -> np.ndarray:
+    """``arr`` with its leading axes merged into one, before items of ``item_ndim`` axes.
+
+    Unlike ``reshape(-1, ...)``, this also works on a stack of empty items.
+    """
+    return arr.reshape((math.prod(arr.shape[:-item_ndim]),) + arr.shape[-item_ndim:])
 
 
 def _blocks(count: int, item_bytes: int) -> list[slice]:
@@ -150,14 +159,12 @@ def unit_vector_norms(vectors) -> np.ndarray:
     """Run the :class:`PureState` checks on a (..., m) stack of vectors.
 
     Every vector must be non-empty and finite, with norm 1 within 1e-10.
-    Returns the norms, shape (...).  Each norm is its own 1-D
-    ``np.linalg.norm`` call: no stacked norm (``axis=-1``, matmul, einsum,
-    ``vecdot``) rounds like it for m >= 4.  A failing stack raises the error
-    of its first failing vector.
+    Returns the norms, shape (...), each bit for bit the 1-D
+    ``np.linalg.norm`` of its vector (:func:`~decobs.matcore.vector_norms`).
+    A failing stack raises the error of its first failing vector.
     """
     vectors = np.asarray(vectors, dtype=complex)
-    flat = vectors.reshape(-1, vectors.shape[-1])
-    norms = np.array([np.linalg.norm(v) for v in flat]).reshape(vectors.shape[:-1])
+    norms = matcore.vector_norms(vectors)
     finite = np.isfinite(vectors).all(axis=-1) & (vectors.shape[-1] > 0)
     with np.errstate(invalid="ignore"):
         residual = abs(norms - 1.0)
@@ -306,12 +313,15 @@ def validate_projector_stack(mats) -> None:
     projector, Hermitian and then idempotent; then orthogonality pair by
     pair (i < j); then completeness.  A failing stack raises the error its
     first failing family (in C order) raises as a ProjectorSet, with the
-    same invariant, residual and detail.
+    same invariant, residual and detail; families without slots raise the
+    ``projectors-nonempty`` of an empty ProjectorSet.
     """
     mats = matcore.square_stack(mats)
     if mats.ndim < 3:
         raise ValidationError("matrix-rank", detail=f"expected a stack of projector families, got ndim={mats.ndim}")
-    flat = mats.reshape((-1,) + mats.shape[-3:])
+    flat = _flat_stack(mats, 3)
+    if len(flat) and not flat.shape[1]:
+        raise ValidationError("projectors-nonempty")
     finite = np.isfinite(flat).all(axis=(-3, -2, -1))
     live = flat.any(axis=(-2, -1))
     # families of equal length (last live slot + 1) are checked together on their live slots

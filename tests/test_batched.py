@@ -222,12 +222,14 @@ class TestDeadBranch:
                 assert np.array_equal(state_stack, state)
 
     def test_campaign_skips_the_dead_branch(self, monkeypatch):
-        draw = sampling.draw_probing
+        transform = sampling.probing_from_normals
 
-        def with_zero_column(n, m, rng):
-            return np.hstack([draw(n, m - 1, rng), np.zeros((n, 1))])
+        def with_zero_column(raw, n, m):
+            # the campaign and the oracle's scalar draws both go through this transform
+            live = transform(raw[..., : 2 * n * (m - 1)], n, m - 1)
+            return np.concatenate([live, np.zeros(live.shape[:-1] + (1,))], axis=-1)
 
-        monkeypatch.setattr(sampling, "draw_probing", with_zero_column)
+        monkeypatch.setattr(sampling, "probing_from_normals", with_zero_column)
         cfg = cli.CampaignConfig("verify-s-theorems", seed=2, dim=4, trials=8, response_dim=5, functionals=FUNCTIONALS)
         result = cli.run_s_theorems(cfg)
         assert result.exit_code == 0
@@ -336,14 +338,15 @@ class TestStackErrorsMatchScalarTypes:
 
     def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch):
         bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
-        draw = sampling.draw_density
-        calls = []
+        transform = sampling.density_from_normals
 
-        def one_bad_draw(n, rng):
-            calls.append(n)
-            return bad if len(calls) == 5 else draw(n, rng)
+        def one_bad_draw(raw, n):
+            # the ten trials are one chunk: trial 4's state is the fifth drawn
+            mats = transform(raw, n)
+            mats[4] = bad
+            return mats
 
-        monkeypatch.setattr(sampling, "draw_density", one_bad_draw)
+        monkeypatch.setattr(sampling, "density_from_normals", one_bad_draw)
         code = cli.main(["verify-s-theorems", "--dim", "3", "--trials", "10"])
         captured = capsys.readouterr()
         assert code == 2
@@ -555,14 +558,20 @@ class TestStackedChecksRaiseTheScalarErrors:
     @pytest.mark.parametrize("command", ["majorization", "luders-equiv"])
     def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch, command):
         bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
-        draw = sampling.draw_density
+        transform = sampling.density_from_normals
         calls = []
+        # the ten trials are one chunk; the sixth state drawn is trial 2's pinching
+        # state (the second transform of majorization) or trial 5's state
+        call, trial = {"majorization": (2, 2), "luders-equiv": (1, 5)}[command]
 
-        def one_bad_draw(n, rng):
+        def one_bad_draw(raw, n):
             calls.append(n)
-            return bad if len(calls) == 6 else draw(n, rng)
+            mats = transform(raw, n)
+            if len(calls) == call:
+                mats[trial] = bad
+            return mats
 
-        monkeypatch.setattr(sampling, "draw_density", one_bad_draw)
+        monkeypatch.setattr(sampling, "density_from_normals", one_bad_draw)
         code = cli.main([command, "--dim", "3", "--trials", "10"])
         captured = capsys.readouterr()
         assert code == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decobs import matcore, sampling
+from decobs import matcore, sampling, states
 from decobs.errors import InvalidPartitionError
 from decobs.povm import is_purity_preserving
 from decobs.states import GramMatrix
@@ -132,3 +132,166 @@ class TestOtherSamplers:
     def test_gram_sampler_output_validates(self, n, d, seed):
         gram = sampling.random_gram(n, d, sampling.stream(seed))
         GramMatrix(gram.mat)
+
+
+def _gaussian(rng, shape):
+    """One complex Gaussian array drawn as two real blocks, real parts first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _one_object_density(n, rng):
+    g = _gaussian(rng, (n, n))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
+def _one_object_pure(n, rng):
+    amp = _gaussian(rng, (n,))
+    return amp / np.linalg.norm(amp)
+
+
+def _one_object_probing(n, m, rng):
+    rows = _gaussian(rng, (n, m))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _one_object_hermitian(n, rng):
+    g = _gaussian(rng, (n, n))
+    return (g + g.conj().T) / 2.0
+
+
+#: kind -> (normals per object, chunk transform, scalar draw, one-object formula),
+#: each a function of (n, m): the dimension and the response dimension.
+TRANSFORMS = {
+    "complex": (
+        lambda n, m: 2 * n * m,
+        lambda raw, n, m: sampling.complex_from_normals(raw, (n, m)),
+        lambda n, m, rng: sampling.complex_gaussian(rng, n, m),
+        lambda n, m, rng: _gaussian(rng, (n, m)),
+    ),
+    "density": (
+        lambda n, m: 2 * n * n,
+        lambda raw, n, m: sampling.density_from_normals(raw, n),
+        lambda n, m, rng: sampling.draw_density(n, rng),
+        lambda n, m, rng: _one_object_density(n, rng),
+    ),
+    "probing": (
+        lambda n, m: 2 * n * m,
+        lambda raw, n, m: sampling.probing_from_normals(raw, n, m),
+        lambda n, m, rng: sampling.draw_probing(n, m, rng),
+        _one_object_probing,
+    ),
+    "pure": (
+        lambda n, m: 2 * m,
+        lambda raw, n, m: sampling.pure_from_normals(raw, m),
+        lambda n, m, rng: sampling.draw_pure(m, rng),
+        lambda n, m, rng: _one_object_pure(m, rng),
+    ),
+    "responses": (
+        lambda n, m: 2 * n * m,
+        lambda raw, n, m: sampling.pure_from_normals(raw.reshape(len(raw), n, 2 * m), m),
+        lambda n, m, rng: sampling.draw_responses(n, m, rng),
+        lambda n, m, rng: np.array([_one_object_pure(m, rng) for _ in range(n)]).reshape(n, m),
+    ),
+    "ginibre": (
+        lambda n, m: 2 * n * n,
+        lambda raw, n, m: sampling.ginibre_from_normals(raw, n),
+        lambda n, m, rng: sampling.draw_ginibre(n, rng),
+        lambda n, m, rng: _gaussian(rng, (n, n)) / np.sqrt(2.0),
+    ),
+    "hermitian": (
+        lambda n, m: 2 * n * n,
+        lambda raw, n, m: sampling.hermitian_from_normals(raw, n),
+        lambda n, m, rng: sampling.draw_hermitian(n, rng),
+        lambda n, m, rng: _one_object_hermitian(n, rng),
+    ),
+}
+
+TRANSFORM_DIMS = (1, 2, 3, 4, 5, 8, 13, 16, 32)
+
+
+class TestTransforms:
+    """A chunk transform rounds every object as the scalar draw of its trial does."""
+
+    TRIALS = 40
+
+    @pytest.mark.parametrize("kind", list(TRANSFORMS))
+    @pytest.mark.parametrize("n", TRANSFORM_DIMS)
+    def test_chunk_equals_the_scalar_draws(self, kind, n):
+        width, transform, draw, formula = TRANSFORMS[kind]
+        for m in sorted({1, 2, n, n + 3}):
+            seed = 1000 * n + m
+            raw = np.empty((self.TRIALS, width(n, m)))
+            for t in range(self.TRIALS):
+                sampling.trial_stream(seed, t).standard_normal(out=raw[t])
+            chunk = transform(raw, n, m)
+            for t in range(self.TRIALS):
+                scalar = draw(n, m, sampling.trial_stream(seed, t))
+                assert scalar.shape == chunk[t].shape
+                assert np.array_equal(chunk[t], scalar)
+                assert np.array_equal(scalar, formula(n, m, sampling.trial_stream(seed, t)))
+
+    @pytest.mark.parametrize("n", TRANSFORM_DIMS)
+    def test_ensemble_is_the_simplex_then_one_block_of_states(self, n):
+        for size in (1, 3, 7):
+            rng, replay = sampling.trial_stream(n, size), sampling.trial_stream(n, size)
+            probs, mats = sampling.draw_ensemble(n, size, rng)
+            assert np.array_equal(probs, replay.dirichlet(np.ones(size)))
+            assert np.array_equal(mats, np.array([_one_object_density(n, replay) for _ in range(size)]))
+            assert rng.standard_normal() == replay.standard_normal()
+
+
+#: campaign fill -> the per-object draws it replaces, as (rows, cols) real
+#: blocks in stream order, for dimension n and response dimension (or, for
+#: holevo, mixture size) m
+FILLS = {
+    "verify-s-theorems": lambda n, m: [(n, n)] * 2 + [(n, m)] * 2,
+    "majorization-first": lambda n, m: [(n, n)] * 2 + [(1, m)] * (2 * n) + [(n, n)] * 2,
+    "majorization-second": lambda n, m: [(n, n)] * 6,
+    "holevo": lambda n, m: [(n, n)] * 2 * m,
+    "luders-equiv": lambda n, m: [(n, n)] * 2,
+}
+
+
+@pytest.mark.parametrize("fill", list(FILLS))
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 5), (4, 4), (8, 3), (32, 35)])
+def test_one_fill_equals_the_draws_it_replaces(fill, n, m):
+    blocks = FILLS[fill](n, m)
+    rng, replay = sampling.trial_stream(m, n), sampling.trial_stream(m, n)
+    raw = np.empty(sum(rows * cols for rows, cols in blocks))
+    rng.standard_normal(out=raw)
+    expected = np.concatenate([replay.standard_normal(shape).ravel() for shape in blocks])
+    assert np.array_equal(raw, expected)
+    # the stream continues where the per-object draws leave it
+    assert rng.integers(1, 1000) == replay.integers(1, 1000)
+    assert np.array_equal(rng.standard_normal(5), replay.standard_normal(5))
+
+
+class TestVectorNorms:
+    """The stacked norm is the 1-D ``np.linalg.norm`` of each vector, bit for bit."""
+
+    @staticmethod
+    def per_vector(vectors):
+        norms = [np.linalg.norm(vectors[index]) for index in np.ndindex(vectors.shape[:-1])]
+        return np.array(norms).reshape(vectors.shape[:-1])
+
+    def test_every_length_up_to_1000(self):
+        rng = sampling.stream(31)
+        for m in range(1, 1001):
+            vectors = sampling.complex_gaussian(rng, 3, m)
+            assert np.array_equal(matcore.vector_norms(vectors), self.per_vector(vectors))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 17, 64, 100, 128, 257, 1000])
+    def test_non_contiguous_input(self, m):
+        rng = sampling.stream(m)
+        wide = sampling.complex_gaussian(rng, 6, 2 * m + 1)
+        unit = sampling.pure_from_normals(rng.standard_normal((6, 2 * m)), m)
+        for vectors in (wide[:, 1 : m + 1], wide[:, ::2], wide.reshape(3, 2, -1)[:, :, :m]):
+            assert np.array_equal(matcore.vector_norms(vectors), self.per_vector(vectors))
+        for vectors in (np.asfortranarray(unit), unit[::2], unit[:, ::-1], unit[::-1, ::-1]):
+            assert np.array_equal(states.unit_vector_norms(vectors), self.per_vector(vectors))
+
+    def test_single_vector_and_empty_stack(self):
+        vector = sampling.complex_gaussian(sampling.stream(3), 9)
+        assert matcore.vector_norms(vector) == np.linalg.norm(vector)
+        assert matcore.vector_norms(np.zeros((0, 4))).shape == (0,)

@@ -23,6 +23,9 @@ from decobs.states import (
     gram_from_vectors,
     maximally_mixed,
     purity,
+    unit_vector_norms,
+    validate_projector_stack,
+    validate_stack,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -269,3 +272,41 @@ class TestDensityMatrixSpectrum:
     def test_construction_solves_one_matrix(self, solved):
         DensityMatrix(np.diag([0.7, 0.3]))
         assert solved[0] == 1
+
+
+class TestEmptyInputs:
+    """Stacks of empty items get the answer or error of the scalar type on one item."""
+
+    @staticmethod
+    def invariant_of(build):
+        with pytest.raises(ValidationError) as err:
+            build()
+        return err.value.invariant, str(err.value)
+
+    def test_empty_pure_state_is_not_finite(self):
+        scalar = self.invariant_of(lambda: PureState(np.zeros(0)))
+        assert scalar[0] == "pure-finite"
+        assert self.invariant_of(lambda: unit_vector_norms(np.zeros((3, 0)))) == scalar
+
+    def test_family_of_empty_projectors_passes(self):
+        family = ProjectorSet((np.zeros((0, 0)), np.zeros((0, 0))))
+        assert family.dim == 0 and len(family) == 2
+        validate_projector_stack(np.zeros((3, 2, 0, 0)))
+
+    def test_stack_of_empty_density_matrices_has_no_unit_trace(self):
+        scalar = self.invariant_of(lambda: DensityMatrix(np.zeros((0, 0))))
+        assert scalar[0] == "density-unit-trace"
+        assert self.invariant_of(lambda: validate_stack(np.zeros((3, 0, 0)), "density")) == scalar
+
+    def test_stack_of_empty_gram_matrices_passes(self):
+        GramMatrix(np.zeros((0, 0)))
+        assert validate_stack(np.zeros((3, 0, 0)), "gram").shape == (3, 0)
+        assert validate_stack(np.zeros((2, 3, 0, 0)), "gram").shape == (2, 3, 0)
+
+    def test_families_without_projectors_are_empty_sets(self):
+        scalar = self.invariant_of(lambda: ProjectorSet(()))
+        assert scalar[0] == "projectors-nonempty"
+        for shape in ((3, 0, 2, 2), (3, 0, 0, 0), (2, 2, 0, 3, 3)):
+            assert self.invariant_of(lambda: validate_projector_stack(np.zeros(shape))) == scalar
+        # no family at all has nothing to check
+        validate_projector_stack(np.zeros((0, 0, 2, 2)))
