@@ -10,7 +10,6 @@ Usage: python scripts/sweep_response_dim.py [--dim N] [--trials N] [--seed N]
 
 import argparse
 import csv
-import math
 import sys
 
 from decobs.cli import CampaignConfig, run_s_theorems
@@ -40,14 +39,15 @@ def main() -> int:
         result = run_s_theorems(cfg)
         for functional in FUNCTIONALS:
             for side in ("observation", "decoherence"):
+                # a non-finite margin is spelled as a string in the report
                 rows = [
-                    r for r in result.rows
-                    if r.functional == functional and r.side == side and math.isfinite(r.margin)
+                    r for r in result.report["rows"]
+                    if r["functional"] == functional and r["side"] == side and isinstance(r["margin"], float)
                 ]
                 if not rows:
                     continue
-                mean_margin = sum(r.margin for r in rows) / len(rows)
-                trivial_fraction = sum(r.trivial for r in rows) / len(rows)
+                mean_margin = sum(r["margin"] for r in rows) / len(rows)
+                trivial_fraction = sum(r["trivial"] for r in rows) / len(rows)
                 writer.writerow(
                     [response_dim, functional, side, f"{mean_margin:.6e}", f"{trivial_fraction:.3f}"]
                 )

@@ -37,10 +37,8 @@ from .errors import (
 from .majorization import (
     CheckReport,
     check_fan,
-    check_holevo,
     check_pinching_double,
     check_schur_majorization,
-    entropy_from_majorization_consistency,
     majorizes,
     prefix_margins,
 )
@@ -66,13 +64,10 @@ from .povm import (
 from .processes import (
     decohere,
     ensemble_average,
-    is_trivial_decoherence_for,
-    is_trivial_probing_for,
     luders,
     observe,
     probing_joint_unitary,
     response_gram,
-    von_neumann_reduce,
 )
 from .states import (
     DensityMatrix,

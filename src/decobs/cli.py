@@ -25,6 +25,11 @@ Reports stream to stdout as JSON (default) or CSV margin tables; errors go
 to stderr.  Exit code 0 means no hard violation, 1 means at least one, and 2
 signals usage or input errors.  Rerunning with identical flags and seed
 reproduces the report byte for byte (timestamp field aside).
+
+A row campaign hands one report builder its rows as columns.  The builder
+makes each row dict once, in display units, with non-finite values spelled
+"inf", "-inf" or "nan"; both writers read those dicts, and JSON is written
+with ``allow_nan=False``, so a stray non-finite value raises.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -142,77 +148,29 @@ class CampaignConfig:
 
 
 @dataclass
-class Row:
-    """One (trial, functional, inequality-side) margin record, in nats."""
-
-    trial: int
-    dim: int
-    functional: str
-    side: str
-    lhs: float
-    rhs: float
-    margin: float
-    trivial: bool | None
-    violation: bool
-    strict: bool | None = None
-
-
-@dataclass
 class CampaignResult:
     report: dict
-    rows: list[Row]
     exit_code: int
 
 
-def sanitize_report(obj):
-    """Replace non-finite floats with strings so the output is strict JSON."""
-    if isinstance(obj, dict):
-        return {key: sanitize_report(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize_report(value) for value in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
-    return obj
+#: The keys of a report row, in order; rows that carry ``strict`` end with it.
+_ROW_KEYS = ("trial", "dim", "functional", "side", "lhs", "rhs", "margin", "trivial", "violation")
 
 
-def _display(flags: dict):
-    """The conversion from nats to a report's display units.
+def _shown(flags: dict, values) -> list:
+    """Values in nats as a report shows them: a list of floats in its display units.
 
-    Only the entropy campaigns declare units; dominance and residual rows
-    are shown as computed.
+    Only the entropy campaigns declare units; dominance and residual values
+    are shown as computed.  Each non-finite value is spelled "inf", "-inf"
+    or "nan", so that the report is strict JSON.
     """
-    return to_bits if flags.get("units") == "bits" else float
-
-
-def _row_dict(row: Row, convert) -> dict:
-    out = {
-        "trial": row.trial,
-        "dim": row.dim,
-        "functional": row.functional,
-        "side": row.side,
-        "lhs": convert(row.lhs),
-        "rhs": convert(row.rhs),
-        "margin": convert(row.margin),
-        "trivial": row.trivial,
-        "violation": row.violation,
-    }
-    if row.strict is not None:
-        out["strict"] = row.strict
+    values = np.asarray(values, dtype=float)
+    if flags.get("units") == "bits":
+        values = to_bits(values)
+    out = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[i] = repr(out[i])
     return out
-
-
-def _margin_summary(rows: list[Row], convert) -> dict:
-    finite = [convert(r.margin) for r in rows if math.isfinite(r.margin)]
-    summary = {
-        "rows": len(rows),
-        "violations": sum(r.violation for r in rows),
-        "infinite_margins": sum(not math.isfinite(r.margin) for r in rows),
-    }
-    if finite:
-        summary["margin_min"] = min(finite)
-        summary["margin_max"] = max(finite)
-        summary["margin_mean"] = sum(finite) / len(finite)
-    return summary
 
 
 def _base_report(cfg: CampaignConfig, flags: dict) -> dict:
@@ -227,25 +185,78 @@ def _base_report(cfg: CampaignConfig, flags: dict) -> dict:
 def _campaign_result(
     cfg: CampaignConfig,
     flags: dict,
-    rows: list[Row],
+    columns: dict,
     fields: dict | None = None,
     summary: dict | None = None,
     failed: bool | None = None,
+    dim: int | None = None,
 ) -> CampaignResult:
     """The report of a row campaign: header, extra fields, summary and rows.
 
-    The summary is the margin summary followed by the campaign's own keys.
-    The exit code is 1 when ``failed``, which by default means that a row is
-    a violation.
+    ``columns`` holds one array per row field, in row order: trial,
+    functional, side, lhs, rhs, margin (in nats) and violation, and
+    optionally trivial and strict (None where a row has no strictness).
+    The row dicts are made here and nowhere else, each with ``dim``
+    (default ``cfg.dim``).  The summary is the margin summary followed by
+    the campaign's own keys.  The exit code is 1 when ``failed``, which by
+    default means that a row is a violation.
     """
-    convert = _display(flags)
+    lhs, rhs, margin = (_shown(flags, columns[name]) for name in ("lhs", "rhs", "margin"))
+    violation = columns["violation"].tolist()
+    finite = np.isfinite(columns["margin"])
+    stats = {"rows": len(violation), "violations": sum(violation), "infinite_margins": int(np.count_nonzero(~finite))}
+    if finite.any():
+        values = list(compress(margin, finite.tolist()))
+        # summed left to right, which builtin sum does only up to Python 3.11
+        mean = float(matcore.sequential_sum(values)) / len(values)
+        stats.update(margin_min=min(values), margin_max=max(values), margin_mean=mean)
+
     report = _base_report(cfg, flags)
     report.update(fields or {})
-    report["summary"] = {**_margin_summary(rows, convert), **(summary or {})}
-    report["rows"] = [_row_dict(r, convert) for r in rows]
+    report["summary"] = {**stats, **(summary or {})}
+    trivial = columns["trivial"].tolist() if "trivial" in columns else repeat(None)
+    cells = zip(
+        columns["trial"].tolist(), repeat(cfg.dim if dim is None else dim), columns["functional"].tolist(),
+        columns["side"].tolist(), lhs, rhs, margin, trivial, violation,
+    )
+    rows = report["rows"] = [dict(zip(_ROW_KEYS, cell)) for cell in cells]
+    for row, strict in zip(rows, columns.get("strict", ())):
+        if strict is not None:
+            row["strict"] = strict
     if failed is None:
-        failed = report["summary"]["violations"] > 0
-    return CampaignResult(report, rows, 1 if failed else 0)
+        failed = stats["violations"] > 0
+    return CampaignResult(report, 1 if failed else 0)
+
+
+def _grid_rows(shape: tuple, keep=True, **cells) -> dict:
+    """Row columns from arrays laid out on a (trial, ...) grid of rows.
+
+    Each cell array is broadcast to ``shape`` and read in C order, so rows
+    run trial by trial; grid points where ``keep`` is False give no row.
+    """
+    keep = np.broadcast_to(keep, shape)
+    return {name: np.broadcast_to(values, shape)[keep] for name, values in cells.items()}
+
+
+def _joined(blocks: list[dict]) -> dict:
+    """The row columns of consecutive chunks, joined."""
+    return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+
+
+def _entropy_rows(columns: dict, tol: float) -> dict:
+    """Add the verdict of each entropy row lhs <= rhs + tol to its columns.
+
+    Sets margin and violation and, when the rows have a trivial column,
+    strict: a nontrivial row that holds is strict when its margin exceeds
+    :data:`NEAR_TRIVIAL_MARGIN`, and other rows carry None.
+    """
+    margin, holds = inequality_verdict(columns["lhs"], columns["rhs"], tol)
+    columns.update(margin=margin, violation=~holds)
+    if "trivial" in columns:
+        judged = holds & ~columns["trivial"]
+        strict = columns["strict"] = np.full(len(margin), None, dtype=object)
+        strict[judged] = margin[judged] > NEAR_TRIVIAL_MARGIN
+    return columns
 
 
 def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
@@ -280,16 +291,6 @@ def _entropy_table(functionals, states: tuple, branches: np.ndarray, probs: np.n
     return table[:, :head], expected_entropy_stack(probs, s_branch)
 
 
-def _inequality_row(trial, dim, label, side, lhs, rhs, trivial, tol) -> Row:
-    """Margin record of one check lhs <= rhs + tol."""
-    margin, holds = inequality_verdict(lhs, rhs, tol)
-    violation = not holds
-    strict = None
-    if trivial is not None and not trivial and not violation:
-        strict = margin > NEAR_TRIVIAL_MARGIN
-    return Row(trial, dim, label, side, lhs, rhs, margin, trivial, violation, strict)
-
-
 def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     """Random-probing campaign over both entropy inequalities.
 
@@ -307,9 +308,10 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     functionals = [parse_functional(text) for text in cfg.functionals]
     dim = cfg.dim
     response_dim = cfg.response_dim or dim
-    rows: list[Row] = []
+    labels = [f.label for f in functionals]
+    log_det = np.array([f.kind == "log-det" for f in functionals])
+    blocks = []
     skipped_singular = 0
-    near_trivial = 0
     consistency_max = 0.0
     for chunk in plan_chunks(cfg.trials, response_dim, dim):
         # each trial's normals in stream order: its state, then its probing
@@ -343,45 +345,42 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         # an observation is trivial when every live branch keeps the state's spectrum
         branch_unchanged = np.ones(live.shape, dtype=bool)
         branch_unchanged[live] = processes.spectra_unchanged(lam_rho[np.nonzero(live)[0]], lam_branch, TRIVIALITY_TOL)
-        obs_trivial = branch_unchanged.all(axis=-1).tolist()
-        dec_trivial = processes.spectra_unchanged(lam_rho, lam_dec, TRIVIALITY_TOL).tolist()
-        regular = (lam_rho[:, 0] >= SINGULAR_SKIP).tolist()
+        obs_trivial = branch_unchanged.all(axis=-1)
+        dec_trivial = processes.spectra_unchanged(lam_rho, lam_dec, TRIVIALITY_TOL)
 
         table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
-        s_rho = table[:, : len(chunk)].tolist()
-        s_dec = table[:, len(chunk) :].tolist()
-        s_expected = s_expected.tolist()
+        s_rho, s_dec = table[:, : len(chunk)], table[:, len(chunk) :]
+        # rows run trial, functional, side; log-det skips a singular state
+        regular = (lam_rho[:, 0] >= SINGULAR_SKIP)[:, None] | ~log_det
+        skipped_singular += int(np.count_nonzero(~regular))
+        blocks.append(_grid_rows(
+            (len(chunk), len(functionals), 2), regular[..., None],
+            trial=np.asarray(chunk)[:, None, None],
+            functional=np.array(labels)[:, None],
+            side=np.array(["observation", "decoherence"]),
+            lhs=np.stack((s_expected, s_rho), axis=-1).swapaxes(0, 1),
+            rhs=np.stack((s_rho, s_dec), axis=-1).swapaxes(0, 1),
+            trivial=np.stack((obs_trivial, dec_trivial), axis=-1)[:, None],
+        ))
 
-        for i, trial in enumerate(chunk):
-            for f, functional in enumerate(functionals):
-                if functional.kind == "log-det" and not regular[i]:
-                    skipped_singular += 1
-                    continue
-                for side, lhs, rhs, trivial in (
-                    ("observation", s_expected[f][i], s_rho[f][i], obs_trivial[i]),
-                    ("decoherence", s_rho[f][i], s_dec[f][i], dec_trivial[i]),
-                ):
-                    row = _inequality_row(trial, dim, functional.label, side, lhs, rhs, trivial, cfg.tol)
-                    near_trivial += row.strict is False
-                    rows.append(row)
-
+    columns = _entropy_rows(_joined(blocks), cfg.tol)
     consistency_ok = consistency_max <= CONSISTENCY_TOL
     flags = {
         "dim": cfg.dim,
         "trials": cfg.trials,
         "response_dim": response_dim,
-        "entropy": [f.label for f in functionals],
+        "entropy": labels,
         "tol": cfg.tol,
         "units": cfg.units,
     }
     summary = {
-        "near_trivial": near_trivial,
+        "near_trivial": columns["strict"].tolist().count(False),
         "skipped_singular": skipped_singular,
         "consistency_max_residual": consistency_max,
         "consistency_ok": consistency_ok,
     }
-    failed = not consistency_ok or any(row.violation for row in rows)
-    return _campaign_result(cfg, flags, rows, summary=summary, failed=failed)
+    failed = not consistency_ok or columns["violation"].any()
+    return _campaign_result(cfg, flags, columns, summary=summary, failed=failed)
 
 
 def run_majorization(cfg: CampaignConfig) -> CampaignResult:
@@ -400,7 +399,7 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
     """
     dim = cfg.dim
     response_dim = cfg.response_dim or dim
-    rows: list[Row] = []
+    blocks = []
     for chunk in plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim):
         # each trial's normals in stream order: state, responses and pinching
         # state; then, after its block sizes, Ginibre matrix and two Hermitian draws
@@ -439,18 +438,20 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
         *_, fan = fan_dominance(hermitian[:, 0], hermitian[:, 1])
 
         # each row is its check's worst prefix: dominated prefix sum <= dominating one
-        sides = ("schur", "pinching-upper", "pinching-lower", "fan")
-        columns = [
-            (check.dominated_prefix.tolist(), check.dominator_prefix.tolist(), check.worst_margin.tolist(),
-             (~check.holds(cfg.tol)).tolist())
-            for check in (schur, upper, lower, fan)
-        ]
-        for i, trial in enumerate(chunk):
-            for side, (lhs, rhs, margin, violation) in zip(sides, columns):
-                rows.append(Row(trial, dim, "", side, lhs[i], rhs[i], margin[i], None, violation[i]))
+        checks = (schur, upper, lower, fan)
+        blocks.append(_grid_rows(
+            (len(chunk), len(checks)),
+            trial=np.asarray(chunk)[:, None],
+            functional="",
+            side=np.array(["schur", "pinching-upper", "pinching-lower", "fan"]),
+            lhs=np.stack([check.dominated_prefix for check in checks], axis=-1),
+            rhs=np.stack([check.dominator_prefix for check in checks], axis=-1),
+            margin=np.stack([check.worst_margin for check in checks], axis=-1),
+            violation=~np.stack([check.holds(cfg.tol) for check in checks], axis=-1),
+        ))
 
     flags = {"dim": cfg.dim, "trials": cfg.trials, "response_dim": response_dim, "tol": cfg.tol}
-    return _campaign_result(cfg, flags, rows)
+    return _campaign_result(cfg, flags, _joined(blocks))
 
 
 def run_holevo(cfg: CampaignConfig) -> CampaignResult:
@@ -463,7 +464,8 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
     functionals = [parse_functional(text) for text in cfg.functionals]
     dim = cfg.dim
     slots = cfg.ensemble_size or _MAX_MIXTURE_SIZE
-    rows: list[Row] = []
+    labels = [f.label for f in functionals]
+    blocks = []
     for chunk in plan_chunks(cfg.trials, slots, dim):
         probs = np.zeros((len(chunk), slots))
         present = np.zeros((len(chunk), slots), dtype=bool)
@@ -490,21 +492,21 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
         live = probs > 0.0
 
         rhs, lhs = _entropy_table(functionals, (lam_avg,), lam_state[live[present]], probs)
-        rhs, lhs = rhs.tolist(), lhs.tolist()
-        for i, trial in enumerate(chunk):
-            for f, functional in enumerate(functionals):
-                row = _inequality_row(trial, dim, functional.label, "holevo", lhs[f][i], rhs[f][i], None, cfg.tol)
-                rows.append(row)
+        # rows run trial, functional
+        blocks.append(_grid_rows(
+            (len(chunk), len(functionals)),
+            trial=np.asarray(chunk)[:, None], functional=np.array(labels), side="holevo", lhs=lhs.T, rhs=rhs.T,
+        ))
 
     flags = {
         "dim": cfg.dim,
         "trials": cfg.trials,
         "ensemble_size": cfg.ensemble_size,
-        "entropy": [f.label for f in functionals],
+        "entropy": labels,
         "tol": cfg.tol,
         "units": cfg.units,
     }
-    return _campaign_result(cfg, flags, rows)
+    return _campaign_result(cfg, flags, _entropy_rows(_joined(blocks), cfg.tol))
 
 
 def run_luders(cfg: CampaignConfig) -> CampaignResult:
@@ -514,7 +516,7 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
     chunks as in :func:`run_majorization`, with dead partition slots.
     """
     dim = cfg.dim
-    rows: list[Row] = []
+    blocks = []
     for chunk in plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim):
         raw = np.empty((len(chunk), 2 * dim * dim))
         projectors = np.empty((len(chunk), dim, dim, dim), dtype=complex)
@@ -534,12 +536,13 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
         validate_stack(gram, "gram")
         schur_form = rho * gram
         validate_stack(schur_form, "density")
-        residuals = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0).tolist()
-        for trial, residual in zip(chunk, residuals):
-            rows.append(Row(trial, dim, "", "luders-equivalence", residual, CONSISTENCY_TOL,
-                            CONSISTENCY_TOL - residual, None, residual > CONSISTENCY_TOL))
+        residual = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0)
+        blocks.append(_grid_rows(
+            (len(chunk),), trial=np.asarray(chunk), functional="", side="luders-equivalence", lhs=residual,
+            rhs=CONSISTENCY_TOL, margin=CONSISTENCY_TOL - residual, violation=residual > CONSISTENCY_TOL,
+        ))
 
-    return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, rows)
+    return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, _joined(blocks))
 
 
 def _exact_check(name: str, residual: float) -> dict:
@@ -586,21 +589,20 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
     )
     purity_preserving = ancilla_factors(measurement) is not None
 
-    rows: list[Row] = []
-    entropies = {}
-    for f in [vn] if functional == vn else [vn, functional]:
-        before, expected_after, of_average = entropies[f.label] = (
-            entropy(initial, f),
-            expected_entropy(ensemble, f),
-            entropy(average, f),
-        )
-        rows.append(_inequality_row(0, 2, f.label, "observation", expected_after, before, None, cfg.tol))
-        rows.append(_inequality_row(0, 2, f.label, "decoherence", before, of_average, None, cfg.tol))
+    used = [vn] if functional == vn else [vn, functional]
+    entropies = {f.label: (entropy(initial, f), expected_entropy(ensemble, f), entropy(average, f)) for f in used}
+    before, after, of_average = np.array(list(entropies.values())).T
+    # per functional: observation (expected after <= before), then decoherence (before <= of average)
+    sides = ["observation", "decoherence"]
+    columns = _entropy_rows(_grid_rows(
+        (len(used), 2), trial=0, functional=np.array(list(entropies))[:, None], side=np.array(sides),
+        lhs=np.stack((after, before), axis=-1), rhs=np.stack((before, of_average), axis=-1),
+    ), cfg.tol)
 
     before_vn, expected_vn, average_vn = entropies[vn.label]
     # the measured quantity on the violated side, against the initial entropy
     jump_value = expected_vn if cfg.which == 1 else average_vn
-    observed_violation = next((r.side for r in rows if r.functional == vn.label and r.violation), None)
+    observed_violation = next((side for side, bad in zip(sides, columns["violation"][:2]) if bad), None)
     checks = [
         _exact_check("probabilities", prob_residual),
         _exact_check("outcome-states", outcome_residual),
@@ -611,8 +613,7 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
     ]
 
     flags = {"which": cfg.which, "entropy": functional.label, "units": cfg.units}
-    convert = _display(flags)
-    sel_before, sel_expected, sel_average = entropies[functional.label]
+    shown = _shown(flags, entropies[functional.label])
     fields = {
         "probabilities": probabilities,
         "expected_probabilities": expected_probs,
@@ -621,14 +622,12 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
         "violated_side": violated_side,
         "entropy": {
             "functional": functional.label,
-            "before": convert(sel_before),
-            "expected_after_observation": convert(sel_expected),
-            "of_average": convert(sel_average),
+            **dict(zip(("before", "expected_after_observation", "of_average"), shown)),
         },
         "checks": checks,
     }
     checks_failed = sum(not c["pass"] for c in checks)
-    return _campaign_result(cfg, flags, rows, fields, {"checks_failed": checks_failed}, checks_failed > 0)
+    return _campaign_result(cfg, flags, columns, fields, {"checks_failed": checks_failed}, checks_failed > 0, dim=2)
 
 
 def run_povm_classify(cfg: CampaignConfig) -> CampaignResult:
@@ -646,7 +645,7 @@ def run_povm_classify(cfg: CampaignConfig) -> CampaignResult:
     report["ancilla_dim"] = measurement.ancilla_dim
     report["summary"] = {"rows": 0, "violations": 0}
     report["rows"] = []
-    return CampaignResult(report, [], 0)
+    return CampaignResult(report, 0)
 
 
 _DISPATCH = {
@@ -730,15 +729,14 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
 
 def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
     if cfg.fmt == "csv":
-        convert = _display(result.report["flags"])
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["trial", "dim", "functional", "side", "lhs", "rhs", "margin", "trivial"])
-        for row in result.rows:
-            trivial = "" if row.trivial is None else ("true" if row.trivial else "false")
-            values = [repr(convert(value)) for value in (row.lhs, row.rhs, row.margin)]
-            writer.writerow([row.trial, row.dim, row.functional, row.side, *values, trivial])
+        writer.writerow(_ROW_KEYS[:-1])
+        # csv writes a float as its repr, as json does
+        trivial = {None: "", True: "true", False: "false"}
+        for row in result.report["rows"]:
+            writer.writerow([*(row[key] for key in _ROW_KEYS[:-2]), trivial[row["trivial"]]])
     else:
-        print(json.dumps(sanitize_report(result.report), indent=2))
+        print(json.dumps(result.report, indent=2, allow_nan=False))
 
 
 def main(argv=None) -> int:

@@ -265,6 +265,6 @@ def expected_entropy(ensemble: OutcomeEnsemble, functional: EntropyFunctional) -
     return float(expected_entropy_stack(probs, entropies))
 
 
-def to_bits(value: float) -> float:
-    """Convert nats to bits for display; non-finite values pass through."""
-    return value * (1.0 / math.log(2.0)) if math.isfinite(value) else value
+def to_bits(value):
+    """Convert nats to bits for display, elementwise; infinities and nan pass through."""
+    return value * (1.0 / math.log(2.0))

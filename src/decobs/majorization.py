@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore, processes
-from .entropy import EntropyFunctional, entropy, expected_entropy
 from .errors import ShapeMismatchError
-from .processes import ensemble_average
-from .states import DensityMatrix, GramMatrix, OutcomeEnsemble, ProjectorSet
+from .states import DensityMatrix, GramMatrix, ProjectorSet
 
 DEFAULT_MAJORIZATION_TOL = 1e-9
 
@@ -95,21 +93,8 @@ class CheckReport:
     margins: tuple[float, ...]
     spectra: dict = field(default_factory=dict)
     trial: int | None = None
-    note: str = ""
     #: The prefix-sum comparisons behind ``margins``, one per dominance checked.
     dominance: tuple[Dominance, ...] = ()
-
-    def to_dict(self) -> dict:
-        out = {
-            "pass": self.passed,
-            "margins": list(self.margins),
-            "spectra": {key: list(seq) for key, seq in self.spectra.items()},
-        }
-        if self.trial is not None:
-            out["trial"] = self.trial
-        if self.note:
-            out["note"] = self.note
-        return out
 
 
 def _dominance_report(checks, tol: float, spectra: dict, trial: int | None) -> CheckReport:
@@ -215,54 +200,19 @@ def check_fan(
     return _dominance_report([check], tol, spectra, trial)
 
 
-def entropy_gap(rhs: float, lhs: float) -> float:
-    """rhs - lhs with equal infinities treated as a zero gap."""
-    if rhs == lhs:
-        return 0.0
-    return rhs - lhs
+def entropy_gap(rhs, lhs):
+    """rhs - lhs, elementwise, with equal infinities treated as a zero gap.
+
+    Floats give a float; arrays give an array.
+    """
+    rhs, lhs = np.asarray(rhs, dtype=float), np.asarray(lhs, dtype=float)
+    # -inf - -inf is nan, and warns, before the mask replaces it
+    with np.errstate(invalid="ignore"):
+        gap = np.where(rhs == lhs, 0.0, rhs - lhs)
+    return gap if gap.ndim else float(gap)
 
 
-def inequality_verdict(lhs: float, rhs: float, tol: float) -> tuple[float, bool]:
-    """The margin ``entropy_gap(rhs, lhs)`` of lhs <= rhs + tol, and whether it holds."""
-    return entropy_gap(rhs, lhs), bool(lhs <= rhs + tol)
-
-
-def check_holevo(
-    ensemble: OutcomeEnsemble,
-    functional: EntropyFunctional,
-    tol: float = DEFAULT_MAJORIZATION_TOL,
-    trial: int | None = None,
-) -> CheckReport:
-    """Verify that the average branch entropy never exceeds the entropy of the
-    average state."""
-    average = ensemble_average(ensemble)
-    margin, passed = inequality_verdict(expected_entropy(ensemble, functional), entropy(average, functional), tol)
-    return CheckReport(
-        passed=passed,
-        margins=(margin,),
-        spectra={"average": tuple(average.spectrum)},
-        trial=trial,
-        note=functional.label,
-    )
-
-
-def entropy_from_majorization_consistency(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    functional: EntropyFunctional,
-    tol: float = DEFAULT_MAJORIZATION_TOL,
-    trial: int | None = None,
-) -> CheckReport:
-    """When lambda(rho1) dominates lambda(rho2), the entropies must order the
-    other way; incomparable spectra produce a no-claim report."""
-    spectra = {"rho1": tuple(rho1.spectrum), "rho2": tuple(rho2.spectrum)}
-    if not majorizes(rho1.spectrum, rho2.spectrum, tol):
-        return CheckReport(passed=True, margins=(), spectra=spectra, trial=trial, note="not comparable")
-    margin, passed = inequality_verdict(entropy(rho1, functional), entropy(rho2, functional), tol)
-    return CheckReport(
-        passed=passed,
-        margins=(margin,),
-        spectra=spectra,
-        trial=trial,
-        note=functional.label,
-    )
+def inequality_verdict(lhs, rhs, tol: float):
+    """The margin ``entropy_gap(rhs, lhs)`` of lhs <= rhs + tol, and whether it holds, elementwise."""
+    holds = np.asarray(lhs, dtype=float) <= np.asarray(rhs, dtype=float) + tol
+    return entropy_gap(rhs, lhs), (holds if holds.ndim else bool(holds))

@@ -39,11 +39,6 @@ def decohere(rho: DensityMatrix, env_overlap: GramMatrix) -> DensityMatrix:
     return DensityMatrix(matcore.schur_product(rho.mat, env_overlap.mat))
 
 
-def von_neumann_reduce(rho: DensityMatrix) -> DensityMatrix:
-    """Keep only the diagonal of rho (decoherence with the identity overlap)."""
-    return DensityMatrix(np.diag(rho.mat.diagonal()))
-
-
 def response_gram_stack(probes) -> np.ndarray:
     """Row Gram matrices S S^dagger of a (..., n, m) probing stack."""
     probes = np.asarray(probes)
@@ -176,20 +171,6 @@ def spectra_unchanged(before, after, tol: float = DEFAULT_TRIVIALITY_TOL) -> np.
     test of a probing or decoherence step.
     """
     return abs(np.asarray(after) - np.asarray(before)).max(axis=-1, initial=0.0) <= tol
-
-
-def is_trivial_probing_for(
-    rho: DensityMatrix, probe: ProbingMatrix, tol: float = DEFAULT_TRIVIALITY_TOL
-) -> bool:
-    """True when every live observation branch equals rho up to a unitary."""
-    return all(spectra_unchanged(rho.spectrum, o.state.spectrum, tol) for o in observe(rho, probe).live())
-
-
-def is_trivial_decoherence_for(
-    rho: DensityMatrix, env_overlap: GramMatrix, tol: float = DEFAULT_TRIVIALITY_TOL
-) -> bool:
-    """True when rho o E has the same spectrum as rho within tol."""
-    return bool(spectra_unchanged(rho.spectrum, decohere(rho, env_overlap).spectrum, tol))
 
 
 def _complete_unitary_from_first_column(first: np.ndarray) -> np.ndarray:

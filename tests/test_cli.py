@@ -402,17 +402,17 @@ class TestEarlyClosedStdout:
         argv += [flag for name in functionals for flag in ("--entropy", name)]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "decobs", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-        )
-        try:
-            first = proc.stdout.readline()
-            proc.stdout.close()
-            err = proc.stderr.read()
-            code = proc.wait(timeout=120)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
+        ) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                err = proc.stderr.read()
+                code = proc.wait(timeout=120)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
         assert first
         assert err == b""
         assert code == 0

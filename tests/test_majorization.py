@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,17 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, sampling
-from decobs.cli import CampaignConfig, Row, run_majorization
+from decobs.cli import CampaignConfig, run_holevo, run_majorization
 from decobs.processes import ensemble_average
 from decobs.entropy import builtin_functionals, entropy, expected_entropy, log_det, von_neumann
 from decobs.majorization import (
     DEFAULT_MAJORIZATION_TOL,
     check_fan,
-    check_holevo,
     check_pinching_double,
     check_schur_majorization,
     dominance,
-    entropy_from_majorization_consistency,
     inequality_verdict,
     majorizes,
     prefix_margins,
@@ -41,6 +40,18 @@ def mixed_toward_uniform(lam: np.ndarray, t: float) -> np.ndarray:
     """Doubly-stochastic mixing, guaranteed to be dominated by lam."""
     n = lam.size
     return (1.0 - t) * lam + t * np.full(n, lam.sum() / n)
+
+
+def holevo_verdict(ensemble, functional):
+    """Margin and verdict of: average branch entropy <= entropy of the average state."""
+    average = entropy(ensemble_average(ensemble), functional)
+    return inequality_verdict(expected_entropy(ensemble, functional), average, DEFAULT_MAJORIZATION_TOL)
+
+
+def entropy_order(rho1, rho2, functional):
+    """Whether lambda(rho1) majorizes lambda(rho2), and the margin and verdict of S(rho1) <= S(rho2)."""
+    verdict = inequality_verdict(entropy(rho1, functional), entropy(rho2, functional), DEFAULT_MAJORIZATION_TOL)
+    return (majorizes(rho1.spectrum, rho2.spectrum), *verdict)
 
 
 class TestMajorizes:
@@ -145,8 +156,11 @@ class TestDominanceKernel:
                 ("fan", fan["sum_of_spectra"], fan["spectrum_of_sum"]),
             ):
                 lhs, rhs, margin, violation = reference_dominance_row(dominator, dominated, tol)
-                expected.append(Row(trial, dim, "", side, lhs, rhs, margin, None, violation))
-        assert run_majorization(cfg).rows == expected
+                expected.append({
+                    "trial": trial, "dim": dim, "functional": "", "side": side, "lhs": lhs, "rhs": rhs,
+                    "margin": margin, "trivial": None, "violation": violation,
+                })
+        assert run_majorization(cfg).report["rows"] == expected
 
 
 class TestSchurMajorization:
@@ -169,15 +183,15 @@ class TestSchurMajorization:
         rho = sampling.random_density(dim, rng)
         env = sampling.random_gram(dim, response_dim, rng)
         report = check_schur_majorization(rho, env)
-        assert report.passed, report.to_dict()
+        assert report.passed, report.margins
 
     def test_report_serializes(self):
-        rho = maximally_mixed(2)
-        report = check_schur_majorization(rho, GramMatrix(np.eye(2)), trial=7)
-        as_dict = report.to_dict()
-        assert as_dict["pass"] is True
-        assert as_dict["trial"] == 7
-        assert set(as_dict) >= {"pass", "margins", "spectra"}
+        result = run_majorization(CampaignConfig("majorization", seed=7, dim=2, trials=8))
+        as_dict = json.loads(json.dumps(result.report, allow_nan=False))
+        schur = [row for row in as_dict["rows"] if row["side"] == "schur"]
+        assert [row["trial"] for row in schur] == list(range(8))
+        assert not any(row["violation"] for row in schur)
+        assert set(schur[0]) >= {"trial", "lhs", "rhs", "margin", "violation"}
 
 
 class TestPinchingDouble:
@@ -210,7 +224,7 @@ class TestPinchingDouble:
         rho = sampling.random_density(dim, rng)
         partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
         report = check_pinching_double(rho.mat, partition)
-        assert report.passed, report.to_dict()
+        assert report.passed, report.margins
 
     @settings(max_examples=60)
     @given(dim=dims, seed=seeds)
@@ -252,16 +266,16 @@ class TestFan:
         a = sampling.random_hermitian(dim, rng)
         b = sampling.random_hermitian(dim, rng)
         report = check_fan(a, b)
-        assert report.passed, report.to_dict()
+        assert report.passed, report.margins
 
 
 class TestHolevo:
     def test_single_outcome_is_equality(self):
         rho = sampling.random_density(2, sampling.stream(6))
         ens = OutcomeEnsemble((Outcome(1.0, rho),))
-        report = check_holevo(ens, von_neumann())
-        assert report.passed
-        assert report.margins[0] == pytest.approx(0.0, abs=1e-12)
+        margin, holds = holevo_verdict(ens, von_neumann())
+        assert holds
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_basis_mixture(self):
         ens = OutcomeEnsemble(
@@ -270,17 +284,17 @@ class TestHolevo:
                 Outcome(0.5, density_from_pure(basis_state(2, 1))),
             )
         )
-        report = check_holevo(ens, von_neumann())
-        assert report.passed
-        assert report.margins[0] == pytest.approx(LN2)
+        margin, holds = holevo_verdict(ens, von_neumann())
+        assert holds
+        assert margin == pytest.approx(LN2)
 
     @settings(max_examples=40)
     @given(dim=dims, size=st.integers(2, 5), seed=seeds)
     def test_random_ensembles_all_functionals(self, dim, size, seed):
         ens = sampling.random_ensemble(dim, size, sampling.stream(seed))
         for f in builtin_functionals():
-            report = check_holevo(ens, f)
-            assert report.passed, (f.label, report.to_dict())
+            margin, holds = holevo_verdict(ens, f)
+            assert holds, (f.label, margin)
 
     def test_sentinel_on_smaller_side_passes(self):
         ens = OutcomeEnsemble(
@@ -289,41 +303,39 @@ class TestHolevo:
                 Outcome(0.5, density_from_pure(basis_state(2, 1))),
             )
         )
-        report = check_holevo(ens, log_det())
-        assert report.passed
-        assert report.margins[0] == math.inf
+        margin, holds = holevo_verdict(ens, log_det())
+        assert holds
+        assert margin == math.inf
 
 
 class TestEntropyFromMajorizationConsistency:
     def test_pure_vs_maximally_mixed(self):
-        report = entropy_from_majorization_consistency(
+        comparable, margin, holds = entropy_order(
             density_from_pure(basis_state(3, 0)), maximally_mixed(3), von_neumann()
         )
-        assert report.passed
-        assert report.margins[0] == pytest.approx(math.log(3.0))
+        assert comparable and holds
+        assert margin == pytest.approx(math.log(3.0))
 
     def test_equal_states(self):
         rho = sampling.random_density(2, sampling.stream(14))
-        report = entropy_from_majorization_consistency(rho, rho, von_neumann())
-        assert report.passed
-        assert report.margins[0] == pytest.approx(0.0, abs=1e-12)
+        comparable, margin, holds = entropy_order(rho, rho, von_neumann())
+        assert comparable and holds
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_scalar_values(self):
         rho1 = DensityMatrix(np.diag([0.6, 0.4]))
         rho2 = DensityMatrix(np.diag([0.5, 0.5]))
-        report = entropy_from_majorization_consistency(rho1, rho2, von_neumann())
-        assert report.passed
+        comparable, margin, holds = entropy_order(rho1, rho2, von_neumann())
+        assert comparable and holds
         s1 = -(0.6 * math.log(0.6) + 0.4 * math.log(0.4))
-        assert report.margins[0] == pytest.approx(LN2 - s1)
+        assert margin == pytest.approx(LN2 - s1)
         assert s1 == pytest.approx(0.6730116670092565)
 
     def test_incomparable_makes_no_claim(self):
         rho1 = DensityMatrix(np.diag([0.6, 0.25, 0.15]))
         rho2 = DensityMatrix(np.diag([0.5, 0.4, 0.1]))
-        report = entropy_from_majorization_consistency(rho1, rho2, von_neumann())
-        assert report.note == "not comparable"
-        assert report.passed
-        assert report.margins == ()
+        assert not entropy_order(rho1, rho2, von_neumann())[0]
+        assert not entropy_order(rho2, rho1, von_neumann())[0]
 
     @settings(max_examples=40)
     @given(dim=dims, seed=seeds)
@@ -335,51 +347,57 @@ class TestEntropyFromMajorizationConsistency:
         mu = mixed_toward_uniform(lam, rng.uniform(0.0, 1.0))
         softer = DensityMatrix(u @ np.diag(mu) @ u.conj().T)
         for f in builtin_functionals():
-            report = entropy_from_majorization_consistency(rho, softer, f)
-            assert report.note != "not comparable"
-            assert report.passed, (f.label, report.to_dict())
+            comparable, margin, holds = entropy_order(rho, softer, f)
+            assert comparable
+            assert holds, (f.label, margin)
+
+
+VERDICT_CASES = [
+    (0.25, 0.5, 1e-9, 0.25, True),
+    (0.5, 0.5, 1e-9, 0.0, True),
+    (0.5 + 5e-10, 0.5, 1e-9, -5e-10, True),
+    (0.5 + 2e-9, 0.5, 1e-9, -2e-9, False),
+    (-math.inf, -1.0, 1e-9, math.inf, True),
+    (-1.0, -math.inf, 1e-9, -math.inf, False),
+    (-math.inf, -math.inf, 1e-9, 0.0, True),
+]
 
 
 class TestInequalityVerdict:
-    @pytest.mark.parametrize(
-        "lhs, rhs, tol, margin, holds",
-        [
-            (0.25, 0.5, 1e-9, 0.25, True),
-            (0.5, 0.5, 1e-9, 0.0, True),
-            (0.5 + 5e-10, 0.5, 1e-9, -5e-10, True),
-            (0.5 + 2e-9, 0.5, 1e-9, -2e-9, False),
-            (-math.inf, -1.0, 1e-9, math.inf, True),
-            (-1.0, -math.inf, 1e-9, -math.inf, False),
-            (-math.inf, -math.inf, 1e-9, 0.0, True),
-        ],
-    )
+    @pytest.mark.parametrize("lhs, rhs, tol, margin, holds", VERDICT_CASES)
     def test_margin_and_verdict(self, lhs, rhs, tol, margin, holds):
         got_margin, got_holds = inequality_verdict(lhs, rhs, tol)
         assert got_margin == pytest.approx(margin, rel=1e-6)
         assert got_holds is holds
 
+    def test_stacks_get_the_verdict_of_each_entry(self):
+        lhs, rhs, _, _, _ = (np.array(column) for column in zip(*VERDICT_CASES))
+        margins, holds = inequality_verdict(lhs, rhs, 1e-9)
+        expected = [inequality_verdict(a, b, 1e-9) for a, b in zip(lhs.tolist(), rhs.tolist())]
+        assert margins.tolist() == [margin for margin, _ in expected]
+        assert holds.tolist() == [verdict for _, verdict in expected]
+
     def test_holevo_report_is_the_verdict_of_its_two_entropies(self):
-        ens = sampling.random_ensemble(3, 3, sampling.stream(4))
-        report = check_holevo(ens, von_neumann())
-        lhs = expected_entropy(ens, von_neumann())
-        rhs = entropy(ensemble_average(ens), von_neumann())
-        assert (report.margins[0], report.passed) == inequality_verdict(lhs, rhs, DEFAULT_MAJORIZATION_TOL)
+        cfg = CampaignConfig("holevo", seed=4, dim=3, trials=6, functionals=("von-neumann", "linear", "renyi:2"))
+        rows = run_holevo(cfg).report["rows"]
+        assert len(rows) == 18
+        for row in rows:
+            assert (row["margin"], not row["violation"]) == inequality_verdict(row["lhs"], row["rhs"], cfg.tol)
 
 
 class TestSpectraAreSolvedOnce:
     def test_holevo_solves_only_the_average(self, solved):
         ens = sampling.random_ensemble(3, 3, sampling.stream(5))
         solved[0] = 0
-        report = check_holevo(ens, von_neumann())
+        holevo_verdict(ens, von_neumann())
         assert solved[0] == 1
-        assert np.array_equal(report.spectra["average"], matcore.hermitian_spectrum(ensemble_average(ens).mat))
 
     def test_consistency_check_solves_nothing(self, solved):
         rho1, rho2 = density_from_pure(basis_state(3, 0)), maximally_mixed(3)
         solved[0] = 0
-        report = entropy_from_majorization_consistency(rho1, rho2, von_neumann())
+        comparable, _, holds = entropy_order(rho1, rho2, von_neumann())
         assert solved[0] == 0
-        assert report.passed and report.spectra["rho1"] == tuple(matcore.hermitian_spectrum(rho1.mat))
+        assert comparable and holds
 
     def test_schur_check_solves_only_the_product(self, solved):
         rng = sampling.stream(6)

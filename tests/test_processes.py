@@ -7,14 +7,11 @@ from decobs.errors import DimensionMismatchError, ShapeMismatchError
 from decobs.processes import (
     decohere,
     ensemble_average,
-    is_trivial_decoherence_for,
-    is_trivial_probing_for,
     luders,
     observe,
     probing_joint_unitary,
     response_gram,
     spectra_unchanged,
-    von_neumann_reduce,
 )
 from decobs.states import (
     DensityMatrix,
@@ -36,6 +33,16 @@ dims = st.integers(min_value=2, max_value=8)
 
 def plus() -> DensityMatrix:
     return DensityMatrix(np.full((2, 2), 0.5))
+
+
+def is_trivial_probing(rho, probe, tol=1e-9) -> bool:
+    """The campaigns' triviality test of an observation: every live branch keeps the spectrum of rho."""
+    return all(spectra_unchanged(rho.spectrum, o.state.spectrum, tol) for o in observe(rho, probe).live())
+
+
+def is_trivial_decoherence(rho, env, tol=1e-9) -> bool:
+    """The campaigns' triviality test of a decoherence: rho o E keeps the spectrum of rho."""
+    return bool(spectra_unchanged(rho.spectrum, decohere(rho, env).spectrum, tol))
 
 
 class TestDecohere:
@@ -176,17 +183,19 @@ class TestLuders:
 
 
 class TestVonNeumannReduce:
+    """Decoherence with the identity overlap is the von Neumann reduction: it keeps the diagonal only."""
+
     def test_diagonal_unchanged(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]))
-        assert np.array_equal(von_neumann_reduce(rho).mat, rho.mat)
+        assert np.array_equal(decohere(rho, GramMatrix(np.eye(2))).mat, rho.mat)
 
     def test_plus_becomes_mixed(self):
-        assert np.array_equal(von_neumann_reduce(plus()).mat, np.eye(2) / 2.0)
+        assert np.array_equal(decohere(plus(), GramMatrix(np.eye(2))).mat, np.eye(2) / 2.0)
 
     @given(dim=dims, seed=seeds)
     def test_keeps_diagonal_only(self, dim, seed):
         rho = sampling.random_density(dim, sampling.stream(seed))
-        out = von_neumann_reduce(rho)
+        out = decohere(rho, GramMatrix(np.eye(dim)))
         assert np.array_equal(out.mat.diagonal(), rho.mat.diagonal())
         assert matcore.max_abs(out.mat - np.diag(out.mat.diagonal())) == 0.0
 
@@ -199,14 +208,14 @@ class TestTriviality:
         theta = rng.uniform(0, 2 * np.pi, size=dim)
         phi = rng.uniform(0, 2 * np.pi, size=dim)
         mat = np.exp(1j * (theta[:, None] + phi[None, :])) / np.sqrt(dim)
-        assert is_trivial_probing_for(rho, ProbingMatrix(mat), 1e-9)
+        assert is_trivial_probing(rho, ProbingMatrix(mat))
 
     def test_identity_probing_on_mixed_diagonal_is_nontrivial(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
-        assert not is_trivial_probing_for(rho, ProbingMatrix(np.eye(2)), 1e-9)
+        assert not is_trivial_probing(rho, ProbingMatrix(np.eye(2)))
 
     def test_identity_probing_on_pure_is_trivial(self):
-        assert is_trivial_probing_for(plus(), ProbingMatrix(np.eye(2)), 1e-9)
+        assert is_trivial_probing(plus(), ProbingMatrix(np.eye(2)))
 
     @given(dim=dims, seed=seeds)
     def test_diagonal_state_never_decoheres(self, dim, seed):
@@ -214,13 +223,13 @@ class TestTriviality:
         probs = sampling.random_simplex(dim, rng)
         rho = DensityMatrix(np.diag(probs))
         env = sampling.random_gram(dim, dim, rng)
-        assert is_trivial_decoherence_for(rho, env, 1e-9)
+        assert is_trivial_decoherence(rho, env)
 
     def test_all_ones_overlap_is_trivial(self):
-        assert is_trivial_decoherence_for(plus(), GramMatrix(np.ones((2, 2))), 1e-9)
+        assert is_trivial_decoherence(plus(), GramMatrix(np.ones((2, 2))))
 
     def test_identity_overlap_on_plus_is_nontrivial(self):
-        assert not is_trivial_decoherence_for(plus(), GramMatrix(np.eye(2)), 1e-9)
+        assert not is_trivial_decoherence(plus(), GramMatrix(np.eye(2)))
 
 
 class TestProbingJointUnitary:
@@ -313,19 +322,19 @@ class TestSpectraUnchanged:
         probe = sampling.random_probing(dim, dim, rng)
         after = matcore.hermitian_spectrum(decohere(rho, env).mat)
         reference = matcore.hermitian_spectrum(rho.mat)
-        assert is_trivial_decoherence_for(rho, env) == bool(matcore.max_abs(after - reference) <= 1e-9)
+        assert is_trivial_decoherence(rho, env) == bool(matcore.max_abs(after - reference) <= 1e-9)
         branches = [matcore.hermitian_spectrum(o.state.mat) for o in observe(rho, probe).live()]
         expected = all(matcore.max_abs(lam - reference) <= 1e-9 for lam in branches)
-        assert is_trivial_probing_for(rho, probe) == expected
+        assert is_trivial_probing(rho, probe) == expected
 
     def test_decoherence_solves_only_the_decohered_state(self, solved):
         rho, env = plus(), GramMatrix(np.eye(2))
         solved[0] = 0
-        assert not is_trivial_decoherence_for(rho, env)
+        assert not is_trivial_decoherence(rho, env)
         assert solved[0] == 1
 
     def test_probing_solves_only_the_live_branches(self, solved):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         solved[0] = 0
-        assert is_trivial_probing_for(rho, ProbingMatrix(np.ones((2, 3)) / np.sqrt(3.0)))
+        assert is_trivial_probing(rho, ProbingMatrix(np.ones((2, 3)) / np.sqrt(3.0)))
         assert solved[0] == 3

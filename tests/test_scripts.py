@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs end to end on a tiny size."""
 
+import json
 import os
 import runpy
 import subprocess
@@ -18,12 +19,20 @@ def run_script(name: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
 def test_run_all_campaigns_writes_every_report(tmp_path):
     outdir = tmp_path / "reports"
     result = run_script("run_all_campaigns.py", "--trials", "2", "--dims", "2", "--outdir", str(outdir))
     assert result.returncode == 0, result.stderr
-    assert len(list(outdir.glob("*.json"))) == 6
+    paths = list(outdir.glob("*.json"))
+    assert len(paths) == 6
     assert "0 campaign(s) with violations" in result.stdout
+    for path in paths:
+        # strict JSON: non-finite values are the strings "inf", "-inf" and "nan"
+        assert json.loads(path.read_text(), parse_constant=_reject_constant)["rows"]
 
 
 def test_sweep_response_dim_emits_csv():
