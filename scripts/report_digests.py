@@ -11,7 +11,10 @@ functional, and ``povm-classify`` on both counterexample exports.  The
 grid's last lines run each stacked campaign at dim 16 with 20 trials, which
 the default chunk budget splits into several chunks, so chunk seams are
 covered too, and then at dim 32 with 3 trials (one trial per chunk for most
-campaigns), the size of the benchmark's largest workload.
+campaigns), the size of the benchmark's largest workload.  Two JSON lines
+close it with 2,000 trials each, ``verify-s-theorems --dim 2`` with all
+seven functionals and ``luders-equiv --dim 3``, so the JSON writer writes
+thousands of rows in one report.
 
 The script takes no flags, so two versions of the package can be compared
 by running it against each and diffing the outputs::
@@ -44,6 +47,7 @@ UNITS = ("nats", "bits")
 TIGHT_TOL = ("--tol", "1e-30")
 MULTI_CHUNK = ("--dim", "16", "--trials", "20")
 LARGE = ("--dim", "32", "--trials", "3")
+MANY_ROWS = ("--trials", "2000")
 POVM_FILES = {
     "counterexample-1.json": lambda: counterexample_1()[0],
     "counterexample-2.json": lambda: counterexample_2()[0],
@@ -113,6 +117,8 @@ def grid() -> list[list[str]]:
         ("luders-equiv", []),
     ):
         configs.append([command, *LARGE, *sized, "--format", "json"])
+    configs.append(["verify-s-theorems", "--dim", "2", *MANY_ROWS, *every, "--format", "json"])
+    configs.append(["luders-equiv", "--dim", "3", *MANY_ROWS, "--format", "json"])
     return configs
 
 

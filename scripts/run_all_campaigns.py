@@ -4,7 +4,6 @@ Usage: python scripts/run_all_campaigns.py [--seed N] [--trials N] [--outdir DIR
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -15,6 +14,7 @@ from decobs.cli import (
     run_luders,
     run_majorization,
     run_s_theorems,
+    write_json,
 )
 
 FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det")
@@ -35,7 +35,8 @@ def main() -> int:
     def record(name, result):
         nonlocal failures
         path = outdir / f"{name}.json"
-        path.write_text(json.dumps(result.report, indent=2, allow_nan=False))
+        with path.open("w") as out:
+            write_json(result.report, out)
         status = "ok" if result.exit_code == 0 else "VIOLATED"
         print(f"{name:<28} {status:<9} -> {path}")
         failures += result.exit_code != 0

@@ -29,7 +29,11 @@ reproduces the report byte for byte (timestamp field aside).
 A row campaign hands one report builder its rows as columns.  The builder
 makes each row dict once, in display units, with non-finite values spelled
 "inf", "-inf" or "nan"; both writers read those dicts, and JSON is written
-with ``allow_nan=False``, so a stray non-finite value raises.
+with ``allow_nan=False``, so a stray non-finite value raises.  CSV goes out
+row by row through ``csv.writer``.  JSON goes out through :func:`write_json`,
+which gives the bytes of ``json.dumps(report, indent=2)``: the report's head
+through ``json.dumps``, then each row through json's C encoder, written as
+soon as it is encoded, so no string of the whole report is made.
 """
 
 from __future__ import annotations
@@ -727,6 +731,30 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
     return CampaignConfig(**fields)
 
 
+#: Encodes one flat row dict as its lines in an ``indent=2`` report, without
+#: the braces' own lines; ``json`` runs its C encoder when no indent is set.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
+
+
+def write_json(report: dict, stream) -> None:
+    """Write ``json.dumps(report, indent=2, allow_nan=False)`` and a newline to ``stream``.
+
+    ``rows`` must be the report's last key and each row a flat dict of
+    scalars, as :func:`_campaign_result` makes them.  The rest of the report
+    goes through ``json.dumps``; each row is encoded alone and written at
+    once inside its fixed indent, so no string of the whole report is made.
+    """
+    head = dict(report)
+    rows = head.pop("rows")
+    stream.write(json.dumps(head, indent=2, allow_nan=False)[:-2] + ',\n  "rows": [')
+    encode = _ROW_ENCODER.encode
+    separator = "\n    {\n      "
+    for row in rows:
+        stream.write(separator + encode(row)[1:-1])
+        separator = "\n    },\n    {\n      "
+    stream.write("\n    }\n  ]\n}\n" if rows else "]\n}\n")
+
+
 def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
     if cfg.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -736,7 +764,7 @@ def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
         for row in result.report["rows"]:
             writer.writerow([*(row[key] for key in _ROW_KEYS[:-2]), trivial[row["trivial"]]])
     else:
-        print(json.dumps(result.report, indent=2, allow_nan=False))
+        write_json(result.report, sys.stdout)
 
 
 def main(argv=None) -> int:

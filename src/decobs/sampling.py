@@ -17,7 +17,6 @@ rounds every object as it rounds that object alone.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +52,7 @@ def complex_from_normals(raw, shape: tuple[int, ...]) -> np.ndarray:
     """Complex Gaussians of the given shape from a (..., k) stack of standard normals.
 
     The first half of each block holds the real parts and the second half
-    the imaginary parts, each in C order, as :func:`complex_gaussian` draws
-    them; k is twice the size of ``shape``.
+    the imaginary parts, each in C order; k is twice the size of ``shape``.
     """
     raw = np.asarray(raw, dtype=float)
     lead, half = raw.shape[:-1], raw.shape[-1] // 2
@@ -62,12 +60,6 @@ def complex_from_normals(raw, shape: tuple[int, ...]) -> np.ndarray:
     # the same sums as real + 1j * imag, without a second complex temporary
     out += raw[..., :half].reshape(lead + shape)
     return out
-
-
-def complex_gaussian(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
-    """Standard complex Gaussian array (unit-variance real and imaginary parts)."""
-    shape = (rows,) if cols is None else (rows, cols)
-    return complex_from_normals(rng.standard_normal(2 * math.prod(shape)), shape)
 
 
 def ginibre_from_normals(raw, n: int) -> np.ndarray:

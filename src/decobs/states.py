@@ -19,7 +19,6 @@ from .errors import (
     InvalidPartitionError,
     NormViolationError,
     NotDiagonalBasisError,
-    NotSquareError,
     ShapeMismatchError,
     ValidationError,
 )

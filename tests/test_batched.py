@@ -263,7 +263,7 @@ def _rank_deficient_spectra(dim, count, rng):
     spectra = []
     for index in range(count):
         rank = 1 + index % dim
-        g = sampling.complex_gaussian(rng, dim, rank)
+        g = sampling.complex_from_normals(rng.standard_normal(2 * dim * rank), (dim, rank))
         mat = g @ g.conj().T
         lam = matcore.hermitian_spectrum(mat / np.trace(mat).real)
         if index % 3 == 0:

@@ -6,11 +6,21 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from decobs.cli import CampaignConfig, _config_from_args, build_parser, main, run_s_theorems
+from decobs.cli import (
+    _DISPATCH,
+    CampaignConfig,
+    _config_from_args,
+    _emit,
+    build_parser,
+    main,
+    run_s_theorems,
+    write_json,
+)
 from decobs.povm import counterexample_1, counterexample_2, probing_as_povm
 from decobs.serialize import povm_to_json
 from decobs.states import basis_state
@@ -293,6 +303,94 @@ class TestNonFiniteValues:
         rows = {row["side"]: row for row in csv.DictReader(io.StringIO(out)) if row["functional"] == "log-det"}
         assert (rows["observation"]["rhs"], rows["observation"]["margin"]) == ("-inf", "-inf")
         assert (rows["decoherence"]["lhs"], rows["decoherence"]["margin"]) == ("-inf", "inf")
+
+
+EVERY_FUNCTIONAL = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det", "renyi:0.1", "renyi:3")
+ENTROPY_FLAGS = [flag for name in EVERY_FUNCTIONAL for flag in ("--entropy", name)]
+ROW_CAMPAIGNS = [
+    ["verify-s-theorems", *ENTROPY_FLAGS],
+    ["majorization"],
+    ["holevo", *ENTROPY_FLAGS],
+    ["luders-equiv"],
+]
+
+
+def _campaign(argv):
+    """The config and result of one command line, run without emitting."""
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    return cfg, _DISPATCH[cfg.command](cfg)
+
+
+class TestJsonWriter:
+    """The JSON report is ``json.dumps(report, indent=2, allow_nan=False)`` and a newline."""
+
+    @staticmethod
+    def assert_emits_dumps(capsys, argv):
+        cfg, result = _campaign(argv)
+        _emit(result, cfg)
+        assert capsys.readouterr().out == json.dumps(result.report, indent=2, allow_nan=False) + "\n"
+        return result.report
+
+    @pytest.mark.parametrize("dim", [1, 4, 16])
+    @pytest.mark.parametrize("argv", ROW_CAMPAIGNS, ids=lambda argv: argv[0])
+    def test_row_campaigns(self, capsys, argv, dim):
+        report = self.assert_emits_dumps(capsys, [*argv, "--dim", str(dim), "--trials", "3"])
+        assert report["rows"]
+
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_counterexample_with_spelled_infinities(self, capsys, which):
+        report = self.assert_emits_dumps(capsys, ["counterexample", "--which", which, "--entropy", "log-det"])
+        assert "-inf" in [value for row in report["rows"] for value in row.values()]
+
+    def test_povm_classify_with_no_rows(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(povm_to_json(counterexample_1()[0])))
+        report = self.assert_emits_dumps(capsys, ["povm-classify", str(path)])
+        assert report["rows"] == []
+
+    def test_strings_that_need_escapes(self):
+        awkward = ['say "hi"', "back\\slash", "line\nbreak", "},\n      {", "Rényi α→∞ 量子", "\u2028\x00\t"]
+        rows = [
+            {"trial": i, "functional": text, "side": text[::-1], "lhs": 0.1 * i, "rhs": -0.0, "margin": 1e-300,
+             "trivial": None, "violation": bool(i % 2), "strict": 10**20}
+            for i, text in enumerate(awkward)
+        ]
+        report = {"command": "synthetic", "flags": {"file": awkward[4]}, "summary": {"rows": len(rows)}, "rows": rows}
+        out = io.StringIO()
+        write_json(report, out)
+        assert out.getvalue() == json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_row_value_raises(self, value):
+        report = {"command": "synthetic", "rows": [{"trial": 0, "lhs": 1.0}, {"trial": 1, "lhs": value}]}
+        with pytest.raises(ValueError):
+            write_json(report, io.StringIO())
+
+    @pytest.mark.parametrize("argv", [
+        *ROW_CAMPAIGNS, ["counterexample", "--which", "1", "--entropy", "log-det"], ["counterexample", "--which", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_rows_are_the_last_key_and_hold_only_scalars(self, argv):
+        _, result = _campaign([*argv, *(["--dim", "3", "--trials", "3"] if argv[0] != "counterexample" else [])])
+        report = result.report
+        assert list(report)[-1] == "rows"
+        for row in report["rows"]:
+            assert {type(value) for value in row.values()} <= {str, int, float, bool, type(None)}
+
+    def test_emitting_probe_small_keeps_memory_flat(self, monkeypatch):
+        # the benchmark's probe-small call: its 2,000-row report is 567 KB, so
+        # one string of it alone would break the bound
+        functionals = [flag for name in EVERY_FUNCTIONAL[:5] for flag in ("--entropy", name)]
+        cfg, result = _campaign(["verify-s-theorems", "--dim", "4", "--trials", "200", *functionals])
+        assert len(result.report["rows"]) == 2000
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                _emit(result, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestDuplicateFunctionals:

@@ -211,7 +211,7 @@ class TestPinchingDouble:
     def test_block_matrix_hand_case(self):
         # 2+2 block PSD matrix assembled from fixed blocks
         rng = sampling.stream(31)
-        g = sampling.complex_gaussian(rng, 4, 4)
+        g = sampling.complex_from_normals(rng.standard_normal(32), (4, 4))
         h = g @ g.conj().T
         h = h / np.trace(h).real
         report = check_pinching_double(h, diagonal_projector_partition([2, 2]))

@@ -15,6 +15,11 @@ dims = st.integers(min_value=2, max_value=8)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def _gaussian(rng, rows, cols):
+    """A complex Gaussian matrix from one draw: real parts first, then imaginary."""
+    return sampling.complex_from_normals(rng.standard_normal(2 * rows * cols), (rows, cols))
+
+
 class TestHermitianSpectrum:
     def test_diagonal(self):
         lam = matcore.hermitian_spectrum(np.diag([0.5, 0.5]).astype(complex))
@@ -27,7 +32,7 @@ class TestHermitianSpectrum:
     @given(seed=seeds)
     def test_2x2_matches_quadratic_formula(self, seed):
         rng = sampling.stream(seed)
-        g = sampling.complex_gaussian(rng, 2, 2)
+        g = _gaussian(rng, 2, 2)
         h = (g + g.conj().T) / 2.0
         # closed-form roots of the characteristic polynomial
         tr = np.trace(h).real
@@ -43,7 +48,7 @@ class TestHermitianSpectrum:
     @given(dim=dims, seed=seeds)
     def test_eigenvalue_sum_equals_trace(self, dim, seed):
         rng = sampling.stream(seed)
-        g = sampling.complex_gaussian(rng, dim, dim)
+        g = _gaussian(rng, dim, dim)
         h = (g + g.conj().T) / 2.0
         lam = matcore.hermitian_spectrum(h)
         assert abs(lam.sum() - np.trace(h).real) <= 1e-10 * dim
@@ -51,7 +56,7 @@ class TestHermitianSpectrum:
     @given(dim=dims, seed=seeds)
     def test_invariance_under_unitary_conjugation(self, dim, seed):
         rng = sampling.stream(seed)
-        g = sampling.complex_gaussian(rng, dim, dim)
+        g = _gaussian(rng, dim, dim)
         h = (g + g.conj().T) / 2.0
         u = sampling.haar_unitary(dim, rng)
         before = matcore.hermitian_spectrum(h)
@@ -88,8 +93,8 @@ class TestSchurProduct:
     @given(dim=dims, seed=seeds)
     def test_trace_is_diagonal_product_sum(self, dim, seed):
         rng = sampling.stream(seed)
-        a = sampling.complex_gaussian(rng, dim, dim)
-        b = sampling.complex_gaussian(rng, dim, dim)
+        a = _gaussian(rng, dim, dim)
+        b = _gaussian(rng, dim, dim)
         product = matcore.schur_product(a, b)
         assert np.trace(product) == (a.diagonal() * b.diagonal()).sum()
 
@@ -115,8 +120,8 @@ class TestTensorProduct:
     @given(seed=seeds)
     def test_matches_index_expansion(self, seed):
         rng = sampling.stream(seed)
-        a = sampling.complex_gaussian(rng, 2, 3)
-        b = sampling.complex_gaussian(rng, 3, 2)
+        a = _gaussian(rng, 2, 3)
+        b = _gaussian(rng, 3, 2)
         out = matcore.tensor_product(a, b)
         expected = np.empty((6, 6), dtype=complex)
         for i in range(2):
@@ -130,8 +135,8 @@ class TestTensorProduct:
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         rng = sampling.stream(7)
-        a = sampling.complex_gaussian(rng, 3, 3)
-        b = sampling.complex_gaussian(rng, 2, 2)
+        a = _gaussian(rng, 3, 3)
+        b = _gaussian(rng, 2, 2)
         joint = matcore.tensor_product(a, b)
         reduced = matcore.partial_trace(joint, 3, 2, keep="first")
         assert matcore.max_abs(reduced - a * np.trace(b)) <= 1e-12
@@ -145,7 +150,7 @@ class TestPartialTrace:
     @given(seed=seeds)
     def test_keep_second_matches_block_sum(self, seed):
         rng = sampling.stream(seed)
-        g = sampling.complex_gaussian(rng, 4, 4)
+        g = _gaussian(rng, 4, 4)
         h = (g + g.conj().T) / 2.0
         reduced = matcore.partial_trace(h, 2, 2, keep="second")
         expected = h[:2, :2] + h[2:, 2:]
@@ -154,7 +159,7 @@ class TestPartialTrace:
     @given(seed=seeds)
     def test_trace_preserved(self, seed):
         rng = sampling.stream(seed)
-        m = sampling.complex_gaussian(rng, 6, 6)
+        m = _gaussian(rng, 6, 6)
         for keep in ("first", "second"):
             assert abs(np.trace(matcore.partial_trace(m, 2, 3, keep)) - np.trace(m)) <= 1e-12
 

@@ -166,7 +166,7 @@ TRANSFORMS = {
     "complex": (
         lambda n, m: 2 * n * m,
         lambda raw, n, m: sampling.complex_from_normals(raw, (n, m)),
-        lambda n, m, rng: sampling.complex_gaussian(rng, n, m),
+        lambda n, m, rng: sampling.complex_from_normals(rng.standard_normal(2 * n * m), (n, m)),
         lambda n, m, rng: _gaussian(rng, (n, m)),
     ),
     "density": (
@@ -278,13 +278,13 @@ class TestVectorNorms:
     def test_every_length_up_to_1000(self):
         rng = sampling.stream(31)
         for m in range(1, 1001):
-            vectors = sampling.complex_gaussian(rng, 3, m)
+            vectors = sampling.complex_from_normals(rng.standard_normal(6 * m), (3, m))
             assert np.array_equal(matcore.vector_norms(vectors), self.per_vector(vectors))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 17, 64, 100, 128, 257, 1000])
     def test_non_contiguous_input(self, m):
         rng = sampling.stream(m)
-        wide = sampling.complex_gaussian(rng, 6, 2 * m + 1)
+        wide = sampling.complex_from_normals(rng.standard_normal(12 * (2 * m + 1)), (6, 2 * m + 1))
         unit = sampling.pure_from_normals(rng.standard_normal((6, 2 * m)), m)
         for vectors in (wide[:, 1 : m + 1], wide[:, ::2], wide.reshape(3, 2, -1)[:, :, :m]):
             assert np.array_equal(matcore.vector_norms(vectors), self.per_vector(vectors))
@@ -292,6 +292,6 @@ class TestVectorNorms:
             assert np.array_equal(states.unit_vector_norms(vectors), self.per_vector(vectors))
 
     def test_single_vector_and_empty_stack(self):
-        vector = sampling.complex_gaussian(sampling.stream(3), 9)
+        vector = sampling.complex_from_normals(sampling.stream(3).standard_normal(18), (9,))
         assert matcore.vector_norms(vector) == np.linalg.norm(vector)
         assert matcore.vector_norms(np.zeros((0, 4))).shape == (0,)
