@@ -44,8 +44,6 @@ from .majorization import (
 )
 from .matcore import (
     hermitian_spectrum,
-    is_hermitian,
-    is_psd,
     is_unitary,
     partial_trace,
     schur_product,

@@ -17,7 +17,7 @@ holevo
     Average branch entropy never exceeds the entropy of the average state.
 luders-equiv
     Pinching over a diagonal projector partition equals the Schur form with
-    the block overlap matrix, to 1e-12.
+    the block overlap matrix, to CONSISTENCY_TOL (``decobs.tolerances``).
 povm-classify
     Structural purity-preservation classification of a measurement JSON file.
 
@@ -61,16 +61,9 @@ from .entropy import (
     von_neumann,
 )
 from .errors import ValidationError
-from .majorization import (
-    DEFAULT_MAJORIZATION_TOL,
-    fan_dominance,
-    inequality_verdict,
-    pinching_dominance,
-    schur_dominance,
-)
+from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
 from .povm import ancilla_factors, apply_povm, counterexample_1, counterexample_2
 from .states import (
-    ZERO_PROBABILITY,
     block_projectors,
     clean_probabilities,
     gram_from_projector_stack,
@@ -79,23 +72,7 @@ from .states import (
     validate_projector_stack,
     validate_stack,
 )
-
-#: Slack for hard inequality assertions (the --tol default).
-HARD_TOL = DEFAULT_MAJORIZATION_TOL
-
-#: Max-norm bound for exact-identity checks (averaging vs decoherence,
-#: pinching vs block Schur form, counterexample regressions).
-CONSISTENCY_TOL = 1e-12
-
-#: Componentwise spectrum tolerance used by the triviality flags.
-TRIVIALITY_TOL = processes.DEFAULT_TRIVIALITY_TOL
-
-#: Nontrivial trials with margins at or below this are counted as
-#: near-trivial instead of being held to strictness.
-NEAR_TRIVIAL_MARGIN = 1e-7
-
-#: log-det campaigns skip states whose smallest eigenvalue is below this.
-SINGULAR_SKIP = 1e-12
+from .tolerances import CONSISTENCY_TOL, INEQUALITY_TOL, NEAR_TRIVIAL_MARGIN, SINGULAR_SKIP, ZERO_PROBABILITY
 
 #: Largest stacked array, in bytes, that a campaign builds at once.  At dim 4
 #: a whole 200-trial campaign fits in one chunk; at dim 32 with 32 branches
@@ -120,7 +97,7 @@ class CampaignConfig:
     trials: int = 100
     response_dim: int | None = None
     functionals: tuple[str, ...] = ("von-neumann",)
-    tol: float = HARD_TOL
+    tol: float = INEQUALITY_TOL
     fmt: str = "json"
     units: str = "nats"
     ensemble_size: int | None = None
@@ -134,6 +111,8 @@ class CampaignConfig:
             # rows are told apart by label alone
             if label in labels[:i]:
                 raise ValueError(f"duplicate entropy functional {label!r}")
+        if self.seed < 0:
+            raise ValueError("--seed must be >= 0")
         if self.dim < 1:
             raise ValueError("--dim must be >= 1")
         if self.trials < 1:
@@ -280,15 +259,14 @@ def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
 def _entropy_table(functionals, states: tuple, branches: np.ndarray, probs: np.ndarray):
     """Entropies of stacked states and the expected entropy of their live branches.
 
-    ``states`` holds ascending (n, d) spectra stacks and ``branches`` the
-    ascending spectra of the live (p > 0) branches, in the order of ``probs``;
+    ``states`` holds (n, d) spectra stacks and ``branches`` the spectra of
+    the live (p > 0) branches, in the order of ``probs``, all non-increasing;
     all of them go through one :func:`entropies_of_spectra` call.  Returns
     the state entropies, shape (len(functionals), sum of n), and the
     expected branch entropies, shape (len(functionals),) + probs.shape[:-1].
     """
     spectra = np.concatenate(states + (branches,))
-    # reversed into contiguous rows, as hermitian_spectrum orders them
-    table = entropies_of_spectra(np.ascontiguousarray(spectra[:, ::-1]), functionals)
+    table = entropies_of_spectra(spectra, functionals)
     head = len(spectra) - len(branches)
     s_branch = np.zeros((len(functionals),) + probs.shape)
     s_branch[:, probs > 0.0] = table[:, head:]
@@ -302,8 +280,8 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     and the decohered state, and check
     expected branch entropy <= initial entropy <= decohered entropy
     for every selected functional.  The averaging identity (branch average
-    equals the Schur form with the row Gram matrix) is asserted to 1e-12 as
-    a side condition.
+    equals the Schur form with the row Gram matrix) is asserted to
+    CONSISTENCY_TOL as a side condition.
 
     Trial t draws from its own stream (seed, t); the draws are then stacked
     in chunks (:func:`plan_chunks`) and every map, check and entropy runs on
@@ -348,14 +326,14 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
 
         # an observation is trivial when every live branch keeps the state's spectrum
         branch_unchanged = np.ones(live.shape, dtype=bool)
-        branch_unchanged[live] = processes.spectra_unchanged(lam_rho[np.nonzero(live)[0]], lam_branch, TRIVIALITY_TOL)
+        branch_unchanged[live] = processes.spectra_unchanged(lam_rho[np.nonzero(live)[0]], lam_branch)
         obs_trivial = branch_unchanged.all(axis=-1)
-        dec_trivial = processes.spectra_unchanged(lam_rho, lam_dec, TRIVIALITY_TOL)
+        dec_trivial = processes.spectra_unchanged(lam_rho, lam_dec)
 
         table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
         s_rho, s_dec = table[:, : len(chunk)], table[:, len(chunk) :]
         # rows run trial, functional, side; log-det skips a singular state
-        regular = (lam_rho[:, 0] >= SINGULAR_SKIP)[:, None] | ~log_det
+        regular = (lam_rho[:, -1] >= SINGULAR_SKIP)[:, None] | ~log_det
         skipped_singular += int(np.count_nonzero(~regular))
         blocks.append(_grid_rows(
             (len(chunk), len(functionals), 2), regular[..., None],
@@ -428,11 +406,11 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
         # the checks run in the order a one-trial loop makes them: state,
         # responses, Gram, Schur product, pinching state, diagonal and rotated
         # partitions, pinching, Fan
-        lam_rho = validate_stack(rho, "density")[..., ::-1]
+        lam_rho = validate_stack(rho, "density")
         env = gram_from_unit_rows(responses)
         validate_stack(env, "gram")
         _, schur = schur_dominance(lam_rho, rho * env)
-        lam_input = validate_stack(pinch_input, "density")[..., ::-1]
+        lam_input = validate_stack(pinch_input, "density")
         validate_projector_stack(projectors)
         projectors = sampling.conjugated_projectors(sampling.haar_from_ginibre(ginibre), projectors)
         validate_projector_stack(projectors)
@@ -514,7 +492,7 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
 
 
 def run_luders(cfg: CampaignConfig) -> CampaignResult:
-    """Random diagonal partitions: pinching equals the block Schur form to 1e-12.
+    """Random diagonal partitions: pinching equals the block Schur form to CONSISTENCY_TOL.
 
     Trial t draws from its own stream (seed, t); the draws are stacked in
     chunks as in :func:`run_majorization`, with dead partition slots.
@@ -557,10 +535,10 @@ def _exact_check(name: str, residual: float) -> dict:
 def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
     """Reproduce one fixed inequality-breaking measurement exactly.
 
-    Hard checks (all to 1e-12): branch probabilities, live branch states, and
-    the von Neumann entropy jump; plus the purity-preservation classification
-    and the identity of the violated side.  The selected functional's
-    entropies are reported alongside.
+    Hard checks (all to CONSISTENCY_TOL): branch probabilities, live branch
+    states, and the von Neumann entropy jump; plus the purity-preservation
+    classification and the identity of the violated side.  The selected
+    functional's entropies are reported alongside.
     """
     if len(cfg.functionals) > 1:
         raise ValueError("counterexample takes at most one --entropy")
@@ -679,7 +657,7 @@ def _add_entropy(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=HARD_TOL, help="slack for hard inequality checks")
+    parser.add_argument("--tol", type=float, default=INEQUALITY_TOL, help="slack for hard checks (default: INEQUALITY_TOL, %(default)g)")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
 

@@ -26,21 +26,15 @@ import numpy as np
 
 from . import matcore
 from .errors import NotADistributionError, ValidationError
-from .states import DensityMatrix, OutcomeEnsemble, ZERO_PROBABILITY
+from .states import DensityMatrix, OutcomeEnsemble
+from .tolerances import CONCAVITY_SLACK, SINGULAR_EIGENVALUE, SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, ZERO_PROBABILITY
 
 #: Sentinel returned by the log-det functional on singular spectra.  Any
 #: finite entropy exceeds it; comparisons with it on the smaller side of an
 #: inequality pass vacuously.
 NEG_INFINITY = float("-inf")
 
-#: Eigenvalues at or below this are treated as zero by the log-det functional.
-SINGULAR_EIGENVALUE = 1e-14
-
-SPECTRUM_RANGE_TOL = 1e-10
-SPECTRUM_SUM_TOL = 1e-9
-
 _CONCAVITY_GRID_POINTS = 100
-_CONCAVITY_SLACK = 1e-12
 
 _KINDS = ("von-neumann", "linear", "renyi", "log-det", "custom")
 
@@ -87,7 +81,7 @@ def _check_midpoint_concavity(h: Callable[[float], float]) -> None:
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
             mid = h(float((grid[i] + grid[j]) / 2.0))
-            if mid < (values[i] + values[j]) / 2.0 - _CONCAVITY_SLACK:
+            if mid < (values[i] + values[j]) / 2.0 - CONCAVITY_SLACK:
                 raise ValidationError(
                     "concave-midpoint",
                     residual=float((values[i] + values[j]) / 2.0 - mid),
@@ -193,7 +187,8 @@ def entropies_of_spectra(values, functionals) -> np.ndarray:
     if lam.ndim == 0:
         raise NotADistributionError("spectrum-nonempty", detail="expected a (..., d) array")
     batch = lam.shape[:-1]
-    lam = lam.reshape(-1, lam.shape[-1])
+    # not reshape(-1, d), which cannot infer the row count of empty spectra
+    lam = lam.reshape(math.prod(batch), lam.shape[-1])
     _check_spectra(lam)
     lam = np.clip(lam, 0.0, 1.0)
     lam = np.where(lam <= SINGULAR_EIGENVALUE, 0.0, lam)
@@ -219,10 +214,11 @@ def entropies_of_spectra(values, functionals) -> np.ndarray:
 def entropy_of_spectrum(values, functional: EntropyFunctional) -> float:
     """Sum of h over a probability spectrum.
 
-    Entries must lie in [-1e-10, 1 + 1e-10] (they are clamped to [0, 1]) and
-    sum to 1 within 1e-9; otherwise NotADistributionError is raised.
-    Eigenvalues at or below the singularity threshold are treated as exact
-    zeros by every functional: steep h (the alpha < 1 power sums) would
+    Entries must lie in [0, 1] within SPECTRUM_RANGE_TOL (they are clamped
+    to [0, 1]) and sum to 1 within SPECTRUM_SUM_TOL; otherwise
+    NotADistributionError is raised.  Eigenvalues at or below
+    SINGULAR_EIGENVALUE (all three in :mod:`decobs.tolerances`) are exact
+    zeros for every functional: steep h (the alpha < 1 power sums) would
     otherwise amplify eigensolver noise on structurally zero eigenvalues far
     beyond the working tolerances.  The log-det functional returns the -inf
     sentinel whenever such a zero is present.

@@ -21,8 +21,7 @@ import numpy as np
 from . import matcore, processes
 from .errors import ShapeMismatchError
 from .states import DensityMatrix, GramMatrix, ProjectorSet
-
-DEFAULT_MAJORIZATION_TOL = 1e-9
+from .tolerances import INEQUALITY_TOL
 
 
 def _padded_descending(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +79,7 @@ def prefix_margins(lam, mu) -> np.ndarray:
     return dominance(lam, mu).margins
 
 
-def majorizes(lam, mu, tol: float = DEFAULT_MAJORIZATION_TOL) -> bool:
+def majorizes(lam, mu, tol: float = INEQUALITY_TOL) -> bool:
     """True when the sums agree within tol and every prefix margin is >= -tol."""
     return dominance(lam, mu).holds(tol)
 
@@ -152,7 +151,7 @@ def fan_dominance(a, b) -> tuple[np.ndarray, np.ndarray, Dominance]:
 def check_schur_majorization(
     rho: DensityMatrix,
     env_overlap: GramMatrix,
-    tol: float = DEFAULT_MAJORIZATION_TOL,
+    tol: float = INEQUALITY_TOL,
     trial: int | None = None,
 ) -> CheckReport:
     """Verify that the spectrum of rho dominates the spectrum of rho o E."""
@@ -164,7 +163,7 @@ def check_schur_majorization(
 def check_pinching_double(
     hermitian: np.ndarray,
     projectors: ProjectorSet,
-    tol: float = DEFAULT_MAJORIZATION_TOL,
+    tol: float = INEQUALITY_TOL,
     trial: int | None = None,
 ) -> CheckReport:
     """Verify the two-sided dominance around a pinching.
@@ -187,7 +186,7 @@ def check_pinching_double(
 def check_fan(
     a: np.ndarray,
     b: np.ndarray,
-    tol: float = DEFAULT_MAJORIZATION_TOL,
+    tol: float = INEQUALITY_TOL,
     trial: int | None = None,
 ) -> CheckReport:
     """Verify that lambda(A) + lambda(B) dominates lambda(A + B)."""

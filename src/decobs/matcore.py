@@ -1,7 +1,8 @@
 """Dense complex matrix kernel.
 
 Hermitian eigendecomposition, Schur and Kronecker products, partial traces,
-and structural predicates, all with explicit absolute tolerances in max-norm.
+and a unitarity predicate; checks read their tolerances from
+:mod:`decobs.tolerances`, in max-norm.
 Functions operate on plain numpy arrays, never mutate their inputs, and
 return freshly allocated results.
 
@@ -21,9 +22,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-
-#: Default absolute max-norm tolerance for hermiticity/unitarity checks.
-DEFAULT_TOL = 1e-10
+from .tolerances import HERMITIAN_TOL
 
 
 def as_matrix(values) -> np.ndarray:
@@ -98,47 +97,30 @@ def first_failure(bad: np.ndarray) -> int:
     return int(np.argmax(np.ravel(bad)))
 
 
-def hermiticity_residual(mat: np.ndarray) -> float:
-    """Max-norm of M minus its conjugate transpose."""
-    return max_abs(mat - mat.conj().T)
-
-
-def is_hermitian(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return hermiticity_residual(require_square(mat)) <= tol
-
-
-def is_unitary(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(mat: np.ndarray) -> bool:
+    """U^dagger U equals the identity within HERMITIAN_TOL in max-norm."""
     mat = require_square(mat)
     gram = mat.conj().T @ mat
-    return max_abs(gram - np.eye(mat.shape[0])) <= tol
+    return max_abs(gram - np.eye(mat.shape[0])) <= HERMITIAN_TOL
 
 
-def is_psd(mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian within tol and minimum eigenvalue >= -tol."""
-    mat = require_square(mat)
-    if hermiticity_residual(mat) > tol:
-        return False
-    lowest = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0]
-    return bool(lowest >= -tol)
-
-
-def hermitian_spectrum(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_spectrum(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted in non-increasing order.
 
     ``mat`` may also be a (..., d, d) stack; each matrix's spectrum then runs
     along the last axis of the result, bit for bit what the matrix alone
-    gives.  Every matrix must be finite and Hermitian within ``tol`` in
-    max-norm; a stack raises the error of its first failing matrix (in C
-    order), with that matrix's residual.  Each matrix is symmetrized before
-    the solve so the result does not depend on which triangle carries the
-    rounding noise.
+    gives.  Every matrix must be finite and Hermitian within
+    :data:`~decobs.tolerances.HERMITIAN_TOL` in max-norm; a stack raises the
+    error of its first failing matrix (in C order), with that matrix's
+    residual.  Each matrix is symmetrized before the solve so the result
+    does not depend on which triangle carries the rounding noise.
     """
     mats = square_stack(mat)
     adjoint = mats.conj().swapaxes(-1, -2)
     finite = np.isfinite(mats).all(axis=(-2, -1))
     with np.errstate(invalid="ignore"):
         residual = abs(mats - adjoint).max(axis=(-2, -1), initial=0.0)
-        failed = ~finite | (residual > tol)
+        failed = ~finite | (residual > HERMITIAN_TOL)
     if failed.any():
         first = first_failure(failed)
         if not np.ravel(finite)[first]:

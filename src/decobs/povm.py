@@ -32,18 +32,12 @@ from .states import (
     OutcomeEnsemble,
     ProjectorSet,
     PureState,
-    ZERO_PROBABILITY,
     basis_state,
     density_from_pure,
     maximally_mixed,
     purity,
 )
-
-#: Residual threshold for the structural purity-preservation test; looser than
-#: construction tolerances because it compares products of validated objects.
-PPPOVM_TOL = 1e-8
-
-_PURE_ANCILLA_THRESHOLD = 1e-9
+from .tolerances import PPPOVM_TOL, PURE_ANCILLA_THRESHOLD, ZERO_PROBABILITY
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ def apply_povm(rho: DensityMatrix, measurement: Povm) -> OutcomeEnsemble:
             "state-object-dim",
             detail=f"state dim {rho.dim}, object dim {measurement.object_dim}",
         )
-    if purity(measurement.ancilla_state) >= 1.0 - _PURE_ANCILLA_THRESHOLD:
+    if purity(measurement.ancilla_state) >= 1.0 - PURE_ANCILLA_THRESHOLD:
         ancilla = measurement.ancilla_state.mat
         unitary = measurement.joint_unitary
         projector_list = list(measurement.joint_projectors)
@@ -145,12 +139,12 @@ def apply_povm(rho: DensityMatrix, measurement: Povm) -> OutcomeEnsemble:
     return OutcomeEnsemble(tuple(outcomes))
 
 
-def ancilla_factors(measurement: Povm, tol: float = PPPOVM_TOL) -> list[np.ndarray] | None:
+def ancilla_factors(measurement: Povm) -> list[np.ndarray] | None:
     """Recover the per-branch ancilla vectors of a purity-preserving measurement.
 
     Returns one unit vector per joint projector when every projector factors
     as identity-on-object tensor a rank-1 ancilla projector and the recovered
-    vectors are mutually orthonormal within tol; None otherwise.
+    vectors are mutually orthonormal, all within PPPOVM_TOL; None otherwise.
     """
     n = measurement.object_dim
     d = measurement.ancilla_dim
@@ -161,21 +155,21 @@ def ancilla_factors(measurement: Povm, tol: float = PPPOVM_TOL) -> list[np.ndarr
         _, eigvecs = np.linalg.eigh(sym)
         candidate = eigvecs[:, -1]
         rank_one = np.outer(candidate, candidate.conj())
-        if matcore.max_abs(reduced - rank_one) > tol:
+        if matcore.max_abs(reduced - rank_one) > PPPOVM_TOL:
             return None
-        if matcore.max_abs(matcore.tensor_product(np.eye(n), rank_one) - projector) > tol:
+        if matcore.max_abs(matcore.tensor_product(np.eye(n), rank_one) - projector) > PPPOVM_TOL:
             return None
         vectors.append(candidate)
     overlaps = np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
-    if matcore.max_abs(overlaps - np.eye(len(vectors))) > tol:
+    if matcore.max_abs(overlaps - np.eye(len(vectors))) > PPPOVM_TOL:
         return None
     return vectors
 
 
-def is_purity_preserving(measurement: Povm, tol: float = PPPOVM_TOL) -> bool:
+def is_purity_preserving(measurement: Povm) -> bool:
     """Structural test: every joint projector is identity-on-object tensor a
     rank-1 projector onto one member of an orthonormal ancilla family."""
-    return ancilla_factors(measurement, tol) is not None
+    return ancilla_factors(measurement) is not None
 
 
 def probing_as_povm(responses: Sequence[PureState]) -> Povm:

@@ -24,14 +24,8 @@ from .states import (
     ProbingMatrix,
     ProjectorSet,
     PureState,
-    ZERO_PROBABILITY,
 )
-
-#: G-S columns with residual norm below this are replaced by the next unused
-#: basis vector when completing a unitary from its first column.
-_SPAN_TOL = 1e-8
-
-DEFAULT_TRIVIALITY_TOL = 1e-9
+from .tolerances import SPAN_TOL, TRIVIALITY_TOL, ZERO_PROBABILITY
 
 
 def decohere(rho: DensityMatrix, env_overlap: GramMatrix) -> DensityMatrix:
@@ -163,21 +157,21 @@ def pinch(projectors, mats) -> tuple[np.ndarray, np.ndarray]:
     return pieces, total
 
 
-def spectra_unchanged(before, after, tol: float = DEFAULT_TRIVIALITY_TOL) -> np.ndarray:
-    """max_i |after_i - before_i| <= tol over the last axis of (..., d) spectra.
+def spectra_unchanged(before, after) -> np.ndarray:
+    """max_i |after_i - before_i| <= TRIVIALITY_TOL over the last axis of (..., d) spectra.
 
     Both stacks must be sorted the same way.  For Hermitian matrices,
     equality up to a unitary is spectral equality, so this is the triviality
     test of a probing or decoherence step.
     """
-    return abs(np.asarray(after) - np.asarray(before)).max(axis=-1, initial=0.0) <= tol
+    return abs(np.asarray(after) - np.asarray(before)).max(axis=-1, initial=0.0) <= TRIVIALITY_TOL
 
 
 def _complete_unitary_from_first_column(first: np.ndarray) -> np.ndarray:
     """Unitary whose first column is the given unit vector.
 
     Remaining columns come from Gram-Schmidt over the computational basis;
-    basis vectors whose residual drops below the span threshold are skipped
+    basis vectors whose residual drops below SPAN_TOL are skipped
     in favor of the next unused one.
     """
     dim = first.size
@@ -190,7 +184,7 @@ def _complete_unitary_from_first_column(first: np.ndarray) -> np.ndarray:
         for col in columns:
             candidate = candidate - col * np.vdot(col, candidate)
         norm = float(np.linalg.norm(candidate))
-        if norm < _SPAN_TOL:
+        if norm < SPAN_TOL:
             continue
         columns.append(candidate / norm)
     if len(columns) != dim:

@@ -22,26 +22,15 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-
-HERMITIAN_TOL = matcore.DEFAULT_TOL
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
-UNIT_NORM_TOL = 1e-10
-UNIT_DIAGONAL_TOL = 1e-10
-IDEMPOTENT_TOL = 1e-9
-ORTHOGONALITY_TOL = 1e-9
-COMPLETENESS_TOL = 1e-9
-PROBABILITY_SUM_TOL = 1e-10
-NEGATIVE_PROBABILITY_TOL = 1e-12
+from .tolerances import (
+    COMPLETENESS_TOL, HERMITIAN_TOL, IDEMPOTENT_TOL, NEGATIVE_PROBABILITY_TOL, ORTHOGONALITY_TOL,
+    PROBABILITY_SUM_TOL, PSD_TOL, TRACE_TOL, UNIT_DIAGONAL_TOL, UNIT_NORM_TOL, ZERO_PROBABILITY,
+)
 
 #: Largest block of a stack, in bytes, that :func:`validate_stack` checks at
 #: once.  The checks allocate about three times the block, so this bounds
 #: their memory whatever the stack size; the spectra do not depend on it.
 _BLOCK_BYTES = 128 * 1024
-
-#: Probabilities at or below this value are clamped to exactly zero and their
-#: outcome states are exempt from validation.
-ZERO_PROBABILITY = 1e-12
 
 
 def _readonly(values, dtype=complex) -> np.ndarray:
@@ -53,10 +42,11 @@ def _readonly(values, dtype=complex) -> np.ndarray:
 def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
     """Every DensityMatrix or GramMatrix check on a finite (..., d, d) stack.
 
-    Returns the ascending eigenvalues of each matrix.  The checks run for the
-    whole stack at once; the error raised is the one the scalar type raises
-    for the first failing matrix, in the scalar order of checks (Hermitian,
-    then unit trace or unit diagonal, then PSD), with the same residual.
+    Returns the eigenvalues of each matrix, non-increasing.  The checks run
+    for the whole stack at once; the error raised is the one the scalar type
+    raises for the first failing matrix, in the scalar order of checks
+    (Hermitian, then unit trace or unit diagonal, then PSD), with the same
+    residual.
     """
     adjoint = mats.conj().swapaxes(-1, -2)
     work = mats - adjoint
@@ -71,8 +61,8 @@ def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
     symmetrized = np.add(mats, adjoint, out=work)
     del adjoint
     symmetrized /= 2.0
-    spectra = np.linalg.eigvalsh(symmetrized)
-    lowest = spectra[..., 0] if mats.shape[-1] else np.zeros(mats.shape[:-2])
+    spectra = np.linalg.eigvalsh(symmetrized)[..., ::-1]
+    lowest = spectra[..., -1] if mats.shape[-1] else np.zeros(mats.shape[:-2])
     failed = (hermitian > HERMITIAN_TOL) | (unit > unit_tol) | (lowest < -PSD_TOL)
     # a single matrix gives numpy scalars, whose .any() costs more than bool()
     if failed.any() if failed.ndim else failed:
@@ -90,10 +80,10 @@ def validate_stack(mats, kind: str) -> np.ndarray:
 
     Every matrix gets the checks of :class:`DensityMatrix` or
     :class:`GramMatrix`: finite entries, Hermitian, unit trace or unit
-    diagonal, and PSD.  The return value is the ascending ``eigvalsh``
-    spectra of the symmetrized matrices, shape (..., d): the PSD check solves
-    them anyway, and :func:`~decobs.matcore.hermitian_spectrum` of each
-    matrix is the same spectrum reversed, bit for bit.
+    diagonal, and PSD.  The return value is the spectra of the symmetrized
+    matrices, non-increasing, shape (..., d): the PSD check solves them
+    anyway, and they are bit for bit
+    :func:`~decobs.matcore.hermitian_spectrum` of each matrix.
 
     A failing stack raises the error its first failing matrix (in C order)
     raises as a scalar type, with the same invariant and residual.
@@ -145,7 +135,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = matcore.require_square(self.mat)
-        spectrum = _check_square_stack(mat, "density")[::-1]
+        spectrum = _check_square_stack(mat, "density")
         object.__setattr__(self, "mat", _readonly(mat))
         object.__setattr__(self, "spectrum", _readonly(spectrum, dtype=float))
 
@@ -157,10 +147,11 @@ class DensityMatrix:
 def unit_vector_norms(vectors) -> np.ndarray:
     """Run the :class:`PureState` checks on a (..., m) stack of vectors.
 
-    Every vector must be non-empty and finite, with norm 1 within 1e-10.
-    Returns the norms, shape (...), each bit for bit the 1-D
-    ``np.linalg.norm`` of its vector (:func:`~decobs.matcore.vector_norms`).
-    A failing stack raises the error of its first failing vector.
+    Every vector must be non-empty and finite, with norm 1 within
+    :data:`~decobs.tolerances.UNIT_NORM_TOL`.  Returns the norms, shape (...),
+    each bit for bit the 1-D ``np.linalg.norm`` of its vector
+    (:func:`~decobs.matcore.vector_norms`).  A failing stack raises the error
+    of its first failing vector.
     """
     vectors = np.asarray(vectors, dtype=complex)
     norms = matcore.vector_norms(vectors)
@@ -388,10 +379,11 @@ def clean_probabilities(probs, missing=None) -> np.ndarray:
     """Run the :class:`OutcomeEnsemble` probability checks on a (..., m) stack.
 
     Each row is one ensemble's branch probabilities.  Every entry must be
-    finite and not below -1e-12; entries at or below :data:`ZERO_PROBABILITY`
-    become exactly 0 (dead branches).  ``missing`` marks branches without a
-    state, which must be dead.  Each row must sum to one within 1e-10, added
-    left to right over k.
+    finite and not below -NEGATIVE_PROBABILITY_TOL; entries at or below
+    ZERO_PROBABILITY become exactly 0 (dead branches).  ``missing`` marks
+    branches without a state, which must be dead.  Each row must sum to one
+    within PROBABILITY_SUM_TOL, added left to right over k.  The tolerances
+    are those of :mod:`decobs.tolerances`.
 
     Returns the cleaned probabilities.  A failing stack raises the error of
     its first failing row, in the scalar order of checks.
@@ -424,9 +416,9 @@ def clean_probabilities(probs, missing=None) -> np.ndarray:
 class OutcomeEnsemble:
     """Probability-weighted collection of post-measurement states.
 
-    Probabilities at or below :data:`ZERO_PROBABILITY` are clamped to exactly
-    zero and their states are exempt from validation; every live branch must
-    carry a valid :class:`DensityMatrix`.
+    Probabilities at or below :data:`~decobs.tolerances.ZERO_PROBABILITY` are
+    clamped to exactly zero and their states are exempt from validation;
+    every live branch must carry a valid :class:`DensityMatrix`.
     """
 
     outcomes: tuple[Outcome, ...]
@@ -507,8 +499,8 @@ def gram_from_projector_stack(mats) -> np.ndarray:
 
     Each is sum_k outer(diag P_k, diag P_k), added left to right over k;
     dead (all-zero) slots add exact zeros.  Every projector must be diagonal
-    within 1e-10; a failing stack raises the NotDiagonalBasisError of its
-    first failing projector.  The result is not validated.
+    within :data:`~decobs.tolerances.HERMITIAN_TOL`; a failing stack raises
+    the NotDiagonalBasisError of its first failing projector.  The result is not validated.
     """
     mats = np.asarray(mats, dtype=complex)
     slots, dim = mats.shape[-3], mats.shape[-1]

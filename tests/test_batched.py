@@ -17,7 +17,6 @@ import pytest
 from decobs import cli, matcore, processes, sampling, states
 from decobs.entropy import (
     NEG_INFINITY,
-    SINGULAR_EIGENVALUE,
     entropies_of_spectra,
     entropy_of_spectrum,
     parse_functional,
@@ -31,6 +30,14 @@ from decobs.majorization import (
     entropy_gap,
 )
 from decobs.states import DensityMatrix, GramMatrix, Outcome, OutcomeEnsemble, ProjectorSet, PureState
+from decobs.tolerances import (
+    CONSISTENCY_TOL,
+    NEAR_TRIVIAL_MARGIN,
+    SINGULAR_EIGENVALUE,
+    SINGULAR_SKIP,
+    TRIVIALITY_TOL,
+    ZERO_PROBABILITY,
+)
 
 FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det", "renyi:0.3")
 
@@ -45,7 +52,7 @@ def _check_row(trial, dim, label, side, lhs, rhs, trivial, tol):
     violation = not (lhs <= rhs + tol)
     row = _report_row(trial, dim, label, side, lhs, rhs, margin, trivial, violation)
     if not (trivial is None or trivial or violation):
-        row["strict"] = margin > cli.NEAR_TRIVIAL_MARGIN
+        row["strict"] = margin > NEAR_TRIVIAL_MARGIN
     return row
 
 
@@ -65,10 +72,10 @@ def oracle_s_theorems(cfg):
         lam_rho = matcore.hermitian_spectrum(rho.mat)
         lam_dec = matcore.hermitian_spectrum(decohered.mat)
         branches = [(o.probability, matcore.hermitian_spectrum(o.state.mat)) for o in ensemble.live()]
-        obs_trivial = all(matcore.max_abs(lam - lam_rho) <= cli.TRIVIALITY_TOL for _, lam in branches)
-        dec_trivial = matcore.max_abs(lam_dec - lam_rho) <= cli.TRIVIALITY_TOL
+        obs_trivial = all(matcore.max_abs(lam - lam_rho) <= TRIVIALITY_TOL for _, lam in branches)
+        dec_trivial = matcore.max_abs(lam_dec - lam_rho) <= TRIVIALITY_TOL
         for f in functionals:
-            if f.kind == "log-det" and lam_rho[-1] < cli.SINGULAR_SKIP:
+            if f.kind == "log-det" and lam_rho[-1] < SINGULAR_SKIP:
                 continue
             s_rho = entropy_of_spectrum(lam_rho, f)
             s_dec = entropy_of_spectrum(lam_dec, f)
@@ -182,7 +189,7 @@ def _reference_observe(rho, probe):
     for k in range(probe.shape[1]):
         column = probe[:, k]
         p = float(populations @ (np.abs(column) ** 2))
-        out.append((p, rho * np.outer(column, column.conj()) / p if p > states.ZERO_PROBABILITY else None))
+        out.append((p, rho * np.outer(column, column.conj()) / p if p > ZERO_PROBABILITY else None))
     return out
 
 
@@ -280,6 +287,19 @@ def test_entropy_kernel_on_rank_deficient_spectra_is_bit_identical(dim):
     for f, row in zip(functionals, table):
         expected = [_reference_entropy(lam, f) for lam in spectra]
         assert row.tolist() == [entropy_of_spectrum(lam, f) for lam in spectra] == expected
+
+
+@pytest.mark.parametrize(
+    "kind, draw", [("density", sampling.random_density), ("gram", lambda n, rng: sampling.random_gram(n, n, rng))]
+)
+def test_validated_spectra_are_the_hermitian_spectra(kind, draw):
+    """validate_stack returns every spectrum non-increasing, as hermitian_spectrum and DensityMatrix do."""
+    rng = sampling.stream(3)
+    stack = np.array([draw(5, rng).mat for _ in range(6)]).reshape(2, 3, 5, 5)
+    spectra = states.validate_stack(stack, kind)
+    assert np.array_equal(spectra, matcore.hermitian_spectrum(stack))
+    if kind == "density":
+        assert np.array_equal(spectra[1, 2], DensityMatrix(stack[1, 2]).spectrum)
 
 
 def test_sequential_sum_adds_left_to_right():
@@ -395,8 +415,8 @@ def oracle_luders(cfg):
         residual = matcore.max_abs(pinched.mat - schur_form.mat)
         rows.append(
             _report_row(
-                trial, cfg.dim, "", "luders-equivalence", residual, cli.CONSISTENCY_TOL,
-                cli.CONSISTENCY_TOL - residual, None, residual > cli.CONSISTENCY_TOL,
+                trial, cfg.dim, "", "luders-equivalence", residual, CONSISTENCY_TOL,
+                CONSISTENCY_TOL - residual, None, residual > CONSISTENCY_TOL,
             )
         )
     return rows

@@ -417,6 +417,7 @@ class TestCampaignConfigValidatesItself:
             ("verify-s-theorems", {"tol": math.inf}, "--tol must be positive and finite"),
             ("verify-s-theorems", {"tol": math.nan}, "--tol must be positive and finite"),
             ("luders-equiv", {"tol": 0.0}, "--tol must be positive and finite"),
+            ("verify-s-theorems", {"seed": -1}, "--seed must be >= 0"),
             ("verify-s-theorems", {"dim": 0}, "--dim must be >= 1"),
             ("majorization", {"trials": 0}, "--trials must be >= 1"),
             ("verify-s-theorems", {"response_dim": 0}, "--response-dim must be >= 1"),
@@ -435,6 +436,8 @@ class TestCampaignConfigValidatesItself:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (("verify-s-theorems", "--seed", "-1"), "--seed must be >= 0"),
+            (("holevo", "--seed", "-3"), "--seed must be >= 0"),
             (("verify-s-theorems", "--dim", "0"), "--dim must be >= 1"),
             (("majorization", "--trials", "0"), "--trials must be >= 1"),
             (("verify-s-theorems", "--response-dim", "0"), "--response-dim must be >= 1"),

@@ -9,6 +9,7 @@ from decobs.entropy import (
     NEG_INFINITY,
     builtin_functionals,
     custom,
+    entropies_of_spectra,
     entropy,
     entropy_of_spectrum,
     expected_entropy,
@@ -97,6 +98,17 @@ class TestEntropyOfSpectrum:
     def test_rejects_out_of_range(self):
         with pytest.raises(NotADistributionError):
             entropy_of_spectrum([1.5, -0.5], von_neumann())
+
+    def test_rejects_empty_spectrum(self):
+        with pytest.raises(NotADistributionError) as err:
+            entropy_of_spectrum([], von_neumann())
+        assert err.value.invariant == "spectrum-nonempty"
+
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 3, 0), (0, 0)])
+    def test_rejects_stacks_of_empty_spectra(self, shape):
+        with pytest.raises(NotADistributionError) as err:
+            entropies_of_spectra(np.zeros(shape), (von_neumann(), linear()))
+        assert err.value.invariant == "spectrum-nonempty"
 
 
 class TestEntropy:

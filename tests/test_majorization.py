@@ -10,7 +10,6 @@ from decobs.cli import CampaignConfig, run_holevo, run_majorization
 from decobs.processes import ensemble_average
 from decobs.entropy import builtin_functionals, entropy, expected_entropy, log_det, von_neumann
 from decobs.majorization import (
-    DEFAULT_MAJORIZATION_TOL,
     check_fan,
     check_pinching_double,
     check_schur_majorization,
@@ -30,6 +29,7 @@ from decobs.states import (
     diagonal_projector_partition,
     maximally_mixed,
 )
+from decobs.tolerances import INEQUALITY_TOL
 
 LN2 = math.log(2.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -45,12 +45,12 @@ def mixed_toward_uniform(lam: np.ndarray, t: float) -> np.ndarray:
 def holevo_verdict(ensemble, functional):
     """Margin and verdict of: average branch entropy <= entropy of the average state."""
     average = entropy(ensemble_average(ensemble), functional)
-    return inequality_verdict(expected_entropy(ensemble, functional), average, DEFAULT_MAJORIZATION_TOL)
+    return inequality_verdict(expected_entropy(ensemble, functional), average, INEQUALITY_TOL)
 
 
 def entropy_order(rho1, rho2, functional):
     """Whether lambda(rho1) majorizes lambda(rho2), and the margin and verdict of S(rho1) <= S(rho2)."""
-    verdict = inequality_verdict(entropy(rho1, functional), entropy(rho2, functional), DEFAULT_MAJORIZATION_TOL)
+    verdict = inequality_verdict(entropy(rho1, functional), entropy(rho2, functional), INEQUALITY_TOL)
     return (majorizes(rho1.spectrum, rho2.spectrum), *verdict)
 
 
@@ -124,14 +124,14 @@ class TestDominanceKernel:
     def test_prefix_margins_and_majorizes_agree_with_the_kernel(self, lam, mu, expected):
         check = dominance(lam, mu)
         assert np.array_equal(prefix_margins(lam, mu), check.margins)
-        assert majorizes(lam, mu) is check.holds(DEFAULT_MAJORIZATION_TOL) is expected
+        assert majorizes(lam, mu) is check.holds(INEQUALITY_TOL) is expected
         size = max(len(lam), len(mu))
         padded = [np.pad(np.asarray(x, dtype=float), (0, size - len(x))) for x in (lam, mu)]
-        lhs, rhs, margin, violation = reference_dominance_row(*padded, DEFAULT_MAJORIZATION_TOL)
+        lhs, rhs, margin, violation = reference_dominance_row(*padded, INEQUALITY_TOL)
         assert (check.dominated_prefix, check.dominator_prefix, check.worst_margin) == (lhs, rhs, margin)
         assert violation is not expected
 
-    @pytest.mark.parametrize("tol", [DEFAULT_MAJORIZATION_TOL, 1e-30])
+    @pytest.mark.parametrize("tol", [INEQUALITY_TOL, 1e-30])
     @pytest.mark.parametrize("response", ["1", "d"])
     @pytest.mark.parametrize("dim", [1, 2, 5, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])

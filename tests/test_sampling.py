@@ -37,7 +37,7 @@ class TestHaarUnitary:
     @given(dim=dims, seed=seeds)
     def test_unitary_at_tolerance(self, dim, seed):
         u = sampling.haar_unitary(dim, sampling.stream(seed))
-        assert matcore.is_unitary(u, 1e-10)
+        assert matcore.is_unitary(u)
 
     def test_first_moment_matches_haar(self):
         # E|U_00|^2 = 1/n for Haar measure
@@ -76,7 +76,7 @@ class TestOtherSamplers:
     @given(dim=st.integers(2, 6), seed=seeds)
     def test_hermitian_has_unit_spectral_radius(self, dim, seed):
         h = sampling.random_hermitian(dim, sampling.stream(seed))
-        assert matcore.hermiticity_residual(h) <= 1e-12
+        assert matcore.max_abs(h - h.conj().T) <= 1e-12
         assert matcore.max_abs(np.linalg.eigvalsh(h)) == pytest.approx(1.0)
 
     @given(n=st.integers(1, 6), d=st.integers(1, 6), seed=seeds)
