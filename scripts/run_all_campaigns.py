@@ -16,8 +16,9 @@ from decobs.cli import (
     run_s_theorems,
     write_json,
 )
+from decobs.entropy import builtin_functionals
 
-FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det")
+FUNCTIONALS = tuple(f.label for f in builtin_functionals())
 
 
 def main() -> int:

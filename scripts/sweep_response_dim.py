@@ -13,8 +13,9 @@ import csv
 import sys
 
 from decobs.cli import CampaignConfig, run_s_theorems
+from decobs.entropy import builtin_functionals
 
-FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det")
+FUNCTIONALS = tuple(f.label for f in builtin_functionals())
 
 
 def main() -> int:

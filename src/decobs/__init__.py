@@ -12,7 +12,6 @@ that verifies everything numerically.
 from .entropy import (
     EntropyFunctional,
     builtin_functionals,
-    custom,
     entropy,
     entropy_of_spectrum,
     expected_entropy,
@@ -40,7 +39,6 @@ from .majorization import (
     check_pinching_double,
     check_schur_majorization,
     majorizes,
-    prefix_margins,
 )
 from .matcore import (
     hermitian_spectrum,

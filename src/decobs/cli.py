@@ -404,14 +404,14 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
         del raw, late
 
         # the checks run in the order a one-trial loop makes them: state,
-        # responses, Gram, Schur product, pinching state, diagonal and rotated
-        # partitions, pinching, Fan
+        # responses, Gram, Schur product, pinching state, rotated partition
+        # (conjugation keeps every projector identity, so a broken 0/1 family
+        # fails there), pinching, Fan
         lam_rho = validate_stack(rho, "density")
         env = gram_from_unit_rows(responses)
         validate_stack(env, "gram")
         _, schur = schur_dominance(lam_rho, rho * env)
         lam_input = validate_stack(pinch_input, "density")
-        validate_projector_stack(projectors)
         projectors = sampling.conjugated_projectors(sampling.haar_from_ginibre(ginibre), projectors)
         validate_projector_stack(projectors)
         *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)

@@ -11,32 +11,26 @@ Built-ins, selected by string:
   von Neumann functional covers that limit);
 * ``"log-det"`` -- h(x) = ln x, returning the -inf sentinel on (numerically)
   singular spectra.
-
-A caller-supplied scalar h is also accepted; it must pass a sampled midpoint
-concavity check on a 100-point grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import matcore
-from .errors import NotADistributionError, ValidationError
+from .errors import NotADistributionError
 from .states import DensityMatrix, OutcomeEnsemble
-from .tolerances import CONCAVITY_SLACK, SINGULAR_EIGENVALUE, SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, ZERO_PROBABILITY
+from .tolerances import SINGULAR_EIGENVALUE, SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, ZERO_PROBABILITY
 
 #: Sentinel returned by the log-det functional on singular spectra.  Any
 #: finite entropy exceeds it; comparisons with it on the smaller side of an
 #: inequality pass vacuously.
 NEG_INFINITY = float("-inf")
 
-_CONCAVITY_GRID_POINTS = 100
-
-_KINDS = ("von-neumann", "linear", "renyi", "log-det", "custom")
+_KINDS = ("von-neumann", "linear", "renyi", "log-det")
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class EntropyFunctional:
 
     kind: str
     alpha: float | None = None
-    h: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -58,35 +51,12 @@ class EntropyFunctional:
                 raise ValueError("renyi alpha = 1 is excluded; use von-neumann")
         elif self.alpha is not None:
             raise ValueError(f"alpha is only meaningful for renyi, not {self.kind!r}")
-        if self.kind == "custom":
-            if self.h is None:
-                raise ValueError("custom functional requires a scalar function h")
-            _check_midpoint_concavity(self.h)
-        elif self.h is not None:
-            raise ValueError("h is only accepted for custom functionals")
 
     @property
     def label(self) -> str:
         if self.kind == "renyi":
             return f"renyi:{self.alpha:g}"
         return self.kind
-
-
-def _check_midpoint_concavity(h: Callable[[float], float]) -> None:
-    """Reject h unless h((x+y)/2) >= (h(x)+h(y))/2 - slack on a sample grid."""
-    grid = np.linspace(0.005, 1.0, _CONCAVITY_GRID_POINTS)
-    values = np.array([h(float(x)) for x in grid])
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("concave-finite-on-grid", detail="h is not finite on (0, 1]")
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            mid = h(float((grid[i] + grid[j]) / 2.0))
-            if mid < (values[i] + values[j]) / 2.0 - CONCAVITY_SLACK:
-                raise ValidationError(
-                    "concave-midpoint",
-                    residual=float((values[i] + values[j]) / 2.0 - mid),
-                    detail=f"violated at x={grid[i]:.4f}, y={grid[j]:.4f}",
-                )
 
 
 def von_neumann() -> EntropyFunctional:
@@ -103,10 +73,6 @@ def renyi(alpha: float) -> EntropyFunctional:
 
 def log_det() -> EntropyFunctional:
     return EntropyFunctional("log-det")
-
-
-def custom(h: Callable[[float], float]) -> EntropyFunctional:
-    return EntropyFunctional("custom", h=h)
 
 
 def parse_functional(text: str) -> EntropyFunctional:
@@ -201,13 +167,12 @@ def entropies_of_spectra(values, functionals) -> np.ndarray:
             row[:] = (lam - lam**2).sum(axis=-1)
         elif functional.kind == "renyi":
             total = (lam**functional.alpha).sum(axis=-1)
-            row[:] = total if functional.alpha < 1.0 else -total
-        elif functional.kind == "log-det":
+            # + 0.0 normalizes the -0.0 of alpha > 1 power sums that underflow to zero
+            row[:] = total if functional.alpha < 1.0 else -total + 0.0
+        else:
             singular = lam.min(axis=-1) <= SINGULAR_EIGENVALUE
             logs = np.log(np.where(singular[:, None], 1.0, lam)).sum(axis=-1)
             row[:] = np.where(singular, NEG_INFINITY, logs)
-        else:
-            row[:] = [float(sum(functional.h(float(x)) for x in spectrum)) for spectrum in lam]
     return out.reshape((len(functionals),) + batch)
 
 

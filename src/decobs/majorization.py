@@ -74,11 +74,6 @@ def dominance(lam, mu) -> Dominance:
     return Dominance(margins, *fields)
 
 
-def prefix_margins(lam, mu) -> np.ndarray:
-    """Prefix-sum differences cumsum(lam) - cumsum(mu), both sorted descending."""
-    return dominance(lam, mu).margins
-
-
 def majorizes(lam, mu, tol: float = INEQUALITY_TOL) -> bool:
     """True when the sums agree within tol and every prefix margin is >= -tol."""
     return dominance(lam, mu).holds(tol)
@@ -91,18 +86,16 @@ class CheckReport:
     passed: bool
     margins: tuple[float, ...]
     spectra: dict = field(default_factory=dict)
-    trial: int | None = None
     #: The prefix-sum comparisons behind ``margins``, one per dominance checked.
     dominance: tuple[Dominance, ...] = ()
 
 
-def _dominance_report(checks, tol: float, spectra: dict, trial: int | None) -> CheckReport:
+def _dominance_report(checks, tol: float, spectra: dict) -> CheckReport:
     """The report of single-pair dominance checks; margins run check by check."""
     return CheckReport(
         passed=all(check.holds(tol) for check in checks),
         margins=tuple(float(m) for check in checks for m in check.margins),
         spectra=spectra,
-        trial=trial,
         dominance=tuple(checks),
     )
 
@@ -152,19 +145,17 @@ def check_schur_majorization(
     rho: DensityMatrix,
     env_overlap: GramMatrix,
     tol: float = INEQUALITY_TOL,
-    trial: int | None = None,
 ) -> CheckReport:
     """Verify that the spectrum of rho dominates the spectrum of rho o E."""
     lam_schur, check = schur_dominance(rho.spectrum, matcore.schur_product(rho.mat, env_overlap.mat))
     spectra = {"rho": tuple(rho.spectrum), "schur_product": tuple(lam_schur)}
-    return _dominance_report([check], tol, spectra, trial)
+    return _dominance_report([check], tol, spectra)
 
 
 def check_pinching_double(
     hermitian: np.ndarray,
     projectors: ProjectorSet,
     tol: float = INEQUALITY_TOL,
-    trial: int | None = None,
 ) -> CheckReport:
     """Verify the two-sided dominance around a pinching.
 
@@ -180,14 +171,13 @@ def check_pinching_double(
     lam = matcore.hermitian_spectrum(hermitian)
     parts, lam_pinched, upper, lower = pinching_dominance(lam, hermitian, np.array(projectors.projectors))
     spectra = {"pinched_parts_sum": tuple(parts), "matrix": tuple(lam), "pinched": tuple(lam_pinched)}
-    return _dominance_report([upper, lower], tol, spectra, trial)
+    return _dominance_report([upper, lower], tol, spectra)
 
 
 def check_fan(
     a: np.ndarray,
     b: np.ndarray,
     tol: float = INEQUALITY_TOL,
-    trial: int | None = None,
 ) -> CheckReport:
     """Verify that lambda(A) + lambda(B) dominates lambda(A + B)."""
     a = matcore.require_square(a)
@@ -196,7 +186,7 @@ def check_fan(
         raise ShapeMismatchError("fan-same-dim", detail=f"{a.shape} vs {b.shape}")
     combined, lam_sum, check = fan_dominance(a, b)
     spectra = {"sum_of_spectra": tuple(combined), "spectrum_of_sum": tuple(lam_sum)}
-    return _dominance_report([check], tol, spectra, trial)
+    return _dominance_report([check], tol, spectra)
 
 
 def entropy_gap(rhs, lhs):

@@ -53,24 +53,23 @@ class Povm:
     def __post_init__(self):
         if self.object_dim < 1 or self.ancilla_dim < 1:
             raise DimensionMismatchError("positive-dims")
-        joint_dim = self.object_dim * self.ancilla_dim
         if self.ancilla_state.dim != self.ancilla_dim:
             raise DimensionMismatchError(
                 "ancilla-state-dim",
                 detail=f"state dim {self.ancilla_state.dim}, declared {self.ancilla_dim}",
             )
         unitary = matcore.require_square(self.joint_unitary)
-        if unitary.shape[0] != joint_dim:
+        if unitary.shape[0] != self.joint_dim:
             raise DimensionMismatchError(
-                "joint-unitary-dim", detail=f"got {unitary.shape[0]}, expected {joint_dim}"
+                "joint-unitary-dim", detail=f"got {unitary.shape[0]}, expected {self.joint_dim}"
             )
         if not matcore.is_unitary(unitary):
-            residual = matcore.max_abs(unitary.conj().T @ unitary - np.eye(joint_dim))
+            residual = matcore.max_abs(unitary.conj().T @ unitary - np.eye(self.joint_dim))
             raise ValidationError("joint-unitary", residual=residual)
-        if self.joint_projectors.dim != joint_dim:
+        if self.joint_projectors.dim != self.joint_dim:
             raise DimensionMismatchError(
                 "joint-projectors-dim",
-                detail=f"got {self.joint_projectors.dim}, expected {joint_dim}",
+                detail=f"got {self.joint_projectors.dim}, expected {self.joint_dim}",
             )
         frozen = np.array(unitary, dtype=complex)
         frozen.setflags(write=False)

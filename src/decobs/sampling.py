@@ -10,9 +10,8 @@ Every Gaussian object is made in two steps: a block of standard normals,
 then a transform (``*_from_normals``) that turns a (..., k) stack of such
 blocks into a stack of objects.  A draw of k normals in one generator call
 gives the same numbers as the calls it spans, so a campaign fills one block
-per trial and transforms a whole chunk at once; the scalar ``draw_*``
-functions are the same transforms applied to one block.  Each transform
-rounds every object as it rounds that object alone.
+per trial and transforms a whole chunk at once.  Each transform rounds
+every object as it rounds that object alone.
 """
 
 from __future__ import annotations
@@ -67,11 +66,6 @@ def ginibre_from_normals(raw, n: int) -> np.ndarray:
     return complex_from_normals(raw, (n, n)) / np.sqrt(2.0)
 
 
-def draw_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian n x n matrix with E|z_ij|^2 = 1: the raw draw of :func:`haar_unitary`."""
-    return ginibre_from_normals(rng.standard_normal(2 * n * n), n)
-
-
 def haar_from_ginibre(z) -> np.ndarray:
     """Haar unitaries from the QR factors of a (..., n, n) complex Gaussian stack.
 
@@ -89,7 +83,7 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return haar_from_ginibre(draw_ginibre(n, rng))
+    return haar_from_ginibre(ginibre_from_normals(rng.standard_normal(2 * n * n), n))
 
 
 def density_from_normals(raw, n: int) -> np.ndarray:
@@ -100,14 +94,9 @@ def density_from_normals(raw, n: int) -> np.ndarray:
     return mats
 
 
-def draw_density(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Trace-normalized G G^dagger of a complex Gaussian G, not yet validated."""
-    return density_from_normals(rng.standard_normal(2 * n * n), n)
-
-
 def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
     """Trace-normalized G G^dagger of a complex Gaussian G (full rank a.s.)."""
-    return DensityMatrix(draw_density(n, rng))
+    return DensityMatrix(density_from_normals(rng.standard_normal(2 * n * n), n))
 
 
 def pure_from_normals(raw, n: int) -> np.ndarray:
@@ -116,24 +105,14 @@ def pure_from_normals(raw, n: int) -> np.ndarray:
     return amp / matcore.vector_norms(amp)[..., None]
 
 
-def draw_pure(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A complex Gaussian vector divided by its norm, not yet validated."""
-    return pure_from_normals(rng.standard_normal(2 * n), n)
-
-
 def random_pure(n: int, rng: np.random.Generator) -> PureState:
-    return PureState(draw_pure(n, rng))
+    return PureState(pure_from_normals(rng.standard_normal(2 * n), n))
 
 
 def hermitian_from_normals(raw, n: int) -> np.ndarray:
     """Hermitian parts (G + G^dagger) / 2 of the complex Gaussians G of (..., 2 n^2) normals."""
     g = complex_from_normals(raw, (n, n))
     return (g + g.conj().swapaxes(-1, -2)) / 2.0
-
-
-def draw_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian part (G + G^dagger) / 2 of a complex Gaussian G, not yet rescaled."""
-    return hermitian_from_normals(rng.standard_normal(2 * n * n), n)
 
 
 def unit_spectral_radius(h) -> np.ndarray:
@@ -145,15 +124,7 @@ def unit_spectral_radius(h) -> np.ndarray:
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix rescaled to unit spectral radius."""
-    return unit_spectral_radius(draw_hermitian(n, rng))
-
-
-def draw_responses(n: int, response_dim: int, rng: np.random.Generator) -> np.ndarray:
-    """n random unit vectors of the given dimension, shape (n, response_dim), not yet validated.
-
-    Each vector is drawn and divided by its own norm, as :func:`draw_pure` draws it.
-    """
-    return pure_from_normals(rng.standard_normal((n, 2 * response_dim)), response_dim)
+    return unit_spectral_radius(hermitian_from_normals(rng.standard_normal(2 * n * n), n))
 
 
 def random_gram(n: int, response_dim: int, rng: np.random.Generator) -> GramMatrix:
@@ -162,7 +133,8 @@ def random_gram(n: int, response_dim: int, rng: np.random.Generator) -> GramMatr
     response_dim = 1 gives phase-only (rank-1, unit-modulus) overlaps; large
     response_dim approaches the identity in expectation.
     """
-    return gram_from_vectors([PureState(v) for v in draw_responses(n, response_dim, rng)])
+    vectors = pure_from_normals(rng.standard_normal((n, 2 * response_dim)), response_dim)
+    return gram_from_vectors([PureState(v) for v in vectors])
 
 
 def probing_from_normals(raw, n: int, m: int) -> np.ndarray:
@@ -171,14 +143,9 @@ def probing_from_normals(raw, n: int, m: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
-def draw_probing(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent random unit rows of length m, not yet validated."""
-    return probing_from_normals(rng.standard_normal(2 * n * m), n, m)
-
-
 def random_probing(n: int, m: int, rng: np.random.Generator) -> ProbingMatrix:
     """n independent random unit rows of length m."""
-    return ProbingMatrix(draw_probing(n, m, rng))
+    return ProbingMatrix(probing_from_normals(rng.standard_normal(2 * n * m), n, m))
 
 
 def random_block_sizes(n: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -224,15 +191,10 @@ def random_simplex(k: int, rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(k))
 
 
-def draw_ensemble(dim: int, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Simplex weights, shape (size,), and states, shape (size, dim, dim), not yet validated."""
-    probs = random_simplex(size, rng)
-    return probs, density_from_normals(rng.standard_normal((size, 2 * dim * dim)), dim)
-
-
 def random_ensemble(dim: int, size: int, rng: np.random.Generator) -> OutcomeEnsemble:
     """Random mixture: simplex-distributed weights over random density matrices."""
-    probs, mats = draw_ensemble(dim, size, rng)
+    probs = random_simplex(size, rng)
+    mats = density_from_normals(rng.standard_normal((size, 2 * dim * dim)), dim)
     return OutcomeEnsemble(tuple(Outcome(float(p), DensityMatrix(mat)) for p, mat in zip(probs, mats)))
 
 

@@ -209,16 +209,11 @@ def test_observe_and_average_match_the_one_branch_formulas(dim, trials, response
 
 
 class TestDeadBranch:
-    @staticmethod
-    def probing_with_zero_column(dim, rng):
-        probe = np.zeros((dim, dim + 1), dtype=complex)
-        probe[:, :dim] = sampling.draw_probing(dim, dim, rng)
-        return probe
-
     def test_stack_gives_zero_probability_and_no_state(self):
         rng = sampling.stream(11)
-        rhos = np.array([sampling.draw_density(3, rng) for _ in range(4)])
-        probes = np.array([self.probing_with_zero_column(3, rng) for _ in range(4)])
+        rhos = sampling.density_from_normals(rng.standard_normal((4, 18)), 3)
+        probes = np.zeros((4, 3, 4), dtype=complex)
+        probes[..., :3] = sampling.probing_from_normals(rng.standard_normal((4, 18)), 3, 3)
         probs, branches = processes.observe_stack(rhos, probes)
         assert np.all(probs[:, -1] == 0.0)
         assert np.all(branches[:, -1] == 0.0)
@@ -334,7 +329,7 @@ class TestStackErrorsMatchScalarTypes:
     )
     def test_density(self, bad, invariant):
         rng = sampling.stream(1)
-        stack = np.array([sampling.draw_density(3, rng) for _ in range(9)])
+        stack = sampling.density_from_normals(rng.standard_normal((9, 18)), 3)
         stack[4] = bad
         scalar = self.error_of(lambda: DensityMatrix(bad))
         assert scalar[1] == invariant
@@ -343,7 +338,7 @@ class TestStackErrorsMatchScalarTypes:
 
     def test_gram_unit_diagonal(self):
         rng = sampling.stream(2)
-        stack = np.array([processes.response_gram_stack(sampling.draw_probing(4, 3, rng)) for _ in range(7)])
+        stack = processes.response_gram_stack(sampling.probing_from_normals(rng.standard_normal((7, 24)), 4, 3))
         bad = stack[3].copy()
         bad[2, 2] = 1.0 + 1e-6
         stack[3] = bad
@@ -386,12 +381,12 @@ def oracle_majorization(cfg):
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
         rho = sampling.random_density(dim, rng)
-        schur = check_schur_majorization(rho, sampling.random_gram(dim, response_dim, rng), cfg.tol, trial)
+        schur = check_schur_majorization(rho, sampling.random_gram(dim, response_dim, rng), cfg.tol)
         pinch_input = sampling.random_density(dim, rng).mat
         partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
-        pinching = check_pinching_double(pinch_input, partition, cfg.tol, trial)
+        pinching = check_pinching_double(pinch_input, partition, cfg.tol)
         a = sampling.random_hermitian(dim, rng)
-        fan = check_fan(a, sampling.random_hermitian(dim, rng), cfg.tol, trial)
+        fan = check_fan(a, sampling.random_hermitian(dim, rng), cfg.tol)
         sides = ("schur", "pinching-upper", "pinching-lower", "fan")
         for side, check in zip(sides, schur.dominance + pinching.dominance + fan.dominance):
             rows.append(
@@ -493,9 +488,9 @@ def test_dominance_of_stacks_reads_each_pair_as_alone():
 
 def test_stacked_samplers_match_the_one_matrix_formulas():
     rng = sampling.stream(12)
-    ginibre = np.array([sampling.draw_ginibre(5, rng) for _ in range(7)])
-    hermitian = np.array([sampling.draw_hermitian(5, rng) for _ in range(7)])
-    responses = np.array([sampling.draw_responses(5, 11, rng) for _ in range(7)])
+    ginibre = sampling.ginibre_from_normals(rng.standard_normal((7, 50)), 5)
+    hermitian = sampling.hermitian_from_normals(rng.standard_normal((7, 50)), 5)
+    responses = sampling.pure_from_normals(rng.standard_normal((7, 5, 22)), 11)
     bases = sampling.haar_from_ginibre(ginibre)
     rescaled = sampling.unit_spectral_radius(hermitian)
     grams = states.gram_from_unit_rows(responses)
@@ -553,7 +548,7 @@ class TestStackedChecksRaiseTheScalarErrors:
 
     def test_non_hermitian_matrix(self):
         rng = sampling.stream(23)
-        stack = np.array([sampling.draw_hermitian(3, rng) for _ in range(9)])
+        stack = sampling.hermitian_from_normals(rng.standard_normal((9, 18)), 3)
         bad = stack[4].copy()
         bad[0, 2] += 1e-6
         stack[4] = bad
@@ -565,7 +560,7 @@ class TestStackedChecksRaiseTheScalarErrors:
 
     def test_response_vector_off_the_unit_sphere(self):
         rng = sampling.stream(24)
-        rows = np.array([sampling.draw_responses(4, 5, rng) for _ in range(6)])
+        rows = sampling.pure_from_normals(rng.standard_normal((6, 4, 10)), 5)
         rows[3, 2] *= 1.0 + 1e-6
         scalar = self.error_of(lambda: PureState(rows[3, 2]))
         assert scalar[1] == "pure-unit-norm"
@@ -601,3 +596,23 @@ class TestStackedChecksRaiseTheScalarErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {self.error_of(lambda: DensityMatrix(bad))[3]}\n"
+
+    def test_broken_partition_fails_at_the_rotated_check(self, capsys, monkeypatch):
+        # the third call builds trial 2's family; only the rotated partition is
+        # validated, and conjugation keeps the broken identity
+        build = cli.block_projectors
+        calls = []
+
+        def slot_one_repeats_slot_zero(sizes, slots):
+            mats = build(sizes, slots)
+            calls.append(sizes)
+            if len(calls) == 3:
+                mats[1] = mats[0]
+            return mats
+
+        monkeypatch.setattr(cli, "block_projectors", slot_one_repeats_slot_zero)
+        code = cli.main(["majorization", "--dim", "4", "--trials", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: projectors-orthogonal (residual 1.000e+00): pair (0, 1)\n"

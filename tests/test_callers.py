@@ -1,0 +1,80 @@
+"""Every public function of ``decobs`` has a caller outside the tests, or a stated role.
+
+A function has a caller when a module of ``src/decobs`` other than
+``__init__`` or a script under ``scripts/`` reads its name (as a name or an
+attribute) outside the function's own body.  Reads inside the bodies of the
+functions listed in ``TEST_ONLY`` do not count, so one test-only function
+cannot give another a caller.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "decobs"
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+#: Public functions that only tests call, each with its role: "oracle" for the
+#: scalar API that the tests replay the campaigns through, or the ROADMAP item
+#: that plans a caller for it.
+TEST_ONLY = {
+    **dict.fromkeys(
+        (
+            "check_fan", "check_pinching_double", "check_schur_majorization", "decohere",
+            "diagonal_projector_partition", "gram_from_projectors", "gram_from_vectors", "haar_unitary",
+            "luders", "majorizes", "observe", "random_density", "random_ensemble", "random_gram",
+            "random_hermitian", "random_probing", "random_projector_partition", "random_pure",
+            "response_gram", "schur_product",
+        ),
+        "oracle",
+    ),
+    **dict.fromkeys(("random_general_povm", "random_pppovm"), "ROADMAP 5"),
+    **dict.fromkeys(
+        (
+            "density_to_json", "density_from_json", "ensemble_to_json", "ensemble_from_json",
+            "gram_to_json", "gram_from_json", "probing_to_json", "probing_from_json",
+            "projector_set_to_json", "projector_set_from_json", "pure_to_json", "pure_from_json",
+        ),
+        "ROADMAP 7(c)",
+    ),
+}
+
+
+def public_functions() -> set[str]:
+    """The names of the public top-level functions of the package."""
+    return {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def reads() -> list[tuple[str, str | None]]:
+    """(name read, enclosing top-level package function or None) for every read in the sources."""
+    found = []
+    for path in SOURCES:
+        if path == PACKAGE / "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, ast.FunctionDef) and path.parent == PACKAGE else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    found.append((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    found.append((node.attr, owner))
+    return found
+
+
+def has_caller(name: str, found) -> bool:
+    return any(read == name and owner != name and owner not in TEST_ONLY for read, owner in found)
+
+
+def test_every_public_function_has_a_caller_or_a_role():
+    found = reads()
+    assert sorted(name for name in public_functions() - TEST_ONLY.keys() if not has_caller(name, found)) == []
+
+
+def test_no_listed_function_is_gone_or_has_gained_a_caller():
+    functions, found = public_functions(), reads()
+    assert sorted(name for name in TEST_ONLY if name not in functions or has_caller(name, found)) == []

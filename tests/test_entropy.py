@@ -8,7 +8,6 @@ from decobs import matcore, sampling
 from decobs.entropy import (
     NEG_INFINITY,
     builtin_functionals,
-    custom,
     entropies_of_spectra,
     entropy,
     entropy_of_spectrum,
@@ -20,7 +19,7 @@ from decobs.entropy import (
     to_bits,
     von_neumann,
 )
-from decobs.errors import NotADistributionError, ValidationError
+from decobs.errors import NotADistributionError
 from decobs.states import (
     DensityMatrix,
     Outcome,
@@ -61,14 +60,6 @@ class TestFunctionalConstruction:
         with pytest.raises(ValueError, match="renyi requires a finite alpha > 0"):
             parse_functional(f"renyi:{alpha}")
 
-    def test_custom_concave_accepted(self):
-        f = custom(lambda x: math.sqrt(x))
-        assert entropy_of_spectrum([0.25, 0.75], f) == pytest.approx(0.5 + math.sqrt(0.75))
-
-    def test_custom_convex_rejected(self):
-        with pytest.raises(ValidationError):
-            custom(lambda x: x**3)
-
 
 class TestEntropyOfSpectrum:
     def test_maximally_mixed_qubit(self):
@@ -76,6 +67,11 @@ class TestEntropyOfSpectrum:
 
     def test_pure(self):
         value = entropy_of_spectrum([1.0, 0.0], von_neumann())
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0  # not -0.0
+
+    def test_renyi_power_sum_that_underflows_is_plus_zero(self):
+        value = entropy_of_spectrum([0.5, 0.5], renyi(2000))
         assert value == 0.0
         assert math.copysign(1.0, value) == 1.0  # not -0.0
 

@@ -172,37 +172,37 @@ TRANSFORMS = {
     "density": (
         lambda n, m: 2 * n * n,
         lambda raw, n, m: sampling.density_from_normals(raw, n),
-        lambda n, m, rng: sampling.draw_density(n, rng),
+        lambda n, m, rng: sampling.density_from_normals(rng.standard_normal(2 * n * n), n),
         lambda n, m, rng: _one_object_density(n, rng),
     ),
     "probing": (
         lambda n, m: 2 * n * m,
         lambda raw, n, m: sampling.probing_from_normals(raw, n, m),
-        lambda n, m, rng: sampling.draw_probing(n, m, rng),
+        lambda n, m, rng: sampling.probing_from_normals(rng.standard_normal(2 * n * m), n, m),
         _one_object_probing,
     ),
     "pure": (
         lambda n, m: 2 * m,
         lambda raw, n, m: sampling.pure_from_normals(raw, m),
-        lambda n, m, rng: sampling.draw_pure(m, rng),
+        lambda n, m, rng: sampling.pure_from_normals(rng.standard_normal(2 * m), m),
         lambda n, m, rng: _one_object_pure(m, rng),
     ),
     "responses": (
         lambda n, m: 2 * n * m,
         lambda raw, n, m: sampling.pure_from_normals(raw.reshape(len(raw), n, 2 * m), m),
-        lambda n, m, rng: sampling.draw_responses(n, m, rng),
+        lambda n, m, rng: sampling.pure_from_normals(rng.standard_normal((n, 2 * m)), m),
         lambda n, m, rng: np.array([_one_object_pure(m, rng) for _ in range(n)]).reshape(n, m),
     ),
     "ginibre": (
         lambda n, m: 2 * n * n,
         lambda raw, n, m: sampling.ginibre_from_normals(raw, n),
-        lambda n, m, rng: sampling.draw_ginibre(n, rng),
+        lambda n, m, rng: sampling.ginibre_from_normals(rng.standard_normal(2 * n * n), n),
         lambda n, m, rng: _gaussian(rng, (n, n)) / np.sqrt(2.0),
     ),
     "hermitian": (
         lambda n, m: 2 * n * n,
         lambda raw, n, m: sampling.hermitian_from_normals(raw, n),
-        lambda n, m, rng: sampling.draw_hermitian(n, rng),
+        lambda n, m, rng: sampling.hermitian_from_normals(rng.standard_normal(2 * n * n), n),
         lambda n, m, rng: _one_object_hermitian(n, rng),
     ),
 }
@@ -235,9 +235,10 @@ class TestTransforms:
     def test_ensemble_is_the_simplex_then_one_block_of_states(self, n):
         for size in (1, 3, 7):
             rng, replay = sampling.trial_stream(n, size), sampling.trial_stream(n, size)
-            probs, mats = sampling.draw_ensemble(n, size, rng)
-            assert np.array_equal(probs, replay.dirichlet(np.ones(size)))
-            assert np.array_equal(mats, np.array([_one_object_density(n, replay) for _ in range(size)]))
+            ensemble = sampling.random_ensemble(n, size, rng)
+            assert np.array_equal([o.probability for o in ensemble], replay.dirichlet(np.ones(size)))
+            mats = np.array([_one_object_density(n, replay) for _ in range(size)])
+            assert np.array_equal([o.state.mat for o in ensemble], mats)
             assert rng.standard_normal() == replay.standard_normal()
 
 
