@@ -22,17 +22,7 @@ from .entropy import (
     to_bits,
     von_neumann,
 )
-from .errors import (
-    DimensionMismatchError,
-    InvalidPartitionError,
-    NormViolationError,
-    NotADistributionError,
-    NotDiagonalBasisError,
-    NotHermitianError,
-    NotSquareError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .majorization import (
     CheckReport,
     check_fan,
@@ -79,7 +69,6 @@ from .states import (
     gram_from_projectors,
     gram_from_vectors,
     maximally_mixed,
-    purity,
 )
 
 __version__ = "0.1.0"

@@ -60,9 +60,8 @@ from .entropy import (
     to_bits,
     von_neumann,
 )
-from .errors import ValidationError
 from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
-from .povm import ancilla_factors, apply_povm, counterexample_1, counterexample_2
+from .povm import ancilla_factors, apply_povm, counterexample_1, counterexample_2, is_purity_preserving
 from .states import (
     block_projectors,
     clean_probabilities,
@@ -569,7 +568,7 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
         for outcome in ensemble
         if outcome.probability > ZERO_PROBABILITY
     )
-    purity_preserving = ancilla_factors(measurement) is not None
+    purity_preserving = is_purity_preserving(measurement)
 
     used = [vn] if functional == vn else [vn, functional]
     entropies = {f.label: (entropy(initial, f), expected_entropy(ensemble, f), entropy(average, f)) for f in used}
@@ -594,7 +593,7 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
         _exact_check("violated-side", float(observed_violation != violated_side)),
     ]
 
-    flags = {"which": cfg.which, "entropy": functional.label, "units": cfg.units}
+    flags = {"which": cfg.which, "entropy": functional.label, "tol": cfg.tol, "units": cfg.units}
     shown = _shown(flags, entropies[functional.label])
     fields = {
         "probabilities": probabilities,
@@ -751,7 +750,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         result = _DISPATCH[args.command](cfg)
-    except (ValidationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NotADistributionError
+from .errors import ValidationError
 from .states import DensityMatrix, OutcomeEnsemble
 from .tolerances import SINGULAR_EIGENVALUE, SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, ZERO_PROBABILITY
 
@@ -99,9 +99,9 @@ def builtin_functionals() -> tuple[EntropyFunctional, ...]:
 
 
 def _check_spectra(lam: np.ndarray) -> None:
-    """Raise the first failing row's NotADistributionError, in the scalar order."""
+    """Raise the first failing row's ValidationError, in the scalar order."""
     if lam.shape[-1] == 0:
-        raise NotADistributionError("spectrum-nonempty")
+        raise ValidationError("spectrum-nonempty")
     finite = np.isfinite(lam).all(axis=-1)
     low = lam.min(axis=-1)
     high = lam.max(axis=-1)
@@ -111,14 +111,14 @@ def _check_spectra(lam: np.ndarray) -> None:
         failed |= sum_residual > SPECTRUM_SUM_TOL
     if not failed.any():
         return
-    first = int(np.argmax(failed))
+    first = matcore.first_failure(failed)
     if not finite[first]:
-        raise NotADistributionError("spectrum-finite")
+        raise ValidationError("spectrum-finite")
     low, high = float(low[first]), float(high[first])
     if low < -SPECTRUM_RANGE_TOL or high > 1.0 + SPECTRUM_RANGE_TOL:
         residual = max(-low - SPECTRUM_RANGE_TOL, high - 1.0 - SPECTRUM_RANGE_TOL)
-        raise NotADistributionError("spectrum-in-unit-interval", residual=residual)
-    raise NotADistributionError("spectrum-sums-to-one", residual=float(sum_residual[first]))
+        raise ValidationError("spectrum-in-unit-interval", residual=residual)
+    raise ValidationError("spectrum-sums-to-one", residual=float(sum_residual[first]))
 
 
 def _von_neumann_rows(lam: np.ndarray) -> np.ndarray:
@@ -151,7 +151,7 @@ def entropies_of_spectra(values, functionals) -> np.ndarray:
     """
     lam = np.ascontiguousarray(values, dtype=float)
     if lam.ndim == 0:
-        raise NotADistributionError("spectrum-nonempty", detail="expected a (..., d) array")
+        raise ValidationError("spectrum-nonempty", detail="expected a (..., d) array")
     batch = lam.shape[:-1]
     # not reshape(-1, d), which cannot infer the row count of empty spectra
     lam = lam.reshape(math.prod(batch), lam.shape[-1])
@@ -181,7 +181,7 @@ def entropy_of_spectrum(values, functional: EntropyFunctional) -> float:
 
     Entries must lie in [0, 1] within SPECTRUM_RANGE_TOL (they are clamped
     to [0, 1]) and sum to 1 within SPECTRUM_SUM_TOL; otherwise
-    NotADistributionError is raised.  Eigenvalues at or below
+    a ValidationError is raised.  Eigenvalues at or below
     SINGULAR_EIGENVALUE (all three in :mod:`decobs.tolerances`) are exact
     zeros for every functional: steep h (the alpha < 1 power sums) would
     otherwise amplify eigensolver noise on structurally zero eigenvalues far

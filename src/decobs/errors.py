@@ -1,8 +1,9 @@
-"""Exception types for structural validation failures.
+"""The exception type for structural validation failures.
 
-Every error names the violated invariant and, where it makes sense, carries
-the measured residual, so randomized campaigns can report what failed and by
-how much.
+Every failure is one ``ValidationError``, named by the invariant it violates
+(``"hermitian"``, ``"projectors-same-dim"``, ...) and, where it makes sense,
+carrying the measured residual, so randomized campaigns can report what failed
+and by how much, and callers tell failures apart by ``invariant``.
 """
 
 from __future__ import annotations
@@ -20,35 +21,3 @@ class ValidationError(ValueError):
         if detail:
             msg = f"{msg}: {detail}"
         super().__init__(msg)
-
-
-class NotSquareError(ValidationError):
-    """A square matrix was required."""
-
-
-class NotHermitianError(ValidationError):
-    """Hermiticity residual exceeds the allowed tolerance."""
-
-
-class ShapeMismatchError(ValidationError):
-    """Two operands have incompatible shapes."""
-
-
-class DimensionMismatchError(ValidationError):
-    """A dimension does not factor or match as required."""
-
-
-class NotDiagonalBasisError(ValidationError):
-    """Projectors were required to be diagonal in the working basis."""
-
-
-class NormViolationError(ValidationError):
-    """A vector or matrix row is not normalized."""
-
-
-class NotADistributionError(ValidationError):
-    """A real sequence is not a probability distribution."""
-
-
-class InvalidPartitionError(ValidationError):
-    """Block sizes do not partition the stated dimension."""

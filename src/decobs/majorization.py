@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore, processes
-from .errors import ShapeMismatchError
+from .errors import ValidationError
 from .states import DensityMatrix, GramMatrix, ProjectorSet
 from .tolerances import INEQUALITY_TOL
 
@@ -183,7 +183,7 @@ def check_fan(
     a = matcore.require_square(a)
     b = matcore.require_square(b)
     if a.shape != b.shape:
-        raise ShapeMismatchError("fan-same-dim", detail=f"{a.shape} vs {b.shape}")
+        raise ValidationError("fan-same-dim", detail=f"{a.shape} vs {b.shape}")
     combined, lam_sum, check = fan_dominance(a, b)
     spectra = {"sum_of_spectra": tuple(combined), "spectrum_of_sum": tuple(lam_sum)}
     return _dominance_report([check], tol, spectra)

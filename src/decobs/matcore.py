@@ -15,13 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotSquareError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .tolerances import HERMITIAN_TOL
 
 
@@ -74,7 +68,7 @@ def vector_norms(vectors) -> np.ndarray:
 def require_square(values) -> np.ndarray:
     mat = as_matrix(values)
     if mat.shape[0] != mat.shape[1]:
-        raise NotSquareError("square", detail=f"shape {mat.shape}")
+        raise ValidationError("square", detail=f"shape {mat.shape}")
     return mat
 
 
@@ -88,7 +82,7 @@ def square_stack(values) -> np.ndarray:
     if mats.ndim < 2:
         raise ValidationError("matrix-rank", detail=f"expected a stack of matrices, got ndim={mats.ndim}")
     if mats.shape[-1] != mats.shape[-2]:
-        raise NotSquareError("square", detail=f"shape {mats.shape[-2:]}")
+        raise ValidationError("square", detail=f"shape {mats.shape[-2:]}")
     return mats
 
 
@@ -125,7 +119,7 @@ def hermitian_spectrum(mat: np.ndarray) -> np.ndarray:
         first = first_failure(failed)
         if not np.ravel(finite)[first]:
             raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
-        raise NotHermitianError("hermitian", residual=float(np.ravel(residual)[first]))
+        raise ValidationError("hermitian", residual=float(np.ravel(residual)[first]))
     symmetrized = np.add(mats, adjoint, out=adjoint)
     symmetrized /= 2.0
     ascending = np.linalg.eigvalsh(symmetrized)
@@ -137,7 +131,7 @@ def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
-        raise ShapeMismatchError("equal-shape", detail=f"{a.shape} vs {b.shape}")
+        raise ValidationError("equal-shape", detail=f"{a.shape} vs {b.shape}")
     return a * b
 
 
@@ -156,7 +150,7 @@ def partial_trace(
     """
     mat = require_square(mat)
     if dim_first < 1 or dim_second < 1 or mat.shape[0] != dim_first * dim_second:
-        raise DimensionMismatchError(
+        raise ValidationError(
             "factor-dimensions",
             detail=f"matrix dim {mat.shape[0]} != {dim_first} * {dim_second}",
         )

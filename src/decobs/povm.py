@@ -3,14 +3,14 @@
 A measurement is specified by an ancilla state, a joint unitary on
 object (x) ancilla (object factor first), and a complete orthogonal set of
 joint projectors.  Applying it projects the evolved joint state on each
-branch, traces out the ancilla, and normalizes.
+branch, traces out the ancilla, and normalizes, for a pure or a mixed
+ancilla alike.
 
 Purity preservation is a structural property of the joint projectors: the map
 sends every pure state to pure branch states exactly when each projector is
 identity-on-object tensor a rank-1 ancilla projector, for some orthonormal
 ancilla family.  The classification here assumes the canonical presentation
-with a pure ancilla; a mixed ancilla is handled by lifting through a
-purifier when the measurement is applied.
+with a pure ancilla.
 
 Two fixed reference measurements break the entropy inequalities in opposite
 directions: a joint Bell-basis readout raises the expected entropy of a pure
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore, processes
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 from .states import (
     DensityMatrix,
     Outcome,
@@ -35,9 +35,8 @@ from .states import (
     basis_state,
     density_from_pure,
     maximally_mixed,
-    purity,
 )
-from .tolerances import PPPOVM_TOL, PURE_ANCILLA_THRESHOLD, ZERO_PROBABILITY
+from .tolerances import PPPOVM_TOL, ZERO_PROBABILITY
 
 
 @dataclass(frozen=True)
@@ -52,22 +51,22 @@ class Povm:
 
     def __post_init__(self):
         if self.object_dim < 1 or self.ancilla_dim < 1:
-            raise DimensionMismatchError("positive-dims")
+            raise ValidationError("positive-dims")
         if self.ancilla_state.dim != self.ancilla_dim:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 "ancilla-state-dim",
                 detail=f"state dim {self.ancilla_state.dim}, declared {self.ancilla_dim}",
             )
         unitary = matcore.require_square(self.joint_unitary)
         if unitary.shape[0] != self.joint_dim:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 "joint-unitary-dim", detail=f"got {unitary.shape[0]}, expected {self.joint_dim}"
             )
         if not matcore.is_unitary(unitary):
             residual = matcore.max_abs(unitary.conj().T @ unitary - np.eye(self.joint_dim))
             raise ValidationError("joint-unitary", residual=residual)
         if self.joint_projectors.dim != self.joint_dim:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 "joint-projectors-dim",
                 detail=f"got {self.joint_projectors.dim}, expected {self.joint_dim}",
             )
@@ -101,35 +100,22 @@ def apply_povm(rho: DensityMatrix, measurement: Povm) -> OutcomeEnsemble:
     """Measure rho: evolve rho (x) ancilla by the joint unitary, project each
     branch, trace out the ancilla, and normalize.
 
-    A mixed ancilla is lifted through a purifier first (joint unitary and
-    projectors act trivially on the purifier), which leaves every branch
-    unchanged.  Branch k has p_k = tr of the projected reduced matrix;
-    branches at or below the zero threshold keep p = 0 and no state.
+    Branch k is Tr_anc[P_k U (rho (x) sigma) U^dagger P_k] / p_k for the
+    ancilla state sigma, pure or mixed, with p_k the trace of the reduced
+    matrix; branches at or below the zero threshold keep p = 0 and no state.
     """
     if rho.dim != measurement.object_dim:
-        raise DimensionMismatchError(
+        raise ValidationError(
             "state-object-dim",
             detail=f"state dim {rho.dim}, object dim {measurement.object_dim}",
         )
-    if purity(measurement.ancilla_state) >= 1.0 - PURE_ANCILLA_THRESHOLD:
-        ancilla = measurement.ancilla_state.mat
-        unitary = measurement.joint_unitary
-        projector_list = list(measurement.joint_projectors)
-        ancilla_dim = measurement.ancilla_dim
-    else:
-        purified = purify_ancilla(measurement.ancilla_state)
-        ancilla = np.outer(purified.amp, purified.amp.conj())
-        eye = np.eye(measurement.ancilla_dim, dtype=complex)
-        unitary = np.kron(measurement.joint_unitary, eye)
-        projector_list = [np.kron(p, eye) for p in measurement.joint_projectors]
-        ancilla_dim = measurement.ancilla_dim**2
-
-    joint = matcore.tensor_product(rho.mat, ancilla)
+    unitary = measurement.joint_unitary
+    joint = matcore.tensor_product(rho.mat, measurement.ancilla_state.mat)
     evolved = unitary @ joint @ unitary.conj().T
     outcomes = []
-    for projector in projector_list:
+    for projector in measurement.joint_projectors:
         projected = projector @ evolved @ projector
-        reduced = matcore.partial_trace(projected, rho.dim, ancilla_dim, keep="first")
+        reduced = matcore.partial_trace(projected, rho.dim, measurement.ancilla_dim, keep="first")
         p = float(np.trace(reduced).real)
         if p <= ZERO_PROBABILITY:
             outcomes.append(Outcome(0.0, None))
@@ -176,7 +162,7 @@ def probing_as_povm(responses: Sequence[PureState]) -> Povm:
     measurement: block unitary from the responses, ancilla prepared in the
     first basis vector, and pointer projectors identity (x) |k><k|."""
     if not responses:
-        raise DimensionMismatchError("responses-nonempty")
+        raise ValidationError("responses-nonempty")
     d = responses[0].dim
     n = len(responses)
     eye = np.eye(n, dtype=complex)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .errors import DimensionMismatchError, ShapeMismatchError, ValidationError
+from .errors import ValidationError
 from .states import (
     DensityMatrix,
     GramMatrix,
@@ -89,7 +89,7 @@ def observe(rho: DensityMatrix, probe: ProbingMatrix) -> OutcomeEnsemble:
     threshold are kept with probability exactly 0 and an undefined state.
     """
     if probe.n_object != rho.dim:
-        raise ShapeMismatchError(
+        raise ValidationError(
             "probing-rows-match-state",
             detail=f"probing has {probe.n_object} rows, state dim {rho.dim}",
         )
@@ -128,7 +128,7 @@ def ensemble_average(ensemble: OutcomeEnsemble) -> DensityMatrix:
 def luders(rho: DensityMatrix, projectors: ProjectorSet) -> DensityMatrix:
     """Pinching sum_k P_k rho P_k over a complete orthogonal projector family."""
     if projectors.dim != rho.dim:
-        raise ShapeMismatchError(
+        raise ValidationError(
             "projectors-match-state",
             detail=f"projector dim {projectors.dim}, state dim {rho.dim}",
         )
@@ -201,11 +201,11 @@ def probing_joint_unitary(responses: Sequence[PureState]) -> np.ndarray:
     Gram matrix of the responses.
     """
     if not responses:
-        raise DimensionMismatchError("responses-nonempty")
+        raise ValidationError("responses-nonempty")
     dim = responses[0].dim
     for idx, response in enumerate(responses):
         if response.dim != dim:
-            raise DimensionMismatchError("responses-same-dim", detail=f"response {idx}")
+            raise ValidationError("responses-same-dim", detail=f"response {idx}")
     n = len(responses)
     joint = np.zeros((n * dim, n * dim), dtype=complex)
     for i, response in enumerate(responses):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .errors import InvalidPartitionError
+from .errors import ValidationError
 from .povm import Povm
 from .states import (
     DensityMatrix,
@@ -35,11 +35,6 @@ from .states import (
     diagonal_projector_partition,
     gram_from_vectors,
 )
-
-
-def stream(seed: int) -> np.random.Generator:
-    """Root generator for a seed."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
@@ -180,7 +175,7 @@ def random_projector_partition(
     """Diagonal block partition of the stated sizes, conjugated by a Haar unitary."""
     sizes = [int(s) for s in block_sizes]
     if sum(sizes) != n or any(s < 1 for s in sizes):
-        raise InvalidPartitionError("blocks-partition-dim", detail=f"{sizes} vs n={n}")
+        raise ValidationError("blocks-partition-dim", detail=f"{sizes} vs n={n}")
     basis = haar_unitary(n, rng)
     diagonal = diagonal_projector_partition(sizes)
     return ProjectorSet(tuple(conjugated_projectors(basis, np.array(diagonal.projectors))))

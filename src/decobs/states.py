@@ -15,13 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .errors import (
-    InvalidPartitionError,
-    NormViolationError,
-    NotDiagonalBasisError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .tolerances import (
     COMPLETENESS_TOL, HERMITIAN_TOL, IDEMPOTENT_TOL, NEGATIVE_PROBABILITY_TOL, ORTHOGONALITY_TOL,
     PROBABILITY_SUM_TOL, PSD_TOL, TRACE_TOL, UNIT_DIAGONAL_TOL, UNIT_NORM_TOL, ZERO_PROBABILITY,
@@ -163,7 +157,7 @@ def unit_vector_norms(vectors) -> np.ndarray:
         first = matcore.first_failure(failed)
         if not np.ravel(finite)[first]:
             raise ValidationError("pure-finite", detail="empty or non-finite amplitudes")
-        raise NormViolationError("pure-unit-norm", residual=float(np.ravel(residual)[first]))
+        raise ValidationError("pure-unit-norm", residual=float(np.ravel(residual)[first]))
     return norms
 
 
@@ -205,7 +199,7 @@ def _check_unit_rows(mats: np.ndarray) -> None:
     residual = np.max(np.abs(norms - 1.0), axis=-1, initial=0.0)
     failed = residual > UNIT_NORM_TOL
     if failed.any():
-        raise NormViolationError("probing-unit-rows", residual=float(residual.flat[matcore.first_failure(failed)]))
+        raise ValidationError("probing-unit-rows", residual=float(residual.flat[matcore.first_failure(failed)]))
 
 
 def validate_probing_stack(mats) -> None:
@@ -348,7 +342,7 @@ class ProjectorSet:
         dim = mats[0].shape[0]
         for idx, p in enumerate(mats):
             if p.shape[0] != dim:
-                raise ShapeMismatchError("projectors-same-dim", detail=f"projector {idx}")
+                raise ValidationError("projectors-same-dim", detail=f"projector {idx}")
         validate_projector_stack(np.array(mats))
         object.__setattr__(self, "projectors", tuple(_readonly(p) for p in mats))
 
@@ -460,11 +454,6 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(state.amp, state.amp.conj()))
 
 
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2), between 1/dim and 1."""
-    return float(np.trace(rho.mat @ rho.mat).real)
-
-
 def gram_from_vectors(vectors: Sequence[PureState]) -> GramMatrix:
     """Overlap matrix E_ij = <v_j|v_i> of a family of unit vectors.
 
@@ -477,7 +466,7 @@ def gram_from_vectors(vectors: Sequence[PureState]) -> GramMatrix:
     dim = vectors[0].dim
     for idx, v in enumerate(vectors):
         if v.dim != dim:
-            raise ShapeMismatchError("gram-vectors-same-dim", detail=f"vector {idx}")
+            raise ValidationError("gram-vectors-same-dim", detail=f"vector {idx}")
     return GramMatrix(gram_from_unit_rows(np.array([v.amp for v in vectors])))
 
 
@@ -500,7 +489,7 @@ def gram_from_projector_stack(mats) -> np.ndarray:
     Each is sum_k outer(diag P_k, diag P_k), added left to right over k;
     dead (all-zero) slots add exact zeros.  Every projector must be diagonal
     within :data:`~decobs.tolerances.HERMITIAN_TOL`; a failing stack raises
-    the NotDiagonalBasisError of its first failing projector.  The result is not validated.
+    the ``projector-diagonal`` error of its first failing projector.  The result is not validated.
     """
     mats = np.asarray(mats, dtype=complex)
     slots, dim = mats.shape[-3], mats.shape[-1]
@@ -508,7 +497,7 @@ def gram_from_projector_stack(mats) -> np.ndarray:
     failed = off > HERMITIAN_TOL
     if failed.any():
         first = matcore.first_failure(failed)
-        raise NotDiagonalBasisError(
+        raise ValidationError(
             "projector-diagonal", residual=float(np.ravel(off)[first]), detail=f"projector {first % slots}"
         )
     diagonal = mats.diagonal(axis1=-2, axis2=-1).real
@@ -545,5 +534,5 @@ def diagonal_projector_partition(block_sizes: Sequence[int]) -> ProjectorSet:
     """Diagonal block projectors of the given sizes, in order."""
     sizes = [int(s) for s in block_sizes]
     if not sizes or any(s < 1 for s in sizes):
-        raise InvalidPartitionError("positive-block-sizes", detail=f"{sizes}")
+        raise ValidationError("positive-block-sizes", detail=f"{sizes}")
     return ProjectorSet(tuple(block_projectors(sizes)))

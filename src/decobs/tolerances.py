@@ -48,8 +48,6 @@ TRIVIALITY_TOL = 1e-9
 INEQUALITY_TOL = 1e-9
 #: Max-norm residuals in ``povm.ancilla_factors`` (purity preservation); loose: they compare products.
 PPPOVM_TOL = 1e-8
-#: ``povm.apply_povm`` takes an ancilla as pure when 1 - purity is at most this.
-PURE_ANCILLA_THRESHOLD = 1e-9
 #: Max-norm of an exact identity: the averaging, luders-equiv and counterexample checks.
 CONSISTENCY_TOL = 1e-12
 #: Largest margin of a nontrivial entropy row that still counts as near-trivial.

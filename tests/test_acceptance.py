@@ -13,7 +13,7 @@ import numpy as np
 
 from decobs import matcore, sampling
 from decobs.cli import CampaignConfig, main, run_holevo, run_luders, run_majorization, run_s_theorems
-from decobs.entropy import builtin_functionals, entropy, expected_entropy, von_neumann
+from decobs.entropy import builtin_functionals, entropy, expected_entropy, linear, von_neumann
 from decobs.povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
 from decobs.processes import decohere, ensemble_average, observe, response_gram
 from decobs.states import (
@@ -21,7 +21,6 @@ from decobs.states import (
     GramMatrix,
     ProbingMatrix,
     density_from_pure,
-    purity,
 )
 
 LN2 = math.log(2.0)
@@ -159,7 +158,7 @@ def test_criterion_08_pppovm_purity_and_left_inequality():
         for _ in range(20):
             rho = density_from_pure(sampling.random_pure(n, rng))
             for outcome in apply_povm(rho, measurement).live():
-                assert abs(purity(outcome.state) - 1.0) <= 1e-9
+                assert entropy(outcome.state, linear()) <= 1e-9
 
     for trial in range(500):
         rng = sampling.trial_stream(208, trial)

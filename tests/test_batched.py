@@ -21,7 +21,7 @@ from decobs.entropy import (
     entropy_of_spectrum,
     parse_functional,
 )
-from decobs.errors import NotHermitianError, ValidationError
+from decobs.errors import ValidationError
 from decobs.majorization import (
     check_fan,
     check_pinching_double,
@@ -195,7 +195,7 @@ def _reference_observe(rho, probe):
 
 @pytest.mark.parametrize("dim,trials,response_dim", list(_s_theorems_grid()))
 def test_observe_and_average_match_the_one_branch_formulas(dim, trials, response_dim):
-    rng = sampling.stream(dim * 7 + response_dim)
+    rng = np.random.default_rng(dim * 7 + response_dim)
     for _ in range(trials):
         rho = sampling.random_density(dim, rng)
         probe = sampling.random_probing(dim, response_dim, rng)
@@ -210,7 +210,7 @@ def test_observe_and_average_match_the_one_branch_formulas(dim, trials, response
 
 class TestDeadBranch:
     def test_stack_gives_zero_probability_and_no_state(self):
-        rng = sampling.stream(11)
+        rng = np.random.default_rng(11)
         rhos = sampling.density_from_normals(rng.standard_normal((4, 18)), 3)
         probes = np.zeros((4, 3, 4), dtype=complex)
         probes[..., :3] = sampling.probing_from_normals(rng.standard_normal((4, 18)), 3, 3)
@@ -276,7 +276,7 @@ def _rank_deficient_spectra(dim, count, rng):
 
 @pytest.mark.parametrize("dim", [8, 13, 32])
 def test_entropy_kernel_on_rank_deficient_spectra_is_bit_identical(dim):
-    spectra = _rank_deficient_spectra(dim, 4 * dim, sampling.stream(dim))
+    spectra = _rank_deficient_spectra(dim, 4 * dim, np.random.default_rng(dim))
     functionals = [parse_functional(text) for text in FUNCTIONALS]
     table = entropies_of_spectra(spectra, functionals)
     for f, row in zip(functionals, table):
@@ -289,7 +289,7 @@ def test_entropy_kernel_on_rank_deficient_spectra_is_bit_identical(dim):
 )
 def test_validated_spectra_are_the_hermitian_spectra(kind, draw):
     """validate_stack returns every spectrum non-increasing, as hermitian_spectrum and DensityMatrix do."""
-    rng = sampling.stream(3)
+    rng = np.random.default_rng(3)
     stack = np.array([draw(5, rng).mat for _ in range(6)]).reshape(2, 3, 5, 5)
     spectra = states.validate_stack(stack, kind)
     assert np.array_equal(spectra, matcore.hermitian_spectrum(stack))
@@ -298,7 +298,7 @@ def test_validated_spectra_are_the_hermitian_spectra(kind, draw):
 
 
 def test_sequential_sum_adds_left_to_right():
-    rng = sampling.stream(5)
+    rng = np.random.default_rng(5)
     values = rng.standard_normal((40, 9)) * 10.0 ** rng.integers(-8, 8, size=(40, 9))
     values[3] = [-0.0] * 9
     expected = []
@@ -317,7 +317,7 @@ class TestStackErrorsMatchScalarTypes:
     def error_of(build):
         with pytest.raises(ValidationError) as err:
             build()
-        return type(err.value), err.value.invariant, err.value.residual, str(err.value)
+        return err.value.invariant, err.value.residual, str(err.value)
 
     @pytest.mark.parametrize(
         "bad,invariant",
@@ -328,31 +328,31 @@ class TestStackErrorsMatchScalarTypes:
         ],
     )
     def test_density(self, bad, invariant):
-        rng = sampling.stream(1)
+        rng = np.random.default_rng(1)
         stack = sampling.density_from_normals(rng.standard_normal((9, 18)), 3)
         stack[4] = bad
         scalar = self.error_of(lambda: DensityMatrix(bad))
-        assert scalar[1] == invariant
+        assert scalar[0] == invariant
         assert self.error_of(lambda: states.validate_stack(stack, "density")) == scalar
         assert self.error_of(lambda: states.validate_stack(stack.reshape(3, 3, 3, 3), "density")) == scalar
 
     def test_gram_unit_diagonal(self):
-        rng = sampling.stream(2)
+        rng = np.random.default_rng(2)
         stack = processes.response_gram_stack(sampling.probing_from_normals(rng.standard_normal((7, 24)), 4, 3))
         bad = stack[3].copy()
         bad[2, 2] = 1.0 + 1e-6
         stack[3] = bad
         scalar = self.error_of(lambda: GramMatrix(bad))
-        assert scalar[1] == "gram-unit-diagonal"
+        assert scalar[0] == "gram-unit-diagonal"
         assert self.error_of(lambda: states.validate_stack(stack, "gram")) == scalar
 
     def test_probabilities_sum_to_one(self):
-        rng = sampling.stream(3)
+        rng = np.random.default_rng(3)
         probs = np.array([sampling.random_simplex(4, rng) for _ in range(6)])
         probs[2, 1] += 1e-7
         state = DensityMatrix(np.eye(2) / 2)
         scalar = self.error_of(lambda: OutcomeEnsemble(tuple(Outcome(float(p), state) for p in probs[2])))
-        assert scalar[1] == "probabilities-sum-to-one"
+        assert scalar[0] == "probabilities-sum-to-one"
         assert self.error_of(lambda: states.clean_probabilities(probs)) == scalar
 
     def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch):
@@ -370,7 +370,7 @@ class TestStackErrorsMatchScalarTypes:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: {self.error_of(lambda: DensityMatrix(bad))[3]}\n"
+        assert captured.err == f"error: {self.error_of(lambda: DensityMatrix(bad))[2]}\n"
 
 
 def oracle_majorization(cfg):
@@ -451,7 +451,7 @@ def _padded_family(partition, slots):
 
 @pytest.mark.parametrize("dim", [1, 3, 8])
 def test_pinch_matches_the_one_projector_formula(dim):
-    rng = sampling.stream(dim + 40)
+    rng = np.random.default_rng(dim + 40)
     partitions, mats = [], []
     for _ in range(6):
         mats.append(sampling.random_density(dim, rng).mat)
@@ -469,7 +469,7 @@ def test_pinch_matches_the_one_projector_formula(dim):
 
 
 def test_dominance_of_stacks_reads_each_pair_as_alone():
-    rng = sampling.stream(4)
+    rng = np.random.default_rng(4)
     lam = rng.standard_normal((5, 3, 6))
     mu = rng.standard_normal((5, 3, 4))
     lam[0, 0] = 0.25  # ties everywhere
@@ -487,7 +487,7 @@ def test_dominance_of_stacks_reads_each_pair_as_alone():
 
 
 def test_stacked_samplers_match_the_one_matrix_formulas():
-    rng = sampling.stream(12)
+    rng = np.random.default_rng(12)
     ginibre = sampling.ginibre_from_normals(rng.standard_normal((7, 50)), 5)
     hermitian = sampling.hermitian_from_normals(rng.standard_normal((7, 50)), 5)
     responses = sampling.pure_from_normals(rng.standard_normal((7, 5, 22)), 11)
@@ -529,15 +529,15 @@ class TestStackedChecksRaiseTheScalarErrors:
     def test_projector_families(self, invariant):
         bad = tuple(np.asarray(p, dtype=complex) for p in self.BAD_FAMILIES[invariant])
         scalar = self.error_of(lambda: ProjectorSet(bad))
-        assert scalar[1] == invariant
-        stack = self.families(9, sampling.stream(21))
+        assert scalar[0] == invariant
+        stack = self.families(9, np.random.default_rng(21))
         stack[4] = 0.0
         stack[4, : len(bad)] = bad
         assert self.error_of(lambda: states.validate_projector_stack(stack)) == scalar
         assert self.error_of(lambda: states.validate_projector_stack(stack.reshape(3, 3, 3, 3, 3))) == scalar
 
     def test_projector_family_past_a_block_seam(self):
-        stack = self.families(700, sampling.stream(22))
+        stack = self.families(700, np.random.default_rng(22))
         assert stack[:1].nbytes * 700 > 2 * states._BLOCK_BYTES
         states.validate_projector_stack(stack)
         bad = tuple(np.asarray(p, dtype=complex) for p in self.BAD_FAMILIES["projectors-complete"])
@@ -547,31 +547,31 @@ class TestStackedChecksRaiseTheScalarErrors:
         assert self.error_of(lambda: states.validate_projector_stack(stack)) == self.error_of(lambda: ProjectorSet(bad))
 
     def test_non_hermitian_matrix(self):
-        rng = sampling.stream(23)
+        rng = np.random.default_rng(23)
         stack = sampling.hermitian_from_normals(rng.standard_normal((9, 18)), 3)
         bad = stack[4].copy()
         bad[0, 2] += 1e-6
         stack[4] = bad
         stack[6, 1, 0] += 1.0
         scalar = self.error_of(lambda: matcore.hermitian_spectrum(bad))
-        assert scalar[0] is NotHermitianError
+        assert scalar[0] == "hermitian"
         assert self.error_of(lambda: matcore.hermitian_spectrum(stack)) == scalar
         assert self.error_of(lambda: matcore.hermitian_spectrum(stack.reshape(3, 3, 3, 3))) == scalar
 
     def test_response_vector_off_the_unit_sphere(self):
-        rng = sampling.stream(24)
+        rng = np.random.default_rng(24)
         rows = sampling.pure_from_normals(rng.standard_normal((6, 4, 10)), 5)
         rows[3, 2] *= 1.0 + 1e-6
         scalar = self.error_of(lambda: PureState(rows[3, 2]))
-        assert scalar[1] == "pure-unit-norm"
+        assert scalar[0] == "pure-unit-norm"
         assert self.error_of(lambda: states.gram_from_unit_rows(rows)) == scalar
 
     def test_non_diagonal_projector(self):
-        partition = sampling.random_projector_partition(3, [1, 2], sampling.stream(25))
+        partition = sampling.random_projector_partition(3, [1, 2], np.random.default_rng(25))
         stack = np.array([states.block_projectors(sizes, 3) for sizes in ([3], [1, 2], [1, 1, 1], [2, 1])])
         stack[2] = _padded_family(partition, 3)
         scalar = self.error_of(lambda: states.gram_from_projectors(partition))
-        assert scalar[1] == "projector-diagonal"
+        assert scalar[0] == "projector-diagonal"
         assert self.error_of(lambda: states.gram_from_projector_stack(stack)) == scalar
 
     @pytest.mark.parametrize("command", ["majorization", "luders-equiv"])
@@ -595,7 +595,7 @@ class TestStackedChecksRaiseTheScalarErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: {self.error_of(lambda: DensityMatrix(bad))[3]}\n"
+        assert captured.err == f"error: {self.error_of(lambda: DensityMatrix(bad))[2]}\n"
 
     def test_broken_partition_fails_at_the_rotated_check(self, capsys, monkeypatch):
         # the third call builds trial 2's family; only the rotated partition is

@@ -4,7 +4,9 @@ A function has a caller when a module of ``src/decobs`` other than
 ``__init__`` or a script under ``scripts/`` reads its name (as a name or an
 attribute) outside the function's own body.  Reads inside the bodies of the
 functions listed in ``TEST_ONLY`` do not count, so one test-only function
-cannot give another a caller.
+cannot give another a caller.  Nor does a name read where the same top-level
+definition binds it (a parameter or an assignment target), so a local
+variable cannot give a function of the same name a caller.
 """
 
 import ast
@@ -15,16 +17,16 @@ PACKAGE = ROOT / "src" / "decobs"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 #: Public functions that only tests call, each with its role: "oracle" for the
-#: scalar API that the tests replay the campaigns through, or the ROADMAP item
-#: that plans a caller for it.
+#: scalar API that the tests replay the campaigns through or check a kernel
+#: against, or the ROADMAP item that plans a caller for it.
 TEST_ONLY = {
     **dict.fromkeys(
         (
             "check_fan", "check_pinching_double", "check_schur_majorization", "decohere",
             "diagonal_projector_partition", "gram_from_projectors", "gram_from_vectors", "haar_unitary",
-            "luders", "majorizes", "observe", "random_density", "random_ensemble", "random_gram",
-            "random_hermitian", "random_probing", "random_projector_partition", "random_pure",
-            "response_gram", "schur_product",
+            "luders", "majorizes", "observe", "purify_ancilla", "random_density", "random_ensemble",
+            "random_gram", "random_hermitian", "random_probing", "random_projector_partition",
+            "random_pure", "response_gram", "schur_product",
         ),
         "oracle",
     ),
@@ -58,8 +60,11 @@ def reads() -> list[tuple[str, str | None]]:
             continue
         for top in ast.parse(path.read_text()).body:
             owner = top.name if isinstance(top, ast.FunctionDef) and path.parent == PACKAGE else None
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
+            nodes = list(ast.walk(top))
+            local = {node.arg for node in nodes if isinstance(node, ast.arg)}
+            local |= {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            for node in nodes:
+                if isinstance(node, ast.Name) and node.id not in local:
                     found.append((node.id, owner))
                 elif isinstance(node, ast.Attribute):
                     found.append((node.attr, owner))

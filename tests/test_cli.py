@@ -160,6 +160,14 @@ class TestCounterexampleCommand:
         assert code == 0
         assert report["entropy"]["expected_after_observation"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_flags_echo_the_tolerance_that_decides_the_exit_code(self, capsys):
+        default_code, default = run_json(capsys, "counterexample", "--which", "2")
+        loose_code, loose = run_json(capsys, "counterexample", "--which", "2", "--tol", "1")
+        assert (default_code, loose_code) == (0, 1)
+        assert list(default["flags"]) == ["which", "entropy", "tol", "units"]
+        assert default["flags"]["tol"] == 1e-9
+        assert loose["flags"] == {**default["flags"], "tol": 1.0}
+
 
 class TestHolevoCommand:
     def test_campaign_passes(self, capsys):

@@ -71,12 +71,12 @@ class TestMajorizes:
 
     @given(dim=dims, seed=seeds)
     def test_reflexive(self, dim, seed):
-        lam = sampling.random_simplex(dim, sampling.stream(seed))
+        lam = sampling.random_simplex(dim, np.random.default_rng(seed))
         assert majorizes(lam, lam)
 
     @given(dim=dims, seed=seeds)
     def test_transitive_on_mixing_chains(self, dim, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         lam = sampling.random_simplex(dim, rng)
         mu = mixed_toward_uniform(lam, rng.uniform(0.0, 1.0))
         nu = mixed_toward_uniform(mu, rng.uniform(0.0, 1.0))
@@ -86,7 +86,7 @@ class TestMajorizes:
 
     @given(dim=dims, seed=seeds)
     def test_mutual_dominance_means_equal_sorted(self, dim, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         lam = sampling.random_simplex(dim, rng)
         mu = np.array(sorted(lam, reverse=True))
         assert majorizes(lam, mu) and majorizes(mu, lam)
@@ -165,7 +165,7 @@ class TestDominanceKernel:
 
 class TestSchurMajorization:
     def test_all_ones_overlap_is_equality(self):
-        rho = sampling.random_density(3, sampling.stream(8))
+        rho = sampling.random_density(3, np.random.default_rng(8))
         report = check_schur_majorization(rho, GramMatrix(np.ones((3, 3))))
         assert report.passed
         assert matcore.max_abs(np.array(report.margins)) <= 1e-9
@@ -179,7 +179,7 @@ class TestSchurMajorization:
     @settings(max_examples=60)
     @given(dim=dims, response_dim=st.integers(1, 8), seed=seeds)
     def test_random_campaign(self, dim, response_dim, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         rho = sampling.random_density(dim, rng)
         env = sampling.random_gram(dim, response_dim, rng)
         report = check_schur_majorization(rho, env)
@@ -196,7 +196,7 @@ class TestSchurMajorization:
 
 class TestPinchingDouble:
     def test_trivial_projector_is_equality(self):
-        rho = sampling.random_density(3, sampling.stream(2))
+        rho = sampling.random_density(3, np.random.default_rng(2))
         report = check_pinching_double(rho.mat, ProjectorSet((np.eye(3, dtype=complex),)))
         assert report.passed
         assert matcore.max_abs(np.array(report.margins)) <= 1e-9
@@ -210,7 +210,7 @@ class TestPinchingDouble:
 
     def test_block_matrix_hand_case(self):
         # 2+2 block PSD matrix assembled from fixed blocks
-        rng = sampling.stream(31)
+        rng = np.random.default_rng(31)
         g = sampling.complex_from_normals(rng.standard_normal(32), (4, 4))
         h = g @ g.conj().T
         h = h / np.trace(h).real
@@ -220,7 +220,7 @@ class TestPinchingDouble:
     @settings(max_examples=60)
     @given(dim=dims, seed=seeds)
     def test_random_psd_campaign(self, dim, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         rho = sampling.random_density(dim, rng)
         partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
         report = check_pinching_double(rho.mat, partition)
@@ -230,7 +230,7 @@ class TestPinchingDouble:
     @given(dim=dims, seed=seeds)
     def test_lower_dominance_holds_for_indefinite_input(self, dim, seed):
         # only the pinched-matrix half is claimed for general Hermitian input
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         h = sampling.random_hermitian(dim, rng)
         partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
         report = check_pinching_double(h, partition)
@@ -247,7 +247,7 @@ class TestPinchingDouble:
 
 class TestFan:
     def test_zero_second_term_is_equality(self):
-        rng = sampling.stream(3)
+        rng = np.random.default_rng(3)
         a = sampling.random_hermitian(3, rng)
         report = check_fan(a, np.zeros((3, 3)))
         assert report.passed
@@ -262,7 +262,7 @@ class TestFan:
     @settings(max_examples=60)
     @given(dim=dims, seed=seeds)
     def test_random_hermitian_pairs(self, dim, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         a = sampling.random_hermitian(dim, rng)
         b = sampling.random_hermitian(dim, rng)
         report = check_fan(a, b)
@@ -271,7 +271,7 @@ class TestFan:
 
 class TestHolevo:
     def test_single_outcome_is_equality(self):
-        rho = sampling.random_density(2, sampling.stream(6))
+        rho = sampling.random_density(2, np.random.default_rng(6))
         ens = OutcomeEnsemble((Outcome(1.0, rho),))
         margin, holds = holevo_verdict(ens, von_neumann())
         assert holds
@@ -291,7 +291,7 @@ class TestHolevo:
     @settings(max_examples=40)
     @given(dim=dims, size=st.integers(2, 5), seed=seeds)
     def test_random_ensembles_all_functionals(self, dim, size, seed):
-        ens = sampling.random_ensemble(dim, size, sampling.stream(seed))
+        ens = sampling.random_ensemble(dim, size, np.random.default_rng(seed))
         for f in builtin_functionals():
             margin, holds = holevo_verdict(ens, f)
             assert holds, (f.label, margin)
@@ -317,7 +317,7 @@ class TestEntropyFromMajorizationConsistency:
         assert margin == pytest.approx(math.log(3.0))
 
     def test_equal_states(self):
-        rho = sampling.random_density(2, sampling.stream(14))
+        rho = sampling.random_density(2, np.random.default_rng(14))
         comparable, margin, holds = entropy_order(rho, rho, von_neumann())
         assert comparable and holds
         assert margin == pytest.approx(0.0, abs=1e-12)
@@ -340,7 +340,7 @@ class TestEntropyFromMajorizationConsistency:
     @settings(max_examples=40)
     @given(dim=dims, seed=seeds)
     def test_mixing_chain_orders_entropies(self, dim, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         rho = sampling.random_density(dim, rng)
         u = sampling.haar_unitary(dim, rng)
         lam = matcore.hermitian_spectrum(rho.mat)
@@ -387,7 +387,7 @@ class TestInequalityVerdict:
 
 class TestSpectraAreSolvedOnce:
     def test_holevo_solves_only_the_average(self, solved):
-        ens = sampling.random_ensemble(3, 3, sampling.stream(5))
+        ens = sampling.random_ensemble(3, 3, np.random.default_rng(5))
         solved[0] = 0
         holevo_verdict(ens, von_neumann())
         assert solved[0] == 1
@@ -400,7 +400,7 @@ class TestSpectraAreSolvedOnce:
         assert comparable and holds
 
     def test_schur_check_solves_only_the_product(self, solved):
-        rng = sampling.stream(6)
+        rng = np.random.default_rng(6)
         rho, env = sampling.random_density(4, rng), sampling.random_gram(4, 4, rng)
         solved[0] = 0
         check_schur_majorization(rho, env)

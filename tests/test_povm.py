@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, sampling
-from decobs.entropy import entropy, expected_entropy, renyi, von_neumann
-from decobs.errors import DimensionMismatchError, ValidationError
+from decobs.entropy import entropy, expected_entropy, linear, renyi, von_neumann
+from decobs.errors import ValidationError
 from decobs.povm import (
     Povm,
     ancilla_factors,
@@ -25,7 +25,6 @@ from decobs.states import (
     basis_state,
     density_from_pure,
     maximally_mixed,
-    purity,
 )
 
 LN2 = math.log(2.0)
@@ -109,7 +108,7 @@ class TestProbingAsPovm:
     @settings(max_examples=40)
     @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
     def test_matches_observe(self, n, d, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         responses = [sampling.random_pure(d, rng) for _ in range(n)]
         rho = sampling.random_density(n, rng)
         lifted = apply_povm(rho, probing_as_povm(responses))
@@ -126,10 +125,10 @@ class TestProbingAsPovm:
         ens = apply_povm(rho, probing_as_povm(responses))
         assert np.allclose([o.probability for o in ens], [0.5, 0.5])
         for outcome in ens.live():
-            assert abs(purity(outcome.state) - 1.0) <= 1e-9
+            assert entropy(outcome.state, linear()) <= 1e-9
 
     def test_identical_responses_leave_state_unchanged(self):
-        rng = sampling.stream(21)
+        rng = np.random.default_rng(21)
         response = sampling.random_pure(3, rng)
         rho = sampling.random_density(2, rng)
         ens = apply_povm(rho, probing_as_povm([response, response]))
@@ -138,14 +137,14 @@ class TestProbingAsPovm:
 
     @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
     def test_always_purity_preserving(self, n, d, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         responses = [sampling.random_pure(d, rng) for _ in range(n)]
         assert is_purity_preserving(probing_as_povm(responses))
 
 
 class TestPurifyAncilla:
     def test_pure_input_round_trip(self):
-        rho = density_from_pure(sampling.random_pure(3, sampling.stream(4)))
+        rho = density_from_pure(sampling.random_pure(3, np.random.default_rng(4)))
         purified = purify_ancilla(rho)
         reduced = matcore.partial_trace(
             np.outer(purified.amp, purified.amp.conj()), 3, 3, keep="first"
@@ -161,7 +160,7 @@ class TestPurifyAncilla:
 
     @given(dim=st.integers(2, 5), seed=seeds)
     def test_random_mixed_round_trip(self, dim, seed):
-        rho = sampling.random_density(dim, sampling.stream(seed))
+        rho = sampling.random_density(dim, np.random.default_rng(seed))
         purified = purify_ancilla(rho)
         reduced = matcore.partial_trace(
             np.outer(purified.amp, purified.amp.conj()), dim, dim, keep="first"
@@ -173,7 +172,7 @@ class TestApplyPovm:
     @settings(max_examples=30)
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
     def test_probabilities_form_distribution(self, n, d, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         measurement = sampling.random_general_povm(n, d, rng)
         rho = sampling.random_density(n, rng)
         ens = apply_povm(rho, measurement)
@@ -183,7 +182,7 @@ class TestApplyPovm:
     @settings(max_examples=30)
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
     def test_mixed_ancilla_matches_manual_purification(self, n, d, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         base = sampling.random_general_povm(n, d, rng)
         mixed_ancilla = sampling.random_density(d, rng)
         mixed = Povm(n, d, mixed_ancilla, base.joint_unitary, base.joint_projectors)
@@ -207,8 +206,9 @@ class TestApplyPovm:
 
     def test_rejects_dimension_mismatch(self):
         measurement, _ = counterexample_1()
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             apply_povm(maximally_mixed(3), measurement)
+        assert err.value.invariant == "state-object-dim"
 
 
 class TestPovmValidation:
@@ -224,7 +224,7 @@ class TestPovmValidation:
         assert err.value.invariant == "joint-unitary"
 
     def test_rejects_wrong_ancilla_dim(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             Povm(
                 2,
                 2,
@@ -232,38 +232,39 @@ class TestPovmValidation:
                 np.eye(4),
                 ProjectorSet(tuple(np.diag(row).astype(complex) for row in np.eye(4))),
             )
+        assert err.value.invariant == "ancilla-state-dim"
 
 
 class TestPurityPreservation:
     @settings(max_examples=25)
     @given(n=st.integers(2, 3), d=st.integers(2, 4), seed=seeds)
     def test_structural_class_keeps_pure_states_pure(self, n, d, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         measurement = sampling.random_pppovm(n, d, rng)
         assert is_purity_preserving(measurement)
         for _ in range(5):
             rho = density_from_pure(sampling.random_pure(n, rng))
             for outcome in apply_povm(rho, measurement).live():
-                assert abs(purity(outcome.state) - 1.0) <= 1e-9
+                assert entropy(outcome.state, linear()) <= 1e-9
 
     @settings(max_examples=15)
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
     def test_non_factoring_projectors_break_purity_somewhere(self, n, d, seed):
         # sampled converse: a measurement whose projectors do not all factor
         # must visibly mix at least one of 100 random pure inputs
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         measurement = sampling.random_general_povm(n, d, rng)
         if is_purity_preserving(measurement):
             return  # partition happened to factor; not a converse witness
         for _ in range(100):
             rho = density_from_pure(sampling.random_pure(n, rng))
             for outcome in apply_povm(rho, measurement).live():
-                if purity(outcome.state) < 1.0 - 1e-6:
+                if entropy(outcome.state, linear()) > 1e-6:
                     return
         raise AssertionError("no impure outcome found for a non-factoring measurement")
 
     def test_recovered_basis_is_orthonormal(self):
-        measurement = sampling.random_pppovm(3, 4, sampling.stream(77))
+        measurement = sampling.random_pppovm(3, 4, np.random.default_rng(77))
         factors = ancilla_factors(measurement)
         gram = np.array([[np.vdot(u, v) for v in factors] for u in factors])
         assert matcore.max_abs(gram - np.eye(4)) <= 1e-8

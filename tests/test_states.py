@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from decobs import matcore, sampling
-from decobs.errors import (
-    NotDiagonalBasisError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from decobs.entropy import entropy, linear
+from decobs.errors import ValidationError
 from decobs.states import (
     DensityMatrix,
     GramMatrix,
@@ -22,7 +19,6 @@ from decobs.states import (
     gram_from_projectors,
     gram_from_vectors,
     maximally_mixed,
-    purity,
     unit_vector_norms,
     validate_projector_stack,
     validate_stack,
@@ -79,28 +75,29 @@ class TestDensityFromPure:
 
     @given(dim=dims, seed=seeds)
     def test_random_vector_gives_pure_state(self, dim, seed):
-        v = sampling.random_pure(dim, sampling.stream(seed))
+        v = sampling.random_pure(dim, np.random.default_rng(seed))
         rho = density_from_pure(v)
         assert matcore.max_abs(rho.mat - np.outer(v.amp, v.amp.conj())) == 0.0
         assert abs(np.trace(rho.mat) - 1.0) <= 1e-12
-        assert abs(purity(rho) - 1.0) <= 1e-12
+        assert entropy(rho, linear()) <= 1e-12
 
 
 class TestPurity:
+    """Purity tr(rho^2) is read as 1 minus the linear entropy."""
+
     def test_pure(self):
-        assert purity(density_from_pure(basis_state(3, 1))) == pytest.approx(1.0)
+        assert entropy(density_from_pure(basis_state(3, 1)), linear()) == pytest.approx(0.0)
 
     def test_maximally_mixed(self):
-        assert purity(maximally_mixed(2)) == pytest.approx(0.5)
-
-    def test_diagonal(self):
-        assert purity(DensityMatrix(np.diag([0.7, 0.3]))) == pytest.approx(0.58)
+        assert entropy(maximally_mixed(2), linear()) == pytest.approx(0.5)
 
     @given(dim=dims, seed=seeds)
     def test_equals_spectrum_square_sum(self, dim, seed):
-        rho = sampling.random_density(dim, sampling.stream(seed))
+        rho = sampling.random_density(dim, np.random.default_rng(seed))
         lam = matcore.hermitian_spectrum(rho.mat)
-        assert abs(purity(rho) - (lam**2).sum()) <= 1e-10
+        purity = np.trace(rho.mat @ rho.mat).real
+        assert abs(purity - (lam**2).sum()) <= 1e-10
+        assert abs(entropy(rho, linear()) - (1.0 - purity)) <= 1e-10
 
 
 class TestGramFromVectors:
@@ -121,14 +118,15 @@ class TestGramFromVectors:
 
     @given(count=st.integers(2, 5), dim=dims, seed=seeds)
     def test_always_validates(self, count, dim, seed):
-        rng = sampling.stream(seed)
+        rng = np.random.default_rng(seed)
         vectors = [sampling.random_pure(dim, rng) for _ in range(count)]
         gram = gram_from_vectors(vectors)
         assert gram.dim == count
 
     def test_rejects_mixed_dims(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValidationError) as err:
             gram_from_vectors([basis_state(2, 0), basis_state(3, 0)])
+        assert err.value.invariant == "gram-vectors-same-dim"
 
 
 class TestGramFromProjectors:
@@ -147,9 +145,10 @@ class TestGramFromProjectors:
         assert np.array_equal(gram.mat.real, np.eye(2))
 
     def test_rejects_rotated_projectors(self):
-        ps = sampling.random_projector_partition(4, [2, 2], sampling.stream(3))
-        with pytest.raises(NotDiagonalBasisError):
+        ps = sampling.random_projector_partition(4, [2, 2], np.random.default_rng(3))
+        with pytest.raises(ValidationError) as err:
             gram_from_projectors(ps)
+        assert err.value.invariant == "projector-diagonal"
 
 
 class TestProjectorSet:
@@ -201,11 +200,11 @@ class TestProbingMatrix:
 
     @given(n=dims, m=st.integers(1, 6), seed=seeds)
     def test_row_gram_validates(self, n, m, seed):
-        probe = sampling.random_probing(n, m, sampling.stream(seed))
+        probe = sampling.random_probing(n, m, np.random.default_rng(seed))
         GramMatrix(probe.mat @ probe.mat.conj().T)
 
     def test_rectangular_allowed(self):
-        probe = sampling.random_probing(3, 5, sampling.stream(1))
+        probe = sampling.random_probing(3, 5, np.random.default_rng(1))
         assert probe.n_object == 3 and probe.n_perception == 5
 
 
@@ -250,7 +249,7 @@ class TestOutcomeEnsemble:
 class TestDensityMatrixSpectrum:
     @given(dim=st.integers(1, 8), seed=seeds)
     def test_is_the_hermitian_spectrum_bit_for_bit(self, dim, seed):
-        rho = sampling.random_density(dim, sampling.stream(seed))
+        rho = sampling.random_density(dim, np.random.default_rng(seed))
         assert np.array_equal(rho.spectrum, matcore.hermitian_spectrum(rho.mat))
         assert rho.spectrum.dtype == float
 
