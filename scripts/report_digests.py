@@ -12,9 +12,13 @@ grid's last lines run each stacked campaign at dim 16 with 20 trials, which
 the default chunk budget splits into several chunks, so chunk seams are
 covered too, and then at dim 32 with 3 trials (one trial per chunk for most
 campaigns), the size of the benchmark's largest workload.  Two JSON lines
-close it with 2,000 trials each, ``verify-s-theorems --dim 2`` with all
+follow with 2,000 trials each, ``verify-s-theorems --dim 2`` with all
 seven functionals and ``luders-equiv --dim 3``, so the JSON writer writes
-thousands of rows in one report.
+thousands of rows in one report.  The last three lines (``PARALLEL``) plan
+at least four chunks each, so that on two or more CPUs they run on two
+processes and the seams between workers are covered: ``verify-s-theorems``
+and ``holevo`` at dim 32, and ``majorization`` with a response dimension of
+2,000, whose responses the chunk planner counts.
 
 The script takes no flags, so two versions of the package can be compared
 by running it against each and diffing the outputs::
@@ -48,6 +52,12 @@ TIGHT_TOL = ("--tol", "1e-30")
 MULTI_CHUNK = ("--dim", "16", "--trials", "20")
 LARGE = ("--dim", "32", "--trials", "3")
 MANY_ROWS = ("--trials", "2000")
+EVERY = tuple(flag for name in FUNCTIONALS for flag in ("--entropy", name))
+PARALLEL = (
+    ("verify-s-theorems", "--dim", "32", "--trials", "8", *EVERY, "--format", "json"),
+    ("holevo", "--dim", "32", "--trials", "40", *EVERY, "--format", "csv", "--units", "bits"),
+    ("majorization", "--dim", "2", "--response-dim", "2000", "--trials", "200", "--format", "json"),
+)
 POVM_FILES = {
     "counterexample-1.json": lambda: counterexample_1()[0],
     "counterexample-2.json": lambda: counterexample_2()[0],
@@ -64,7 +74,7 @@ def _entropy_flags(functionals) -> list[str]:
 def grid() -> list[list[str]]:
     """Every command line of the grid, in a fixed order."""
     configs = []
-    every = _entropy_flags(FUNCTIONALS)
+    every = list(EVERY)
     for dim in DIMS:
         for seed in SEEDS:
             seeded = ["--dim", str(dim), "--seed", str(seed), "--trials", TRIALS]
@@ -119,6 +129,7 @@ def grid() -> list[list[str]]:
         configs.append([command, *LARGE, *sized, "--format", "json"])
     configs.append(["verify-s-theorems", "--dim", "2", *MANY_ROWS, *every, "--format", "json"])
     configs.append(["luders-equiv", "--dim", "3", *MANY_ROWS, "--format", "json"])
+    configs.extend(list(argv) for argv in PARALLEL)
     return configs
 
 

@@ -34,15 +34,33 @@ row by row through ``csv.writer``.  JSON goes out through :func:`write_json`,
 which gives the bytes of ``json.dumps(report, indent=2)``: the report's head
 through ``json.dumps``, then each row through json's C encoder, written as
 soon as it is encoded, so no string of the whole report is made.
+
+The four seeded campaigns split their trials into chunks (:func:`plan_chunks`)
+and evaluate them through one chunk map, :func:`_map_chunks`.  With
+``W = min(allowed CPUs, chunks // 2)`` of two or more, it forks ``W - 1``
+workers.  The map loads ``numpy.random`` first, so that the workers do not
+each load it again.  This process and every worker pin themselves to an
+allowed CPU of their own: on a 2-vCPU guest, unpinned threads stayed on one
+vCPU for a whole run, and a forked child stayed on its parent's vCPU in 8 of
+8 tries.  Each process claims chunks in order from one shared pipe of
+tokens.  The results are put back in chunk order, and the exception of the
+lowest failing chunk is raised, which is the error the serial loop raises.
+Trial t draws from stream (seed, t) wherever it runs, so a report and its
+exit code do not depend on how many workers ran it or how they were
+scheduled.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
+import pickle
+import signal
+import struct
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -86,6 +104,14 @@ _MAX_MIXTURE_SIZE = 5
 #: their size (the pinched pieces, or a product's temporaries) are alive at
 #: once, so the chunk planner counts twice the slots of a family.
 _FAMILY_SLOTS = 2
+
+#: A chunk map's claim token: the index of the first chunk of a run.
+_TOKEN = struct.Struct("<I")
+
+#: Bytes of all of a chunk map's tokens at most.  A pipe holds at least a
+#: page, and a write of up to PIPE_BUF bytes is atomic, so the tokens are
+#: written at once, before any worker starts.
+_TOKEN_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -255,6 +281,126 @@ def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 
 
+def _pin(cpus) -> None:
+    """Run this process on ``cpus`` only, where the host allows it.
+
+    Pinning only spreads the work: a host that refuses it runs the same
+    chunks, unpinned.
+    """
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _claim(evaluate, chunks: list[range], tokens: int, run: int) -> list[tuple]:
+    """Evaluate the runs of ``run`` chunks this process claims from the token pipe.
+
+    Returns (index, result or exception) pairs.  Tokens come out of the pipe
+    in chunk order, so once a chunk fails, every chunk not yet claimed comes
+    after it and cannot change the outcome: the process takes the remaining
+    tokens, so that no process claims another run.
+    """
+    done = []
+    while token := os.read(tokens, _TOKEN.size):
+        (start,) = _TOKEN.unpack(token)
+        for index in range(start, min(start + run, len(chunks))):
+            try:
+                done.append((index, evaluate(chunks[index])))
+            except Exception as exc:
+                done.append((index, exc))
+                while os.read(tokens, _TOKEN_BYTES):
+                    pass
+                return done
+    return done
+
+
+def _work(evaluate, chunks: list[range], tokens: int, run: int, cpu: int, out: int) -> None:
+    """A forked worker: pin to ``cpu``, claim chunks, pickle its pairs to ``out``, exit.
+
+    It never returns and never writes to stdout: ``os._exit`` skips the
+    parent's exit handlers and buffered output.  The exit code is 0 only
+    when every pair was sent.
+    """
+    code = 1
+    try:
+        _pin({cpu})
+        with open(out, "wb") as stream:
+            pickle.dump(_claim(evaluate, chunks, tokens, run), stream)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _map_chunks(evaluate, chunks: list[range]) -> list:
+    """``[evaluate(chunk) for chunk in chunks]``, spread over the allowed CPUs.
+
+    ``W = min(allowed CPUs, len(chunks) // 2)`` processes share the chunks:
+    this one and ``W - 1`` forked workers, each pinned to its own allowed
+    CPU.  With ``W < 2``, or without ``os.fork``, it is the plain list
+    comprehension.  Every process claims chunks one run at a time from one
+    pipe of fixed-width tokens (at most 4 KiB of them, so a run is one chunk
+    unless there are more than 1,024).  Results come back in chunk order, and
+    the first chunk without a result raises: its own exception, which is the
+    one the serial loop raises, or ``ChildProcessError`` when its worker died.
+    Every worker is reaped before this returns or raises.
+    """
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if can_fork else []
+    workers = min(len(cpus), len(chunks) // 2)
+    if workers < 2:
+        return [evaluate(chunk) for chunk in chunks]
+    # the first trial stream loads numpy.random (~15 ms); load it once, here
+    import numpy.random  # noqa: F401
+
+    run = -(-len(chunks) // (_TOKEN_BYTES // _TOKEN.size))
+    tokens, claims = os.pipe()
+    os.write(claims, b"".join(_TOKEN.pack(start) for start in range(0, len(chunks), run)))
+    os.close(claims)
+    pipes = {}  # worker pid -> read end of its result pipe
+    sent = {}  # worker pid -> its pickled pairs
+    try:
+        for cpu in cpus[1:workers]:
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                # fewer workers claim the same tokens
+                os.close(out)
+                os.close(into)
+                break
+            if pid == 0:
+                _work(evaluate, chunks, tokens, run, cpu, into)
+            os.close(into)
+            pipes[pid] = out
+        # unpinned, a forked worker stays on this process's CPU
+        _pin({cpus[0]})
+        results = dict(_claim(evaluate, chunks, tokens, run))
+        for pid, out in pipes.items():
+            with open(out, "rb", closefd=False) as stream:
+                sent[pid] = stream.read()
+    finally:
+        for pid, out in pipes.items():
+            if pid not in sent:
+                os.kill(pid, signal.SIGKILL)
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+                sent.pop(pid, None)
+            os.close(out)
+        os.close(tokens)
+        _pin(cpus)
+    for data in sent.values():
+        results.update(pickle.loads(data))
+
+    ordered = []
+    for index, chunk in enumerate(chunks):
+        if index not in results:
+            raise ChildProcessError(
+                f"a campaign worker exited without returning trials {chunk.start} to {chunk.stop - 1}"
+            )
+        if isinstance(results[index], Exception):
+            raise results[index]
+        ordered.append(results[index])
+    return ordered
+
+
 def _entropy_table(functionals, states: tuple, branches: np.ndarray, probs: np.ndarray):
     """Entropies of stacked states and the expected entropy of their live branches.
 
@@ -284,17 +430,17 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
 
     Trial t draws from its own stream (seed, t); the draws are then stacked
     in chunks (:func:`plan_chunks`) and every map, check and entropy runs on
-    the whole chunk.  The report does not depend on the chunking.
+    the whole chunk (:func:`_map_chunks`).  The report does not depend on
+    the chunking.
     """
     functionals = [parse_functional(text) for text in cfg.functionals]
     dim = cfg.dim
     response_dim = cfg.response_dim or dim
     labels = [f.label for f in functionals]
     log_det = np.array([f.kind == "log-det" for f in functionals])
-    blocks = []
-    skipped_singular = 0
-    consistency_max = 0.0
-    for chunk in plan_chunks(cfg.trials, response_dim, dim):
+
+    def evaluate(chunk: range) -> tuple[dict, int, float]:
+        """The chunk's row columns, skipped singular rows and consistency residual."""
         # each trial's normals in stream order: its state, then its probing
         raw = np.empty((len(chunk), 2 * dim * (dim + response_dim)))
         for i, trial in enumerate(chunk):
@@ -321,7 +467,7 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         validate_stack(gram, "gram")
         decohered = rho * gram  # the Schur product, as processes.decohere forms it
         lam_dec = validate_stack(decohered, "density")
-        consistency_max = max(consistency_max, float(abs(averaged - decohered).max()))
+        consistency = float(abs(averaged - decohered).max())
 
         # an observation is trivial when every live branch keeps the state's spectrum
         branch_unchanged = np.ones(live.shape, dtype=bool)
@@ -333,8 +479,7 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         s_rho, s_dec = table[:, : len(chunk)], table[:, len(chunk) :]
         # rows run trial, functional, side; log-det skips a singular state
         regular = (lam_rho[:, -1] >= SINGULAR_SKIP)[:, None] | ~log_det
-        skipped_singular += int(np.count_nonzero(~regular))
-        blocks.append(_grid_rows(
+        block = _grid_rows(
             (len(chunk), len(functionals), 2), regular[..., None],
             trial=np.asarray(chunk)[:, None, None],
             functional=np.array(labels)[:, None],
@@ -342,8 +487,12 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
             lhs=np.stack((s_expected, s_rho), axis=-1).swapaxes(0, 1),
             rhs=np.stack((s_rho, s_dec), axis=-1).swapaxes(0, 1),
             trivial=np.stack((obs_trivial, dec_trivial), axis=-1)[:, None],
-        ))
+        )
+        return block, int(np.count_nonzero(~regular)), consistency
 
+    blocks, skipped, residuals = zip(*_map_chunks(evaluate, plan_chunks(cfg.trials, response_dim, dim)))
+    skipped_singular = sum(skipped)
+    consistency_max = max(0.0, *residuals)
     columns = _entropy_rows(_joined(blocks), cfg.tol)
     consistency_ok = consistency_max <= CONSISTENCY_TOL
     flags = {
@@ -380,8 +529,8 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
     """
     dim = cfg.dim
     response_dim = cfg.response_dim or dim
-    blocks = []
-    for chunk in plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim):
+
+    def evaluate(chunk: range) -> dict:
         # each trial's normals in stream order: state, responses and pinching
         # state; then, after its block sizes, Ginibre matrix and two Hermitian draws
         square = 2 * dim * dim
@@ -420,7 +569,7 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
 
         # each row is its check's worst prefix: dominated prefix sum <= dominating one
         checks = (schur, upper, lower, fan)
-        blocks.append(_grid_rows(
+        return _grid_rows(
             (len(chunk), len(checks)),
             trial=np.asarray(chunk)[:, None],
             functional="",
@@ -429,8 +578,11 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
             rhs=np.stack([check.dominator_prefix for check in checks], axis=-1),
             margin=np.stack([check.worst_margin for check in checks], axis=-1),
             violation=~np.stack([check.holds(cfg.tol) for check in checks], axis=-1),
-        ))
+        )
 
+    # the responses stack and its raw normals are alive beside the families
+    slots = _FAMILY_SLOTS * dim + 2 * -(-response_dim // dim)
+    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, dim))
     flags = {"dim": cfg.dim, "trials": cfg.trials, "response_dim": response_dim, "tol": cfg.tol}
     return _campaign_result(cfg, flags, _joined(blocks))
 
@@ -446,8 +598,8 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
     dim = cfg.dim
     slots = cfg.ensemble_size or _MAX_MIXTURE_SIZE
     labels = [f.label for f in functionals]
-    blocks = []
-    for chunk in plan_chunks(cfg.trials, slots, dim):
+
+    def evaluate(chunk: range) -> dict:
         probs = np.zeros((len(chunk), slots))
         present = np.zeros((len(chunk), slots), dtype=bool)
         # the normals of every present slot, trial after trial
@@ -474,11 +626,12 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
 
         rhs, lhs = _entropy_table(functionals, (lam_avg,), lam_state[live[present]], probs)
         # rows run trial, functional
-        blocks.append(_grid_rows(
+        return _grid_rows(
             (len(chunk), len(functionals)),
             trial=np.asarray(chunk)[:, None], functional=np.array(labels), side="holevo", lhs=lhs.T, rhs=rhs.T,
-        ))
+        )
 
+    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, dim))
     flags = {
         "dim": cfg.dim,
         "trials": cfg.trials,
@@ -497,8 +650,8 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
     chunks as in :func:`run_majorization`, with dead partition slots.
     """
     dim = cfg.dim
-    blocks = []
-    for chunk in plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim):
+
+    def evaluate(chunk: range) -> dict:
         raw = np.empty((len(chunk), 2 * dim * dim))
         projectors = np.empty((len(chunk), dim, dim, dim), dtype=complex)
         for i, trial in enumerate(chunk):
@@ -518,11 +671,12 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
         schur_form = rho * gram
         validate_stack(schur_form, "density")
         residual = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0)
-        blocks.append(_grid_rows(
+        return _grid_rows(
             (len(chunk),), trial=np.asarray(chunk), functional="", side="luders-equivalence", lhs=residual,
             rhs=CONSISTENCY_TOL, margin=CONSISTENCY_TOL - residual, violation=residual > CONSISTENCY_TOL,
-        ))
+        )
 
+    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim))
     return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, _joined(blocks))
 
 

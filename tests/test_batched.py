@@ -9,7 +9,9 @@ scalar types on hard inputs (dead branches, rank-deficient spectra, padded
 projector families) and raise the scalar types' errors.
 """
 
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -139,21 +141,26 @@ def _strip_timestamp(text):
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify-s-theorems", "--dim", "4", "--trials", "30", "--seed", "3", "--response-dim", "6"],
-        ["verify-s-theorems", "--dim", "9", "--trials", "5", "--seed", "4", "--units", "bits"],
-        ["holevo", "--dim", "5", "--trials", "25", "--seed", "5"],
-        ["holevo", "--dim", "3", "--trials", "25", "--seed", "6", "--ensemble-size", "4", "--units", "bits"],
-        ["majorization", "--dim", "5", "--trials", "25", "--seed", "8", "--response-dim", "7"],
-        ["luders-equiv", "--dim", "6", "--trials", "25", "--seed", "9"],
-    ],
-)
+#: One command line of each seeded campaign, several chunks long at one trial a chunk.
+SEEDED_COMMANDS = [
+    ["verify-s-theorems", "--dim", "4", "--trials", "30", "--seed", "3", "--response-dim", "6"],
+    ["verify-s-theorems", "--dim", "9", "--trials", "5", "--seed", "4", "--units", "bits"],
+    ["holevo", "--dim", "5", "--trials", "25", "--seed", "5"],
+    ["holevo", "--dim", "3", "--trials", "25", "--seed", "6", "--ensemble-size", "4", "--units", "bits"],
+    ["majorization", "--dim", "5", "--trials", "25", "--seed", "8", "--response-dim", "7"],
+    ["luders-equiv", "--dim", "6", "--trials", "25", "--seed", "9"],
+]
+
+
+def _with_format(argv, fmt):
+    takes_entropy = argv[0] not in ("majorization", "luders-equiv")
+    return argv + ["--format", fmt] + sum((["--entropy", f] for f in FUNCTIONALS if takes_entropy), [])
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS)
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_output_does_not_depend_on_the_chunk_size(capsys, monkeypatch, argv, fmt):
-    takes_entropy = argv[0] not in ("majorization", "luders-equiv")
-    args = argv + ["--format", fmt] + sum((["--entropy", f] for f in FUNCTIONALS if takes_entropy), [])
+    args = _with_format(argv, fmt)
     default_code = cli.main(args)
     default = capsys.readouterr().out
     monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
@@ -180,6 +187,148 @@ class TestChunkPlanner:
 
     def test_probe_small_is_one_chunk(self):
         assert cli.plan_chunks(200, 4, 4) == [range(0, 200)]
+
+    @pytest.mark.parametrize("response_dim", [2000, 20000])
+    def test_majorization_counts_the_responses(self, monkeypatch, allowed_cpus, response_dim):
+        # the responses stack and its raw normals, per chunk; one CPU, so every chunk runs here
+        allowed_cpus(1)
+        transform = sampling.pure_from_normals
+        stacks = []
+
+        def recording(raw, m):
+            vectors = transform(raw, m)
+            stacks.append((len(raw), raw.nbytes + vectors.nbytes))
+            return vectors
+
+        monkeypatch.setattr(sampling, "pure_from_normals", recording)
+        result = cli.run_majorization(cli.CampaignConfig("majorization", dim=2, response_dim=response_dim, trials=200))
+        assert len(result.report["rows"]) == 4 * 200
+        assert sum(trials for trials, _ in stacks) == 200
+        for trials, nbytes in stacks:
+            # a trial larger than the budget is a chunk of its own
+            assert trials == 1 or nbytes <= cli.CHUNK_BYTES
+        assert len(stacks) > 1
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _wait_for(path, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.001)
+
+
+class TestChunkMap:
+    """The chunk map gives the serial loop's report, error and exit code on any worker count."""
+
+    @pytest.mark.parametrize(
+        "argv", SEEDED_COMMANDS + [["luders-equiv", "--dim", "2", "--trials", "1025", "--seed", "10"]]
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_does_not_depend_on_the_worker_count(self, capfd, monkeypatch, allowed_cpus, forks, argv, fmt):
+        # one trial a chunk; 1,025 chunks take runs of two chunks a token
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+        args = _with_format(argv, fmt)
+        allowed_cpus(1)
+        serial_code = cli.main(args)
+        serial = capfd.readouterr()
+        assert forks == []
+        allowed_cpus(2)
+        mapped_code = cli.main(args)
+        mapped = capfd.readouterr()
+        assert len(forks) == 1
+        assert mapped_code == serial_code == 0
+        assert _strip_timestamp(mapped.out) == _strip_timestamp(serial.out)
+        assert mapped.err == serial.err == ""
+        _assert_no_child_left()
+
+    @staticmethod
+    def plant(monkeypatch, planted):
+        """Call ``planted(trial, mats)`` on each one-trial verify-s-theorems state stack."""
+        firsts = {sampling.trial_stream(0, t).standard_normal(1)[0]: t for t in range(6)}
+        transform = sampling.density_from_normals
+
+        def wrapped(raw, n):
+            mats = transform(raw, n)
+            planted(firsts[raw[0, 0]], mats)
+            return mats
+
+        monkeypatch.setattr(sampling, "density_from_normals", wrapped)
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_the_earlier_of_two_failing_trials_is_reported(self, capsys, tmp_path, monkeypatch, allowed_cpus, first):
+        # trials 1 and 2 draw bad states in two processes; trial `first` fails first
+        bad = {1: np.diag([1.5, -0.5, 0.0]).astype(complex), 2: np.diag([0.5, 0.5, 0.5]).astype(complex)}
+
+        def planted(trial, mats):
+            if trial in bad:
+                (tmp_path / f"drawn-{trial}").write_text(str(os.getpid()))
+                _wait_for(tmp_path / f"drawn-{3 - trial}")
+                if trial != first:
+                    _wait_for(tmp_path / f"failing-{first}")
+                (tmp_path / f"failing-{trial}").touch()
+                mats[0] = bad[trial]
+
+        self.plant(monkeypatch, planted)
+        allowed_cpus(2)
+        code = cli.main(["verify-s-theorems", "--dim", "3", "--trials", "6"])
+        captured = capsys.readouterr()
+        assert (tmp_path / "drawn-1").read_text() != (tmp_path / "drawn-2").read_text()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {TestStackErrorsMatchScalarTypes.error_of(lambda: DensityMatrix(bad[1]))[2]}\n"
+        _assert_no_child_left()
+
+    def test_a_dead_worker_is_an_input_error_not_lost_trials(self, capsys, tmp_path, monkeypatch, allowed_cpus):
+        parent = os.getpid()
+
+        def planted(trial, mats):
+            if os.getpid() != parent:
+                (tmp_path / "died").touch()
+                os._exit(3)
+            _wait_for(tmp_path / "died")
+
+        self.plant(monkeypatch, planted)
+        allowed_cpus(2)
+        code = cli.main(["verify-s-theorems", "--dim", "3", "--trials", "6"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert re.fullmatch(r"error: a campaign worker exited without returning trials (\d) to \1\n", captured.err)
+        _assert_no_child_left()
+
+    def test_an_interrupt_kills_and_reaps_the_workers(self, tmp_path, monkeypatch, allowed_cpus):
+        parent = os.getpid()
+        setaffinity = os.sched_setaffinity
+        pinned = []
+
+        def recording(pid, cpus):
+            if os.getpid() == parent:
+                pinned.append(set(cpus))
+            setaffinity(pid, cpus)
+
+        def planted(trial, mats):
+            if os.getpid() != parent:
+                (tmp_path / "working").touch()
+                time.sleep(60)
+            _wait_for(tmp_path / "working")
+            raise KeyboardInterrupt
+
+        self.plant(monkeypatch, planted)
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        allowed_cpus(2)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["verify-s-theorems", "--dim", "3", "--trials", "6"])
+        assert time.monotonic() - started < 30
+        _assert_no_child_left()
+        # pinned to the first CPU, then given back every CPU it was shown
+        assert pinned == [{0}, {0, 1}]
 
 
 def _reference_observe(rho, probe):

@@ -89,3 +89,22 @@ def test_report_digests_multi_chunk_lines_split_into_chunks(monkeypatch):
         chunks.clear()
         assert script["digest"](argv).startswith("0 ")
         assert len(chunks) == 1 and len(chunks[0]) >= 2
+
+
+def test_report_digests_parallel_lines_fork_on_two_cpus(allowed_cpus, forks):
+    script = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))
+    multi_chunk = list(script["MULTI_CHUNK"])
+    lines = [
+        argv for argv in script["grid"]()
+        if tuple(argv) in script["PARALLEL"] or argv[0] in ("majorization", "luders-equiv") and argv[1:5] == multi_chunk
+    ]
+    assert len(lines) == 7
+    assert {argv[0] for argv in lines} == {"verify-s-theorems", "holevo", "majorization", "luders-equiv"}
+    for argv in lines:
+        allowed_cpus(1)
+        serial = script["digest"](argv)
+        assert forks == []
+        allowed_cpus(2)
+        assert script["digest"](argv) == serial
+        assert len(forks) == 1, argv
+        forks.clear()
