@@ -48,13 +48,18 @@ lowest failing chunk is raised, which is the error the serial loop raises.
 Trial t draws from stream (seed, t) wherever it runs, so a report and its
 exit code do not depend on how many workers ran it or how they were
 scheduled.
+
+The seeded campaigns call the kernel layer only (:mod:`decobs.stacks`,
+:mod:`decobs.sampling`, :mod:`decobs.entropy`, :mod:`decobs.majorization`),
+so importing this module loads no value type.  ``counterexample`` and
+``povm-classify`` load the value layer inside their ``run_*`` functions,
+and the CSV writer loads ``csv`` when it writes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -68,7 +73,7 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from . import matcore, processes, sampling, serialize
+from . import matcore, sampling
 from .entropy import (
     entropies_of_spectra,
     entropy,
@@ -79,12 +84,16 @@ from .entropy import (
     von_neumann,
 )
 from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
-from .povm import ancilla_factors, apply_povm, counterexample_1, counterexample_2, is_purity_preserving
-from .states import (
+from .stacks import (
+    average_stack,
     block_projectors,
     clean_probabilities,
     gram_from_projector_stack,
     gram_from_unit_rows,
+    observe_stack,
+    pinch,
+    response_gram_stack,
+    spectra_unchanged,
     validate_probing_stack,
     validate_projector_stack,
     validate_stack,
@@ -453,17 +462,17 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         # probing, branches, branch probabilities, average, Gram, decohered state
         lam_rho = validate_stack(rho, "density")
         validate_probing_stack(probe)
-        probs, branches = processes.observe_stack(rho, probe)
+        probs, branches = observe_stack(rho, probe)
         live = probs > 0.0
         # all branches are live unless a probing column vanishes on the state
         live_branches = branches.reshape(-1, dim, dim) if live.all() else branches[live]
         lam_branch = validate_stack(live_branches, "density")
         del live_branches
         clean_probabilities(probs)
-        averaged = processes.average_stack(probs, branches)
+        averaged = average_stack(probs, branches)
         del branches
         validate_stack(averaged, "density")
-        gram = processes.response_gram_stack(probe)
+        gram = response_gram_stack(probe)
         validate_stack(gram, "gram")
         decohered = rho * gram  # the Schur product, as processes.decohere forms it
         lam_dec = validate_stack(decohered, "density")
@@ -471,9 +480,9 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
 
         # an observation is trivial when every live branch keeps the state's spectrum
         branch_unchanged = np.ones(live.shape, dtype=bool)
-        branch_unchanged[live] = processes.spectra_unchanged(lam_rho[np.nonzero(live)[0]], lam_branch)
+        branch_unchanged[live] = spectra_unchanged(lam_rho[np.nonzero(live)[0]], lam_branch)
         obs_trivial = branch_unchanged.all(axis=-1)
-        dec_trivial = processes.spectra_unchanged(lam_rho, lam_dec)
+        dec_trivial = spectra_unchanged(lam_rho, lam_dec)
 
         table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
         s_rho, s_dec = table[:, : len(chunk)], table[:, len(chunk) :]
@@ -536,11 +545,11 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
         square = 2 * dim * dim
         raw = np.empty((len(chunk), 2 * square + 2 * dim * response_dim))
         late = np.empty((len(chunk), 3, square))
-        projectors = np.empty((len(chunk), dim, dim, dim), dtype=complex)
+        partitions = []
         for i, trial in enumerate(chunk):
             rng = sampling.trial_stream(cfg.seed, trial)
             rng.standard_normal(out=raw[i])
-            projectors[i] = block_projectors(sampling.random_block_sizes(dim, rng), dim)
+            partitions.append(sampling.random_block_sizes(dim, rng))
             rng.standard_normal(out=late[i])
         rho = sampling.density_from_normals(raw[:, :square], dim)
         responses = sampling.pure_from_normals(raw[:, square:-square].reshape(-1, dim, 2 * response_dim), response_dim)
@@ -560,7 +569,9 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
         validate_stack(env, "gram")
         _, schur = schur_dominance(lam_rho, rho * env)
         lam_input = validate_stack(pinch_input, "density")
-        projectors = sampling.conjugated_projectors(sampling.haar_from_ginibre(ginibre), projectors)
+        projectors = sampling.conjugated_projectors(
+            sampling.haar_from_ginibre(ginibre), block_projectors(partitions, dim)
+        )
         validate_projector_stack(projectors)
         *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)
         del projectors
@@ -620,7 +631,7 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
         lam_state = validate_stack(drawn, "density")
         del drawn
         probs = clean_probabilities(probs)
-        average = processes.average_stack(probs, mats)
+        average = average_stack(probs, mats)
         lam_avg = validate_stack(average, "density")
         live = probs > 0.0
 
@@ -653,18 +664,19 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
 
     def evaluate(chunk: range) -> dict:
         raw = np.empty((len(chunk), 2 * dim * dim))
-        projectors = np.empty((len(chunk), dim, dim, dim), dtype=complex)
+        partitions = []
         for i, trial in enumerate(chunk):
             rng = sampling.trial_stream(cfg.seed, trial)
             rng.standard_normal(out=raw[i])
-            projectors[i] = block_projectors(sampling.random_block_sizes(dim, rng), dim)
+            partitions.append(sampling.random_block_sizes(dim, rng))
         rho = sampling.density_from_normals(raw, dim)
         del raw
+        projectors = block_projectors(partitions, dim)
 
         # state, partition, pinching, block Gram matrix, Schur form
         validate_stack(rho, "density")
         validate_projector_stack(projectors)
-        _, pinched = processes.pinch(projectors, rho)
+        _, pinched = pinch(projectors, rho)
         validate_stack(pinched, "density")
         gram = gram_from_projector_stack(projectors)
         validate_stack(gram, "gram")
@@ -693,6 +705,9 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
     classification and the identity of the violated side.  The selected
     functional's entropies are reported alongside.
     """
+    from .povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
+    from .processes import ensemble_average
+
     if len(cfg.functionals) > 1:
         raise ValueError("counterexample takes at most one --entropy")
     functional = parse_functional(cfg.functionals[0])
@@ -714,7 +729,7 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
         expected_before_vn, expected_jump_vn = math.log(2.0), 0.0
 
     ensemble = apply_povm(initial, measurement)
-    average = processes.ensemble_average(ensemble)
+    average = ensemble_average(ensemble)
     probabilities = [outcome.probability for outcome in ensemble]
     prob_residual = max(abs(p - e) for p, e in zip(probabilities, expected_probs))
     outcome_residual = max(
@@ -767,6 +782,9 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
 
 def run_povm_classify(cfg: CampaignConfig) -> CampaignResult:
     """Classify a measurement file as general or purity-preserving."""
+    from . import serialize
+    from .povm import ancilla_factors
+
     measurement = serialize.load_povm(cfg.povm_file)
     factors = ancilla_factors(measurement)
     report = _base_report(cfg, {"file": cfg.povm_file})
@@ -888,6 +906,8 @@ def write_json(report: dict, stream) -> None:
 
 def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
     if cfg.fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_ROW_KEYS[:-1])
         # csv writes a float as its repr, as json does

@@ -17,13 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import matcore
 from .errors import ValidationError
-from .states import DensityMatrix, OutcomeEnsemble
 from .tolerances import SINGULAR_EIGENVALUE, SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, ZERO_PROBABILITY
+
+if TYPE_CHECKING:
+    # annotations only: the campaigns evaluate spectra and load no value type
+    from .states import DensityMatrix, OutcomeEnsemble
 
 #: Sentinel returned by the log-det functional on singular spectra.  Any
 #: finite entropy exceeds it; comparisons with it on the smaller side of an

@@ -15,13 +15,18 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import matcore, processes
+from . import matcore
 from .errors import ValidationError
-from .states import DensityMatrix, GramMatrix, ProjectorSet
+from .stacks import pinch
 from .tolerances import INEQUALITY_TOL
+
+if TYPE_CHECKING:
+    # annotations only: the campaigns check spectra and load no value type
+    from .states import DensityMatrix, GramMatrix, ProjectorSet
 
 
 def _padded_descending(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +124,7 @@ def pinching_dominance(lam, hermitian, projectors) -> tuple[np.ndarray, np.ndarr
     spectra of the pinched matrices, and the dominances parts >= lam (upper)
     and lam >= pinched (lower).
     """
-    pieces, pinched = processes.pinch(projectors, hermitian)
+    pieces, pinched = pinch(projectors, hermitian)
     live = np.asarray(projectors).any(axis=(-2, -1))
     piece_spectra = np.zeros(pieces.shape[:-1])
     piece_spectra[live] = matcore.hermitian_spectrum(pieces[live])

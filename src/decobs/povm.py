@@ -15,6 +15,8 @@ with a pure ancilla.
 Two fixed reference measurements break the entropy inequalities in opposite
 directions: a joint Bell-basis readout raises the expected entropy of a pure
 input, and a swap-then-read ancilla overwrite erases a maximally mixed input.
+Random measurements of both kinds come from :func:`random_pppovm` and
+:func:`random_general_povm`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import matcore, processes
+from . import matcore, processes, sampling
 from .errors import ValidationError
 from .states import (
     DensityMatrix,
@@ -34,7 +36,10 @@ from .states import (
     PureState,
     basis_state,
     density_from_pure,
+    haar_unitary,
     maximally_mixed,
+    random_projector_partition,
+    random_pure,
 )
 from .tolerances import PPPOVM_TOL, ZERO_PROBABILITY
 
@@ -230,3 +235,37 @@ def counterexample_2() -> tuple[Povm, DensityMatrix]:
         joint_projectors=projectors,
     )
     return measurement, maximally_mixed(2)
+
+
+def random_pppovm(object_dim: int, ancilla_dim: int, rng: np.random.Generator) -> Povm:
+    """Random purity-preserving measurement: Haar joint unitary, pure random
+    ancilla, and joint projectors that are identity-on-object tensor rank-1
+    projectors onto a Haar-random orthonormal ancilla basis."""
+    joint = haar_unitary(object_dim * ancilla_dim, rng)
+    basis = haar_unitary(ancilla_dim, rng)
+    eye = np.eye(object_dim, dtype=complex)
+    projectors = tuple(
+        matcore.tensor_product(eye, np.outer(basis[:, k], basis[:, k].conj()))
+        for k in range(ancilla_dim)
+    )
+    return Povm(
+        object_dim=object_dim,
+        ancilla_dim=ancilla_dim,
+        ancilla_state=density_from_pure(random_pure(ancilla_dim, rng)),
+        joint_unitary=joint,
+        joint_projectors=ProjectorSet(projectors),
+    )
+
+
+def random_general_povm(object_dim: int, ancilla_dim: int, rng: np.random.Generator) -> Povm:
+    """Random measurement whose joint projectors are a Haar-conjugated block
+    partition of the joint space; generically not purity preserving."""
+    joint_dim = object_dim * ancilla_dim
+    sizes = sampling.random_block_sizes(joint_dim, rng)
+    return Povm(
+        object_dim=object_dim,
+        ancilla_dim=ancilla_dim,
+        ancilla_state=density_from_pure(random_pure(ancilla_dim, rng)),
+        joint_unitary=haar_unitary(joint_dim, rng),
+        joint_projectors=random_projector_partition(joint_dim, sizes, rng),
+    )

@@ -6,7 +6,7 @@ that read it; the modules import what they read, and no call can set one.
 
 #: Max-norm of M - M^dagger: the density, Gram and projector Hermitian checks and
 #: ``matcore.hermitian_spectrum``; of U^dagger U - I in ``matcore.is_unitary``; and
-#: of a projector's off-diagonal part in ``states.gram_from_projector_stack``.
+#: of a projector's off-diagonal part in ``stacks.gram_from_projector_stack``.
 HERMITIAN_TOL = 1e-10
 #: Negative of the smallest eigenvalue: the density and Gram PSD checks.
 PSD_TOL = 1e-10
@@ -26,9 +26,9 @@ COMPLETENESS_TOL = 1e-9
 PROBABILITY_SUM_TOL = 1e-10
 #: -p_k: the OutcomeEnsemble non-negative probability check.
 NEGATIVE_PROBABILITY_TOL = 1e-12
-#: Branch probabilities at or below this are dead: zeroed by ``states.clean_probabilities``,
+#: Branch probabilities at or below this are dead: zeroed by ``stacks.clean_probabilities``,
 #: and skipped by ``OutcomeEnsemble.live``, the expected entropies,
-#: ``processes.observe_stack``, ``povm.apply_povm`` and the counterexample's state check.
+#: ``stacks.observe_stack``, ``povm.apply_povm`` and the counterexample's state check.
 ZERO_PROBABILITY = 1e-12
 #: Eigenvalues at or below this are exact zeros in ``entropies_of_spectra``; log-det is -inf.
 SINGULAR_EIGENVALUE = 1e-14
@@ -42,7 +42,7 @@ SPECTRUM_RANGE_TOL = 1e-10
 SPECTRUM_SUM_TOL = 1e-9
 #: Gram-Schmidt residual norm below which ``probing_joint_unitary`` skips a basis vector.
 SPAN_TOL = 1e-8
-#: Max |lambda_i - mu_i|: ``processes.spectra_unchanged``, the campaigns' triviality flags.
+#: Max |lambda_i - mu_i|: ``stacks.spectra_unchanged``, the campaigns' triviality flags.
 TRIVIALITY_TOL = 1e-9
 #: Slack of inequality and dominance verdicts: the ``--tol`` default, ``majorizes``, ``check_*``.
 INEQUALITY_TOL = 1e-9

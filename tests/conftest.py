@@ -1,6 +1,10 @@
 import os
 
-import numpy as np
+# numpy's OpenBLAS otherwise starts one thread per core, and the chunk map's
+# tests would fork a multi-threaded process; the benchmark sets the same
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import HealthCheck, settings
 

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from decobs import matcore, sampling
+from decobs import matcore, povm, sampling, states
 from decobs.cli import CampaignConfig, main, run_holevo, run_luders, run_majorization, run_s_theorems
 from decobs.entropy import builtin_functionals, entropy, expected_entropy, linear, von_neumann
 from decobs.povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
@@ -109,8 +109,8 @@ def test_criterion_05_consistency_identity():
     for dim in range(2, 9):
         for trial in range(72):
             rng = sampling.trial_stream(105 + dim, trial)
-            rho = sampling.random_density(dim, rng)
-            probe = sampling.random_probing(dim, dim, rng)
+            rho = states.random_density(dim, rng)
+            probe = states.random_probing(dim, dim, rng)
             averaged = ensemble_average(observe(rho, probe))
             decohered = decohere(rho, response_gram(probe))
             worst = max(worst, matcore.max_abs(averaged.mat - decohered.mat))
@@ -153,10 +153,10 @@ def test_criterion_08_pppovm_purity_and_left_inequality():
         rng = sampling.trial_stream(108, trial)
         n = int(rng.integers(2, 5))
         d = int(rng.integers(2, 5))
-        measurement = sampling.random_pppovm(n, d, rng)
+        measurement = povm.random_pppovm(n, d, rng)
         assert is_purity_preserving(measurement)
         for _ in range(20):
-            rho = density_from_pure(sampling.random_pure(n, rng))
+            rho = density_from_pure(states.random_pure(n, rng))
             for outcome in apply_povm(rho, measurement).live():
                 assert entropy(outcome.state, linear()) <= 1e-9
 
@@ -164,8 +164,8 @@ def test_criterion_08_pppovm_purity_and_left_inequality():
         rng = sampling.trial_stream(208, trial)
         n = int(rng.integers(2, 5))
         d = int(rng.integers(2, 5))
-        measurement = sampling.random_pppovm(n, d, rng)
-        rho = sampling.random_density(n, rng)
+        measurement = povm.random_pppovm(n, d, rng)
+        rho = states.random_density(n, rng)
         ensemble = apply_povm(rho, measurement)
         for functional in functionals:
             assert expected_entropy(ensemble, functional) <= entropy(rho, functional) + 1e-9

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from decobs import cli, matcore, processes, sampling, states
+from decobs import cli, matcore, processes, sampling, stacks, states
 from decobs.entropy import (
     NEG_INFINITY,
     entropies_of_spectra,
@@ -65,8 +65,8 @@ def oracle_s_theorems(cfg):
     rows, consistency = [], 0.0
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
-        rho = sampling.random_density(cfg.dim, rng)
-        probe = sampling.random_probing(cfg.dim, response_dim, rng)
+        rho = states.random_density(cfg.dim, rng)
+        probe = states.random_probing(cfg.dim, response_dim, rng)
         ensemble = processes.observe(rho, probe)
         averaged = processes.ensemble_average(ensemble)
         decohered = processes.decohere(rho, processes.response_gram(probe))
@@ -96,7 +96,7 @@ def oracle_holevo(cfg):
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
         size = cfg.ensemble_size or int(rng.integers(2, 6))
-        ensemble = sampling.random_ensemble(cfg.dim, size, rng)
+        ensemble = states.random_ensemble(cfg.dim, size, rng)
         lam_avg = matcore.hermitian_spectrum(processes.ensemble_average(ensemble).mat)
         branches = [(o.probability, matcore.hermitian_spectrum(o.state.mat)) for o in ensemble.live()]
         for f in functionals:
@@ -193,26 +193,31 @@ class TestChunkPlanner:
         # the responses stack and its raw normals, per chunk; one CPU, so every chunk runs here
         allowed_cpus(1)
         transform = sampling.pure_from_normals
-        stacks = []
+        drawn = []
 
         def recording(raw, m):
             vectors = transform(raw, m)
-            stacks.append((len(raw), raw.nbytes + vectors.nbytes))
+            drawn.append((len(raw), raw.nbytes + vectors.nbytes))
             return vectors
 
         monkeypatch.setattr(sampling, "pure_from_normals", recording)
         result = cli.run_majorization(cli.CampaignConfig("majorization", dim=2, response_dim=response_dim, trials=200))
         assert len(result.report["rows"]) == 4 * 200
-        assert sum(trials for trials, _ in stacks) == 200
-        for trials, nbytes in stacks:
+        assert sum(trials for trials, _ in drawn) == 200
+        for trials, nbytes in drawn:
             # a trial larger than the budget is a chunk of its own
             assert trials == 1 or nbytes <= cli.CHUNK_BYTES
-        assert len(stacks) > 1
+        assert len(drawn) > 1
 
 
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_one_thread():
+    # a fork copies one thread; OpenBLAS's own threads are kept off by tests/conftest.py
+    assert len(os.listdir("/proc/self/task")) == 1
 
 
 def _wait_for(path, seconds=30.0):
@@ -233,6 +238,7 @@ class TestChunkMap:
         # one trial a chunk; 1,025 chunks take runs of two chunks a token
         monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
         args = _with_format(argv, fmt)
+        _assert_one_thread()
         allowed_cpus(1)
         serial_code = cli.main(args)
         serial = capfd.readouterr()
@@ -276,6 +282,7 @@ class TestChunkMap:
 
         self.plant(monkeypatch, planted)
         allowed_cpus(2)
+        _assert_one_thread()
         code = cli.main(["verify-s-theorems", "--dim", "3", "--trials", "6"])
         captured = capsys.readouterr()
         assert (tmp_path / "drawn-1").read_text() != (tmp_path / "drawn-2").read_text()
@@ -295,6 +302,7 @@ class TestChunkMap:
 
         self.plant(monkeypatch, planted)
         allowed_cpus(2)
+        _assert_one_thread()
         code = cli.main(["verify-s-theorems", "--dim", "3", "--trials", "6"])
         captured = capsys.readouterr()
         assert code == 2
@@ -322,6 +330,7 @@ class TestChunkMap:
         self.plant(monkeypatch, planted)
         monkeypatch.setattr(os, "sched_setaffinity", recording)
         allowed_cpus(2)
+        _assert_one_thread()
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             cli.main(["verify-s-theorems", "--dim", "3", "--trials", "6"])
@@ -346,8 +355,8 @@ def _reference_observe(rho, probe):
 def test_observe_and_average_match_the_one_branch_formulas(dim, trials, response_dim):
     rng = np.random.default_rng(dim * 7 + response_dim)
     for _ in range(trials):
-        rho = sampling.random_density(dim, rng)
-        probe = sampling.random_probing(dim, response_dim, rng)
+        rho = states.random_density(dim, rng)
+        probe = states.random_probing(dim, response_dim, rng)
         ensemble = processes.observe(rho, probe)
         total = np.zeros((dim, dim), dtype=complex)
         for outcome, (p, state) in zip(ensemble, _reference_observe(rho.mat, probe.mat)):
@@ -357,13 +366,32 @@ def test_observe_and_average_match_the_one_branch_formulas(dim, trials, response
         assert np.array_equal(processes.ensemble_average(ensemble).mat, total)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 13, 16, 32])
+def test_branch_probabilities_equal_the_one_dot_loop(dim):
+    rng = np.random.default_rng(dim + 60)
+    trials = max(4, 4096 // (dim * dim))
+    for response_dim in sorted({1, dim, dim + 3}):
+        rhos = sampling.density_from_normals(rng.standard_normal((trials, 2 * dim * dim)), dim)
+        probes = sampling.probing_from_normals(rng.standard_normal((trials, 2 * dim * response_dim)), dim, response_dim)
+        probs, _ = stacks.observe_stack(rhos, probes)
+        # one 1-D dot per branch, of the strided populations with the contiguous column weights
+        populations = rhos.diagonal(axis1=-2, axis2=-1).real
+        weights = np.abs(np.ascontiguousarray(probes.swapaxes(-1, -2))) ** 2
+        expected = np.empty((trials, response_dim))
+        for t in range(trials):
+            for k in range(response_dim):
+                expected[t, k] = populations[t] @ weights[t, k]
+        expected[expected <= ZERO_PROBABILITY] = 0.0
+        assert np.array_equal(probs, expected)
+
+
 class TestDeadBranch:
     def test_stack_gives_zero_probability_and_no_state(self):
         rng = np.random.default_rng(11)
         rhos = sampling.density_from_normals(rng.standard_normal((4, 18)), 3)
         probes = np.zeros((4, 3, 4), dtype=complex)
         probes[..., :3] = sampling.probing_from_normals(rng.standard_normal((4, 18)), 3, 3)
-        probs, branches = processes.observe_stack(rhos, probes)
+        probs, branches = stacks.observe_stack(rhos, probes)
         assert np.all(probs[:, -1] == 0.0)
         assert np.all(branches[:, -1] == 0.0)
         for rho, probe, p_row, state_row in zip(rhos, probes, probs, branches):
@@ -434,13 +462,13 @@ def test_entropy_kernel_on_rank_deficient_spectra_is_bit_identical(dim):
 
 
 @pytest.mark.parametrize(
-    "kind, draw", [("density", sampling.random_density), ("gram", lambda n, rng: sampling.random_gram(n, n, rng))]
+    "kind, draw", [("density", states.random_density), ("gram", lambda n, rng: states.random_gram(n, n, rng))]
 )
 def test_validated_spectra_are_the_hermitian_spectra(kind, draw):
     """validate_stack returns every spectrum non-increasing, as hermitian_spectrum and DensityMatrix do."""
     rng = np.random.default_rng(3)
     stack = np.array([draw(5, rng).mat for _ in range(6)]).reshape(2, 3, 5, 5)
-    spectra = states.validate_stack(stack, kind)
+    spectra = stacks.validate_stack(stack, kind)
     assert np.array_equal(spectra, matcore.hermitian_spectrum(stack))
     if kind == "density":
         assert np.array_equal(spectra[1, 2], DensityMatrix(stack[1, 2]).spectrum)
@@ -482,18 +510,18 @@ class TestStackErrorsMatchScalarTypes:
         stack[4] = bad
         scalar = self.error_of(lambda: DensityMatrix(bad))
         assert scalar[0] == invariant
-        assert self.error_of(lambda: states.validate_stack(stack, "density")) == scalar
-        assert self.error_of(lambda: states.validate_stack(stack.reshape(3, 3, 3, 3), "density")) == scalar
+        assert self.error_of(lambda: stacks.validate_stack(stack, "density")) == scalar
+        assert self.error_of(lambda: stacks.validate_stack(stack.reshape(3, 3, 3, 3), "density")) == scalar
 
     def test_gram_unit_diagonal(self):
         rng = np.random.default_rng(2)
-        stack = processes.response_gram_stack(sampling.probing_from_normals(rng.standard_normal((7, 24)), 4, 3))
+        stack = stacks.response_gram_stack(sampling.probing_from_normals(rng.standard_normal((7, 24)), 4, 3))
         bad = stack[3].copy()
         bad[2, 2] = 1.0 + 1e-6
         stack[3] = bad
         scalar = self.error_of(lambda: GramMatrix(bad))
         assert scalar[0] == "gram-unit-diagonal"
-        assert self.error_of(lambda: states.validate_stack(stack, "gram")) == scalar
+        assert self.error_of(lambda: stacks.validate_stack(stack, "gram")) == scalar
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -502,7 +530,7 @@ class TestStackErrorsMatchScalarTypes:
         state = DensityMatrix(np.eye(2) / 2)
         scalar = self.error_of(lambda: OutcomeEnsemble(tuple(Outcome(float(p), state) for p in probs[2])))
         assert scalar[0] == "probabilities-sum-to-one"
-        assert self.error_of(lambda: states.clean_probabilities(probs)) == scalar
+        assert self.error_of(lambda: stacks.clean_probabilities(probs)) == scalar
 
     def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch):
         bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
@@ -529,13 +557,13 @@ def oracle_majorization(cfg):
     rows = []
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
-        rho = sampling.random_density(dim, rng)
-        schur = check_schur_majorization(rho, sampling.random_gram(dim, response_dim, rng), cfg.tol)
-        pinch_input = sampling.random_density(dim, rng).mat
-        partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
+        rho = states.random_density(dim, rng)
+        schur = check_schur_majorization(rho, states.random_gram(dim, response_dim, rng), cfg.tol)
+        pinch_input = states.random_density(dim, rng).mat
+        partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
         pinching = check_pinching_double(pinch_input, partition, cfg.tol)
-        a = sampling.random_hermitian(dim, rng)
-        fan = check_fan(a, sampling.random_hermitian(dim, rng), cfg.tol)
+        a = states.random_hermitian(dim, rng)
+        fan = check_fan(a, states.random_hermitian(dim, rng), cfg.tol)
         sides = ("schur", "pinching-upper", "pinching-lower", "fan")
         for side, check in zip(sides, schur.dominance + pinching.dominance + fan.dominance):
             rows.append(
@@ -552,7 +580,7 @@ def oracle_luders(cfg):
     rows = []
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
-        rho = sampling.random_density(cfg.dim, rng)
+        rho = states.random_density(cfg.dim, rng)
         partition = states.diagonal_projector_partition(sampling.random_block_sizes(cfg.dim, rng))
         pinched = processes.luders(rho, partition)
         schur_form = processes.decohere(rho, states.gram_from_projectors(partition))
@@ -603,10 +631,10 @@ def test_pinch_matches_the_one_projector_formula(dim):
     rng = np.random.default_rng(dim + 40)
     partitions, mats = [], []
     for _ in range(6):
-        mats.append(sampling.random_density(dim, rng).mat)
-        partitions.append(sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng))
+        mats.append(states.random_density(dim, rng).mat)
+        partitions.append(states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng))
     families = np.array([_padded_family(partition, dim) for partition in partitions])
-    pieces, totals = processes.pinch(families, np.array(mats))
+    pieces, totals = stacks.pinch(families, np.array(mats))
     for partition, mat, piece_row, total_stack in zip(partitions, mats, pieces, totals):
         total = np.zeros((dim, dim), dtype=complex)
         for p, piece in zip(partition, piece_row):
@@ -615,6 +643,22 @@ def test_pinch_matches_the_one_projector_formula(dim):
         assert not piece_row[len(partition) :].any()
         assert np.array_equal(total_stack, total)
         assert np.array_equal(processes.luders(DensityMatrix(mat), partition).mat, total)
+
+
+def test_block_projector_families_are_the_diagonal_blocks():
+    rng = np.random.default_rng(61)
+    for dim in (1, 2, 5, 8):
+        partitions = [sampling.random_block_sizes(dim, rng) for _ in range(20)]
+        families = stacks.block_projectors(partitions, dim)
+        assert families.shape == (20, dim, dim, dim)
+        for sizes, family in zip(partitions, families):
+            expected = np.zeros((dim, dim, dim), dtype=complex)
+            start = 0
+            for k, size in enumerate(sizes):
+                for i in range(start, start + size):
+                    expected[k, i, i] = 1.0
+                start += size
+            assert np.array_equal(family, expected)
 
 
 def test_dominance_of_stacks_reads_each_pair_as_alone():
@@ -642,7 +686,7 @@ def test_stacked_samplers_match_the_one_matrix_formulas():
     responses = sampling.pure_from_normals(rng.standard_normal((7, 5, 22)), 11)
     bases = sampling.haar_from_ginibre(ginibre)
     rescaled = sampling.unit_spectral_radius(hermitian)
-    grams = states.gram_from_unit_rows(responses)
+    grams = stacks.gram_from_unit_rows(responses)
     for i in range(7):
         q, r = np.linalg.qr(ginibre[i])
         assert np.array_equal(bases[i], q * (r.diagonal() / np.abs(r.diagonal())))
@@ -669,7 +713,7 @@ class TestStackedChecksRaiseTheScalarErrors:
     def families(count, rng):
         return np.array(
             [
-                _padded_family(sampling.random_projector_partition(3, sampling.random_block_sizes(3, rng), rng), 3)
+                _padded_family(states.random_projector_partition(3, sampling.random_block_sizes(3, rng), rng), 3)
                 for _ in range(count)
             ]
         )
@@ -682,18 +726,18 @@ class TestStackedChecksRaiseTheScalarErrors:
         stack = self.families(9, np.random.default_rng(21))
         stack[4] = 0.0
         stack[4, : len(bad)] = bad
-        assert self.error_of(lambda: states.validate_projector_stack(stack)) == scalar
-        assert self.error_of(lambda: states.validate_projector_stack(stack.reshape(3, 3, 3, 3, 3))) == scalar
+        assert self.error_of(lambda: stacks.validate_projector_stack(stack)) == scalar
+        assert self.error_of(lambda: stacks.validate_projector_stack(stack.reshape(3, 3, 3, 3, 3))) == scalar
 
     def test_projector_family_past_a_block_seam(self):
         stack = self.families(700, np.random.default_rng(22))
-        assert stack[:1].nbytes * 700 > 2 * states._BLOCK_BYTES
-        states.validate_projector_stack(stack)
+        assert stack[:1].nbytes * 700 > 2 * stacks._BLOCK_BYTES
+        stacks.validate_projector_stack(stack)
         bad = tuple(np.asarray(p, dtype=complex) for p in self.BAD_FAMILIES["projectors-complete"])
         stack[650] = 0.0
         stack[650, :2] = bad
         stack[660, 0, 0, 1] = 1e-3
-        assert self.error_of(lambda: states.validate_projector_stack(stack)) == self.error_of(lambda: ProjectorSet(bad))
+        assert self.error_of(lambda: stacks.validate_projector_stack(stack)) == self.error_of(lambda: ProjectorSet(bad))
 
     def test_non_hermitian_matrix(self):
         rng = np.random.default_rng(23)
@@ -713,15 +757,15 @@ class TestStackedChecksRaiseTheScalarErrors:
         rows[3, 2] *= 1.0 + 1e-6
         scalar = self.error_of(lambda: PureState(rows[3, 2]))
         assert scalar[0] == "pure-unit-norm"
-        assert self.error_of(lambda: states.gram_from_unit_rows(rows)) == scalar
+        assert self.error_of(lambda: stacks.gram_from_unit_rows(rows)) == scalar
 
     def test_non_diagonal_projector(self):
-        partition = sampling.random_projector_partition(3, [1, 2], np.random.default_rng(25))
-        stack = np.array([states.block_projectors(sizes, 3) for sizes in ([3], [1, 2], [1, 1, 1], [2, 1])])
+        partition = states.random_projector_partition(3, [1, 2], np.random.default_rng(25))
+        stack = stacks.block_projectors([[3], [1, 2], [1, 1, 1], [2, 1]], 3)
         stack[2] = _padded_family(partition, 3)
         scalar = self.error_of(lambda: states.gram_from_projectors(partition))
         assert scalar[0] == "projector-diagonal"
-        assert self.error_of(lambda: states.gram_from_projector_stack(stack)) == scalar
+        assert self.error_of(lambda: stacks.gram_from_projector_stack(stack)) == scalar
 
     @pytest.mark.parametrize("command", ["majorization", "luders-equiv"])
     def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch, command):
@@ -747,16 +791,15 @@ class TestStackedChecksRaiseTheScalarErrors:
         assert captured.err == f"error: {self.error_of(lambda: DensityMatrix(bad))[2]}\n"
 
     def test_broken_partition_fails_at_the_rotated_check(self, capsys, monkeypatch):
-        # the third call builds trial 2's family; only the rotated partition is
-        # validated, and conjugation keeps the broken identity
+        # the five trials are one chunk, whose families are built at once; trial
+        # 2's is broken, only the rotated partition is validated, and
+        # conjugation keeps the broken identity
         build = cli.block_projectors
-        calls = []
 
-        def slot_one_repeats_slot_zero(sizes, slots):
-            mats = build(sizes, slots)
-            calls.append(sizes)
-            if len(calls) == 3:
-                mats[1] = mats[0]
+        def slot_one_repeats_slot_zero(partitions, slots):
+            mats = build(partitions, slots)
+            assert len(partitions) == 5
+            mats[2, 1] = mats[2, 0]
             return mats
 
         monkeypatch.setattr(cli, "block_projectors", slot_one_repeats_slot_zero)

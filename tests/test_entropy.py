@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decobs import matcore, sampling
+from decobs import matcore, sampling, states
 from decobs.entropy import (
     NEG_INFINITY,
     builtin_functionals,
@@ -124,8 +124,8 @@ class TestEntropy:
     @given(dim=dims, seed=seeds)
     def test_unitary_invariance(self, dim, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
-        u = sampling.haar_unitary(dim, rng)
+        rho = states.random_density(dim, rng)
+        u = states.haar_unitary(dim, rng)
         rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
         for f in builtin_functionals():
             assert entropy(rotated, f) == pytest.approx(entropy(rho, f), abs=1e-9)
@@ -133,8 +133,8 @@ class TestEntropy:
     @given(dim=dims, seed=seeds)
     def test_tensoring_with_pure_state(self, dim, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
-        pointer = sampling.random_pure(3, rng)
+        rho = states.random_density(dim, rng)
+        pointer = states.random_pure(3, rng)
         padded = DensityMatrix(
             matcore.tensor_product(rho.mat, np.outer(pointer.amp, pointer.amp.conj()))
         )
@@ -159,7 +159,7 @@ class TestEntropy:
 
     @given(dim=dims, seed=seeds)
     def test_maximal_at_maximally_mixed(self, dim, seed):
-        rho = sampling.random_density(dim, np.random.default_rng(seed))
+        rho = states.random_density(dim, np.random.default_rng(seed))
         for f in builtin_functionals():
             assert entropy(maximally_mixed(dim), f) >= entropy(rho, f) - 1e-9
 

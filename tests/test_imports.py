@@ -1,0 +1,89 @@
+"""The import path: a campaign loads the kernel layer only, and the package root loads nothing.
+
+Each check runs in a fresh interpreter, because this test process has
+long since imported every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Every name ``decobs`` exports, by the module it comes from.
+EXPORTS = {
+    "entropy": (
+        "EntropyFunctional", "builtin_functionals", "entropy", "entropy_of_spectrum", "expected_entropy",
+        "linear", "log_det", "parse_functional", "renyi", "to_bits", "von_neumann",
+    ),
+    "errors": ("ValidationError",),
+    "majorization": ("CheckReport", "check_fan", "check_pinching_double", "check_schur_majorization", "majorizes"),
+    "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "schur_product", "tensor_product"),
+    "povm": (
+        "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2", "is_purity_preserving",
+        "probing_as_povm", "purify_ancilla",
+    ),
+    "processes": ("decohere", "ensemble_average", "luders", "observe", "probing_joint_unitary", "response_gram"),
+    "states": (
+        "DensityMatrix", "GramMatrix", "Outcome", "OutcomeEnsemble", "ProbingMatrix", "ProjectorSet", "PureState",
+        "basis_state", "density_from_pure", "diagonal_projector_partition", "gram_from_projectors",
+        "gram_from_vectors", "maximally_mixed",
+    ),
+}
+
+
+def run_python(code: str):
+    """Run ``code`` in a fresh interpreter that imports from ``src``; return what it prints as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    return json.loads(result.stdout)
+
+
+def test_a_campaign_loads_the_kernel_layer_only():
+    loaded, dataclasses = run_python(
+        "import dataclasses, json, sys\n"
+        "import decobs.cli\n"
+        "names = sorted(m for m in sys.modules if m.startswith('decobs.'))\n"
+        "made = sorted(v.__name__ for m in names for v in vars(sys.modules[m]).values()\n"
+        "              if isinstance(v, type) and dataclasses.is_dataclass(v))\n"
+        "print(json.dumps([names, made]))\n"
+    )
+    assert not {"decobs.states", "decobs.processes", "decobs.povm", "decobs.serialize"} & set(loaded)
+    assert loaded == [
+        f"decobs.{name}"
+        for name in ("cli", "entropy", "errors", "majorization", "matcore", "sampling", "stacks", "tolerances")
+    ]
+    assert dataclasses == ["CampaignConfig", "CampaignResult", "CheckReport", "Dominance", "EntropyFunctional"]
+
+
+def test_the_package_root_loads_no_submodule():
+    loaded = run_python("import json, sys, decobs\nprint(json.dumps([m for m in sys.modules if m.startswith('decobs.')]))")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("first", ["decobs", "decobs.cli"])
+def test_every_exported_name_is_its_home_modules_object(first):
+    # loading a submodule binds it on the package; the function `entropy` must still win
+    wrong = run_python(
+        f"import importlib, json\nimport {first}\nimport decobs\n"
+        f"exports = {EXPORTS!r}\n"
+        "wrong = [name for home, names in exports.items() for name in names\n"
+        "         if getattr(decobs, name) is not getattr(importlib.import_module('decobs.' + home), name)\n"
+        "         or name not in dir(decobs)]\n"
+        "print(json.dumps(wrong))\n"
+    )
+    assert wrong == []
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    import decobs
+
+    with pytest.raises(AttributeError, match="has no attribute 'stacks_of_nothing'"):
+        getattr(decobs, "stacks_of_nothing")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decobs import matcore, sampling
+from decobs import matcore, sampling, states
 from decobs.cli import CampaignConfig, run_holevo, run_majorization
 from decobs.processes import ensemble_average
 from decobs.entropy import builtin_functionals, entropy, expected_entropy, log_det, von_neumann
@@ -142,13 +142,13 @@ class TestDominanceKernel:
         expected = []
         for trial in range(cfg.trials):
             rng = sampling.trial_stream(seed, trial)
-            rho = sampling.random_density(dim, rng)
-            schur = check_schur_majorization(rho, sampling.random_gram(dim, response_dim, rng), tol).spectra
-            pinch_input = sampling.random_density(dim, rng).mat
-            partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
+            rho = states.random_density(dim, rng)
+            schur = check_schur_majorization(rho, states.random_gram(dim, response_dim, rng), tol).spectra
+            pinch_input = states.random_density(dim, rng).mat
+            partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
             pinching = check_pinching_double(pinch_input, partition, tol).spectra
-            a = sampling.random_hermitian(dim, rng)
-            fan = check_fan(a, sampling.random_hermitian(dim, rng), tol).spectra
+            a = states.random_hermitian(dim, rng)
+            fan = check_fan(a, states.random_hermitian(dim, rng), tol).spectra
             for side, dominator, dominated in (
                 ("schur", schur["rho"], schur["schur_product"]),
                 ("pinching-upper", pinching["pinched_parts_sum"], pinching["matrix"]),
@@ -165,7 +165,7 @@ class TestDominanceKernel:
 
 class TestSchurMajorization:
     def test_all_ones_overlap_is_equality(self):
-        rho = sampling.random_density(3, np.random.default_rng(8))
+        rho = states.random_density(3, np.random.default_rng(8))
         report = check_schur_majorization(rho, GramMatrix(np.ones((3, 3))))
         assert report.passed
         assert matcore.max_abs(np.array(report.margins)) <= 1e-9
@@ -180,8 +180,8 @@ class TestSchurMajorization:
     @given(dim=dims, response_dim=st.integers(1, 8), seed=seeds)
     def test_random_campaign(self, dim, response_dim, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
-        env = sampling.random_gram(dim, response_dim, rng)
+        rho = states.random_density(dim, rng)
+        env = states.random_gram(dim, response_dim, rng)
         report = check_schur_majorization(rho, env)
         assert report.passed, report.margins
 
@@ -196,7 +196,7 @@ class TestSchurMajorization:
 
 class TestPinchingDouble:
     def test_trivial_projector_is_equality(self):
-        rho = sampling.random_density(3, np.random.default_rng(2))
+        rho = states.random_density(3, np.random.default_rng(2))
         report = check_pinching_double(rho.mat, ProjectorSet((np.eye(3, dtype=complex),)))
         assert report.passed
         assert matcore.max_abs(np.array(report.margins)) <= 1e-9
@@ -221,8 +221,8 @@ class TestPinchingDouble:
     @given(dim=dims, seed=seeds)
     def test_random_psd_campaign(self, dim, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
-        partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
+        rho = states.random_density(dim, rng)
+        partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
         report = check_pinching_double(rho.mat, partition)
         assert report.passed, report.margins
 
@@ -231,8 +231,8 @@ class TestPinchingDouble:
     def test_lower_dominance_holds_for_indefinite_input(self, dim, seed):
         # only the pinched-matrix half is claimed for general Hermitian input
         rng = np.random.default_rng(seed)
-        h = sampling.random_hermitian(dim, rng)
-        partition = sampling.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
+        h = states.random_hermitian(dim, rng)
+        partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
         report = check_pinching_double(h, partition)
         assert majorizes(report.spectra["matrix"], report.spectra["pinched"], 1e-9)
 
@@ -248,7 +248,7 @@ class TestPinchingDouble:
 class TestFan:
     def test_zero_second_term_is_equality(self):
         rng = np.random.default_rng(3)
-        a = sampling.random_hermitian(3, rng)
+        a = states.random_hermitian(3, rng)
         report = check_fan(a, np.zeros((3, 3)))
         assert report.passed
         assert matcore.max_abs(np.array(report.margins)) <= 1e-9
@@ -263,15 +263,15 @@ class TestFan:
     @given(dim=dims, seed=seeds)
     def test_random_hermitian_pairs(self, dim, seed):
         rng = np.random.default_rng(seed)
-        a = sampling.random_hermitian(dim, rng)
-        b = sampling.random_hermitian(dim, rng)
+        a = states.random_hermitian(dim, rng)
+        b = states.random_hermitian(dim, rng)
         report = check_fan(a, b)
         assert report.passed, report.margins
 
 
 class TestHolevo:
     def test_single_outcome_is_equality(self):
-        rho = sampling.random_density(2, np.random.default_rng(6))
+        rho = states.random_density(2, np.random.default_rng(6))
         ens = OutcomeEnsemble((Outcome(1.0, rho),))
         margin, holds = holevo_verdict(ens, von_neumann())
         assert holds
@@ -291,7 +291,7 @@ class TestHolevo:
     @settings(max_examples=40)
     @given(dim=dims, size=st.integers(2, 5), seed=seeds)
     def test_random_ensembles_all_functionals(self, dim, size, seed):
-        ens = sampling.random_ensemble(dim, size, np.random.default_rng(seed))
+        ens = states.random_ensemble(dim, size, np.random.default_rng(seed))
         for f in builtin_functionals():
             margin, holds = holevo_verdict(ens, f)
             assert holds, (f.label, margin)
@@ -317,7 +317,7 @@ class TestEntropyFromMajorizationConsistency:
         assert margin == pytest.approx(math.log(3.0))
 
     def test_equal_states(self):
-        rho = sampling.random_density(2, np.random.default_rng(14))
+        rho = states.random_density(2, np.random.default_rng(14))
         comparable, margin, holds = entropy_order(rho, rho, von_neumann())
         assert comparable and holds
         assert margin == pytest.approx(0.0, abs=1e-12)
@@ -341,8 +341,8 @@ class TestEntropyFromMajorizationConsistency:
     @given(dim=dims, seed=seeds)
     def test_mixing_chain_orders_entropies(self, dim, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
-        u = sampling.haar_unitary(dim, rng)
+        rho = states.random_density(dim, rng)
+        u = states.haar_unitary(dim, rng)
         lam = matcore.hermitian_spectrum(rho.mat)
         mu = mixed_toward_uniform(lam, rng.uniform(0.0, 1.0))
         softer = DensityMatrix(u @ np.diag(mu) @ u.conj().T)
@@ -387,7 +387,7 @@ class TestInequalityVerdict:
 
 class TestSpectraAreSolvedOnce:
     def test_holevo_solves_only_the_average(self, solved):
-        ens = sampling.random_ensemble(3, 3, np.random.default_rng(5))
+        ens = states.random_ensemble(3, 3, np.random.default_rng(5))
         solved[0] = 0
         holevo_verdict(ens, von_neumann())
         assert solved[0] == 1
@@ -401,7 +401,7 @@ class TestSpectraAreSolvedOnce:
 
     def test_schur_check_solves_only_the_product(self, solved):
         rng = np.random.default_rng(6)
-        rho, env = sampling.random_density(4, rng), sampling.random_gram(4, 4, rng)
+        rho, env = states.random_density(4, rng), states.random_gram(4, 4, rng)
         solved[0] = 0
         check_schur_majorization(rho, env)
         assert solved[0] == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decobs import matcore, sampling
+from decobs import matcore, sampling, states
 from decobs.errors import ValidationError
 
 dims = st.integers(min_value=2, max_value=8)
@@ -52,7 +52,7 @@ class TestHermitianSpectrum:
         rng = np.random.default_rng(seed)
         g = _gaussian(rng, dim, dim)
         h = (g + g.conj().T) / 2.0
-        u = sampling.haar_unitary(dim, rng)
+        u = states.haar_unitary(dim, rng)
         before = matcore.hermitian_spectrum(h)
         after = matcore.hermitian_spectrum(u @ h @ u.conj().T)
         assert matcore.max_abs(after - before) <= 1e-9
@@ -185,7 +185,7 @@ class TestPredicates:
 
     @given(dim=dims, seed=seeds)
     def test_haar_sample_is_unitary(self, dim, seed):
-        u = sampling.haar_unitary(dim, np.random.default_rng(seed))
+        u = states.haar_unitary(dim, np.random.default_rng(seed))
         assert matcore.is_unitary(u)
 
     def test_rejects_non_square(self):

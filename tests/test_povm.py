@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decobs import matcore, sampling
+from decobs import matcore, povm, states
 from decobs.entropy import entropy, expected_entropy, linear, renyi, von_neumann
 from decobs.errors import ValidationError
 from decobs.povm import (
@@ -109,8 +109,8 @@ class TestProbingAsPovm:
     @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
     def test_matches_observe(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        responses = [sampling.random_pure(d, rng) for _ in range(n)]
-        rho = sampling.random_density(n, rng)
+        responses = [states.random_pure(d, rng) for _ in range(n)]
+        rho = states.random_density(n, rng)
         lifted = apply_povm(rho, probing_as_povm(responses))
         direct = observe(rho, ProbingMatrix(np.array([r.amp for r in responses])))
         assert len(lifted) == len(direct)
@@ -129,8 +129,8 @@ class TestProbingAsPovm:
 
     def test_identical_responses_leave_state_unchanged(self):
         rng = np.random.default_rng(21)
-        response = sampling.random_pure(3, rng)
-        rho = sampling.random_density(2, rng)
+        response = states.random_pure(3, rng)
+        rho = states.random_density(2, rng)
         ens = apply_povm(rho, probing_as_povm([response, response]))
         for outcome in ens.live():
             assert matcore.max_abs(outcome.state.mat - rho.mat) <= 1e-11
@@ -138,13 +138,13 @@ class TestProbingAsPovm:
     @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
     def test_always_purity_preserving(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        responses = [sampling.random_pure(d, rng) for _ in range(n)]
+        responses = [states.random_pure(d, rng) for _ in range(n)]
         assert is_purity_preserving(probing_as_povm(responses))
 
 
 class TestPurifyAncilla:
     def test_pure_input_round_trip(self):
-        rho = density_from_pure(sampling.random_pure(3, np.random.default_rng(4)))
+        rho = density_from_pure(states.random_pure(3, np.random.default_rng(4)))
         purified = purify_ancilla(rho)
         reduced = matcore.partial_trace(
             np.outer(purified.amp, purified.amp.conj()), 3, 3, keep="first"
@@ -160,7 +160,7 @@ class TestPurifyAncilla:
 
     @given(dim=st.integers(2, 5), seed=seeds)
     def test_random_mixed_round_trip(self, dim, seed):
-        rho = sampling.random_density(dim, np.random.default_rng(seed))
+        rho = states.random_density(dim, np.random.default_rng(seed))
         purified = purify_ancilla(rho)
         reduced = matcore.partial_trace(
             np.outer(purified.amp, purified.amp.conj()), dim, dim, keep="first"
@@ -173,8 +173,8 @@ class TestApplyPovm:
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
     def test_probabilities_form_distribution(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        measurement = sampling.random_general_povm(n, d, rng)
-        rho = sampling.random_density(n, rng)
+        measurement = povm.random_general_povm(n, d, rng)
+        rho = states.random_density(n, rng)
         ens = apply_povm(rho, measurement)
         assert abs(sum(o.probability for o in ens) - 1.0) <= 1e-10
         assert all(o.probability >= 0.0 for o in ens)
@@ -183,10 +183,10 @@ class TestApplyPovm:
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
     def test_mixed_ancilla_matches_manual_purification(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        base = sampling.random_general_povm(n, d, rng)
-        mixed_ancilla = sampling.random_density(d, rng)
+        base = povm.random_general_povm(n, d, rng)
+        mixed_ancilla = states.random_density(d, rng)
         mixed = Povm(n, d, mixed_ancilla, base.joint_unitary, base.joint_projectors)
-        rho = sampling.random_density(n, rng)
+        rho = states.random_density(n, rng)
         ens = apply_povm(rho, mixed)
 
         purified = purify_ancilla(mixed_ancilla)
@@ -240,10 +240,10 @@ class TestPurityPreservation:
     @given(n=st.integers(2, 3), d=st.integers(2, 4), seed=seeds)
     def test_structural_class_keeps_pure_states_pure(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        measurement = sampling.random_pppovm(n, d, rng)
+        measurement = povm.random_pppovm(n, d, rng)
         assert is_purity_preserving(measurement)
         for _ in range(5):
-            rho = density_from_pure(sampling.random_pure(n, rng))
+            rho = density_from_pure(states.random_pure(n, rng))
             for outcome in apply_povm(rho, measurement).live():
                 assert entropy(outcome.state, linear()) <= 1e-9
 
@@ -253,18 +253,18 @@ class TestPurityPreservation:
         # sampled converse: a measurement whose projectors do not all factor
         # must visibly mix at least one of 100 random pure inputs
         rng = np.random.default_rng(seed)
-        measurement = sampling.random_general_povm(n, d, rng)
+        measurement = povm.random_general_povm(n, d, rng)
         if is_purity_preserving(measurement):
             return  # partition happened to factor; not a converse witness
         for _ in range(100):
-            rho = density_from_pure(sampling.random_pure(n, rng))
+            rho = density_from_pure(states.random_pure(n, rng))
             for outcome in apply_povm(rho, measurement).live():
                 if entropy(outcome.state, linear()) > 1e-6:
                     return
         raise AssertionError("no impure outcome found for a non-factoring measurement")
 
     def test_recovered_basis_is_orthonormal(self):
-        measurement = sampling.random_pppovm(3, 4, np.random.default_rng(77))
+        measurement = povm.random_pppovm(3, 4, np.random.default_rng(77))
         factors = ancilla_factors(measurement)
         gram = np.array([[np.vdot(u, v) for v in factors] for u in factors])
         assert matcore.max_abs(gram - np.eye(4)) <= 1e-8

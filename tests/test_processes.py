@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decobs import matcore, sampling
+from decobs import matcore, sampling, states
 from decobs.entropy import entropy, linear
 from decobs.errors import ValidationError
 from decobs.processes import (
@@ -12,8 +12,8 @@ from decobs.processes import (
     observe,
     probing_joint_unitary,
     response_gram,
-    spectra_unchanged,
 )
+from decobs.stacks import spectra_unchanged
 from decobs.states import (
     DensityMatrix,
     GramMatrix,
@@ -51,7 +51,7 @@ class TestDecohere:
         assert np.array_equal(out.mat, np.eye(2) / 2.0)
 
     def test_all_ones_overlap_changes_nothing(self):
-        rho = sampling.random_density(4, np.random.default_rng(5))
+        rho = states.random_density(4, np.random.default_rng(5))
         out = decohere(rho, GramMatrix(np.ones((4, 4))))
         assert matcore.max_abs(out.mat - rho.mat) == 0.0
 
@@ -63,8 +63,8 @@ class TestDecohere:
     @given(dim=dims, seed=seeds)
     def test_trace_preserved(self, dim, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
-        env = sampling.random_gram(dim, dim, rng)
+        rho = states.random_density(dim, rng)
+        env = states.random_gram(dim, dim, rng)
         assert abs(np.trace(decohere(rho, env).mat) - 1.0) <= 1e-12
 
     def test_rejects_shape_mismatch(self):
@@ -82,7 +82,7 @@ class TestObserve:
 
     def test_deterministic_input_is_unchanged(self):
         rho = density_from_pure(basis_state(2, 0))
-        probe = sampling.random_probing(2, 3, np.random.default_rng(11))
+        probe = states.random_probing(2, 3, np.random.default_rng(11))
         for outcome in observe(rho, probe).live():
             assert matcore.max_abs(outcome.state.mat - rho.mat) <= 1e-12
 
@@ -105,14 +105,14 @@ class TestObserve:
     @given(dim=dims, m=st.integers(1, 8), seed=seeds)
     def test_probabilities_sum_to_one(self, dim, m, seed):
         rng = np.random.default_rng(seed)
-        ens = observe(sampling.random_density(dim, rng), sampling.random_probing(dim, m, rng))
+        ens = observe(states.random_density(dim, rng), states.random_probing(dim, m, rng))
         assert abs(sum(o.probability for o in ens) - 1.0) <= 1e-10
 
     @given(dim=dims, m=st.integers(1, 8), seed=seeds)
     def test_purity_preserved_on_pure_inputs(self, dim, m, seed):
         rng = np.random.default_rng(seed)
-        rho = density_from_pure(sampling.random_pure(dim, rng))
-        for outcome in observe(rho, sampling.random_probing(dim, m, rng)).live():
+        rho = density_from_pure(states.random_pure(dim, rng))
+        for outcome in observe(rho, states.random_probing(dim, m, rng)).live():
             assert entropy(outcome.state, linear()) <= 1e-9
 
     def test_rejects_shape_mismatch(self):
@@ -138,15 +138,15 @@ class TestResponseGram:
 
 class TestEnsembleAverage:
     def test_single_outcome(self):
-        rho = sampling.random_density(3, np.random.default_rng(2))
+        rho = states.random_density(3, np.random.default_rng(2))
         ens = observe(rho, ProbingMatrix(np.ones((3, 1))))
         assert matcore.max_abs(ensemble_average(ens).mat - rho.mat) <= 1e-14
 
     @given(dim=dims, m=st.integers(1, 8), seed=seeds)
     def test_average_equals_decoherence_with_row_gram(self, dim, m, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
-        probe = sampling.random_probing(dim, m, rng)
+        rho = states.random_density(dim, rng)
+        probe = states.random_probing(dim, m, rng)
         averaged = ensemble_average(observe(rho, probe))
         decohered = decohere(rho, response_gram(probe))
         assert matcore.max_abs(averaged.mat - decohered.mat) <= 1e-12
@@ -154,7 +154,7 @@ class TestEnsembleAverage:
 
 class TestLuders:
     def test_trivial_projector(self):
-        rho = sampling.random_density(3, np.random.default_rng(9))
+        rho = states.random_density(3, np.random.default_rng(9))
         out = luders(rho, ProjectorSet((np.eye(3, dtype=complex),)))
         assert matcore.max_abs(out.mat - rho.mat) <= 1e-14
 
@@ -163,7 +163,7 @@ class TestLuders:
         assert np.allclose(out.mat, np.eye(2) / 2.0)
 
     def test_block_masking(self):
-        rho = sampling.random_density(3, np.random.default_rng(4))
+        rho = states.random_density(3, np.random.default_rng(4))
         out = luders(rho, diagonal_projector_partition([2, 1]))
         expected = rho.mat.copy()
         expected[0, 2] = expected[1, 2] = 0.0
@@ -173,7 +173,7 @@ class TestLuders:
     @given(dim=dims, seed=seeds)
     def test_equals_schur_form_for_diagonal_partitions(self, dim, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
+        rho = states.random_density(dim, rng)
         partition = diagonal_projector_partition(sampling.random_block_sizes(dim, rng))
         pinched = luders(rho, partition)
         schur_form = decohere(rho, gram_from_projectors(partition))
@@ -197,7 +197,7 @@ class TestVonNeumannReduce:
 
     @given(dim=dims, seed=seeds)
     def test_keeps_diagonal_only(self, dim, seed):
-        rho = sampling.random_density(dim, np.random.default_rng(seed))
+        rho = states.random_density(dim, np.random.default_rng(seed))
         out = decohere(rho, GramMatrix(np.eye(dim)))
         assert np.array_equal(out.mat.diagonal(), rho.mat.diagonal())
         assert matcore.max_abs(out.mat - np.diag(out.mat.diagonal())) == 0.0
@@ -207,7 +207,7 @@ class TestTriviality:
     @given(dim=dims, seed=seeds)
     def test_pure_phase_probing_is_trivial(self, dim, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
+        rho = states.random_density(dim, rng)
         theta = rng.uniform(0, 2 * np.pi, size=dim)
         phi = rng.uniform(0, 2 * np.pi, size=dim)
         mat = np.exp(1j * (theta[:, None] + phi[None, :])) / np.sqrt(dim)
@@ -225,7 +225,7 @@ class TestTriviality:
         rng = np.random.default_rng(seed)
         probs = sampling.random_simplex(dim, rng)
         rho = DensityMatrix(np.diag(probs))
-        env = sampling.random_gram(dim, dim, rng)
+        env = states.random_gram(dim, dim, rng)
         assert is_trivial_decoherence(rho, env)
 
     def test_all_ones_overlap_is_trivial(self):
@@ -250,7 +250,7 @@ class TestProbingJointUnitary:
     @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
     def test_maps_reference_to_responses(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        responses = [sampling.random_pure(d, rng) for _ in range(n)]
+        responses = [states.random_pure(d, rng) for _ in range(n)]
         joint = probing_joint_unitary(responses)
         assert matcore.is_unitary(joint)
         for i, response in enumerate(responses):
@@ -264,8 +264,8 @@ class TestProbingJointUnitary:
     @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
     def test_partial_trace_realizes_decoherence(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        responses = [sampling.random_pure(d, rng) for _ in range(n)]
-        rho = sampling.random_density(n, rng)
+        responses = [states.random_pure(d, rng) for _ in range(n)]
+        rho = states.random_density(n, rng)
         joint = probing_joint_unitary(responses)
         reference = np.zeros((d, d), dtype=complex)
         reference[0, 0] = 1.0
@@ -280,8 +280,8 @@ class TestProbingJointUnitary:
         # the evolved joint state, pinched by the pointer projectors, is the
         # direct sum of p_k rho_k blocks produced by observation
         rng = np.random.default_rng(seed)
-        responses = [sampling.random_pure(d, rng) for _ in range(n)]
-        rho = sampling.random_density(n, rng)
+        responses = [states.random_pure(d, rng) for _ in range(n)]
+        rho = states.random_density(n, rng)
         probe = ProbingMatrix(np.array([r.amp for r in responses]))
         ens = observe(rho, probe)
         joint = probing_joint_unitary(responses)
@@ -321,9 +321,9 @@ class TestSpectraUnchanged:
     @given(dim=dims, seed=seeds)
     def test_is_trivial_functions_read_the_state_spectra(self, dim, seed):
         rng = np.random.default_rng(seed)
-        rho = sampling.random_density(dim, rng)
-        env = sampling.random_gram(dim, dim, rng)
-        probe = sampling.random_probing(dim, dim, rng)
+        rho = states.random_density(dim, rng)
+        env = states.random_gram(dim, dim, rng)
+        probe = states.random_probing(dim, dim, rng)
         after = matcore.hermitian_spectrum(decohere(rho, env).mat)
         reference = matcore.hermitian_spectrum(rho.mat)
         assert is_trivial_decoherence(rho, env) == bool(matcore.max_abs(after - reference) <= 1e-9)

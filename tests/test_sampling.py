@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decobs import matcore, sampling, states
+from decobs import matcore, povm, sampling, stacks, states
 from decobs.errors import ValidationError
 from decobs.povm import is_purity_preserving
 from decobs.states import GramMatrix
@@ -13,8 +13,8 @@ dims = st.integers(min_value=1, max_value=8)
 
 class TestStreams:
     def test_same_seed_is_bit_identical(self):
-        a = sampling.random_density(4, np.random.default_rng(123))
-        b = sampling.random_density(4, np.random.default_rng(123))
+        a = states.random_density(4, np.random.default_rng(123))
+        b = states.random_density(4, np.random.default_rng(123))
         assert np.array_equal(a.mat, b.mat)
 
     def test_trial_streams_do_not_depend_on_order(self):
@@ -31,29 +31,29 @@ class TestStreams:
 
 class TestHaarUnitary:
     def test_scalar_case_is_phase(self):
-        u = sampling.haar_unitary(1, np.random.default_rng(0))
+        u = states.haar_unitary(1, np.random.default_rng(0))
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
     @given(dim=dims, seed=seeds)
     def test_unitary_at_tolerance(self, dim, seed):
-        u = sampling.haar_unitary(dim, np.random.default_rng(seed))
+        u = states.haar_unitary(dim, np.random.default_rng(seed))
         assert matcore.is_unitary(u)
 
     def test_first_moment_matches_haar(self):
         # E|U_00|^2 = 1/n for Haar measure
         rng = np.random.default_rng(2024)
-        values = [abs(sampling.haar_unitary(2, rng)[0, 0]) ** 2 for _ in range(10000)]
+        values = [abs(states.haar_unitary(2, rng)[0, 0]) ** 2 for _ in range(10000)]
         assert abs(np.mean(values) - 0.5) <= 0.02
 
 
 class TestRandomDensity:
     def test_one_dimensional(self):
-        rho = sampling.random_density(1, np.random.default_rng(0))
+        rho = states.random_density(1, np.random.default_rng(0))
         assert np.allclose(rho.mat, [[1.0]])
 
     @given(dim=dims, seed=seeds)
     def test_validates(self, dim, seed):
-        rho = sampling.random_density(dim, np.random.default_rng(seed))
+        rho = states.random_density(dim, np.random.default_rng(seed))
         lam = matcore.hermitian_spectrum(rho.mat)
         assert lam[-1] >= -1e-12
         assert abs(lam.sum() - 1.0) <= 1e-10
@@ -63,30 +63,30 @@ class TestRandomDensity:
         total = np.zeros((2, 2), dtype=complex)
         draws = 10000
         for _ in range(draws):
-            total += sampling.random_density(2, rng).mat
+            total += states.random_density(2, rng).mat
         assert matcore.max_abs(total / draws - np.eye(2) / 2.0) <= 0.02
 
 
 class TestOtherSamplers:
     @given(dim=dims, seed=seeds)
     def test_pure_states_are_unit(self, dim, seed):
-        v = sampling.random_pure(dim, np.random.default_rng(seed))
+        v = states.random_pure(dim, np.random.default_rng(seed))
         assert abs(np.linalg.norm(v.amp) - 1.0) <= 1e-10
 
     @given(dim=st.integers(2, 6), seed=seeds)
     def test_hermitian_has_unit_spectral_radius(self, dim, seed):
-        h = sampling.random_hermitian(dim, np.random.default_rng(seed))
+        h = states.random_hermitian(dim, np.random.default_rng(seed))
         assert matcore.max_abs(h - h.conj().T) <= 1e-12
         assert matcore.max_abs(np.linalg.eigvalsh(h)) == pytest.approx(1.0)
 
     @given(n=st.integers(1, 6), d=st.integers(1, 6), seed=seeds)
     def test_gram_entries_bounded(self, n, d, seed):
-        gram = sampling.random_gram(n, d, np.random.default_rng(seed))
+        gram = states.random_gram(n, d, np.random.default_rng(seed))
         assert np.all(np.abs(gram.mat) <= 1.0 + 1e-12)
 
     @given(n=st.integers(2, 6), seed=seeds)
     def test_phase_only_gram_is_rank_one(self, n, seed):
-        gram = sampling.random_gram(n, 1, np.random.default_rng(seed))
+        gram = states.random_gram(n, 1, np.random.default_rng(seed))
         assert np.all(np.abs(np.abs(gram.mat) - 1.0) <= 1e-12)
         lam = matcore.hermitian_spectrum(gram.mat)
         assert lam[0] == pytest.approx(n)
@@ -94,7 +94,7 @@ class TestOtherSamplers:
 
     @given(n=st.integers(1, 6), m=st.integers(1, 6), seed=seeds)
     def test_probing_rows_unit(self, n, m, seed):
-        probe = sampling.random_probing(n, m, np.random.default_rng(seed))
+        probe = states.random_probing(n, m, np.random.default_rng(seed))
         norms = np.linalg.norm(probe.mat, axis=1)
         assert matcore.max_abs(norms - 1.0) <= 1e-10
 
@@ -105,33 +105,33 @@ class TestOtherSamplers:
         assert all(s >= 1 for s in sizes)
 
     def test_projector_partition_spectra(self):
-        partition = sampling.random_projector_partition(4, [2, 2], np.random.default_rng(6))
+        partition = states.random_projector_partition(4, [2, 2], np.random.default_rng(6))
         for p in partition:
             assert matcore.hermitian_spectrum(p) == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-9)
 
     def test_projector_partition_rejects_bad_split(self):
         with pytest.raises(ValidationError) as err:
-            sampling.random_projector_partition(4, [2, 3], np.random.default_rng(0))
+            states.random_projector_partition(4, [2, 3], np.random.default_rng(0))
         assert err.value.invariant == "blocks-partition-dim"
 
     @given(dim=st.integers(2, 6), size=st.integers(2, 5), seed=seeds)
     def test_random_ensembles_validate(self, dim, size, seed):
-        ens = sampling.random_ensemble(dim, size, np.random.default_rng(seed))
+        ens = states.random_ensemble(dim, size, np.random.default_rng(seed))
         assert len(ens) == size
         assert abs(sum(o.probability for o in ens) - 1.0) <= 1e-10
 
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
     def test_random_pppovm_is_purity_preserving(self, n, d, seed):
-        assert is_purity_preserving(sampling.random_pppovm(n, d, np.random.default_rng(seed)))
+        assert is_purity_preserving(povm.random_pppovm(n, d, np.random.default_rng(seed)))
 
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
     def test_random_general_povm_validates(self, n, d, seed):
-        measurement = sampling.random_general_povm(n, d, np.random.default_rng(seed))
+        measurement = povm.random_general_povm(n, d, np.random.default_rng(seed))
         assert measurement.joint_dim == n * d
 
     @given(n=st.integers(2, 5), d=st.integers(1, 5), seed=seeds)
     def test_gram_sampler_output_validates(self, n, d, seed):
-        gram = sampling.random_gram(n, d, np.random.default_rng(seed))
+        gram = states.random_gram(n, d, np.random.default_rng(seed))
         GramMatrix(gram.mat)
 
 
@@ -236,7 +236,7 @@ class TestTransforms:
     def test_ensemble_is_the_simplex_then_one_block_of_states(self, n):
         for size in (1, 3, 7):
             rng, replay = sampling.trial_stream(n, size), sampling.trial_stream(n, size)
-            ensemble = sampling.random_ensemble(n, size, rng)
+            ensemble = states.random_ensemble(n, size, rng)
             assert np.array_equal([o.probability for o in ensemble], replay.dirichlet(np.ones(size)))
             mats = np.array([_one_object_density(n, replay) for _ in range(size)])
             assert np.array_equal([o.state.mat for o in ensemble], mats)
@@ -291,7 +291,7 @@ class TestVectorNorms:
         for vectors in (wide[:, 1 : m + 1], wide[:, ::2], wide.reshape(3, 2, -1)[:, :, :m]):
             assert np.array_equal(matcore.vector_norms(vectors), self.per_vector(vectors))
         for vectors in (np.asfortranarray(unit), unit[::2], unit[:, ::-1], unit[::-1, ::-1]):
-            assert np.array_equal(states.unit_vector_norms(vectors), self.per_vector(vectors))
+            assert np.array_equal(stacks.unit_vector_norms(vectors), self.per_vector(vectors))
 
     def test_single_vector_and_empty_stack(self):
         vector = sampling.complex_from_normals(np.random.default_rng(3).standard_normal(18), (9,))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from decobs import matcore, sampling, serialize
+from decobs import matcore, serialize, states
 from decobs.errors import ValidationError
 from decobs.povm import apply_povm, counterexample_1, probing_as_povm
 from decobs.processes import observe
@@ -43,7 +43,7 @@ class TestMatrixRoundTrip:
         assert err.value.invariant == "json-matrix-shape"
 
     def test_json_serializable(self):
-        rho = sampling.random_density(3, np.random.default_rng(0))
+        rho = states.random_density(3, np.random.default_rng(0))
         text = json.dumps(serialize.density_to_json(rho))
         back = serialize.density_from_json(json.loads(text))
         assert matcore.max_abs(back.mat - rho.mat) == 0.0
@@ -51,34 +51,34 @@ class TestMatrixRoundTrip:
 
 class TestTypedRoundTrips:
     def test_density(self):
-        rho = sampling.random_density(2, np.random.default_rng(1))
+        rho = states.random_density(2, np.random.default_rng(1))
         obj = serialize.density_to_json(rho)
         assert obj["kind"] == "density"
         assert matcore.max_abs(serialize.density_from_json(obj).mat - rho.mat) == 0.0
 
     def test_pure(self):
-        v = sampling.random_pure(3, np.random.default_rng(2))
+        v = states.random_pure(3, np.random.default_rng(2))
         back = serialize.pure_from_json(serialize.pure_to_json(v))
         assert matcore.max_abs(back.amp - v.amp) == 0.0
 
     def test_gram(self):
-        gram = sampling.random_gram(3, 2, np.random.default_rng(3))
+        gram = states.random_gram(3, 2, np.random.default_rng(3))
         back = serialize.gram_from_json(serialize.gram_to_json(gram))
         assert matcore.max_abs(back.mat - gram.mat) == 0.0
 
     def test_probing(self):
-        probe = sampling.random_probing(2, 3, np.random.default_rng(4))
+        probe = states.random_probing(2, 3, np.random.default_rng(4))
         back = serialize.probing_from_json(serialize.probing_to_json(probe))
         assert matcore.max_abs(back.mat - probe.mat) == 0.0
 
     def test_projector_set(self):
-        partition = sampling.random_projector_partition(4, [1, 3], np.random.default_rng(5))
+        partition = states.random_projector_partition(4, [1, 3], np.random.default_rng(5))
         back = serialize.projector_set_from_json(serialize.projector_set_to_json(partition))
         for mine, ref in zip(back, partition):
             assert matcore.max_abs(mine - ref) == 0.0
 
     def test_kind_mismatch_rejected(self):
-        rho = sampling.random_density(2, np.random.default_rng(6))
+        rho = states.random_density(2, np.random.default_rng(6))
         with pytest.raises(ValidationError):
             serialize.gram_from_json(serialize.density_to_json(rho))
 
@@ -102,7 +102,7 @@ class TestEnsembleRoundTrip:
 
     def test_live_states_survive(self):
         rng = np.random.default_rng(8)
-        ens = observe(sampling.random_density(2, rng), sampling.random_probing(2, 2, rng))
+        ens = observe(states.random_density(2, rng), states.random_probing(2, 2, rng))
         back = serialize.ensemble_from_json(serialize.ensemble_to_json(ens))
         for mine, ref in zip(back.live(), ens.live()):
             assert matcore.max_abs(mine.state.mat - ref.state.mat) == 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decobs import matcore, sampling
+from decobs import matcore, states
 from decobs.entropy import entropy, linear
 from decobs.errors import ValidationError
 from decobs.states import (
@@ -19,10 +19,8 @@ from decobs.states import (
     gram_from_projectors,
     gram_from_vectors,
     maximally_mixed,
-    unit_vector_norms,
-    validate_projector_stack,
-    validate_stack,
 )
+from decobs.stacks import unit_vector_norms, validate_projector_stack, validate_stack
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
@@ -75,7 +73,7 @@ class TestDensityFromPure:
 
     @given(dim=dims, seed=seeds)
     def test_random_vector_gives_pure_state(self, dim, seed):
-        v = sampling.random_pure(dim, np.random.default_rng(seed))
+        v = states.random_pure(dim, np.random.default_rng(seed))
         rho = density_from_pure(v)
         assert matcore.max_abs(rho.mat - np.outer(v.amp, v.amp.conj())) == 0.0
         assert abs(np.trace(rho.mat) - 1.0) <= 1e-12
@@ -93,7 +91,7 @@ class TestPurity:
 
     @given(dim=dims, seed=seeds)
     def test_equals_spectrum_square_sum(self, dim, seed):
-        rho = sampling.random_density(dim, np.random.default_rng(seed))
+        rho = states.random_density(dim, np.random.default_rng(seed))
         lam = matcore.hermitian_spectrum(rho.mat)
         purity = np.trace(rho.mat @ rho.mat).real
         assert abs(purity - (lam**2).sum()) <= 1e-10
@@ -119,7 +117,7 @@ class TestGramFromVectors:
     @given(count=st.integers(2, 5), dim=dims, seed=seeds)
     def test_always_validates(self, count, dim, seed):
         rng = np.random.default_rng(seed)
-        vectors = [sampling.random_pure(dim, rng) for _ in range(count)]
+        vectors = [states.random_pure(dim, rng) for _ in range(count)]
         gram = gram_from_vectors(vectors)
         assert gram.dim == count
 
@@ -145,7 +143,7 @@ class TestGramFromProjectors:
         assert np.array_equal(gram.mat.real, np.eye(2))
 
     def test_rejects_rotated_projectors(self):
-        ps = sampling.random_projector_partition(4, [2, 2], np.random.default_rng(3))
+        ps = states.random_projector_partition(4, [2, 2], np.random.default_rng(3))
         with pytest.raises(ValidationError) as err:
             gram_from_projectors(ps)
         assert err.value.invariant == "projector-diagonal"
@@ -200,11 +198,11 @@ class TestProbingMatrix:
 
     @given(n=dims, m=st.integers(1, 6), seed=seeds)
     def test_row_gram_validates(self, n, m, seed):
-        probe = sampling.random_probing(n, m, np.random.default_rng(seed))
+        probe = states.random_probing(n, m, np.random.default_rng(seed))
         GramMatrix(probe.mat @ probe.mat.conj().T)
 
     def test_rectangular_allowed(self):
-        probe = sampling.random_probing(3, 5, np.random.default_rng(1))
+        probe = states.random_probing(3, 5, np.random.default_rng(1))
         assert probe.n_object == 3 and probe.n_perception == 5
 
 
@@ -249,7 +247,7 @@ class TestOutcomeEnsemble:
 class TestDensityMatrixSpectrum:
     @given(dim=st.integers(1, 8), seed=seeds)
     def test_is_the_hermitian_spectrum_bit_for_bit(self, dim, seed):
-        rho = sampling.random_density(dim, np.random.default_rng(seed))
+        rho = states.random_density(dim, np.random.default_rng(seed))
         assert np.array_equal(rho.spectrum, matcore.hermitian_spectrum(rho.mat))
         assert rho.spectrum.dtype == float
 
