@@ -1,0 +1,745 @@
+"""The campaigns behind the subcommands, and the report builder they share.
+
+A seeded campaign (``verify-s-theorems``, ``majorization``, ``holevo`` and
+``luders-equiv``) is a sampler, an evaluator and the chunk map.  The
+sampler, ``sample_*(cfg, chunk)``, draws each trial t of a chunk from stream
+(seed, t) in a fixed order and returns the chunk's stacks, transformed and
+not validated, and any block sizes; the samplers are the only code that
+reads :func:`~decobs.sampling.trial_stream`.  The evaluator, a closure of
+the ``run_*`` function, validates those stacks, applies the maps and
+returns the chunk's row columns, which :func:`_campaign_result` makes rows.
+
+The trials are split into chunks (:func:`plan_chunks`), and every chunk goes
+through one chunk map, :func:`_map_chunks`.  With ``W = min(allowed CPUs,
+chunks // 2)`` of two or more, it forks ``W - 1`` workers.  The map loads
+``numpy.random`` first, so that the workers do not each load it again.  This
+process and every worker pin themselves to an allowed CPU of their own: on a
+2-vCPU guest, unpinned threads stayed on one vCPU for a whole run, and a
+forked child stayed on its parent's vCPU in 8 of 8 tries.  Each process
+claims chunks in order from one shared pipe of tokens.  The results are put
+back in chunk order, and the exception of the lowest failing chunk is
+raised, which is the error the serial loop raises.  Trial t draws from
+stream (seed, t) wherever it runs, so a report and its exit code do not
+depend on the chunking, the worker count or the scheduling.
+
+The seeded campaigns call the kernel layer only (:mod:`decobs.stacks`,
+:mod:`decobs.sampling`, :mod:`decobs.entropy`, :mod:`decobs.majorization`),
+so importing this module loads no value type.  ``counterexample`` and
+``povm-classify`` load the value layer inside their ``run_*`` functions.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+import os
+import pickle
+import signal
+import struct
+from dataclasses import dataclass
+from datetime import datetime, timezone
+from itertools import compress, repeat
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from . import matcore, sampling
+from .entropy import (
+    entropies_of_spectra, entropy, expected_entropy, expected_entropy_stack, parse_functional, to_bits, von_neumann,
+)
+from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
+from .stacks import (
+    average_stack, block_projectors, clean_probabilities, gram_from_projector_stack, gram_from_unit_rows,
+    observe_stack, pinch, response_gram_stack, spectra_unchanged, validate_probing_stack, validate_projector_stack,
+    validate_stack,
+)
+from .tolerances import CONSISTENCY_TOL, NEAR_TRIVIAL_MARGIN, SINGULAR_SKIP, ZERO_PROBABILITY
+
+if TYPE_CHECKING:
+    from .cli import CampaignConfig
+
+#: Largest stacked array, in bytes, that a campaign builds at once.  At dim 4
+#: a whole 200-trial campaign fits in one chunk; at dim 32 with 32 branches
+#: each trial is a chunk of its own, which keeps peak memory at the looped
+#: level.
+CHUNK_BYTES = 512 * 1024
+
+#: Random mixtures in the holevo campaign have 2 to this many branches.
+_MAX_MIXTURE_SIZE = 5
+
+#: A projector family has dim slots, and the families and a second stack of
+#: their size (the pinched pieces, or a product's temporaries) are alive at
+#: once, so the chunk planner counts twice the slots of a family.
+_FAMILY_SLOTS = 2
+
+#: A chunk map's claim token: the index of the first chunk of a run.
+_TOKEN = struct.Struct("<I")
+
+#: Bytes of all of a chunk map's tokens at most.  A pipe holds at least a
+#: page, and a write of up to PIPE_BUF bytes is atomic, so the tokens are
+#: written at once, before any worker starts.
+_TOKEN_BYTES = 4096
+
+
+@dataclass
+class CampaignResult:
+    report: dict
+    exit_code: int
+
+
+#: The keys of a report row, in order; rows that carry ``strict`` end with it.
+ROW_KEYS = ("trial", "dim", "functional", "side", "lhs", "rhs", "margin", "trivial", "violation")
+
+
+def _shown(flags: dict, values) -> list:
+    """Values in nats as a report shows them: a list of floats in its display units.
+
+    Only the entropy campaigns declare units; dominance and residual values
+    are shown as computed.  Each non-finite value is spelled "inf", "-inf"
+    or "nan", so that the report is strict JSON.
+    """
+    values = np.asarray(values, dtype=float)
+    if flags.get("units") == "bits":
+        values = to_bits(values)
+    out = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[i] = repr(out[i])
+    return out
+
+
+def _base_report(cfg: CampaignConfig, flags: dict) -> dict:
+    return {
+        "command": cfg.command,
+        "seed": cfg.seed,
+        "flags": flags,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+
+
+def _campaign_result(
+    cfg: CampaignConfig,
+    flags: dict,
+    columns: dict,
+    fields: dict | None = None,
+    summary: dict | None = None,
+    failed: bool | None = None,
+    dim: int | None = None,
+) -> CampaignResult:
+    """The report of a row campaign: header, extra fields, summary and rows.
+
+    ``columns`` holds one array per row field, in row order: trial,
+    functional, side, lhs, rhs, margin (in nats) and violation, and
+    optionally trivial and strict (None where a row has no strictness).
+    The row dicts are made here and nowhere else, each with ``dim``
+    (default ``cfg.dim``).  The summary is the margin summary followed by
+    the campaign's own keys.  The exit code is 1 when ``failed``, which by
+    default means that a row is a violation.
+    """
+    lhs, rhs, margin = (_shown(flags, columns[name]) for name in ("lhs", "rhs", "margin"))
+    violation = columns["violation"].tolist()
+    finite = np.isfinite(columns["margin"])
+    stats = {"rows": len(violation), "violations": sum(violation), "infinite_margins": int(np.count_nonzero(~finite))}
+    if finite.any():
+        values = list(compress(margin, finite.tolist()))
+        # summed left to right, which builtin sum does only up to Python 3.11
+        mean = float(matcore.sequential_sum(values)) / len(values)
+        stats.update(margin_min=min(values), margin_max=max(values), margin_mean=mean)
+
+    report = _base_report(cfg, flags)
+    report.update(fields or {})
+    report["summary"] = {**stats, **(summary or {})}
+    trivial = columns["trivial"].tolist() if "trivial" in columns else repeat(None)
+    cells = zip(
+        columns["trial"].tolist(), repeat(cfg.dim if dim is None else dim), columns["functional"].tolist(),
+        columns["side"].tolist(), lhs, rhs, margin, trivial, violation,
+    )
+    rows = report["rows"] = [dict(zip(ROW_KEYS, cell)) for cell in cells]
+    for row, strict in zip(rows, columns.get("strict", ())):
+        if strict is not None:
+            row["strict"] = strict
+    if failed is None:
+        failed = stats["violations"] > 0
+    return CampaignResult(report, 1 if failed else 0)
+
+
+def _grid_rows(shape: tuple, keep=True, **cells) -> dict:
+    """Row columns from arrays laid out on a (trial, ...) grid of rows.
+
+    Each cell array is broadcast to ``shape`` and read in C order, so rows
+    run trial by trial; grid points where ``keep`` is False give no row.
+    """
+    keep = np.broadcast_to(keep, shape)
+    return {name: np.broadcast_to(values, shape)[keep] for name, values in cells.items()}
+
+
+def _joined(blocks: list[dict]) -> dict:
+    """The row columns of consecutive chunks, joined."""
+    return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+
+
+def _entropy_rows(columns: dict, tol: float) -> dict:
+    """Add the verdict of each entropy row lhs <= rhs + tol to its columns.
+
+    Sets margin and violation and, when the rows have a trivial column,
+    strict: a nontrivial row that holds is strict when its margin exceeds
+    :data:`NEAR_TRIVIAL_MARGIN`, and other rows carry None.
+    """
+    margin, holds = inequality_verdict(columns["lhs"], columns["rhs"], tol)
+    columns.update(margin=margin, violation=~holds)
+    if "trivial" in columns:
+        judged = holds & ~columns["trivial"]
+        strict = columns["strict"] = np.full(len(margin), None, dtype=object)
+        strict[judged] = margin[judged] > NEAR_TRIVIAL_MARGIN
+    return columns
+
+
+def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
+    """Split the trial axis into chunks for the stacked campaign kernels.
+
+    A campaign's largest stack holds ``slots`` complex (dim, dim) matrices
+    per trial: the observation branches, the padded mixture states, or the
+    projector families with their pinched pieces.  Each
+    chunk holds as many trials as keep that stack within :data:`CHUNK_BYTES`,
+    and at least one.
+    """
+    per_trial = slots * dim * dim * np.dtype(complex).itemsize
+    size = max(1, CHUNK_BYTES // per_trial)
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _pin(cpus) -> None:
+    """Run this process on ``cpus`` only, where the host allows it.
+
+    Pinning only spreads the work: a host that refuses it runs the same
+    chunks, unpinned.
+    """
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _claim(evaluate, chunks: list[range], tokens: int, run: int) -> list[tuple]:
+    """Evaluate the runs of ``run`` chunks this process claims from the token pipe.
+
+    Returns (index, result or exception) pairs.  Tokens come out of the pipe
+    in chunk order, so once a chunk fails, every chunk not yet claimed comes
+    after it and cannot change the outcome: the process takes the remaining
+    tokens, so that no process claims another run.
+    """
+    done = []
+    while token := os.read(tokens, _TOKEN.size):
+        (start,) = _TOKEN.unpack(token)
+        for index in range(start, min(start + run, len(chunks))):
+            try:
+                done.append((index, evaluate(chunks[index])))
+            except Exception as exc:
+                done.append((index, exc))
+                while os.read(tokens, _TOKEN_BYTES):
+                    pass
+                return done
+    return done
+
+
+def _work(evaluate, chunks: list[range], tokens: int, run: int, cpu: int, out: int) -> None:
+    """A forked worker: pin to ``cpu``, claim chunks, pickle its pairs to ``out``, exit.
+
+    It never returns and never writes to stdout: ``os._exit`` skips the
+    parent's exit handlers and buffered output.  The exit code is 0 only
+    when every pair was sent.
+    """
+    code = 1
+    try:
+        _pin({cpu})
+        with open(out, "wb") as stream:
+            pickle.dump(_claim(evaluate, chunks, tokens, run), stream)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _map_chunks(evaluate, chunks: list[range]) -> list:
+    """``[evaluate(chunk) for chunk in chunks]``, spread over the allowed CPUs.
+
+    ``W = min(allowed CPUs, len(chunks) // 2)`` processes share the chunks:
+    this one and ``W - 1`` forked workers, each pinned to its own allowed
+    CPU.  With ``W < 2``, or without ``os.fork``, it is the plain list
+    comprehension.  Every process claims chunks one run at a time from one
+    pipe of fixed-width tokens (at most 4 KiB of them, so a run is one chunk
+    unless there are more than 1,024).  Results come back in chunk order, and
+    the first chunk without a result raises: its own exception, which is the
+    one the serial loop raises, or ``ChildProcessError`` when its worker died.
+    Every worker is reaped before this returns or raises.
+    """
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if can_fork else []
+    workers = min(len(cpus), len(chunks) // 2)
+    if workers < 2:
+        return [evaluate(chunk) for chunk in chunks]
+    # the first trial stream loads numpy.random (~15 ms); load it once, here
+    import numpy.random  # noqa: F401
+
+    run = -(-len(chunks) // (_TOKEN_BYTES // _TOKEN.size))
+    tokens, claims = os.pipe()
+    os.write(claims, b"".join(_TOKEN.pack(start) for start in range(0, len(chunks), run)))
+    os.close(claims)
+    pipes = {}  # worker pid -> read end of its result pipe
+    sent = {}  # worker pid -> its pickled pairs
+    try:
+        for cpu in cpus[1:workers]:
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                # fewer workers claim the same tokens
+                os.close(out)
+                os.close(into)
+                break
+            if pid == 0:
+                _work(evaluate, chunks, tokens, run, cpu, into)
+            os.close(into)
+            pipes[pid] = out
+        # unpinned, a forked worker stays on this process's CPU
+        _pin({cpus[0]})
+        results = dict(_claim(evaluate, chunks, tokens, run))
+        for pid, out in pipes.items():
+            with open(out, "rb", closefd=False) as stream:
+                sent[pid] = stream.read()
+    finally:
+        for pid, out in pipes.items():
+            if pid not in sent:
+                os.kill(pid, signal.SIGKILL)
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+                sent.pop(pid, None)
+            os.close(out)
+        os.close(tokens)
+        _pin(cpus)
+    for data in sent.values():
+        results.update(pickle.loads(data))
+
+    ordered = []
+    for index, chunk in enumerate(chunks):
+        if index not in results:
+            raise ChildProcessError(
+                f"a campaign worker exited without returning trials {chunk.start} to {chunk.stop - 1}"
+            )
+        if isinstance(results[index], Exception):
+            raise results[index]
+        ordered.append(results[index])
+    return ordered
+
+
+def _entropy_table(functionals, states: tuple, branches: np.ndarray, probs: np.ndarray):
+    """Entropies of stacked states and the expected entropy of their live branches.
+
+    ``states`` holds (n, d) spectra stacks and ``branches`` the spectra of
+    the live (p > 0) branches, in the order of ``probs``, all non-increasing;
+    all of them go through one :func:`entropies_of_spectra` call.  Returns
+    the state entropies, shape (len(functionals), sum of n), and the
+    expected branch entropies, shape (len(functionals),) + probs.shape[:-1].
+    """
+    spectra = np.concatenate(states + (branches,))
+    table = entropies_of_spectra(spectra, functionals)
+    head = len(spectra) - len(branches)
+    s_branch = np.zeros((len(functionals),) + probs.shape)
+    s_branch[:, probs > 0.0] = table[:, head:]
+    return table[:, :head], expected_entropy_stack(probs, s_branch)
+
+
+def sample_s_theorems(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk's states, (n, d, d), and probings, (n, d, m), not validated.
+
+    Trial t draws the normals of its state and then of its probing, in one call.
+    """
+    dim, response_dim = cfg.dim, cfg.response_dim or cfg.dim
+    raw = np.empty((len(chunk), 2 * dim * (dim + response_dim)))
+    for i, trial in enumerate(chunk):
+        sampling.trial_stream(cfg.seed, trial).standard_normal(out=raw[i])
+    rho = sampling.density_from_normals(raw[:, : 2 * dim * dim], dim)
+    return rho, sampling.probing_from_normals(raw[:, 2 * dim * dim :], dim, response_dim)
+
+
+def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
+    """Random-probing campaign over both entropy inequalities.
+
+    Per trial: sample a state and a probing, form the observation branches
+    and the decohered state, and check
+    expected branch entropy <= initial entropy <= decohered entropy
+    for every selected functional.  The averaging identity (branch average
+    equals the Schur form with the row Gram matrix) is asserted to
+    CONSISTENCY_TOL as a side condition.
+    """
+    functionals = [parse_functional(text) for text in cfg.functionals]
+    dim = cfg.dim
+    response_dim = cfg.response_dim or dim
+    labels = [f.label for f in functionals]
+    log_det = np.array([f.kind == "log-det" for f in functionals])
+
+    def evaluate(chunk: range) -> tuple[dict, int, float]:
+        """The chunk's row columns, skipped singular rows and consistency residual."""
+        rho, probe = sample_s_theorems(cfg, chunk)
+
+        # the checks run in the order a one-trial loop makes them: state,
+        # probing, branches, branch probabilities, average, Gram, decohered state
+        lam_rho = validate_stack(rho, "density")
+        validate_probing_stack(probe)
+        probs, branches = observe_stack(rho, probe)
+        live = probs > 0.0
+        # all branches are live unless a probing column vanishes on the state
+        live_branches = branches.reshape(-1, dim, dim) if live.all() else branches[live]
+        lam_branch = validate_stack(live_branches, "density")
+        del live_branches
+        clean_probabilities(probs)
+        averaged = average_stack(probs, branches)
+        del branches
+        validate_stack(averaged, "density")
+        gram = response_gram_stack(probe)
+        validate_stack(gram, "gram")
+        decohered = rho * gram  # the Schur product, as processes.decohere forms it
+        lam_dec = validate_stack(decohered, "density")
+        consistency = float(abs(averaged - decohered).max())
+
+        # an observation is trivial when every live branch keeps the state's spectrum
+        branch_unchanged = np.ones(live.shape, dtype=bool)
+        branch_unchanged[live] = spectra_unchanged(lam_rho[np.nonzero(live)[0]], lam_branch)
+        obs_trivial = branch_unchanged.all(axis=-1)
+        dec_trivial = spectra_unchanged(lam_rho, lam_dec)
+
+        table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
+        s_rho, s_dec = table[:, : len(chunk)], table[:, len(chunk) :]
+        # rows run trial, functional, side; log-det skips a singular state
+        regular = (lam_rho[:, -1] >= SINGULAR_SKIP)[:, None] | ~log_det
+        block = _grid_rows(
+            (len(chunk), len(functionals), 2), regular[..., None],
+            trial=np.asarray(chunk)[:, None, None],
+            functional=np.array(labels)[:, None],
+            side=np.array(["observation", "decoherence"]),
+            lhs=np.stack((s_expected, s_rho), axis=-1).swapaxes(0, 1),
+            rhs=np.stack((s_rho, s_dec), axis=-1).swapaxes(0, 1),
+            trivial=np.stack((obs_trivial, dec_trivial), axis=-1)[:, None],
+        )
+        return block, int(np.count_nonzero(~regular)), consistency
+
+    blocks, skipped, residuals = zip(*_map_chunks(evaluate, plan_chunks(cfg.trials, response_dim, dim)))
+    skipped_singular = sum(skipped)
+    consistency_max = max(0.0, *residuals)
+    columns = _entropy_rows(_joined(blocks), cfg.tol)
+    consistency_ok = consistency_max <= CONSISTENCY_TOL
+    flags = {
+        "dim": cfg.dim,
+        "trials": cfg.trials,
+        "response_dim": response_dim,
+        "entropy": labels,
+        "tol": cfg.tol,
+        "units": cfg.units,
+    }
+    summary = {
+        "near_trivial": columns["strict"].tolist().count(False),
+        "skipped_singular": skipped_singular,
+        "consistency_max_residual": consistency_max,
+        "consistency_ok": consistency_ok,
+    }
+    failed = not consistency_ok or columns["violation"].any()
+    return _campaign_result(cfg, flags, columns, summary=summary, failed=failed)
+
+
+def sample_majorization(cfg: CampaignConfig, chunk: range) -> tuple:
+    """The chunk's draws for the three dominance checks, not validated.
+
+    Returns the states (n, d, d), unit response vectors (n, d, m), pinching
+    states (n, d, d), block sizes (a list of n tuples), Ginibre matrices
+    (n, d, d) and Hermitian pairs (n, 2, d, d).  Trial t draws them in that
+    order: the normals of its state, responses and pinching state in one
+    call, then its block sizes, then the rest of its normals in one call.
+    """
+    dim, response_dim = cfg.dim, cfg.response_dim or cfg.dim
+    square = 2 * dim * dim
+    raw = np.empty((len(chunk), 2 * square + 2 * dim * response_dim))
+    late = np.empty((len(chunk), 3, square))
+    partitions = []
+    for i, trial in enumerate(chunk):
+        rng = sampling.trial_stream(cfg.seed, trial)
+        rng.standard_normal(out=raw[i])
+        partitions.append(sampling.random_block_sizes(dim, rng))
+        rng.standard_normal(out=late[i])
+    rho = sampling.density_from_normals(raw[:, :square], dim)
+    responses = sampling.pure_from_normals(raw[:, square:-square].reshape(-1, dim, 2 * response_dim), response_dim)
+    # the upper pinching dominance needs a PSD input (zero-diagonal-block
+    # counterexamples break it for indefinite matrices), so sample a state
+    pinch_input = sampling.density_from_normals(raw[:, -square:], dim)
+    ginibre = sampling.ginibre_from_normals(late[:, 0], dim)
+    return rho, responses, pinch_input, partitions, ginibre, sampling.hermitian_from_normals(late[:, 1:], dim)
+
+
+def run_majorization(cfg: CampaignConfig) -> CampaignResult:
+    """Spectral dominance campaign: Schur products, pinchings, spectrum sums.
+
+    Per trial: the spectrum of a state against that of its Schur product
+    with the Gram matrix of random responses; the two-sided dominance around
+    the pinching of a second state by a Haar-rotated block partition; and
+    Fan's dominance for two random Hermitian matrices.  A partition has dim
+    slots, and the slots past its blocks are dead (all-zero projectors),
+    which add exact zeros to every sum and are never solved.
+    """
+    dim = cfg.dim
+    response_dim = cfg.response_dim or dim
+
+    def evaluate(chunk: range) -> dict:
+        rho, responses, pinch_input, partitions, ginibre, hermitian = sample_majorization(cfg, chunk)
+
+        # the checks run in the order a one-trial loop makes them: state,
+        # responses, Gram, Schur product, pinching state, rotated partition
+        # (conjugation keeps every projector identity, so a broken 0/1 family
+        # fails there), pinching, Fan
+        lam_rho = validate_stack(rho, "density")
+        env = gram_from_unit_rows(responses)
+        validate_stack(env, "gram")
+        _, schur = schur_dominance(lam_rho, rho * env)
+        lam_input = validate_stack(pinch_input, "density")
+        projectors = sampling.conjugated_projectors(
+            sampling.haar_from_ginibre(ginibre), block_projectors(partitions, dim)
+        )
+        validate_projector_stack(projectors)
+        *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)
+        del projectors
+        hermitian = sampling.unit_spectral_radius(hermitian)
+        *_, fan = fan_dominance(hermitian[:, 0], hermitian[:, 1])
+
+        # each row is its check's worst prefix: dominated prefix sum <= dominating one
+        checks = (schur, upper, lower, fan)
+        return _grid_rows(
+            (len(chunk), len(checks)),
+            trial=np.asarray(chunk)[:, None],
+            functional="",
+            side=np.array(["schur", "pinching-upper", "pinching-lower", "fan"]),
+            lhs=np.stack([check.dominated_prefix for check in checks], axis=-1),
+            rhs=np.stack([check.dominator_prefix for check in checks], axis=-1),
+            margin=np.stack([check.worst_margin for check in checks], axis=-1),
+            violation=~np.stack([check.holds(cfg.tol) for check in checks], axis=-1),
+        )
+
+    # the responses stack and its raw normals are alive beside the families
+    slots = _FAMILY_SLOTS * dim + 2 * -(-response_dim // dim)
+    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, dim))
+    flags = {"dim": cfg.dim, "trials": cfg.trials, "response_dim": response_dim, "tol": cfg.tol}
+    return _campaign_result(cfg, flags, _joined(blocks))
+
+
+def sample_holevo(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk's mixtures: sizes (n,), weights (n, slots) and states, not validated.
+
+    Trial t draws its size (unless ``cfg.ensemble_size`` fixes it), its
+    simplex weights and then the normals of its states in one call.  The
+    weights are padded with zeros to the campaign's slots, and the states of
+    all trials are one (sum of sizes, d, d) stack, trial after trial.
+    """
+    dim, slots = cfg.dim, cfg.ensemble_size or _MAX_MIXTURE_SIZE
+    sizes = np.empty(len(chunk), dtype=int)
+    probs = np.zeros((len(chunk), slots))
+    raw = np.empty((len(chunk) * slots, 2 * dim * dim))
+    filled = 0
+    for i, trial in enumerate(chunk):
+        rng = sampling.trial_stream(cfg.seed, trial)
+        size = sizes[i] = cfg.ensemble_size or int(rng.integers(2, _MAX_MIXTURE_SIZE + 1))
+        probs[i, :size] = sampling.random_simplex(size, rng)
+        rng.standard_normal(out=raw[filled : filled + size])
+        filled += size
+    return sizes, probs, sampling.density_from_normals(raw[:filled], dim)
+
+
+def run_holevo(cfg: CampaignConfig) -> CampaignResult:
+    """Random-mixture campaign: average branch entropy vs entropy of the average.
+
+    The ragged mixtures of a chunk are padded to a common number of slots
+    with dead (p = 0) slots, which add exact zeros to every sum and are
+    never validated or solved.
+    """
+    functionals = [parse_functional(text) for text in cfg.functionals]
+    dim = cfg.dim
+    slots = cfg.ensemble_size or _MAX_MIXTURE_SIZE
+    labels = [f.label for f in functionals]
+
+    def evaluate(chunk: range) -> dict:
+        sizes, probs, drawn = sample_holevo(cfg, chunk)
+        present = np.arange(slots) < sizes[:, None]
+        mats = np.zeros((len(chunk), slots, dim, dim), dtype=complex)
+        mats[present] = drawn
+
+        lam_state = validate_stack(drawn, "density")
+        del drawn
+        probs = clean_probabilities(probs)
+        average = average_stack(probs, mats)
+        lam_avg = validate_stack(average, "density")
+        live = probs > 0.0
+
+        rhs, lhs = _entropy_table(functionals, (lam_avg,), lam_state[live[present]], probs)
+        # rows run trial, functional
+        return _grid_rows(
+            (len(chunk), len(functionals)),
+            trial=np.asarray(chunk)[:, None], functional=np.array(labels), side="holevo", lhs=lhs.T, rhs=rhs.T,
+        )
+
+    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, dim))
+    flags = {
+        "dim": cfg.dim,
+        "trials": cfg.trials,
+        "ensemble_size": cfg.ensemble_size,
+        "entropy": labels,
+        "tol": cfg.tol,
+        "units": cfg.units,
+    }
+    return _campaign_result(cfg, flags, _entropy_rows(_joined(blocks), cfg.tol))
+
+
+def sample_luders(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """The chunk's states (n, d, d), not validated, and block sizes (a list of n tuples).
+
+    Trial t draws the normals of its state, then its block sizes.
+    """
+    dim = cfg.dim
+    raw = np.empty((len(chunk), 2 * dim * dim))
+    partitions = []
+    for i, trial in enumerate(chunk):
+        rng = sampling.trial_stream(cfg.seed, trial)
+        rng.standard_normal(out=raw[i])
+        partitions.append(sampling.random_block_sizes(dim, rng))
+    return sampling.density_from_normals(raw, dim), partitions
+
+
+def run_luders(cfg: CampaignConfig) -> CampaignResult:
+    """Random diagonal partitions: pinching equals the block Schur form to CONSISTENCY_TOL.
+
+    Partitions have dead slots, as in :func:`run_majorization`.
+    """
+    dim = cfg.dim
+
+    def evaluate(chunk: range) -> dict:
+        rho, partitions = sample_luders(cfg, chunk)
+        projectors = block_projectors(partitions, dim)
+
+        # state, partition, pinching, block Gram matrix, Schur form
+        validate_stack(rho, "density")
+        validate_projector_stack(projectors)
+        _, pinched = pinch(projectors, rho)
+        validate_stack(pinched, "density")
+        gram = gram_from_projector_stack(projectors)
+        validate_stack(gram, "gram")
+        schur_form = rho * gram
+        validate_stack(schur_form, "density")
+        residual = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0)
+        return _grid_rows(
+            (len(chunk),), trial=np.asarray(chunk), functional="", side="luders-equivalence", lhs=residual,
+            rhs=CONSISTENCY_TOL, margin=CONSISTENCY_TOL - residual, violation=residual > CONSISTENCY_TOL,
+        )
+
+    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim))
+    return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, _joined(blocks))
+
+
+def _exact_check(name: str, residual: float) -> dict:
+    """A counterexample check: it passes when the residual is within CONSISTENCY_TOL."""
+    return {"name": name, "pass": residual <= CONSISTENCY_TOL, "residual": residual}
+
+
+def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
+    """Reproduce one fixed inequality-breaking measurement exactly.
+
+    Hard checks (all to CONSISTENCY_TOL): branch probabilities, live branch
+    states, and the von Neumann entropy jump; plus the purity-preservation
+    classification and the identity of the violated side.  The selected
+    functional's entropies are reported alongside.
+    """
+    from .povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
+    from .processes import ensemble_average
+
+    if len(cfg.functionals) > 1:
+        raise ValueError("counterexample takes at most one --entropy")
+    functional = parse_functional(cfg.functionals[0])
+    vn = von_neumann()
+    if cfg.which == 1:
+        measurement, initial = counterexample_1()
+        expected_probs = [0.5, 0.5, 0.0, 0.0]
+        expected_state = np.eye(2, dtype=complex) / 2.0
+        expected_purity_preserving = False
+        violated_side = "observation"
+        expected_before_vn, expected_jump_vn = 0.0, math.log(2.0)
+    else:
+        measurement, initial = counterexample_2()
+        expected_probs = [0.5, 0.5]
+        expected_state = np.zeros((2, 2), dtype=complex)
+        expected_state[0, 0] = 1.0
+        expected_purity_preserving = True
+        violated_side = "decoherence"
+        expected_before_vn, expected_jump_vn = math.log(2.0), 0.0
+
+    ensemble = apply_povm(initial, measurement)
+    average = ensemble_average(ensemble)
+    probabilities = [outcome.probability for outcome in ensemble]
+    prob_residual = max(abs(p - e) for p, e in zip(probabilities, expected_probs))
+    outcome_residual = max(
+        matcore.max_abs(outcome.state.mat - expected_state)
+        for outcome in ensemble
+        if outcome.probability > ZERO_PROBABILITY
+    )
+    purity_preserving = is_purity_preserving(measurement)
+
+    used = [vn] if functional == vn else [vn, functional]
+    entropies = {f.label: (entropy(initial, f), expected_entropy(ensemble, f), entropy(average, f)) for f in used}
+    before, after, of_average = np.array(list(entropies.values())).T
+    # per functional: observation (expected after <= before), then decoherence (before <= of average)
+    sides = ["observation", "decoherence"]
+    columns = _entropy_rows(_grid_rows(
+        (len(used), 2), trial=0, functional=np.array(list(entropies))[:, None], side=np.array(sides),
+        lhs=np.stack((after, before), axis=-1), rhs=np.stack((before, of_average), axis=-1),
+    ), cfg.tol)
+
+    before_vn, expected_vn, average_vn = entropies[vn.label]
+    # the measured quantity on the violated side, against the initial entropy
+    jump_value = expected_vn if cfg.which == 1 else average_vn
+    observed_violation = next((side for side, bad in zip(sides, columns["violation"][:2]) if bad), None)
+    checks = [
+        _exact_check("probabilities", prob_residual),
+        _exact_check("outcome-states", outcome_residual),
+        _exact_check("entropy-before", abs(before_vn - expected_before_vn)),
+        _exact_check("entropy-jump", abs(jump_value - expected_jump_vn)),
+        _exact_check("purity-preserving-classification", float(purity_preserving != expected_purity_preserving)),
+        _exact_check("violated-side", float(observed_violation != violated_side)),
+    ]
+
+    flags = {"which": cfg.which, "entropy": functional.label, "tol": cfg.tol, "units": cfg.units}
+    shown = _shown(flags, entropies[functional.label])
+    fields = {
+        "probabilities": probabilities,
+        "expected_probabilities": expected_probs,
+        "purity_preserving": purity_preserving,
+        "expected_purity_preserving": expected_purity_preserving,
+        "violated_side": violated_side,
+        "entropy": {
+            "functional": functional.label,
+            **dict(zip(("before", "expected_after_observation", "of_average"), shown)),
+        },
+        "checks": checks,
+    }
+    checks_failed = sum(not c["pass"] for c in checks)
+    return _campaign_result(cfg, flags, columns, fields, {"checks_failed": checks_failed}, checks_failed > 0, dim=2)
+
+
+def run_povm_classify(cfg: CampaignConfig) -> CampaignResult:
+    """Classify a measurement file as general or purity-preserving."""
+    from . import serialize
+    from .povm import ancilla_factors
+
+    measurement = serialize.load_povm(cfg.povm_file)
+    factors = ancilla_factors(measurement)
+    report = _base_report(cfg, {"file": cfg.povm_file})
+    if factors is None:
+        report["classification"] = "general"
+    else:
+        report["classification"] = "purity-preserving"
+        report["probing_realizable"] = "unknown"
+        report["ancilla_basis"] = [serialize.matrix_to_json(v.reshape(-1, 1)) for v in factors]
+    report["object_dim"] = measurement.object_dim
+    report["ancilla_dim"] = measurement.ancilla_dim
+    report["summary"] = {"rows": 0, "violations": 0}
+    report["rows"] = []
+    return CampaignResult(report, 0)
+
+

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matcore
+from .stacks import _blocks
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
@@ -64,11 +65,20 @@ def haar_from_ginibre(z) -> np.ndarray:
 
 
 def density_from_normals(raw, n: int) -> np.ndarray:
-    """Trace-normalized G G^dagger of the complex Gaussians G of (..., 2 n^2) normals, not validated."""
-    g = complex_from_normals(raw, (n, n))
-    mats = g @ g.conj().swapaxes(-1, -2)
-    mats /= mats.trace(axis1=-2, axis2=-1).real[..., None, None]
-    return mats
+    """Trace-normalized G G^dagger of the complex Gaussians G of (..., 2 n^2) normals, not validated.
+
+    G and G G^dagger are formed one block of the stack at a time, within the
+    block budget of :mod:`decobs.stacks`, so the temporaries stay small
+    whatever the stack size; each product is the one ``g @ g.conj().T`` makes.
+    """
+    raw = np.asarray(raw, dtype=float)
+    flat = raw.reshape(-1, raw.shape[-1])
+    mats = np.empty((len(flat), n, n), dtype=complex)
+    for block in _blocks(len(flat), mats[:1].nbytes):
+        g = complex_from_normals(flat[block], (n, n))
+        np.matmul(g, g.conj().swapaxes(-1, -2), out=mats[block])
+    mats /= mats.trace(axis1=-2, axis2=-1).real[:, None, None]
+    return mats.reshape(raw.shape[:-1] + (n, n))
 
 
 def pure_from_normals(raw, n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from decobs import cli, matcore, processes, sampling, stacks, states
+from decobs import campaigns, cli, matcore, processes, sampling, stacks, states
 from decobs.entropy import (
     NEG_INFINITY,
     entropies_of_spectra,
@@ -163,8 +163,8 @@ def test_output_does_not_depend_on_the_chunk_size(capsys, monkeypatch, argv, fmt
     args = _with_format(argv, fmt)
     default_code = cli.main(args)
     default = capsys.readouterr().out
-    monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
-    assert all(len(chunk) == 1 for chunk in cli.plan_chunks(25, 5, 3))
+    monkeypatch.setattr(campaigns, "CHUNK_BYTES", 1)
+    assert all(len(chunk) == 1 for chunk in campaigns.plan_chunks(25, 5, 3))
     single_code = cli.main(args)
     single = capsys.readouterr().out
     assert single_code == default_code == 0
@@ -174,19 +174,19 @@ def test_output_does_not_depend_on_the_chunk_size(capsys, monkeypatch, argv, fmt
 class TestChunkPlanner:
     @pytest.mark.parametrize("slots,dim", [(1, 1), (4, 4), (5, 8), (7, 16), (32, 32), (3, 30)])
     def test_largest_stack_fits_the_budget(self, slots, dim):
-        chunks = cli.plan_chunks(97, slots, dim)
+        chunks = campaigns.plan_chunks(97, slots, dim)
         assert [t for chunk in chunks for t in chunk] == list(range(97))
         for chunk in chunks:
-            assert len(chunk) * slots * dim * dim * 16 <= cli.CHUNK_BYTES
+            assert len(chunk) * slots * dim * dim * 16 <= campaigns.CHUNK_BYTES
 
     def test_dim_32_takes_one_trial_per_chunk(self):
-        assert [len(chunk) for chunk in cli.plan_chunks(30, 32, 32)] == [1] * 30
+        assert [len(chunk) for chunk in campaigns.plan_chunks(30, 32, 32)] == [1] * 30
 
     def test_a_trial_larger_than_the_budget_is_a_chunk_of_its_own(self):
-        assert [len(chunk) for chunk in cli.plan_chunks(3, 35, 32)] == [1, 1, 1]
+        assert [len(chunk) for chunk in campaigns.plan_chunks(3, 35, 32)] == [1, 1, 1]
 
     def test_probe_small_is_one_chunk(self):
-        assert cli.plan_chunks(200, 4, 4) == [range(0, 200)]
+        assert campaigns.plan_chunks(200, 4, 4) == [range(0, 200)]
 
     @pytest.mark.parametrize("response_dim", [2000, 20000])
     def test_majorization_counts_the_responses(self, monkeypatch, allowed_cpus, response_dim):
@@ -206,7 +206,7 @@ class TestChunkPlanner:
         assert sum(trials for trials, _ in drawn) == 200
         for trials, nbytes in drawn:
             # a trial larger than the budget is a chunk of its own
-            assert trials == 1 or nbytes <= cli.CHUNK_BYTES
+            assert trials == 1 or nbytes <= campaigns.CHUNK_BYTES
         assert len(drawn) > 1
 
 
@@ -236,7 +236,7 @@ class TestChunkMap:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_output_does_not_depend_on_the_worker_count(self, capfd, monkeypatch, allowed_cpus, forks, argv, fmt):
         # one trial a chunk; 1,025 chunks take runs of two chunks a token
-        monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(campaigns, "CHUNK_BYTES", 1)
         args = _with_format(argv, fmt)
         _assert_one_thread()
         allowed_cpus(1)
@@ -254,31 +254,33 @@ class TestChunkMap:
 
     @staticmethod
     def plant(monkeypatch, planted):
-        """Call ``planted(trial, mats)`` on each one-trial verify-s-theorems state stack."""
-        firsts = {sampling.trial_stream(0, t).standard_normal(1)[0]: t for t in range(6)}
-        transform = sampling.density_from_normals
+        """Draw verify-s-theorems one trial a chunk; a trial's state is ``planted(trial)`` unless that is None."""
+        sample = campaigns.sample_s_theorems
 
-        def wrapped(raw, n):
-            mats = transform(raw, n)
-            planted(firsts[raw[0, 0]], mats)
-            return mats
+        def wrapped(cfg, chunk):
+            rho, probe = sample(cfg, chunk)
+            for i, trial in enumerate(chunk):
+                state = planted(trial)
+                if state is not None:
+                    rho[i] = state
+            return rho, probe
 
-        monkeypatch.setattr(sampling, "density_from_normals", wrapped)
-        monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(campaigns, "sample_s_theorems", wrapped)
+        monkeypatch.setattr(campaigns, "CHUNK_BYTES", 1)
 
     @pytest.mark.parametrize("first", [1, 2])
     def test_the_earlier_of_two_failing_trials_is_reported(self, capsys, tmp_path, monkeypatch, allowed_cpus, first):
         # trials 1 and 2 draw bad states in two processes; trial `first` fails first
         bad = {1: np.diag([1.5, -0.5, 0.0]).astype(complex), 2: np.diag([0.5, 0.5, 0.5]).astype(complex)}
 
-        def planted(trial, mats):
+        def planted(trial):
             if trial in bad:
                 (tmp_path / f"drawn-{trial}").write_text(str(os.getpid()))
                 _wait_for(tmp_path / f"drawn-{3 - trial}")
                 if trial != first:
                     _wait_for(tmp_path / f"failing-{first}")
                 (tmp_path / f"failing-{trial}").touch()
-                mats[0] = bad[trial]
+                return bad[trial]
 
         self.plant(monkeypatch, planted)
         allowed_cpus(2)
@@ -294,7 +296,7 @@ class TestChunkMap:
     def test_a_dead_worker_is_an_input_error_not_lost_trials(self, capsys, tmp_path, monkeypatch, allowed_cpus):
         parent = os.getpid()
 
-        def planted(trial, mats):
+        def planted(trial):
             if os.getpid() != parent:
                 (tmp_path / "died").touch()
                 os._exit(3)
@@ -320,7 +322,7 @@ class TestChunkMap:
                 pinned.append(set(cpus))
             setaffinity(pid, cpus)
 
-        def planted(trial, mats):
+        def planted(trial):
             if os.getpid() != parent:
                 (tmp_path / "working").touch()
                 time.sleep(60)
@@ -794,7 +796,7 @@ class TestStackedChecksRaiseTheScalarErrors:
         # the five trials are one chunk, whose families are built at once; trial
         # 2's is broken, only the rotated partition is validated, and
         # conjugation keeps the broken identity
-        build = cli.block_projectors
+        build = campaigns.block_projectors
 
         def slot_one_repeats_slot_zero(partitions, slots):
             mats = build(partitions, slots)
@@ -802,7 +804,7 @@ class TestStackedChecksRaiseTheScalarErrors:
             mats[2, 1] = mats[2, 0]
             return mats
 
-        monkeypatch.setattr(cli, "block_projectors", slot_one_repeats_slot_zero)
+        monkeypatch.setattr(campaigns, "block_projectors", slot_one_repeats_slot_zero)
         code = cli.main(["majorization", "--dim", "4", "--trials", "5"])
         captured = capsys.readouterr()
         assert code == 2

@@ -47,20 +47,34 @@ def run_python(code: str):
 
 
 def test_a_campaign_loads_the_kernel_layer_only():
-    loaded, dataclasses = run_python(
-        "import dataclasses, json, sys\n"
+    # the benchmark times the functions named run_* that it finds in vars(decobs.cli),
+    # and wraps them wherever a module holds them, the dispatch table included
+    loaded, dataclasses, campaigns, main_is_function, dispatched = run_python(
+        "import dataclasses, inspect, json, sys\n"
         "import decobs.cli\n"
         "names = sorted(m for m in sys.modules if m.startswith('decobs.'))\n"
         "made = sorted(v.__name__ for m in names for v in vars(sys.modules[m]).values()\n"
         "              if isinstance(v, type) and dataclasses.is_dataclass(v))\n"
-        "print(json.dumps([names, made]))\n"
+        "cli = vars(decobs.cli)\n"
+        "runs = sorted(n for n, v in cli.items() if n.startswith('run_') and inspect.isfunction(v))\n"
+        "same = sorted(c for c, f in cli['_DISPATCH'].items() if cli.get(f.__name__) is f)\n"
+        "print(json.dumps([names, made, runs, inspect.isfunction(cli.get('main')), same]))\n"
     )
     assert not {"decobs.states", "decobs.processes", "decobs.povm", "decobs.serialize"} & set(loaded)
     assert loaded == [
         f"decobs.{name}"
-        for name in ("cli", "entropy", "errors", "majorization", "matcore", "sampling", "stacks", "tolerances")
+        for name in (
+            "campaigns", "cli", "entropy", "errors", "majorization", "matcore", "sampling", "stacks", "tolerances",
+        )
     ]
     assert dataclasses == ["CampaignConfig", "CampaignResult", "CheckReport", "Dominance", "EntropyFunctional"]
+    assert campaigns == [
+        "run_counterexample", "run_holevo", "run_luders", "run_majorization", "run_povm_classify", "run_s_theorems",
+    ]
+    assert main_is_function
+    assert dispatched == sorted(
+        ["verify-s-theorems", "majorization", "counterexample", "holevo", "luders-equiv", "povm-classify"]
+    )
 
 
 def test_the_package_root_loads_no_submodule():

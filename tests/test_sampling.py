@@ -242,6 +242,25 @@ class TestTransforms:
             assert np.array_equal([o.state.mat for o in ensemble], mats)
             assert rng.standard_normal() == replay.standard_normal()
 
+    @pytest.mark.parametrize("layout", ["one block", "contiguous", "column slice"])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_density_is_the_normalized_product_on_every_layout(self, layout, n):
+        # the campaigns pass contiguous stacks and column slices of a wider
+        # fill, spanning three blocks or more; states.random_density passes one block
+        count = 3 * (stacks._BLOCK_BYTES // (16 * n * n)) + 7
+        rng = np.random.default_rng(n)
+        raw = {
+            "one block": lambda: rng.standard_normal(2 * n * n),
+            "contiguous": lambda: rng.standard_normal((count, 2 * n * n)),
+            "column slice": lambda: rng.standard_normal((count, 2 * n * n + 6))[:, 3:-3],
+        }[layout]()
+        g = sampling.complex_from_normals(raw, (n, n))
+        product = g @ g.conj().swapaxes(-1, -2)
+        expected = product / product.trace(axis1=-2, axis2=-1).real[..., None, None]
+        mats = sampling.density_from_normals(raw, n)
+        assert mats.shape == expected.shape == raw.shape[:-1] + (n, n)
+        assert np.array_equal(mats, expected)
+
 
 #: campaign fill -> the per-object draws it replaces, as (rows, cols) real
 #: blocks in stream order, for dimension n and response dimension (or, for

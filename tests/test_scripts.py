@@ -76,15 +76,15 @@ def test_report_digests_blanks_the_timestamp():
 
 
 def test_report_digests_multi_chunk_lines_split_into_chunks(monkeypatch):
-    from decobs import cli
+    from decobs import campaigns
 
     script = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))
     lines = [argv for argv in script["grid"]() if argv[1:5] == ["--dim", "16", "--trials", "20"]]
     assert len(lines) == 8
     assert {argv[0] for argv in lines} == {"verify-s-theorems", "holevo", "majorization", "luders-equiv"}
-    plan = cli.plan_chunks
+    plan = campaigns.plan_chunks
     chunks = []
-    monkeypatch.setattr(cli, "plan_chunks", lambda *args: chunks.append(plan(*args)) or chunks[-1])
+    monkeypatch.setattr(campaigns, "plan_chunks", lambda *args: chunks.append(plan(*args)) or chunks[-1])
     for argv in lines:
         chunks.clear()
         assert script["digest"](argv).startswith("0 ")
