@@ -7,7 +7,8 @@ SHA-256 of its stdout with the JSON timestamp blanked, and the arguments.
 The grid covers every subcommand: dims 1 to 16, two seeds, JSON and CSV,
 nats and bits, default, unit and large response dims and ensemble sizes, all
 seven entropy functionals, ``--tol 1e-30``, both counterexamples with each
-functional, and ``povm-classify`` on both counterexample exports.  The
+functional, ``povm-classify`` on both counterexample exports, and the four
+seeded campaigns at dim 3 on each of three seeds longer than 32 bits.  The
 grid's last lines run each stacked campaign at dim 16 with 20 trials, which
 the default chunk budget splits into several chunks, so chunk seams are
 covered too, and then at dim 32 with 3 trials (one trial per chunk for most
@@ -44,6 +45,9 @@ from decobs.states import basis_state
 
 DIMS = (1, 2, 3, 4, 8, 16)
 SEEDS = (0, 7)
+#: seeds of two, three and five 32-bit words: numpy pads the first two with
+#: zeros to its four-word pool, and mixes the fifth word of the last past it
+LONG_SEEDS = (2**32 + 1, 2**64 + 3, 2**128 + 5)
 TRIALS = "4"
 FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det", "renyi:0.1", "renyi:3")
 FORMATS = ("json", "csv")
@@ -94,6 +98,10 @@ def grid() -> list[list[str]]:
             for fmt in FORMATS:
                 configs.append(["luders-equiv", *seeded, "--format", fmt])
         configs.append(["majorization", "--dim", str(dim), "--trials", TRIALS, *TIGHT_TOL])
+    for seed in LONG_SEEDS:
+        seeded = ["--dim", "3", "--seed", str(seed), "--trials", TRIALS]
+        for command in ("verify-s-theorems", "holevo", "majorization", "luders-equiv"):
+            configs.append([command, *seeded, *(every if command in ("verify-s-theorems", "holevo") else [])])
     for command in ("verify-s-theorems", "holevo"):
         for name in FUNCTIONALS:
             configs.append([command, "--dim", "3", "--trials", TRIALS, *_entropy_flags([name])])

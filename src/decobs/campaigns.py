@@ -5,7 +5,10 @@ A seeded campaign (``verify-s-theorems``, ``majorization``, ``holevo`` and
 sampler, ``sample_*(cfg, chunk)``, draws each trial t of a chunk from stream
 (seed, t) in a fixed order and returns the chunk's stacks, transformed and
 not validated, and any block sizes; the samplers are the only code that
-reads :func:`~decobs.sampling.trial_stream`.  The evaluator, a closure of
+reads :func:`~decobs.sampling.trial_streams`, which seeds all of a chunk's
+streams in one pass and hands each trial the same generator, reset to that
+trial's stream, so a sampler finishes with a trial's ``rng`` before it
+takes the next.  The evaluator, a closure of
 the ``run_*`` function, validates those stacks, applies the maps and
 returns the chunk's row columns, which :func:`_campaign_result` makes rows.
 
@@ -20,7 +23,10 @@ claims chunks in order from one shared pipe of tokens.  The results are put
 back in chunk order, and the exception of the lowest failing chunk is
 raised, which is the error the serial loop raises.  Trial t draws from
 stream (seed, t) wherever it runs, so a report and its exit code do not
-depend on the chunking, the worker count or the scheduling.
+depend on the chunking, the worker count or the scheduling.  When a
+campaign runs from :func:`decobs.cli.main`, the objects left by import are
+frozen (``gc.freeze``), so neither this process's collections nor a forked
+worker's walk them.
 
 The seeded campaigns call the kernel layer only (:mod:`decobs.stacks`,
 :mod:`decobs.sampling`, :mod:`decobs.entropy`, :mod:`decobs.majorization`),
@@ -351,8 +357,8 @@ def sample_s_theorems(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np
     """
     dim, response_dim = cfg.dim, cfg.response_dim or cfg.dim
     raw = np.empty((len(chunk), 2 * dim * (dim + response_dim)))
-    for i, trial in enumerate(chunk):
-        sampling.trial_stream(cfg.seed, trial).standard_normal(out=raw[i])
+    for i, rng in sampling.trial_streams(cfg.seed, chunk):
+        rng.standard_normal(out=raw[i])
     rho = sampling.density_from_normals(raw[:, : 2 * dim * dim], dim)
     return rho, sampling.probing_from_normals(raw[:, 2 * dim * dim :], dim, response_dim)
 
@@ -455,8 +461,7 @@ def sample_majorization(cfg: CampaignConfig, chunk: range) -> tuple:
     raw = np.empty((len(chunk), 2 * square + 2 * dim * response_dim))
     late = np.empty((len(chunk), 3, square))
     partitions = []
-    for i, trial in enumerate(chunk):
-        rng = sampling.trial_stream(cfg.seed, trial)
+    for i, rng in sampling.trial_streams(cfg.seed, chunk):
         rng.standard_normal(out=raw[i])
         partitions.append(sampling.random_block_sizes(dim, rng))
         rng.standard_normal(out=late[i])
@@ -536,8 +541,7 @@ def sample_holevo(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np.nda
     probs = np.zeros((len(chunk), slots))
     raw = np.empty((len(chunk) * slots, 2 * dim * dim))
     filled = 0
-    for i, trial in enumerate(chunk):
-        rng = sampling.trial_stream(cfg.seed, trial)
+    for i, rng in sampling.trial_streams(cfg.seed, chunk):
         size = sizes[i] = cfg.ensemble_size or int(rng.integers(2, _MAX_MIXTURE_SIZE + 1))
         probs[i, :size] = sampling.random_simplex(size, rng)
         rng.standard_normal(out=raw[filled : filled + size])
@@ -597,8 +601,7 @@ def sample_luders(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, list[t
     dim = cfg.dim
     raw = np.empty((len(chunk), 2 * dim * dim))
     partitions = []
-    for i, trial in enumerate(chunk):
-        rng = sampling.trial_stream(cfg.seed, trial)
+    for i, rng in sampling.trial_streams(cfg.seed, chunk):
         rng.standard_normal(out=raw[i])
         partitions.append(sampling.random_block_sizes(dim, rng))
     return sampling.density_from_normals(raw, dim), partitions

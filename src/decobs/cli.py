@@ -27,7 +27,12 @@ signals usage or input errors.  Rerunning with identical flags and seed
 reproduces the report byte for byte (timestamp field aside).
 
 The campaigns themselves live in :mod:`decobs.campaigns`; this module is
-argparse, the config, dispatch and the two writers.  Both writers read the
+argparse, the config, dispatch and the two writers.  :func:`main` freezes
+the garbage collector's heap (``gc.freeze``) after parsing the arguments and
+unfreezes it before it returns, whatever the outcome: collections during
+the campaign, and in the workers it forks, then skip the objects left by
+import, while interpreter teardown walks them as before.  A library call of
+a ``run_*`` function freezes nothing.  Both writers read the
 row dicts the campaigns' report builder makes.  CSV goes out row by row
 through ``csv.writer``, which is loaded when it writes.  JSON goes out
 through :func:`write_json`, which gives the bytes of
@@ -39,6 +44,7 @@ no string of the whole report is made.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -216,8 +222,16 @@ def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the campaign's collections, and those of the workers it forks, skip the objects made so far
+    gc.freeze()
+    try:
+        return _run(args)
+    finally:
+        gc.unfreeze()
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_args(args)
         result = _DISPATCH[args.command](cfg)

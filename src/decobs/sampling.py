@@ -4,7 +4,10 @@ All streams are numpy PCG64 generators keyed by SeedSequence values.  A
 campaign's trial t always draws from the child stream ``(seed, t)``, so
 results are reproducible for a fixed seed regardless of how trials are
 scheduled across workers.  Identical seeds give bit-identical draws across
-runs on the same platform.
+runs on the same platform.  :func:`trial_stream` builds one such stream
+through numpy; :func:`trial_streams` gives a chunk's streams, seeded in one
+pass over the chunk's spawn keys and set one after another into a single
+reused generator, so each trial's ``rng`` is valid only until the next.
 
 Every Gaussian object is made in two steps: a block of standard normals,
 then a transform (``*_from_normals``) that turns a (..., k) stack of such
@@ -28,8 +31,108 @@ from .stacks import _blocks
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
-    """Child generator for trial index ``trial``, independent of call order."""
+    """Child generator for trial index ``trial``, built by numpy: the oracle of :func:`trial_streams`."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),)))
+
+
+# numpy's SeedSequence hash constants, and PCG64's 128-bit multiplier
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+# The two SeedSequence steps act alike on Python ints and on uint64 arrays of
+# 32-bit words, so the seed's words are mixed once and a chunk's spawn words
+# in one pass.  Each returns the next hash constant, which depends only on
+# how many words were hashed before, never on the words.
+def _hash(value, const: int, mult: int = _MULT_A):
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(word, hashed):
+    mixed = (_MIX_L * word - _MIX_R * hashed) & _MASK32
+    return mixed ^ mixed >> 16
+
+
+def _absorb(pool: list, word, const: int) -> int:
+    """Mix one entropy word into every pool word, in place."""
+    for dst in range(_POOL):
+        hashed, const = _hash(word, const)
+        pool[dst] = _mix(pool[dst], hashed)
+    return const
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """The pool of ``SeedSequence(seed, spawn_key=...)`` before its spawn words, and the hash constant."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # a sequence with a spawn key pads a short seed with zeros to the pool size
+    words += [0] * (_POOL - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL]:
+        hashed, const = _hash(word, const)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, const = _hash(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL:]:
+        const = _absorb(pool, word, const)
+    return pool, const
+
+
+def _pcg64_states(seed: int, trials: range) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) for each trial's stream, as :func:`trial_stream` seeds it."""
+    start, const = _seed_pool(int(seed))
+    index = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    pool = [np.full(len(index), word, dtype=np.uint64) for word in start]
+    # a spawn key is the index's 32-bit words, low first; indices below 2**32 have one
+    high = index >> np.uint64(32)
+    next_const = _absorb(pool, index & _MASK32, const)
+    if high.any():
+        longer = pool.copy()
+        _absorb(longer, high, next_const)
+        pool = [np.where(high > 0, a, b) for a, b in zip(longer, pool)]
+    # generate_state(4, uint64): eight words drawn cyclically from the pool
+    words, const = np.empty((len(index), 8), dtype=np.uint64), _INIT_B
+    for k in range(8):
+        words[:, k], const = _hash(pool[k % _POOL], const, _MULT_B)
+    seeds = (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist()
+    # pcg64_set_seed: state 0, one step, add the seed, one more step
+    states = []
+    for s_high, s_low, i_high, i_low in seeds:
+        inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+        states.append((((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def trial_streams(seed: int, trials: range):
+    """Yield ``(i, rng)`` for each trial ``trials[i]``, rng drawing as ``trial_stream(seed, trials[i])``.
+
+    The seeds of all the trials are mixed in one pass, and every trial gets
+    the same Generator, reset to the trial's state: a yielded ``rng`` is
+    valid only until the next iteration.  Trial indices must be below 2**64.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for i, (state, inc) in enumerate(_pcg64_states(seed, trials)):
+        # the whole state, so no 32-bit draw buffered by the last trial is left
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+        }
+        yield i, rng
 
 
 def complex_from_normals(raw, shape: tuple[int, ...]) -> np.ndarray:

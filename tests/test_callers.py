@@ -26,7 +26,7 @@ TEST_ONLY = {
             "diagonal_projector_partition", "gram_from_projectors", "gram_from_vectors", "haar_unitary",
             "luders", "majorizes", "observe", "purify_ancilla", "random_density", "random_ensemble",
             "random_gram", "random_hermitian", "random_probing", "random_projector_partition",
-            "random_pure", "response_gram", "schur_product",
+            "random_pure", "response_gram", "schur_product", "trial_stream",
         ),
         "oracle",
     ),

@@ -55,14 +55,22 @@ def test_a_chunk_draws_its_trials_one_at_a_time(command, fields):
             assert value == sum(parts, [])
 
 
-def test_only_the_samplers_read_the_trial_streams():
+def readers_of(target: str) -> set[tuple[str, str | None]]:
+    """(module file, enclosing top-level function or None) for every read of ``target`` in the package."""
     readers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             owner = top.name if isinstance(top, ast.FunctionDef) else None
             for node in ast.walk(top):
                 name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-                if name == "trial_stream" and not isinstance(node, ast.FunctionDef):
+                if name == target and not isinstance(node, ast.FunctionDef):
                     readers.add((path.name, owner))
+    return readers
+
+
+def test_only_the_samplers_read_the_trial_streams():
+    readers = readers_of("trial_streams")
     assert sorted((path, owner) for path, owner in readers if not (owner or "").startswith("sample_")) == []
     assert {owner for _, owner in readers} == set(SAMPLERS)
+    # numpy's one-stream construction is the seeder's oracle, read by tests only
+    assert readers_of("trial_stream") == set()

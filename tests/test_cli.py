@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -8,9 +9,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from decobs import campaigns
 from decobs.cli import (
     _DISPATCH,
     CampaignConfig,
@@ -18,6 +21,9 @@ from decobs.cli import (
     _emit,
     build_parser,
     main,
+    run_holevo,
+    run_luders,
+    run_majorization,
     run_s_theorems,
     write_json,
 )
@@ -527,3 +533,76 @@ def test_counterexample_solves_at_most_five_matrices(capsys, solved):
         assert main(["counterexample", "--which", which]) == 0
         assert solved[0] <= 5
     capsys.readouterr()
+
+
+class TestFreezeWindow:
+    """``main`` runs the campaign with the import heap frozen, and unfreezes it on every way out."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Wrap every dispatched campaign to log the freeze count it sees in ``seen.counts``.
+
+        A campaign raises ``seen.raises`` instead of running when that is set.
+        """
+        seen = SimpleNamespace(counts=[], raises=None)
+
+        def watching(run):
+            def campaign(cfg):
+                seen.counts.append(gc.get_freeze_count())
+                if seen.raises is not None:
+                    raise seen.raises
+                return run(cfg)
+
+            return campaign
+
+        for command, run in list(_DISPATCH.items()):
+            monkeypatch.setitem(_DISPATCH, command, watching(run))
+        assert gc.get_freeze_count() == 0
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["verify-s-theorems", "--dim", "2", "--trials", "3"], 0),
+            (["counterexample", "--which", "2", "--format", "csv"], 0),
+            (["majorization", "--dim", "2", "--trials", "4", "--tol", "1e-30"], 1),
+            (["povm-classify", "no-such-file.json"], 2),
+        ],
+    )
+    def test_the_campaign_runs_frozen_and_main_unfreezes(self, capsys, seen, argv, code):
+        assert main(argv) == code
+        capsys.readouterr()
+        assert len(seen.counts) == 1 and seen.counts[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_an_input_error_before_the_campaign_unfreezes(self, capsys, seen):
+        assert main(["verify-s-theorems", "--dim", "0"]) == 2
+        assert "--dim must be >= 1" in capsys.readouterr().err
+        assert seen.counts == []
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("error", [RuntimeError("campaign broke"), KeyboardInterrupt()])
+    def test_a_campaign_that_raises_unfreezes(self, seen, error):
+        seen.raises = error
+        with pytest.raises(type(error)):
+            main(["holevo", "--dim", "2", "--trials", "2"])
+        assert seen.counts[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize(
+        "run,command",
+        [
+            (run_s_theorems, "verify-s-theorems"),
+            (run_majorization, "majorization"),
+            (run_holevo, "holevo"),
+            (run_luders, "luders-equiv"),
+        ],
+    )
+    def test_a_library_call_never_freezes(self, monkeypatch, run, command):
+        freezes, counts = [], []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+        plan = campaigns.plan_chunks
+        # the chunk planner runs inside every seeded campaign
+        monkeypatch.setattr(campaigns, "plan_chunks", lambda *args: counts.append(gc.get_freeze_count()) or plan(*args))
+        run(CampaignConfig(command, dim=2, trials=3))
+        assert freezes == [] and counts == [0]

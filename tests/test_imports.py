@@ -48,13 +48,14 @@ def run_python(code: str):
 
 def test_a_campaign_loads_the_kernel_layer_only():
     # the benchmark times the functions named run_* that it finds in vars(decobs.cli),
-    # and wraps them wherever a module holds them, the dispatch table included
+    # and wraps them wherever a module holds them, the dispatch table included;
+    # a dataclass is counted once however many modules hold it
     loaded, dataclasses, campaigns, main_is_function, dispatched = run_python(
         "import dataclasses, inspect, json, sys\n"
         "import decobs.cli\n"
         "names = sorted(m for m in sys.modules if m.startswith('decobs.'))\n"
-        "made = sorted(v.__name__ for m in names for v in vars(sys.modules[m]).values()\n"
-        "              if isinstance(v, type) and dataclasses.is_dataclass(v))\n"
+        "made = sorted(v.__name__ for v in {v for m in names for v in vars(sys.modules[m]).values()\n"
+        "                                   if isinstance(v, type) and dataclasses.is_dataclass(v)})\n"
         "cli = vars(decobs.cli)\n"
         "runs = sorted(n for n, v in cli.items() if n.startswith('run_') and inspect.isfunction(v))\n"
         "same = sorted(c for c, f in cli['_DISPATCH'].items() if cli.get(f.__name__) is f)\n"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decobs import matcore, povm, sampling, stacks, states
+from decobs import campaigns, matcore, povm, sampling, stacks, states
+from decobs.cli import CampaignConfig
 from decobs.errors import ValidationError
 from decobs.povm import is_purity_preserving
 from decobs.states import GramMatrix
@@ -27,6 +28,101 @@ class TestStreams:
         a = sampling.trial_stream(9, 0).standard_normal(8)
         b = sampling.trial_stream(9, 1).standard_normal(8)
         assert not np.array_equal(a, b)
+
+
+#: seeds of one to eight 32-bit words: numpy pads those of fewer than four
+#: words with zeros and mixes the words past the fourth after its pool mix
+SEEDER_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3, 2**128 + 5, 3**150)
+#: chunks of trials with one spawn word, with two, and one that straddles 2**32
+SEEDER_CHUNKS = (range(0, 50), range(2**32 - 2, 2**32 + 2), range(2**40 + 7, 2**40 + 8))
+
+
+def _every_draw_kind(rng) -> list[np.ndarray]:
+    """One draw of each kind the samplers make, the 32-bit bounded integers among them."""
+    return [
+        rng.standard_normal(5),
+        rng.integers(1, 9, size=3),
+        rng.dirichlet(np.ones(4)),
+        rng.choice(np.arange(1, 9), size=3, replace=False),
+        rng.integers(2**40, size=2),
+    ]
+
+
+def _oracle_streams(seed, trials):
+    """``trial_streams`` replayed through numpy's own construction of each stream."""
+    for i, trial in enumerate(trials):
+        yield i, sampling.trial_stream(seed, trial)
+
+
+class TestBatchedSeeding:
+    """``trial_streams`` gives each trial, bit for bit, the stream ``trial_stream`` builds."""
+
+    @pytest.mark.parametrize("trials", SEEDER_CHUNKS, ids=lambda r: f"{r.start}-{r.stop}")
+    @pytest.mark.parametrize("seed", SEEDER_SEEDS)
+    def test_state_and_draws_equal_the_oracle(self, seed, trials):
+        seen = []
+        for i, rng in sampling.trial_streams(seed, trials):
+            oracle = sampling.trial_stream(seed, trials[i])
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            for ours, theirs in zip(_every_draw_kind(rng), _every_draw_kind(oracle), strict=True):
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs)
+            seen.append(i)
+        assert seen == list(range(len(trials)))
+
+    @given(seed=st.integers(0, 2**200), start=st.integers(0, 2**63), length=st.integers(0, 6))
+    def test_any_seed_and_chunk(self, seed, start, length):
+        trials = range(start, start + length)
+        replay = _oracle_streams(seed, trials)
+        for (i, rng), (j, oracle) in zip(sampling.trial_streams(seed, trials), replay, strict=True):
+            assert i == j
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_a_buffered_32_bit_draw_is_not_carried_into_the_next_trial(self):
+        trials = range(2**32 - 3, 2**32 + 1)
+        for i, rng in sampling.trial_streams(7, trials):
+            oracle = sampling.trial_stream(7, trials[i])
+            assert rng.integers(0, 10) == oracle.integers(0, 10)
+            # one 32-bit draw leaves the other half of its 64-bit word buffered
+            assert rng.bit_generator.state["has_uint32"] == 1
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_every_trial_gets_the_same_generator(self):
+        generators = {id(rng) for _, rng in sampling.trial_streams(3, range(5))}
+        assert len(generators) == 1
+
+    def test_an_empty_chunk_yields_nothing(self):
+        assert list(sampling.trial_streams(3, range(9, 9))) == []
+
+    def test_a_negative_seed_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError):
+            sampling.trial_stream(-1, 0)
+        with pytest.raises(ValueError):
+            next(sampling.trial_streams(-1, range(1)))
+
+    @pytest.mark.parametrize(
+        "command,sampler",
+        [
+            ("verify-s-theorems", "sample_s_theorems"),
+            ("majorization", "sample_majorization"),
+            ("holevo", "sample_holevo"),
+            ("luders-equiv", "sample_luders"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [7, 2**64 + 3])
+    def test_every_sampler_equals_its_oracle_replay(self, monkeypatch, command, sampler, seed):
+        # majorization, holevo and luders-equiv draw 32-bit bounded integers after normals
+        cfg = CampaignConfig(command, seed=seed, dim=3)
+        chunk = range(2**32 - 2, 2**32 + 2)
+        drawn = getattr(campaigns, sampler)(cfg, chunk)
+        monkeypatch.setattr(sampling, "trial_streams", _oracle_streams)
+        replayed = getattr(campaigns, sampler)(cfg, chunk)
+        assert len(drawn) == len(replayed)
+        for ours, theirs in zip(drawn, replayed):
+            if isinstance(ours, np.ndarray):
+                assert np.array_equal(ours, theirs)
+            else:
+                assert ours == theirs
 
 
 class TestHaarUnitary:
