@@ -1,0 +1,159 @@
+"""Alternating pairs of benchmark runs on a parent and a change checkout, and their summary.
+
+Usage, from the root of a checkout::
+
+    python scripts/bench_pairs.py --parent DIR --change DIR --workload W --seeds 401-410 \\
+        [--claim METRIC] [--out FILE --set LABEL]
+
+Pair i runs the benchmark command of ``BENCHMARK.json`` (``python3
+perfbench/run.py``) with ``--workload W --seed S_i`` once in each checkout,
+the parent first on even i and the change first on odd i, so that a drift
+in host speed hits both sides alike.  Each run's result is the JSON object
+on the last line of its standard output.
+
+The summary gives, for each end-to-end metric of ``BENCHMARK.json``, both
+sides' runs, medians and quartiles, the change's wins (pairs where it reads
+better; ties count for neither) and the number of pairs, with the seeds and
+each run's attempted and failed calls.  With ``--claim METRIC`` it adds the
+verdict of the claim rule: at least ten pairs, the change wins at least nine
+tenths of them, and its median is better than the parent's by more than the
+parent's interquartile range.  It prints the summary as JSON, and with
+``--out`` merges it into that file under ``sets[LABEL][W]``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from importlib.metadata import version
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+#: End-to-end metric name -> True when a higher value is better.
+HIGHER_IS_BETTER = {metric["name"]: metric["better"] == "higher" for metric in BENCHMARK["end_to_end"]}
+
+
+def parse_seeds(text: str) -> list[int]:
+    """Seeds from "401-410" or "401,405,409"."""
+    if "-" in text:
+        first, last = map(int, text.split("-"))
+        return list(range(first, last + 1))
+    return [int(seed) for seed in text.split(",")]
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One benchmark run in ``checkout``: the JSON result on its last line of output."""
+    command = [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed)]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def run_pairs(parent: Path, change: Path, workload: str, seeds: list[int]) -> list[tuple[int, dict, dict]]:
+    """(seed, parent result, change result) for each seed, the side that runs first alternating."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        results = {side: run_once(parent if side == "parent" else change, workload, seed) for side in order}
+        pairs.append((seed, results["parent"], results["change"]))
+        shown = ", ".join(f"{side} {_value(results[side], 'trials_per_s'):.6g}" for side in ("parent", "change"))
+        print(f"pair {i + 1}/{len(seeds)} seed {seed} ({order[0]} first): trials_per_s {shown}", file=sys.stderr)
+    return pairs
+
+
+def _value(result: dict, metric: str) -> float:
+    return result["metrics"][metric]["value"]
+
+
+def _quartiles(runs: list[float]) -> list[float]:
+    """First quartile, median and third quartile (``statistics.quantiles``, exclusive method)."""
+    if len(runs) < 2:
+        return [runs[0]] * 3
+    return statistics.quantiles(runs, n=4)
+
+
+def summarize(pairs: list[tuple[int, dict, dict]], claim: str | None = None) -> dict:
+    """The summary of a workload's pairs, in the layout of ``BENCH_streams.json``."""
+    summary = {}
+    for metric, higher in HIGHER_IS_BETTER.items():
+        parent = [_value(p, metric) for _, p, _ in pairs]
+        change = [_value(c, metric) for _, _, c in pairs]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        summary[metric] = {
+            "parent_runs": parent,
+            "change_runs": change,
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "parent_quartiles": _quartiles(parent),
+            "change_quartiles": _quartiles(change),
+            "change_wins": wins,
+            "pairs": len(pairs),
+        }
+    summary["seeds"] = [seed for seed, _, _ in pairs]
+    for key in ("attempted", "failed"):
+        summary[key] = {"parent": [p[key] for _, p, _ in pairs], "change": [c[key] for _, _, c in pairs]}
+    if claim:
+        summary["verdict"] = verdict(summary[claim], HIGHER_IS_BETTER[claim], claim)
+    return summary
+
+
+def verdict(stats: dict, higher: bool, metric: str) -> dict:
+    """The claim rule on one metric's summary: wins >= 9/10 of >= 10 pairs, and median gap > parent IQR."""
+    q1, _, q3 = stats["parent_quartiles"]
+    gap = stats["change_median"] - stats["parent_median"]
+    gap = gap if higher else -gap
+    enough_wins = stats["pairs"] >= 10 and stats["change_wins"] >= math.ceil(0.9 * stats["pairs"])
+    return {
+        "metric": metric,
+        "change_wins": stats["change_wins"],
+        "pairs": stats["pairs"],
+        "median_gain": gap,
+        "parent_iqr": q3 - q1,
+        "holds": enough_wins and gap > q3 - q1,
+    }
+
+
+def merge(path: Path, label: str, workload: str, summary: dict, claim: str | None) -> None:
+    """Write ``summary`` into the file at ``sets[label][workload]``, keeping everything else there."""
+    command = " ".join(BENCHMARK["command"])
+    host = f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}, numpy {version('numpy')}"
+    document = json.loads(path.read_text()) if path.exists() else {
+        "command": f"{command} --workload W --seed S, parent and change alternating which runs first",
+        "host": host,
+        "claim": None,
+        "sets": {},
+    }
+    if claim:
+        document["claim"] = f"{claim} on {workload}"
+    document["sets"].setdefault(label, {})[workload] = summary
+    path.write_text(json.dumps(document, indent=1) + "\n")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help='"401-410" or "401,405"')
+    parser.add_argument("--claim", choices=sorted(HIGHER_IS_BETTER), help="metric to judge by the claim rule")
+    parser.add_argument("--out", type=Path, help="JSON file to merge the summary into")
+    parser.add_argument("--set", default="pairs", help="label of the set of runs in --out")
+    args = parser.parse_args(argv)
+    summary = summarize(run_pairs(args.parent, args.change, args.workload, args.seeds), args.claim)
+    if args.out:
+        merge(args.out, args.set, args.workload, summary, args.claim)
+    print(json.dumps(summary, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -140,6 +140,13 @@ def _campaign_result(
     (default ``cfg.dim``).  The summary is the margin summary followed by
     the campaign's own keys.  The exit code is 1 when ``failed``, which by
     default means that a row is a violation.
+
+    Each row is one dict display, its keys in :data:`ROW_KEYS` order, and
+    ``strict`` is set after them, so a row has the keys, order and values
+    of ``dict(zip(ROW_KEYS, cell))`` with ``strict`` added, without building
+    a key-value zip per row.  Every value comes from a ``tolist`` (the strict
+    column's too, rather than from iterating its object array), so each is
+    a Python scalar, as before.
     """
     lhs, rhs, margin = (_shown(flags, columns[name]) for name in ("lhs", "rhs", "margin"))
     violation = columns["violation"].tolist()
@@ -154,15 +161,23 @@ def _campaign_result(
     report = _base_report(cfg, flags)
     report.update(fields or {})
     report["summary"] = {**stats, **(summary or {})}
+    dim = cfg.dim if dim is None else dim
     trivial = columns["trivial"].tolist() if "trivial" in columns else repeat(None)
     cells = zip(
-        columns["trial"].tolist(), repeat(cfg.dim if dim is None else dim), columns["functional"].tolist(),
-        columns["side"].tolist(), lhs, rhs, margin, trivial, violation,
+        columns["trial"].tolist(), columns["functional"].tolist(), columns["side"].tolist(),
+        lhs, rhs, margin, trivial, violation,
     )
-    rows = report["rows"] = [dict(zip(ROW_KEYS, cell)) for cell in cells]
-    for row, strict in zip(rows, columns.get("strict", ())):
-        if strict is not None:
-            row["strict"] = strict
+    rows = report["rows"] = [
+        {
+            "trial": trial, "dim": dim, "functional": label, "side": side, "lhs": left, "rhs": right,
+            "margin": gap, "trivial": unchanged, "violation": violated,
+        }
+        for trial, label, side, left, right, gap, unchanged, violated in cells
+    ]
+    if "strict" in columns:
+        for row, strict in zip(rows, columns["strict"].tolist()):
+            if strict is not None:
+                row["strict"] = strict
     if failed is None:
         failed = stats["violations"] > 0
     return CampaignResult(report, 1 if failed else 0)
@@ -211,6 +226,17 @@ def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
     per_trial = slots * dim * dim * np.dtype(complex).itemsize
     size = max(1, CHUNK_BYTES // per_trial)
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _map_trials(cfg: CampaignConfig, evaluate, slots: int) -> list:
+    """``evaluate`` over :func:`plan_chunks` of the campaign's trials, through :func:`_map_chunks`.
+
+    The seeds of all the trials are mixed first, once
+    (:func:`~decobs.sampling._seed_campaign`), before any worker is forked,
+    and each chunk's sampler slices its own from them.
+    """
+    sampling._seed_campaign(cfg.seed, cfg.trials)
+    return _map_chunks(evaluate, plan_chunks(cfg.trials, slots, cfg.dim))
 
 
 def _pin(cpus) -> None:
@@ -424,7 +450,7 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         )
         return block, int(np.count_nonzero(~regular)), consistency
 
-    blocks, skipped, residuals = zip(*_map_chunks(evaluate, plan_chunks(cfg.trials, response_dim, dim)))
+    blocks, skipped, residuals = zip(*_map_trials(cfg, evaluate, response_dim))
     skipped_singular = sum(skipped)
     consistency_max = max(0.0, *residuals)
     columns = _entropy_rows(_joined(blocks), cfg.tol)
@@ -523,7 +549,7 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
 
     # the responses stack and its raw normals are alive beside the families
     slots = _FAMILY_SLOTS * dim + 2 * -(-response_dim // dim)
-    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, dim))
+    blocks = _map_trials(cfg, evaluate, slots)
     flags = {"dim": cfg.dim, "trials": cfg.trials, "response_dim": response_dim, "tol": cfg.tol}
     return _campaign_result(cfg, flags, _joined(blocks))
 
@@ -581,7 +607,7 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
             trial=np.asarray(chunk)[:, None], functional=np.array(labels), side="holevo", lhs=lhs.T, rhs=rhs.T,
         )
 
-    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, dim))
+    blocks = _map_trials(cfg, evaluate, slots)
     flags = {
         "dim": cfg.dim,
         "trials": cfg.trials,
@@ -633,7 +659,7 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
             rhs=CONSISTENCY_TOL, margin=CONSISTENCY_TOL - residual, violation=residual > CONSISTENCY_TOL,
         )
 
-    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, dim))
+    blocks = _map_trials(cfg, evaluate, _FAMILY_SLOTS * dim)
     return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, _joined(blocks))
 
 

@@ -74,3 +74,42 @@ def test_only_the_samplers_read_the_trial_streams():
     assert {owner for _, owner in readers} == set(SAMPLERS)
     # numpy's one-stream construction is the seeder's oracle, read by tests only
     assert readers_of("trial_stream") == set()
+
+
+def _row_columns(with_entropy_columns: bool) -> dict:
+    """Six rows of columns as the evaluators return them; the entropy ones carry trivial and strict."""
+    columns = {
+        "trial": np.array([0, 0, 1, 1, 2, 2]),
+        "functional": np.array(["von-neumann", "renyi:2"] * 3),
+        "side": np.array(["observation", "decoherence"] * 3),
+        "lhs": np.array([0.5, 0.25, np.inf, 1.0, 0.0, 2.0]),
+        "rhs": np.array([0.75, 0.25, 1.0, np.nan, 0.0, 1.0]),
+        "margin": np.array([0.25, 0.0, -np.inf, np.nan, 0.0, -1.0]),
+        "violation": np.array([False, False, True, False, False, True]),
+    }
+    if with_entropy_columns:
+        columns["trivial"] = np.array([False, True, False, False, True, False])
+        columns["strict"] = np.array([True, None, None, False, None, None], dtype=object)
+    return columns
+
+
+@pytest.mark.parametrize("dim", [None, 2])
+@pytest.mark.parametrize("entropy_columns", [True, False], ids=["strict", "plain"])
+def test_rows_have_the_row_keys_in_order_and_python_values(dim, entropy_columns):
+    cfg = CampaignConfig("holevo", dim=5)
+    columns = _row_columns(entropy_columns)
+    rows = campaigns._campaign_result(cfg, {"units": "nats"}, columns, dim=dim).report["rows"]
+    assert len(rows) == 6
+    strict = columns["strict"].tolist() if entropy_columns else [None] * 6
+    for row, trial, expected_strict in zip(rows, columns["trial"].tolist(), strict):
+        if expected_strict is None:
+            assert tuple(row) == campaigns.ROW_KEYS
+        else:
+            assert tuple(row) == (*campaigns.ROW_KEYS, "strict")
+            assert row["strict"] is expected_strict
+        assert row["trial"] == trial and row["dim"] == (5 if dim is None else dim)
+        # exact types: numpy's float64 and str_ subclass float and str
+        assert {type(value) for value in row.values()} <= {int, float, str, bool, type(None)}
+        assert (row["trivial"] is None) != entropy_columns
+    # a non-finite value is spelled as a string
+    assert [rows[2]["lhs"], rows[3]["rhs"], rows[2]["margin"]] == ["inf", "nan", "-inf"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from decobs import campaigns, matcore, povm, sampling, stacks, states
-from decobs.cli import CampaignConfig
+from decobs.cli import _DISPATCH, CampaignConfig
 from decobs.errors import ValidationError
 from decobs.povm import is_purity_preserving
 from decobs.states import GramMatrix
@@ -123,6 +123,82 @@ class TestBatchedSeeding:
                 assert np.array_equal(ours, theirs)
             else:
                 assert ours == theirs
+
+
+class TestCampaignSeeding:
+    """A campaign's seeds are mixed once, and each chunk's streams are sliced from them."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_the_held_campaign(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_campaign", sampling._campaign)
+
+    @pytest.fixture
+    def mixes(self, monkeypatch):
+        """The trial ranges that ``_seed_words`` mixes, in call order."""
+        calls = []
+        mix = sampling._seed_words
+        monkeypatch.setattr(sampling, "_seed_words", lambda seed, trials: calls.append(trials) or mix(seed, trials))
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_every_chunk_of_a_seeded_campaign_equals_the_oracle(self, mixes, seed):
+        sampling._seed_campaign(seed, 40)
+        for chunk in (range(0, 1), range(7, 19), range(39, 40), range(0, 40), range(12, 12)):
+            replay = _oracle_streams(seed, chunk)
+            for (i, rng), (j, oracle) in zip(sampling.trial_streams(seed, chunk), replay, strict=True):
+                assert i == j
+                assert rng.bit_generator.state == oracle.bit_generator.state
+                assert np.array_equal(rng.standard_normal(3), oracle.standard_normal(3))
+        assert mixes == [range(40)]
+
+    @pytest.mark.parametrize(
+        "seed,chunk",
+        [(6, range(3, 5)), (5, range(38, 41)), (5, range(0, 10, 2)), (5, range(9, 3, -1)), (5, range(2**33, 2**33 + 1))],
+        ids=["other-seed", "past-the-end", "step-2", "reversed", "far"],
+    )
+    def test_a_chunk_the_campaign_does_not_cover_is_mixed_on_its_own(self, mixes, seed, chunk):
+        sampling._seed_campaign(5, 40)
+        for (i, rng), (j, oracle) in zip(sampling.trial_streams(seed, chunk), _oracle_streams(seed, chunk), strict=True):
+            assert i == j
+            assert rng.bit_generator.state == oracle.bit_generator.state
+        assert mixes == [range(40), chunk]
+
+    def test_one_campaign_is_held_keyed_by_seed_and_trials(self, mixes):
+        for seed, trials in [(5, 40), (5, 40), (5, 41), (6, 41), (5, 40)]:
+            sampling._seed_campaign(seed, trials)
+        assert mixes == [range(40), range(41), range(41), range(40)]
+        assert sampling._campaign[:2] == (5, 40)
+
+    @pytest.mark.parametrize("command", ["verify-s-theorems", "majorization", "holevo", "luders-equiv"])
+    def test_a_campaign_of_many_chunks_mixes_its_seeds_once(self, monkeypatch, mixes, command):
+        monkeypatch.setattr(campaigns, "CHUNK_BYTES", 1)
+        cfg = CampaignConfig(command, seed=11, dim=2, trials=3)
+        with_one_mix = _DISPATCH[command](cfg).report
+        assert mixes == [range(3)]
+        # the same report as chunks that mix their own seeds
+        monkeypatch.setattr(sampling, "_seed_campaign", lambda seed, trials: None)
+        monkeypatch.setattr(sampling, "_campaign", (None, 0, None))
+        assert _without_timestamp(_DISPATCH[command](cfg).report) == _without_timestamp(with_one_mix)
+        assert mixes[1:] == [range(0, 1), range(1, 2), range(2, 3)]
+
+
+def _without_timestamp(report: dict) -> dict:
+    return {key: value for key, value in report.items() if key != "timestamp"}
+
+
+class TestSimplexDraw:
+    """``random_simplex`` is numpy's ``dirichlet(np.ones(k))``, bit for bit, and leaves the stream where it does."""
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_equals_numpy_dirichlet_for_1000_seeds(self, k):
+        for seed in range(1000):
+            ours, theirs = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
+            drawn, oracle = sampling.random_simplex(k, ours), theirs.dirichlet(np.ones(k))
+            assert drawn.dtype == oracle.dtype and drawn.shape == (k,)
+            assert np.array_equal(drawn.view(np.uint64), oracle.view(np.uint64)), (seed, k)
+            assert np.array_equal(ours.standard_normal(3), theirs.standard_normal(3))
+            assert np.array_equal(ours.integers(2, 6), theirs.integers(2, 6))
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestHaarUnitary:

@@ -1,11 +1,14 @@
 """Smoke tests: each script under scripts/ runs end to end on a tiny size."""
 
+import importlib.util
 import json
 import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,3 +111,77 @@ def test_report_digests_parallel_lines_fork_on_two_cpus(allowed_cpus, forks):
         assert script["digest"](argv) == serial
         assert len(forks) == 1, argv
         forks.clear()
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_run(trials_per_s: float, wall_s: float) -> str:
+    """The standard output of one benchmark run: progress lines, then the JSON result."""
+    values = {"setup_s": 0.16, "wall_s": wall_s, "trials_per_s": trials_per_s, "peak_rss_mb": 40.0,
+              "report_bytes": 9000, "ops_ok_frac": 1.0}
+    metrics = {name: {"value": value} for name, value in values.items()}
+    result = {"correct": True, "attempted": 50, "failed": 0, "metrics": metrics}
+    return "correctness gate: pass (0 of 50 calls failed)\n" + json.dumps(result) + "\n"
+
+
+def test_bench_pairs_alternates_the_sides_and_summarizes_canned_runs(monkeypatch, tmp_path):
+    bench_pairs = _bench_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # trials_per_s by side and seed: the change wins 9 of 10 pairs by about 15%
+    speed = {
+        (parent, seed): 6400.0 + 10 * (seed % 5) for seed in range(401, 411)
+    } | {(change, seed): 7400.0 - 20 * (seed % 3) for seed in range(401, 411)}
+    speed[change, 410] = 6300.0
+    calls = []
+
+    def run(command, cwd, capture_output, text):
+        seed = int(command[command.index("--seed") + 1])
+        calls.append((cwd, command))
+        return subprocess.CompletedProcess(command, 0, _canned_run(speed[cwd, seed], 0.23 if cwd == parent else 0.22), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "BENCH_pairs.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "mixture-csv", "--seeds", "401-410",
+            "--claim", "trials_per_s", "--out", str(out), "--set", "final"]
+    assert bench_pairs.main(argv) == 0
+    # the benchmark command only, parent first on even pairs and change first on odd ones
+    assert {tuple(command[:2]) for _, command in calls} == {("python3", "perfbench/run.py")}
+    assert [cwd for cwd, _ in calls[:4]] == [parent, change, change, parent]
+    assert len(calls) == 20
+    summary = json.loads(out.read_text())["sets"]["final"]["mixture-csv"]
+    rate = summary["trials_per_s"]
+    assert rate["pairs"] == 10 and rate["change_wins"] == 9
+    assert rate["parent_runs"] == [speed[parent, seed] for seed in range(401, 411)]
+    assert rate["parent_median"] == 6420.0
+    assert rate["parent_quartiles"][1] == rate["parent_median"]
+    # lower is better for wall_s: the change wins every pair
+    assert summary["wall_s"]["change_wins"] == 10
+    assert summary["report_bytes"]["change_wins"] == 0
+    assert summary["seeds"] == list(range(401, 411))
+    assert summary["failed"] == {"parent": [0] * 10, "change": [0] * 10}
+    verdict = summary["verdict"]
+    assert verdict["holds"] and verdict["median_gain"] > verdict["parent_iqr"]
+
+
+@pytest.mark.parametrize(
+    "change_wins,pairs,gain,iqr,holds",
+    [(9, 10, 900.0, 20.0, True), (8, 10, 900.0, 20.0, False), (9, 9, 900.0, 20.0, False), (10, 10, 15.0, 20.0, False)],
+    ids=["holds", "too-few-wins", "too-few-pairs", "gap-within-iqr"],
+)
+def test_bench_pairs_verdict_follows_the_claim_rule(change_wins, pairs, gain, iqr, holds):
+    stats = {"parent_quartiles": [100.0, 110.0, 100.0 + iqr], "parent_median": 110.0,
+             "change_median": 110.0 + gain, "change_wins": change_wins, "pairs": pairs}
+    assert _bench_pairs().verdict(stats, True, "trials_per_s")["holds"] is holds
+    # for a lower-is-better metric the same gap is a loss
+    assert _bench_pairs().verdict(stats, False, "wall_s")["holds"] is False
+
+
+def test_bench_pairs_parses_seed_ranges_and_lists():
+    bench_pairs = _bench_pairs()
+    assert bench_pairs.parse_seeds("401-404") == [401, 402, 403, 404]
+    assert bench_pairs.parse_seeds("7,9") == [7, 9]
