@@ -19,6 +19,10 @@ verdict of the claim rule: at least ten pairs, the change wins at least nine
 tenths of them, and its median is better than the parent's by more than the
 parent's interquartile range.  It prints the summary as JSON, and with
 ``--out`` merges it into that file under ``sets[LABEL][W]``.
+
+It refuses to run, with exit code 2, while either checkout's ``src/``
+holds a ``__pycache__``: a valid bytecode cache on one side only skips
+that side's compiling of ``decobs`` and skews ``setup_s`` and ``wall_s``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ def parse_seeds(text: str) -> list[int]:
         first, last = map(int, text.split("-"))
         return list(range(first, last + 1))
     return [int(seed) for seed in text.split(",")]
+
+
+def bytecode_caches(checkout: Path) -> list[Path]:
+    """The ``__pycache__`` directories under the checkout's ``src/``."""
+    return sorted((checkout / "src").rglob("__pycache__"))
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -148,6 +157,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, help="JSON file to merge the summary into")
     parser.add_argument("--set", default="pairs", help="label of the set of runs in --out")
     args = parser.parse_args(argv)
+    caches = bytecode_caches(args.parent) + bytecode_caches(args.change)
+    if caches:
+        listed = "\n".join(str(cache) for cache in caches)
+        print(f"error: remove these bytecode caches, or one side skips compiling decobs:\n{listed}", file=sys.stderr)
+        return 2
     summary = summarize(run_pairs(args.parent, args.change, args.workload, args.seeds), args.claim)
     if args.out:
         merge(args.out, args.set, args.workload, summary, args.claim)

@@ -11,15 +11,19 @@ functional, ``povm-classify`` on both counterexample exports, and the four
 seeded campaigns at dim 3 on each of three seeds longer than 32 bits.  The
 grid's last lines run each stacked campaign at dim 16 with 20 trials, which
 the default chunk budget splits into several chunks, so chunk seams are
-covered too, and then at dim 32 with 3 trials (one trial per chunk for most
-campaigns), the size of the benchmark's largest workload.  Two JSON lines
-follow with 2,000 trials each, ``verify-s-theorems --dim 2`` with all
-seven functionals and ``luders-equiv --dim 3``, so the JSON writer writes
-thousands of rows in one report.  The last three lines (``PARALLEL``) plan
-at least four chunks each, so that on two or more CPUs they run on two
-processes and the seams between workers are covered: ``verify-s-theorems``
-and ``holevo`` at dim 32, and ``majorization`` with a response dimension of
-2,000, whose responses the chunk planner counts.
+covered too, and then at dim 32 with 3 trials, the size of the benchmark's
+largest workload, where each trial's observation branches are a block of
+their own.  Two JSON lines follow with 2,000 trials each,
+``verify-s-theorems --dim 2`` with all seven functionals and ``luders-equiv
+--dim 3``, so the JSON writer writes thousands of rows in one report, and
+then ``verify-s-theorems --dim 32 --trials 8``, two chunks.  The next
+three lines (``PARALLEL``) plan at least four chunks each, so that on two
+or more CPUs they run on two processes and the seams between workers are
+covered: ``verify-s-theorems`` and ``holevo`` at dim 32, and
+``majorization`` with a response dimension of 2,000, whose responses the
+chunk planner counts.  The last line, ``verify-s-theorems --dim 40
+--trials 2``, cuts each trial's branches into several blocks, so the seams
+of a trial's average are covered.
 
 The script takes no flags, so two versions of the package can be compared
 by running it against each and diffing the outputs::
@@ -57,11 +61,13 @@ MULTI_CHUNK = ("--dim", "16", "--trials", "20")
 LARGE = ("--dim", "32", "--trials", "3")
 MANY_ROWS = ("--trials", "2000")
 EVERY = tuple(flag for name in FUNCTIONALS for flag in ("--entropy", name))
+TWO_CHUNKS = ("verify-s-theorems", "--dim", "32", "--trials", "8", *EVERY, "--format", "json")
 PARALLEL = (
-    ("verify-s-theorems", "--dim", "32", "--trials", "8", *EVERY, "--format", "json"),
+    ("verify-s-theorems", "--dim", "32", "--trials", "16", *EVERY, "--format", "json"),
     ("holevo", "--dim", "32", "--trials", "40", *EVERY, "--format", "csv", "--units", "bits"),
     ("majorization", "--dim", "2", "--response-dim", "2000", "--trials", "200", "--format", "json"),
 )
+SPLIT_TRIALS = ("verify-s-theorems", "--dim", "40", "--trials", "2", *EVERY, "--format", "json")
 POVM_FILES = {
     "counterexample-1.json": lambda: counterexample_1()[0],
     "counterexample-2.json": lambda: counterexample_2()[0],
@@ -137,7 +143,9 @@ def grid() -> list[list[str]]:
         configs.append([command, *LARGE, *sized, "--format", "json"])
     configs.append(["verify-s-theorems", "--dim", "2", *MANY_ROWS, *every, "--format", "json"])
     configs.append(["luders-equiv", "--dim", "3", *MANY_ROWS, "--format", "json"])
+    configs.append(list(TWO_CHUNKS))
     configs.extend(list(argv) for argv in PARALLEL)
+    configs.append(list(SPLIT_TRIALS))
     return configs
 
 

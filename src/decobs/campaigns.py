@@ -13,8 +13,11 @@ the ``run_*`` function, validates those stacks, applies the maps and
 returns the chunk's row columns, which :func:`_campaign_result` makes rows.
 
 The trials are split into chunks (:func:`plan_chunks`), and every chunk goes
-through one chunk map, :func:`_map_chunks`.  With ``W = min(allowed CPUs,
-chunks // 2)`` of two or more, it forks ``W - 1`` workers.  The map loads
+through one chunk map, :func:`_map_chunks`.  A chunk holds the stacks its
+trials keep; ``verify-s-theorems`` streams a chunk's observation branches
+through in blocks (:func:`_branch_blocks`), each observed, checked and
+added to its trials' averages before the next is built.  With ``W =
+min(allowed CPUs, chunks // 2)`` of two or more, it forks ``W - 1`` workers.  The map loads
 ``numpy.random`` first, so that the workers do not each load it again.  This
 process and every worker pin themselves to an allowed CPU of their own: on a
 2-vCPU guest, unpinned threads stayed on one vCPU for a whole run, and a
@@ -64,10 +67,10 @@ from .tolerances import CONSISTENCY_TOL, NEAR_TRIVIAL_MARGIN, SINGULAR_SKIP, ZER
 if TYPE_CHECKING:
     from .cli import CampaignConfig
 
-#: Largest stacked array, in bytes, that a campaign builds at once.  At dim 4
-#: a whole 200-trial campaign fits in one chunk; at dim 32 with 32 branches
-#: each trial is a chunk of its own, which keeps peak memory at the looped
-#: level.
+#: Budget, in bytes, of a chunk's stacks, and of each block of observation
+#: branches.  At dim 4 a whole 200-trial ``verify-s-theorems`` campaign is one
+#: chunk and one block; at dim 32 with 32 branches a chunk holds 4 trials
+#: and a block the branches of one.
 CHUNK_BYTES = 512 * 1024
 
 #: Random mixtures in the holevo campaign have 2 to this many branches.
@@ -217,15 +220,32 @@ def _entropy_rows(columns: dict, tol: float) -> dict:
 def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
     """Split the trial axis into chunks for the stacked campaign kernels.
 
-    A campaign's largest stack holds ``slots`` complex (dim, dim) matrices
-    per trial: the observation branches, the padded mixture states, or the
-    projector families with their pinched pieces.  Each
-    chunk holds as many trials as keep that stack within :data:`CHUNK_BYTES`,
-    and at least one.
+    A campaign's stacks hold ``slots`` complex (dim, dim) matrices per trial
+    at most: a ``verify-s-theorems`` trial's state, probing, average, Gram
+    and decohered state (its branches stream through in blocks of their
+    own, :func:`_branch_blocks`), the padded mixture states, or the
+    projector families with their pinched pieces.  Each chunk holds as many
+    trials as keep those stacks within :data:`CHUNK_BYTES`, and at least one.
     """
     per_trial = slots * dim * dim * np.dtype(complex).itemsize
     size = max(1, CHUNK_BYTES // per_trial)
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _branch_blocks(trials: int, outcomes: int, dim: int) -> list[tuple[slice, slice]]:
+    """Consecutive blocks of a chunk's (trial, outcome) branch axis, as (trials, outcomes) slices.
+
+    A block holds as many whole trials' branch states, complex (dim, dim)
+    matrices, as fit :data:`CHUNK_BYTES`.  A trial whose branches do not fit
+    is cut into blocks of as many outcomes as fit, and at least one.  The
+    blocks run in trial-then-outcome order, so their branches, one block
+    after another, are the chunk's branch stack in C order.
+    """
+    size = max(1, CHUNK_BYTES // (dim * dim * np.dtype(complex).itemsize))
+    if size >= outcomes:
+        step = size // outcomes
+        return [(slice(start, start + step), slice(None)) for start in range(0, trials, step)]
+    return [(slice(t, t + 1), slice(k, k + size)) for t in range(trials) for k in range(0, outcomes, size)]
 
 
 def _map_trials(cfg: CampaignConfig, evaluate, slots: int) -> list:
@@ -413,15 +433,22 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         # probing, branches, branch probabilities, average, Gram, decohered state
         lam_rho = validate_stack(rho, "density")
         validate_probing_stack(probe)
-        probs, branches = observe_stack(rho, probe)
+        # the branches are observed, checked and added to their trial's
+        # average one block at a time, in trial-then-outcome order
+        probs = np.empty((len(chunk), response_dim))
+        averaged = np.zeros_like(rho)
+        spectra = []
+        for trials, outcomes in _branch_blocks(len(chunk), response_dim, dim):
+            block_probs, branches = observe_stack(rho[trials], probe[trials, :, outcomes])
+            live = block_probs > 0.0
+            # all branches are live unless a probing column vanishes on the state
+            spectra.append(validate_stack(branches.reshape(-1, dim, dim) if live.all() else branches[live], "density"))
+            average_stack(block_probs, branches, out=averaged[trials])
+            del branches
+            probs[trials, outcomes] = block_probs
+        lam_branch = np.concatenate(spectra)
         live = probs > 0.0
-        # all branches are live unless a probing column vanishes on the state
-        live_branches = branches.reshape(-1, dim, dim) if live.all() else branches[live]
-        lam_branch = validate_stack(live_branches, "density")
-        del live_branches
         clean_probabilities(probs)
-        averaged = average_stack(probs, branches)
-        del branches
         validate_stack(averaged, "density")
         gram = response_gram_stack(probe)
         validate_stack(gram, "gram")
@@ -450,7 +477,10 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         )
         return block, int(np.count_nonzero(~regular)), consistency
 
-    blocks, skipped, residuals = zip(*_map_trials(cfg, evaluate, response_dim))
+    # a trial keeps its state, probing and their raw normals, average, Gram
+    # and decohered state; its branches stream through in blocks
+    slots = 5 + 2 * -(-response_dim // dim)
+    blocks, skipped, residuals = zip(*_map_trials(cfg, evaluate, slots))
     skipped_singular = sum(skipped)
     consistency_max = max(0.0, *residuals)
     columns = _entropy_rows(_joined(blocks), cfg.tol)

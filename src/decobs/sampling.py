@@ -116,6 +116,10 @@ def _seed_words(seed: int, trials: range) -> np.ndarray:
 #: (seed, trials, seed words of trials 0 .. trials - 1) of the last campaign seeded
 _campaign: tuple = (None, 0, None)
 
+#: Most bytes of seed words that :func:`_seed_campaign` holds: a campaign
+#: chunk's budget (``decobs.campaigns.CHUNK_BYTES``), 16,384 trials.
+_HELD_BYTES = 512 * 1024
+
 
 def _seed_campaign(seed: int, trials: int) -> None:
     """Mix the seeds of a campaign's trials 0 .. trials - 1 in one pass, for :func:`trial_streams`.
@@ -123,10 +127,12 @@ def _seed_campaign(seed: int, trials: int) -> None:
     The mixing costs about 0.10 ms for one trial and 0.12 ms for 200
     (2-vCPU Xeon), so a campaign of many chunks mixes once rather than once
     per chunk.  One campaign is held, keyed by seed and trial count, at
-    32 bytes a trial; a forked worker inherits it.
+    32 bytes a trial; a forked worker inherits it.  The pass needs about
+    144 bytes a trial, so a campaign whose words would not fit
+    :data:`_HELD_BYTES` is not mixed here: each of its chunks mixes its own.
     """
     global _campaign
-    if _campaign[:2] != (int(seed), trials):
+    if _campaign[:2] != (int(seed), trials) and 32 * trials <= _HELD_BYTES:
         _campaign = (int(seed), trials, _seed_words(seed, range(trials)))
 
 

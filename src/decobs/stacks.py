@@ -379,16 +379,19 @@ def observe_stack(rhos, probes) -> tuple[np.ndarray, np.ndarray]:
     return probs, states
 
 
-def average_stack(probs, states) -> np.ndarray:
+def average_stack(probs, states, out=None) -> np.ndarray:
     """Probability-weighted sums sum_k p_k rho_k over a (..., m, d, d) branch stack.
 
     The sum runs over k in order, one branch at a time, as
     ``processes.ensemble_average`` adds up the live branches; dead branches
-    (p_k = 0, finite state) add exact zeros.
+    (p_k = 0, finite state) add exact zeros.  With ``out``, a complex
+    (..., d, d) array, the branches are added to it in place and it is
+    returned, so a branch stack cut along k into consecutive pieces sums,
+    piece after piece from zeros, to the bits of the whole stack's sums.
     """
     probs = np.asarray(probs, dtype=float)
     states = np.asarray(states, dtype=complex)
-    total = np.zeros(states.shape[:-3] + states.shape[-2:], dtype=complex)
+    total = np.zeros(states.shape[:-3] + states.shape[-2:], dtype=complex) if out is None else out
     for k in range(states.shape[-3]):
         total += probs[..., k, None, None] * states[..., k, :, :]
     return total

@@ -109,7 +109,8 @@ def oracle_holevo(cfg):
 
 
 def _s_theorems_grid():
-    for dim, trials in ((1, 10), (2, 10), (4, 10), (8, 6), (16, 3), (32, 2)):
+    # at dim 40 a trial's 40 or 43 branches are cut into blocks
+    for dim, trials in ((1, 10), (2, 10), (4, 10), (8, 6), (16, 3), (32, 2), (40, 2)):
         for response_dim in sorted({1, 2, dim, dim + 3}):
             yield dim, trials, response_dim
 
@@ -145,6 +146,8 @@ def _strip_timestamp(text):
 SEEDED_COMMANDS = [
     ["verify-s-theorems", "--dim", "4", "--trials", "30", "--seed", "3", "--response-dim", "6"],
     ["verify-s-theorems", "--dim", "9", "--trials", "5", "--seed", "4", "--units", "bits"],
+    # by default, chunks of several trials whose branches stream through in several blocks
+    ["verify-s-theorems", "--dim", "24", "--trials", "9", "--seed", "12", "--response-dim", "30"],
     ["holevo", "--dim", "5", "--trials", "25", "--seed", "5"],
     ["holevo", "--dim", "3", "--trials", "25", "--seed", "6", "--ensemble-size", "4", "--units", "bits"],
     ["majorization", "--dim", "5", "--trials", "25", "--seed", "8", "--response-dim", "7"],
@@ -208,6 +211,84 @@ class TestChunkPlanner:
             # a trial larger than the budget is a chunk of its own
             assert trials == 1 or nbytes <= campaigns.CHUNK_BYTES
         assert len(drawn) > 1
+
+
+class TestBranchBlocks:
+    """verify-s-theorems observes, checks and averages a chunk's branches in blocks within the budget."""
+
+    @pytest.fixture
+    def observed(self, monkeypatch, allowed_cpus):
+        """(trials, branches, bytes of branch states) of each ``observe_stack`` call of the campaign."""
+        allowed_cpus(1)
+        observe = campaigns.observe_stack
+        calls = []
+
+        def recording(rhos, probes):
+            probs, branches = observe(rhos, probes)
+            calls.append((len(rhos), probs.size, branches.nbytes))
+            return probs, branches
+
+        monkeypatch.setattr(campaigns, "observe_stack", recording)
+        return calls
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """The chunk lists the campaigns hand to the chunk map."""
+        mapped = campaigns._map_chunks
+        plans = []
+        monkeypatch.setattr(campaigns, "_map_chunks", lambda run, chunks: plans.append(chunks) or mapped(run, chunks))
+        return plans
+
+    @pytest.mark.parametrize(
+        "dim,trials,blocks", [(32, 5, [(1, 32)] * 5), (40, 2, [(1, 20)] * 4)], ids=["dim-32", "dim-40"]
+    )
+    def test_each_block_fits_the_budget(self, observed, dim, trials, blocks):
+        cli.run_s_theorems(cli.CampaignConfig("verify-s-theorems", dim=dim, trials=trials))
+        assert [(n, branches) for n, branches, _ in observed] == blocks
+        assert all(nbytes <= campaigns.CHUNK_BYTES for *_, nbytes in observed)
+
+    @pytest.mark.parametrize("dim", [32, 40])
+    def test_a_branch_larger_than_the_budget_is_a_block_of_its_own(self, monkeypatch, observed, dim):
+        monkeypatch.setattr(campaigns, "CHUNK_BYTES", dim * dim * 16 - 1)
+        cli.run_s_theorems(cli.CampaignConfig("verify-s-theorems", dim=dim, trials=2, response_dim=3))
+        assert [(n, branches) for n, branches, _ in observed] == [(1, 1)] * 6
+
+    def test_the_seeded_command_streams_several_blocks_through_chunks_of_several_trials(self, observed, planned):
+        cfg = cli.CampaignConfig("verify-s-theorems", dim=24, trials=9, response_dim=30)
+        cli.run_s_theorems(cfg)
+        assert [len(chunk) for chunk in planned[0]] == [6, 3]
+        assert [(n, branches) for n, branches, _ in observed] == [(1, 30)] * 9
+
+    @pytest.mark.parametrize("order", ["psd-first", "trace-first"])
+    def test_the_first_failing_branch_raises_as_in_the_whole_stack(self, capsys, monkeypatch, allowed_cpus, order):
+        # dim 40: the two trials' 80 branches are four blocks of 20; blocks 2 and 4 each get a bad branch
+        allowed_cpus(1)
+        non_psd = np.diag([1.5, -0.5] + [0.0] * 38).astype(complex)
+        bad_trace = np.eye(40, dtype=complex)
+        planted = dict(zip((2, 4), (non_psd, bad_trace) if order == "psd-first" else (bad_trace, non_psd)))
+        observe = campaigns.observe_stack
+        blocks = []
+
+        def planting(rhos, probes):
+            probs, branches = observe(rhos, probes)
+            blocks.append(branches)
+            if len(blocks) in planted:
+                branches[0, 5] = planted[len(blocks)]
+            return probs, branches
+
+        monkeypatch.setattr(campaigns, "observe_stack", planting)
+        assert cli.main(["verify-s-theorems", "--dim", "40", "--trials", "2"]) == 2
+        # no block is built past the failing one, and its error is the earlier bad branch's
+        assert len(blocks) == 2
+        whole = np.concatenate([branches.reshape(-1, 40, 40) for branches in blocks])
+        expected = TestStackErrorsMatchScalarTypes.error_of(lambda: stacks.validate_stack(whole, "density"))
+        assert expected == TestStackErrorsMatchScalarTypes.error_of(lambda: DensityMatrix(planted[2]))
+        assert capsys.readouterr().err == f"error: {expected[2]}\n"
+
+    def test_probe_large_plans_four_to_eight_chunks(self, planned):
+        # the probe-large benchmark workload: dim 32, 30 trials, response dim 32
+        cli.run_s_theorems(cli.CampaignConfig("verify-s-theorems", dim=32, trials=30))
+        assert 4 <= len(planned[0]) <= 8
 
 
 def _assert_no_child_left():
@@ -366,6 +447,18 @@ def test_observe_and_average_match_the_one_branch_formulas(dim, trials, response
             assert np.array_equal(outcome.state.mat, state)
             total = total + p * state
         assert np.array_equal(processes.ensemble_average(ensemble).mat, total)
+
+
+@pytest.mark.parametrize("cuts", [(0, 5), (0, 1, 5), (0, 2, 3, 5)])
+def test_an_average_added_piece_by_piece_is_the_whole_stack_average(cuts):
+    rng = np.random.default_rng(len(cuts))
+    rhos = sampling.density_from_normals(rng.standard_normal((3, 2 * 6 * 6)), 6)
+    probes = sampling.probing_from_normals(rng.standard_normal((3, 2 * 6 * 5)), 6, 5)
+    probs, branches = stacks.observe_stack(rhos, probes)
+    total = np.zeros_like(rhos)
+    for start, stop in zip(cuts, cuts[1:]):
+        assert stacks.average_stack(probs[:, start:stop], branches[:, start:stop], out=total) is total
+    assert np.array_equal(total, stacks.average_stack(probs, branches))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 13, 16, 32])

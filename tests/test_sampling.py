@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -168,6 +170,26 @@ class TestCampaignSeeding:
             sampling._seed_campaign(seed, trials)
         assert mixes == [range(40), range(41), range(41), range(40)]
         assert sampling._campaign[:2] == (5, 40)
+
+    def test_a_campaign_is_held_while_its_seed_words_fit_the_chunk_budget(self, mixes):
+        largest = campaigns.CHUNK_BYTES // 32
+        for trials in (largest + 1, largest):
+            sampling._seed_campaign(5, trials)
+        assert mixes == [range(largest)]
+
+    def test_seeding_a_larger_campaign_leaves_it_to_the_chunks(self, mixes):
+        tracemalloc.start()
+        try:
+            sampling._seed_campaign(5, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * campaigns.CHUNK_BYTES
+        chunk = range(10**6 - 3, 10**6)
+        for (i, rng), (j, oracle) in zip(sampling.trial_streams(5, chunk), _oracle_streams(5, chunk), strict=True):
+            assert i == j
+            assert rng.bit_generator.state == oracle.bit_generator.state
+        assert mixes == [chunk]
 
     @pytest.mark.parametrize("command", ["verify-s-theorems", "majorization", "holevo", "luders-equiv"])
     def test_a_campaign_of_many_chunks_mixes_its_seeds_once(self, monkeypatch, mixes, command):

@@ -168,6 +168,21 @@ def test_bench_pairs_alternates_the_sides_and_summarizes_canned_runs(monkeypatch
     assert verdict["holds"] and verdict["median_gain"] > verdict["parent_iqr"]
 
 
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_bench_pairs_refuses_a_checkout_with_a_bytecode_cache(monkeypatch, tmp_path, capsys, side):
+    bench_pairs = _bench_pairs()
+    for name in ("parent", "change"):
+        (tmp_path / name / "src" / "decobs").mkdir(parents=True)
+    cache = tmp_path / side / "src" / "decobs" / "__pycache__"
+    cache.mkdir()
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: pytest.fail("the benchmark ran"))
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "probe-large",
+            "--seeds", "1-10", "--out", str(tmp_path / "BENCH_pairs.json")]
+    assert bench_pairs.main(argv) == 2
+    assert str(cache) in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_pairs.json").exists()
+
+
 @pytest.mark.parametrize(
     "change_wins,pairs,gain,iqr,holds",
     [(9, 10, 900.0, 20.0, True), (8, 10, 900.0, 20.0, False), (9, 9, 900.0, 20.0, False), (10, 10, 15.0, 20.0, False)],
