@@ -14,15 +14,21 @@ on the last line of its standard output.
 The summary gives, for each end-to-end metric of ``BENCHMARK.json``, both
 sides' runs, medians and quartiles, the change's wins (pairs where it reads
 better; ties count for neither) and the number of pairs, with the seeds and
-each run's attempted and failed calls.  With ``--claim METRIC`` it adds the
-verdict of the claim rule: at least ten pairs, the change wins at least nine
-tenths of them, and its median is better than the parent's by more than the
-parent's interquartile range.  It prints the summary as JSON, and with
-``--out`` merges it into that file under ``sets[LABEL][W]``.
+each run's attempted and failed calls.  Its ``regressions`` list names every
+end-to-end metric whose change median is worse than the parent median by
+more than that metric's ``BENCHMARK.json`` bound, a fraction of the parent
+median.  With ``--claim METRIC`` it adds the verdict of the claim rule: at
+least ten pairs, the change wins at least nine tenths of them, its median
+is better than the parent's by more than the parent's interquartile range,
+and its runs fail no larger share of their attempted calls than the
+parent's.  It prints the summary as JSON, and with ``--out`` merges it into
+that file under ``sets[LABEL][W]``.
 
 It refuses to run, with exit code 2, while either checkout's ``src/``
 holds a ``__pycache__``: a valid bytecode cache on one side only skips
 that side's compiling of ``decobs`` and skews ``setup_s`` and ``wall_s``.
+It refuses too when the checkouts' ``BENCHMARK.json`` or files under
+``perfbench/`` differ, since each side runs its own harness.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 #: End-to-end metric name -> True when a higher value is better.
 HIGHER_IS_BETTER = {metric["name"]: metric["better"] == "higher" for metric in BENCHMARK["end_to_end"]}
+#: End-to-end metric name -> the largest worsening of its median allowed, as a fraction of the parent's.
+BOUNDS = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -56,6 +64,22 @@ def parse_seeds(text: str) -> list[int]:
 def bytecode_caches(checkout: Path) -> list[Path]:
     """The ``__pycache__`` directories under the checkout's ``src/``."""
     return sorted((checkout / "src").rglob("__pycache__"))
+
+
+def _harness_files(checkout: Path) -> set[str]:
+    """The paths, relative to the checkout, of ``BENCHMARK.json`` and the files under ``perfbench/``."""
+    files = {path for path in (checkout / "perfbench").rglob("*") if path.is_file() and "__pycache__" not in path.parts}
+    return {str(path.relative_to(checkout)) for path in files} | {"BENCHMARK.json"}
+
+
+def harness_differences(parent: Path, change: Path) -> list[str]:
+    """The harness paths whose bytes differ between the checkouts, or that only one of them has."""
+
+    def read(path: Path) -> bytes | None:
+        return path.read_bytes() if path.is_file() else None
+
+    paths = _harness_files(parent) | _harness_files(change)
+    return sorted(path for path in paths if read(parent / path) != read(change / path))
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -107,27 +131,49 @@ def summarize(pairs: list[tuple[int, dict, dict]], claim: str | None = None) -> 
             "change_wins": wins,
             "pairs": len(pairs),
         }
+    summary["regressions"] = [metric for metric in HIGHER_IS_BETTER if regressed(summary[metric], metric)]
     summary["seeds"] = [seed for seed, _, _ in pairs]
     for key in ("attempted", "failed"):
         summary[key] = {"parent": [p[key] for _, p, _ in pairs], "change": [c[key] for _, _, c in pairs]}
     if claim:
-        summary["verdict"] = verdict(summary[claim], HIGHER_IS_BETTER[claim], claim)
+        shares = {side: failed_share(summary["failed"][side], summary["attempted"][side]) for side in summary["failed"]}
+        summary["verdict"] = verdict(summary[claim], HIGHER_IS_BETTER[claim], claim, shares)
     return summary
 
 
-def verdict(stats: dict, higher: bool, metric: str) -> dict:
-    """The claim rule on one metric's summary: wins >= 9/10 of >= 10 pairs, and median gap > parent IQR."""
+def regressed(stats: dict, metric: str) -> bool:
+    """Whether the change median is worse than the parent median by more than the metric's bound."""
+    slack = BOUNDS[metric] * abs(stats["parent_median"])
+    if HIGHER_IS_BETTER[metric]:
+        return stats["change_median"] < stats["parent_median"] - slack
+    return stats["change_median"] > stats["parent_median"] + slack
+
+
+def failed_share(failed: list[int], attempted: list[int]) -> float:
+    """Failed calls over attempted calls, each summed over a side's runs."""
+    return sum(failed) / max(1, sum(attempted))
+
+
+def verdict(stats: dict, higher: bool, metric: str, failed_shares: dict) -> dict:
+    """The claim rule on one metric's summary.
+
+    Wins >= 9/10 of >= 10 pairs, median gap > parent IQR, and the change's
+    share of failed calls no larger than the parent's.
+    """
     q1, _, q3 = stats["parent_quartiles"]
     gap = stats["change_median"] - stats["parent_median"]
     gap = gap if higher else -gap
     enough_wins = stats["pairs"] >= 10 and stats["change_wins"] >= math.ceil(0.9 * stats["pairs"])
+    no_more_failures = failed_shares["change"] <= failed_shares["parent"]
     return {
         "metric": metric,
         "change_wins": stats["change_wins"],
         "pairs": stats["pairs"],
         "median_gain": gap,
         "parent_iqr": q3 - q1,
-        "holds": enough_wins and gap > q3 - q1,
+        "parent_failed_share": failed_shares["parent"],
+        "change_failed_share": failed_shares["change"],
+        "holds": enough_wins and gap > q3 - q1 and no_more_failures,
     }
 
 
@@ -161,6 +207,11 @@ def main(argv: list[str] | None = None) -> int:
     if caches:
         listed = "\n".join(str(cache) for cache in caches)
         print(f"error: remove these bytecode caches, or one side skips compiling decobs:\n{listed}", file=sys.stderr)
+        return 2
+    differences = harness_differences(args.parent, args.change)
+    if differences:
+        listed = "\n".join(differences)
+        print(f"error: the checkouts run different benchmarks; these files differ:\n{listed}", file=sys.stderr)
         return 2
     summary = summarize(run_pairs(args.parent, args.change, args.workload, args.seeds), args.claim)
     if args.out:

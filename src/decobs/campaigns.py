@@ -5,10 +5,10 @@ A seeded campaign (``verify-s-theorems``, ``majorization``, ``holevo`` and
 sampler, ``sample_*(cfg, chunk)``, draws each trial t of a chunk from stream
 (seed, t) in a fixed order and returns the chunk's stacks, transformed and
 not validated, and any block sizes; the samplers are the only code that
-reads :func:`~decobs.sampling.trial_streams`, which seeds all of a chunk's
-streams in one pass and hands each trial the same generator, reset to that
-trial's stream, so a sampler finishes with a trial's ``rng`` before it
-takes the next.  The evaluator, a closure of
+reads :func:`~decobs.sampling.trial_streams`, which seeds the chunk's
+streams itself, in bounded blocks, and hands each trial the same generator,
+reset to that trial's stream, so a sampler finishes with a trial's ``rng``
+before it takes the next.  The evaluator, a closure of
 the ``run_*`` function, validates those stacks, applies the maps and
 returns the chunk's row columns, which :func:`_campaign_result` makes rows.
 
@@ -248,17 +248,6 @@ def _branch_blocks(trials: int, outcomes: int, dim: int) -> list[tuple[slice, sl
     return [(slice(t, t + 1), slice(k, k + size)) for t in range(trials) for k in range(0, outcomes, size)]
 
 
-def _map_trials(cfg: CampaignConfig, evaluate, slots: int) -> list:
-    """``evaluate`` over :func:`plan_chunks` of the campaign's trials, through :func:`_map_chunks`.
-
-    The seeds of all the trials are mixed first, once
-    (:func:`~decobs.sampling._seed_campaign`), before any worker is forked,
-    and each chunk's sampler slices its own from them.
-    """
-    sampling._seed_campaign(cfg.seed, cfg.trials)
-    return _map_chunks(evaluate, plan_chunks(cfg.trials, slots, cfg.dim))
-
-
 def _pin(cpus) -> None:
     """Run this process on ``cpus`` only, where the host allows it.
 
@@ -480,7 +469,7 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     # a trial keeps its state, probing and their raw normals, average, Gram
     # and decohered state; its branches stream through in blocks
     slots = 5 + 2 * -(-response_dim // dim)
-    blocks, skipped, residuals = zip(*_map_trials(cfg, evaluate, slots))
+    blocks, skipped, residuals = zip(*_map_chunks(evaluate, plan_chunks(cfg.trials, slots, cfg.dim)))
     skipped_singular = sum(skipped)
     consistency_max = max(0.0, *residuals)
     columns = _entropy_rows(_joined(blocks), cfg.tol)
@@ -579,7 +568,7 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
 
     # the responses stack and its raw normals are alive beside the families
     slots = _FAMILY_SLOTS * dim + 2 * -(-response_dim // dim)
-    blocks = _map_trials(cfg, evaluate, slots)
+    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, cfg.dim))
     flags = {"dim": cfg.dim, "trials": cfg.trials, "response_dim": response_dim, "tol": cfg.tol}
     return _campaign_result(cfg, flags, _joined(blocks))
 
@@ -637,7 +626,7 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
             trial=np.asarray(chunk)[:, None], functional=np.array(labels), side="holevo", lhs=lhs.T, rhs=rhs.T,
         )
 
-    blocks = _map_trials(cfg, evaluate, slots)
+    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, cfg.dim))
     flags = {
         "dim": cfg.dim,
         "trials": cfg.trials,
@@ -689,7 +678,7 @@ def run_luders(cfg: CampaignConfig) -> CampaignResult:
             rhs=CONSISTENCY_TOL, margin=CONSISTENCY_TOL - residual, violation=residual > CONSISTENCY_TOL,
         )
 
-    blocks = _map_trials(cfg, evaluate, _FAMILY_SLOTS * dim)
+    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, cfg.dim))
     return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, _joined(blocks))
 
 

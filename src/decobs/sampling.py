@@ -5,10 +5,10 @@ campaign's trial t always draws from the child stream ``(seed, t)``, so
 results are reproducible for a fixed seed regardless of how trials are
 scheduled across workers.  Identical seeds give bit-identical draws across
 runs on the same platform.  :func:`trial_stream` builds one such stream
-through numpy; :func:`trial_streams` gives a chunk's streams, seeded in one
-pass over the chunk's spawn keys (or sliced from the campaign's, seeded once
-by :func:`_seed_campaign`) and set one after another into a single reused
-generator, so each trial's ``rng`` is valid only until the next.
+through numpy; :func:`trial_streams`, the one place that seeds a campaign,
+gives a chunk's streams, mixed in bounded blocks of the chunk's spawn keys
+and set one after another into a single reused generator, so each trial's
+``rng`` is valid only until the next.
 
 Every Gaussian object is made in two steps: a block of standard normals,
 then a transform (``*_from_normals``) that turns a (..., k) stack of such
@@ -47,7 +47,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 # The two SeedSequence steps act alike on Python ints and on uint64 arrays of
-# 32-bit words, so the seed's words are mixed once and a chunk's spawn words
+# 32-bit words, so the seed's words are mixed once and a block of spawn words
 # in one pass.  Each returns the next hash constant, which depends only on
 # how many words were hashed before, never on the words.
 def _hash(value, const: int, mult: int = _MULT_A):
@@ -94,11 +94,13 @@ def _seed_pool(seed: int) -> tuple[list[int], int]:
     return pool, const
 
 
-def _seed_words(seed: int, trials: range) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(t,)).generate_state(4, uint64)`` for each trial t, shape (n, 4)."""
-    start, const = _seed_pool(int(seed))
+def _seed_words(pool: list[int], const: int, trials: range) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(t,)).generate_state(4, uint64)`` for each trial t, shape (n, 4).
+
+    ``pool`` and ``const`` are the seed's, from :func:`_seed_pool`.
+    """
     index = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
-    pool = [np.full(len(index), word, dtype=np.uint64) for word in start]
+    pool = [np.full(len(index), word, dtype=np.uint64) for word in pool]
     # a spawn key is the index's 32-bit words, low first; indices below 2**32 have one
     high = index >> np.uint64(32)
     next_const = _absorb(pool, index & _MASK32, const)
@@ -113,46 +115,27 @@ def _seed_words(seed: int, trials: range) -> np.ndarray:
     return words[:, 0::2] | words[:, 1::2] << np.uint64(32)
 
 
-#: (seed, trials, seed words of trials 0 .. trials - 1) of the last campaign seeded
-_campaign: tuple = (None, 0, None)
-
-#: Most bytes of seed words that :func:`_seed_campaign` holds: a campaign
-#: chunk's budget (``decobs.campaigns.CHUNK_BYTES``), 16,384 trials.
-_HELD_BYTES = 512 * 1024
-
-
-def _seed_campaign(seed: int, trials: int) -> None:
-    """Mix the seeds of a campaign's trials 0 .. trials - 1 in one pass, for :func:`trial_streams`.
-
-    The mixing costs about 0.10 ms for one trial and 0.12 ms for 200
-    (2-vCPU Xeon), so a campaign of many chunks mixes once rather than once
-    per chunk.  One campaign is held, keyed by seed and trial count, at
-    32 bytes a trial; a forked worker inherits it.  The pass needs about
-    144 bytes a trial, so a campaign whose words would not fit
-    :data:`_HELD_BYTES` is not mixed here: each of its chunks mixes its own.
-    """
-    global _campaign
-    if _campaign[:2] != (int(seed), trials) and 32 * trials <= _HELD_BYTES:
-        _campaign = (int(seed), trials, _seed_words(seed, range(trials)))
+#: Bytes a trial's seeding holds at its peak: its four mixed words and their
+#: list of Python ints (the mixing itself peaks at about 180 bytes a trial).
+_SEED_BYTES = 272
 
 
 def trial_streams(seed: int, trials: range):
     """Yield ``(i, rng)`` for each trial ``trials[i]``, rng drawing as ``trial_stream(seed, trials[i])``.
 
-    The seeds of all the trials are mixed in one pass, or sliced from those
-    of the campaign that :func:`_seed_campaign` mixed when it covers the
-    trials, and every trial gets the same Generator, reset to the trial's
-    state: a yielded ``rng`` is valid only until the next iteration.  Trial
-    indices must be below 2**64.
+    The seed's words are mixed once, then the trials' spawn words in
+    consecutive blocks of :func:`decobs.stacks._blocks` (about 480 trials),
+    each mixed in one pass when the iteration reaches it, so seeding holds
+    about 130 KB whatever the chunk size.  Every trial gets the same
+    Generator, reset to the trial's state: a yielded ``rng`` is valid only
+    until the next iteration.  Trial indices must be below 2**64.
     """
-    held_seed, held_trials, held_words = _campaign
-    if seed == held_seed and trials.step == 1 and 0 <= trials.start and trials.stop <= held_trials:
-        words = held_words[trials.start : trials.stop]
-    else:
-        words = _seed_words(seed, trials)
+    pool, const = _seed_pool(int(seed))
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for i, (s_high, s_low, i_high, i_low) in enumerate(words.tolist()):
+    blocks = _blocks(len(trials), _SEED_BYTES)
+    words = (row for block in blocks for row in _seed_words(pool, const, trials[block]).tolist())
+    for i, (s_high, s_low, i_high, i_low) in enumerate(words):
         # pcg64_set_seed: state 0, one step, add the seed, one more step
         inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
         state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
@@ -242,9 +225,9 @@ def random_block_sizes(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     count = int(rng.integers(1, n + 1))
     if count == 1:
         return (n,)
-    cuts = np.sort(rng.choice(np.arange(1, n), size=count - 1, replace=False))
-    edges = np.concatenate(([0], cuts, [n]))
-    return tuple(int(b - a) for a, b in zip(edges[:-1], edges[1:]))
+    # the draws of rng.choice(np.arange(1, n), ...), less one, without its array arguments
+    edges = [0, *(cut + 1 for cut in sorted(rng.choice(n - 1, size=count - 1, replace=False).tolist())), n]
+    return tuple(b - a for a, b in zip(edges, edges[1:]))
 
 
 def conjugated_projectors(basis, projectors) -> np.ndarray:

@@ -329,7 +329,7 @@ ROW_CAMPAIGNS = [
 ]
 
 
-def _campaign(argv):
+def _run_line(argv):
     """The config and result of one command line, run without emitting."""
     cfg = _config_from_args(build_parser().parse_args(argv))
     return cfg, _DISPATCH[cfg.command](cfg)
@@ -340,7 +340,7 @@ class TestJsonWriter:
 
     @staticmethod
     def assert_emits_dumps(capsys, argv):
-        cfg, result = _campaign(argv)
+        cfg, result = _run_line(argv)
         _emit(result, cfg)
         assert capsys.readouterr().out == json.dumps(result.report, indent=2, allow_nan=False) + "\n"
         # what the writer relies on: rows come last and are flat
@@ -388,7 +388,7 @@ class TestJsonWriter:
         # the benchmark's probe-small call: its 2,000-row report is 567 KB, so
         # one string of it alone would break the bound
         functionals = [flag for name in EVERY_FUNCTIONAL[:5] for flag in ("--entropy", name)]
-        cfg, result = _campaign(["verify-s-theorems", "--dim", "4", "--trials", "200", *functionals])
+        cfg, result = _run_line(["verify-s-theorems", "--dim", "4", "--trials", "200", *functionals])
         assert len(result.report["rows"]) == 2000
         with open(os.devnull, "w") as sink:
             monkeypatch.setattr(sys, "stdout", sink)

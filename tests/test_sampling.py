@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -127,80 +128,66 @@ class TestBatchedSeeding:
                 assert ours == theirs
 
 
-class TestCampaignSeeding:
-    """A campaign's seeds are mixed once, and each chunk's streams are sliced from them."""
-
-    @pytest.fixture(autouse=True)
-    def _restore_the_held_campaign(self, monkeypatch):
-        monkeypatch.setattr(sampling, "_campaign", sampling._campaign)
+class TestChunkSeeding:
+    """Each chunk mixes its own trials' seeds, in bounded blocks, as the iteration reaches them."""
 
     @pytest.fixture
     def mixes(self, monkeypatch):
         """The trial ranges that ``_seed_words`` mixes, in call order."""
         calls = []
         mix = sampling._seed_words
-        monkeypatch.setattr(sampling, "_seed_words", lambda seed, trials: calls.append(trials) or mix(seed, trials))
+        monkeypatch.setattr(
+            sampling, "_seed_words", lambda pool, const, trials: calls.append(trials) or mix(pool, const, trials)
+        )
         return calls
 
-    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
-    def test_every_chunk_of_a_seeded_campaign_equals_the_oracle(self, mixes, seed):
-        sampling._seed_campaign(seed, 40)
-        for chunk in (range(0, 1), range(7, 19), range(39, 40), range(0, 40), range(12, 12)):
-            replay = _oracle_streams(seed, chunk)
-            for (i, rng), (j, oracle) in zip(sampling.trial_streams(seed, chunk), replay, strict=True):
-                assert i == j
-                assert rng.bit_generator.state == oracle.bit_generator.state
-                assert np.array_equal(rng.standard_normal(3), oracle.standard_normal(3))
-        assert mixes == [range(40)]
-
     @pytest.mark.parametrize(
-        "seed,chunk",
-        [(6, range(3, 5)), (5, range(38, 41)), (5, range(0, 10, 2)), (5, range(9, 3, -1)), (5, range(2**33, 2**33 + 1))],
-        ids=["other-seed", "past-the-end", "step-2", "reversed", "far"],
+        "chunk",
+        [range(0, 1), range(7, 19), range(39, 40), range(12, 12), range(0, 10, 2), range(9, 3, -1),
+         range(2**33, 2**33 + 1)],
+        ids=["first", "middle", "last", "empty", "step-2", "reversed", "far"],
     )
-    def test_a_chunk_the_campaign_does_not_cover_is_mixed_on_its_own(self, mixes, seed, chunk):
-        sampling._seed_campaign(5, 40)
-        for (i, rng), (j, oracle) in zip(sampling.trial_streams(seed, chunk), _oracle_streams(seed, chunk), strict=True):
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_every_chunk_equals_the_oracle(self, mixes, seed, chunk):
+        replay = _oracle_streams(seed, chunk)
+        for (i, rng), (j, oracle) in zip(sampling.trial_streams(seed, chunk), replay, strict=True):
             assert i == j
             assert rng.bit_generator.state == oracle.bit_generator.state
-        assert mixes == [range(40), chunk]
+            assert np.array_equal(rng.standard_normal(3), oracle.standard_normal(3))
+        assert mixes == ([chunk] if chunk else [])
 
-    def test_one_campaign_is_held_keyed_by_seed_and_trials(self, mixes):
-        for seed, trials in [(5, 40), (5, 40), (5, 41), (6, 41), (5, 40)]:
-            sampling._seed_campaign(seed, trials)
-        assert mixes == [range(40), range(41), range(41), range(40)]
-        assert sampling._campaign[:2] == (5, 40)
+    def test_a_chunk_of_several_blocks_equals_the_oracle_across_every_seam(self, mixes):
+        # the chunk also straddles 2**32, where spawn keys gain a second word
+        chunk = range(2**32 - 700, 2**32 + 800)
+        blocks = stacks._blocks(len(chunk), sampling._SEED_BYTES)
+        assert len(blocks) >= 3
+        streams = sampling.trial_streams(7, chunk)
+        first = next(streams)
+        # a block is mixed when the iteration reaches it
+        assert mixes == [chunk[blocks[0]]]
+        for i, rng in itertools.chain([first], streams):
+            assert rng.bit_generator.state == sampling.trial_stream(7, chunk[i]).bit_generator.state
+        assert i == len(chunk) - 1
+        assert mixes == [chunk[block] for block in blocks]
 
-    def test_a_campaign_is_held_while_its_seed_words_fit_the_chunk_budget(self, mixes):
-        largest = campaigns.CHUNK_BYTES // 32
-        for trials in (largest + 1, largest):
-            sampling._seed_campaign(5, trials)
-        assert mixes == [range(largest)]
-
-    def test_seeding_a_larger_campaign_leaves_it_to_the_chunks(self, mixes):
+    def test_seeding_a_large_chunk_stays_within_the_chunk_budget(self):
+        # 16,384 trials: a dim-1 luders-equiv chunk
         tracemalloc.start()
         try:
-            sampling._seed_campaign(5, 10**6)
+            for _ in sampling.trial_streams(5, range(16384)):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * campaigns.CHUNK_BYTES
-        chunk = range(10**6 - 3, 10**6)
-        for (i, rng), (j, oracle) in zip(sampling.trial_streams(5, chunk), _oracle_streams(5, chunk), strict=True):
-            assert i == j
-            assert rng.bit_generator.state == oracle.bit_generator.state
-        assert mixes == [chunk]
+        assert peak <= campaigns.CHUNK_BYTES
 
     @pytest.mark.parametrize("command", ["verify-s-theorems", "majorization", "holevo", "luders-equiv"])
-    def test_a_campaign_of_many_chunks_mixes_its_seeds_once(self, monkeypatch, mixes, command):
-        monkeypatch.setattr(campaigns, "CHUNK_BYTES", 1)
+    def test_each_chunk_of_a_campaign_mixes_its_own_seeds(self, monkeypatch, mixes, command):
         cfg = CampaignConfig(command, seed=11, dim=2, trials=3)
-        with_one_mix = _DISPATCH[command](cfg).report
+        one_chunk = _DISPATCH[command](cfg).report
         assert mixes == [range(3)]
-        # the same report as chunks that mix their own seeds
-        monkeypatch.setattr(sampling, "_seed_campaign", lambda seed, trials: None)
-        monkeypatch.setattr(sampling, "_campaign", (None, 0, None))
-        assert _without_timestamp(_DISPATCH[command](cfg).report) == _without_timestamp(with_one_mix)
+        monkeypatch.setattr(campaigns, "CHUNK_BYTES", 1)
+        assert _without_timestamp(_DISPATCH[command](cfg).report) == _without_timestamp(one_chunk)
         assert mixes[1:] == [range(0, 1), range(1, 2), range(2, 3)]
 
 
@@ -220,6 +207,29 @@ class TestSimplexDraw:
             assert np.array_equal(drawn.view(np.uint64), oracle.view(np.uint64)), (seed, k)
             assert np.array_equal(ours.standard_normal(3), theirs.standard_normal(3))
             assert np.array_equal(ours.integers(2, 6), theirs.integers(2, 6))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _numpy_block_sizes(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """``random_block_sizes`` written with numpy's array arguments: its oracle."""
+    count = int(rng.integers(1, n + 1))
+    if count == 1:
+        return (n,)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=count - 1, replace=False))
+    edges = np.concatenate(([0], cuts, [n]))
+    return tuple(int(b - a) for a, b in zip(edges[:-1], edges[1:]))
+
+
+class TestBlockSizesDraw:
+    """``random_block_sizes`` draws what its numpy form draws and leaves the stream where it does."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_equals_the_numpy_form_for_300_seeds(self, n):
+        for seed in range(300):
+            ours, theirs = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            drawn, oracle = sampling.random_block_sizes(n, ours), _numpy_block_sizes(n, theirs)
+            assert drawn == oracle, (seed, n)
+            assert all(type(size) is int for size in drawn)
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 

@@ -120,13 +120,21 @@ def _bench_pairs():
     return module
 
 
-def _canned_run(trials_per_s: float, wall_s: float) -> str:
+def _canned_run(trials_per_s: float, wall_s: float, failed: int = 0, **values) -> str:
     """The standard output of one benchmark run: progress lines, then the JSON result."""
     values = {"setup_s": 0.16, "wall_s": wall_s, "trials_per_s": trials_per_s, "peak_rss_mb": 40.0,
-              "report_bytes": 9000, "ops_ok_frac": 1.0}
+              "report_bytes": 9000, "ops_ok_frac": (50 - failed) / 50} | values
     metrics = {name: {"value": value} for name, value in values.items()}
-    result = {"correct": True, "attempted": 50, "failed": 0, "metrics": metrics}
-    return "correctness gate: pass (0 of 50 calls failed)\n" + json.dumps(result) + "\n"
+    result = {"correct": True, "attempted": 50, "failed": failed, "metrics": metrics}
+    return f"correctness gate: pass ({failed} of 50 calls failed)\n" + json.dumps(result) + "\n"
+
+
+def _canned_pairs(parent: dict, change: dict, pairs: int = 10) -> list[tuple[int, dict, dict]]:
+    """(seed, parent result, change result) of canned runs, each side's keyword arguments to ``_canned_run``."""
+    def result(kwargs: dict) -> dict:
+        return json.loads(_canned_run(**kwargs).splitlines()[-1])
+
+    return [(seed, result(parent), result(change)) for seed in range(pairs)]
 
 
 def test_bench_pairs_alternates_the_sides_and_summarizes_canned_runs(monkeypatch, tmp_path):
@@ -164,8 +172,10 @@ def test_bench_pairs_alternates_the_sides_and_summarizes_canned_runs(monkeypatch
     assert summary["report_bytes"]["change_wins"] == 0
     assert summary["seeds"] == list(range(401, 411))
     assert summary["failed"] == {"parent": [0] * 10, "change": [0] * 10}
+    assert summary["regressions"] == []
     verdict = summary["verdict"]
     assert verdict["holds"] and verdict["median_gain"] > verdict["parent_iqr"]
+    assert verdict["parent_failed_share"] == verdict["change_failed_share"] == 0.0
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
@@ -191,9 +201,74 @@ def test_bench_pairs_refuses_a_checkout_with_a_bytecode_cache(monkeypatch, tmp_p
 def test_bench_pairs_verdict_follows_the_claim_rule(change_wins, pairs, gain, iqr, holds):
     stats = {"parent_quartiles": [100.0, 110.0, 100.0 + iqr], "parent_median": 110.0,
              "change_median": 110.0 + gain, "change_wins": change_wins, "pairs": pairs}
-    assert _bench_pairs().verdict(stats, True, "trials_per_s")["holds"] is holds
+    shares = {"parent": 0.0, "change": 0.0}
+    assert _bench_pairs().verdict(stats, True, "trials_per_s", shares)["holds"] is holds
     # for a lower-is-better metric the same gap is a loss
-    assert _bench_pairs().verdict(stats, False, "wall_s")["holds"] is False
+    assert _bench_pairs().verdict(stats, False, "wall_s", shares)["holds"] is False
+
+
+@pytest.mark.parametrize(
+    "parent_failed,change_failed,holds",
+    [(0, 0, True), (0, 1, False), (2, 1, True), (2, 2, True), (2, 3, False)],
+    ids=["none-fail", "change-fails", "change-fails-less", "equal-shares", "change-fails-more"],
+)
+def test_bench_pairs_verdict_counts_failed_calls(parent_failed, change_failed, holds):
+    # the change wins every pair by 15%, so only the failed calls can refuse the claim
+    pairs = _canned_pairs(dict(trials_per_s=6400.0, wall_s=0.23, failed=parent_failed),
+                          dict(trials_per_s=7400.0, wall_s=0.22, failed=change_failed))
+    verdict = _bench_pairs().summarize(pairs, "trials_per_s")["verdict"]
+    assert verdict["change_wins"] == 10 and verdict["median_gain"] > verdict["parent_iqr"]
+    assert verdict["parent_failed_share"] == parent_failed / 50
+    assert verdict["change_failed_share"] == change_failed / 50
+    assert verdict["holds"] is holds
+
+
+@pytest.mark.parametrize(
+    "change,regressions",
+    [
+        (dict(), []),
+        (dict(wall_s=0.23 * 1.23), []),
+        (dict(wall_s=0.23 * 1.26), ["wall_s"]),
+        (dict(trials_per_s=6400.0 * 0.75, report_bytes=9000 * 1.06), ["trials_per_s", "report_bytes"]),
+        (dict(trials_per_s=6400.0 * 1.5, wall_s=0.23 * 0.5), []),
+        (dict(failed=1), ["ops_ok_frac"]),
+    ],
+    ids=["same", "wall-within-bound", "wall-past-bound", "rate-and-bytes-past-bound", "better", "one-failed-call"],
+)
+def test_bench_pairs_names_the_metrics_worse_than_their_bound(change, regressions):
+    pairs = _canned_pairs(dict(trials_per_s=6400.0, wall_s=0.23), dict(trials_per_s=6400.0, wall_s=0.23) | change)
+    assert _bench_pairs().summarize(pairs)["regressions"] == regressions
+
+
+def _harness(root: Path) -> Path:
+    """A checkout holding a ``BENCHMARK.json`` and a ``perfbench/`` of three files."""
+    (root / "perfbench" / "__pycache__").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text('{"command": ["python3", "perfbench/run.py"]}\n')
+    for name, text in [("run.py", "print(1)\n"), ("gate.py", "GATE = 1\n"), ("__pycache__/run.cpython.pyc", "x")]:
+        (root / "perfbench" / name).write_text(text)
+    return root
+
+
+def test_bench_pairs_refuses_checkouts_whose_harnesses_differ(monkeypatch, tmp_path, capsys):
+    bench_pairs = _bench_pairs()
+    parent, change = _harness(tmp_path / "parent"), _harness(tmp_path / "change")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: pytest.fail("the benchmark ran"))
+    # a bytecode cache is not the harness
+    (change / "perfbench" / "__pycache__" / "run.cpython.pyc").write_text("y")
+    assert bench_pairs.harness_differences(parent, change) == []
+    (change / "BENCHMARK.json").write_text('{"command": ["python3", "perfbench/other.py"]}\n')
+    (change / "perfbench" / "gate.py").write_text("GATE = 2\n")
+    (change / "perfbench" / "extra.py").write_text("")
+    (parent / "perfbench" / "run.py").unlink()
+    differing = ["BENCHMARK.json", "perfbench/extra.py", "perfbench/gate.py", "perfbench/run.py"]
+    assert bench_pairs.harness_differences(parent, change) == differing
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "dominance", "--seeds", "1-5",
+            "--out", str(tmp_path / "BENCH_pairs.json")]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(path in err for path in differing)
+    assert "__pycache__" not in err
+    assert not (tmp_path / "BENCH_pairs.json").exists()
 
 
 def test_bench_pairs_parses_seed_ranges_and_lists():
