@@ -17,12 +17,15 @@ better; ties count for neither) and the number of pairs, with the seeds and
 each run's attempted and failed calls.  Its ``regressions`` list names every
 end-to-end metric whose change median is worse than the parent median by
 more than that metric's ``BENCHMARK.json`` bound, a fraction of the parent
-median.  With ``--claim METRIC`` it adds the verdict of the claim rule: at
-least ten pairs, the change wins at least nine tenths of them, its median
-is better than the parent's by more than the parent's interquartile range,
-and its runs fail no larger share of their attempted calls than the
-parent's.  It prints the summary as JSON, and with ``--out`` merges it into
-that file under ``sets[LABEL][W]``.
+median.  Its ``unresolved`` list names every end-to-end metric whose parent
+interquartile range is wider than that bound, so that the pairs cannot tell
+a change within the bound from none, unless every change run reads better
+than every parent run.  With ``--claim METRIC`` it adds the verdict of the
+claim rule: at least ten pairs, the change wins at least nine tenths of
+them, its median is better than the parent's by more than the parent's
+interquartile range, and its runs fail no larger share of their attempted
+calls than the parent's.  It prints the summary as JSON, and with
+``--out`` merges it into that file under ``sets[LABEL][W]``.
 
 It refuses to run, with exit code 2, while either checkout's ``src/``
 holds a ``__pycache__``: a valid bytecode cache on one side only skips
@@ -132,6 +135,7 @@ def summarize(pairs: list[tuple[int, dict, dict]], claim: str | None = None) -> 
             "pairs": len(pairs),
         }
     summary["regressions"] = [metric for metric in HIGHER_IS_BETTER if regressed(summary[metric], metric)]
+    summary["unresolved"] = [metric for metric in HIGHER_IS_BETTER if unresolved(summary[metric], metric)]
     summary["seeds"] = [seed for seed, _, _ in pairs]
     for key in ("attempted", "failed"):
         summary[key] = {"parent": [p[key] for _, p, _ in pairs], "change": [c[key] for _, _, c in pairs]}
@@ -147,6 +151,17 @@ def regressed(stats: dict, metric: str) -> bool:
     if HIGHER_IS_BETTER[metric]:
         return stats["change_median"] < stats["parent_median"] - slack
     return stats["change_median"] > stats["parent_median"] + slack
+
+
+def unresolved(stats: dict, metric: str) -> bool:
+    """Whether the parent's spread is wider than the metric's bound, and the change runs overlap the parent's."""
+    q1, _, q3 = stats["parent_quartiles"]
+    if q3 - q1 <= BOUNDS[metric] * abs(stats["parent_median"]):
+        return False
+    parent, change = stats["parent_runs"], stats["change_runs"]
+    if HIGHER_IS_BETTER[metric]:
+        return min(change) <= max(parent)
+    return max(change) >= min(parent)
 
 
 def failed_share(failed: list[int], attempted: list[int]) -> float:

@@ -21,10 +21,12 @@ min(allowed CPUs, chunks // 2)`` of two or more, it forks ``W - 1`` workers.  Th
 ``numpy.random`` first, so that the workers do not each load it again.  This
 process and every worker pin themselves to an allowed CPU of their own: on a
 2-vCPU guest, unpinned threads stayed on one vCPU for a whole run, and a
-forked child stayed on its parent's vCPU in 8 of 8 tries.  Each process
-claims chunks in order from one shared pipe of tokens.  The results are put
-back in chunk order, and the exception of the lowest failing chunk is
-raised, which is the error the serial loop raises.  Trial t draws from
+forked child stayed on its parent's vCPU in 8 of 8 tries.  Process w of
+the W (this one is w = 0) evaluates the stripe of chunks w, w + W, w + 2W,
+… in order, up to its first failing chunk, and this process also takes the
+stripes of the workers it could not fork.  The results are put back in
+chunk order, and the exception of the lowest failing chunk is raised, which
+is the error the serial loop raises.  Trial t draws from
 stream (seed, t) wherever it runs, so a report and its exit code do not
 depend on the chunking, the worker count or the scheduling.  When a
 campaign runs from :func:`decobs.cli.main`, the objects left by import are
@@ -44,7 +46,6 @@ import math
 import os
 import pickle
 import signal
-import struct
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress, repeat
@@ -80,14 +81,6 @@ _MAX_MIXTURE_SIZE = 5
 #: their size (the pinched pieces, or a product's temporaries) are alive at
 #: once, so the chunk planner counts twice the slots of a family.
 _FAMILY_SLOTS = 2
-
-#: A chunk map's claim token: the index of the first chunk of a run.
-_TOKEN = struct.Struct("<I")
-
-#: Bytes of all of a chunk map's tokens at most.  A pipe holds at least a
-#: page, and a write of up to PIPE_BUF bytes is atomic, so the tokens are
-#: written at once, before any worker starts.
-_TOKEN_BYTES = 4096
 
 
 @dataclass
@@ -258,30 +251,24 @@ def _pin(cpus) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _claim(evaluate, chunks: list[range], tokens: int, run: int) -> list[tuple]:
-    """Evaluate the runs of ``run`` chunks this process claims from the token pipe.
+def _claim(evaluate, chunks: list[range], first: int, step: int) -> list[tuple]:
+    """Evaluate chunks ``first``, ``first + step``, … in order, up to the first that fails.
 
-    Returns (index, result or exception) pairs.  Tokens come out of the pipe
-    in chunk order, so once a chunk fails, every chunk not yet claimed comes
-    after it and cannot change the outcome: the process takes the remaining
-    tokens, so that no process claims another run.
+    Returns (index, result or exception) pairs.  The chunks left after a
+    failing one come after it and cannot change the outcome.
     """
     done = []
-    while token := os.read(tokens, _TOKEN.size):
-        (start,) = _TOKEN.unpack(token)
-        for index in range(start, min(start + run, len(chunks))):
-            try:
-                done.append((index, evaluate(chunks[index])))
-            except Exception as exc:
-                done.append((index, exc))
-                while os.read(tokens, _TOKEN_BYTES):
-                    pass
-                return done
+    for index in range(first, len(chunks), step):
+        try:
+            done.append((index, evaluate(chunks[index])))
+        except Exception as exc:
+            done.append((index, exc))
+            break
     return done
 
 
-def _work(evaluate, chunks: list[range], tokens: int, run: int, cpu: int, out: int) -> None:
-    """A forked worker: pin to ``cpu``, claim chunks, pickle its pairs to ``out``, exit.
+def _work(evaluate, chunks: list[range], first: int, step: int, cpu: int, out: int) -> None:
+    """A forked worker: pin to ``cpu``, evaluate its stripe, pickle its pairs to ``out``, exit.
 
     It never returns and never writes to stdout: ``os._exit`` skips the
     parent's exit handlers and buffered output.  The exit code is 0 only
@@ -291,7 +278,7 @@ def _work(evaluate, chunks: list[range], tokens: int, run: int, cpu: int, out: i
     try:
         _pin({cpu})
         with open(out, "wb") as stream:
-            pickle.dump(_claim(evaluate, chunks, tokens, run), stream)
+            pickle.dump(_claim(evaluate, chunks, first, step), stream)
         code = 0
     finally:
         os._exit(code)
@@ -303,12 +290,13 @@ def _map_chunks(evaluate, chunks: list[range]) -> list:
     ``W = min(allowed CPUs, len(chunks) // 2)`` processes share the chunks:
     this one and ``W - 1`` forked workers, each pinned to its own allowed
     CPU.  With ``W < 2``, or without ``os.fork``, it is the plain list
-    comprehension.  Every process claims chunks one run at a time from one
-    pipe of fixed-width tokens (at most 4 KiB of them, so a run is one chunk
-    unless there are more than 1,024).  Results come back in chunk order, and
-    the first chunk without a result raises: its own exception, which is the
-    one the serial loop raises, or ``ChildProcessError`` when its worker died.
-    Every worker is reaped before this returns or raises.
+    comprehension.  Process w (this one is w = 0) evaluates chunks w,
+    w + W, w + 2W, … up to its first failing chunk, and this process also
+    evaluates the stripes of the workers it could not fork.  Results come
+    back in chunk order, and the first chunk without a result raises: its
+    own exception, which is the one the serial loop raises, or
+    ``ChildProcessError`` when its worker died.  Every worker is reaped
+    before this returns or raises.
     """
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     cpus = sorted(os.sched_getaffinity(0)) if can_fork else []
@@ -318,29 +306,27 @@ def _map_chunks(evaluate, chunks: list[range]) -> list:
     # the first trial stream loads numpy.random (~15 ms); load it once, here
     import numpy.random  # noqa: F401
 
-    run = -(-len(chunks) // (_TOKEN_BYTES // _TOKEN.size))
-    tokens, claims = os.pipe()
-    os.write(claims, b"".join(_TOKEN.pack(start) for start in range(0, len(chunks), run)))
-    os.close(claims)
     pipes = {}  # worker pid -> read end of its result pipe
     sent = {}  # worker pid -> its pickled pairs
     try:
-        for cpu in cpus[1:workers]:
+        for first, cpu in enumerate(cpus[1:workers], 1):
             out, into = os.pipe()
             try:
                 pid = os.fork()
             except OSError:
-                # fewer workers claim the same tokens
+                # this process takes the stripes of the workers not forked
                 os.close(out)
                 os.close(into)
                 break
             if pid == 0:
-                _work(evaluate, chunks, tokens, run, cpu, into)
+                _work(evaluate, chunks, first, workers, cpu, into)
             os.close(into)
             pipes[pid] = out
         # unpinned, a forked worker stays on this process's CPU
         _pin({cpus[0]})
-        results = dict(_claim(evaluate, chunks, tokens, run))
+        results = {}
+        for first in (0, *range(len(pipes) + 1, workers)):
+            results.update(_claim(evaluate, chunks, first, workers))
         for pid, out in pipes.items():
             with open(out, "rb", closefd=False) as stream:
                 sent[pid] = stream.read()
@@ -351,7 +337,6 @@ def _map_chunks(evaluate, chunks: list[range]) -> list:
             if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
                 sent.pop(pid, None)
             os.close(out)
-        os.close(tokens)
         _pin(cpus)
     for data in sent.values():
         results.update(pickle.loads(data))

@@ -23,8 +23,9 @@ povm-classify
 
 Reports stream to stdout as JSON (default) or CSV margin tables; errors go
 to stderr.  Exit code 0 means no hard violation, 1 means at least one, and 2
-signals usage or input errors.  Rerunning with identical flags and seed
-reproduces the report byte for byte (timestamp field aside).
+signals usage or input errors, or a campaign that ran out of memory.
+Rerunning with identical flags and seed reproduces the report byte for byte
+(timestamp field aside).
 
 The campaigns themselves live in :mod:`decobs.campaigns`; this module is
 argparse, the config, dispatch and the two writers.  :func:`main` freezes
@@ -235,7 +236,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_args(args)
         result = _DISPATCH[args.command](cfg)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

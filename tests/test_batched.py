@@ -316,7 +316,7 @@ class TestChunkMap:
     )
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_output_does_not_depend_on_the_worker_count(self, capfd, monkeypatch, allowed_cpus, forks, argv, fmt):
-        # one trial a chunk; 1,025 chunks take runs of two chunks a token
+        # one trial a chunk; 1,025 chunks make stripes of 513 and 512
         monkeypatch.setattr(campaigns, "CHUNK_BYTES", 1)
         args = _with_format(argv, fmt)
         _assert_one_thread()
@@ -421,6 +421,92 @@ class TestChunkMap:
         _assert_no_child_left()
         # pinned to the first CPU, then given back every CPU it was shown
         assert pinned == [{0}, {0, 1}]
+
+    def test_each_process_samples_its_own_stripe(self, capsys, tmp_path, monkeypatch, allowed_cpus):
+        def planted(trial):
+            (tmp_path / f"sampled-{trial}").write_text(str(os.getpid()))
+
+        self.plant(monkeypatch, planted)
+        allowed_cpus(2)
+        _assert_one_thread()
+        assert cli.main(["verify-s-theorems", "--dim", "3", "--trials", "6"]) == 0
+        capsys.readouterr()
+        pids = {trial: (tmp_path / f"sampled-{trial}").read_text() for trial in range(6)}
+        assert {pids[0], pids[2], pids[4]} == {str(os.getpid())}
+        assert len({pids[1], pids[3], pids[5]}) == 1 and pids[1] != pids[0]
+        _assert_no_child_left()
+
+    def test_a_failing_chunk_ends_its_stripe(self, capsys, tmp_path, monkeypatch, allowed_cpus):
+        bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
+
+        def planted(trial):
+            (tmp_path / f"sampled-{trial}").touch()
+            return bad if trial == 2 else None
+
+        self.plant(monkeypatch, planted)
+        allowed_cpus(2)
+        _assert_one_thread()
+        code = cli.main(["verify-s-theorems", "--dim", "3", "--trials", "6"])
+        captured = capsys.readouterr()
+        # trial 4, the parent's next after trial 2, is never drawn; the worker's stripe runs to its end
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"sampled-{t}" for t in (0, 1, 2, 3, 5)]
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {TestStackErrorsMatchScalarTypes.error_of(lambda: DensityMatrix(bad))[2]}\n"
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["parent", "worker"])
+    def test_running_out_of_memory_is_exit_code_two(self, capsys, monkeypatch, allowed_cpus, where):
+        parent = os.getpid()
+
+        def planted(trial):
+            # trial 1 is the worker's first, trial 0 the parent's
+            if trial == (1 if where == "worker" else 0):
+                assert (os.getpid() == parent) is (where == "parent")
+                raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        self.plant(monkeypatch, planted)
+        allowed_cpus(2)
+        _assert_one_thread()
+        code = cli.main(["verify-s-theorems", "--dim", "3", "--trials", "6"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 298. GiB for an array\n"
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus,failing", [(2, {1}), (3, {2}), (3, {1, 2})], ids=["only", "second", "both"])
+    def test_the_parent_takes_the_stripes_of_workers_it_could_not_fork(
+        self, capfd, monkeypatch, allowed_cpus, cpus, failing
+    ):
+        monkeypatch.setattr(campaigns, "CHUNK_BYTES", 1)
+        args = _with_format(SEEDED_COMMANDS[0], "json")
+        _assert_one_thread()
+        allowed_cpus(1)
+        serial_code = cli.main(args)
+        serial = capfd.readouterr()
+        fork, calls, forked = os.fork, [], []
+
+        def failing_fork():
+            calls.append(len(calls) + 1)
+            if calls[-1] in failing:
+                raise OSError(11, "Resource temporarily unavailable")
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        allowed_cpus(cpus)
+        code = cli.main(args)
+        mapped = capfd.readouterr()
+        # forking stops at the first failure
+        assert calls == list(range(1, min(failing) + 1))
+        assert len(forked) == min(failing) - 1
+        assert code == serial_code == 0
+        assert _strip_timestamp(mapped.out) == _strip_timestamp(serial.out)
+        assert mapped.err == serial.err == ""
+        _assert_no_child_left()
 
 
 def _reference_observe(rho, probe):

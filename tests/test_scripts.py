@@ -240,6 +240,30 @@ def test_bench_pairs_names_the_metrics_worse_than_their_bound(change, regression
     assert _bench_pairs().summarize(pairs)["regressions"] == regressions
 
 
+@pytest.mark.parametrize(
+    "parent,change,unresolved",
+    [
+        (dict(wall_s=[0.23, 0.24]), dict(wall_s=[0.23, 0.24]), []),
+        (dict(wall_s=[0.10, 0.40]), dict(wall_s=[0.10, 0.40]), ["wall_s"]),
+        (dict(wall_s=[0.10, 0.40]), dict(wall_s=[0.05, 0.09]), []),
+        (dict(wall_s=[0.10, 0.40]), dict(wall_s=[0.05, 0.10]), ["wall_s"]),
+        (dict(wall_s=[0.10, 0.40]), dict(wall_s=[0.50, 0.60]), ["wall_s"]),
+        (dict(trials_per_s=[6000.0, 9000.0]), dict(trials_per_s=[7000.0, 8000.0]), ["trials_per_s"]),
+        (dict(trials_per_s=[6000.0, 9000.0]), dict(trials_per_s=[9001.0, 9500.0]), []),
+    ],
+    ids=["narrow-spread", "wide-spread", "every-change-run-better", "one-change-run-ties",
+         "every-change-run-worse", "wide-rate", "every-change-rate-better"],
+)
+def test_bench_pairs_names_the_metrics_whose_spread_is_wider_than_their_bound(parent, change, unresolved):
+    # each side alternates between its two values over 10 pairs; the metrics not given stay constant
+    def result(values: dict, i: int) -> dict:
+        kwargs = dict(trials_per_s=6400.0, wall_s=0.23) | {name: runs[i % 2] for name, runs in values.items()}
+        return json.loads(_canned_run(**kwargs).splitlines()[-1])
+
+    pairs = [(i, result(parent, i), result(change, i)) for i in range(10)]
+    assert _bench_pairs().summarize(pairs)["unresolved"] == unresolved
+
+
 def _harness(root: Path) -> Path:
     """A checkout holding a ``BENCHMARK.json`` and a ``perfbench/`` of three files."""
     (root / "perfbench" / "__pycache__").mkdir(parents=True)
