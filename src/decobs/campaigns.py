@@ -8,9 +8,12 @@ not validated, and any block sizes; the samplers are the only code that
 reads :func:`~decobs.sampling.trial_streams`, which seeds the chunk's
 streams itself, in bounded blocks, and hands each trial the same generator,
 reset to that trial's stream, so a sampler finishes with a trial's ``rng``
-before it takes the next.  The evaluator, a closure of
-the ``run_*`` function, validates those stacks, applies the maps and
-returns the chunk's row columns, which :func:`_campaign_result` makes rows.
+before it takes the next.  The evaluator, ``evaluate_*(cfg, trials,
+stacks)``, validates the stacks a sampler returns for ``trials``, applies
+the maps and returns the trials' row columns, which
+:func:`_campaign_result` makes rows.  It takes every shape from its stacks
+and reads only ``cfg.functionals`` and ``cfg.tol``, so it checks any stacks
+of that form, not only drawn ones; ``run_*`` hands it each chunk's draws.
 
 The trials are split into chunks (:func:`plan_chunks`), and every chunk goes
 through one chunk map, :func:`_map_chunks`.  A chunk holds the stacks its
@@ -383,6 +386,66 @@ def sample_s_theorems(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np
     return rho, sampling.probing_from_normals(raw[:, 2 * dim * dim :], dim, response_dim)
 
 
+def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tuple[dict, int, float]:
+    """The row columns, skipped singular rows and consistency residual of ``trials``.
+
+    ``stacks`` holds the states and probings :func:`sample_s_theorems` draws for them.
+    """
+    rho, probe = stacks
+    del stacks
+    dim, response_dim = probe.shape[-2:]
+    functionals = [parse_functional(text) for text in cfg.functionals]
+
+    # the checks run in the order a one-trial loop makes them: state,
+    # probing, branches, branch probabilities, average, Gram, decohered state
+    lam_rho = validate_stack(rho, "density")
+    validate_probing_stack(probe)
+    # the branches are observed, checked and added to their trial's
+    # average one block at a time, in trial-then-outcome order
+    probs = np.empty((len(rho), response_dim))
+    averaged = np.zeros_like(rho)
+    spectra = []
+    for block, outcomes in _branch_blocks(len(rho), response_dim, dim):
+        block_probs, branches = observe_stack(rho[block], probe[block, :, outcomes])
+        live = block_probs > 0.0
+        # all branches are live unless a probing column vanishes on the state
+        spectra.append(validate_stack(branches.reshape(-1, dim, dim) if live.all() else branches[live], "density"))
+        average_stack(block_probs, branches, out=averaged[block])
+        del branches
+        probs[block, outcomes] = block_probs
+    lam_branch = np.concatenate(spectra)
+    live = probs > 0.0
+    clean_probabilities(probs)
+    validate_stack(averaged, "density")
+    gram = response_gram_stack(probe)
+    validate_stack(gram, "gram")
+    decohered = rho * gram  # the Schur product, as processes.decohere forms it
+    lam_dec = validate_stack(decohered, "density")
+    consistency = float(abs(averaged - decohered).max())
+
+    # an observation is trivial when every live branch keeps the state's spectrum
+    branch_unchanged = np.ones(live.shape, dtype=bool)
+    branch_unchanged[live] = spectra_unchanged(lam_rho[np.nonzero(live)[0]], lam_branch)
+    obs_trivial = branch_unchanged.all(axis=-1)
+    dec_trivial = spectra_unchanged(lam_rho, lam_dec)
+
+    table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
+    s_rho, s_dec = table[:, : len(rho)], table[:, len(rho) :]
+    # rows run trial, functional, side; log-det skips a singular state
+    log_det = np.array([f.kind == "log-det" for f in functionals])
+    regular = (lam_rho[:, -1] >= SINGULAR_SKIP)[:, None] | ~log_det
+    columns = _grid_rows(
+        (len(rho), len(functionals), 2), regular[..., None],
+        trial=np.asarray(trials)[:, None, None],
+        functional=np.array([f.label for f in functionals])[:, None],
+        side=np.array(["observation", "decoherence"]),
+        lhs=np.stack((s_expected, s_rho), axis=-1).swapaxes(0, 1),
+        rhs=np.stack((s_rho, s_dec), axis=-1).swapaxes(0, 1),
+        trivial=np.stack((obs_trivial, dec_trivial), axis=-1)[:, None],
+    )
+    return columns, int(np.count_nonzero(~regular)), consistency
+
+
 def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     """Random-probing campaign over both entropy inequalities.
 
@@ -393,68 +456,14 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     equals the Schur form with the row Gram matrix) is asserted to
     CONSISTENCY_TOL as a side condition.
     """
-    functionals = [parse_functional(text) for text in cfg.functionals]
     dim = cfg.dim
     response_dim = cfg.response_dim or dim
-    labels = [f.label for f in functionals]
-    log_det = np.array([f.kind == "log-det" for f in functionals])
-
-    def evaluate(chunk: range) -> tuple[dict, int, float]:
-        """The chunk's row columns, skipped singular rows and consistency residual."""
-        rho, probe = sample_s_theorems(cfg, chunk)
-
-        # the checks run in the order a one-trial loop makes them: state,
-        # probing, branches, branch probabilities, average, Gram, decohered state
-        lam_rho = validate_stack(rho, "density")
-        validate_probing_stack(probe)
-        # the branches are observed, checked and added to their trial's
-        # average one block at a time, in trial-then-outcome order
-        probs = np.empty((len(chunk), response_dim))
-        averaged = np.zeros_like(rho)
-        spectra = []
-        for trials, outcomes in _branch_blocks(len(chunk), response_dim, dim):
-            block_probs, branches = observe_stack(rho[trials], probe[trials, :, outcomes])
-            live = block_probs > 0.0
-            # all branches are live unless a probing column vanishes on the state
-            spectra.append(validate_stack(branches.reshape(-1, dim, dim) if live.all() else branches[live], "density"))
-            average_stack(block_probs, branches, out=averaged[trials])
-            del branches
-            probs[trials, outcomes] = block_probs
-        lam_branch = np.concatenate(spectra)
-        live = probs > 0.0
-        clean_probabilities(probs)
-        validate_stack(averaged, "density")
-        gram = response_gram_stack(probe)
-        validate_stack(gram, "gram")
-        decohered = rho * gram  # the Schur product, as processes.decohere forms it
-        lam_dec = validate_stack(decohered, "density")
-        consistency = float(abs(averaged - decohered).max())
-
-        # an observation is trivial when every live branch keeps the state's spectrum
-        branch_unchanged = np.ones(live.shape, dtype=bool)
-        branch_unchanged[live] = spectra_unchanged(lam_rho[np.nonzero(live)[0]], lam_branch)
-        obs_trivial = branch_unchanged.all(axis=-1)
-        dec_trivial = spectra_unchanged(lam_rho, lam_dec)
-
-        table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
-        s_rho, s_dec = table[:, : len(chunk)], table[:, len(chunk) :]
-        # rows run trial, functional, side; log-det skips a singular state
-        regular = (lam_rho[:, -1] >= SINGULAR_SKIP)[:, None] | ~log_det
-        block = _grid_rows(
-            (len(chunk), len(functionals), 2), regular[..., None],
-            trial=np.asarray(chunk)[:, None, None],
-            functional=np.array(labels)[:, None],
-            side=np.array(["observation", "decoherence"]),
-            lhs=np.stack((s_expected, s_rho), axis=-1).swapaxes(0, 1),
-            rhs=np.stack((s_rho, s_dec), axis=-1).swapaxes(0, 1),
-            trivial=np.stack((obs_trivial, dec_trivial), axis=-1)[:, None],
-        )
-        return block, int(np.count_nonzero(~regular)), consistency
-
     # a trial keeps its state, probing and their raw normals, average, Gram
     # and decohered state; its branches stream through in blocks
     slots = 5 + 2 * -(-response_dim // dim)
-    blocks, skipped, residuals = zip(*_map_chunks(evaluate, plan_chunks(cfg.trials, slots, cfg.dim)))
+    chunks = plan_chunks(cfg.trials, slots, cfg.dim)
+    evaluated = _map_chunks(lambda chunk: evaluate_s_theorems(cfg, chunk, sample_s_theorems(cfg, chunk)), chunks)
+    blocks, skipped, residuals = zip(*evaluated)
     skipped_singular = sum(skipped)
     consistency_max = max(0.0, *residuals)
     columns = _entropy_rows(_joined(blocks), cfg.tol)
@@ -463,7 +472,7 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         "dim": cfg.dim,
         "trials": cfg.trials,
         "response_dim": response_dim,
-        "entropy": labels,
+        "entropy": [parse_functional(text).label for text in cfg.functionals],
         "tol": cfg.tol,
         "units": cfg.units,
     }
@@ -504,6 +513,43 @@ def sample_majorization(cfg: CampaignConfig, chunk: range) -> tuple:
     return rho, responses, pinch_input, partitions, ginibre, sampling.hermitian_from_normals(late[:, 1:], dim)
 
 
+def evaluate_majorization(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
+    """The row columns of ``trials``, from the stacks :func:`sample_majorization` draws for them."""
+    rho, responses, pinch_input, partitions, ginibre, hermitian = stacks
+    del stacks
+
+    # the checks run in the order a one-trial loop makes them: state,
+    # responses, Gram, Schur product, pinching state, rotated partition
+    # (conjugation keeps every projector identity, so a broken 0/1 family
+    # fails there), pinching, Fan
+    lam_rho = validate_stack(rho, "density")
+    env = gram_from_unit_rows(responses)
+    validate_stack(env, "gram")
+    _, schur = schur_dominance(lam_rho, rho * env)
+    lam_input = validate_stack(pinch_input, "density")
+    projectors = sampling.conjugated_projectors(
+        sampling.haar_from_ginibre(ginibre), block_projectors(partitions, rho.shape[-1])
+    )
+    validate_projector_stack(projectors)
+    *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)
+    del projectors
+    hermitian = sampling.unit_spectral_radius(hermitian)
+    *_, fan = fan_dominance(hermitian[:, 0], hermitian[:, 1])
+
+    # each row is its check's worst prefix: dominated prefix sum <= dominating one
+    checks = (schur, upper, lower, fan)
+    return _grid_rows(
+        (len(rho), len(checks)),
+        trial=np.asarray(trials)[:, None],
+        functional="",
+        side=np.array(["schur", "pinching-upper", "pinching-lower", "fan"]),
+        lhs=np.stack([check.dominated_prefix for check in checks], axis=-1),
+        rhs=np.stack([check.dominator_prefix for check in checks], axis=-1),
+        margin=np.stack([check.worst_margin for check in checks], axis=-1),
+        violation=~np.stack([check.holds(cfg.tol) for check in checks], axis=-1),
+    )
+
+
 def run_majorization(cfg: CampaignConfig) -> CampaignResult:
     """Spectral dominance campaign: Schur products, pinchings, spectrum sums.
 
@@ -516,44 +562,10 @@ def run_majorization(cfg: CampaignConfig) -> CampaignResult:
     """
     dim = cfg.dim
     response_dim = cfg.response_dim or dim
-
-    def evaluate(chunk: range) -> dict:
-        rho, responses, pinch_input, partitions, ginibre, hermitian = sample_majorization(cfg, chunk)
-
-        # the checks run in the order a one-trial loop makes them: state,
-        # responses, Gram, Schur product, pinching state, rotated partition
-        # (conjugation keeps every projector identity, so a broken 0/1 family
-        # fails there), pinching, Fan
-        lam_rho = validate_stack(rho, "density")
-        env = gram_from_unit_rows(responses)
-        validate_stack(env, "gram")
-        _, schur = schur_dominance(lam_rho, rho * env)
-        lam_input = validate_stack(pinch_input, "density")
-        projectors = sampling.conjugated_projectors(
-            sampling.haar_from_ginibre(ginibre), block_projectors(partitions, dim)
-        )
-        validate_projector_stack(projectors)
-        *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)
-        del projectors
-        hermitian = sampling.unit_spectral_radius(hermitian)
-        *_, fan = fan_dominance(hermitian[:, 0], hermitian[:, 1])
-
-        # each row is its check's worst prefix: dominated prefix sum <= dominating one
-        checks = (schur, upper, lower, fan)
-        return _grid_rows(
-            (len(chunk), len(checks)),
-            trial=np.asarray(chunk)[:, None],
-            functional="",
-            side=np.array(["schur", "pinching-upper", "pinching-lower", "fan"]),
-            lhs=np.stack([check.dominated_prefix for check in checks], axis=-1),
-            rhs=np.stack([check.dominator_prefix for check in checks], axis=-1),
-            margin=np.stack([check.worst_margin for check in checks], axis=-1),
-            violation=~np.stack([check.holds(cfg.tol) for check in checks], axis=-1),
-        )
-
     # the responses stack and its raw normals are alive beside the families
     slots = _FAMILY_SLOTS * dim + 2 * -(-response_dim // dim)
-    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, cfg.dim))
+    chunks = plan_chunks(cfg.trials, slots, cfg.dim)
+    blocks = _map_chunks(lambda chunk: evaluate_majorization(cfg, chunk, sample_majorization(cfg, chunk)), chunks)
     flags = {"dim": cfg.dim, "trials": cfg.trials, "response_dim": response_dim, "tol": cfg.tol}
     return _campaign_result(cfg, flags, _joined(blocks))
 
@@ -579,6 +591,30 @@ def sample_holevo(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np.nda
     return sizes, probs, sampling.density_from_normals(raw[:filled], dim)
 
 
+def evaluate_holevo(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
+    """The row columns of ``trials``, from the mixtures :func:`sample_holevo` draws for them."""
+    sizes, probs, drawn = stacks
+    del stacks
+    functionals = [parse_functional(text) for text in cfg.functionals]
+    present = np.arange(probs.shape[-1]) < sizes[:, None]
+    mats = np.zeros(probs.shape + drawn.shape[-2:], dtype=complex)
+    mats[present] = drawn
+
+    lam_state = validate_stack(drawn, "density")
+    del drawn
+    probs = clean_probabilities(probs)
+    average = average_stack(probs, mats)
+    lam_avg = validate_stack(average, "density")
+    live = probs > 0.0
+
+    rhs, lhs = _entropy_table(functionals, (lam_avg,), lam_state[live[present]], probs)
+    # rows run trial, functional
+    return _grid_rows(
+        (len(probs), len(functionals)), trial=np.asarray(trials)[:, None],
+        functional=np.array([f.label for f in functionals]), side="holevo", lhs=lhs.T, rhs=rhs.T,
+    )
+
+
 def run_holevo(cfg: CampaignConfig) -> CampaignResult:
     """Random-mixture campaign: average branch entropy vs entropy of the average.
 
@@ -586,37 +622,13 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
     with dead (p = 0) slots, which add exact zeros to every sum and are
     never validated or solved.
     """
-    functionals = [parse_functional(text) for text in cfg.functionals]
-    dim = cfg.dim
-    slots = cfg.ensemble_size or _MAX_MIXTURE_SIZE
-    labels = [f.label for f in functionals]
-
-    def evaluate(chunk: range) -> dict:
-        sizes, probs, drawn = sample_holevo(cfg, chunk)
-        present = np.arange(slots) < sizes[:, None]
-        mats = np.zeros((len(chunk), slots, dim, dim), dtype=complex)
-        mats[present] = drawn
-
-        lam_state = validate_stack(drawn, "density")
-        del drawn
-        probs = clean_probabilities(probs)
-        average = average_stack(probs, mats)
-        lam_avg = validate_stack(average, "density")
-        live = probs > 0.0
-
-        rhs, lhs = _entropy_table(functionals, (lam_avg,), lam_state[live[present]], probs)
-        # rows run trial, functional
-        return _grid_rows(
-            (len(chunk), len(functionals)),
-            trial=np.asarray(chunk)[:, None], functional=np.array(labels), side="holevo", lhs=lhs.T, rhs=rhs.T,
-        )
-
-    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, slots, cfg.dim))
+    chunks = plan_chunks(cfg.trials, cfg.ensemble_size or _MAX_MIXTURE_SIZE, cfg.dim)
+    blocks = _map_chunks(lambda chunk: evaluate_holevo(cfg, chunk, sample_holevo(cfg, chunk)), chunks)
     flags = {
         "dim": cfg.dim,
         "trials": cfg.trials,
         "ensemble_size": cfg.ensemble_size,
-        "entropy": labels,
+        "entropy": [parse_functional(text).label for text in cfg.functionals],
         "tol": cfg.tol,
         "units": cfg.units,
     }
@@ -637,33 +649,35 @@ def sample_luders(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, list[t
     return sampling.density_from_normals(raw, dim), partitions
 
 
+def evaluate_luders(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
+    """The row columns of ``trials``, from the states and block sizes :func:`sample_luders` draws for them."""
+    rho, partitions = stacks
+    del stacks
+    projectors = block_projectors(partitions, rho.shape[-1])
+
+    # state, partition, pinching, block Gram matrix, Schur form
+    validate_stack(rho, "density")
+    validate_projector_stack(projectors)
+    _, pinched = pinch(projectors, rho)
+    validate_stack(pinched, "density")
+    gram = gram_from_projector_stack(projectors)
+    validate_stack(gram, "gram")
+    schur_form = rho * gram
+    validate_stack(schur_form, "density")
+    residual = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0)
+    return _grid_rows(
+        (len(rho),), trial=np.asarray(trials), functional="", side="luders-equivalence", lhs=residual,
+        rhs=CONSISTENCY_TOL, margin=CONSISTENCY_TOL - residual, violation=residual > CONSISTENCY_TOL,
+    )
+
+
 def run_luders(cfg: CampaignConfig) -> CampaignResult:
     """Random diagonal partitions: pinching equals the block Schur form to CONSISTENCY_TOL.
 
     Partitions have dead slots, as in :func:`run_majorization`.
     """
-    dim = cfg.dim
-
-    def evaluate(chunk: range) -> dict:
-        rho, partitions = sample_luders(cfg, chunk)
-        projectors = block_projectors(partitions, dim)
-
-        # state, partition, pinching, block Gram matrix, Schur form
-        validate_stack(rho, "density")
-        validate_projector_stack(projectors)
-        _, pinched = pinch(projectors, rho)
-        validate_stack(pinched, "density")
-        gram = gram_from_projector_stack(projectors)
-        validate_stack(gram, "gram")
-        schur_form = rho * gram
-        validate_stack(schur_form, "density")
-        residual = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0)
-        return _grid_rows(
-            (len(chunk),), trial=np.asarray(chunk), functional="", side="luders-equivalence", lhs=residual,
-            rhs=CONSISTENCY_TOL, margin=CONSISTENCY_TOL - residual, violation=residual > CONSISTENCY_TOL,
-        )
-
-    blocks = _map_chunks(evaluate, plan_chunks(cfg.trials, _FAMILY_SLOTS * dim, cfg.dim))
+    chunks = plan_chunks(cfg.trials, _FAMILY_SLOTS * cfg.dim, cfg.dim)
+    blocks = _map_chunks(lambda chunk: evaluate_luders(cfg, chunk, sample_luders(cfg, chunk)), chunks)
     return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, _joined(blocks))
 
 

@@ -206,4 +206,6 @@ def load_povm(path: str) -> Povm:
             raise ValidationError(
                 "json-parse", detail=f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise ValidationError("json-parse", detail=f"{path}: nesting too deep") from exc
     return povm_from_json(obj, where=path)

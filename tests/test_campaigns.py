@@ -1,8 +1,11 @@
-"""The samplers of the seeded campaigns: the only readers of the trial streams.
+"""The samplers and evaluators of the seeded campaigns.
 
 A sampler draws a chunk of trials, each from its own stream (seed, t).  So
 drawing a chunk must give, bit for bit, the one-trial draws of its trials
-stacked in order, wherever the chunk starts and however long it is.
+stacked in order, wherever the chunk starts and however long it is.  The
+samplers are the only readers of the trial streams.  An evaluator takes the
+stacks it checks as an argument, so hard inputs built by hand (pure states,
+trivial probings, one-state mixtures) go through the campaign's own checks.
 """
 
 import ast
@@ -11,11 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decobs import campaigns
+from decobs import campaigns, sampling
 from decobs.cli import CampaignConfig
+from decobs.entropy import parse_functional
+from decobs.tolerances import CONSISTENCY_TOL
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "decobs"
 SAMPLERS = ("sample_holevo", "sample_luders", "sample_majorization", "sample_s_theorems")
+EVALUATORS = ("evaluate_holevo", "evaluate_luders", "evaluate_majorization", "evaluate_s_theorems")
+#: The config fields that size a campaign's draws; an evaluator reads its shapes from its stacks instead.
+DRAW_FIELDS = {"dim", "response_dim", "ensemble_size", "trials", "seed"}
+FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det")
 DIMS = (1, 2, 5, 8)
 
 
@@ -74,6 +83,75 @@ def test_only_the_samplers_read_the_trial_streams():
     assert {owner for _, owner in readers} == set(SAMPLERS)
     # numpy's one-stream construction is the seeder's oracle, read by tests only
     assert readers_of("trial_stream") == set()
+
+
+def test_each_evaluator_is_a_module_function_that_reads_only_its_stacks():
+    tops = {
+        top.name: top for top in ast.parse((PACKAGE / "campaigns.py").read_text()).body
+        if isinstance(top, ast.FunctionDef)
+    }
+    assert set(EVALUATORS) <= set(tops)
+    for name, top in tops.items():
+        nested = [node.name for node in ast.walk(top) if isinstance(node, ast.FunctionDef) and node is not top]
+        assert nested == [], name
+    for name in EVALUATORS:
+        nodes = list(ast.walk(tops[name]))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        assert "trial_streams" not in names | attributes, name
+        assert [read for read in names | attributes if read.startswith("sample_")] == [], name
+        assert attributes & DRAW_FIELDS == set(), name
+
+
+def _normals(seed: int, *shape: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def test_pure_states_skip_log_det_and_keep_their_spectrum_when_observed():
+    psi = sampling.pure_from_normals(_normals(1, 3, 2 * 4), 4)
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    probe = sampling.probing_from_normals(_normals(2, 3, 2 * 4 * 4), 4, 4)
+    cfg = CampaignConfig("verify-s-theorems", functionals=FUNCTIONALS)
+    columns, skipped, residual = campaigns.evaluate_s_theorems(cfg, range(3), (rho, probe))
+    columns = campaigns._entropy_rows(columns, cfg.tol)
+    # every state is singular, so each trial's log-det rows are skipped
+    assert skipped == 3
+    assert parse_functional("log-det").label not in columns["functional"]
+    assert len(columns["trial"]) == 3 * (len(FUNCTIONALS) - 1) * 2
+    # a pure state's branches are pure
+    assert columns["trivial"][columns["side"] == "observation"].all()
+    assert not columns["violation"].any()
+    assert residual <= CONSISTENCY_TOL
+
+
+def test_a_one_column_probing_leaves_every_state_as_it_was():
+    trials, dim = 4, 5
+    rho = sampling.density_from_normals(_normals(3, trials, 2 * dim * dim), dim)
+    # the config's sizes are not the stacks'; the evaluator reads the stacks'
+    cfg = CampaignConfig("verify-s-theorems", dim=2, response_dim=3, functionals=FUNCTIONALS)
+    columns, skipped, residual = campaigns.evaluate_s_theorems(cfg, range(trials), (rho, np.ones((trials, dim, 1))))
+    columns = campaigns._entropy_rows(columns, cfg.tol)
+    assert skipped == 0
+    assert len(columns["trial"]) == trials * len(FUNCTIONALS) * 2
+    assert columns["trivial"].all()
+    assert not columns["violation"].any()
+    # the Gram matrix is all ones, and rho times 1 is rho bit for bit
+    decoherence = columns["side"] == "decoherence"
+    assert np.array_equal(columns["lhs"][decoherence], columns["rhs"][decoherence])
+    assert residual <= CONSISTENCY_TOL
+
+
+def test_a_one_state_mixture_has_no_holevo_gap():
+    trials, dim = range(40, 44), 3
+    states = sampling.density_from_normals(_normals(4, len(trials), 2 * dim * dim), dim)
+    sizes = np.ones(len(trials), dtype=int)
+    probs = np.zeros((len(trials), 3))
+    probs[:, 0] = 1.0
+    cfg = CampaignConfig("holevo", dim=7, ensemble_size=2, functionals=FUNCTIONALS)
+    columns = campaigns.evaluate_holevo(cfg, trials, (sizes, probs, states))
+    assert np.array_equal(columns["lhs"], columns["rhs"])
+    assert columns["trial"].tolist() == [t for t in trials for _ in FUNCTIONALS]
+    assert not campaigns._entropy_rows(columns, cfg.tol)["violation"].any()
 
 
 def _row_columns(with_entropy_columns: bool) -> dict:

@@ -237,6 +237,15 @@ class TestPovmClassify:
         assert code == 2
         assert "line" in err
 
+    def test_nesting_too_deep_for_json_is_an_input_error(self, capsys, tmp_path):
+        # json's decoder recurses per bracket and raises RecursionError long before 3,000
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        code, out, err = run_cli(capsys, "povm-classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: json-parse")
+
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "povm-classify", str(tmp_path / "missing.json"))
         assert code == 2
