@@ -60,6 +60,7 @@ from . import matcore, sampling
 from .entropy import (
     entropies_of_spectra, entropy, expected_entropy, expected_entropy_stack, parse_functional, to_bits, von_neumann,
 )
+from .errors import ValidationError
 from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
 from .stacks import (
     average_stack, block_projectors, clean_probabilities, gram_from_projector_stack, gram_from_unit_rows,
@@ -373,6 +374,13 @@ def _entropy_table(functionals, states: tuple, branches: np.ndarray, probs: np.n
     return table[:, :head], expected_entropy_stack(probs, s_branch)
 
 
+def _check_trials(trials: range, *stacks) -> None:
+    """Raise unless each of an evaluator's per-trial stacks holds one entry per trial."""
+    lengths = sorted({len(stack) for stack in stacks})
+    if lengths != [len(trials)]:
+        raise ValidationError("stacks-same-trials", detail=f"{len(trials)} trials, stacks of {lengths}")
+
+
 def sample_s_theorems(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np.ndarray]:
     """The chunk's states, (n, d, d), and probings, (n, d, m), not validated.
 
@@ -393,6 +401,9 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     """
     rho, probe = stacks
     del stacks
+    _check_trials(trials, rho, probe)
+    # a real state stack is valid; cast it once, as observe_stack does
+    rho = np.asarray(rho, dtype=complex)
     dim, response_dim = probe.shape[-2:]
     functionals = [parse_functional(text) for text in cfg.functionals]
 
@@ -432,7 +443,7 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
     s_rho, s_dec = table[:, : len(rho)], table[:, len(rho) :]
     # rows run trial, functional, side; log-det skips a singular state
-    log_det = np.array([f.kind == "log-det" for f in functionals])
+    log_det = np.array([f.kind == "log-det" for f in functionals], dtype=bool)
     regular = (lam_rho[:, -1] >= SINGULAR_SKIP)[:, None] | ~log_det
     columns = _grid_rows(
         (len(rho), len(functionals), 2), regular[..., None],
@@ -517,6 +528,7 @@ def evaluate_majorization(cfg: CampaignConfig, trials: range, stacks: tuple) -> 
     """The row columns of ``trials``, from the stacks :func:`sample_majorization` draws for them."""
     rho, responses, pinch_input, partitions, ginibre, hermitian = stacks
     del stacks
+    _check_trials(trials, rho, responses, pinch_input, partitions, ginibre, hermitian)
 
     # the checks run in the order a one-trial loop makes them: state,
     # responses, Gram, Schur product, pinching state, rotated partition
@@ -595,6 +607,7 @@ def evaluate_holevo(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     """The row columns of ``trials``, from the mixtures :func:`sample_holevo` draws for them."""
     sizes, probs, drawn = stacks
     del stacks
+    _check_trials(trials, sizes, probs)
     functionals = [parse_functional(text) for text in cfg.functionals]
     present = np.arange(probs.shape[-1]) < sizes[:, None]
     mats = np.zeros(probs.shape + drawn.shape[-2:], dtype=complex)
@@ -653,6 +666,7 @@ def evaluate_luders(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     """The row columns of ``trials``, from the states and block sizes :func:`sample_luders` draws for them."""
     rho, partitions = stacks
     del stacks
+    _check_trials(trials, rho, partitions)
     projectors = block_projectors(partitions, rho.shape[-1])
 
     # state, partition, pinching, block Gram matrix, Schur form

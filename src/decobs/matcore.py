@@ -107,23 +107,12 @@ def hermitian_spectrum(mat: np.ndarray) -> np.ndarray:
     :data:`~decobs.tolerances.HERMITIAN_TOL` in max-norm; a stack raises the
     error of its first failing matrix (in C order), with that matrix's
     residual.  Each matrix is symmetrized before the solve so the result
-    does not depend on which triangle carries the rounding noise.
+    does not depend on which triangle carries the rounding noise.  This is
+    the ``"hermitian"`` kind of :func:`~decobs.stacks.validate_stack`.
     """
-    mats = square_stack(mat)
-    adjoint = mats.conj().swapaxes(-1, -2)
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    with np.errstate(invalid="ignore"):
-        residual = abs(mats - adjoint).max(axis=(-2, -1), initial=0.0)
-        failed = ~finite | (residual > HERMITIAN_TOL)
-    if failed.any():
-        first = first_failure(failed)
-        if not np.ravel(finite)[first]:
-            raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
-        raise ValidationError("hermitian", residual=float(np.ravel(residual)[first]))
-    symmetrized = np.add(mats, adjoint, out=adjoint)
-    symmetrized /= 2.0
-    ascending = np.linalg.eigvalsh(symmetrized)
-    return ascending[..., ::-1].copy()
+    from .stacks import validate_stack  # stacks imports this module
+
+    return validate_stack(mat, "hermitian")
 
 
 def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

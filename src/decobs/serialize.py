@@ -1,15 +1,10 @@
 """JSON wire formats shared by the library and the command-line harness.
 
 A complex matrix is ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with
-row-major flat data.  Typed values add a ``"kind"`` tag:
-
-* ``"density"`` / ``"gram"`` / ``"probing"`` -- one matrix;
-* ``"pure"`` -- an n x 1 column matrix;
-* ``"projector_set"`` -- ``{"kind": ..., "projectors": [matrix, ...]}``;
-* ``"ensemble"`` -- ``{"kind": ..., "outcomes": [{"p": real, "state": matrix-or-null}, ...]}``;
-
-and a measurement is ``{"object_dim", "ancilla_dim", "ancilla_state",
-"unitary", "projectors"}``.
+row-major flat data; a vector is an n x 1 column.  A measurement, the one
+value that ``povm-classify`` reads from a file, is ``{"object_dim",
+"ancilla_dim", "ancilla_state", "unitary", "projectors"}``, each matrix in
+that form.
 """
 
 from __future__ import annotations
@@ -22,15 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .povm import Povm
-from .states import (
-    DensityMatrix,
-    GramMatrix,
-    Outcome,
-    OutcomeEnsemble,
-    ProbingMatrix,
-    ProjectorSet,
-    PureState,
-)
+from .states import DensityMatrix, ProjectorSet
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -81,87 +68,6 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValidationError("json-matrix-finite", detail=f"{where}: non-finite entry")
     return out.reshape(rows, cols)
-
-
-def _tagged(kind: str, mat: np.ndarray) -> dict:
-    return {"kind": kind, **matrix_to_json(mat)}
-
-
-def density_to_json(value: DensityMatrix) -> dict:
-    return _tagged("density", value.mat)
-
-
-def pure_to_json(value: PureState) -> dict:
-    return _tagged("pure", value.amp)
-
-
-def gram_to_json(value: GramMatrix) -> dict:
-    return _tagged("gram", value.mat)
-
-
-def probing_to_json(value: ProbingMatrix) -> dict:
-    return _tagged("probing", value.mat)
-
-
-def projector_set_to_json(value: ProjectorSet) -> dict:
-    return {"kind": "projector_set", "projectors": [matrix_to_json(p) for p in value]}
-
-
-def ensemble_to_json(value: OutcomeEnsemble) -> dict:
-    outcomes = []
-    for outcome in value:
-        state = None if outcome.state is None else matrix_to_json(outcome.state.mat)
-        outcomes.append({"p": outcome.probability, "state": state})
-    return {"kind": "ensemble", "outcomes": outcomes}
-
-
-def _expect_kind(obj: Any, kind: str, where: str) -> None:
-    if not isinstance(obj, dict) or obj.get("kind") != kind:
-        found = obj.get("kind") if isinstance(obj, dict) else type(obj).__name__
-        raise ValidationError("json-kind", detail=f"{where}: expected kind {kind!r}, found {found!r}")
-
-
-def density_from_json(obj: Any, where: str = "density") -> DensityMatrix:
-    _expect_kind(obj, "density", where)
-    return DensityMatrix(matrix_from_json(obj, where))
-
-
-def pure_from_json(obj: Any, where: str = "pure") -> PureState:
-    _expect_kind(obj, "pure", where)
-    return PureState(matrix_from_json(obj, where).reshape(-1))
-
-
-def gram_from_json(obj: Any, where: str = "gram") -> GramMatrix:
-    _expect_kind(obj, "gram", where)
-    return GramMatrix(matrix_from_json(obj, where))
-
-
-def probing_from_json(obj: Any, where: str = "probing") -> ProbingMatrix:
-    _expect_kind(obj, "probing", where)
-    return ProbingMatrix(matrix_from_json(obj, where))
-
-
-def projector_set_from_json(obj: Any, where: str = "projector_set") -> ProjectorSet:
-    _expect_kind(obj, "projector_set", where)
-    mats = obj.get("projectors")
-    if not isinstance(mats, list) or not mats:
-        raise ValidationError("json-projectors", detail=f"{where}: 'projectors' must be a non-empty list")
-    return ProjectorSet(tuple(matrix_from_json(m, f"{where}.projectors[{i}]") for i, m in enumerate(mats)))
-
-
-def ensemble_from_json(obj: Any, where: str = "ensemble") -> OutcomeEnsemble:
-    _expect_kind(obj, "ensemble", where)
-    raw = obj.get("outcomes")
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError("json-outcomes", detail=f"{where}: 'outcomes' must be a non-empty list")
-    outcomes = []
-    for idx, entry in enumerate(raw):
-        if not isinstance(entry, dict) or not _is_number(entry.get("p")):
-            raise ValidationError("json-outcome", detail=f"{where}: outcome {idx} needs a numeric 'p' field")
-        state_obj = entry.get("state")
-        state = None if state_obj is None else DensityMatrix(matrix_from_json(state_obj, f"{where}.outcomes[{idx}].state"))
-        outcomes.append(Outcome(float(entry["p"]), state))
-    return OutcomeEnsemble(tuple(outcomes))
 
 
 def povm_to_json(value: Povm) -> dict:

@@ -35,13 +35,13 @@ _BLOCK_BYTES = 128 * 1024
 
 
 def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
-    """Every DensityMatrix or GramMatrix check on a finite (..., d, d) stack.
+    """Every check of ``kind`` on a finite (..., d, d) stack.
 
     Returns the eigenvalues of each matrix, non-increasing.  The checks run
     for the whole stack at once; the error raised is the one the scalar type
     raises for the first failing matrix, in the scalar order of checks
     (Hermitian, then unit trace or unit diagonal, then PSD), with the same
-    residual.
+    residual.  The ``"hermitian"`` kind stops after the first.
     """
     adjoint = mats.conj().swapaxes(-1, -2)
     work = mats - adjoint
@@ -49,7 +49,7 @@ def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
     if kind == "density":
         unit = abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
         unit_invariant, unit_tol = "density-unit-trace", TRACE_TOL
-    else:
+    elif kind == "gram":
         unit = abs(mats.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1, initial=0.0)
         unit_invariant, unit_tol = "gram-unit-diagonal", UNIT_DIAGONAL_TOL
     # the symmetrized matrices reuse the residual's buffer
@@ -57,12 +57,15 @@ def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
     del adjoint
     symmetrized /= 2.0
     spectra = np.linalg.eigvalsh(symmetrized)[..., ::-1]
-    lowest = spectra[..., -1] if mats.shape[-1] else np.zeros(mats.shape[:-2])
-    failed = (hermitian > HERMITIAN_TOL) | (unit > unit_tol) | (lowest < -PSD_TOL)
+    failed = hermitian > HERMITIAN_TOL
+    if kind != "hermitian":
+        lowest = spectra[..., -1] if mats.shape[-1] else np.zeros(mats.shape[:-2])
+        failed |= (unit > unit_tol) | (lowest < -PSD_TOL)
     if failed.any():
         first = matcore.first_failure(failed)
         if hermitian.flat[first] > HERMITIAN_TOL:
-            raise ValidationError(f"{kind}-hermitian", residual=float(hermitian.flat[first]))
+            invariant = "hermitian" if kind == "hermitian" else f"{kind}-hermitian"
+            raise ValidationError(invariant, residual=float(hermitian.flat[first]))
         if unit.flat[first] > unit_tol:
             raise ValidationError(unit_invariant, residual=float(unit.flat[first]))
         raise ValidationError(f"{kind}-psd", residual=float(-lowest.flat[first]))
@@ -70,19 +73,21 @@ def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
 
 
 def validate_stack(mats, kind: str) -> np.ndarray:
-    """Run the ``"density"`` or ``"gram"`` checks on a (..., d, d) stack.
+    """Run the ``"density"``, ``"gram"`` or ``"hermitian"`` checks on a (..., d, d) stack.
 
     Every matrix gets the checks of a ``DensityMatrix`` or ``GramMatrix``:
     finite entries, Hermitian, unit trace or unit diagonal, and PSD.  The
-    return value is the spectra of the symmetrized matrices, non-increasing,
-    shape (..., d): the PSD check solves them anyway, and they are bit for
-    bit :func:`~decobs.matcore.hermitian_spectrum` of each matrix.
+    ``"hermitian"`` kind checks finite entries and Hermitian only, and
+    raises ``finite-entries`` or ``hermitian``.  The return value is the
+    spectra of the symmetrized matrices, non-increasing, shape (..., d):
+    the PSD check solves them anyway, and they are what
+    :func:`~decobs.matcore.hermitian_spectrum` returns.
 
     A failing stack raises the error its first failing matrix (in C order)
     raises as a value type, with the same invariant and residual.
     """
-    if kind not in ("density", "gram"):
-        raise ValueError(f"kind must be 'density' or 'gram', got {kind!r}")
+    if kind not in ("density", "gram", "hermitian"):
+        raise ValueError(f"kind must be 'density', 'gram' or 'hermitian', got {kind!r}")
     mats = matcore.square_stack(mats)
     flat = _flat_stack(mats, 2)
     spectra = np.empty(flat.shape[:-1])

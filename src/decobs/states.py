@@ -45,8 +45,10 @@ class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
     ``spectrum`` holds its eigenvalues in non-increasing order, read-only:
-    the PSD check solves them, and they are bit for bit what
-    :func:`~decobs.matcore.hermitian_spectrum` of ``mat`` returns.
+    the PSD check solves them, in the one symmetrized solve of
+    :func:`~decobs.stacks.validate_stack` that
+    :func:`~decobs.matcore.hermitian_spectrum` also runs, so they are bit
+    for bit what that returns for ``mat``.
     """
 
     mat: np.ndarray

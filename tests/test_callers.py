@@ -1,4 +1,4 @@
-"""Every public function of ``decobs`` has a caller outside the tests, or a stated role.
+"""Every function of ``decobs`` has a caller outside the tests, or a stated role.
 
 A function has a caller when a module of ``src/decobs`` other than
 ``__init__`` or a script under ``scripts/`` reads its name (as a name or an
@@ -6,7 +6,10 @@ attribute) outside the function's own body.  Reads inside the bodies of the
 functions listed in ``TEST_ONLY`` do not count, so one test-only function
 cannot give another a caller.  Nor does a name read where the same top-level
 definition binds it (a parameter or an assignment target), so a local
-variable cannot give a function of the same name a caller.
+variable cannot give a function of the same name a caller.  A private
+top-level function (``_name``, dunders aside) needs a read outside its own
+body, where the bodies in ``TEST_ONLY`` count too: a helper of a test-only
+function lives as long as that function does.
 """
 
 import ast
@@ -31,25 +34,22 @@ TEST_ONLY = {
         "oracle",
     ),
     **dict.fromkeys(("random_general_povm", "random_pppovm"), "ROADMAP 5"),
-    **dict.fromkeys(
-        (
-            "density_to_json", "density_from_json", "ensemble_to_json", "ensemble_from_json",
-            "gram_to_json", "gram_from_json", "probing_to_json", "probing_from_json",
-            "projector_set_to_json", "projector_set_from_json", "pure_to_json", "pure_from_json",
-        ),
-        "ROADMAP 7(c)",
-    ),
 }
 
 
-def public_functions() -> set[str]:
-    """The names of the public top-level functions of the package."""
+def top_level_functions() -> set[str]:
+    """The names of the top-level functions of the package, dunders aside."""
     return {
         node.name
         for path in PACKAGE.glob("*.py")
         for node in ast.parse(path.read_text()).body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
     }
+
+
+def public_functions() -> set[str]:
+    """The names of the public top-level functions of the package."""
+    return {name for name in top_level_functions() if not name.startswith("_")}
 
 
 def reads() -> list[tuple[str, str | None]]:
@@ -83,3 +83,10 @@ def test_every_public_function_has_a_caller_or_a_role():
 def test_no_listed_function_is_gone_or_has_gained_a_caller():
     functions, found = public_functions(), reads()
     assert sorted(name for name in TEST_ONLY if name not in functions or has_caller(name, found)) == []
+
+
+def test_every_private_function_has_a_caller():
+    found = reads()
+    private = top_level_functions() - public_functions()
+    unread = [name for name in private if not any(read == name and owner != name for read, owner in found)]
+    assert private and sorted(unread) == []

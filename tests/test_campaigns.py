@@ -17,6 +17,7 @@ import pytest
 from decobs import campaigns, sampling
 from decobs.cli import CampaignConfig
 from decobs.entropy import parse_functional
+from decobs.errors import ValidationError
 from decobs.tolerances import CONSISTENCY_TOL
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "decobs"
@@ -191,3 +192,63 @@ def test_rows_have_the_row_keys_in_order_and_python_values(dim, entropy_columns)
         assert (row["trivial"] is None) != entropy_columns
     # a non-finite value is spelled as a string
     assert [rows[2]["lhs"], rows[3]["rhs"], rows[2]["margin"]] == ["inf", "nan", "-inf"]
+
+
+def _bitwise_equal(a: dict, b: dict) -> bool:
+    """Two row-column dicts hold the same keys, and each column the same values bit for bit."""
+    def bits(column):
+        column = np.asarray(column)
+        return column.view(np.uint64) if column.dtype == float else column
+
+    return a.keys() == b.keys() and all(np.array_equal(bits(a[key]), bits(b[key])) for key in a)
+
+
+@pytest.mark.parametrize("command,run", [("verify-s-theorems", "run_s_theorems"), ("holevo", "run_holevo")])
+def test_no_functionals_give_an_empty_report(command, run):
+    cfg = CampaignConfig(command, dim=3, trials=5, functionals=())
+    result = getattr(campaigns, run)(cfg)
+    assert result.exit_code == 0
+    assert result.report["rows"] == []
+    assert result.report["summary"]["rows"] == 0
+
+
+@pytest.mark.parametrize("command", ["verify-s-theorems", "holevo"])
+def test_an_evaluator_with_no_functionals_returns_empty_columns(command):
+    sampler, evaluator = {
+        "verify-s-theorems": ("sample_s_theorems", "evaluate_s_theorems"),
+        "holevo": ("sample_holevo", "evaluate_holevo"),
+    }[command]
+    cfg = CampaignConfig(command, dim=3, functionals=())
+    evaluated = getattr(campaigns, evaluator)(cfg, range(4), getattr(campaigns, sampler)(cfg, range(4)))
+    columns = evaluated[0] if command == "verify-s-theorems" else evaluated
+    assert {"trial", "functional", "side", "lhs", "rhs"} <= columns.keys()
+    assert all(column.shape == (0,) for column in columns.values())
+
+
+def test_a_real_state_stack_gives_the_rows_of_its_complex_cast():
+    trials, dim = 3, 3
+    rho = np.broadcast_to(np.eye(dim) / dim, (trials, dim, dim)).copy()
+    assert rho.dtype == np.float64
+    probe = sampling.probing_from_normals(_normals(5, trials, 2 * dim * 4), dim, 4)
+    cfg = CampaignConfig("verify-s-theorems", functionals=FUNCTIONALS)
+    real = campaigns.evaluate_s_theorems(cfg, range(trials), (rho, probe))
+    cast = campaigns.evaluate_s_theorems(cfg, range(trials), (rho.astype(complex), probe))
+    assert _bitwise_equal(real[0], cast[0])
+    assert real[1:] == cast[1:]
+    assert len(real[0]["trial"]) == trials * len(FUNCTIONALS) * 2
+
+
+@pytest.mark.parametrize("evaluator", EVALUATORS)
+@pytest.mark.parametrize("trials", [range(5, 6), range(5, 9)], ids=["fewer", "more"])
+def test_trials_must_match_the_stacks(evaluator, trials):
+    command = {"evaluate_s_theorems": "verify-s-theorems", "evaluate_majorization": "majorization",
+               "evaluate_holevo": "holevo", "evaluate_luders": "luders-equiv"}[evaluator]
+    cfg = CampaignConfig(command, dim=3)
+    drawn = getattr(campaigns, SAMPLER_OF[command])(cfg, range(3))
+    with pytest.raises(ValidationError) as err:
+        getattr(campaigns, evaluator)(cfg, trials, drawn)
+    assert err.value.invariant == "stacks-same-trials"
+    # the three trials they were drawn for label them
+    evaluated = getattr(campaigns, evaluator)(cfg, range(5, 8), drawn)
+    columns = evaluated[0] if command == "verify-s-theorems" else evaluated
+    assert sorted(set(columns["trial"].tolist())) == [5, 6, 7]

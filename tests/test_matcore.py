@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decobs import matcore, sampling, states
+from decobs import matcore, sampling, stacks, states
 from decobs.errors import ValidationError
 
 dims = st.integers(min_value=2, max_value=8)
@@ -70,6 +70,56 @@ class TestHermitianSpectrum:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             matcore.hermitian_spectrum(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+def _density_stacks():
+    """Density stacks, by name: rank-deficient, diagonal, with -0.0 entries, and of dims 1, 32 and 40."""
+    rng = np.random.default_rng(11)
+    g = _gaussian(rng, 6, 2 * 6)
+    deficient = []
+    for rank in (1, 2, 3, 5):
+        mat = g[:, :rank] @ g[:, :rank].conj().T
+        deficient.append(mat / np.trace(mat).real)
+    diagonal = np.array([np.diag(p / p.sum()) for p in rng.random((3, 4))]).astype(complex)
+    signed_zero = np.diag([0.25, 0.75]).astype(complex)
+    signed_zero[0, 1] = signed_zero[1, 0] = complex(-0.0, -0.0)
+    signed_zero[1, 1] = complex(0.75, -0.0)
+    return {
+        "rank-deficient": np.array(deficient),
+        "diagonal": diagonal,
+        "negative-zero": signed_zero[None],
+        "dim-1": np.ones((2, 1, 1), dtype=complex),
+        "dim-32": sampling.density_from_normals(rng.standard_normal((3, 2 * 32 * 32)), 32),
+        # seven 40 x 40 matrices are past a validation block's seam
+        "dim-40": sampling.density_from_normals(rng.standard_normal((7, 2 * 40 * 40)), 40),
+    }
+
+
+class TestHermitianSpectrumIsTheValidatedSolve:
+    """hermitian_spectrum is validate_stack's one symmetrized solve, without the unit and PSD checks."""
+
+    @pytest.mark.parametrize("name", list(_density_stacks()))
+    def test_bit_for_bit_the_density_spectra(self, name):
+        stack = _density_stacks()[name]
+        spectra = matcore.hermitian_spectrum(stack)
+        assert spectra.view(np.uint64).tolist() == stacks.validate_stack(stack, "density").view(np.uint64).tolist()
+        # the written-out solve: symmetrize, solve, reverse
+        written = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)[..., ::-1]
+        assert spectra.view(np.uint64).tolist() == written.view(np.uint64).tolist()
+
+    def test_the_first_failing_matrix_names_the_error(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError) as err:
+            matcore.hermitian_spectrum(np.array([np.eye(2), skew, nan]))
+        assert (err.value.invariant, err.value.residual) == ("hermitian", 1.0)
+        with pytest.raises(ValidationError) as err:
+            matcore.hermitian_spectrum(np.array([np.eye(2), nan, skew]))
+        assert (err.value.invariant, err.value.residual) == ("finite-entries", None)
+
+    @pytest.mark.parametrize("shape, expected", [((0, 3, 3), (0, 3)), ((2, 0, 0), (2, 0))])
+    def test_empty_stacks(self, shape, expected):
+        assert matcore.hermitian_spectrum(np.zeros(shape, dtype=complex)).shape == expected
 
 
 class TestSchurProduct:
