@@ -28,9 +28,6 @@ _EXPORTS = {
         "linear", "log_det", "parse_functional", "renyi", "to_bits", "von_neumann",
     ),
     "errors": ("ValidationError",),
-    "majorization": (
-        "CheckReport", "check_fan", "check_pinching_double", "check_schur_majorization", "majorizes",
-    ),
     "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "schur_product", "tensor_product"),
     "povm": (
         "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2",

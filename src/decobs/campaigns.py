@@ -374,11 +374,31 @@ def _entropy_table(functionals, states: tuple, branches: np.ndarray, probs: np.n
     return table[:, :head], expected_entropy_stack(probs, s_branch)
 
 
-def _check_trials(trials: range, *stacks) -> None:
-    """Raise unless each of an evaluator's per-trial stacks holds one entry per trial."""
-    lengths = sorted({len(stack) for stack in stacks})
-    if lengths != [len(trials)]:
-        raise ValidationError("stacks-same-trials", detail=f"{len(trials)} trials, stacks of {lengths}")
+def _check_stacks(trials: range, *forms: tuple) -> None:
+    """Raise unless an evaluator's stacks have the form their sampler gives them.
+
+    Each form pairs a stack with its axes, one letter each: ``n`` holds one
+    entry per trial, ``d`` the dim, and any other letter any number.  The
+    axes ``p`` mark a list of block sizes, one partition of the dim per
+    trial.  A stack of the wrong rank, or dims that disagree, raise
+    "stacks-same-dim"; ``n`` axes that do not hold ``len(trials)`` raise
+    "stacks-same-trials".
+    """
+    lengths, dims = set(), set()
+    for stack, axes in forms:
+        if axes == "p":
+            lengths.add(len(stack))
+            dims.update(sum(sizes) for sizes in stack)
+            continue
+        shape = np.shape(stack)
+        if len(shape) != len(axes):
+            raise ValidationError("stacks-same-dim", detail=f"a stack of shape {shape}, not ({', '.join(axes)})")
+        lengths.update(n for n, axis in zip(shape, axes) if axis == "n")
+        dims.update(n for n, axis in zip(shape, axes) if axis == "d")
+    if lengths != {len(trials)}:
+        raise ValidationError("stacks-same-trials", detail=f"{len(trials)} trials, stacks of {sorted(lengths)}")
+    if len(dims) > 1:
+        raise ValidationError("stacks-same-dim", detail=f"dims {sorted(dims)}")
 
 
 def sample_s_theorems(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np.ndarray]:
@@ -401,7 +421,7 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     """
     rho, probe = stacks
     del stacks
-    _check_trials(trials, rho, probe)
+    _check_stacks(trials, (rho, "ndd"), (probe, "ndm"))
     # a real state stack is valid; cast it once, as observe_stack does
     rho = np.asarray(rho, dtype=complex)
     dim, response_dim = probe.shape[-2:]
@@ -415,7 +435,7 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     # average one block at a time, in trial-then-outcome order
     probs = np.empty((len(rho), response_dim))
     averaged = np.zeros_like(rho)
-    spectra = []
+    spectra = [np.empty((0, dim))]  # an empty chunk has no blocks
     for block, outcomes in _branch_blocks(len(rho), response_dim, dim):
         block_probs, branches = observe_stack(rho[block], probe[block, :, outcomes])
         live = block_probs > 0.0
@@ -432,7 +452,7 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     validate_stack(gram, "gram")
     decohered = rho * gram  # the Schur product, as processes.decohere forms it
     lam_dec = validate_stack(decohered, "density")
-    consistency = float(abs(averaged - decohered).max())
+    consistency = float(abs(averaged - decohered).max(initial=0.0))
 
     # an observation is trivial when every live branch keeps the state's spectrum
     branch_unchanged = np.ones(live.shape, dtype=bool)
@@ -447,7 +467,7 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     regular = (lam_rho[:, -1] >= SINGULAR_SKIP)[:, None] | ~log_det
     columns = _grid_rows(
         (len(rho), len(functionals), 2), regular[..., None],
-        trial=np.asarray(trials)[:, None, None],
+        trial=np.asarray(trials, dtype=int)[:, None, None],
         functional=np.array([f.label for f in functionals])[:, None],
         side=np.array(["observation", "decoherence"]),
         lhs=np.stack((s_expected, s_rho), axis=-1).swapaxes(0, 1),
@@ -528,7 +548,11 @@ def evaluate_majorization(cfg: CampaignConfig, trials: range, stacks: tuple) -> 
     """The row columns of ``trials``, from the stacks :func:`sample_majorization` draws for them."""
     rho, responses, pinch_input, partitions, ginibre, hermitian = stacks
     del stacks
-    _check_trials(trials, rho, responses, pinch_input, partitions, ginibre, hermitian)
+    _check_stacks(
+        trials, (rho, "ndd"), (responses, "ndm"), (pinch_input, "ndd"), (partitions, "p"), (ginibre, "ndd"),
+        (hermitian, "nkdd"),
+    )
+    dim = rho.shape[-1]
 
     # the checks run in the order a one-trial loop makes them: state,
     # responses, Gram, Schur product, pinching state, rotated partition
@@ -540,7 +564,7 @@ def evaluate_majorization(cfg: CampaignConfig, trials: range, stacks: tuple) -> 
     _, schur = schur_dominance(lam_rho, rho * env)
     lam_input = validate_stack(pinch_input, "density")
     projectors = sampling.conjugated_projectors(
-        sampling.haar_from_ginibre(ginibre), block_projectors(partitions, rho.shape[-1])
+        sampling.haar_from_ginibre(ginibre), block_projectors(partitions, dim, dim)
     )
     validate_projector_stack(projectors)
     *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)
@@ -552,7 +576,7 @@ def evaluate_majorization(cfg: CampaignConfig, trials: range, stacks: tuple) -> 
     checks = (schur, upper, lower, fan)
     return _grid_rows(
         (len(rho), len(checks)),
-        trial=np.asarray(trials)[:, None],
+        trial=np.asarray(trials, dtype=int)[:, None],
         functional="",
         side=np.array(["schur", "pinching-upper", "pinching-lower", "fan"]),
         lhs=np.stack([check.dominated_prefix for check in checks], axis=-1),
@@ -607,9 +631,11 @@ def evaluate_holevo(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     """The row columns of ``trials``, from the mixtures :func:`sample_holevo` draws for them."""
     sizes, probs, drawn = stacks
     del stacks
-    _check_trials(trials, sizes, probs)
+    _check_stacks(trials, (sizes, "n"), (probs, "ns"), (drawn, "kdd"))
     functionals = [parse_functional(text) for text in cfg.functionals]
     present = np.arange(probs.shape[-1]) < sizes[:, None]
+    if len(drawn) != np.count_nonzero(present):
+        raise ValidationError("stacks-same-trials", detail=f"{len(drawn)} states, {np.count_nonzero(present)} slots")
     mats = np.zeros(probs.shape + drawn.shape[-2:], dtype=complex)
     mats[present] = drawn
 
@@ -623,7 +649,7 @@ def evaluate_holevo(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     rhs, lhs = _entropy_table(functionals, (lam_avg,), lam_state[live[present]], probs)
     # rows run trial, functional
     return _grid_rows(
-        (len(probs), len(functionals)), trial=np.asarray(trials)[:, None],
+        (len(probs), len(functionals)), trial=np.asarray(trials, dtype=int)[:, None],
         functional=np.array([f.label for f in functionals]), side="holevo", lhs=lhs.T, rhs=rhs.T,
     )
 
@@ -666,8 +692,9 @@ def evaluate_luders(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     """The row columns of ``trials``, from the states and block sizes :func:`sample_luders` draws for them."""
     rho, partitions = stacks
     del stacks
-    _check_trials(trials, rho, partitions)
-    projectors = block_projectors(partitions, rho.shape[-1])
+    _check_stacks(trials, (rho, "ndd"), (partitions, "p"))
+    dim = rho.shape[-1]
+    projectors = block_projectors(partitions, dim, dim)
 
     # state, partition, pinching, block Gram matrix, Schur form
     validate_stack(rho, "density")
@@ -680,7 +707,7 @@ def evaluate_luders(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     validate_stack(schur_form, "density")
     residual = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0)
     return _grid_rows(
-        (len(rho),), trial=np.asarray(trials), functional="", side="luders-equivalence", lhs=residual,
+        (len(rho),), trial=np.asarray(trials, dtype=int), functional="", side="luders-equivalence", lhs=residual,
         rhs=CONSISTENCY_TOL, margin=CONSISTENCY_TOL - residual, violation=residual > CONSISTENCY_TOL,
     )
 

@@ -6,27 +6,18 @@ of mu.  For any concave h this forces sum h(lam) <= sum h(mu), which is the
 engine behind every entropy inequality verified here.
 
 Every dominance check sorts and prefix-sums each pair once, in
-:func:`dominance`.  Checks return a :class:`CheckReport` carrying the spectra
-involved, the prefix-sum margins, the :class:`Dominance` results behind them,
-and a pass flag; the ``majorization`` campaign builds its rows from those
-results.
+:func:`dominance`; the ``majorization`` campaign builds its rows from the
+:class:`Dominance` results of the three stack kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .errors import ValidationError
 from .stacks import pinch
-from .tolerances import INEQUALITY_TOL
-
-if TYPE_CHECKING:
-    # annotations only: the campaigns check spectra and load no value type
-    from .states import DensityMatrix, GramMatrix, ProjectorSet
 
 
 def _padded_descending(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -79,32 +70,6 @@ def dominance(lam, mu) -> Dominance:
     return Dominance(margins, *fields)
 
 
-def majorizes(lam, mu, tol: float = INEQUALITY_TOL) -> bool:
-    """True when the sums agree within tol and every prefix margin is >= -tol."""
-    return dominance(lam, mu).holds(tol)
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one dominance or inequality check."""
-
-    passed: bool
-    margins: tuple[float, ...]
-    spectra: dict = field(default_factory=dict)
-    #: The prefix-sum comparisons behind ``margins``, one per dominance checked.
-    dominance: tuple[Dominance, ...] = ()
-
-
-def _dominance_report(checks, tol: float, spectra: dict) -> CheckReport:
-    """The report of single-pair dominance checks; margins run check by check."""
-    return CheckReport(
-        passed=all(check.holds(tol) for check in checks),
-        margins=tuple(float(m) for check in checks for m in check.margins),
-        spectra=spectra,
-        dominance=tuple(checks),
-    )
-
-
 def schur_dominance(lam_rho, schur) -> tuple[np.ndarray, Dominance]:
     """The spectra of Schur products rho o E and the dominance of the spectra of rho over them.
 
@@ -144,54 +109,6 @@ def fan_dominance(a, b) -> tuple[np.ndarray, np.ndarray, Dominance]:
     combined = spectra[..., 0, :] + spectra[..., 1, :]
     lam_sum = spectra[..., 2, :]
     return combined, lam_sum, dominance(combined, lam_sum)
-
-
-def check_schur_majorization(
-    rho: DensityMatrix,
-    env_overlap: GramMatrix,
-    tol: float = INEQUALITY_TOL,
-) -> CheckReport:
-    """Verify that the spectrum of rho dominates the spectrum of rho o E."""
-    lam_schur, check = schur_dominance(rho.spectrum, matcore.schur_product(rho.mat, env_overlap.mat))
-    spectra = {"rho": tuple(rho.spectrum), "schur_product": tuple(lam_schur)}
-    return _dominance_report([check], tol, spectra)
-
-
-def check_pinching_double(
-    hermitian: np.ndarray,
-    projectors: ProjectorSet,
-    tol: float = INEQUALITY_TOL,
-) -> CheckReport:
-    """Verify the two-sided dominance around a pinching.
-
-    The componentwise sum of the (descending, zero-padded) spectra of the
-    pinched blocks P_i H P_i dominates the spectrum of H, which in turn
-    dominates the spectrum of the pinched matrix sum_i P_i H P_i.
-
-    The lower dominance holds for any Hermitian input; the upper one needs a
-    positive-semidefinite input (with zero diagonal blocks, the pinched parts
-    of an indefinite matrix can all vanish while the input spectrum does not).
-    """
-    hermitian = matcore.require_square(hermitian)
-    lam = matcore.hermitian_spectrum(hermitian)
-    parts, lam_pinched, upper, lower = pinching_dominance(lam, hermitian, np.array(projectors.projectors))
-    spectra = {"pinched_parts_sum": tuple(parts), "matrix": tuple(lam), "pinched": tuple(lam_pinched)}
-    return _dominance_report([upper, lower], tol, spectra)
-
-
-def check_fan(
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float = INEQUALITY_TOL,
-) -> CheckReport:
-    """Verify that lambda(A) + lambda(B) dominates lambda(A + B)."""
-    a = matcore.require_square(a)
-    b = matcore.require_square(b)
-    if a.shape != b.shape:
-        raise ValidationError("fan-same-dim", detail=f"{a.shape} vs {b.shape}")
-    combined, lam_sum, check = fan_dominance(a, b)
-    spectra = {"sum_of_spectra": tuple(combined), "spectrum_of_sum": tuple(lam_sum)}
-    return _dominance_report([check], tol, spectra)
 
 
 def entropy_gap(rhs, lhs):

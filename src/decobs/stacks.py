@@ -327,18 +327,17 @@ def gram_from_projector_stack(mats) -> np.ndarray:
     return total
 
 
-def block_projectors(partitions: Sequence[Sequence[int]], slots: int) -> np.ndarray:
-    """Diagonal block projectors of n partitions of one dim, as an (n, slots, dim, dim) stack.
+def block_projectors(partitions: Sequence[Sequence[int]], slots: int, dim: int) -> np.ndarray:
+    """Diagonal block projectors of n partitions of dim, as an (n, slots, dim, dim) stack.
 
     Family i holds the projectors onto the consecutive blocks of
     ``partitions[i]``, in order; its slots past the blocks are dead
     (all-zero).  The whole stack is one scatter of ones onto the diagonal.
     The sizes are not checked: each partition must have at most ``slots``
-    positive sizes adding up to the dim of the first.
+    positive sizes adding up to ``dim``.
     """
     counts = np.array([len(sizes) for sizes in partitions], dtype=np.intp)
     sizes = np.array([size for part in partitions for size in part], dtype=np.intp)
-    dim = int(sizes[: counts[0]].sum()) if len(counts) else 0
     mats = np.zeros((len(counts), slots, dim, dim), dtype=complex)
     # each diagonal index of each family, with the slot of the block it lies in
     first_block = np.repeat(np.cumsum(counts) - counts, counts)

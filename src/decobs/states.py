@@ -240,7 +240,7 @@ def diagonal_projector_partition(block_sizes: Sequence[int]) -> ProjectorSet:
     sizes = [int(s) for s in block_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValidationError("positive-block-sizes", detail=f"{sizes}")
-    return ProjectorSet(tuple(block_projectors([sizes], len(sizes))[0]))
+    return ProjectorSet(tuple(block_projectors([sizes], len(sizes), sum(sizes))[0]))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

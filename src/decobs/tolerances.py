@@ -45,7 +45,7 @@ SPECTRUM_SUM_TOL = 1e-9
 SPAN_TOL = 1e-8
 #: Max |lambda_i - mu_i|: ``stacks.spectra_unchanged``, the campaigns' triviality flags.
 TRIVIALITY_TOL = 1e-9
-#: Slack of inequality and dominance verdicts: the ``--tol`` default, ``majorizes``, ``check_*``.
+#: Slack of inequality and dominance verdicts: the ``--tol`` default and ``CampaignConfig.tol``.
 INEQUALITY_TOL = 1e-9
 #: Max-norm residuals in ``povm.ancilla_factors`` (purity preservation); loose: they compare products.
 PPPOVM_TOL = 1e-8

@@ -24,13 +24,7 @@ from decobs.entropy import (
     parse_functional,
 )
 from decobs.errors import ValidationError
-from decobs.majorization import (
-    check_fan,
-    check_pinching_double,
-    check_schur_majorization,
-    dominance,
-    entropy_gap,
-)
+from decobs.majorization import dominance, entropy_gap, fan_dominance, pinching_dominance, schur_dominance
 from decobs.states import DensityMatrix, GramMatrix, Outcome, OutcomeEnsemble, ProjectorSet, PureState
 from decobs.tolerances import (
     CONSISTENCY_TOL,
@@ -732,21 +726,23 @@ class TestStackErrorsMatchScalarTypes:
 
 
 def oracle_majorization(cfg):
-    """majorization replayed one trial at a time through the scalar API."""
+    """majorization replayed one trial at a time through the value-type samplers and one-trial kernel calls."""
     dim = cfg.dim
     response_dim = cfg.response_dim or dim
     rows = []
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
         rho = states.random_density(dim, rng)
-        schur = check_schur_majorization(rho, states.random_gram(dim, response_dim, rng), cfg.tol)
+        _, schur = schur_dominance(rho.spectrum, rho.mat * states.random_gram(dim, response_dim, rng).mat)
         pinch_input = states.random_density(dim, rng).mat
         partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
-        pinching = check_pinching_double(pinch_input, partition, cfg.tol)
+        *_, upper, lower = pinching_dominance(
+            matcore.hermitian_spectrum(pinch_input), pinch_input, np.array(partition.projectors)
+        )
         a = states.random_hermitian(dim, rng)
-        fan = check_fan(a, states.random_hermitian(dim, rng), cfg.tol)
+        *_, fan = fan_dominance(a, states.random_hermitian(dim, rng))
         sides = ("schur", "pinching-upper", "pinching-lower", "fan")
-        for side, check in zip(sides, schur.dominance + pinching.dominance + fan.dominance):
+        for side, check in zip(sides, (schur, upper, lower, fan)):
             rows.append(
                 _report_row(
                     trial, dim, "", side, check.dominated_prefix, check.dominator_prefix,
@@ -830,7 +826,7 @@ def test_block_projector_families_are_the_diagonal_blocks():
     rng = np.random.default_rng(61)
     for dim in (1, 2, 5, 8):
         partitions = [sampling.random_block_sizes(dim, rng) for _ in range(20)]
-        families = stacks.block_projectors(partitions, dim)
+        families = stacks.block_projectors(partitions, dim, dim)
         assert families.shape == (20, dim, dim, dim)
         for sizes, family in zip(partitions, families):
             expected = np.zeros((dim, dim, dim), dtype=complex)
@@ -942,7 +938,7 @@ class TestStackedChecksRaiseTheScalarErrors:
 
     def test_non_diagonal_projector(self):
         partition = states.random_projector_partition(3, [1, 2], np.random.default_rng(25))
-        stack = stacks.block_projectors([[3], [1, 2], [1, 1, 1], [2, 1]], 3)
+        stack = stacks.block_projectors([[3], [1, 2], [1, 1, 1], [2, 1]], 3, 3)
         stack[2] = _padded_family(partition, 3)
         scalar = self.error_of(lambda: states.gram_from_projectors(partition))
         assert scalar[0] == "projector-diagonal"
@@ -977,8 +973,8 @@ class TestStackedChecksRaiseTheScalarErrors:
         # conjugation keeps the broken identity
         build = campaigns.block_projectors
 
-        def slot_one_repeats_slot_zero(partitions, slots):
-            mats = build(partitions, slots)
+        def slot_one_repeats_slot_zero(partitions, slots, dim):
+            mats = build(partitions, slots, dim)
             assert len(partitions) == 5
             mats[2, 1] = mats[2, 0]
             return mats

@@ -25,9 +25,8 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 TEST_ONLY = {
     **dict.fromkeys(
         (
-            "check_fan", "check_pinching_double", "check_schur_majorization", "decohere",
-            "diagonal_projector_partition", "gram_from_projectors", "gram_from_vectors", "haar_unitary",
-            "luders", "majorizes", "observe", "purify_ancilla", "random_density", "random_ensemble",
+            "decohere", "diagonal_projector_partition", "gram_from_projectors", "gram_from_vectors",
+            "haar_unitary", "luders", "observe", "purify_ancilla", "random_density", "random_ensemble",
             "random_gram", "random_hermitian", "random_probing", "random_projector_partition",
             "random_pure", "response_gram", "schur_product", "trial_stream",
         ),

@@ -47,6 +47,10 @@ SAMPLER_OF = {
     "holevo": "sample_holevo",
     "luders-equiv": "sample_luders",
 }
+COMMAND_OF = {
+    "evaluate_s_theorems": "verify-s-theorems", "evaluate_majorization": "majorization",
+    "evaluate_holevo": "holevo", "evaluate_luders": "luders-equiv",
+}
 
 
 @pytest.mark.parametrize("command,fields", _cases())
@@ -241,8 +245,7 @@ def test_a_real_state_stack_gives_the_rows_of_its_complex_cast():
 @pytest.mark.parametrize("evaluator", EVALUATORS)
 @pytest.mark.parametrize("trials", [range(5, 6), range(5, 9)], ids=["fewer", "more"])
 def test_trials_must_match_the_stacks(evaluator, trials):
-    command = {"evaluate_s_theorems": "verify-s-theorems", "evaluate_majorization": "majorization",
-               "evaluate_holevo": "holevo", "evaluate_luders": "luders-equiv"}[evaluator]
+    command = COMMAND_OF[evaluator]
     cfg = CampaignConfig(command, dim=3)
     drawn = getattr(campaigns, SAMPLER_OF[command])(cfg, range(3))
     with pytest.raises(ValidationError) as err:
@@ -252,3 +255,58 @@ def test_trials_must_match_the_stacks(evaluator, trials):
     evaluated = getattr(campaigns, evaluator)(cfg, range(5, 8), drawn)
     columns = evaluated[0] if command == "verify-s-theorems" else evaluated
     assert sorted(set(columns["trial"].tolist())) == [5, 6, 7]
+
+
+@pytest.mark.parametrize("evaluator", EVALUATORS)
+def test_an_empty_chunk_gives_empty_columns(evaluator):
+    command = COMMAND_OF[evaluator]
+    cfg = CampaignConfig(command, dim=3)
+    sample, evaluate = getattr(campaigns, SAMPLER_OF[command]), getattr(campaigns, evaluator)
+    empty, full = evaluate(cfg, range(0), sample(cfg, range(0))), evaluate(cfg, range(2), sample(cfg, range(2)))
+    if command == "verify-s-theorems":
+        assert empty[1:] == (0, 0.0)
+        empty, full = empty[0], full[0]
+    # the columns of two trials, with no rows and the same dtypes
+    assert {name: column.dtype for name, column in empty.items()} == {
+        name: column.dtype for name, column in full.items()
+    }
+    assert all(column.shape == (0,) for column in empty.values())
+
+
+def _stacks_error(evaluator: str, cfg: CampaignConfig, trials: range, stacks: tuple) -> ValidationError:
+    with pytest.raises(ValidationError) as err:
+        getattr(campaigns, evaluator)(cfg, trials, stacks)
+    return err.value
+
+
+def test_states_and_probings_of_different_dims_are_refused():
+    cfg = CampaignConfig("verify-s-theorems", dim=3)
+    rho, _ = campaigns.sample_s_theorems(cfg, range(3))
+    _, probe = campaigns.sample_s_theorems(CampaignConfig("verify-s-theorems", dim=2, response_dim=3), range(3))
+    assert probe.shape == (3, 2, 3)
+    assert _stacks_error("evaluate_s_theorems", cfg, range(3), (rho, probe)).invariant == "stacks-same-dim"
+
+
+def test_one_state_is_not_a_stack_of_trials():
+    cfg = CampaignConfig("verify-s-theorems", dim=3)
+    rho, probe = campaigns.sample_s_theorems(cfg, range(3))
+    # a (3, 3) state holds 3 entries, one per trial, but has the wrong rank
+    assert _stacks_error("evaluate_s_theorems", cfg, range(3), (rho[0], probe)).invariant == "stacks-same-dim"
+
+
+def test_a_partition_of_another_dim_is_refused():
+    cfg = CampaignConfig("majorization", dim=3)
+    drawn = list(campaigns.sample_majorization(cfg, range(3)))
+    drawn[3] = [(1, 2), (1, 1), (3,)]
+    assert _stacks_error("evaluate_majorization", cfg, range(3), tuple(drawn)).invariant == "stacks-same-dim"
+    luders = CampaignConfig("luders-equiv", dim=3)
+    rho, _ = campaigns.sample_luders(luders, range(3))
+    assert _stacks_error("evaluate_luders", luders, range(3), (rho, drawn[3])).invariant == "stacks-same-dim"
+
+
+def test_mixtures_need_one_drawn_state_per_live_slot():
+    cfg = CampaignConfig("holevo", dim=3)
+    sizes, probs, drawn = campaigns.sample_holevo(cfg, range(3))
+    assert len(drawn) == sizes.sum()
+    error = _stacks_error("evaluate_holevo", cfg, range(3), (sizes, probs, drawn[:-1]))
+    assert error.invariant == "stacks-same-trials"

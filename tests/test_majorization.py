@@ -9,14 +9,7 @@ from decobs import matcore, sampling, states
 from decobs.cli import CampaignConfig, run_holevo, run_majorization
 from decobs.processes import ensemble_average
 from decobs.entropy import builtin_functionals, entropy, expected_entropy, log_det, von_neumann
-from decobs.majorization import (
-    check_fan,
-    check_pinching_double,
-    check_schur_majorization,
-    dominance,
-    inequality_verdict,
-    majorizes,
-)
+from decobs.majorization import dominance, fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
 from decobs.states import (
     DensityMatrix,
     GramMatrix,
@@ -50,29 +43,35 @@ def holevo_verdict(ensemble, functional):
 def entropy_order(rho1, rho2, functional):
     """Whether lambda(rho1) majorizes lambda(rho2), and the margin and verdict of S(rho1) <= S(rho2)."""
     verdict = inequality_verdict(entropy(rho1, functional), entropy(rho2, functional), INEQUALITY_TOL)
-    return (majorizes(rho1.spectrum, rho2.spectrum), *verdict)
+    return (dominance(rho1.spectrum, rho2.spectrum).holds(INEQUALITY_TOL), *verdict)
+
+
+def pinching_checks(h, partition):
+    """The spectrum of h, then the pinching kernel's parts, pinched spectrum and upper and lower dominances."""
+    lam = matcore.hermitian_spectrum(h)
+    return (lam, *pinching_dominance(lam, h, np.array(partition.projectors)))
 
 
 class TestMajorizes:
     def test_pure_dominates_mixed(self):
-        assert majorizes([1.0, 0.0], [0.5, 0.5])
-        assert not majorizes([0.5, 0.5], [1.0, 0.0])
+        assert dominance([1.0, 0.0], [0.5, 0.5]).holds(INEQUALITY_TOL)
+        assert not dominance([0.5, 0.5], [1.0, 0.0]).holds(INEQUALITY_TOL)
 
     def test_prefix_and_sum_cases(self):
-        assert majorizes([0.7, 0.3], [0.6, 0.4])
-        assert not majorizes([0.7, 0.2], [0.6, 0.4])  # sums differ
+        assert dominance([0.7, 0.3], [0.6, 0.4]).holds(INEQUALITY_TOL)
+        assert not dominance([0.7, 0.2], [0.6, 0.4]).holds(INEQUALITY_TOL)  # sums differ
 
     def test_zero_padding(self):
-        assert majorizes([1.0], [0.5, 0.5])
-        assert majorizes([0.6, 0.4, 0.0], [0.6, 0.4])
+        assert dominance([1.0], [0.5, 0.5]).holds(INEQUALITY_TOL)
+        assert dominance([0.6, 0.4, 0.0], [0.6, 0.4]).holds(INEQUALITY_TOL)
 
     def test_sorting_is_internal(self):
-        assert majorizes([0.3, 0.7], [0.4, 0.6])
+        assert dominance([0.3, 0.7], [0.4, 0.6]).holds(INEQUALITY_TOL)
 
     @given(dim=dims, seed=seeds)
     def test_reflexive(self, dim, seed):
         lam = sampling.random_simplex(dim, np.random.default_rng(seed))
-        assert majorizes(lam, lam)
+        assert dominance(lam, lam).holds(INEQUALITY_TOL)
 
     @given(dim=dims, seed=seeds)
     def test_transitive_on_mixing_chains(self, dim, seed):
@@ -80,16 +79,16 @@ class TestMajorizes:
         lam = sampling.random_simplex(dim, rng)
         mu = mixed_toward_uniform(lam, rng.uniform(0.0, 1.0))
         nu = mixed_toward_uniform(mu, rng.uniform(0.0, 1.0))
-        assert majorizes(lam, mu)
-        assert majorizes(mu, nu)
-        assert majorizes(lam, nu)
+        assert dominance(lam, mu).holds(INEQUALITY_TOL)
+        assert dominance(mu, nu).holds(INEQUALITY_TOL)
+        assert dominance(lam, nu).holds(INEQUALITY_TOL)
 
     @given(dim=dims, seed=seeds)
     def test_mutual_dominance_means_equal_sorted(self, dim, seed):
         rng = np.random.default_rng(seed)
         lam = sampling.random_simplex(dim, rng)
         mu = np.array(sorted(lam, reverse=True))
-        assert majorizes(lam, mu) and majorizes(mu, lam)
+        assert dominance(lam, mu).holds(INEQUALITY_TOL) and dominance(mu, lam).holds(INEQUALITY_TOL)
         forward = dominance(lam, mu).margins
         assert matcore.max_abs(forward) <= 1e-12
 
@@ -122,7 +121,7 @@ class TestDominanceKernel:
     @pytest.mark.parametrize("lam, mu, expected", HAND_CASES)
     def test_margins_and_majorizes_agree_with_the_kernel(self, lam, mu, expected):
         check = dominance(lam, mu)
-        assert majorizes(lam, mu) is check.holds(INEQUALITY_TOL) is expected
+        assert dominance(lam, mu).holds(INEQUALITY_TOL) is check.holds(INEQUALITY_TOL) is expected
         size = max(len(lam), len(mu))
         padded = [np.pad(np.asarray(x, dtype=float), (0, size - len(x))) for x in (lam, mu)]
         descending = [-np.sort(-x) for x in padded]
@@ -143,17 +142,17 @@ class TestDominanceKernel:
         for trial in range(cfg.trials):
             rng = sampling.trial_stream(seed, trial)
             rho = states.random_density(dim, rng)
-            schur = check_schur_majorization(rho, states.random_gram(dim, response_dim, rng), tol).spectra
+            lam_schur, _ = schur_dominance(rho.spectrum, rho.mat * states.random_gram(dim, response_dim, rng).mat)
             pinch_input = states.random_density(dim, rng).mat
             partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
-            pinching = check_pinching_double(pinch_input, partition, tol).spectra
+            lam, parts, lam_pinched, *_ = pinching_checks(pinch_input, partition)
             a = states.random_hermitian(dim, rng)
-            fan = check_fan(a, states.random_hermitian(dim, rng), tol).spectra
+            combined, lam_sum, _ = fan_dominance(a, states.random_hermitian(dim, rng))
             for side, dominator, dominated in (
-                ("schur", schur["rho"], schur["schur_product"]),
-                ("pinching-upper", pinching["pinched_parts_sum"], pinching["matrix"]),
-                ("pinching-lower", pinching["matrix"], pinching["pinched"]),
-                ("fan", fan["sum_of_spectra"], fan["spectrum_of_sum"]),
+                ("schur", rho.spectrum, lam_schur),
+                ("pinching-upper", parts, lam),
+                ("pinching-lower", lam, lam_pinched),
+                ("fan", combined, lam_sum),
             ):
                 lhs, rhs, margin, violation = reference_dominance_row(dominator, dominated, tol)
                 expected.append({
@@ -166,15 +165,16 @@ class TestDominanceKernel:
 class TestSchurMajorization:
     def test_all_ones_overlap_is_equality(self):
         rho = states.random_density(3, np.random.default_rng(8))
-        report = check_schur_majorization(rho, GramMatrix(np.ones((3, 3))))
-        assert report.passed
-        assert matcore.max_abs(np.array(report.margins)) <= 1e-9
+        _, check = schur_dominance(rho.spectrum, rho.mat * GramMatrix(np.ones((3, 3))).mat)
+        assert check.holds(INEQUALITY_TOL)
+        assert matcore.max_abs(np.array(check.margins)) <= 1e-9
 
     def test_plus_state_full_reduction(self, plus_density):
-        report = check_schur_majorization(DensityMatrix(plus_density), GramMatrix(np.eye(2)))
-        assert report.passed
-        assert report.spectra["rho"] == pytest.approx((1.0, 0.0), abs=1e-12)
-        assert report.spectra["schur_product"] == pytest.approx((0.5, 0.5))
+        rho = DensityMatrix(plus_density)
+        lam_schur, check = schur_dominance(rho.spectrum, rho.mat * GramMatrix(np.eye(2)).mat)
+        assert check.holds(INEQUALITY_TOL)
+        assert tuple(rho.spectrum) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert tuple(lam_schur) == pytest.approx((0.5, 0.5))
 
     @settings(max_examples=60)
     @given(dim=dims, response_dim=st.integers(1, 8), seed=seeds)
@@ -182,8 +182,8 @@ class TestSchurMajorization:
         rng = np.random.default_rng(seed)
         rho = states.random_density(dim, rng)
         env = states.random_gram(dim, response_dim, rng)
-        report = check_schur_majorization(rho, env)
-        assert report.passed, report.margins
+        _, check = schur_dominance(rho.spectrum, rho.mat * env.mat)
+        assert check.holds(INEQUALITY_TOL), check.margins
 
     def test_report_serializes(self):
         result = run_majorization(CampaignConfig("majorization", seed=7, dim=2, trials=8))
@@ -197,16 +197,16 @@ class TestSchurMajorization:
 class TestPinchingDouble:
     def test_trivial_projector_is_equality(self):
         rho = states.random_density(3, np.random.default_rng(2))
-        report = check_pinching_double(rho.mat, ProjectorSet((np.eye(3, dtype=complex),)))
-        assert report.passed
-        assert matcore.max_abs(np.array(report.margins)) <= 1e-9
+        *_, upper, lower = pinching_checks(rho.mat, ProjectorSet((np.eye(3, dtype=complex),)))
+        assert upper.holds(INEQUALITY_TOL) and lower.holds(INEQUALITY_TOL)
+        assert matcore.max_abs(np.concatenate((upper.margins, lower.margins))) <= 1e-9
 
     def test_plus_state_hand_case(self, plus_density):
-        report = check_pinching_double(plus_density, diagonal_projector_partition([1, 1]))
-        assert report.passed
-        assert report.spectra["pinched_parts_sum"] == pytest.approx((1.0, 0.0), abs=1e-12)
-        assert report.spectra["matrix"] == pytest.approx((1.0, 0.0), abs=1e-12)
-        assert report.spectra["pinched"] == pytest.approx((0.5, 0.5))
+        lam, parts, lam_pinched, upper, lower = pinching_checks(plus_density, diagonal_projector_partition([1, 1]))
+        assert upper.holds(INEQUALITY_TOL) and lower.holds(INEQUALITY_TOL)
+        assert tuple(parts) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert tuple(lam) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert tuple(lam_pinched) == pytest.approx((0.5, 0.5))
 
     def test_block_matrix_hand_case(self):
         # 2+2 block PSD matrix assembled from fixed blocks
@@ -214,8 +214,8 @@ class TestPinchingDouble:
         g = sampling.complex_from_normals(rng.standard_normal(32), (4, 4))
         h = g @ g.conj().T
         h = h / np.trace(h).real
-        report = check_pinching_double(h, diagonal_projector_partition([2, 2]))
-        assert report.passed
+        *_, upper, lower = pinching_checks(h, diagonal_projector_partition([2, 2]))
+        assert upper.holds(INEQUALITY_TOL) and lower.holds(INEQUALITY_TOL)
 
     @settings(max_examples=60)
     @given(dim=dims, seed=seeds)
@@ -223,8 +223,8 @@ class TestPinchingDouble:
         rng = np.random.default_rng(seed)
         rho = states.random_density(dim, rng)
         partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
-        report = check_pinching_double(rho.mat, partition)
-        assert report.passed, report.margins
+        *_, upper, lower = pinching_checks(rho.mat, partition)
+        assert upper.holds(INEQUALITY_TOL) and lower.holds(INEQUALITY_TOL), (upper.margins, lower.margins)
 
     @settings(max_examples=60)
     @given(dim=dims, seed=seeds)
@@ -233,31 +233,31 @@ class TestPinchingDouble:
         rng = np.random.default_rng(seed)
         h = states.random_hermitian(dim, rng)
         partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
-        report = check_pinching_double(h, partition)
-        assert majorizes(report.spectra["matrix"], report.spectra["pinched"], 1e-9)
+        lam, _, lam_pinched, *_ = pinching_checks(h, partition)
+        assert dominance(lam, lam_pinched).holds(1e-9)
 
     def test_upper_dominance_fails_for_zero_diagonal_blocks(self):
         # the PSD requirement is sharp: a flip matrix pinched by rank-1
         # projectors leaves nothing, and (0, 0) cannot dominate (1, -1)
         flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        report = check_pinching_double(flip, diagonal_projector_partition([1, 1]))
-        assert not majorizes(report.spectra["pinched_parts_sum"], report.spectra["matrix"], 1e-9)
-        assert majorizes(report.spectra["matrix"], report.spectra["pinched"], 1e-9)
+        lam, parts, lam_pinched, *_ = pinching_checks(flip, diagonal_projector_partition([1, 1]))
+        assert not dominance(parts, lam).holds(1e-9)
+        assert dominance(lam, lam_pinched).holds(1e-9)
 
 
 class TestFan:
     def test_zero_second_term_is_equality(self):
         rng = np.random.default_rng(3)
         a = states.random_hermitian(3, rng)
-        report = check_fan(a, np.zeros((3, 3)))
-        assert report.passed
-        assert matcore.max_abs(np.array(report.margins)) <= 1e-9
+        *_, check = fan_dominance(a, np.zeros((3, 3)))
+        assert check.holds(INEQUALITY_TOL)
+        assert matcore.max_abs(np.array(check.margins)) <= 1e-9
 
     def test_misaligned_diagonals(self):
-        report = check_fan(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert report.passed
-        assert report.spectra["sum_of_spectra"] == pytest.approx((2.0, 0.0))
-        assert report.spectra["spectrum_of_sum"] == pytest.approx((1.0, 1.0))
+        combined, lam_sum, check = fan_dominance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        assert check.holds(INEQUALITY_TOL)
+        assert tuple(combined) == pytest.approx((2.0, 0.0))
+        assert tuple(lam_sum) == pytest.approx((1.0, 1.0))
 
     @settings(max_examples=60)
     @given(dim=dims, seed=seeds)
@@ -265,8 +265,8 @@ class TestFan:
         rng = np.random.default_rng(seed)
         a = states.random_hermitian(dim, rng)
         b = states.random_hermitian(dim, rng)
-        report = check_fan(a, b)
-        assert report.passed, report.margins
+        *_, check = fan_dominance(a, b)
+        assert check.holds(INEQUALITY_TOL), check.margins
 
 
 class TestHolevo:
@@ -403,5 +403,5 @@ class TestSpectraAreSolvedOnce:
         rng = np.random.default_rng(6)
         rho, env = states.random_density(4, rng), states.random_gram(4, 4, rng)
         solved[0] = 0
-        check_schur_majorization(rho, env)
+        schur_dominance(rho.spectrum, rho.mat * env.mat)
         assert solved[0] == 1
