@@ -6,7 +6,10 @@ Bayes-style conditioning on a perceived outcome) never increases it on
 average.  This package implements the maps, the entropy functionals, the
 spectral-dominance machinery that proves the inequalities, the generalized
 ancilla-dilated measurements for which they fail, and a seeded CLI harness
-that verifies everything numerically.
+that verifies everything numerically.  The two maps live in
+:mod:`decobs.stacks`, as kernels on stacks of states and probings
+(``observe_stack``, and the Schur product with ``response_gram_stack``),
+which is where the campaigns run them; they are not exported here.
 
 The names below are loaded on first use (PEP 562), so ``import decobs``
 loads no submodule and ``import decobs.cli`` loads only what a campaign
@@ -28,16 +31,16 @@ _EXPORTS = {
         "linear", "log_det", "parse_functional", "renyi", "to_bits", "von_neumann",
     ),
     "errors": ("ValidationError",),
-    "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "schur_product", "tensor_product"),
+    "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "tensor_product"),
     "povm": (
         "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2",
         "is_purity_preserving", "probing_as_povm", "purify_ancilla",
     ),
-    "processes": ("decohere", "ensemble_average", "luders", "observe", "probing_joint_unitary", "response_gram"),
+    "processes": ("ensemble_average", "luders", "probing_joint_unitary"),
     "states": (
-        "DensityMatrix", "GramMatrix", "Outcome", "OutcomeEnsemble", "ProbingMatrix", "ProjectorSet",
-        "PureState", "basis_state", "density_from_pure", "diagonal_projector_partition",
-        "gram_from_projectors", "gram_from_vectors", "maximally_mixed",
+        "DensityMatrix", "GramMatrix", "Outcome", "OutcomeEnsemble", "ProjectorSet", "PureState",
+        "basis_state", "density_from_pure", "diagonal_projector_partition", "gram_from_projectors",
+        "maximally_mixed",
     ),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -380,13 +380,20 @@ def _check_stacks(trials: range, *forms: tuple) -> None:
     Each form pairs a stack with its axes, one letter each: ``n`` holds one
     entry per trial, ``d`` the dim, and any other letter any number.  The
     axes ``p`` mark a list of block sizes, one partition of the dim per
-    trial.  A stack of the wrong rank, or dims that disagree, raise
-    "stacks-same-dim"; ``n`` axes that do not hold ``len(trials)`` raise
-    "stacks-same-trials".
+    trial, each a non-empty sequence of positive integers, or
+    "positive-block-sizes" is raised.  A stack of the wrong rank, or dims
+    that disagree, raise "stacks-same-dim"; ``n`` axes that do not hold
+    ``len(trials)`` raise "stacks-same-trials".
     """
     lengths, dims = set(), set()
+    integers = (int, np.integer)
     for stack, axes in forms:
         if axes == "p":
+            for sizes in stack:
+                if not (hasattr(sizes, "__len__") and len(sizes)) or not all(
+                    isinstance(s, integers) and s > 0 for s in sizes
+                ):
+                    raise ValidationError("positive-block-sizes", detail=f"{sizes}")
             lengths.add(len(stack))
             dims.update(sum(sizes) for sizes in stack)
             continue
@@ -399,6 +406,13 @@ def _check_stacks(trials: range, *forms: tuple) -> None:
         raise ValidationError("stacks-same-trials", detail=f"{len(trials)} trials, stacks of {sorted(lengths)}")
     if len(dims) > 1:
         raise ValidationError("stacks-same-dim", detail=f"dims {sorted(dims)}")
+
+
+def _finite(stack: np.ndarray) -> np.ndarray:
+    """``stack``, unless it holds NaN or Inf: a transform that factors a stack needs finite entries."""
+    if not np.isfinite(stack).all():
+        raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
+    return stack
 
 
 def sample_s_theorems(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np.ndarray]:
@@ -422,8 +436,8 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     rho, probe = stacks
     del stacks
     _check_stacks(trials, (rho, "ndd"), (probe, "ndm"))
-    # a real state stack is valid; cast it once, as observe_stack does
-    rho = np.asarray(rho, dtype=complex)
+    # real stacks are valid; cast them once, so that they round as their complex casts do
+    rho, probe = (np.asarray(stack, dtype=complex) for stack in (rho, probe))
     dim, response_dim = probe.shape[-2:]
     functionals = [parse_functional(text) for text in cfg.functionals]
 
@@ -450,7 +464,7 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     validate_stack(averaged, "density")
     gram = response_gram_stack(probe)
     validate_stack(gram, "gram")
-    decohered = rho * gram  # the Schur product, as processes.decohere forms it
+    decohered = rho * gram  # decoherence: the Schur product with the response Gram matrix
     lam_dec = validate_stack(decohered, "density")
     consistency = float(abs(averaged - decohered).max(initial=0.0))
 
@@ -552,6 +566,9 @@ def evaluate_majorization(cfg: CampaignConfig, trials: range, stacks: tuple) -> 
         trials, (rho, "ndd"), (responses, "ndm"), (pinch_input, "ndd"), (partitions, "p"), (ginibre, "ndd"),
         (hermitian, "nkdd"),
     )
+    rho, responses, pinch_input, ginibre, hermitian = (
+        np.asarray(stack, dtype=complex) for stack in (rho, responses, pinch_input, ginibre, hermitian)
+    )
     dim = rho.shape[-1]
 
     # the checks run in the order a one-trial loop makes them: state,
@@ -564,12 +581,12 @@ def evaluate_majorization(cfg: CampaignConfig, trials: range, stacks: tuple) -> 
     _, schur = schur_dominance(lam_rho, rho * env)
     lam_input = validate_stack(pinch_input, "density")
     projectors = sampling.conjugated_projectors(
-        sampling.haar_from_ginibre(ginibre), block_projectors(partitions, dim, dim)
+        sampling.haar_from_ginibre(_finite(ginibre)), block_projectors(partitions, dim, dim)
     )
     validate_projector_stack(projectors)
     *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)
     del projectors
-    hermitian = sampling.unit_spectral_radius(hermitian)
+    hermitian = sampling.unit_spectral_radius(_finite(hermitian))
     *_, fan = fan_dominance(hermitian[:, 0], hermitian[:, 1])
 
     # each row is its check's worst prefix: dominated prefix sum <= dominating one
@@ -632,6 +649,7 @@ def evaluate_holevo(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     sizes, probs, drawn = stacks
     del stacks
     _check_stacks(trials, (sizes, "n"), (probs, "ns"), (drawn, "kdd"))
+    drawn = np.asarray(drawn, dtype=complex)
     functionals = [parse_functional(text) for text in cfg.functionals]
     present = np.arange(probs.shape[-1]) < sizes[:, None]
     if len(drawn) != np.count_nonzero(present):
@@ -693,6 +711,7 @@ def evaluate_luders(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     rho, partitions = stacks
     del stacks
     _check_stacks(trials, (rho, "ndd"), (partitions, "p"))
+    rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[-1]
     projectors = block_projectors(partitions, dim, dim)
 

@@ -1,6 +1,6 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition, Schur and Kronecker products, partial traces,
+Hermitian eigendecomposition, Kronecker products, partial traces,
 and a unitarity predicate; checks read their tolerances from
 :mod:`decobs.tolerances`, in max-norm.
 Functions operate on plain numpy arrays, never mutate their inputs, and
@@ -113,15 +113,6 @@ def hermitian_spectrum(mat: np.ndarray) -> np.ndarray:
     from .stacks import validate_stack  # stacks imports this module
 
     return validate_stack(mat, "hermitian")
-
-
-def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two equal-shape matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValidationError("equal-shape", detail=f"{a.shape} vs {b.shape}")
-    return a * b
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

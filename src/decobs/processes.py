@@ -1,16 +1,12 @@
-"""The two basic state-update maps and their special cases.
+"""Ensemble averages, Lüders pinching and the unitary dilation of a probing, on value types.
 
-Decoherence multiplies the state entrywise by the environment-response
-overlap matrix.  Observation conditions the state on a perceived outcome k:
-branch k occurs with probability p_k = sum_i rho_ii |S_ik|^2 and rescales the
-state entrywise by the outer product of probing column k, normalized by p_k.
-Averaging the observation branches over k reproduces decoherence with the row
-Gram matrix S S^dagger, so the two maps are two faces of one interaction.
-
-The maps here take and return value types.  Each is a kernel of
-:mod:`decobs.stacks` (``observe_stack``, ``average_stack``,
-``response_gram_stack``, ``pinch``) called on one item, which is what the
-campaigns call on whole stacks.
+The two maps of the paper live in :mod:`decobs.stacks`, which the campaigns
+run on whole stacks: observation is :func:`~decobs.stacks.observe_stack`,
+and decoherence is the entrywise product ``rho * G`` with the Gram matrix of
+:func:`~decobs.stacks.response_gram_stack`.  Averaging the observation
+branches reproduces decoherence, so the two maps are two faces of one
+interaction.  The average and the pinching here are the kernels
+``average_stack`` and ``pinch`` called on one item.
 """
 
 from __future__ import annotations
@@ -19,49 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import matcore
 from .errors import ValidationError
-from .stacks import average_stack, observe_stack, pinch, response_gram_stack
-from .states import (
-    DensityMatrix,
-    GramMatrix,
-    Outcome,
-    OutcomeEnsemble,
-    ProbingMatrix,
-    ProjectorSet,
-    PureState,
-)
+from .stacks import average_stack, pinch
+from .states import DensityMatrix, OutcomeEnsemble, ProjectorSet, PureState
 from .tolerances import SPAN_TOL
-
-
-def decohere(rho: DensityMatrix, env_overlap: GramMatrix) -> DensityMatrix:
-    """Entrywise product rho o E; suppresses off-diagonal structure."""
-    return DensityMatrix(matcore.schur_product(rho.mat, env_overlap.mat))
-
-
-def response_gram(probe: ProbingMatrix) -> GramMatrix:
-    """Row Gram matrix S S^dagger of a probing; unit rows give unit diagonal."""
-    return GramMatrix(response_gram_stack(probe.mat))
-
-
-def observe(rho: DensityMatrix, probe: ProbingMatrix) -> OutcomeEnsemble:
-    """Condition rho on each perceived outcome.
-
-    Branch k carries p_k = sum_i rho_ii |S_ik|^2 and the state with entries
-    rho_ij S_ik S_jk^* / p_k.  Branches with p_k at or below the zero
-    threshold are kept with probability exactly 0 and an undefined state.
-    """
-    if probe.n_object != rho.dim:
-        raise ValidationError(
-            "probing-rows-match-state",
-            detail=f"probing has {probe.n_object} rows, state dim {rho.dim}",
-        )
-    probs, states = observe_stack(rho.mat, probe.mat)
-    outcomes = tuple(
-        Outcome(float(p), DensityMatrix(state)) if p > 0.0 else Outcome(0.0, None)
-        for p, state in zip(probs, states)
-    )
-    return OutcomeEnsemble(outcomes)
 
 
 def ensemble_average(ensemble: OutcomeEnsemble) -> DensityMatrix:

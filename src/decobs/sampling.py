@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matcore
+from .errors import ValidationError
 from .stacks import _blocks
 
 
@@ -171,10 +172,13 @@ def haar_from_ginibre(z) -> np.ndarray:
     The triangular factor's diagonal phases are divided out so the factor has
     positive real diagonal, which is what makes the distribution Haar rather
     than merely unitary.  A stacked QR factors each matrix bit for bit as it
-    factors the matrix alone.
+    factors the matrix alone.  A singular matrix whose triangular factor has
+    a zero on its diagonal, whose phase is 0/0, raises "ginibre-full-rank".
     """
     q, r = np.linalg.qr(z)
     diag = r.diagonal(axis1=-2, axis2=-1)
+    if not diag.all():
+        raise ValidationError("ginibre-full-rank", detail="a triangular factor has a zero on its diagonal")
     return q * (diag / np.abs(diag))[..., None, :]
 
 

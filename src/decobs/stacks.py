@@ -3,9 +3,11 @@
 This is the layer the seeded campaigns run on.  Each function takes plain
 numpy stacks of states, probings, Gram matrices or projector families and
 returns plain arrays, and each is the only implementation of its check or
-map: the value types of :mod:`decobs.states` and the scalar maps of
-:mod:`decobs.processes` call these kernels on one item.  This module imports
-no value type, so a campaign loads none.
+map: the value types of :mod:`decobs.states` and the averages and pinchings
+of :mod:`decobs.processes` call these kernels on one item.  The two maps of
+the paper are here only: observation (:func:`observe_stack`) and
+decoherence, the Schur product with :func:`response_gram_stack`.  This
+module imports no value type, so a campaign loads none.
 
 A failing stack raises the :class:`~decobs.errors.ValidationError` that its
 first failing item (in C order) raises as a value type, with the same
@@ -143,7 +145,7 @@ def unit_vector_norms(vectors) -> np.ndarray:
 
 
 def _check_unit_rows(mats: np.ndarray) -> None:
-    """The ProbingMatrix check on a finite (..., n, m) stack: unit-norm rows."""
+    """The probing check on a finite (..., n, m) stack: unit-norm rows."""
     norms = np.linalg.norm(mats, axis=-1)
     residual = np.max(np.abs(norms - 1.0), axis=-1, initial=0.0)
     failed = residual > UNIT_NORM_TOL
@@ -152,9 +154,11 @@ def _check_unit_rows(mats: np.ndarray) -> None:
 
 
 def validate_probing_stack(mats) -> None:
-    """Run the ``ProbingMatrix`` checks on a (..., n, m) stack.
+    """Run the probing checks on a (..., n, m) stack: finite entries and unit-norm rows.
 
-    A failing stack raises the error of its first failing matrix.
+    Rows index object states, columns the perception basis; unit rows give
+    the row Gram matrix a unit diagonal.  A failing stack raises the error
+    of its first failing matrix.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim < 2:
@@ -355,8 +359,9 @@ def observe_stack(rhos, probes) -> tuple[np.ndarray, np.ndarray]:
     below the zero threshold) get probability exactly 0 and an all-zero
     state.  The states are not validated.
 
-    Every entry is rounded exactly as the one-branch-at-a-time form rounds
-    it, so a stack of one gives ``processes.observe`` bit for bit:
+    Every entry is rounded exactly as the one-branch-at-a-time formula
+    rho * outer(S[:, k], S[:, k].conj()) / p_k rounds it, so a stack of one
+    gives that formula bit for bit:
 
     - each p_k is a (1, d) @ (d, 1) product of the (strided) populations with
       the contiguous column weights, which numpy computes with the same dot

@@ -8,8 +8,11 @@ measured residual.
 Every check is a kernel of :mod:`decobs.stacks` called on one item, and every
 sampler here (``random_density``, ``random_pure``, ...) is a draw and a
 transform of :mod:`decobs.sampling` wrapped in a value type.  The campaigns
-use the kernels and transforms directly; this layer is the scalar API that
-tests, scripts and the measurement code build on.
+use the kernels and transforms directly, and a probing has no value type:
+it is a plain (n, m) array, checked by
+:func:`~decobs.stacks.validate_probing_stack`.  The measurement code
+(:mod:`decobs.povm`, ``counterexample`` and ``povm-classify``) builds on
+these types.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ from .stacks import (
     block_projectors,
     clean_probabilities,
     gram_from_projector_stack,
-    gram_from_unit_rows,
     unit_vector_norms,
-    validate_probing_stack,
     validate_projector_stack,
     validate_stack,
 )
@@ -95,31 +96,6 @@ class GramMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
-class ProbingMatrix:
-    """Response-amplitude matrix with one unit-norm row per object state.
-
-    Rows index object states (n of them), columns index the perception basis
-    (m of them, not necessarily equal to n).  Unit rows guarantee that the
-    row Gram matrix has unit diagonal.
-    """
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = matcore.as_matrix(self.mat)
-        validate_probing_stack(mat)
-        object.__setattr__(self, "mat", _readonly(mat))
-
-    @property
-    def n_object(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def n_perception(self) -> int:
-        return self.mat.shape[1]
 
 
 @dataclass(frozen=True)
@@ -210,22 +186,6 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(state.amp, state.amp.conj()))
 
 
-def gram_from_vectors(vectors: Sequence[PureState]) -> GramMatrix:
-    """Overlap matrix E_ij = <v_j|v_i> of a family of unit vectors.
-
-    Rows are renormalized before forming the overlaps.  The renormalized
-    rows have unit norm only to rounding, so the diagonal is 1 within a few
-    ulps, not exactly 1 (:func:`~decobs.stacks.gram_from_unit_rows`).
-    """
-    if not vectors:
-        raise ValidationError("gram-vectors-nonempty")
-    dim = vectors[0].dim
-    for idx, v in enumerate(vectors):
-        if v.dim != dim:
-            raise ValidationError("gram-vectors-same-dim", detail=f"vector {idx}")
-    return GramMatrix(gram_from_unit_rows(np.array([v.amp for v in vectors])))
-
-
 def gram_from_projectors(projectors: ProjectorSet) -> GramMatrix:
     """Block overlap matrix E_ij = sum_k (P_k)_ii (P_k)_jj of a diagonal partition.
 
@@ -262,21 +222,6 @@ def random_pure(n: int, rng: np.random.Generator) -> PureState:
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix rescaled to unit spectral radius."""
     return sampling.unit_spectral_radius(sampling.hermitian_from_normals(rng.standard_normal(2 * n * n), n))
-
-
-def random_gram(n: int, response_dim: int, rng: np.random.Generator) -> GramMatrix:
-    """Overlap matrix of n random pure responses of the given dimension.
-
-    response_dim = 1 gives phase-only (rank-1, unit-modulus) overlaps; large
-    response_dim approaches the identity in expectation.
-    """
-    vectors = sampling.pure_from_normals(rng.standard_normal((n, 2 * response_dim)), response_dim)
-    return gram_from_vectors([PureState(v) for v in vectors])
-
-
-def random_probing(n: int, m: int, rng: np.random.Generator) -> ProbingMatrix:
-    """n independent random unit rows of length m."""
-    return ProbingMatrix(sampling.probing_from_normals(rng.standard_normal(2 * n * m), n, m))
 
 
 def random_projector_partition(

@@ -13,7 +13,7 @@ HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 #: |tr(rho) - 1|: the density unit-trace check.
 TRACE_TOL = 1e-10
-#: |norm - 1|: the PureState unit-norm check and the ProbingMatrix unit-row check.
+#: |norm - 1|: the PureState unit-norm check and the probing unit-row check.
 UNIT_NORM_TOL = 1e-10
 #: Max |E_ii - 1|: the Gram unit-diagonal check.
 UNIT_DIAGONAL_TOL = 1e-10

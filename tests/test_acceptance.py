@@ -12,16 +12,12 @@ import time
 import numpy as np
 
 from decobs import matcore, povm, sampling, states
+from decobs.campaigns import evaluate_s_theorems
 from decobs.cli import CampaignConfig, main, run_holevo, run_luders, run_majorization, run_s_theorems
 from decobs.entropy import builtin_functionals, entropy, expected_entropy, linear, von_neumann
 from decobs.povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
-from decobs.processes import decohere, ensemble_average, observe, response_gram
-from decobs.states import (
-    DensityMatrix,
-    GramMatrix,
-    ProbingMatrix,
-    density_from_pure,
-)
+from decobs.processes import ensemble_average
+from decobs.states import DensityMatrix, density_from_pure
 
 LN2 = math.log(2.0)
 FULL_FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det")
@@ -106,15 +102,17 @@ def test_criterion_05_consistency_identity():
     """Branch average equals the Schur form with the row Gram matrix, to 1e-12."""
     checked = 0
     worst = 0.0
+    cfg = CampaignConfig(command="verify-s-theorems")
     for dim in range(2, 9):
+        rhos, probes = [], []
         for trial in range(72):
             rng = sampling.trial_stream(105 + dim, trial)
-            rho = states.random_density(dim, rng)
-            probe = states.random_probing(dim, dim, rng)
-            averaged = ensemble_average(observe(rho, probe))
-            decohered = decohere(rho, response_gram(probe))
-            worst = max(worst, matcore.max_abs(averaged.mat - decohered.mat))
-            checked += 1
+            rhos.append(states.random_density(dim, rng).mat)
+            probes.append(sampling.probing_from_normals(rng.standard_normal(2 * dim * dim), dim, dim))
+        # the campaign's evaluator returns the largest residual |average - Schur form| of its trials
+        _, _, residual = evaluate_s_theorems(cfg, range(len(rhos)), (np.array(rhos), np.array(probes)))
+        worst = max(worst, residual)
+        checked += len(rhos)
     assert checked >= 500
     assert worst <= 1e-12
     report_pass(5, f"{checked} random (state, probing) pairs, max residual {worst:.2e}")
@@ -174,7 +172,16 @@ def test_criterion_08_pppovm_purity_and_left_inequality():
 
 def test_criterion_09_strictness_spot_checks():
     """Manifestly nontrivial inputs give strict margins above 1e-6 on both sides."""
-    functionals = builtin_functionals()
+    labels = [functional.label for functional in builtin_functionals()]
+    cfg = CampaignConfig(command="verify-s-theorems", functionals=tuple(labels))
+
+    def margins(rho, side):
+        """Each functional's margin on one side of the campaign's rows for rho under the identity probing."""
+        # the identity probing's row Gram matrix is the identity overlap
+        columns, skipped, _ = evaluate_s_theorems(cfg, range(1), (rho.mat[None], np.eye(rho.dim)[None]))
+        chosen = columns["side"] == side
+        assert skipped == 0 and columns["functional"][chosen].tolist() == labels
+        return (columns["rhs"] - columns["lhs"])[chosen].tolist()
 
     # decoherence side: identity overlap on states with large coherences
     coherent_states = [
@@ -184,10 +191,8 @@ def test_criterion_09_strictness_spot_checks():
     ]
     for rho in coherent_states:
         assert np.min(np.abs(rho.mat - np.diag(rho.mat.diagonal()) + np.eye(rho.dim))) >= 0.1
-        env = GramMatrix(np.eye(rho.dim))
-        for functional in functionals:
-            margin = entropy(decohere(rho, env), functional) - entropy(rho, functional)
-            assert margin > 1e-6, (functional.label, margin)
+        for label, margin in zip(labels, margins(rho, "decoherence")):
+            assert margin > 1e-6, (label, margin)
 
     # observation side: identity probing on mixed nondegenerate states
     mixed_states = [
@@ -198,11 +203,8 @@ def test_criterion_09_strictness_spot_checks():
     for rho in mixed_states:
         lam = matcore.hermitian_spectrum(rho.mat)
         assert np.min(np.abs(np.diff(lam))) > 1e-3, "curated states must be nondegenerate"
-        probe = ProbingMatrix(np.eye(rho.dim))
-        ensemble = observe(rho, probe)
-        for functional in functionals:
-            margin = entropy(rho, functional) - expected_entropy(ensemble, functional)
-            assert margin > 1e-6, (functional.label, margin)
+        for label, margin in zip(labels, margins(rho, "observation")):
+            assert margin > 1e-6, (label, margin)
     report_pass(9, "both inequalities strict (> 1e-6) on the curated nontrivial set, all functionals")
 
 

@@ -2,8 +2,9 @@
 
 The campaigns ``verify-s-theorems``, ``holevo``, ``majorization`` and
 ``luders-equiv`` stack their trials and run every map, check and entropy
-once per chunk.  Here each campaign is replayed trial by trial through the
-public scalar API, and every row must come out exactly equal (``==``, not
+once per chunk.  Here each campaign is replayed trial by trial, from the
+trial's own stream, through the value-type samplers and one-object kernel
+calls, and every row must come out exactly equal (``==``, not
 approximately).  The stack kernels must also agree bit for bit with the
 scalar types on hard inputs (dead branches, rank-deficient spectra, padded
 projector families) and raise the scalar types' errors.
@@ -53,21 +54,22 @@ def _check_row(trial, dim, label, side, lhs, rhs, trivial, tol):
 
 
 def oracle_s_theorems(cfg):
-    """verify-s-theorems replayed one trial at a time through the scalar API."""
+    """verify-s-theorems replayed one trial at a time through one-object kernel calls."""
     functionals = [parse_functional(text) for text in cfg.functionals]
     response_dim = cfg.response_dim or cfg.dim
     rows, consistency = [], 0.0
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
         rho = states.random_density(cfg.dim, rng)
-        probe = states.random_probing(cfg.dim, response_dim, rng)
-        ensemble = processes.observe(rho, probe)
-        averaged = processes.ensemble_average(ensemble)
-        decohered = processes.decohere(rho, processes.response_gram(probe))
+        probe = sampling.probing_from_normals(rng.standard_normal(2 * cfg.dim * response_dim), cfg.dim, response_dim)
+        stacks.validate_probing_stack(probe)
+        probs, states_after = stacks.observe_stack(rho.mat, probe)
+        averaged = DensityMatrix(stacks.average_stack(probs, states_after))
+        decohered = DensityMatrix(rho.mat * stacks.response_gram_stack(probe))
         consistency = max(consistency, matcore.max_abs(averaged.mat - decohered.mat))
         lam_rho = matcore.hermitian_spectrum(rho.mat)
         lam_dec = matcore.hermitian_spectrum(decohered.mat)
-        branches = [(o.probability, matcore.hermitian_spectrum(o.state.mat)) for o in ensemble.live()]
+        branches = [(p, DensityMatrix(state).spectrum) for p, state in zip(probs.tolist(), states_after) if p > 0.0]
         obs_trivial = all(matcore.max_abs(lam - lam_rho) <= TRIVIALITY_TOL for _, lam in branches)
         dec_trivial = matcore.max_abs(lam_dec - lam_rho) <= TRIVIALITY_TOL
         for f in functionals:
@@ -84,7 +86,7 @@ def oracle_s_theorems(cfg):
 
 
 def oracle_holevo(cfg):
-    """holevo replayed one trial at a time through the scalar API."""
+    """holevo replayed one trial at a time through the value-type samplers and maps."""
     functionals = [parse_functional(text) for text in cfg.functionals]
     rows = []
     for trial in range(cfg.trials):
@@ -519,14 +521,14 @@ def test_observe_and_average_match_the_one_branch_formulas(dim, trials, response
     rng = np.random.default_rng(dim * 7 + response_dim)
     for _ in range(trials):
         rho = states.random_density(dim, rng)
-        probe = states.random_probing(dim, response_dim, rng)
-        ensemble = processes.observe(rho, probe)
+        probe = sampling.probing_from_normals(rng.standard_normal(2 * dim * response_dim), dim, response_dim)
+        probs, branches = stacks.observe_stack(rho.mat, probe)
         total = np.zeros((dim, dim), dtype=complex)
-        for outcome, (p, state) in zip(ensemble, _reference_observe(rho.mat, probe.mat)):
-            assert outcome.probability == p
-            assert np.array_equal(outcome.state.mat, state)
+        for p_stack, state_stack, (p, state) in zip(probs.tolist(), branches, _reference_observe(rho.mat, probe)):
+            assert p_stack == p
+            assert np.array_equal(DensityMatrix(state_stack).mat, state)
             total = total + p * state
-        assert np.array_equal(processes.ensemble_average(ensemble).mat, total)
+        assert np.array_equal(stacks.average_stack(probs, branches), total)
 
 
 @pytest.mark.parametrize("cuts", [(0, 5), (0, 1, 5), (0, 2, 3, 5)])
@@ -570,13 +572,14 @@ class TestDeadBranch:
         assert np.all(probs[:, -1] == 0.0)
         assert np.all(branches[:, -1] == 0.0)
         for rho, probe, p_row, state_row in zip(rhos, probes, probs, branches):
-            ensemble = processes.observe(DensityMatrix(rho), states.ProbingMatrix(probe))
-            assert ensemble.outcomes[-1] == Outcome(0.0, None)
-            for outcome, (p, state), p_stack, state_stack in zip(
-                ensemble.outcomes[:-1], _reference_observe(rho, probe), p_row, state_row
+            stacks.validate_probing_stack(probe)
+            p_one, states_one = stacks.observe_stack(DensityMatrix(rho).mat, probe)
+            assert p_one[-1] == 0.0 and not states_one[-1].any()
+            for p_item, state_item, (p, state), p_stack, state_stack in zip(
+                p_one[:-1], states_one[:-1], _reference_observe(rho, probe), p_row, state_row
             ):
-                assert outcome.probability == p == p_stack
-                assert np.array_equal(outcome.state.mat, state)
+                assert p_item == p == p_stack
+                assert np.array_equal(state_item, state)
                 assert np.array_equal(state_stack, state)
 
     def test_campaign_skips_the_dead_branch(self, monkeypatch):
@@ -637,7 +640,13 @@ def test_entropy_kernel_on_rank_deficient_spectra_is_bit_identical(dim):
 
 
 @pytest.mark.parametrize(
-    "kind, draw", [("density", states.random_density), ("gram", lambda n, rng: states.random_gram(n, n, rng))]
+    "kind, draw",
+    [
+        ("density", states.random_density),
+        ("gram", lambda n, rng: GramMatrix(stacks.gram_from_unit_rows(
+            sampling.pure_from_normals(rng.standard_normal((n, 2 * n)), n)
+        ))),
+    ],
 )
 def test_validated_spectra_are_the_hermitian_spectra(kind, draw):
     """validate_stack returns every spectrum non-increasing, as hermitian_spectrum and DensityMatrix do."""
@@ -733,7 +742,8 @@ def oracle_majorization(cfg):
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
         rho = states.random_density(dim, rng)
-        _, schur = schur_dominance(rho.spectrum, rho.mat * states.random_gram(dim, response_dim, rng).mat)
+        responses = sampling.pure_from_normals(rng.standard_normal((dim, 2 * response_dim)), response_dim)
+        _, schur = schur_dominance(rho.spectrum, rho.mat * GramMatrix(stacks.gram_from_unit_rows(responses)).mat)
         pinch_input = states.random_density(dim, rng).mat
         partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
         *_, upper, lower = pinching_dominance(
@@ -760,7 +770,7 @@ def oracle_luders(cfg):
         rho = states.random_density(cfg.dim, rng)
         partition = states.diagonal_projector_partition(sampling.random_block_sizes(cfg.dim, rng))
         pinched = processes.luders(rho, partition)
-        schur_form = processes.decohere(rho, states.gram_from_projectors(partition))
+        schur_form = DensityMatrix(rho.mat * states.gram_from_projectors(partition).mat)
         residual = matcore.max_abs(pinched.mat - schur_form.mat)
         rows.append(
             _report_row(

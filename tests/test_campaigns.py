@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from decobs import campaigns, sampling
 from decobs.cli import CampaignConfig
@@ -310,3 +311,115 @@ def test_mixtures_need_one_drawn_state_per_live_slot():
     assert len(drawn) == sizes.sum()
     error = _stacks_error("evaluate_holevo", cfg, range(3), (sizes, probs, drawn[:-1]))
     assert error.invariant == "stacks-same-trials"
+
+
+@pytest.mark.parametrize(
+    "sizes", [(0, 0, 0, 3), (1.5, 1.5), (-1, 4), (), 3], ids=["zeros", "halves", "negative", "empty", "unnested"]
+)
+@pytest.mark.parametrize("evaluator", ["evaluate_luders", "evaluate_majorization"])
+def test_a_partition_needs_positive_integer_sizes(evaluator, sizes):
+    # each sums to the dim 3, or is empty, or is a bare size, and none is a partition of it
+    command = COMMAND_OF[evaluator]
+    cfg = CampaignConfig(command, dim=3)
+    drawn = list(getattr(campaigns, SAMPLER_OF[command])(cfg, range(2)))
+    at = 3 if command == "majorization" else 1
+    drawn[at] = [drawn[at][0], sizes]
+    error = _stacks_error(evaluator, cfg, range(2), tuple(drawn))
+    assert (error.invariant, str(error)) == ("positive-block-sizes", f"positive-block-sizes: {sizes}")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_hermitian_pair_is_refused_before_its_spectral_radius(value):
+    cfg = CampaignConfig("majorization", dim=3)
+    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn[5][1, 0, 2, 1] = value
+    assert _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn)).invariant == "finite-entries"
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+def test_a_singular_or_non_finite_ginibre_matrix_is_refused_before_its_phases(value):
+    cfg = CampaignConfig("majorization", dim=3)
+    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn[4][1] = value
+    expected = "ginibre-full-rank" if value == 0.0 else "finite-entries"
+    assert _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn)).invariant == expected
+
+
+
+
+def _evaluated(evaluator: str, cfg: CampaignConfig, trials: range, stacks: list):
+    """The row columns an evaluator returns for the stacks, or the invariant of the error it raises."""
+    try:
+        evaluated = getattr(campaigns, evaluator)(cfg, trials, tuple(stacks))
+    except ValidationError as error:
+        return error.invariant
+    columns = evaluated[0] if evaluator == "evaluate_s_theorems" else evaluated
+    assert {"trial", "functional", "side", "lhs", "rhs"} <= columns.keys()
+    assert len({column.shape for column in columns.values()}) == 1
+    return columns
+
+
+def _sometimes(strategy):
+    """``strategy``'s value in about one draw in four, and None otherwise, so that most draws reach the maps."""
+    return st.tuples(st.integers(0, 3), strategy).map(lambda drawn: drawn[1] if drawn[0] == 1 else None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    evaluator=st.sampled_from(EVALUATORS),
+    trials=st.integers(0, 3),
+    dim=st.integers(1, 4),
+    width=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    poison=_sometimes(st.tuples(st.integers(0, 5), st.integers(0, 2**16), st.sampled_from([np.nan, np.inf, -np.inf]))),
+    zeroed=_sometimes(st.integers(0, 5)),
+    partition=_sometimes(st.lists(st.sampled_from([-1, 0, 1, 2, 3, 1.5]), max_size=4).map(tuple)),
+)
+@example("evaluate_luders", 1, 3, 1, 0, False, None, None, (0, 0, 0, 3))
+@example("evaluate_luders", 1, 3, 1, 0, False, None, None, (1.5, 1.5))
+@example("evaluate_majorization", 1, 3, 1, 0, False, None, None, (-1, 4))
+@example("evaluate_majorization", 1, 3, 1, 0, False, (5, 0, np.nan), None, None)
+@example("evaluate_majorization", 2, 3, 2, 0, True, None, 4, None)
+def test_every_drawn_stack_gives_columns_or_a_validation_error(
+    evaluator, trials, dim, width, seed, real, poison, zeroed, partition
+):
+    """Stacks of a sampler's form, of any size, real or complex, zeroed or holding NaN or Inf.
+
+    ``width`` is the response dim, or the mixture size of holevo.  Stacks
+    are picked by their position in the sampler's tuple: ``poison`` puts a
+    non-finite value at a flat position of one, and ``zeroed`` zeroes one,
+    when it holds floats.  ``partition`` replaces the first trial's block
+    sizes.  A real stack (the real parts, with unit rows renormalized)
+    gives what its complex cast gives: the same columns bit for bit, or the
+    same error.
+    """
+    command = COMMAND_OF[evaluator]
+    # where the unit rows (probings, responses) and the block sizes sit in each evaluator's stacks
+    unit_rows = {"evaluate_s_theorems": 1, "evaluate_majorization": 1}.get(evaluator)
+    partitions = {"evaluate_majorization": 3, "evaluate_luders": 1}.get(evaluator)
+    fields = {"holevo": {"ensemble_size": width}, "luders-equiv": {}}.get(command, {"response_dim": width})
+    cfg = CampaignConfig(command, seed=seed, dim=dim, functionals=FUNCTIONALS, **fields)
+    stacks = list(getattr(campaigns, SAMPLER_OF[command])(cfg, range(trials)))
+    complex_at = [at for at, stack in enumerate(stacks) if isinstance(stack, np.ndarray) and np.iscomplexobj(stack)]
+    if real:
+        for at in complex_at:
+            stacks[at] = stacks[at].real.copy()
+        if unit_rows is not None:
+            rows = stacks[unit_rows]
+            stacks[unit_rows] = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+    floats = {at for at, stack in enumerate(stacks) if isinstance(stack, np.ndarray) and stack.dtype != int}
+    if poison is not None and poison[0] % len(stacks) in floats:
+        stack = stacks[poison[0] % len(stacks)]
+        if stack.size:
+            stack.flat[poison[1] % stack.size] = poison[2]
+    if zeroed is not None and zeroed % len(stacks) in floats:
+        stacks[zeroed % len(stacks)][...] = 0.0
+    if partition is not None and trials and partitions is not None:
+        stacks[partitions] = [partition] + stacks[partitions][1:]
+
+    got = _evaluated(evaluator, cfg, range(trials), stacks)
+    if real:
+        cast = [stack.astype(complex) if at in complex_at else stack for at, stack in enumerate(stacks)]
+        from_cast = _evaluated(evaluator, cfg, range(trials), cast)
+        assert got == from_cast if isinstance(got, str) else _bitwise_equal(got, from_cast)

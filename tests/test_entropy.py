@@ -19,17 +19,17 @@ from decobs.entropy import (
     to_bits,
     von_neumann,
 )
+from decobs.campaigns import evaluate_s_theorems
+from decobs.cli import CampaignConfig
 from decobs.errors import ValidationError
 from decobs.states import (
     DensityMatrix,
     Outcome,
     OutcomeEnsemble,
-    ProbingMatrix,
     basis_state,
     density_from_pure,
     maximally_mixed,
 )
-from decobs.processes import observe
 
 LN2 = math.log(2.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -164,10 +164,17 @@ class TestEntropy:
             assert entropy(maximally_mixed(dim), f) >= entropy(rho, f) - 1e-9
 
 
+def expected_branch_entropy(rho, probe) -> float:
+    """The von Neumann entropy of rho's observation branches, averaged: the lhs of the campaign's observation row."""
+    cfg = CampaignConfig("verify-s-theorems", functionals=("von-neumann",))
+    columns, _, _ = evaluate_s_theorems(cfg, range(1), (rho[None], probe[None]))
+    assert columns["side"][0] == "observation"
+    return float(columns["lhs"][0])
+
+
 class TestExpectedEntropy:
     def test_pure_outcomes_give_zero(self):
-        ens = observe(DensityMatrix(np.full((2, 2), 0.5)), ProbingMatrix(np.eye(2)))
-        assert expected_entropy(ens, von_neumann()) == 0.0
+        assert expected_branch_entropy(np.full((2, 2), 0.5), np.eye(2)) == 0.0
 
     def test_zero_probability_skips_sentinel(self):
         ens = OutcomeEnsemble(
@@ -180,9 +187,8 @@ class TestExpectedEntropy:
         assert expected_entropy(ens, log_det()) == pytest.approx(-2.0 * LN2)
 
     def test_probing_preserves_purity_of_plus(self):
-        probe = ProbingMatrix(np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]]))
-        ens = observe(DensityMatrix(np.full((2, 2), 0.5)), probe)
-        assert expected_entropy(ens, von_neumann()) == pytest.approx(0.0, abs=1e-12)
+        probe = np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]])
+        assert expected_branch_entropy(np.full((2, 2), 0.5), probe) == pytest.approx(0.0, abs=1e-12)
 
     def test_weighted_average(self):
         ens = OutcomeEnsemble(

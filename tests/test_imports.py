@@ -21,16 +21,15 @@ EXPORTS = {
         "linear", "log_det", "parse_functional", "renyi", "to_bits", "von_neumann",
     ),
     "errors": ("ValidationError",),
-    "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "schur_product", "tensor_product"),
+    "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "tensor_product"),
     "povm": (
         "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2", "is_purity_preserving",
         "probing_as_povm", "purify_ancilla",
     ),
-    "processes": ("decohere", "ensemble_average", "luders", "observe", "probing_joint_unitary", "response_gram"),
+    "processes": ("ensemble_average", "luders", "probing_joint_unitary"),
     "states": (
-        "DensityMatrix", "GramMatrix", "Outcome", "OutcomeEnsemble", "ProbingMatrix", "ProjectorSet", "PureState",
-        "basis_state", "density_from_pure", "diagonal_projector_partition", "gram_from_projectors",
-        "gram_from_vectors", "maximally_mixed",
+        "DensityMatrix", "GramMatrix", "Outcome", "OutcomeEnsemble", "ProjectorSet", "PureState", "basis_state",
+        "density_from_pure", "diagonal_projector_partition", "gram_from_projectors", "maximally_mixed",
     ),
 }
 

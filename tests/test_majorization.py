@@ -21,6 +21,7 @@ from decobs.states import (
     diagonal_projector_partition,
     maximally_mixed,
 )
+from decobs.stacks import gram_from_unit_rows
 from decobs.tolerances import INEQUALITY_TOL
 
 LN2 = math.log(2.0)
@@ -142,7 +143,9 @@ class TestDominanceKernel:
         for trial in range(cfg.trials):
             rng = sampling.trial_stream(seed, trial)
             rho = states.random_density(dim, rng)
-            lam_schur, _ = schur_dominance(rho.spectrum, rho.mat * states.random_gram(dim, response_dim, rng).mat)
+            responses = sampling.pure_from_normals(rng.standard_normal((dim, 2 * response_dim)), response_dim)
+            env = gram_from_unit_rows(responses)
+            lam_schur, _ = schur_dominance(rho.spectrum, rho.mat * env)
             pinch_input = states.random_density(dim, rng).mat
             partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
             lam, parts, lam_pinched, *_ = pinching_checks(pinch_input, partition)
@@ -181,8 +184,9 @@ class TestSchurMajorization:
     def test_random_campaign(self, dim, response_dim, seed):
         rng = np.random.default_rng(seed)
         rho = states.random_density(dim, rng)
-        env = states.random_gram(dim, response_dim, rng)
-        _, check = schur_dominance(rho.spectrum, rho.mat * env.mat)
+        responses = sampling.pure_from_normals(rng.standard_normal((dim, 2 * response_dim)), response_dim)
+        env = gram_from_unit_rows(responses)
+        _, check = schur_dominance(rho.spectrum, rho.mat * env)
         assert check.holds(INEQUALITY_TOL), check.margins
 
     def test_report_serializes(self):
@@ -401,7 +405,8 @@ class TestSpectraAreSolvedOnce:
 
     def test_schur_check_solves_only_the_product(self, solved):
         rng = np.random.default_rng(6)
-        rho, env = states.random_density(4, rng), states.random_gram(4, 4, rng)
+        rho = states.random_density(4, rng)
+        env = gram_from_unit_rows(sampling.pure_from_normals(rng.standard_normal((4, 8)), 4))
         solved[0] = 0
-        schur_dominance(rho.spectrum, rho.mat * env.mat)
+        schur_dominance(rho.spectrum, rho.mat * env)
         assert solved[0] == 1

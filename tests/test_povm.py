@@ -17,10 +17,10 @@ from decobs.povm import (
     probing_as_povm,
     purify_ancilla,
 )
-from decobs.processes import ensemble_average, observe
+from decobs.processes import ensemble_average
+from decobs.stacks import observe_stack
 from decobs.states import (
     DensityMatrix,
-    ProbingMatrix,
     ProjectorSet,
     basis_state,
     density_from_pure,
@@ -112,12 +112,12 @@ class TestProbingAsPovm:
         responses = [states.random_pure(d, rng) for _ in range(n)]
         rho = states.random_density(n, rng)
         lifted = apply_povm(rho, probing_as_povm(responses))
-        direct = observe(rho, ProbingMatrix(np.array([r.amp for r in responses])))
-        assert len(lifted) == len(direct)
-        for mine, reference in zip(lifted, direct):
-            assert abs(mine.probability - reference.probability) <= 1e-12
-            if reference.probability > 0:
-                assert matcore.max_abs(mine.state.mat - reference.state.mat) <= 1e-12
+        probs, branches = observe_stack(rho.mat, np.array([r.amp for r in responses]))
+        assert len(lifted) == len(probs)
+        for mine, probability, state in zip(lifted, probs, branches):
+            assert abs(mine.probability - probability) <= 1e-12
+            if probability > 0:
+                assert matcore.max_abs(mine.state.mat - state) <= 1e-12
 
     def test_orthonormal_responses_give_complete_readout(self):
         responses = [basis_state(2, 0), basis_state(2, 1)]

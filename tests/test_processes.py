@@ -3,27 +3,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, sampling, states
-from decobs.entropy import entropy, linear
+from decobs.entropy import entropies_of_spectra, linear
 from decobs.errors import ValidationError
-from decobs.processes import (
-    decohere,
-    ensemble_average,
-    luders,
-    observe,
-    probing_joint_unitary,
-    response_gram,
+from decobs.processes import luders, probing_joint_unitary
+from decobs.stacks import (
+    average_stack,
+    gram_from_unit_rows,
+    observe_stack,
+    response_gram_stack,
+    spectra_unchanged,
+    validate_probing_stack,
+    validate_stack,
 )
-from decobs.stacks import spectra_unchanged
 from decobs.states import (
     DensityMatrix,
     GramMatrix,
-    ProbingMatrix,
     ProjectorSet,
     basis_state,
     density_from_pure,
     diagonal_projector_partition,
     gram_from_projectors,
-    gram_from_vectors,
     maximally_mixed,
 )
 
@@ -37,119 +36,123 @@ def plus() -> DensityMatrix:
 
 def is_trivial_probing(rho, probe) -> bool:
     """The campaigns' triviality test of an observation: every live branch keeps the spectrum of rho."""
-    return all(spectra_unchanged(rho.spectrum, o.state.spectrum) for o in observe(rho, probe).live())
+    validate_probing_stack(probe)
+    probs, branches = observe_stack(rho.mat, probe)
+    return bool(spectra_unchanged(rho.spectrum, validate_stack(branches[probs > 0.0], "density")).all())
 
 
 def is_trivial_decoherence(rho, env) -> bool:
     """The campaigns' triviality test of a decoherence: rho o E keeps the spectrum of rho."""
-    return bool(spectra_unchanged(rho.spectrum, decohere(rho, env).spectrum))
+    return bool(spectra_unchanged(rho.spectrum, validate_stack(rho.mat * env.mat, "density")))
 
 
 class TestDecohere:
+    """Decoherence is the Schur product rho o E, formed as ``rho * env``."""
+
     def test_identity_overlap_reduces_to_diagonal(self):
-        out = decohere(plus(), GramMatrix(np.eye(2)))
-        assert np.array_equal(out.mat, np.eye(2) / 2.0)
+        out = plus().mat * GramMatrix(np.eye(2)).mat
+        assert np.array_equal(out, np.eye(2) / 2.0)
 
     def test_all_ones_overlap_changes_nothing(self):
         rho = states.random_density(4, np.random.default_rng(5))
-        out = decohere(rho, GramMatrix(np.ones((4, 4))))
-        assert matcore.max_abs(out.mat - rho.mat) == 0.0
+        out = rho.mat * GramMatrix(np.ones((4, 4))).mat
+        assert matcore.max_abs(out - rho.mat) == 0.0
 
     def test_partial_suppression(self):
         env = GramMatrix(np.array([[1.0, 0.6], [0.6, 1.0]]))
-        out = decohere(plus(), env)
-        assert matcore.max_abs(out.mat - np.array([[0.5, 0.3], [0.3, 0.5]])) <= 1e-15
+        out = plus().mat * env.mat
+        assert matcore.max_abs(out - np.array([[0.5, 0.3], [0.3, 0.5]])) <= 1e-15
 
     @given(dim=dims, seed=seeds)
     def test_trace_preserved(self, dim, seed):
         rng = np.random.default_rng(seed)
         rho = states.random_density(dim, rng)
-        env = states.random_gram(dim, dim, rng)
-        assert abs(np.trace(decohere(rho, env).mat) - 1.0) <= 1e-12
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError) as err:
-            decohere(plus(), GramMatrix(np.eye(3)))
-        assert err.value.invariant == "equal-shape"
+        env = gram_from_unit_rows(sampling.pure_from_normals(rng.standard_normal((dim, 2 * dim)), dim))
+        assert abs(np.trace(rho.mat * env) - 1.0) <= 1e-12
 
 
 class TestObserve:
+    """Observation is ``observe_stack`` on one state and one probing."""
+
     def test_identity_probing_produces_basis_states(self):
-        ens = observe(plus(), ProbingMatrix(np.eye(2)))
-        assert [o.probability for o in ens] == pytest.approx([0.5, 0.5])
-        assert np.allclose(ens.outcomes[0].state.mat, [[1, 0], [0, 0]])
-        assert np.allclose(ens.outcomes[1].state.mat, [[0, 0], [0, 1]])
+        probs, branches = observe_stack(plus().mat, np.eye(2))
+        assert probs.tolist() == pytest.approx([0.5, 0.5])
+        assert np.allclose(branches[0], [[1, 0], [0, 0]])
+        assert np.allclose(branches[1], [[0, 0], [0, 1]])
 
     def test_deterministic_input_is_unchanged(self):
         rho = density_from_pure(basis_state(2, 0))
-        probe = states.random_probing(2, 3, np.random.default_rng(11))
-        for outcome in observe(rho, probe).live():
-            assert matcore.max_abs(outcome.state.mat - rho.mat) <= 1e-12
+        probe = sampling.probing_from_normals(np.random.default_rng(11).standard_normal(12), 2, 3)
+        probs, branches = observe_stack(rho.mat, probe)
+        for state in branches[probs > 0.0]:
+            assert matcore.max_abs(state - rho.mat) <= 1e-12
 
     def test_componentwise_update(self):
         # evaluated from p_k = sum_i rho_ii |S_ik|^2, rho_ij S_ik S_jk^*/p_k
-        probe = ProbingMatrix(np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]]))
-        ens = observe(plus(), probe)
-        assert [o.probability for o in ens] == pytest.approx([0.75, 0.25])
+        probe = np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]])
+        validate_probing_stack(probe)
+        probs, branches = observe_stack(plus().mat, probe)
+        assert probs.tolist() == pytest.approx([0.75, 0.25])
         r2over3 = np.sqrt(2.0) / 3.0
         expected_first = np.array([[2.0 / 3.0, r2over3], [r2over3, 1.0 / 3.0]])
-        assert matcore.max_abs(ens.outcomes[0].state.mat - expected_first) <= 1e-12
-        assert matcore.max_abs(ens.outcomes[1].state.mat - np.array([[0.0, 0.0], [0.0, 1.0]])) <= 1e-12
+        assert matcore.max_abs(branches[0] - expected_first) <= 1e-12
+        assert matcore.max_abs(branches[1] - np.array([[0.0, 0.0], [0.0, 1.0]])) <= 1e-12
 
     def test_dead_branch_is_clamped(self):
-        probe = ProbingMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        ens = observe(maximally_mixed(2), probe)
-        assert ens.outcomes[1].probability == 0.0
-        assert ens.outcomes[1].state is None
+        probe = np.array([[1.0, 0.0], [1.0, 0.0]])
+        validate_probing_stack(probe)
+        probs, branches = observe_stack(maximally_mixed(2).mat, probe)
+        assert probs[1] == 0.0
+        # a dead branch's state is undefined (0/0), and the kernel gives it all zeros
+        assert not branches[1].any()
 
     @given(dim=dims, m=st.integers(1, 8), seed=seeds)
     def test_probabilities_sum_to_one(self, dim, m, seed):
         rng = np.random.default_rng(seed)
-        ens = observe(states.random_density(dim, rng), states.random_probing(dim, m, rng))
-        assert abs(sum(o.probability for o in ens) - 1.0) <= 1e-10
+        rho = states.random_density(dim, rng)
+        probs, _ = observe_stack(rho.mat, sampling.probing_from_normals(rng.standard_normal(2 * dim * m), dim, m))
+        assert abs(sum(probs.tolist()) - 1.0) <= 1e-10
 
     @given(dim=dims, m=st.integers(1, 8), seed=seeds)
     def test_purity_preserved_on_pure_inputs(self, dim, m, seed):
         rng = np.random.default_rng(seed)
         rho = density_from_pure(states.random_pure(dim, rng))
-        for outcome in observe(rho, states.random_probing(dim, m, rng)).live():
-            assert entropy(outcome.state, linear()) <= 1e-9
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError) as err:
-            observe(maximally_mixed(3), ProbingMatrix(np.eye(2)))
-        assert err.value.invariant == "probing-rows-match-state"
+        probe = sampling.probing_from_normals(rng.standard_normal(2 * dim * m), dim, m)
+        probs, branches = observe_stack(rho.mat, probe)
+        assert (entropies_of_spectra(validate_stack(branches[probs > 0.0], "density"), [linear()]) <= 1e-9).all()
 
 
 class TestResponseGram:
     def test_identity(self):
-        assert np.array_equal(response_gram(ProbingMatrix(np.eye(2))).mat, np.eye(2))
+        assert np.array_equal(response_gram_stack(np.eye(2)), np.eye(2))
 
     def test_identical_rows_give_all_ones(self):
         row = np.array([2**-0.5, 2**-0.5])
-        gram = response_gram(ProbingMatrix(np.array([row, row])))
-        assert matcore.max_abs(gram.mat - 1.0) <= 1e-12
+        gram = response_gram_stack(np.array([row, row]))
+        assert matcore.max_abs(GramMatrix(gram).mat - 1.0) <= 1e-12
 
     def test_row_overlaps(self):
-        probe = ProbingMatrix(np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]]))
+        probe = np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]])
         expected = np.array([[1.0, 2**-0.5], [2**-0.5, 1.0]])
-        assert matcore.max_abs(response_gram(probe).mat - expected) <= 1e-12
+        assert matcore.max_abs(GramMatrix(response_gram_stack(probe)).mat - expected) <= 1e-12
 
 
 class TestEnsembleAverage:
+    """The branch average of an observation, ``average_stack`` of what ``observe_stack`` gives."""
+
     def test_single_outcome(self):
         rho = states.random_density(3, np.random.default_rng(2))
-        ens = observe(rho, ProbingMatrix(np.ones((3, 1))))
-        assert matcore.max_abs(ensemble_average(ens).mat - rho.mat) <= 1e-14
+        averaged = average_stack(*observe_stack(rho.mat, np.ones((3, 1))))
+        assert matcore.max_abs(averaged - rho.mat) <= 1e-14
 
     @given(dim=dims, m=st.integers(1, 8), seed=seeds)
     def test_average_equals_decoherence_with_row_gram(self, dim, m, seed):
         rng = np.random.default_rng(seed)
         rho = states.random_density(dim, rng)
-        probe = states.random_probing(dim, m, rng)
-        averaged = ensemble_average(observe(rho, probe))
-        decohered = decohere(rho, response_gram(probe))
-        assert matcore.max_abs(averaged.mat - decohered.mat) <= 1e-12
+        probe = sampling.probing_from_normals(rng.standard_normal(2 * dim * m), dim, m)
+        averaged = average_stack(*observe_stack(rho.mat, probe))
+        decohered = rho.mat * response_gram_stack(probe)
+        assert matcore.max_abs(averaged - decohered) <= 1e-12
 
 
 class TestLuders:
@@ -176,8 +179,8 @@ class TestLuders:
         rho = states.random_density(dim, rng)
         partition = diagonal_projector_partition(sampling.random_block_sizes(dim, rng))
         pinched = luders(rho, partition)
-        schur_form = decohere(rho, gram_from_projectors(partition))
-        assert matcore.max_abs(pinched.mat - schur_form.mat) <= 1e-12
+        schur_form = rho.mat * gram_from_projectors(partition).mat
+        assert matcore.max_abs(pinched.mat - schur_form) <= 1e-12
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError) as err:
@@ -190,15 +193,15 @@ class TestVonNeumannReduce:
 
     def test_diagonal_unchanged(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]))
-        assert np.array_equal(decohere(rho, GramMatrix(np.eye(2))).mat, rho.mat)
+        assert np.array_equal(rho.mat * GramMatrix(np.eye(2)).mat, rho.mat)
 
     def test_plus_becomes_mixed(self):
-        assert np.array_equal(decohere(plus(), GramMatrix(np.eye(2))).mat, np.eye(2) / 2.0)
+        assert np.array_equal(plus().mat * GramMatrix(np.eye(2)).mat, np.eye(2) / 2.0)
 
     @given(dim=dims, seed=seeds)
     def test_keeps_diagonal_only(self, dim, seed):
         rho = states.random_density(dim, np.random.default_rng(seed))
-        out = decohere(rho, GramMatrix(np.eye(dim)))
+        out = DensityMatrix(rho.mat * GramMatrix(np.eye(dim)).mat)
         assert np.array_equal(out.mat.diagonal(), rho.mat.diagonal())
         assert matcore.max_abs(out.mat - np.diag(out.mat.diagonal())) == 0.0
 
@@ -211,21 +214,21 @@ class TestTriviality:
         theta = rng.uniform(0, 2 * np.pi, size=dim)
         phi = rng.uniform(0, 2 * np.pi, size=dim)
         mat = np.exp(1j * (theta[:, None] + phi[None, :])) / np.sqrt(dim)
-        assert is_trivial_probing(rho, ProbingMatrix(mat))
+        assert is_trivial_probing(rho, mat)
 
     def test_identity_probing_on_mixed_diagonal_is_nontrivial(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
-        assert not is_trivial_probing(rho, ProbingMatrix(np.eye(2)))
+        assert not is_trivial_probing(rho, np.eye(2))
 
     def test_identity_probing_on_pure_is_trivial(self):
-        assert is_trivial_probing(plus(), ProbingMatrix(np.eye(2)))
+        assert is_trivial_probing(plus(), np.eye(2))
 
     @given(dim=dims, seed=seeds)
     def test_diagonal_state_never_decoheres(self, dim, seed):
         rng = np.random.default_rng(seed)
         probs = sampling.random_simplex(dim, rng)
         rho = DensityMatrix(np.diag(probs))
-        env = states.random_gram(dim, dim, rng)
+        env = GramMatrix(gram_from_unit_rows(sampling.pure_from_normals(rng.standard_normal((dim, 2 * dim)), dim)))
         assert is_trivial_decoherence(rho, env)
 
     def test_all_ones_overlap_is_trivial(self):
@@ -271,8 +274,8 @@ class TestProbingJointUnitary:
         reference[0, 0] = 1.0
         evolved = joint @ matcore.tensor_product(rho.mat, reference) @ joint.conj().T
         reduced = matcore.partial_trace(evolved, n, d, keep="first")
-        expected = decohere(rho, gram_from_vectors(responses))
-        assert matcore.max_abs(reduced - expected.mat) <= 1e-12
+        expected = rho.mat * gram_from_unit_rows([response.amp for response in responses])
+        assert matcore.max_abs(reduced - expected) <= 1e-12
 
     @settings(max_examples=25)
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
@@ -282,22 +285,21 @@ class TestProbingJointUnitary:
         rng = np.random.default_rng(seed)
         responses = [states.random_pure(d, rng) for _ in range(n)]
         rho = states.random_density(n, rng)
-        probe = ProbingMatrix(np.array([r.amp for r in responses]))
-        ens = observe(rho, probe)
+        probs, branches = observe_stack(rho.mat, np.array([r.amp for r in responses]))
         joint = probing_joint_unitary(responses)
         reference = np.zeros((d, d), dtype=complex)
         reference[0, 0] = 1.0
         evolved = joint @ matcore.tensor_product(rho.mat, reference) @ joint.conj().T
         eye = np.eye(n, dtype=complex)
-        for k, outcome in enumerate(ens):
+        for k, (probability, state) in enumerate(zip(probs, branches)):
             pointer = np.zeros((d, d), dtype=complex)
             pointer[k, k] = 1.0
             projector = matcore.tensor_product(eye, pointer)
             block = matcore.partial_trace(projector @ evolved @ projector, n, d, keep="first")
             p = float(np.trace(block).real)
-            assert abs(p - outcome.probability) <= 1e-12
-            if outcome.probability > 0:
-                assert matcore.max_abs(block / p - outcome.state.mat) <= 1e-11
+            assert abs(p - probability) <= 1e-12
+            if probability > 0:
+                assert matcore.max_abs(block / p - state) <= 1e-11
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValidationError) as err:
@@ -322,12 +324,13 @@ class TestSpectraUnchanged:
     def test_is_trivial_functions_read_the_state_spectra(self, dim, seed):
         rng = np.random.default_rng(seed)
         rho = states.random_density(dim, rng)
-        env = states.random_gram(dim, dim, rng)
-        probe = states.random_probing(dim, dim, rng)
-        after = matcore.hermitian_spectrum(decohere(rho, env).mat)
+        env = GramMatrix(gram_from_unit_rows(sampling.pure_from_normals(rng.standard_normal((dim, 2 * dim)), dim)))
+        probe = sampling.probing_from_normals(rng.standard_normal(2 * dim * dim), dim, dim)
+        after = matcore.hermitian_spectrum(rho.mat * env.mat)
         reference = matcore.hermitian_spectrum(rho.mat)
         assert is_trivial_decoherence(rho, env) == bool(matcore.max_abs(after - reference) <= 1e-9)
-        branches = [matcore.hermitian_spectrum(o.state.mat) for o in observe(rho, probe).live()]
+        probs, states_after = observe_stack(rho.mat, probe)
+        branches = [matcore.hermitian_spectrum(state) for state in states_after[probs > 0.0]]
         expected = all(matcore.max_abs(lam - reference) <= 1e-9 for lam in branches)
         assert is_trivial_probing(rho, probe) == expected
 
@@ -340,5 +343,5 @@ class TestSpectraUnchanged:
     def test_probing_solves_only_the_live_branches(self, solved):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         solved[0] = 0
-        assert is_trivial_probing(rho, ProbingMatrix(np.ones((2, 3)) / np.sqrt(3.0)))
+        assert is_trivial_probing(rho, np.ones((2, 3)) / np.sqrt(3.0))
         assert solved[0] == 3

@@ -285,21 +285,22 @@ class TestOtherSamplers:
 
     @given(n=st.integers(1, 6), d=st.integers(1, 6), seed=seeds)
     def test_gram_entries_bounded(self, n, d, seed):
-        gram = states.random_gram(n, d, np.random.default_rng(seed))
-        assert np.all(np.abs(gram.mat) <= 1.0 + 1e-12)
+        rows = sampling.pure_from_normals(np.random.default_rng(seed).standard_normal((n, 2 * d)), d)
+        assert np.all(np.abs(stacks.gram_from_unit_rows(rows)) <= 1.0 + 1e-12)
 
     @given(n=st.integers(2, 6), seed=seeds)
     def test_phase_only_gram_is_rank_one(self, n, seed):
-        gram = states.random_gram(n, 1, np.random.default_rng(seed))
-        assert np.all(np.abs(np.abs(gram.mat) - 1.0) <= 1e-12)
-        lam = matcore.hermitian_spectrum(gram.mat)
+        rows = sampling.pure_from_normals(np.random.default_rng(seed).standard_normal((n, 2)), 1)
+        gram = stacks.gram_from_unit_rows(rows)
+        assert np.all(np.abs(np.abs(gram) - 1.0) <= 1e-12)
+        lam = matcore.hermitian_spectrum(gram)
         assert lam[0] == pytest.approx(n)
         assert matcore.max_abs(lam[1:]) <= 1e-9
 
     @given(n=st.integers(1, 6), m=st.integers(1, 6), seed=seeds)
     def test_probing_rows_unit(self, n, m, seed):
-        probe = states.random_probing(n, m, np.random.default_rng(seed))
-        norms = np.linalg.norm(probe.mat, axis=1)
+        probe = sampling.probing_from_normals(np.random.default_rng(seed).standard_normal(2 * n * m), n, m)
+        norms = np.linalg.norm(probe, axis=1)
         assert matcore.max_abs(norms - 1.0) <= 1e-10
 
     @given(dim=st.integers(1, 8), seed=seeds)
@@ -335,8 +336,8 @@ class TestOtherSamplers:
 
     @given(n=st.integers(2, 5), d=st.integers(1, 5), seed=seeds)
     def test_gram_sampler_output_validates(self, n, d, seed):
-        gram = states.random_gram(n, d, np.random.default_rng(seed))
-        GramMatrix(gram.mat)
+        rows = sampling.pure_from_normals(np.random.default_rng(seed).standard_normal((n, 2 * d)), d)
+        GramMatrix(stacks.gram_from_unit_rows(rows))
 
 
 def _gaussian(rng, shape):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from decobs import matcore, serialize, states
+from decobs import matcore, sampling, serialize, stacks, states
 from decobs.errors import ValidationError
 from decobs.povm import counterexample_1, probing_as_povm
 from decobs.states import basis_state
@@ -73,17 +73,19 @@ class TestTypedRoundTrips:
         assert matcore.max_abs(back.amp - v.amp) == 0.0
 
     def test_gram(self):
-        gram = states.random_gram(3, 2, np.random.default_rng(3))
+        rows = sampling.pure_from_normals(np.random.default_rng(3).standard_normal((3, 4)), 2)
+        gram = states.GramMatrix(stacks.gram_from_unit_rows(rows))
         back = states.GramMatrix(serialize.matrix_from_json(serialize.matrix_to_json(gram.mat)))
         assert matcore.max_abs(back.mat - gram.mat) == 0.0
 
     def test_probing(self):
         # a 2 x 3 probing: rows and columns are not interchangeable
-        probe = states.random_probing(2, 3, np.random.default_rng(4))
-        obj = serialize.matrix_to_json(probe.mat)
+        probe = sampling.probing_from_normals(np.random.default_rng(4).standard_normal(12), 2, 3)
+        obj = serialize.matrix_to_json(probe)
         assert (obj["rows"], obj["cols"]) == (2, 3)
-        back = states.ProbingMatrix(serialize.matrix_from_json(obj))
-        assert matcore.max_abs(back.mat - probe.mat) == 0.0
+        back = serialize.matrix_from_json(obj)
+        stacks.validate_probing_stack(back)
+        assert matcore.max_abs(back - probe) == 0.0
 
     def test_projector_set(self):
         partition = states.random_projector_partition(4, [1, 3], np.random.default_rng(5))

@@ -10,17 +10,18 @@ from decobs.states import (
     GramMatrix,
     Outcome,
     OutcomeEnsemble,
-    ProbingMatrix,
     ProjectorSet,
     PureState,
     basis_state,
     density_from_pure,
     diagonal_projector_partition,
     gram_from_projectors,
-    gram_from_vectors,
     maximally_mixed,
 )
-from decobs.stacks import unit_vector_norms, validate_projector_stack, validate_stack
+from decobs.sampling import probing_from_normals
+from decobs.stacks import (
+    gram_from_unit_rows, unit_vector_norms, validate_probing_stack, validate_projector_stack, validate_stack,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
@@ -99,18 +100,20 @@ class TestPurity:
 
 
 class TestGramFromVectors:
+    """The overlaps of unit vectors are ``gram_from_unit_rows`` of their amplitudes, as the campaigns form them."""
+
     def test_identical_vectors_give_all_ones(self):
         v = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        gram = gram_from_vectors([v, v, v])
+        gram = GramMatrix(gram_from_unit_rows([v.amp, v.amp, v.amp]))
         assert matcore.max_abs(gram.mat - 1.0) <= 1e-12
 
     def test_orthonormal_vectors_give_identity(self):
-        gram = gram_from_vectors([basis_state(3, i) for i in range(3)])
-        assert np.array_equal(gram.mat, np.eye(3))
+        gram = gram_from_unit_rows([basis_state(3, i).amp for i in range(3)])
+        assert np.array_equal(gram, np.eye(3))
 
     def test_overlap_pair(self):
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        gram = gram_from_vectors([basis_state(2, 0), plus])
+        gram = GramMatrix(gram_from_unit_rows([basis_state(2, 0).amp, plus.amp]))
         expected = np.array([[1.0, 2**-0.5], [2**-0.5, 1.0]])
         assert matcore.max_abs(gram.mat - expected) <= 1e-12
 
@@ -118,13 +121,8 @@ class TestGramFromVectors:
     def test_always_validates(self, count, dim, seed):
         rng = np.random.default_rng(seed)
         vectors = [states.random_pure(dim, rng) for _ in range(count)]
-        gram = gram_from_vectors(vectors)
+        gram = GramMatrix(gram_from_unit_rows([v.amp for v in vectors]))
         assert gram.dim == count
-
-    def test_rejects_mixed_dims(self):
-        with pytest.raises(ValidationError) as err:
-            gram_from_vectors([basis_state(2, 0), basis_state(3, 0)])
-        assert err.value.invariant == "gram-vectors-same-dim"
 
 
 class TestGramFromProjectors:
@@ -188,22 +186,26 @@ class TestProjectorSet:
 
 
 class TestProbingMatrix:
+    """A probing is a plain (n, m) array, checked by ``validate_probing_stack``."""
+
     def test_accepts_unit_rows(self):
-        ProbingMatrix(np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]]))
+        validate_probing_stack(np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]]))
 
     def test_rejects_bad_row(self):
         with pytest.raises(ValidationError) as err:
-            ProbingMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+            validate_probing_stack(np.array([[1.0, 1.0], [1.0, 0.0]]))
         assert err.value.invariant == "probing-unit-rows"
 
     @given(n=dims, m=st.integers(1, 6), seed=seeds)
     def test_row_gram_validates(self, n, m, seed):
-        probe = states.random_probing(n, m, np.random.default_rng(seed))
-        GramMatrix(probe.mat @ probe.mat.conj().T)
+        probe = probing_from_normals(np.random.default_rng(seed).standard_normal(2 * n * m), n, m)
+        validate_probing_stack(probe)
+        GramMatrix(probe @ probe.conj().T)
 
     def test_rectangular_allowed(self):
-        probe = states.random_probing(3, 5, np.random.default_rng(1))
-        assert probe.n_object == 3 and probe.n_perception == 5
+        probe = probing_from_normals(np.random.default_rng(1).standard_normal(30), 3, 5)
+        validate_probing_stack(probe)
+        assert probe.shape == (3, 5)
 
 
 class TestOutcomeEnsemble:
