@@ -390,9 +390,8 @@ def _check_stacks(trials: range, *forms: tuple) -> None:
     for stack, axes in forms:
         if axes == "p":
             for sizes in stack:
-                if not (hasattr(sizes, "__len__") and len(sizes)) or not all(
-                    isinstance(s, integers) and s > 0 for s in sizes
-                ):
+                sized = hasattr(sizes, "__len__") and len(sizes) > 0
+                if not (sized and all(isinstance(s, integers) and s > 0 for s in sizes)):
                     raise ValidationError("positive-block-sizes", detail=f"{sizes}")
             lengths.add(len(stack))
             dims.update(sum(sizes) for sizes in stack)
