@@ -2,25 +2,26 @@
 
 import numpy as np
 
-from decobs.entropy import entropy, expected_entropy, to_bits, von_neumann
+from decobs.entropy import entropies_of_spectra, entropy, expected_entropy_stack, to_bits, von_neumann
 from decobs.povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
-from decobs.processes import ensemble_average
+from decobs.stacks import average_stack
+from decobs.states import DensityMatrix
 
 
 def show(name, measurement, initial, broken_side):
     vn = von_neumann()
-    ensemble = apply_povm(initial, measurement)
+    probs, states, spectra = apply_povm(initial, measurement)
+    live = probs > 0
     before = entropy(initial, vn)
-    after_observation = expected_entropy(ensemble, vn)
-    after_average = entropy(ensemble_average(ensemble), vn)
+    after_observation = float(expected_entropy_stack(probs[live], entropies_of_spectra(spectra, (vn,))[0]))
+    after_average = entropy(DensityMatrix(average_stack(probs[live], states[live])), vn)
 
     print(f"=== {name} (breaks the {broken_side} inequality) ===")
     print(f"input state:\n{np.array_str(initial.mat, precision=3, suppress_small=True)}")
-    print(f"branch probabilities: {[round(o.probability, 12) for o in ensemble]}")
-    for k, outcome in enumerate(ensemble):
-        if outcome.probability > 0:
-            mat = np.array_str(outcome.state.mat, precision=3, suppress_small=True)
-            print(f"branch {k}:\n{mat}")
+    print(f"branch probabilities: {[round(p, 12) for p in probs.tolist()]}")
+    for k in np.flatnonzero(live).tolist():
+        mat = np.array_str(states[k], precision=3, suppress_small=True)
+        print(f"branch {k}:\n{mat}")
     print(f"entropy before:                {before:.6f} nats ({to_bits(before):.3f} bits)")
     print(f"expected entropy (observation): {after_observation:.6f} nats ({to_bits(after_observation):.3f} bits)")
     print(f"entropy of average (decoherence): {after_average:.6f} nats ({to_bits(after_average):.3f} bits)")

@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 #: The home module of each name the package exports.
 _EXPORTS = {
     "entropy": (
-        "EntropyFunctional", "builtin_functionals", "entropy", "entropy_of_spectrum", "expected_entropy",
-        "linear", "log_det", "parse_functional", "renyi", "to_bits", "von_neumann",
+        "EntropyFunctional", "builtin_functionals", "entropy", "entropy_of_spectrum", "linear", "log_det",
+        "parse_functional", "renyi", "to_bits", "von_neumann",
     ),
     "errors": ("ValidationError",),
     "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "tensor_product"),
@@ -36,11 +36,10 @@ _EXPORTS = {
         "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2",
         "is_purity_preserving", "probing_as_povm", "purify_ancilla",
     ),
-    "processes": ("ensemble_average", "luders", "probing_joint_unitary"),
+    "processes": ("luders", "probing_joint_unitary"),
     "states": (
-        "DensityMatrix", "GramMatrix", "Outcome", "OutcomeEnsemble", "ProjectorSet", "PureState",
-        "basis_state", "density_from_pure", "diagonal_projector_partition", "gram_from_projectors",
-        "maximally_mixed",
+        "DensityMatrix", "GramMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure",
+        "diagonal_projector_partition", "gram_from_projectors", "maximally_mixed",
     ),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -39,7 +39,10 @@ worker's walk them.
 The seeded campaigns call the kernel layer only (:mod:`decobs.stacks`,
 :mod:`decobs.sampling`, :mod:`decobs.entropy`, :mod:`decobs.majorization`),
 so importing this module loads no value type.  ``counterexample`` and
-``povm-classify`` load the value layer inside their ``run_*`` functions.
+``povm-classify`` load the value layer inside their ``run_*`` functions;
+``counterexample`` gets its measurement's branches as stacks
+(:func:`~decobs.povm.apply_povm`), and averages and evaluates them with the
+seeded campaigns' kernels and their :func:`_entropy_table`.
 """
 
 from __future__ import annotations
@@ -57,9 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import matcore, sampling
-from .entropy import (
-    entropies_of_spectra, entropy, expected_entropy, expected_entropy_stack, parse_functional, to_bits, von_neumann,
-)
+from .entropy import entropies_of_spectra, expected_entropy_stack, parse_functional, to_bits, von_neumann
 from .errors import ValidationError
 from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
 from .stacks import (
@@ -67,7 +68,7 @@ from .stacks import (
     observe_stack, pinch, response_gram_stack, spectra_unchanged, validate_probing_stack, validate_projector_stack,
     validate_stack,
 )
-from .tolerances import CONSISTENCY_TOL, NEAR_TRIVIAL_MARGIN, SINGULAR_SKIP, ZERO_PROBABILITY
+from .tolerances import CONSISTENCY_TOL, NEAR_TRIVIAL_MARGIN, SINGULAR_SKIP
 
 if TYPE_CHECKING:
     from .cli import CampaignConfig
@@ -381,13 +382,15 @@ def _check_stacks(trials: range, *forms: tuple) -> None:
     entry per trial, ``d`` the dim, and any other letter any number.  The
     axes ``p`` mark a list of block sizes, one partition of the dim per
     trial, each a non-empty sequence of positive integers, or
-    "positive-block-sizes" is raised.  A stack of the wrong rank, or dims
-    that disagree, raise "stacks-same-dim"; ``n`` axes that do not hold
-    ``len(trials)`` raise "stacks-same-trials".
+    "positive-block-sizes" is raised.  A form with a third entry, an axis
+    letter, marks mixture sizes: ``(sizes, "n", "s")`` holds integers from 1
+    to the length of the ``s`` axis, or "mixture-sizes" is raised.  A stack
+    of the wrong rank, or dims that disagree, raise "stacks-same-dim"; ``n``
+    axes that do not hold ``len(trials)`` raise "stacks-same-trials".
     """
-    lengths, dims = set(), set()
+    lengths, dims, named, bounded = set(), set(), {}, []
     integers = (int, np.integer)
-    for stack, axes in forms:
+    for stack, axes, *bound in forms:
         if axes == "p":
             for sizes in stack:
                 sized = hasattr(sizes, "__len__") and len(sizes) > 0
@@ -401,10 +404,16 @@ def _check_stacks(trials: range, *forms: tuple) -> None:
             raise ValidationError("stacks-same-dim", detail=f"a stack of shape {shape}, not ({', '.join(axes)})")
         lengths.update(n for n, axis in zip(shape, axes) if axis == "n")
         dims.update(n for n, axis in zip(shape, axes) if axis == "d")
+        named.update(zip(axes, shape))
+        if bound:
+            bounded.append((np.asarray(stack), *bound))
     if lengths != {len(trials)}:
         raise ValidationError("stacks-same-trials", detail=f"{len(trials)} trials, stacks of {sorted(lengths)}")
     if len(dims) > 1:
         raise ValidationError("stacks-same-dim", detail=f"dims {sorted(dims)}")
+    for sizes, axis in bounded:
+        if not (np.issubdtype(sizes.dtype, np.integer) and ((sizes >= 1) & (sizes <= named[axis])).all()):
+            raise ValidationError("mixture-sizes", detail=f"{sizes.tolist()} in {named[axis]} slots")
 
 
 def _finite(stack: np.ndarray) -> np.ndarray:
@@ -647,7 +656,7 @@ def evaluate_holevo(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     """The row columns of ``trials``, from the mixtures :func:`sample_holevo` draws for them."""
     sizes, probs, drawn = stacks
     del stacks
-    _check_stacks(trials, (sizes, "n"), (probs, "ns"), (drawn, "kdd"))
+    _check_stacks(trials, (sizes, "n", "s"), (probs, "ns"), (drawn, "kdd"))
     drawn = np.asarray(drawn, dtype=complex)
     functionals = [parse_functional(text) for text in cfg.functionals]
     present = np.arange(probs.shape[-1]) < sizes[:, None]
@@ -751,13 +760,16 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
     Hard checks (all to CONSISTENCY_TOL): branch probabilities, live branch
     states, and the von Neumann entropy jump; plus the purity-preservation
     classification and the identity of the violated side.  The selected
-    functional's entropies are reported alongside.
+    functional's entropies are reported alongside; it must be exactly one,
+    since the report's entropy fields name one.  The measurement's branch
+    stacks are averaged and evaluated by the seeded campaigns' kernels.
     """
     from .povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
-    from .processes import ensemble_average
 
     if len(cfg.functionals) > 1:
         raise ValueError("counterexample takes at most one --entropy")
+    if not cfg.functionals:
+        raise ValueError("counterexample needs one entropy functional, and none was given")
     functional = parse_functional(cfg.functionals[0])
     vn = von_neumann()
     if cfg.which == 1:
@@ -776,42 +788,39 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
         violated_side = "decoherence"
         expected_before_vn, expected_jump_vn = math.log(2.0), 0.0
 
-    ensemble = apply_povm(initial, measurement)
-    average = ensemble_average(ensemble)
-    probabilities = [outcome.probability for outcome in ensemble]
+    probs, states, spectra = apply_povm(initial, measurement)
+    live = probs > 0.0
+    lam_avg = validate_stack(average_stack(probs[live], states[live]), "density")
+    probabilities = probs.tolist()
     prob_residual = max(abs(p - e) for p, e in zip(probabilities, expected_probs))
-    outcome_residual = max(
-        matcore.max_abs(outcome.state.mat - expected_state)
-        for outcome in ensemble
-        if outcome.probability > ZERO_PROBABILITY
-    )
+    outcome_residual = matcore.max_abs(states[live] - expected_state)
     purity_preserving = is_purity_preserving(measurement)
 
+    # von Neumann first, then the selected functional unless it is von Neumann
     used = [vn] if functional == vn else [vn, functional]
-    entropies = {f.label: (entropy(initial, f), expected_entropy(ensemble, f), entropy(average, f)) for f in used}
-    before, after, of_average = np.array(list(entropies.values())).T
+    table, expected = _entropy_table(used, (initial.spectrum[None], lam_avg[None]), spectra, probs[None])
+    before, after, of_average = table[:, 0].tolist(), expected[:, 0].tolist(), table[:, 1].tolist()
     # per functional: observation (expected after <= before), then decoherence (before <= of average)
     sides = ["observation", "decoherence"]
     columns = _entropy_rows(_grid_rows(
-        (len(used), 2), trial=0, functional=np.array(list(entropies))[:, None], side=np.array(sides),
+        (len(used), 2), trial=0, functional=np.array([f.label for f in used])[:, None], side=np.array(sides),
         lhs=np.stack((after, before), axis=-1), rhs=np.stack((before, of_average), axis=-1),
     ), cfg.tol)
 
-    before_vn, expected_vn, average_vn = entropies[vn.label]
     # the measured quantity on the violated side, against the initial entropy
-    jump_value = expected_vn if cfg.which == 1 else average_vn
+    jump_value = after[0] if cfg.which == 1 else of_average[0]
     observed_violation = next((side for side, bad in zip(sides, columns["violation"][:2]) if bad), None)
     checks = [
         _exact_check("probabilities", prob_residual),
         _exact_check("outcome-states", outcome_residual),
-        _exact_check("entropy-before", abs(before_vn - expected_before_vn)),
+        _exact_check("entropy-before", abs(before[0] - expected_before_vn)),
         _exact_check("entropy-jump", abs(jump_value - expected_jump_vn)),
         _exact_check("purity-preserving-classification", float(purity_preserving != expected_purity_preserving)),
         _exact_check("violated-side", float(observed_violation != violated_side)),
     ]
 
     flags = {"which": cfg.which, "entropy": functional.label, "tol": cfg.tol, "units": cfg.units}
-    shown = _shown(flags, entropies[functional.label])
+    shown = _shown(flags, (before[-1], after[-1], of_average[-1]))
     fields = {
         "probabilities": probabilities,
         "expected_probabilities": expected_probs,

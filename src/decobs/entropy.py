@@ -27,7 +27,7 @@ from .tolerances import SINGULAR_EIGENVALUE, SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TO
 
 if TYPE_CHECKING:
     # annotations only: the campaigns evaluate spectra and load no value type
-    from .states import DensityMatrix, OutcomeEnsemble
+    from .states import DensityMatrix
 
 #: Sentinel returned by the log-det functional on singular spectra.  Any
 #: finite entropy exceeds it; comparisons with it on the smaller side of an
@@ -202,8 +202,9 @@ def expected_entropy_stack(probs, entropies) -> np.ndarray:
 
     Dead branches (p_k at or below the zero threshold) contribute exactly 0,
     whatever their entropy slot holds (the -inf sentinel, or nothing
-    meaningful).  The terms are added in k order, one branch at a time, as
-    :func:`expected_entropy` accumulates them.
+    meaningful).  The terms are added in k order, one branch at a time.
+    This is the expected entropy of every campaign, ``counterexample``
+    included, through ``campaigns._entropy_table``.
     """
     probs = np.asarray(probs, dtype=float)
     with np.errstate(invalid="ignore"):
@@ -214,20 +215,6 @@ def expected_entropy_stack(probs, entropies) -> np.ndarray:
 def entropy(rho: DensityMatrix, functional: EntropyFunctional) -> float:
     """S(rho) = sum_i h(lambda_i) over the eigenvalues of rho."""
     return entropy_of_spectrum(rho.spectrum, functional)
-
-
-def expected_entropy(ensemble: OutcomeEnsemble, functional: EntropyFunctional) -> float:
-    """Probability-weighted entropy over the live branches of an ensemble.
-
-    Zero-probability branches contribute exactly 0 even when their entropy
-    would be the -inf sentinel.
-    """
-    probs = [outcome.probability for outcome in ensemble]
-    entropies = [
-        entropy(outcome.state, functional) if outcome.probability > ZERO_PROBABILITY else 0.0
-        for outcome in ensemble
-    ]
-    return float(expected_entropy_stack(probs, entropies))
 
 
 def to_bits(value):

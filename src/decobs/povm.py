@@ -2,9 +2,12 @@
 
 A measurement is specified by an ancilla state, a joint unitary on
 object (x) ancilla (object factor first), and a complete orthogonal set of
-joint projectors.  Applying it projects the evolved joint state on each
-branch, traces out the ancilla, and normalizes, for a pure or a mixed
-ancilla alike.
+joint projectors.  Applying it projects the evolved joint state on every
+branch at once, traces out the ancilla, and normalizes, for a pure or a
+mixed ancilla alike.  It returns branch stacks, as
+:func:`~decobs.stacks.observe_stack` does for a probing, so the
+``counterexample`` campaign checks and averages them with the campaigns'
+own kernels.
 
 Purity preservation is a structural property of the joint projectors: the map
 sends every pure state to pure branch states exactly when each projector is
@@ -28,10 +31,9 @@ import numpy as np
 
 from . import matcore, processes, sampling
 from .errors import ValidationError
+from .stacks import clean_probabilities, validate_stack
 from .states import (
     DensityMatrix,
-    Outcome,
-    OutcomeEnsemble,
     ProjectorSet,
     PureState,
     basis_state,
@@ -101,32 +103,42 @@ def purify_ancilla(ancilla_state: DensityMatrix) -> PureState:
     return PureState(amp / np.linalg.norm(amp))
 
 
-def apply_povm(rho: DensityMatrix, measurement: Povm) -> OutcomeEnsemble:
-    """Measure rho: evolve rho (x) ancilla by the joint unitary, project each
-    branch, trace out the ancilla, and normalize.
+def apply_povm(rho: DensityMatrix, measurement: Povm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure rho: evolve rho (x) ancilla by the joint unitary, project it on
+    every branch, trace out the ancilla, and normalize.
 
     Branch k is Tr_anc[P_k U (rho (x) sigma) U^dagger P_k] / p_k for the
     ancilla state sigma, pure or mixed, with p_k the trace of the reduced
-    matrix; branches at or below the zero threshold keep p = 0 and no state.
+    matrix.  Returns the branch stacks as :func:`~decobs.stacks.observe_stack`
+    does: the probabilities, shape (k,), checked and cleaned by
+    :func:`~decobs.stacks.clean_probabilities`; the states, shape (k, n, n),
+    with p_k exactly 0 and an all-zero state for each dead branch (p_k at or
+    below the zero threshold); and the spectra of the live branches, in k
+    order, which :func:`~decobs.stacks.validate_stack` solves as it checks
+    them as density matrices.
+
+    All branches are built at once, each rounded as the one-projector
+    ``P @ evolved @ P`` and partial trace round it.
     """
     if rho.dim != measurement.object_dim:
         raise ValidationError(
             "state-object-dim",
             detail=f"state dim {rho.dim}, object dim {measurement.object_dim}",
         )
+    n, d = rho.dim, measurement.ancilla_dim
     unitary = measurement.joint_unitary
     joint = matcore.tensor_product(rho.mat, measurement.ancilla_state.mat)
     evolved = unitary @ joint @ unitary.conj().T
-    outcomes = []
-    for projector in measurement.joint_projectors:
-        projected = projector @ evolved @ projector
-        reduced = matcore.partial_trace(projected, rho.dim, measurement.ancilla_dim, keep="first")
-        p = float(np.trace(reduced).real)
-        if p <= ZERO_PROBABILITY:
-            outcomes.append(Outcome(0.0, None))
-        else:
-            outcomes.append(Outcome(p, DensityMatrix(reduced / p)))
-    return OutcomeEnsemble(tuple(outcomes))
+    projectors = np.array(measurement.joint_projectors.projectors)
+    projected = projectors @ evolved @ projectors
+    reduced = np.einsum("...ikjk->...ij", projected.reshape(-1, n, d, n, d))
+    probs = reduced.trace(axis1=-2, axis2=-1).real
+    live = probs > ZERO_PROBABILITY
+    probs[~live] = 0.0
+    states = np.zeros_like(reduced)
+    states[live] = reduced[live] / probs[live, None, None]
+    spectra = validate_stack(states[live], "density")
+    return clean_probabilities(probs), states, spectra
 
 
 def ancilla_factors(measurement: Povm) -> list[np.ndarray] | None:

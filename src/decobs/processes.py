@@ -1,12 +1,12 @@
-"""Ensemble averages, Lüders pinching and the unitary dilation of a probing, on value types.
+"""Lüders pinching and the unitary dilation of a probing, on value types.
 
 The two maps of the paper live in :mod:`decobs.stacks`, which the campaigns
 run on whole stacks: observation is :func:`~decobs.stacks.observe_stack`,
 and decoherence is the entrywise product ``rho * G`` with the Gram matrix of
 :func:`~decobs.stacks.response_gram_stack`.  Averaging the observation
-branches reproduces decoherence, so the two maps are two faces of one
-interaction.  The average and the pinching here are the kernels
-``average_stack`` and ``pinch`` called on one item.
+branches (:func:`~decobs.stacks.average_stack`) reproduces decoherence, so
+the two maps are two faces of one interaction.  The pinching here is the
+kernel ``pinch`` called on one item.
 """
 
 from __future__ import annotations
@@ -16,18 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .stacks import average_stack, pinch
-from .states import DensityMatrix, OutcomeEnsemble, ProjectorSet, PureState
+from .stacks import pinch
+from .states import DensityMatrix, ProjectorSet, PureState
 from .tolerances import SPAN_TOL
-
-
-def ensemble_average(ensemble: OutcomeEnsemble) -> DensityMatrix:
-    """Probability-weighted average sum_k p_k rho_k of the live branches."""
-    live = ensemble.live()
-    if not live:
-        raise ValidationError("ensemble-has-live-outcome")
-    probs = [outcome.probability for outcome in live]
-    return DensityMatrix(average_stack(probs, np.stack([outcome.state.mat for outcome in live])))
 
 
 def luders(rho: DensityMatrix, projectors: ProjectorSet) -> DensityMatrix:

@@ -257,15 +257,15 @@ def validate_projector_stack(mats) -> None:
         _raise_projector_error(flat[first])
 
 
-def clean_probabilities(probs, missing=None) -> np.ndarray:
-    """Run the ``OutcomeEnsemble`` probability checks on a (..., m) stack.
+def clean_probabilities(probs) -> np.ndarray:
+    """Run the branch probability checks on a (..., m) stack.
 
-    Each row is one ensemble's branch probabilities.  Every entry must be
+    Each row is one ensemble's branch probabilities: a probing's or a
+    measurement's branches, or a mixture's weights.  Every entry must be
     finite and not below -NEGATIVE_PROBABILITY_TOL; entries at or below
-    ZERO_PROBABILITY become exactly 0 (dead branches).  ``missing`` marks
-    branches without a state, which must be dead.  Each row must sum to one
-    within PROBABILITY_SUM_TOL, added left to right over k.  The tolerances
-    are those of :mod:`decobs.tolerances`.
+    ZERO_PROBABILITY become exactly 0 (dead branches).  Each row must sum to
+    one within PROBABILITY_SUM_TOL, added left to right over k.  The
+    tolerances are those of :mod:`decobs.tolerances`.
 
     Returns the cleaned probabilities.  A failing stack raises the error of
     its first failing row, in the scalar order of checks.
@@ -274,8 +274,6 @@ def clean_probabilities(probs, missing=None) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         cleaned = np.where(p <= ZERO_PROBABILITY, 0.0, p)
         entry_failed = ~np.isfinite(p) | (p < -NEGATIVE_PROBABILITY_TOL)
-        if missing is not None:
-            entry_failed |= np.asarray(missing, dtype=bool) & (cleaned > ZERO_PROBABILITY)
         residual = np.abs(matcore.sequential_sum(cleaned) - 1.0)
         failed = entry_failed.any(axis=-1) | (residual > PROBABILITY_SUM_TOL)
     if failed.any():
@@ -288,8 +286,6 @@ def clean_probabilities(probs, missing=None) -> np.ndarray:
                 raise ValidationError(
                     "outcome-probability-nonnegative", residual=float(-value), detail=f"outcome {idx}"
                 )
-            if entry_failed.reshape(failed.size, row.size)[first, idx]:
-                raise ValidationError("outcome-state-missing", detail=f"outcome {idx} has p={float(value)}")
         raise ValidationError("probabilities-sum-to-one", residual=float(residual.flat[first]))
     return cleaned
 
@@ -391,9 +387,9 @@ def observe_stack(rhos, probes) -> tuple[np.ndarray, np.ndarray]:
 def average_stack(probs, states, out=None) -> np.ndarray:
     """Probability-weighted sums sum_k p_k rho_k over a (..., m, d, d) branch stack.
 
-    The sum runs over k in order, one branch at a time, as
-    ``processes.ensemble_average`` adds up the live branches; dead branches
-    (p_k = 0, finite state) add exact zeros.  With ``out``, a complex
+    The sum runs over k in order, one branch at a time; dead branches
+    (p_k = 0, finite state) add exact zeros, so the sum over a stack's live
+    branches alone has the same bits.  With ``out``, a complex
     (..., d, d) array, the branches are added to it in place and it is
     returned, so a branch stack cut along k into consecutive pieces sums,
     piece after piece from zeros, to the bits of the whole stack's sums.

@@ -1,4 +1,4 @@
-"""Validated value types for states and measurement data, and their samplers.
+"""Validated value types for states, overlaps and projector families, and their samplers.
 
 Construction performs full invariant checking; instances hold read-only
 arrays and can be shared freely between threads.  A failed check raises a
@@ -12,7 +12,8 @@ use the kernels and transforms directly, and a probing has no value type:
 it is a plain (n, m) array, checked by
 :func:`~decobs.stacks.validate_probing_stack`.  The measurement code
 (:mod:`decobs.povm`, ``counterexample`` and ``povm-classify``) builds on
-these types.
+these types, and a measurement's branches are stacks, as a probing's are:
+probabilities and states from :func:`~decobs.povm.apply_povm`.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ from . import matcore, sampling
 from .errors import ValidationError
 from .stacks import (
     block_projectors,
-    clean_probabilities,
     gram_from_projector_stack,
     unit_vector_norms,
     validate_projector_stack,
     validate_stack,
 )
-from .tolerances import ZERO_PROBABILITY
 
 
 def _readonly(values, dtype=complex) -> np.ndarray:
@@ -126,50 +125,6 @@ class ProjectorSet:
         return iter(self.projectors)
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """One measurement branch: a probability and the conditioned state.
-
-    ``state`` is None for zero-probability branches, whose conditioned state
-    is undefined (0/0).
-    """
-
-    probability: float
-    state: DensityMatrix | None
-
-
-@dataclass(frozen=True)
-class OutcomeEnsemble:
-    """Probability-weighted collection of post-measurement states.
-
-    Probabilities at or below :data:`~decobs.tolerances.ZERO_PROBABILITY` are
-    clamped to exactly zero and their states are exempt from validation;
-    every live branch must carry a valid :class:`DensityMatrix`.
-    """
-
-    outcomes: tuple[Outcome, ...]
-
-    def __post_init__(self):
-        probabilities = clean_probabilities(
-            [float(out.probability) for out in self.outcomes],
-            missing=[out.state is None for out in self.outcomes],
-        )
-        cleaned = tuple(
-            out if p > 0.0 else Outcome(0.0, out.state) for out, p in zip(self.outcomes, probabilities)
-        )
-        object.__setattr__(self, "outcomes", cleaned)
-
-    def live(self) -> tuple[Outcome, ...]:
-        """Branches with nonzero probability."""
-        return tuple(o for o in self.outcomes if o.probability > ZERO_PROBABILITY)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __iter__(self):
-        return iter(self.outcomes)
-
-
 def basis_state(dim: int, index: int) -> PureState:
     """The computational basis vector |index> in the given dimension."""
     amp = np.zeros(dim, dtype=complex)
@@ -234,10 +189,3 @@ def random_projector_partition(
     basis = haar_unitary(n, rng)
     diagonal = diagonal_projector_partition(sizes)
     return ProjectorSet(tuple(sampling.conjugated_projectors(basis, np.array(diagonal.projectors))))
-
-
-def random_ensemble(dim: int, size: int, rng: np.random.Generator) -> OutcomeEnsemble:
-    """Random mixture: simplex-distributed weights over random density matrices."""
-    probs = sampling.random_simplex(size, rng)
-    mats = sampling.density_from_normals(rng.standard_normal((size, 2 * dim * dim)), dim)
-    return OutcomeEnsemble(tuple(Outcome(float(p), DensityMatrix(mat)) for p, mat in zip(probs, mats)))

@@ -23,13 +23,13 @@ IDEMPOTENT_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-9
 #: Max-norm of sum_k P_k - I: the projector completeness check.
 COMPLETENESS_TOL = 1e-9
-#: |sum_k p_k - 1|: the OutcomeEnsemble probability-sum check.
+#: |sum_k p_k - 1|: the probability-sum check of ``stacks.clean_probabilities``.
 PROBABILITY_SUM_TOL = 1e-10
-#: -p_k: the OutcomeEnsemble non-negative probability check.
+#: -p_k: the non-negative probability check of ``stacks.clean_probabilities``.
 NEGATIVE_PROBABILITY_TOL = 1e-12
 #: Branch probabilities at or below this are dead: zeroed by ``stacks.clean_probabilities``,
-#: and skipped by ``OutcomeEnsemble.live``, the expected entropies,
-#: ``stacks.observe_stack``, ``povm.apply_povm`` and the counterexample's state check.
+#: ``stacks.observe_stack`` and ``povm.apply_povm``, and skipped by
+#: ``entropy.expected_entropy_stack``.
 ZERO_PROBABILITY = 1e-12
 #: Eigenvalues at or below this are exact zeros in ``entropies_of_spectra``; log-det is -inf.
 SINGULAR_EIGENVALUE = 1e-14

@@ -14,9 +14,11 @@ import numpy as np
 from decobs import matcore, povm, sampling, states
 from decobs.campaigns import evaluate_s_theorems
 from decobs.cli import CampaignConfig, main, run_holevo, run_luders, run_majorization, run_s_theorems
-from decobs.entropy import builtin_functionals, entropy, expected_entropy, linear, von_neumann
+from decobs.entropy import (
+    builtin_functionals, entropies_of_spectra, entropy, expected_entropy_stack, linear, von_neumann,
+)
 from decobs.povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
-from decobs.processes import ensemble_average
+from decobs.stacks import average_stack
 from decobs.states import DensityMatrix, density_from_pure
 
 LN2 = math.log(2.0)
@@ -25,6 +27,17 @@ FULL_FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det")
 
 def report_pass(number: int, message: str) -> None:
     print(f"ACCEPTANCE {number:02d} PASS: {message}")
+
+
+def expected_after(probs, spectra, functional) -> float:
+    """The expected entropy of a measurement's live branches, from what apply_povm returns."""
+    return float(expected_entropy_stack(probs[probs > 0], entropies_of_spectra(spectra, (functional,))[0]))
+
+
+def branch_average(probs, branches) -> DensityMatrix:
+    """The probability-weighted average of a measurement's live branch states."""
+    live = probs > 0
+    return DensityMatrix(average_stack(probs[live], branches[live]))
 
 
 def test_criterion_01_s_theorem_campaign():
@@ -52,17 +65,16 @@ def test_criterion_01_s_theorem_campaign():
 def test_criterion_02_counterexample_1_exact():
     """Branch data exact to 1e-12; entropy 0 -> ln 2; left side violated; not purity preserving."""
     measurement, initial = counterexample_1()
-    ensemble = apply_povm(initial, measurement)
-    probs = [outcome.probability for outcome in ensemble]
-    assert max(abs(p - e) for p, e in zip(probs, [0.5, 0.5, 0.0, 0.0])) <= 1e-12
-    for outcome in ensemble.live():
-        assert matcore.max_abs(outcome.state.mat - np.eye(2) / 2.0) <= 1e-12
+    probs, branches, spectra = apply_povm(initial, measurement)
+    assert max(abs(p - e) for p, e in zip(probs.tolist(), [0.5, 0.5, 0.0, 0.0])) <= 1e-12
+    for state in branches[probs > 0]:
+        assert matcore.max_abs(state - np.eye(2) / 2.0) <= 1e-12
     before = entropy(initial, von_neumann())
-    after = expected_entropy(ensemble, von_neumann())
+    after = expected_after(probs, spectra, von_neumann())
     assert abs(before) <= 1e-12
     assert abs(after - LN2) <= 1e-12
     assert after > before + 1e-9, "left (observation) inequality must be violated"
-    assert before <= entropy(ensemble_average(ensemble), von_neumann()) + 1e-9
+    assert before <= entropy(branch_average(probs, branches), von_neumann()) + 1e-9
     assert not is_purity_preserving(measurement)
     report_pass(2, "probabilities (1/2, 1/2, 0, 0), branches I/2, entropy 0 -> ln 2, not purity preserving")
 
@@ -70,18 +82,17 @@ def test_criterion_02_counterexample_1_exact():
 def test_criterion_03_counterexample_2_exact():
     """Branch data exact to 1e-12; entropy ln 2 -> 0; right side violated; purity preserving."""
     measurement, initial = counterexample_2()
-    ensemble = apply_povm(initial, measurement)
-    probs = [outcome.probability for outcome in ensemble]
-    assert max(abs(p - 0.5) for p in probs) <= 1e-12
+    probs, branches, spectra = apply_povm(initial, measurement)
+    assert max(abs(p - 0.5) for p in probs.tolist()) <= 1e-12
     ket0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    for outcome in ensemble.live():
-        assert matcore.max_abs(outcome.state.mat - ket0) <= 1e-12
+    for state in branches[probs > 0]:
+        assert matcore.max_abs(state - ket0) <= 1e-12
     before = entropy(initial, von_neumann())
-    after_average = entropy(ensemble_average(ensemble), von_neumann())
+    after_average = entropy(branch_average(probs, branches), von_neumann())
     assert abs(before - LN2) <= 1e-12
     assert abs(after_average) <= 1e-12
     assert after_average < before - 1e-9, "right (decoherence) inequality must be violated"
-    assert expected_entropy(ensemble, von_neumann()) <= before + 1e-9
+    assert expected_after(probs, spectra, von_neumann()) <= before + 1e-9
     assert is_purity_preserving(measurement)
     report_pass(3, "probabilities (1/2, 1/2), branches |0><0|, entropy ln 2 -> 0, purity preserving")
 
@@ -155,8 +166,8 @@ def test_criterion_08_pppovm_purity_and_left_inequality():
         assert is_purity_preserving(measurement)
         for _ in range(20):
             rho = density_from_pure(states.random_pure(n, rng))
-            for outcome in apply_povm(rho, measurement).live():
-                assert entropy(outcome.state, linear()) <= 1e-9
+            _, _, spectra = apply_povm(rho, measurement)
+            assert (entropies_of_spectra(spectra, (linear(),))[0] <= 1e-9).all()
 
     for trial in range(500):
         rng = sampling.trial_stream(208, trial)
@@ -164,9 +175,9 @@ def test_criterion_08_pppovm_purity_and_left_inequality():
         d = int(rng.integers(2, 5))
         measurement = povm.random_pppovm(n, d, rng)
         rho = states.random_density(n, rng)
-        ensemble = apply_povm(rho, measurement)
+        probs, _, spectra = apply_povm(rho, measurement)
         for functional in functionals:
-            assert expected_entropy(ensemble, functional) <= entropy(rho, functional) + 1e-9
+            assert expected_after(probs, spectra, functional) <= entropy(rho, functional) + 1e-9
     report_pass(8, "2000 pure-input branches pure to 1e-9; observation inequality held on 500 mixed inputs")
 
 

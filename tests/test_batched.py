@@ -26,7 +26,7 @@ from decobs.entropy import (
 )
 from decobs.errors import ValidationError
 from decobs.majorization import dominance, entropy_gap, fan_dominance, pinching_dominance, schur_dominance
-from decobs.states import DensityMatrix, GramMatrix, Outcome, OutcomeEnsemble, ProjectorSet, PureState
+from decobs.states import DensityMatrix, GramMatrix, ProjectorSet, PureState
 from decobs.tolerances import (
     CONSISTENCY_TOL,
     NEAR_TRIVIAL_MARGIN,
@@ -86,15 +86,19 @@ def oracle_s_theorems(cfg):
 
 
 def oracle_holevo(cfg):
-    """holevo replayed one trial at a time through the value-type samplers and maps."""
+    """holevo replayed one trial at a time through one-mixture draws, value types and kernel calls."""
     functionals = [parse_functional(text) for text in cfg.functionals]
     rows = []
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
         size = cfg.ensemble_size or int(rng.integers(2, 6))
-        ensemble = states.random_ensemble(cfg.dim, size, rng)
-        lam_avg = matcore.hermitian_spectrum(processes.ensemble_average(ensemble).mat)
-        branches = [(o.probability, matcore.hermitian_spectrum(o.state.mat)) for o in ensemble.live()]
+        probs = stacks.clean_probabilities(sampling.random_simplex(size, rng))
+        normals = rng.standard_normal((size, 2 * cfg.dim * cfg.dim))
+        mixed = [DensityMatrix(mat) for mat in sampling.density_from_normals(normals, cfg.dim)]
+        live = [(p, rho) for p, rho in zip(probs.tolist(), mixed) if p > 0.0]
+        average = DensityMatrix(stacks.average_stack([p for p, _ in live], np.array([rho.mat for _, rho in live])))
+        lam_avg = matcore.hermitian_spectrum(average.mat)
+        branches = [(p, matcore.hermitian_spectrum(rho.mat)) for p, rho in live]
         for f in functionals:
             lhs = 0.0
             for p, lam in branches:
@@ -711,8 +715,7 @@ class TestStackErrorsMatchScalarTypes:
         rng = np.random.default_rng(3)
         probs = np.array([sampling.random_simplex(4, rng) for _ in range(6)])
         probs[2, 1] += 1e-7
-        state = DensityMatrix(np.eye(2) / 2)
-        scalar = self.error_of(lambda: OutcomeEnsemble(tuple(Outcome(float(p), state) for p in probs[2])))
+        scalar = self.error_of(lambda: stacks.clean_probabilities(probs[2]))
         assert scalar[0] == "probabilities-sum-to-one"
         assert self.error_of(lambda: stacks.clean_probabilities(probs)) == scalar
 

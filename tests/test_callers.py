@@ -26,7 +26,7 @@ TEST_ONLY = {
     **dict.fromkeys(
         (
             "GramMatrix", "diagonal_projector_partition", "gram_from_projectors", "haar_unitary", "luders",
-            "purify_ancilla", "random_density", "random_ensemble", "random_hermitian",
+            "purify_ancilla", "random_density", "random_hermitian",
             "random_projector_partition", "random_pure", "trial_stream",
         ),
         "oracle",

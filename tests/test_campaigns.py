@@ -313,6 +313,14 @@ def test_mixtures_need_one_drawn_state_per_live_slot():
     assert error.invariant == "stacks-same-trials"
 
 
+@pytest.mark.parametrize("sizes", [[2.5, 3.0], [9, 3], [0, 3]], ids=["fraction", "past-the-slots", "zero"])
+def test_a_mixture_size_is_an_integer_within_the_slots(sizes):
+    cfg = CampaignConfig("holevo", dim=2, ensemble_size=3)
+    _, probs, drawn = campaigns.sample_holevo(cfg, range(2))
+    error = _stacks_error("evaluate_holevo", cfg, range(2), (np.array(sizes), probs, drawn))
+    assert (error.invariant, str(error)) == ("mixture-sizes", f"mixture-sizes: {sizes} in 3 slots")
+
+
 @pytest.mark.parametrize(
     "sizes", [(0, 0, 0, 3), (1.5, 1.5), (-1, 4), (), 3], ids=["zeros", "halves", "negative", "empty", "unnested"]
 )
@@ -375,14 +383,19 @@ def _sometimes(strategy):
     poison=_sometimes(st.tuples(st.integers(0, 5), st.integers(0, 2**16), st.sampled_from([np.nan, np.inf, -np.inf]))),
     zeroed=_sometimes(st.integers(0, 5)),
     partition=_sometimes(st.lists(st.sampled_from([-1, 0, 1, 2, 3, 1.5]), max_size=4).map(tuple)),
+    size=_sometimes(st.sampled_from([-1, 0, 0.5, 2.5, 5, 9])),
 )
-@example("evaluate_luders", 1, 3, 1, 0, False, None, None, (0, 0, 0, 3))
-@example("evaluate_luders", 1, 3, 1, 0, False, None, None, (1.5, 1.5))
-@example("evaluate_majorization", 1, 3, 1, 0, False, None, None, (-1, 4))
-@example("evaluate_majorization", 1, 3, 1, 0, False, (5, 0, np.nan), None, None)
-@example("evaluate_majorization", 2, 3, 2, 0, True, None, 4, None)
+@example("evaluate_luders", 1, 3, 1, 0, False, None, None, (0, 0, 0, 3), None)
+@example("evaluate_luders", 1, 3, 1, 0, False, None, None, (1.5, 1.5), None)
+@example("evaluate_majorization", 1, 3, 1, 0, False, None, None, (-1, 4), None)
+@example("evaluate_majorization", 1, 3, 1, 0, False, (5, 0, np.nan), None, None, None)
+@example("evaluate_majorization", 2, 3, 2, 0, True, None, 4, None, None)
+@example("evaluate_holevo", 2, 2, 3, 0, False, None, None, None, 2.5)
+@example("evaluate_holevo", 2, 2, 3, 0, True, None, None, None, 0)
+@example("evaluate_holevo", 2, 2, 3, 0, False, None, None, None, -1)
+@example("evaluate_holevo", 2, 2, 3, 0, False, None, None, None, 9)
 def test_every_drawn_stack_gives_columns_or_a_validation_error(
-    evaluator, trials, dim, width, seed, real, poison, zeroed, partition
+    evaluator, trials, dim, width, seed, real, poison, zeroed, partition, size
 ):
     """Stacks of a sampler's form, of any size, real or complex, zeroed or holding NaN or Inf.
 
@@ -390,9 +403,10 @@ def test_every_drawn_stack_gives_columns_or_a_validation_error(
     are picked by their position in the sampler's tuple: ``poison`` puts a
     non-finite value at a flat position of one, and ``zeroed`` zeroes one,
     when it holds floats.  ``partition`` replaces the first trial's block
-    sizes.  A real stack (the real parts, with unit rows renormalized)
-    gives what its complex cast gives: the same columns bit for bit, or the
-    same error.
+    sizes, and ``size`` the first trial's holevo mixture size: not an
+    integer, below one, or past the slots (at most 4).  A real stack (the
+    real parts, with unit rows renormalized) gives what its complex cast
+    gives: the same columns bit for bit, or the same error.
     """
     command = COMMAND_OF[evaluator]
     # where the unit rows (probings, responses) and the block sizes sit in each evaluator's stacks
@@ -417,8 +431,12 @@ def test_every_drawn_stack_gives_columns_or_a_validation_error(
         stacks[zeroed % len(stacks)][...] = 0.0
     if partition is not None and trials and partitions is not None:
         stacks[partitions] = [partition] + stacks[partitions][1:]
+    if size is not None and trials and evaluator == "evaluate_holevo":
+        stacks[0] = np.array([size, *stacks[0][1:].tolist()])
 
     got = _evaluated(evaluator, cfg, range(trials), stacks)
+    if size is not None and trials and evaluator == "evaluate_holevo":
+        assert got == "mixture-sizes"
     if real:
         cast = [stack.astype(complex) if at in complex_at else stack for at, stack in enumerate(stacks)]
         from_cast = _evaluated(evaluator, cfg, range(trials), cast)

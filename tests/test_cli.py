@@ -161,6 +161,12 @@ class TestCounterexampleCommand:
         assert out == ""
         assert err.strip() == "error: counterexample takes at most one --entropy"
 
+    def test_rejects_no_entropy(self):
+        # the CLI always passes one (von-neumann by default); a library caller can pass none
+        with pytest.raises(ValueError) as err:
+            campaigns.run_counterexample(CampaignConfig("counterexample", which=1, functionals=()))
+        assert str(err.value) == "counterexample needs one entropy functional, and none was given"
+
     def test_bits_display(self, capsys):
         code, report = run_json(capsys, "counterexample", "--which", "1", "--units", "bits")
         assert code == 0

@@ -11,7 +11,7 @@ from decobs.entropy import (
     entropies_of_spectra,
     entropy,
     entropy_of_spectrum,
-    expected_entropy,
+    expected_entropy_stack,
     linear,
     log_det,
     parse_functional,
@@ -24,8 +24,6 @@ from decobs.cli import CampaignConfig
 from decobs.errors import ValidationError
 from decobs.states import (
     DensityMatrix,
-    Outcome,
-    OutcomeEnsemble,
     basis_state,
     density_from_pure,
     maximally_mixed,
@@ -177,27 +175,20 @@ class TestExpectedEntropy:
         assert expected_branch_entropy(np.full((2, 2), 0.5), np.eye(2)) == 0.0
 
     def test_zero_probability_skips_sentinel(self):
-        ens = OutcomeEnsemble(
-            (
-                Outcome(1.0, maximally_mixed(2)),
-                Outcome(0.0, density_from_pure(basis_state(2, 0))),
-            )
-        )
+        branches = (maximally_mixed(2), density_from_pure(basis_state(2, 0)))
+        entropies = [entropy(rho, log_det()) for rho in branches]
         # the dead branch would contribute -inf under log-det; it must not
-        assert expected_entropy(ens, log_det()) == pytest.approx(-2.0 * LN2)
+        assert entropies[1] == NEG_INFINITY
+        assert expected_entropy_stack([1.0, 0.0], entropies) == pytest.approx(-2.0 * LN2)
 
     def test_probing_preserves_purity_of_plus(self):
         probe = np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]])
         assert expected_branch_entropy(np.full((2, 2), 0.5), probe) == pytest.approx(0.0, abs=1e-12)
 
     def test_weighted_average(self):
-        ens = OutcomeEnsemble(
-            (
-                Outcome(0.25, maximally_mixed(2)),
-                Outcome(0.75, density_from_pure(basis_state(2, 1))),
-            )
-        )
-        assert expected_entropy(ens, von_neumann()) == pytest.approx(0.25 * LN2)
+        branches = (maximally_mixed(2), density_from_pure(basis_state(2, 1)))
+        entropies = [entropy(rho, von_neumann()) for rho in branches]
+        assert expected_entropy_stack([0.25, 0.75], entropies) == pytest.approx(0.25 * LN2)
 
 
 class TestUnits:

@@ -17,8 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Every name ``decobs`` exports, by the module it comes from.
 EXPORTS = {
     "entropy": (
-        "EntropyFunctional", "builtin_functionals", "entropy", "entropy_of_spectrum", "expected_entropy",
-        "linear", "log_det", "parse_functional", "renyi", "to_bits", "von_neumann",
+        "EntropyFunctional", "builtin_functionals", "entropy", "entropy_of_spectrum", "linear", "log_det",
+        "parse_functional", "renyi", "to_bits", "von_neumann",
     ),
     "errors": ("ValidationError",),
     "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "tensor_product"),
@@ -26,10 +26,10 @@ EXPORTS = {
         "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2", "is_purity_preserving",
         "probing_as_povm", "purify_ancilla",
     ),
-    "processes": ("ensemble_average", "luders", "probing_joint_unitary"),
+    "processes": ("luders", "probing_joint_unitary"),
     "states": (
-        "DensityMatrix", "GramMatrix", "Outcome", "OutcomeEnsemble", "ProjectorSet", "PureState", "basis_state",
-        "density_from_pure", "diagonal_projector_partition", "gram_from_projectors", "maximally_mixed",
+        "DensityMatrix", "GramMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure",
+        "diagonal_projector_partition", "gram_from_projectors", "maximally_mixed",
     ),
 }
 

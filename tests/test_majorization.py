@@ -7,21 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, sampling, states
 from decobs.cli import CampaignConfig, run_holevo, run_majorization
-from decobs.processes import ensemble_average
-from decobs.entropy import builtin_functionals, entropy, expected_entropy, log_det, von_neumann
+from decobs.entropy import builtin_functionals, entropy, expected_entropy_stack, log_det, von_neumann
 from decobs.majorization import dominance, fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
 from decobs.states import (
     DensityMatrix,
     GramMatrix,
-    Outcome,
-    OutcomeEnsemble,
     ProjectorSet,
     basis_state,
     density_from_pure,
     diagonal_projector_partition,
     maximally_mixed,
 )
-from decobs.stacks import gram_from_unit_rows
+from decobs.stacks import average_stack, clean_probabilities, gram_from_unit_rows
 from decobs.tolerances import INEQUALITY_TOL
 
 LN2 = math.log(2.0)
@@ -35,10 +32,25 @@ def mixed_toward_uniform(lam: np.ndarray, t: float) -> np.ndarray:
     return (1.0 - t) * lam + t * np.full(n, lam.sum() / n)
 
 
-def holevo_verdict(ensemble, functional):
-    """Margin and verdict of: average branch entropy <= entropy of the average state."""
-    average = entropy(ensemble_average(ensemble), functional)
-    return inequality_verdict(expected_entropy(ensemble, functional), average, INEQUALITY_TOL)
+def random_mixture(dim: int, size: int, rng) -> tuple[list, list]:
+    """Simplex weights over random density matrices, drawn as the holevo campaign draws a mixture."""
+    probs = sampling.random_simplex(size, rng)
+    mats = sampling.density_from_normals(rng.standard_normal((size, 2 * dim * dim)), dim)
+    return probs.tolist(), [DensityMatrix(mat) for mat in mats]
+
+
+def holevo_verdict(probs, mixed, functional):
+    """Margin and verdict of: average branch entropy <= entropy of the average state.
+
+    ``mixed`` holds one density matrix per probability; the dead (p = 0)
+    branches are left out of both sides.
+    """
+    probs = clean_probabilities(probs)
+    live = probs > 0.0
+    average = DensityMatrix(average_stack(probs[live], np.array([rho.mat for rho in mixed])[live]))
+    branch = [entropy(rho, functional) for rho, alive in zip(mixed, live) if alive]
+    expected = float(expected_entropy_stack(probs[live], branch))
+    return inequality_verdict(expected, entropy(average, functional), INEQUALITY_TOL)
 
 
 def entropy_order(rho1, rho2, functional):
@@ -276,38 +288,27 @@ class TestFan:
 class TestHolevo:
     def test_single_outcome_is_equality(self):
         rho = states.random_density(2, np.random.default_rng(6))
-        ens = OutcomeEnsemble((Outcome(1.0, rho),))
-        margin, holds = holevo_verdict(ens, von_neumann())
+        margin, holds = holevo_verdict([1.0], [rho], von_neumann())
         assert holds
         assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_basis_mixture(self):
-        ens = OutcomeEnsemble(
-            (
-                Outcome(0.5, density_from_pure(basis_state(2, 0))),
-                Outcome(0.5, density_from_pure(basis_state(2, 1))),
-            )
-        )
-        margin, holds = holevo_verdict(ens, von_neumann())
+        basis = [density_from_pure(basis_state(2, 0)), density_from_pure(basis_state(2, 1))]
+        margin, holds = holevo_verdict([0.5, 0.5], basis, von_neumann())
         assert holds
         assert margin == pytest.approx(LN2)
 
     @settings(max_examples=40)
     @given(dim=dims, size=st.integers(2, 5), seed=seeds)
     def test_random_ensembles_all_functionals(self, dim, size, seed):
-        ens = states.random_ensemble(dim, size, np.random.default_rng(seed))
+        probs, mixed = random_mixture(dim, size, np.random.default_rng(seed))
         for f in builtin_functionals():
-            margin, holds = holevo_verdict(ens, f)
+            margin, holds = holevo_verdict(probs, mixed, f)
             assert holds, (f.label, margin)
 
     def test_sentinel_on_smaller_side_passes(self):
-        ens = OutcomeEnsemble(
-            (
-                Outcome(0.5, density_from_pure(basis_state(2, 0))),
-                Outcome(0.5, density_from_pure(basis_state(2, 1))),
-            )
-        )
-        margin, holds = holevo_verdict(ens, log_det())
+        basis = [density_from_pure(basis_state(2, 0)), density_from_pure(basis_state(2, 1))]
+        margin, holds = holevo_verdict([0.5, 0.5], basis, log_det())
         assert holds
         assert margin == math.inf
 
@@ -391,9 +392,9 @@ class TestInequalityVerdict:
 
 class TestSpectraAreSolvedOnce:
     def test_holevo_solves_only_the_average(self, solved):
-        ens = states.random_ensemble(3, 3, np.random.default_rng(5))
+        probs, mixed = random_mixture(3, 3, np.random.default_rng(5))
         solved[0] = 0
-        holevo_verdict(ens, von_neumann())
+        holevo_verdict(probs, mixed, von_neumann())
         assert solved[0] == 1
 
     def test_consistency_check_solves_nothing(self, solved):

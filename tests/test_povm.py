@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, povm, states
-from decobs.entropy import entropy, expected_entropy, linear, renyi, von_neumann
+from decobs.entropy import entropies_of_spectra, entropy, expected_entropy_stack, linear, renyi, von_neumann
 from decobs.errors import ValidationError
 from decobs.povm import (
     Povm,
@@ -17,8 +17,8 @@ from decobs.povm import (
     probing_as_povm,
     purify_ancilla,
 )
-from decobs.processes import ensemble_average
-from decobs.stacks import observe_stack
+from decobs.stacks import average_stack, observe_stack
+from decobs.tolerances import ZERO_PROBABILITY
 from decobs.states import (
     DensityMatrix,
     ProjectorSet,
@@ -31,21 +31,39 @@ LN2 = math.log(2.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def expected_after(probs, spectra, functional) -> float:
+    """The expected entropy of a measurement's live branches, from what apply_povm returns."""
+    return float(expected_entropy_stack(probs[probs > 0], entropies_of_spectra(spectra, (functional,))[0]))
+
+
+def branch_average(probs, branches) -> DensityMatrix:
+    """The probability-weighted average of a measurement's live branch states."""
+    live = probs > 0
+    return DensityMatrix(average_stack(probs[live], branches[live]))
+
+
 class TestCounterexample1:
     def test_probabilities_and_outcomes(self):
         measurement, initial = counterexample_1()
-        ens = apply_povm(initial, measurement)
-        probs = [o.probability for o in ens]
+        probs, branches, spectra = apply_povm(initial, measurement)
         assert np.allclose(probs, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
-        assert ens.outcomes[2].probability == 0.0 and ens.outcomes[2].state is None
-        for outcome in ens.live():
-            assert matcore.max_abs(outcome.state.mat - np.eye(2) / 2.0) <= 1e-12
+        assert probs[2] == 0.0 and not branches[2].any()
+        assert len(spectra) == 2
+        for state in branches[probs > 0]:
+            assert matcore.max_abs(state - np.eye(2) / 2.0) <= 1e-12
+
+    def test_dead_branches_are_exact_zeros(self):
+        # the convention of observe_stack: p exactly 0.0 and an all-zero state
+        measurement, initial = counterexample_1()
+        probs, branches, _ = apply_povm(initial, measurement)
+        assert probs[2:].tolist() == [0.0, 0.0]
+        assert np.array_equal(branches[2:], np.zeros((2, 2, 2)))
 
     def test_expected_entropy_rises(self):
         measurement, initial = counterexample_1()
-        ens = apply_povm(initial, measurement)
+        probs, _, spectra = apply_povm(initial, measurement)
         before = entropy(initial, von_neumann())
-        after = expected_entropy(ens, von_neumann())
+        after = expected_after(probs, spectra, von_neumann())
         assert abs(before) <= 1e-12
         assert abs(after - LN2) <= 1e-12
         # the observation inequality is violated by a full ln 2
@@ -53,8 +71,8 @@ class TestCounterexample1:
 
     def test_averaging_side_still_holds(self):
         measurement, initial = counterexample_1()
-        ens = apply_povm(initial, measurement)
-        average = ensemble_average(ens)
+        probs, branches, _ = apply_povm(initial, measurement)
+        average = branch_average(probs, branches)
         assert matcore.max_abs(average.mat - np.eye(2) / 2.0) <= 1e-12
         assert entropy(initial, von_neumann()) <= entropy(average, von_neumann()) + 1e-9
 
@@ -66,17 +84,17 @@ class TestCounterexample1:
 class TestCounterexample2:
     def test_probabilities_and_outcomes(self):
         measurement, initial = counterexample_2()
-        ens = apply_povm(initial, measurement)
-        assert np.allclose([o.probability for o in ens], [0.5, 0.5], atol=1e-12)
+        probs, branches, _ = apply_povm(initial, measurement)
+        assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
         ket0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        for outcome in ens.live():
-            assert matcore.max_abs(outcome.state.mat - ket0) <= 1e-12
+        for state in branches[probs > 0]:
+            assert matcore.max_abs(state - ket0) <= 1e-12
 
     def test_average_entropy_drops(self):
         measurement, initial = counterexample_2()
-        ens = apply_povm(initial, measurement)
+        probs, branches, _ = apply_povm(initial, measurement)
         before = entropy(initial, von_neumann())
-        after = entropy(ensemble_average(ens), von_neumann())
+        after = entropy(branch_average(probs, branches), von_neumann())
         assert abs(before - LN2) <= 1e-12
         assert abs(after) <= 1e-12
         # the decoherence inequality is violated by a full ln 2
@@ -84,8 +102,8 @@ class TestCounterexample2:
 
     def test_observation_side_still_holds(self):
         measurement, initial = counterexample_2()
-        ens = apply_povm(initial, measurement)
-        assert expected_entropy(ens, von_neumann()) <= entropy(initial, von_neumann()) + 1e-9
+        probs, _, spectra = apply_povm(initial, measurement)
+        assert expected_after(probs, spectra, von_neumann()) <= entropy(initial, von_neumann()) + 1e-9
 
     def test_is_purity_preserving(self):
         measurement, _ = counterexample_2()
@@ -96,9 +114,9 @@ class TestCounterexample2:
 
     def test_renyi_direction_preserved(self):
         measurement, initial = counterexample_2()
-        ens = apply_povm(initial, measurement)
+        probs, branches, _ = apply_povm(initial, measurement)
         before = entropy(initial, renyi(2.0))
-        after = entropy(ensemble_average(ens), renyi(2.0))
+        after = entropy(branch_average(probs, branches), renyi(2.0))
         assert before == pytest.approx(-0.5)
         assert after == pytest.approx(-1.0)
         assert after < before
@@ -111,29 +129,36 @@ class TestProbingAsPovm:
         rng = np.random.default_rng(seed)
         responses = [states.random_pure(d, rng) for _ in range(n)]
         rho = states.random_density(n, rng)
-        lifted = apply_povm(rho, probing_as_povm(responses))
-        probs, branches = observe_stack(rho.mat, np.array([r.amp for r in responses]))
-        assert len(lifted) == len(probs)
-        for mine, probability, state in zip(lifted, probs, branches):
-            assert abs(mine.probability - probability) <= 1e-12
-            if probability > 0:
-                assert matcore.max_abs(mine.state.mat - state) <= 1e-12
+        probs, branches, _ = apply_povm(rho, probing_as_povm(responses))
+        observed_probs, observed = observe_stack(rho.mat, np.array([r.amp for r in responses]))
+        # the whole stacks, dead branches included
+        assert probs.shape == observed_probs.shape and branches.shape == observed.shape
+        assert matcore.max_abs(probs - observed_probs) <= 1e-12
+        assert matcore.max_abs(branches - observed) <= 1e-12
+
+    def test_dead_branches_match_observe(self):
+        # |0><0| read through two basis responses in 3 outcomes: outcomes 1 and 2 are dead
+        responses = [basis_state(3, 0), basis_state(3, 1)]
+        rho = density_from_pure(basis_state(2, 0))
+        probs, branches, _ = apply_povm(rho, probing_as_povm(responses))
+        observed_probs, observed = observe_stack(rho.mat, np.array([r.amp for r in responses]))
+        assert probs.tolist() == observed_probs.tolist() == [1.0, 0.0, 0.0]
+        assert np.array_equal(branches, observed)
 
     def test_orthonormal_responses_give_complete_readout(self):
         responses = [basis_state(2, 0), basis_state(2, 1)]
         rho = DensityMatrix(np.full((2, 2), 0.5))
-        ens = apply_povm(rho, probing_as_povm(responses))
-        assert np.allclose([o.probability for o in ens], [0.5, 0.5])
-        for outcome in ens.live():
-            assert entropy(outcome.state, linear()) <= 1e-9
+        probs, _, spectra = apply_povm(rho, probing_as_povm(responses))
+        assert np.allclose(probs, [0.5, 0.5])
+        assert (entropies_of_spectra(spectra, (linear(),))[0] <= 1e-9).all()
 
     def test_identical_responses_leave_state_unchanged(self):
         rng = np.random.default_rng(21)
         response = states.random_pure(3, rng)
         rho = states.random_density(2, rng)
-        ens = apply_povm(rho, probing_as_povm([response, response]))
-        for outcome in ens.live():
-            assert matcore.max_abs(outcome.state.mat - rho.mat) <= 1e-11
+        probs, branches, _ = apply_povm(rho, probing_as_povm([response, response]))
+        for state in branches[probs > 0]:
+            assert matcore.max_abs(state - rho.mat) <= 1e-11
 
     @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
     def test_always_purity_preserving(self, n, d, seed):
@@ -175,9 +200,9 @@ class TestApplyPovm:
         rng = np.random.default_rng(seed)
         measurement = povm.random_general_povm(n, d, rng)
         rho = states.random_density(n, rng)
-        ens = apply_povm(rho, measurement)
-        assert abs(sum(o.probability for o in ens) - 1.0) <= 1e-10
-        assert all(o.probability >= 0.0 for o in ens)
+        probs, _, _ = apply_povm(rho, measurement)
+        assert abs(sum(probs.tolist()) - 1.0) <= 1e-10
+        assert (probs >= 0.0).all()
 
     @settings(max_examples=30)
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
@@ -187,7 +212,7 @@ class TestApplyPovm:
         mixed_ancilla = states.random_density(d, rng)
         mixed = Povm(n, d, mixed_ancilla, base.joint_unitary, base.joint_projectors)
         rho = states.random_density(n, rng)
-        ens = apply_povm(rho, mixed)
+        probs, branches, _ = apply_povm(rho, mixed)
 
         purified = purify_ancilla(mixed_ancilla)
         eye = np.eye(d, dtype=complex)
@@ -198,11 +223,33 @@ class TestApplyPovm:
             np.kron(base.joint_unitary, eye),
             ProjectorSet(tuple(np.kron(p, eye) for p in base.joint_projectors)),
         )
-        reference = apply_povm(rho, lifted)
-        for mine, ref in zip(ens, reference):
-            assert abs(mine.probability - ref.probability) <= 1e-12
-            if ref.probability > 0:
-                assert matcore.max_abs(mine.state.mat - ref.state.mat) <= 1e-12
+        reference_probs, reference, _ = apply_povm(rho, lifted)
+        assert matcore.max_abs(probs - reference_probs) <= 1e-12
+        for probability, state, expected in zip(reference_probs, branches, reference):
+            if probability > 0:
+                assert matcore.max_abs(state - expected) <= 1e-12
+
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 4), d=st.integers(1, 3), pppovm=st.booleans(), seed=seeds)
+    def test_each_branch_is_the_one_projector_formula(self, n, d, pppovm, seed):
+        # the stacked branches equal, bit for bit, P @ evolved @ P, its partial trace and that
+        # trace taken one projector at a time, and each spectrum is the value type's
+        rng = np.random.default_rng(seed)
+        measurement = (povm.random_pppovm if pppovm else povm.random_general_povm)(n, d, rng)
+        rho = states.random_density(n, rng)
+        probs, branches, spectra = apply_povm(rho, measurement)
+        unitary = measurement.joint_unitary
+        evolved = unitary @ matcore.tensor_product(rho.mat, measurement.ancilla_state.mat) @ unitary.conj().T
+        live = []
+        for k, projector in enumerate(measurement.joint_projectors):
+            reduced = matcore.partial_trace(projector @ evolved @ projector, n, d, keep="first")
+            p = float(np.trace(reduced).real)
+            if p > ZERO_PROBABILITY:
+                assert probs[k] == p and np.array_equal(branches[k], reduced / p)
+                live.append(DensityMatrix(reduced / p).spectrum)
+            else:
+                assert probs[k] == 0.0 and not branches[k].any()
+        assert np.array_equal(spectra, np.reshape(live, (-1, n)))
 
     def test_rejects_dimension_mismatch(self):
         measurement, _ = counterexample_1()
@@ -244,8 +291,8 @@ class TestPurityPreservation:
         assert is_purity_preserving(measurement)
         for _ in range(5):
             rho = density_from_pure(states.random_pure(n, rng))
-            for outcome in apply_povm(rho, measurement).live():
-                assert entropy(outcome.state, linear()) <= 1e-9
+            _, _, spectra = apply_povm(rho, measurement)
+            assert (entropies_of_spectra(spectra, (linear(),))[0] <= 1e-9).all()
 
     @settings(max_examples=15)
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
@@ -258,9 +305,9 @@ class TestPurityPreservation:
             return  # partition happened to factor; not a converse witness
         for _ in range(100):
             rho = density_from_pure(states.random_pure(n, rng))
-            for outcome in apply_povm(rho, measurement).live():
-                if entropy(outcome.state, linear()) > 1e-6:
-                    return
+            _, _, spectra = apply_povm(rho, measurement)
+            if (entropies_of_spectra(spectra, (linear(),))[0] > 1e-6).any():
+                return
         raise AssertionError("no impure outcome found for a non-factoring measurement")
 
     def test_recovered_basis_is_orthonormal(self):

@@ -321,9 +321,13 @@ class TestOtherSamplers:
 
     @given(dim=st.integers(2, 6), size=st.integers(2, 5), seed=seeds)
     def test_random_ensembles_validate(self, dim, size, seed):
-        ens = states.random_ensemble(dim, size, np.random.default_rng(seed))
-        assert len(ens) == size
-        assert abs(sum(o.probability for o in ens) - 1.0) <= 1e-10
+        # a holevo mixture: simplex weights over one block of random states
+        rng = np.random.default_rng(seed)
+        probs = stacks.clean_probabilities(sampling.random_simplex(size, rng))
+        mats = sampling.density_from_normals(rng.standard_normal((size, 2 * dim * dim)), dim)
+        stacks.validate_stack(mats, "density")
+        assert len(probs) == len(mats) == size
+        assert abs(sum(probs.tolist()) - 1.0) <= 1e-10
 
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
     def test_random_pppovm_is_purity_preserving(self, n, d, seed):
@@ -441,10 +445,11 @@ class TestTransforms:
     def test_ensemble_is_the_simplex_then_one_block_of_states(self, n):
         for size in (1, 3, 7):
             rng, replay = sampling.trial_stream(n, size), sampling.trial_stream(n, size)
-            ensemble = states.random_ensemble(n, size, rng)
-            assert np.array_equal([o.probability for o in ensemble], replay.dirichlet(np.ones(size)))
+            probs = sampling.random_simplex(size, rng)
+            drawn = sampling.density_from_normals(rng.standard_normal((size, 2 * n * n)), n)
+            assert np.array_equal(probs, replay.dirichlet(np.ones(size)))
             mats = np.array([_one_object_density(n, replay) for _ in range(size)])
-            assert np.array_equal([o.state.mat for o in ensemble], mats)
+            assert np.array_equal(drawn, mats)
             assert rng.standard_normal() == replay.standard_normal()
 
     @pytest.mark.parametrize("layout", ["one block", "contiguous", "column slice"])

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -52,6 +53,18 @@ def test_show_counterexamples_runs():
     assert result.returncode == 0, result.stderr
     assert "breaks the observation inequality" in result.stdout
     assert "breaks the decoherence inequality" in result.stdout
+    # each section prints what the counterexample campaign reports, in von Neumann nats
+    sections = result.stdout.split("=== ")[1:]
+    assert len(sections) == 2
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for which, section in enumerate(sections, 1):
+        command = [sys.executable, "-m", "decobs", "counterexample", "--which", str(which)]
+        report = json.loads(subprocess.run(command, capture_output=True, text=True, env=env, check=True).stdout)
+        probabilities = re.search(r"^branch probabilities: (.*)$", section, re.M).group(1)
+        assert json.loads(probabilities) == [round(p, 12) for p in report["probabilities"]]
+        printed = re.findall(r"^(?:entropy before|expected entropy|entropy of average).*?: +(\S+) nats", section, re.M)
+        shown = report["entropy"]
+        assert printed == [f"{shown[key]:.6f}" for key in ("before", "expected_after_observation", "of_average")]
 
 
 def test_report_digests_prints_one_line_per_config(tmp_path):

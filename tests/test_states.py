@@ -8,8 +8,6 @@ from decobs.errors import ValidationError
 from decobs.states import (
     DensityMatrix,
     GramMatrix,
-    Outcome,
-    OutcomeEnsemble,
     ProjectorSet,
     PureState,
     basis_state,
@@ -20,7 +18,8 @@ from decobs.states import (
 )
 from decobs.sampling import probing_from_normals
 from decobs.stacks import (
-    gram_from_unit_rows, unit_vector_norms, validate_probing_stack, validate_projector_stack, validate_stack,
+    clean_probabilities, gram_from_unit_rows, unit_vector_norms, validate_probing_stack, validate_projector_stack,
+    validate_stack,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -209,40 +208,33 @@ class TestProbingMatrix:
 
 
 class TestOutcomeEnsemble:
+    """An ensemble of outcomes is a row of branch probabilities and a stack of
+    branch states, as apply_povm and observe_stack return them: the row goes
+    through clean_probabilities, and the live states through validate_stack."""
+
     def test_accepts_valid(self):
-        ens = OutcomeEnsemble(
-            (
-                Outcome(0.5, maximally_mixed(2)),
-                Outcome(0.5, density_from_pure(basis_state(2, 0))),
-            )
-        )
-        assert len(ens.live()) == 2
+        probs = clean_probabilities([0.5, 0.5])
+        validate_stack(np.array([maximally_mixed(2).mat, density_from_pure(basis_state(2, 0)).mat]), "density")
+        assert np.count_nonzero(probs) == 2
 
     def test_clamps_tiny_probabilities(self):
-        ens = OutcomeEnsemble(
-            (
-                Outcome(1.0 - 5e-13, maximally_mixed(2)),
-                Outcome(5e-13, None),
-            )
-        )
-        assert ens.outcomes[1].probability == 0.0
-        assert len(ens.live()) == 1
+        probs = clean_probabilities([1.0 - 5e-13, 5e-13])
+        assert probs[1] == 0.0
+        assert np.count_nonzero(probs) == 1
 
     def test_zero_probability_state_exempt(self):
-        OutcomeEnsemble((Outcome(1.0, maximally_mixed(2)), Outcome(0.0, None)))
-
-    def test_rejects_missing_live_state(self):
-        with pytest.raises(ValidationError) as err:
-            OutcomeEnsemble((Outcome(1.0, None),))
-        assert err.value.invariant == "outcome-state-missing"
+        # a dead branch's state is all zeros, which is no density matrix
+        probs = clean_probabilities([1.0, 0.0])
+        branches = np.array([maximally_mixed(2).mat, np.zeros((2, 2))])
+        validate_stack(branches[probs > 0], "density")
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValidationError):
-            OutcomeEnsemble((Outcome(1.1, maximally_mixed(2)), Outcome(-0.1, maximally_mixed(2))))
+            clean_probabilities([1.1, -0.1])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError) as err:
-            OutcomeEnsemble((Outcome(0.6, maximally_mixed(2)), Outcome(0.6, maximally_mixed(2))))
+            clean_probabilities([0.6, 0.6])
         assert err.value.invariant == "probabilities-sum-to-one"
 
 
