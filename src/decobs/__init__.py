@@ -36,11 +36,8 @@ _EXPORTS = {
         "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2",
         "is_purity_preserving", "probing_as_povm", "purify_ancilla",
     ),
-    "processes": ("luders", "probing_joint_unitary"),
-    "states": (
-        "DensityMatrix", "GramMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure",
-        "diagonal_projector_partition", "gram_from_projectors", "maximally_mixed",
-    ),
+    "processes": ("probing_joint_unitary",),
+    "states": ("DensityMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure", "maximally_mixed"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 

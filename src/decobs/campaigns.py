@@ -64,9 +64,8 @@ from .entropy import entropies_of_spectra, expected_entropy_stack, parse_functio
 from .errors import ValidationError
 from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
 from .stacks import (
-    average_stack, block_projectors, clean_probabilities, gram_from_projector_stack, gram_from_unit_rows,
-    observe_stack, pinch, response_gram_stack, spectra_unchanged, validate_probing_stack, validate_projector_stack,
-    validate_stack,
+    average_stack, block_projectors, clean_probabilities, gram_from_unit_rows, observe_stack, pinch,
+    response_gram_stack, spectra_unchanged, validate_probing_stack, validate_projector_stack, validate_stack,
 )
 from .tolerances import CONSISTENCY_TOL, NEAR_TRIVIAL_MARGIN, SINGULAR_SKIP
 
@@ -728,7 +727,8 @@ def evaluate_luders(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     validate_projector_stack(projectors)
     _, pinched = pinch(projectors, rho)
     validate_stack(pinched, "density")
-    gram = gram_from_projector_stack(projectors)
+    # the partition's indicator probing: row i is the indicator of the block that holds i
+    gram = response_gram_stack(projectors.diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2))
     validate_stack(gram, "gram")
     schur_form = rho * gram
     validate_stack(schur_form, "density")
@@ -742,6 +742,9 @@ def evaluate_luders(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
 def run_luders(cfg: CampaignConfig) -> CampaignResult:
     """Random diagonal partitions: pinching equals the block Schur form to CONSISTENCY_TOL.
 
+    The Lüders measurement by a diagonal partition is the probing whose
+    responses are block indicators, so the block Schur form is decoherence
+    by that probing: rho times its :func:`~decobs.stacks.response_gram_stack`.
     Partitions have dead slots, as in :func:`run_majorization`.
     """
     chunks = plan_chunks(cfg.trials, _FAMILY_SLOTS * cfg.dim, cfg.dim)

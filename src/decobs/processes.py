@@ -1,12 +1,16 @@
-"""Lüders pinching and the unitary dilation of a probing, on value types.
+"""The unitary dilation of a probing, on value types.
 
 The two maps of the paper live in :mod:`decobs.stacks`, which the campaigns
 run on whole stacks: observation is :func:`~decobs.stacks.observe_stack`,
 and decoherence is the entrywise product ``rho * G`` with the Gram matrix of
 :func:`~decobs.stacks.response_gram_stack`.  Averaging the observation
 branches (:func:`~decobs.stacks.average_stack`) reproduces decoherence, so
-the two maps are two faces of one interaction.  The pinching here is the
-kernel ``pinch`` called on one item.
+the two maps are two faces of one interaction, and
+:func:`probing_joint_unitary` is that interaction on object (x) ancilla.
+A Lüders measurement by a diagonal partition is the probing whose responses
+are block indicators, so it needs no map of its own: ``luders-equiv``
+pinches with :func:`~decobs.stacks.pinch` and decoheres with that
+probing's Gram matrix.
 """
 
 from __future__ import annotations
@@ -16,19 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .stacks import pinch
-from .states import DensityMatrix, ProjectorSet, PureState
+from .states import PureState
 from .tolerances import SPAN_TOL
-
-
-def luders(rho: DensityMatrix, projectors: ProjectorSet) -> DensityMatrix:
-    """Pinching sum_k P_k rho P_k over a complete orthogonal projector family."""
-    if projectors.dim != rho.dim:
-        raise ValidationError(
-            "projectors-match-state",
-            detail=f"projector dim {projectors.dim}, state dim {rho.dim}",
-        )
-    return DensityMatrix(pinch(np.array(projectors.projectors), rho.mat)[1])
 
 
 def _complete_unitary_from_first_column(first: np.ndarray) -> np.ndarray:

@@ -3,11 +3,14 @@
 This is the layer the seeded campaigns run on.  Each function takes plain
 numpy stacks of states, probings, Gram matrices or projector families and
 returns plain arrays, and each is the only implementation of its check or
-map: the value types of :mod:`decobs.states` and the averages and pinchings
-of :mod:`decobs.processes` call these kernels on one item.  The two maps of
-the paper are here only: observation (:func:`observe_stack`) and
-decoherence, the Schur product with :func:`response_gram_stack`.  This
-module imports no value type, so a campaign loads none.
+map: the value types of :mod:`decobs.states` call these kernels on one
+item.  The two maps of the paper are here only: observation
+(:func:`observe_stack`) and decoherence, the Schur product with
+:func:`response_gram_stack`.  A Lüders measurement by a diagonal partition
+is the probing whose responses are block indicators, so its block Gram
+matrix is :func:`response_gram_stack` of the diagonals of
+:func:`block_projectors`, and it has no kernel of its own.  This module
+imports no value type, so a campaign loads none.
 
 A failing stack raises the :class:`~decobs.errors.ValidationError` that its
 first failing item (in C order) raises as a value type, with the same
@@ -77,7 +80,7 @@ def _check_square_stack(mats: np.ndarray, kind: str) -> np.ndarray:
 def validate_stack(mats, kind: str) -> np.ndarray:
     """Run the ``"density"``, ``"gram"`` or ``"hermitian"`` checks on a (..., d, d) stack.
 
-    Every matrix gets the checks of a ``DensityMatrix`` or ``GramMatrix``:
+    Every matrix gets the checks of a density matrix or a Gram matrix:
     finite entries, Hermitian, unit trace or unit diagonal, and PSD.  The
     ``"hermitian"`` kind checks finite entries and Hermitian only, and
     raises ``finite-entries`` or ``hermitian``.  The return value is the
@@ -301,30 +304,6 @@ def gram_from_unit_rows(rows) -> np.ndarray:
     rows = np.asarray(rows, dtype=complex)
     rows = rows / unit_vector_norms(rows)[..., None]
     return rows @ rows.conj().swapaxes(-1, -2)
-
-
-def gram_from_projector_stack(mats) -> np.ndarray:
-    """Block overlap matrices of a (..., k, d, d) stack of diagonal projector families.
-
-    Each is sum_k outer(diag P_k, diag P_k), added left to right over k;
-    dead (all-zero) slots add exact zeros.  Every projector must be diagonal
-    within :data:`~decobs.tolerances.HERMITIAN_TOL`; a failing stack raises
-    the ``projector-diagonal`` error of its first failing projector.  The result is not validated.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    slots, dim = mats.shape[-3], mats.shape[-1]
-    off = np.where(np.eye(dim, dtype=bool), 0.0, abs(mats)).max(axis=(-2, -1), initial=0.0)
-    failed = off > HERMITIAN_TOL
-    if failed.any():
-        first = matcore.first_failure(failed)
-        raise ValidationError(
-            "projector-diagonal", residual=float(np.ravel(off)[first]), detail=f"projector {first % slots}"
-        )
-    diagonal = mats.diagonal(axis1=-2, axis2=-1).real
-    total = np.zeros(mats.shape[:-3] + (dim, dim), dtype=complex)
-    for k in range(slots):
-        total += diagonal[..., k, :, None] * diagonal[..., k, None, :]
-    return total
 
 
 def block_projectors(partitions: Sequence[Sequence[int]], slots: int, dim: int) -> np.ndarray:

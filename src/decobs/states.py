@@ -1,4 +1,4 @@
-"""Validated value types for states, overlaps and projector families, and their samplers.
+"""Validated value types for states and projector families, and their samplers.
 
 Construction performs full invariant checking; instances hold read-only
 arrays and can be shared freely between threads.  A failed check raises a
@@ -8,9 +8,11 @@ measured residual.
 Every check is a kernel of :mod:`decobs.stacks` called on one item, and every
 sampler here (``random_density``, ``random_pure``, ...) is a draw and a
 transform of :mod:`decobs.sampling` wrapped in a value type.  The campaigns
-use the kernels and transforms directly, and a probing has no value type:
-it is a plain (n, m) array, checked by
-:func:`~decobs.stacks.validate_probing_stack`.  The measurement code
+use the kernels and transforms directly.  A probing and a Gram matrix have
+no value type: each is a plain array, checked by
+:func:`~decobs.stacks.validate_probing_stack` or by the ``"gram"`` kind of
+:func:`~decobs.stacks.validate_stack`, and a diagonal block partition is a
+family of :func:`~decobs.stacks.block_projectors`.  The measurement code
 (:mod:`decobs.povm`, ``counterexample`` and ``povm-classify``) builds on
 these types, and a measurement's branches are stacks, as a probing's are:
 probabilities and states from :func:`~decobs.povm.apply_povm`.
@@ -25,13 +27,7 @@ import numpy as np
 
 from . import matcore, sampling
 from .errors import ValidationError
-from .stacks import (
-    block_projectors,
-    gram_from_projector_stack,
-    unit_vector_norms,
-    validate_projector_stack,
-    validate_stack,
-)
+from .stacks import block_projectors, unit_vector_norms, validate_projector_stack, validate_stack
 
 
 def _readonly(values, dtype=complex) -> np.ndarray:
@@ -82,22 +78,6 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Hermitian PSD matrix of pairwise overlaps with unit diagonal."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = matcore.require_square(self.mat)
-        validate_stack(mat, "gram")
-        object.__setattr__(self, "mat", _readonly(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
 class ProjectorSet:
     """Complete family of mutually orthogonal Hermitian projectors."""
 
@@ -141,23 +121,6 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(state.amp, state.amp.conj()))
 
 
-def gram_from_projectors(projectors: ProjectorSet) -> GramMatrix:
-    """Block overlap matrix E_ij = sum_k (P_k)_ii (P_k)_jj of a diagonal partition.
-
-    The projectors must be diagonal in the working basis; the result has ones
-    in the square blocks they pick out and zeros elsewhere.
-    """
-    return GramMatrix(gram_from_projector_stack(np.array(projectors.projectors)))
-
-
-def diagonal_projector_partition(block_sizes: Sequence[int]) -> ProjectorSet:
-    """Diagonal block projectors of the given sizes, in order."""
-    sizes = [int(s) for s in block_sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValidationError("positive-block-sizes", detail=f"{sizes}")
-    return ProjectorSet(tuple(block_projectors([sizes], len(sizes), sum(sizes))[0]))
-
-
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     if n < 1:
@@ -187,5 +150,5 @@ def random_projector_partition(
     if sum(sizes) != n or any(s < 1 for s in sizes):
         raise ValidationError("blocks-partition-dim", detail=f"{sizes} vs n={n}")
     basis = haar_unitary(n, rng)
-    diagonal = diagonal_projector_partition(sizes)
-    return ProjectorSet(tuple(sampling.conjugated_projectors(basis, np.array(diagonal.projectors))))
+    diagonal = block_projectors([sizes], len(sizes), n)[0]
+    return ProjectorSet(tuple(sampling.conjugated_projectors(basis, diagonal)))

@@ -6,8 +6,7 @@ that read it; the modules import what they read, and no call can set one.
 
 #: Max-norm of M - M^dagger: the density, Gram and projector Hermitian checks and
 #: the ``"hermitian"`` kind of ``stacks.validate_stack`` (``matcore.hermitian_spectrum``);
-#: of U^dagger U - I in ``matcore.is_unitary``; and of a projector's off-diagonal
-#: part in ``stacks.gram_from_projector_stack``.
+#: and of U^dagger U - I in ``matcore.is_unitary``.
 HERMITIAN_TOL = 1e-10
 #: Negative of the smallest eigenvalue: the density and Gram PSD checks.
 PSD_TOL = 1e-10

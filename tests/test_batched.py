@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from decobs import campaigns, cli, matcore, processes, sampling, stacks, states
+from decobs import campaigns, cli, matcore, sampling, stacks, states
 from decobs.entropy import (
     NEG_INFINITY,
     entropies_of_spectra,
@@ -26,7 +26,7 @@ from decobs.entropy import (
 )
 from decobs.errors import ValidationError
 from decobs.majorization import dominance, entropy_gap, fan_dominance, pinching_dominance, schur_dominance
-from decobs.states import DensityMatrix, GramMatrix, ProjectorSet, PureState
+from decobs.states import DensityMatrix, ProjectorSet, PureState
 from decobs.tolerances import (
     CONSISTENCY_TOL,
     NEAR_TRIVIAL_MARGIN,
@@ -647,15 +647,16 @@ def test_entropy_kernel_on_rank_deficient_spectra_is_bit_identical(dim):
     "kind, draw",
     [
         ("density", states.random_density),
-        ("gram", lambda n, rng: GramMatrix(stacks.gram_from_unit_rows(
+        ("gram", lambda n, rng: stacks.gram_from_unit_rows(
             sampling.pure_from_normals(rng.standard_normal((n, 2 * n)), n)
-        ))),
+        )),
     ],
 )
 def test_validated_spectra_are_the_hermitian_spectra(kind, draw):
     """validate_stack returns every spectrum non-increasing, as hermitian_spectrum and DensityMatrix do."""
     rng = np.random.default_rng(3)
-    stack = np.array([draw(5, rng).mat for _ in range(6)]).reshape(2, 3, 5, 5)
+    draws = [draw(5, rng) for _ in range(6)]
+    stack = np.array([d.mat if kind == "density" else d for d in draws]).reshape(2, 3, 5, 5)
     spectra = stacks.validate_stack(stack, kind)
     assert np.array_equal(spectra, matcore.hermitian_spectrum(stack))
     if kind == "density":
@@ -707,7 +708,7 @@ class TestStackErrorsMatchScalarTypes:
         bad = stack[3].copy()
         bad[2, 2] = 1.0 + 1e-6
         stack[3] = bad
-        scalar = self.error_of(lambda: GramMatrix(bad))
+        scalar = self.error_of(lambda: stacks.validate_stack(bad, "gram"))
         assert scalar[0] == "gram-unit-diagonal"
         assert self.error_of(lambda: stacks.validate_stack(stack, "gram")) == scalar
 
@@ -746,7 +747,9 @@ def oracle_majorization(cfg):
         rng = sampling.trial_stream(cfg.seed, trial)
         rho = states.random_density(dim, rng)
         responses = sampling.pure_from_normals(rng.standard_normal((dim, 2 * response_dim)), response_dim)
-        _, schur = schur_dominance(rho.spectrum, rho.mat * GramMatrix(stacks.gram_from_unit_rows(responses)).mat)
+        gram = stacks.gram_from_unit_rows(responses)
+        stacks.validate_stack(gram, "gram")
+        _, schur = schur_dominance(rho.spectrum, rho.mat * gram)
         pinch_input = states.random_density(dim, rng).mat
         partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
         *_, upper, lower = pinching_dominance(
@@ -766,14 +769,20 @@ def oracle_majorization(cfg):
 
 
 def oracle_luders(cfg):
-    """luders-equiv replayed one trial at a time through the scalar API."""
+    """luders-equiv replayed one trial at a time through the written-out formulas.
+
+    The pinching is sum_k P_k rho P_k over the diagonal block projectors, and
+    the block Schur form masks rho with the pattern labels_i == labels_j.
+    """
     rows = []
     for trial in range(cfg.trials):
         rng = sampling.trial_stream(cfg.seed, trial)
         rho = states.random_density(cfg.dim, rng)
-        partition = states.diagonal_projector_partition(sampling.random_block_sizes(cfg.dim, rng))
-        pinched = processes.luders(rho, partition)
-        schur_form = DensityMatrix(rho.mat * states.gram_from_projectors(partition).mat)
+        sizes = sampling.random_block_sizes(cfg.dim, rng)
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        partition = ProjectorSet(tuple(np.diag((labels == k).astype(complex)) for k in range(len(sizes))))
+        pinched = DensityMatrix(sum(p @ rho.mat @ p for p in partition))
+        schur_form = DensityMatrix(rho.mat * (labels[:, None] == labels[None, :]))
         residual = matcore.max_abs(pinched.mat - schur_form.mat)
         rows.append(
             _report_row(
@@ -832,7 +841,6 @@ def test_pinch_matches_the_one_projector_formula(dim):
             total = total + p @ mat @ p
         assert not piece_row[len(partition) :].any()
         assert np.array_equal(total_stack, total)
-        assert np.array_equal(processes.luders(DensityMatrix(mat), partition).mat, total)
 
 
 def test_block_projector_families_are_the_diagonal_blocks():
@@ -950,12 +958,14 @@ class TestStackedChecksRaiseTheScalarErrors:
         assert self.error_of(lambda: stacks.gram_from_unit_rows(rows)) == scalar
 
     def test_non_diagonal_projector(self):
+        # the block Gram of a rotated family, formed as luders-equiv forms it, fails the Gram check
         partition = states.random_projector_partition(3, [1, 2], np.random.default_rng(25))
         stack = stacks.block_projectors([[3], [1, 2], [1, 1, 1], [2, 1]], 3, 3)
         stack[2] = _padded_family(partition, 3)
-        scalar = self.error_of(lambda: states.gram_from_projectors(partition))
-        assert scalar[0] == "projector-diagonal"
-        assert self.error_of(lambda: stacks.gram_from_projector_stack(stack)) == scalar
+        grams = stacks.response_gram_stack(stack.diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2))
+        scalar = self.error_of(lambda: stacks.validate_stack(grams[2], "gram"))
+        assert scalar[0] == "gram-unit-diagonal"
+        assert self.error_of(lambda: stacks.validate_stack(grams, "gram")) == scalar
 
     @pytest.mark.parametrize("command", ["majorization", "luders-equiv"])
     def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch, command):

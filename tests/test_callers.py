@@ -25,9 +25,8 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 TEST_ONLY = {
     **dict.fromkeys(
         (
-            "GramMatrix", "diagonal_projector_partition", "gram_from_projectors", "haar_unitary", "luders",
-            "purify_ancilla", "random_density", "random_hermitian",
-            "random_projector_partition", "random_pure", "trial_stream",
+            "haar_unitary", "purify_ancilla", "random_density", "random_hermitian", "random_projector_partition",
+            "random_pure", "trial_stream",
         ),
         "oracle",
     ),

@@ -4,6 +4,8 @@ Each check runs in a fresh interpreter, because this test process has
 long since imported every module.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: Every name ``decobs`` exports, by the module it comes from.
 EXPORTS = {
@@ -26,11 +29,8 @@ EXPORTS = {
         "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2", "is_purity_preserving",
         "probing_as_povm", "purify_ancilla",
     ),
-    "processes": ("luders", "probing_joint_unitary"),
-    "states": (
-        "DensityMatrix", "GramMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure",
-        "diagonal_projector_partition", "gram_from_projectors", "maximally_mixed",
-    ),
+    "processes": ("probing_joint_unitary",),
+    "states": ("DensityMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure", "maximally_mixed"),
 }
 
 
@@ -107,3 +107,19 @@ def test_an_unknown_name_is_an_attribute_error():
 
     with pytest.raises(AttributeError, match="has no attribute 'stacks_of_nothing'"):
         getattr(decobs, "stacks_of_nothing")
+
+
+def trace_layers() -> tuple[str, ...]:
+    """The ``LAYERS`` tuple of ``perfbench/child.py``, read from its source."""
+    for node in ast.parse((ROOT / "perfbench" / "child.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/child.py assigns no LAYERS")
+
+
+def test_every_traced_layer_is_a_module():
+    # the benchmark's --trace 1 imports decobs.<layer> for each entry and wraps its public functions
+    layers = trace_layers()
+    assert layers
+    for layer in layers:
+        assert importlib.import_module(f"decobs.{layer}").__name__ == f"decobs.{layer}"

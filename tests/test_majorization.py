@@ -9,16 +9,8 @@ from decobs import matcore, sampling, states
 from decobs.cli import CampaignConfig, run_holevo, run_majorization
 from decobs.entropy import builtin_functionals, entropy, expected_entropy_stack, log_det, von_neumann
 from decobs.majorization import dominance, fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
-from decobs.states import (
-    DensityMatrix,
-    GramMatrix,
-    ProjectorSet,
-    basis_state,
-    density_from_pure,
-    diagonal_projector_partition,
-    maximally_mixed,
-)
-from decobs.stacks import average_stack, clean_probabilities, gram_from_unit_rows
+from decobs.states import DensityMatrix, ProjectorSet, basis_state, density_from_pure, maximally_mixed
+from decobs.stacks import average_stack, clean_probabilities, gram_from_unit_rows, validate_stack
 from decobs.tolerances import INEQUALITY_TOL
 
 LN2 = math.log(2.0)
@@ -180,13 +172,15 @@ class TestDominanceKernel:
 class TestSchurMajorization:
     def test_all_ones_overlap_is_equality(self):
         rho = states.random_density(3, np.random.default_rng(8))
-        _, check = schur_dominance(rho.spectrum, rho.mat * GramMatrix(np.ones((3, 3))).mat)
+        validate_stack(np.ones((3, 3)), "gram")
+        _, check = schur_dominance(rho.spectrum, rho.mat * np.ones((3, 3)))
         assert check.holds(INEQUALITY_TOL)
         assert matcore.max_abs(np.array(check.margins)) <= 1e-9
 
     def test_plus_state_full_reduction(self, plus_density):
         rho = DensityMatrix(plus_density)
-        lam_schur, check = schur_dominance(rho.spectrum, rho.mat * GramMatrix(np.eye(2)).mat)
+        validate_stack(np.eye(2), "gram")
+        lam_schur, check = schur_dominance(rho.spectrum, rho.mat * np.eye(2))
         assert check.holds(INEQUALITY_TOL)
         assert tuple(rho.spectrum) == pytest.approx((1.0, 0.0), abs=1e-12)
         assert tuple(lam_schur) == pytest.approx((0.5, 0.5))
@@ -218,7 +212,8 @@ class TestPinchingDouble:
         assert matcore.max_abs(np.concatenate((upper.margins, lower.margins))) <= 1e-9
 
     def test_plus_state_hand_case(self, plus_density):
-        lam, parts, lam_pinched, upper, lower = pinching_checks(plus_density, diagonal_projector_partition([1, 1]))
+        partition = ProjectorSet((np.diag([1.0, 0]), np.diag([0.0, 1])))
+        lam, parts, lam_pinched, upper, lower = pinching_checks(plus_density, partition)
         assert upper.holds(INEQUALITY_TOL) and lower.holds(INEQUALITY_TOL)
         assert tuple(parts) == pytest.approx((1.0, 0.0), abs=1e-12)
         assert tuple(lam) == pytest.approx((1.0, 0.0), abs=1e-12)
@@ -230,7 +225,7 @@ class TestPinchingDouble:
         g = sampling.complex_from_normals(rng.standard_normal(32), (4, 4))
         h = g @ g.conj().T
         h = h / np.trace(h).real
-        *_, upper, lower = pinching_checks(h, diagonal_projector_partition([2, 2]))
+        *_, upper, lower = pinching_checks(h, ProjectorSet((np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1]))))
         assert upper.holds(INEQUALITY_TOL) and lower.holds(INEQUALITY_TOL)
 
     @settings(max_examples=60)
@@ -256,7 +251,8 @@ class TestPinchingDouble:
         # the PSD requirement is sharp: a flip matrix pinched by rank-1
         # projectors leaves nothing, and (0, 0) cannot dominate (1, -1)
         flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        lam, parts, lam_pinched, *_ = pinching_checks(flip, diagonal_projector_partition([1, 1]))
+        partition = ProjectorSet((np.diag([1.0, 0]), np.diag([0.0, 1])))
+        lam, parts, lam_pinched, *_ = pinching_checks(flip, partition)
         assert not dominance(parts, lam).holds(1e-9)
         assert dominance(lam, lam_pinched).holds(1e-9)
 

@@ -2,29 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decobs import matcore, sampling, states
+from decobs import campaigns, matcore, sampling, states
+from decobs.cli import CampaignConfig
 from decobs.entropy import entropies_of_spectra, linear
 from decobs.errors import ValidationError
-from decobs.processes import luders, probing_joint_unitary
+from decobs.processes import probing_joint_unitary
 from decobs.stacks import (
     average_stack,
+    block_projectors,
     gram_from_unit_rows,
     observe_stack,
+    pinch,
     response_gram_stack,
     spectra_unchanged,
     validate_probing_stack,
     validate_stack,
 )
-from decobs.states import (
-    DensityMatrix,
-    GramMatrix,
-    ProjectorSet,
-    basis_state,
-    density_from_pure,
-    diagonal_projector_partition,
-    gram_from_projectors,
-    maximally_mixed,
-)
+from decobs.states import DensityMatrix, basis_state, density_from_pure, maximally_mixed
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
@@ -32,6 +26,13 @@ dims = st.integers(min_value=2, max_value=8)
 
 def plus() -> DensityMatrix:
     return DensityMatrix(np.full((2, 2), 0.5))
+
+
+def checked_gram(mat) -> np.ndarray:
+    """``mat`` as a complex array, once it passes the Gram checks of ``validate_stack``."""
+    mat = np.asarray(mat, dtype=complex)
+    validate_stack(mat, "gram")
+    return mat
 
 
 def is_trivial_probing(rho, probe) -> bool:
@@ -43,24 +44,24 @@ def is_trivial_probing(rho, probe) -> bool:
 
 def is_trivial_decoherence(rho, env) -> bool:
     """The campaigns' triviality test of a decoherence: rho o E keeps the spectrum of rho."""
-    return bool(spectra_unchanged(rho.spectrum, validate_stack(rho.mat * env.mat, "density")))
+    return bool(spectra_unchanged(rho.spectrum, validate_stack(rho.mat * env, "density")))
 
 
 class TestDecohere:
     """Decoherence is the Schur product rho o E, formed as ``rho * env``."""
 
     def test_identity_overlap_reduces_to_diagonal(self):
-        out = plus().mat * GramMatrix(np.eye(2)).mat
+        out = plus().mat * checked_gram(np.eye(2))
         assert np.array_equal(out, np.eye(2) / 2.0)
 
     def test_all_ones_overlap_changes_nothing(self):
         rho = states.random_density(4, np.random.default_rng(5))
-        out = rho.mat * GramMatrix(np.ones((4, 4))).mat
+        out = rho.mat * checked_gram(np.ones((4, 4)))
         assert matcore.max_abs(out - rho.mat) == 0.0
 
     def test_partial_suppression(self):
-        env = GramMatrix(np.array([[1.0, 0.6], [0.6, 1.0]]))
-        out = plus().mat * env.mat
+        env = checked_gram(np.array([[1.0, 0.6], [0.6, 1.0]]))
+        out = plus().mat * env
         assert matcore.max_abs(out - np.array([[0.5, 0.3], [0.3, 0.5]])) <= 1e-15
 
     @given(dim=dims, seed=seeds)
@@ -129,12 +130,12 @@ class TestResponseGram:
     def test_identical_rows_give_all_ones(self):
         row = np.array([2**-0.5, 2**-0.5])
         gram = response_gram_stack(np.array([row, row]))
-        assert matcore.max_abs(GramMatrix(gram).mat - 1.0) <= 1e-12
+        assert matcore.max_abs(checked_gram(gram) - 1.0) <= 1e-12
 
     def test_row_overlaps(self):
         probe = np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]])
         expected = np.array([[1.0, 2**-0.5], [2**-0.5, 1.0]])
-        assert matcore.max_abs(GramMatrix(response_gram_stack(probe)).mat - expected) <= 1e-12
+        assert matcore.max_abs(checked_gram(response_gram_stack(probe)) - expected) <= 1e-12
 
 
 class TestEnsembleAverage:
@@ -156,36 +157,48 @@ class TestEnsembleAverage:
 
 
 class TestLuders:
+    """A Lüders measurement by a diagonal partition is the probing whose responses are block indicators.
+
+    The pinching is ``pinch`` on one item, and its block Schur form is
+    decoherence by the indicator probing, whose Gram matrix ``luders-equiv``
+    takes from ``response_gram_stack``.
+    """
+
     def test_trivial_projector(self):
         rho = states.random_density(3, np.random.default_rng(9))
-        out = luders(rho, ProjectorSet((np.eye(3, dtype=complex),)))
-        assert matcore.max_abs(out.mat - rho.mat) <= 1e-14
+        _, out = pinch(np.eye(3)[None], rho.mat)
+        assert matcore.max_abs(DensityMatrix(out).mat - rho.mat) <= 1e-14
 
     def test_full_pinching_of_plus(self):
-        out = luders(plus(), diagonal_projector_partition([1, 1]))
-        assert np.allclose(out.mat, np.eye(2) / 2.0)
+        _, out = pinch(block_projectors([[1, 1]], 2, 2)[0], plus().mat)
+        assert np.allclose(DensityMatrix(out).mat, np.eye(2) / 2.0)
 
     def test_block_masking(self):
         rho = states.random_density(3, np.random.default_rng(4))
-        out = luders(rho, diagonal_projector_partition([2, 1]))
+        _, out = pinch(block_projectors([[2, 1]], 2, 3)[0], rho.mat)
         expected = rho.mat.copy()
         expected[0, 2] = expected[1, 2] = 0.0
         expected[2, 0] = expected[2, 1] = 0.0
-        assert matcore.max_abs(out.mat - expected) <= 1e-14
+        assert matcore.max_abs(DensityMatrix(out).mat - expected) <= 1e-14
 
     @given(dim=dims, seed=seeds)
     def test_equals_schur_form_for_diagonal_partitions(self, dim, seed):
         rng = np.random.default_rng(seed)
         rho = states.random_density(dim, rng)
-        partition = diagonal_projector_partition(sampling.random_block_sizes(dim, rng))
-        pinched = luders(rho, partition)
-        schur_form = rho.mat * gram_from_projectors(partition).mat
-        assert matcore.max_abs(pinched.mat - schur_form) <= 1e-12
+        sizes = sampling.random_block_sizes(dim, rng)
+        projectors = block_projectors([sizes], len(sizes), dim)[0]
+        _, pinched = pinch(projectors, rho.mat)
+        # the indicator probing: row i holds (P_k)_ii over the blocks k
+        probe = projectors.diagonal(axis1=-2, axis2=-1).T
+        schur_form = rho.mat * checked_gram(response_gram_stack(probe))
+        assert matcore.max_abs(DensityMatrix(pinched).mat - schur_form) <= 1e-12
 
     def test_rejects_shape_mismatch(self):
+        # a partition of another dim than the state's is refused before any map runs
+        cfg = CampaignConfig("luders-equiv", dim=2)
         with pytest.raises(ValidationError) as err:
-            luders(plus(), diagonal_projector_partition([2, 1]))
-        assert err.value.invariant == "projectors-match-state"
+            campaigns.evaluate_luders(cfg, range(1), (plus().mat[None], [(2, 1)]))
+        assert err.value.invariant == "stacks-same-dim"
 
 
 class TestVonNeumannReduce:
@@ -193,15 +206,15 @@ class TestVonNeumannReduce:
 
     def test_diagonal_unchanged(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]))
-        assert np.array_equal(rho.mat * GramMatrix(np.eye(2)).mat, rho.mat)
+        assert np.array_equal(rho.mat * checked_gram(np.eye(2)), rho.mat)
 
     def test_plus_becomes_mixed(self):
-        assert np.array_equal(plus().mat * GramMatrix(np.eye(2)).mat, np.eye(2) / 2.0)
+        assert np.array_equal(plus().mat * checked_gram(np.eye(2)), np.eye(2) / 2.0)
 
     @given(dim=dims, seed=seeds)
     def test_keeps_diagonal_only(self, dim, seed):
         rho = states.random_density(dim, np.random.default_rng(seed))
-        out = DensityMatrix(rho.mat * GramMatrix(np.eye(dim)).mat)
+        out = DensityMatrix(rho.mat * checked_gram(np.eye(dim)))
         assert np.array_equal(out.mat.diagonal(), rho.mat.diagonal())
         assert matcore.max_abs(out.mat - np.diag(out.mat.diagonal())) == 0.0
 
@@ -228,14 +241,14 @@ class TestTriviality:
         rng = np.random.default_rng(seed)
         probs = sampling.random_simplex(dim, rng)
         rho = DensityMatrix(np.diag(probs))
-        env = GramMatrix(gram_from_unit_rows(sampling.pure_from_normals(rng.standard_normal((dim, 2 * dim)), dim)))
+        env = checked_gram(gram_from_unit_rows(sampling.pure_from_normals(rng.standard_normal((dim, 2 * dim)), dim)))
         assert is_trivial_decoherence(rho, env)
 
     def test_all_ones_overlap_is_trivial(self):
-        assert is_trivial_decoherence(plus(), GramMatrix(np.ones((2, 2))))
+        assert is_trivial_decoherence(plus(), checked_gram(np.ones((2, 2))))
 
     def test_identity_overlap_on_plus_is_nontrivial(self):
-        assert not is_trivial_decoherence(plus(), GramMatrix(np.eye(2)))
+        assert not is_trivial_decoherence(plus(), checked_gram(np.eye(2)))
 
 
 class TestProbingJointUnitary:
@@ -324,9 +337,9 @@ class TestSpectraUnchanged:
     def test_is_trivial_functions_read_the_state_spectra(self, dim, seed):
         rng = np.random.default_rng(seed)
         rho = states.random_density(dim, rng)
-        env = GramMatrix(gram_from_unit_rows(sampling.pure_from_normals(rng.standard_normal((dim, 2 * dim)), dim)))
+        env = checked_gram(gram_from_unit_rows(sampling.pure_from_normals(rng.standard_normal((dim, 2 * dim)), dim)))
         probe = sampling.probing_from_normals(rng.standard_normal(2 * dim * dim), dim, dim)
-        after = matcore.hermitian_spectrum(rho.mat * env.mat)
+        after = matcore.hermitian_spectrum(rho.mat * env)
         reference = matcore.hermitian_spectrum(rho.mat)
         assert is_trivial_decoherence(rho, env) == bool(matcore.max_abs(after - reference) <= 1e-9)
         probs, states_after = observe_stack(rho.mat, probe)
@@ -335,7 +348,7 @@ class TestSpectraUnchanged:
         assert is_trivial_probing(rho, probe) == expected
 
     def test_decoherence_solves_only_the_decohered_state(self, solved):
-        rho, env = plus(), GramMatrix(np.eye(2))
+        rho, env = plus(), checked_gram(np.eye(2))
         solved[0] = 0
         assert not is_trivial_decoherence(rho, env)
         assert solved[0] == 1

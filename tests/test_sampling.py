@@ -9,7 +9,6 @@ from decobs import campaigns, matcore, povm, sampling, stacks, states
 from decobs.cli import _DISPATCH, CampaignConfig
 from decobs.errors import ValidationError
 from decobs.povm import is_purity_preserving
-from decobs.states import GramMatrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=8)
@@ -341,7 +340,7 @@ class TestOtherSamplers:
     @given(n=st.integers(2, 5), d=st.integers(1, 5), seed=seeds)
     def test_gram_sampler_output_validates(self, n, d, seed):
         rows = sampling.pure_from_normals(np.random.default_rng(seed).standard_normal((n, 2 * d)), d)
-        GramMatrix(stacks.gram_from_unit_rows(rows))
+        stacks.validate_stack(stacks.gram_from_unit_rows(rows), "gram")
 
 
 def _gaussian(rng, shape):

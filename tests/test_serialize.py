@@ -57,7 +57,7 @@ class TestMatrixRoundTrip:
 
 
 class TestTypedRoundTrips:
-    """The matrix of each value type survives the matrix format bit for bit and rebuilds the type."""
+    """Each kind of matrix survives the matrix format bit for bit and passes its checks again."""
 
     def test_density(self):
         rho = states.random_density(2, np.random.default_rng(1))
@@ -74,9 +74,11 @@ class TestTypedRoundTrips:
 
     def test_gram(self):
         rows = sampling.pure_from_normals(np.random.default_rng(3).standard_normal((3, 4)), 2)
-        gram = states.GramMatrix(stacks.gram_from_unit_rows(rows))
-        back = states.GramMatrix(serialize.matrix_from_json(serialize.matrix_to_json(gram.mat)))
-        assert matcore.max_abs(back.mat - gram.mat) == 0.0
+        gram = stacks.gram_from_unit_rows(rows)
+        stacks.validate_stack(gram, "gram")
+        back = serialize.matrix_from_json(serialize.matrix_to_json(gram))
+        stacks.validate_stack(back, "gram")
+        assert matcore.max_abs(back - gram) == 0.0
 
     def test_probing(self):
         # a 2 x 3 probing: rows and columns are not interchangeable

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,21 +7,11 @@ from hypothesis import given, strategies as st
 from decobs import matcore, states
 from decobs.entropy import entropy, linear
 from decobs.errors import ValidationError
-from decobs.states import (
-    DensityMatrix,
-    GramMatrix,
-    ProjectorSet,
-    PureState,
-    basis_state,
-    density_from_pure,
-    diagonal_projector_partition,
-    gram_from_projectors,
-    maximally_mixed,
-)
-from decobs.sampling import probing_from_normals
+from decobs.states import DensityMatrix, ProjectorSet, PureState, basis_state, density_from_pure, maximally_mixed
+from decobs.sampling import probing_from_normals, random_block_sizes
 from decobs.stacks import (
-    clean_probabilities, gram_from_unit_rows, unit_vector_norms, validate_probing_stack, validate_projector_stack,
-    validate_stack,
+    block_projectors, clean_probabilities, gram_from_unit_rows, response_gram_stack, unit_vector_norms,
+    validate_probing_stack, validate_projector_stack, validate_stack,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -103,8 +95,9 @@ class TestGramFromVectors:
 
     def test_identical_vectors_give_all_ones(self):
         v = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        gram = GramMatrix(gram_from_unit_rows([v.amp, v.amp, v.amp]))
-        assert matcore.max_abs(gram.mat - 1.0) <= 1e-12
+        gram = gram_from_unit_rows([v.amp, v.amp, v.amp])
+        validate_stack(gram, "gram")
+        assert matcore.max_abs(gram - 1.0) <= 1e-12
 
     def test_orthonormal_vectors_give_identity(self):
         gram = gram_from_unit_rows([basis_state(3, i).amp for i in range(3)])
@@ -112,38 +105,78 @@ class TestGramFromVectors:
 
     def test_overlap_pair(self):
         plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        gram = GramMatrix(gram_from_unit_rows([basis_state(2, 0).amp, plus.amp]))
+        gram = gram_from_unit_rows([basis_state(2, 0).amp, plus.amp])
+        validate_stack(gram, "gram")
         expected = np.array([[1.0, 2**-0.5], [2**-0.5, 1.0]])
-        assert matcore.max_abs(gram.mat - expected) <= 1e-12
+        assert matcore.max_abs(gram - expected) <= 1e-12
 
     @given(count=st.integers(2, 5), dim=dims, seed=seeds)
     def test_always_validates(self, count, dim, seed):
         rng = np.random.default_rng(seed)
         vectors = [states.random_pure(dim, rng) for _ in range(count)]
-        gram = GramMatrix(gram_from_unit_rows([v.amp for v in vectors]))
-        assert gram.dim == count
+        gram = gram_from_unit_rows([v.amp for v in vectors])
+        validate_stack(gram, "gram")
+        assert gram.shape == (count, count)
 
 
 class TestGramFromProjectors:
+    """A diagonal partition's block Gram matrix is ``response_gram_stack`` of its indicator probing.
+
+    Row i of that probing holds (P_k)_ii over the slots k, as ``luders-equiv`` forms it.
+    """
+
+    @staticmethod
+    def block_gram(projectors) -> np.ndarray:
+        """``response_gram_stack`` of the indicator probing of (..., k, d, d) projector families."""
+        return response_gram_stack(np.asarray(projectors).diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2))
+
+    @staticmethod
+    def block_mask(sizes) -> np.ndarray:
+        """The pattern of the square diagonal blocks of the given sizes, from each index's block label."""
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        return labels[:, None] == labels[None, :]
+
     def test_block_pattern(self):
-        ps = diagonal_projector_partition([2, 1])
-        gram = gram_from_projectors(ps)
+        gram = self.block_gram(block_projectors([[2, 1]], 2, 3)[0])
+        validate_stack(gram, "gram")
         expected = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=float)
-        assert np.array_equal(gram.mat.real, expected)
+        assert np.array_equal(gram, expected)
 
     def test_trivial_projector_gives_all_ones(self):
-        gram = gram_from_projectors(ProjectorSet((np.eye(3, dtype=complex),)))
-        assert np.array_equal(gram.mat.real, np.ones((3, 3)))
+        gram = self.block_gram(np.eye(3, dtype=complex)[None])
+        assert np.array_equal(gram, np.ones((3, 3)))
 
     def test_full_pinching_gives_identity(self):
-        gram = gram_from_projectors(diagonal_projector_partition([1, 1]))
-        assert np.array_equal(gram.mat.real, np.eye(2))
+        gram = self.block_gram(block_projectors([[1, 1]], 2, 2)[0])
+        assert np.array_equal(gram, np.eye(2))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_is_the_block_mask_of_every_composition(self, n):
+        # the 2^(n-1) compositions of n: a cut or none after each of the first n - 1 indices
+        compositions = []
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [n]
+            compositions.append(np.diff([0, *ends]).tolist())
+        assert len({tuple(sizes) for sizes in compositions}) == 2 ** (n - 1)
+        grams = self.block_gram(block_projectors(compositions, n, n))
+        for sizes, gram in zip(compositions, grams):
+            assert np.array_equal(gram, self.block_mask(sizes))
+        validate_stack(grams, "gram")
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_is_the_block_mask_of_random_partitions(self, dim):
+        rng = np.random.default_rng(dim + 70)
+        partitions = [random_block_sizes(dim, rng) for _ in range(25)]
+        grams = self.block_gram(block_projectors(partitions, dim, dim))
+        for sizes, gram in zip(partitions, grams):
+            assert np.array_equal(gram, self.block_mask(sizes))
 
     def test_rejects_rotated_projectors(self):
+        # off a diagonal partition, sum_k (P_k)_ii^2 < sum_k (P_k)_ii = 1: the Gram check refuses it
         ps = states.random_projector_partition(4, [2, 2], np.random.default_rng(3))
         with pytest.raises(ValidationError) as err:
-            gram_from_projectors(ps)
-        assert err.value.invariant == "projector-diagonal"
+            validate_stack(self.block_gram(ps.projectors), "gram")
+        assert err.value.invariant == "gram-unit-diagonal"
 
 
 class TestProjectorSet:
@@ -199,7 +232,7 @@ class TestProbingMatrix:
     def test_row_gram_validates(self, n, m, seed):
         probe = probing_from_normals(np.random.default_rng(seed).standard_normal(2 * n * m), n, m)
         validate_probing_stack(probe)
-        GramMatrix(probe @ probe.conj().T)
+        validate_stack(probe @ probe.conj().T, "gram")
 
     def test_rectangular_allowed(self):
         probe = probing_from_normals(np.random.default_rng(1).standard_normal(30), 3, 5)
@@ -290,7 +323,7 @@ class TestEmptyInputs:
         assert self.invariant_of(lambda: validate_stack(np.zeros((3, 0, 0)), "density")) == scalar
 
     def test_stack_of_empty_gram_matrices_passes(self):
-        GramMatrix(np.zeros((0, 0)))
+        assert validate_stack(np.zeros((0, 0)), "gram").shape == (0,)
         assert validate_stack(np.zeros((3, 0, 0)), "gram").shape == (3, 0)
         assert validate_stack(np.zeros((2, 3, 0, 0)), "gram").shape == (2, 3, 0)
 
