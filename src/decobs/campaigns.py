@@ -10,10 +10,13 @@ streams itself, in bounded blocks, and hands each trial the same generator,
 reset to that trial's stream, so a sampler finishes with a trial's ``rng``
 before it takes the next.  The evaluator, ``evaluate_*(cfg, trials,
 stacks)``, validates the stacks a sampler returns for ``trials``, applies
-the maps and returns the trials' row columns, which
-:func:`_campaign_result` makes rows.  It takes every shape from its stacks
-and reads only ``cfg.functionals`` and ``cfg.tol``, so it checks any stacks
-of that form, not only drawn ones; ``run_*`` hands it each chunk's draws.
+the maps and returns the trials' judged row columns, margin and violation
+included, which :func:`_campaign_result` makes rows.  Every entropy row is
+a link of one chain, sum_k p_k S(rho_k) <= S(link 0) <= S(link 1) <= ...,
+built and judged by :func:`_chain_rows`.  An evaluator takes every shape
+from its stacks and reads only ``cfg.functionals`` and ``cfg.tol``, so it
+checks any stacks of that form, not only drawn ones; ``run_*`` hands it
+each chunk's draws and joins their rows.
 
 The trials are split into chunks (:func:`plan_chunks`), and every chunk goes
 through one chunk map, :func:`_map_chunks`.  A chunk holds the stacks its
@@ -42,7 +45,8 @@ so importing this module loads no value type.  ``counterexample`` and
 ``povm-classify`` load the value layer inside their ``run_*`` functions;
 ``counterexample`` gets its measurement's branches as stacks
 (:func:`~decobs.povm.apply_povm`), and averages and evaluates them with the
-seeded campaigns' kernels and their :func:`_entropy_table`.
+seeded campaigns' kernels: its rows are the two-link chain of
+:func:`_chain_rows`, and it reads its entropies back from them.
 """
 
 from __future__ import annotations
@@ -198,16 +202,39 @@ def _joined(blocks: list[dict]) -> dict:
     return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
 
 
-def _entropy_rows(columns: dict, tol: float) -> dict:
-    """Add the verdict of each entropy row lhs <= rhs + tol to its columns.
+def _chain_rows(functionals, trials, probs, lam_branch, links: tuple, sides, tol: float, keep=True, trivial=None):
+    """The judged rows of each trial's entropy chain sum_k p_k S(rho_k) <= S(link 0) <= S(link 1) <= ...
 
-    Sets margin and violation and, when the rows have a trivial column,
+    ``probs`` holds each trial's branch probabilities, (n, m), ``lam_branch``
+    the spectra of its live (p > 0) branches in that order, and ``links``
+    (n, d) spectrum stacks, all non-increasing; one
+    :func:`entropies_of_spectra` call takes them all.  Link -1 is the
+    expected branch entropy (:func:`expected_entropy_stack`), and row i, on
+    side ``sides[i]``, has lhs S(link i - 1), rhs S(link i), and the margin
+    and violation of :func:`inequality_verdict`.  Rows run trial,
+    functional, side; where ``keep`` is False there is no row.  With
+    ``trivial``, (n, len(links)), a row also gets its trivial flag and
     strict: a nontrivial row that holds is strict when its margin exceeds
     :data:`NEAR_TRIVIAL_MARGIN`, and other rows carry None.
     """
+    spectra = np.concatenate(links + (lam_branch,))
+    table = entropies_of_spectra(spectra, functionals)
+    head = len(spectra) - len(lam_branch)
+    s_branch = np.zeros((len(functionals),) + probs.shape)
+    s_branch[:, probs > 0.0] = table[:, head:]
+    s_links = table[:, :head].reshape(len(functionals), len(links), len(probs))
+    # chain[t, f, i] is S(link i - 1) of trial t under functional f
+    chain = np.concatenate((expected_entropy_stack(probs, s_branch)[:, None], s_links), axis=1).transpose(2, 0, 1)
+    columns = _grid_rows(
+        (len(probs), len(functionals), len(links)), keep,
+        trial=np.asarray(trials, dtype=int)[:, None, None],
+        functional=np.array([f.label for f in functionals])[:, None],
+        side=np.array(sides), lhs=chain[..., :-1], rhs=chain[..., 1:],
+        **({} if trivial is None else {"trivial": trivial[:, None]}),
+    )
     margin, holds = inequality_verdict(columns["lhs"], columns["rhs"], tol)
     columns.update(margin=margin, violation=~holds)
-    if "trivial" in columns:
+    if trivial is not None:
         judged = holds & ~columns["trivial"]
         strict = columns["strict"] = np.full(len(margin), None, dtype=object)
         strict[judged] = margin[judged] > NEAR_TRIVIAL_MARGIN
@@ -357,23 +384,6 @@ def _map_chunks(evaluate, chunks: list[range]) -> list:
     return ordered
 
 
-def _entropy_table(functionals, states: tuple, branches: np.ndarray, probs: np.ndarray):
-    """Entropies of stacked states and the expected entropy of their live branches.
-
-    ``states`` holds (n, d) spectra stacks and ``branches`` the spectra of
-    the live (p > 0) branches, in the order of ``probs``, all non-increasing;
-    all of them go through one :func:`entropies_of_spectra` call.  Returns
-    the state entropies, shape (len(functionals), sum of n), and the
-    expected branch entropies, shape (len(functionals),) + probs.shape[:-1].
-    """
-    spectra = np.concatenate(states + (branches,))
-    table = entropies_of_spectra(spectra, functionals)
-    head = len(spectra) - len(branches)
-    s_branch = np.zeros((len(functionals),) + probs.shape)
-    s_branch[:, probs > 0.0] = table[:, head:]
-    return table[:, :head], expected_entropy_stack(probs, s_branch)
-
-
 def _check_stacks(trials: range, *forms: tuple) -> None:
     """Raise unless an evaluator's stacks have the form their sampler gives them.
 
@@ -481,19 +491,12 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     obs_trivial = branch_unchanged.all(axis=-1)
     dec_trivial = spectra_unchanged(lam_rho, lam_dec)
 
-    table, s_expected = _entropy_table(functionals, (lam_rho, lam_dec), lam_branch, probs)
-    s_rho, s_dec = table[:, : len(rho)], table[:, len(rho) :]
-    # rows run trial, functional, side; log-det skips a singular state
+    # log-det skips a singular state
     log_det = np.array([f.kind == "log-det" for f in functionals], dtype=bool)
     regular = (lam_rho[:, -1] >= SINGULAR_SKIP)[:, None] | ~log_det
-    columns = _grid_rows(
-        (len(rho), len(functionals), 2), regular[..., None],
-        trial=np.asarray(trials, dtype=int)[:, None, None],
-        functional=np.array([f.label for f in functionals])[:, None],
-        side=np.array(["observation", "decoherence"]),
-        lhs=np.stack((s_expected, s_rho), axis=-1).swapaxes(0, 1),
-        rhs=np.stack((s_rho, s_dec), axis=-1).swapaxes(0, 1),
-        trivial=np.stack((obs_trivial, dec_trivial), axis=-1)[:, None],
+    columns = _chain_rows(
+        functionals, trials, probs, lam_branch, (lam_rho, lam_dec), ("observation", "decoherence"), cfg.tol,
+        keep=regular[..., None], trivial=np.stack((obs_trivial, dec_trivial), axis=-1),
     )
     return columns, int(np.count_nonzero(~regular)), consistency
 
@@ -518,7 +521,7 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     blocks, skipped, residuals = zip(*evaluated)
     skipped_singular = sum(skipped)
     consistency_max = max(0.0, *residuals)
-    columns = _entropy_rows(_joined(blocks), cfg.tol)
+    columns = _joined(blocks)
     consistency_ok = consistency_max <= CONSISTENCY_TOL
     flags = {
         "dim": cfg.dim,
@@ -669,14 +672,8 @@ def evaluate_holevo(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     probs = clean_probabilities(probs)
     average = average_stack(probs, mats)
     lam_avg = validate_stack(average, "density")
-    live = probs > 0.0
-
-    rhs, lhs = _entropy_table(functionals, (lam_avg,), lam_state[live[present]], probs)
-    # rows run trial, functional
-    return _grid_rows(
-        (len(probs), len(functionals)), trial=np.asarray(trials, dtype=int)[:, None],
-        functional=np.array([f.label for f in functionals]), side="holevo", lhs=lhs.T, rhs=rhs.T,
-    )
+    lam_live = lam_state[(probs > 0.0)[present]]
+    return _chain_rows(functionals, trials, probs, lam_live, (lam_avg,), ("holevo",), cfg.tol)
 
 
 def run_holevo(cfg: CampaignConfig) -> CampaignResult:
@@ -696,7 +693,7 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
         "tol": cfg.tol,
         "units": cfg.units,
     }
-    return _campaign_result(cfg, flags, _entropy_rows(_joined(blocks), cfg.tol))
+    return _campaign_result(cfg, flags, _joined(blocks))
 
 
 def sample_luders(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, list[tuple[int, ...]]]:
@@ -801,14 +798,11 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
 
     # von Neumann first, then the selected functional unless it is von Neumann
     used = [vn] if functional == vn else [vn, functional]
-    table, expected = _entropy_table(used, (initial.spectrum[None], lam_avg[None]), spectra, probs[None])
-    before, after, of_average = table[:, 0].tolist(), expected[:, 0].tolist(), table[:, 1].tolist()
+    sides = ("observation", "decoherence")
+    columns = _chain_rows(used, range(1), probs[None], spectra, (initial.spectrum[None], lam_avg[None]), sides, cfg.tol)
     # per functional: observation (expected after <= before), then decoherence (before <= of average)
-    sides = ["observation", "decoherence"]
-    columns = _entropy_rows(_grid_rows(
-        (len(used), 2), trial=0, functional=np.array([f.label for f in used])[:, None], side=np.array(sides),
-        lhs=np.stack((after, before), axis=-1), rhs=np.stack((before, of_average), axis=-1),
-    ), cfg.tol)
+    lhs, rhs = columns["lhs"].tolist(), columns["rhs"].tolist()
+    after, before, of_average = lhs[::2], rhs[::2], rhs[1::2]
 
     # the measured quantity on the violated side, against the initial entropy
     jump_value = after[0] if cfg.which == 1 else of_average[0]

@@ -204,7 +204,7 @@ def expected_entropy_stack(probs, entropies) -> np.ndarray:
     whatever their entropy slot holds (the -inf sentinel, or nothing
     meaningful).  The terms are added in k order, one branch at a time.
     This is the expected entropy of every campaign, ``counterexample``
-    included, through ``campaigns._entropy_table``.
+    included, through ``campaigns._chain_rows``.
     """
     probs = np.asarray(probs, dtype=float)
     with np.errstate(invalid="ignore"):

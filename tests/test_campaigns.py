@@ -9,6 +9,7 @@ trivial probings, one-state mixtures) go through the campaign's own checks.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,14 @@ def test_only_the_samplers_read_the_trial_streams():
     assert readers_of("trial_stream") == set()
 
 
+@pytest.mark.parametrize("kernel", ["entropies_of_spectra", "expected_entropy_stack", "inequality_verdict"])
+def test_only_the_chain_kernel_computes_and_judges_entropy_rows(kernel):
+    # every entropy row is a link of one chain, so expected entropy and the verdict have one implementation
+    owners = {owner for path, owner in readers_of(kernel) if path == "campaigns.py"}
+    # None is the module's import of the kernel
+    assert owners == {None, "_chain_rows"}
+
+
 def test_each_evaluator_is_a_module_function_that_reads_only_its_stacks():
     tops = {
         top.name: top for top in ast.parse((PACKAGE / "campaigns.py").read_text()).body
@@ -118,15 +127,18 @@ def test_pure_states_skip_log_det_and_keep_their_spectrum_when_observed():
     rho = psi[:, :, None] * psi[:, None, :].conj()
     probe = sampling.probing_from_normals(_normals(2, 3, 2 * 4 * 4), 4, 4)
     cfg = CampaignConfig("verify-s-theorems", functionals=FUNCTIONALS)
+    # the evaluator's rows come judged: margin, violation and strict
     columns, skipped, residual = campaigns.evaluate_s_theorems(cfg, range(3), (rho, probe))
-    columns = campaigns._entropy_rows(columns, cfg.tol)
     # every state is singular, so each trial's log-det rows are skipped
     assert skipped == 3
     assert parse_functional("log-det").label not in columns["functional"]
     assert len(columns["trial"]) == 3 * (len(FUNCTIONALS) - 1) * 2
-    # a pure state's branches are pure
-    assert columns["trivial"][columns["side"] == "observation"].all()
+    # a pure state's branches are pure, so its observation rows are trivial and carry no strictness
+    observation = columns["side"] == "observation"
+    assert columns["trivial"][observation].all()
+    assert set(columns["strict"][observation].tolist()) == {None}
     assert not columns["violation"].any()
+    assert (columns["margin"] >= -cfg.tol).all()
     assert residual <= CONSISTENCY_TOL
 
 
@@ -136,14 +148,15 @@ def test_a_one_column_probing_leaves_every_state_as_it_was():
     # the config's sizes are not the stacks'; the evaluator reads the stacks'
     cfg = CampaignConfig("verify-s-theorems", dim=2, response_dim=3, functionals=FUNCTIONALS)
     columns, skipped, residual = campaigns.evaluate_s_theorems(cfg, range(trials), (rho, np.ones((trials, dim, 1))))
-    columns = campaigns._entropy_rows(columns, cfg.tol)
     assert skipped == 0
     assert len(columns["trial"]) == trials * len(FUNCTIONALS) * 2
     assert columns["trivial"].all()
+    assert set(columns["strict"].tolist()) == {None}
     assert not columns["violation"].any()
     # the Gram matrix is all ones, and rho times 1 is rho bit for bit
     decoherence = columns["side"] == "decoherence"
     assert np.array_equal(columns["lhs"][decoherence], columns["rhs"][decoherence])
+    assert (columns["margin"][decoherence] == 0.0).all()
     assert residual <= CONSISTENCY_TOL
 
 
@@ -157,7 +170,118 @@ def test_a_one_state_mixture_has_no_holevo_gap():
     columns = campaigns.evaluate_holevo(cfg, trials, (sizes, probs, states))
     assert np.array_equal(columns["lhs"], columns["rhs"])
     assert columns["trial"].tolist() == [t for t in trials for _ in FUNCTIONALS]
-    assert not campaigns._entropy_rows(columns, cfg.tol)["violation"].any()
+    assert (columns["margin"] == 0.0).all()
+    assert not columns["violation"].any()
+    # holevo rows have no triviality, so no strictness either
+    assert "trivial" not in columns and "strict" not in columns
+
+
+#: The functionals whose rows have closed forms in the matrix entries: linear (h = x - x^2) and renyi:2 (h = -x^2).
+POWER_SUMS = ("linear", "renyi:2")
+#: The unit roundoff of float64.
+U = 2.0**-53
+
+
+def _closed_form_bound(functional: str, dim: int, outcomes: int, formed: float, summed: float, reference: float):
+    """The bound on a row's distance from its closed form, as derived in the s-theorems test below."""
+    def entropy(a):
+        return 3 * a + 2 * dim + 3 if functional == "linear" else 2 * (a + 1) + dim + 1
+
+    return U * (entropy(0) + entropy(formed) + summed + 1 + reference + 2 * (outcomes + 2))
+
+
+def _fsums(terms: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each trial's terms (the first axis is the trial)."""
+    return np.array([math.fsum(trial.ravel().tolist()) for trial in terms])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("response", ["1", "2", "d"])
+def test_power_sum_s_theorems_rows_equal_their_closed_forms(dim, response):
+    """The linear and renyi:2 margins equal formulas in the entries of rho and S, with no eigensolve.
+
+    With W_ik = |S_ik|^2, p_k = sum_i rho_ii W_ik and the Gram matrix G = S S^dagger:
+    - decoherence: S(rho o G) - S(rho) = sum_ij |rho_ij|^2 (1 - |G_ij|^2);
+    - observation: S(rho) - sum_k p_k S(rho_k) = sum_ij |rho_ij|^2 (sum_k W_ik W_jk / p_k - 1).
+    The linear forms also need sum_k W_ik = 1, which the draws hold to rounding.
+
+    The bound, in units of u = 2^-53, to first order in u.  Every matrix a row
+    solves is a density matrix M, so ||M||_2 <= ||M||_F <= 1 and tr M = 1, and
+    every entropy here lies in [-1, 1].  No drawn matrix has an eigenvalue near
+    the entropy kernel's 1e-14 clamp, whose jump the bound leaves out.
+    - Forming M.  Each entry is off by at most a u |M_ij|: a = 0 for the drawn
+      state; a = d + 7 for a branch (p_k is a d-term dot, plus two complex
+      products, each sqrt(2) gamma_2 by Higham's complex lemma, and a division); a =
+      sqrt(2) (m + 4) for rho o G (G_ij is an m-term complex dot of unit rows).
+      So ||dM||_F <= a u, and |tr dM| <= a u.
+    - Solving M.  LAPACK's Hermitian solvers return the eigenvalues of M + E
+      with ||E||_2 <= p(d) u ||M||_2, and its Users' Guide (section 4.7) takes
+      p(d) = 1.  By Weyl's inequality each eigenvalue moves by delta <= (a + 1) u.
+    - Through h'.  The sum of h(x) = -x^2 moves by at most sum_i |h'(xi_i)| delta
+      = 2 sum_i xi_i delta ~ 2 (a + 1) u.  The x part of linear entropy sums to
+      the trace, which moves by |tr dM| + |tr E| <= (a + d) u, so linear entropy
+      moves by at most (3 a + d + 2) u.
+    - Summing.  Higham's |fl(sum x_i) - sum x_i| <= gamma_{n-1} sum |x_i|
+      gives (d + 1) u for an entropy with its h evaluations; m + d for the
+      expected entropy, whose weights p_k are d-term dots; 1 for the margin.
+    - The reference.  Its terms carry (m + d + 20) u (observation) and
+      (3 m + 14) u (decoherence) of rounding in all, as sum_ij |rho_ij|^2
+      sum_k W_ik W_jk / p_k = sum_k p_k tr rho_k^2 <= 1 and sum_ij |rho_ij|^2
+      <= 1; ``math.fsum`` rounds their sum once, adding 1.
+    - The normalizations.  A probing row, divided by its computed norm, has
+      squared norm 1 within 2 (m + 2) u, and the linear forms inherit that.
+    So an entropy is off by at most (3 a + 2 d + 3) u (linear) or (2 a + d + 3) u
+    (renyi:2), and a row by the sum of its two entropies and the rest.  Higham
+    is *Accuracy and Stability of Numerical Algorithms*, chapters 3 and 4.
+    """
+    m = {"1": 1, "2": 2, "d": dim}[response]
+    cfg = CampaignConfig("verify-s-theorems", seed=100 * dim + m, dim=dim, response_dim=m, functionals=POWER_SUMS)
+    trials = range(8 if dim <= 16 else 3)
+    rho, probe = campaigns.sample_s_theorems(cfg, trials)
+    columns, _, _ = campaigns.evaluate_s_theorems(cfg, trials, (rho, probe))
+
+    weights = np.abs(probe) ** 2
+    probs = np.einsum("nii,nik->nk", rho, weights).real
+    gram = probe @ probe.conj().swapaxes(-1, -2)
+    squares = np.abs(rho) ** 2
+    closed = {
+        "decoherence": _fsums(squares * (1.0 - np.abs(gram) ** 2)),
+        "observation": _fsums(squares * (np.einsum("nik,njk,nk->nij", weights, weights, 1.0 / probs) - 1.0)),
+    }
+    terms = {"decoherence": (math.sqrt(2.0) * (m + 4), 0, 3 * m + 15), "observation": (dim + 7, m + dim, m + dim + 21)}
+    assert len(columns["trial"]) == len(trials) * len(POWER_SUMS) * 2
+    for trial, label, side, margin in zip(*(columns[name].tolist() for name in ("trial", "functional", "side", "margin"))):
+        bound = _closed_form_bound(label, dim, m, *terms[side])
+        assert abs(margin - closed[side][trial]) <= bound, (trial, label, side)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("ensemble_size", [None, 1, 7])
+def test_power_sum_holevo_rows_equal_their_closed_form(dim, ensemble_size):
+    """The linear and renyi:2 Holevo gaps equal 1/2 sum_kl p_k p_l ||rho_k - rho_l||_F^2, with no eigensolve.
+
+    The bound is the s-theorems test's, for these rows: the drawn states are
+    solved as drawn (a = 0), and the average sum_k p_k rho_k, an m-term sum of
+    density matrices, is formed to a = m + 1.  The expected entropy's weights
+    are the drawn ones, so it sums to m u.  The reference's terms are each
+    formed to 6 u of their sum, which is at most 2, and ``math.fsum`` adds 1.
+    A mixture's weights sum to 1 within (m + 1) u, which the normalization term
+    covers.
+    """
+    seed = dim + 10 * (ensemble_size or 0)
+    cfg = CampaignConfig("holevo", seed=seed, dim=dim, ensemble_size=ensemble_size, functionals=POWER_SUMS)
+    trials = range(8)
+    sizes, probs, drawn = campaigns.sample_holevo(cfg, trials)
+    columns = campaigns.evaluate_holevo(cfg, trials, (sizes, probs, drawn))
+
+    m = probs.shape[-1]
+    states = np.zeros(probs.shape + (dim, dim), dtype=complex)
+    states[np.arange(m) < sizes[:, None]] = drawn
+    gaps = np.abs(states[:, :, None] - states[:, None, :]) ** 2
+    closed = _fsums(0.5 * probs[:, :, None, None, None] * probs[:, None, :, None, None] * gaps)
+    assert len(columns["trial"]) == len(trials) * len(POWER_SUMS)
+    for trial, label, margin in zip(*(columns[name].tolist() for name in ("trial", "functional", "margin"))):
+        assert abs(margin - closed[trial]) <= _closed_form_bound(label, dim, m, m + 1, m, 13), (trial, label)
 
 
 def _row_columns(with_entropy_columns: bool) -> dict:

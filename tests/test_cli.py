@@ -155,6 +155,21 @@ class TestCounterexampleCommand:
         assert renyi_rows["observation"]["lhs"] == report["entropy"]["expected_after_observation"]
         assert renyi_rows["decoherence"]["rhs"] == report["entropy"]["of_average"]
 
+    # the seven functionals of scripts/report_digests.py
+    @pytest.mark.parametrize(
+        "functional", ["von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det", "renyi:0.1", "renyi:3"]
+    )
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_the_entropy_block_is_read_back_from_the_rows(self, capsys, which, functional):
+        code, report = run_json(capsys, "counterexample", "--which", which, "--entropy", functional)
+        assert code == 0
+        rows = {row["side"]: row for row in report["rows"] if row["functional"] == report["entropy"]["functional"]}
+        entropy = report["entropy"]
+        # one chain: expected after <= before <= of average
+        assert rows["observation"]["rhs"] == rows["decoherence"]["lhs"] == entropy["before"]
+        assert rows["observation"]["lhs"] == entropy["expected_after_observation"]
+        assert rows["decoherence"]["rhs"] == entropy["of_average"]
+
     def test_rejects_more_than_one_entropy(self, capsys):
         code, out, err = run_cli(capsys, "counterexample", "--which", "1", "--entropy", "linear", "--entropy", "renyi:2")
         assert code == 2
