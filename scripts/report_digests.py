@@ -42,10 +42,12 @@ import re
 import sys
 import tempfile
 
+import numpy as np
+
 from decobs.cli import main as decobs_main
-from decobs.povm import counterexample_1, counterexample_2, probing_as_povm
+from decobs.povm import Povm, counterexample_1, counterexample_2
 from decobs.serialize import povm_to_json
-from decobs.states import basis_state
+from decobs.states import ProjectorSet, basis_state, density_from_pure
 
 DIMS = (1, 2, 3, 4, 8, 16)
 SEEDS = (0, 7)
@@ -71,7 +73,14 @@ SPLIT_TRIALS = ("verify-s-theorems", "--dim", "40", "--trials", "2", *EVERY, "--
 POVM_FILES = {
     "counterexample-1.json": lambda: counterexample_1()[0],
     "counterexample-2.json": lambda: counterexample_2()[0],
-    "probing.json": lambda: probing_as_povm([basis_state(2, 0), basis_state(2, 1)]),
+    # the probing |i>|0> -> |i>|i> of a qubit, dilated as a CNOT with pointer projectors 1 (x) |k><k|
+    "probing.json": lambda: Povm(
+        2,
+        2,
+        density_from_pure(basis_state(2, 0)),
+        np.eye(4)[[0, 1, 3, 2]].astype(complex),
+        ProjectorSet((np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 0.0, 1.0]).astype(complex))),
+    ),
 }
 
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')

@@ -34,9 +34,8 @@ _EXPORTS = {
     "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "tensor_product"),
     "povm": (
         "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2",
-        "is_purity_preserving", "probing_as_povm", "purify_ancilla",
+        "is_purity_preserving", "purify_ancilla",
     ),
-    "processes": ("probing_joint_unitary",),
     "states": ("DensityMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure", "maximally_mixed"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}

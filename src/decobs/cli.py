@@ -34,12 +34,12 @@ unfreezes it before it returns, whatever the outcome: collections during
 the campaign, and in the workers it forks, then skip the objects left by
 import, while interpreter teardown walks them as before.  A library call of
 a ``run_*`` function freezes nothing.  Both writers read the
-row dicts the campaigns' report builder makes.  CSV goes out row by row
-through ``csv.writer``, which is loaded when it writes.  JSON goes out
-through :func:`write_json`, which gives the bytes of
-``json.dumps(report, indent=2)``: the report's head through ``json.dumps``,
-then each row through json's C encoder, written as soon as it is encoded, so
-no string of the whole report is made.
+row dicts the campaigns' report builder makes, and hand stdout blocks of
+``_BLOCK_ROWS`` rows, one ``write`` a block, so no string of the whole
+report is made.  CSV goes out through ``csv.writer``, which is loaded when
+it writes.  JSON goes out through :func:`write_json`, which gives the bytes
+of ``json.dumps(report, indent=2)``: the report's head through
+``json.dumps``, then each row through json's C encoder.
 """
 
 from __future__ import annotations
@@ -186,6 +186,8 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
 #: Encodes one flat row dict as its lines in an ``indent=2`` report, without
 #: the braces' own lines; ``json`` runs its C encoder when no indent is set.
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
+#: Rows per ``write`` of both writers; each write to an unbuffered stdout is a system call.
+_BLOCK_ROWS = 256
 
 
 def write_json(report: dict, stream) -> None:
@@ -194,30 +196,40 @@ def write_json(report: dict, stream) -> None:
     ``rows`` must be the report's last key and each row a flat dict of
     scalars, as :func:`decobs.campaigns._campaign_result` makes them.  The
     rest of the report goes through ``json.dumps``; each row is encoded alone
-    and written at once inside its fixed indent, so no string of the whole
-    report is made.
+    inside its fixed indent, and the rows are written in blocks of
+    ``_BLOCK_ROWS``, one ``write`` a block, so no string of the whole report
+    is made.
     """
     head = dict(report)
     rows = head.pop("rows")
-    stream.write(json.dumps(head, indent=2, allow_nan=False)[:-2] + ',\n  "rows": [')
+    opening = "\n    {\n      " if rows else ""
+    stream.write(json.dumps(head, indent=2, allow_nan=False)[:-2] + ',\n  "rows": [' + opening)
     encode = _ROW_ENCODER.encode
-    separator = "\n    {\n      "
-    for row in rows:
-        stream.write(separator + encode(row)[1:-1])
-        separator = "\n    },\n    {\n      "
+    separator = "\n    },\n    {\n      "
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        # a block after the first opens with the separator that closes its predecessor
+        lead = [""] if start else []
+        stream.write(separator.join(lead + [encode(row)[1:-1] for row in rows[start : start + _BLOCK_ROWS]]))
     stream.write("\n    }\n  ]\n}\n" if rows else "]\n}\n")
 
 
 def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
     if cfg.fmt == "csv":
         import csv
+        import io
 
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(ROW_KEYS[:-1])
         # csv writes a float as its repr, as json does
         trivial = {None: "", True: "true", False: "false"}
-        for row in result.report["rows"]:
-            writer.writerow([*(row[key] for key in ROW_KEYS[:-2]), trivial[row["trivial"]]])
+        rows = result.report["rows"]
+        # csv.writer writes row by row, so each block goes to a buffer; no rows still make a header
+        for start in range(0, len(rows) or 1, _BLOCK_ROWS):
+            block = io.StringIO()
+            writer = csv.writer(block, lineterminator="\n")
+            if not start:
+                writer.writerow(ROW_KEYS[:-1])
+            writer.writerows([*(row[key] for key in ROW_KEYS[:-2]), trivial[row["trivial"]]]
+                             for row in rows[start : start + _BLOCK_ROWS])
+            sys.stdout.write(block.getvalue())
     else:
         write_json(result.report, sys.stdout)
 

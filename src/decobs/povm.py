@@ -7,7 +7,8 @@ branch at once, traces out the ancilla, and normalizes, for a pure or a
 mixed ancilla alike.  It returns branch stacks, as
 :func:`~decobs.stacks.observe_stack` does for a probing, so the
 ``counterexample`` campaign checks and averages them with the campaigns'
-own kernels.
+own kernels.  A probing is such a measurement too, but it is not lifted to
+one here: its dilation would only recompute ``observe_stack``'s branches.
 
 Purity preservation is a structural property of the joint projectors: the map
 sends every pure state to pure branch states exactly when each projector is
@@ -25,11 +26,10 @@ Random measurements of both kinds come from :func:`random_pppovm` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from . import matcore, processes, sampling
+from . import matcore, sampling
 from .errors import ValidationError
 from .stacks import clean_probabilities, validate_stack
 from .states import (
@@ -172,28 +172,6 @@ def is_purity_preserving(measurement: Povm) -> bool:
     """Structural test: every joint projector is identity-on-object tensor a
     rank-1 projector onto one member of an orthonormal ancilla family."""
     return ancilla_factors(measurement) is not None
-
-
-def probing_as_povm(responses: Sequence[PureState]) -> Povm:
-    """Lift a probing (given by its per-object-state ancilla responses) to a
-    measurement: block unitary from the responses, ancilla prepared in the
-    first basis vector, and pointer projectors identity (x) |k><k|."""
-    if not responses:
-        raise ValidationError("responses-nonempty")
-    d = responses[0].dim
-    n = len(responses)
-    eye = np.eye(n, dtype=complex)
-    projectors = tuple(
-        matcore.tensor_product(eye, np.outer(basis_state(d, k).amp, basis_state(d, k).amp.conj()))
-        for k in range(d)
-    )
-    return Povm(
-        object_dim=n,
-        ancilla_dim=d,
-        ancilla_state=density_from_pure(basis_state(d, 0)),
-        joint_unitary=processes.probing_joint_unitary(responses),
-        joint_projectors=ProjectorSet(projectors),
-    )
 
 
 def counterexample_1() -> tuple[Povm, DensityMatrix]:

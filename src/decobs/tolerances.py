@@ -40,8 +40,6 @@ SINGULAR_SKIP = 1e-12
 SPECTRUM_RANGE_TOL = 1e-10
 #: |sum lambda - 1|: the entropy spectrum-sum check.
 SPECTRUM_SUM_TOL = 1e-9
-#: Gram-Schmidt residual norm below which ``probing_joint_unitary`` skips a basis vector.
-SPAN_TOL = 1e-8
 #: Max |lambda_i - mu_i|: ``stacks.spectra_unchanged``, the campaigns' triviality flags.
 TRIVIALITY_TOL = 1e-9
 #: Slack of inequality and dominance verdicts: the ``--tol`` default and ``CampaignConfig.tol``.

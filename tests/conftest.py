@@ -23,6 +23,17 @@ def plus_density():
 
 
 @pytest.fixture
+def cnot_probing():
+    """The probing |i>|0> -> |i>|i> of a qubit as a measurement: a CNOT read by 1 (x) |k><k|."""
+    from decobs.povm import Povm
+    from decobs.states import ProjectorSet, basis_state, density_from_pure
+
+    cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)
+    pointers = (np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 0.0, 1.0]).astype(complex))
+    return Povm(2, 2, density_from_pure(basis_state(2, 0)), cnot, ProjectorSet(pointers))
+
+
+@pytest.fixture
 def solved(monkeypatch):
     """A one-item list counting the matrices passed to numpy.linalg.eigvalsh."""
     count = [0]

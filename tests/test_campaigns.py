@@ -176,8 +176,9 @@ def test_a_one_state_mixture_has_no_holevo_gap():
     assert "trivial" not in columns and "strict" not in columns
 
 
-#: The functionals whose rows have closed forms in the matrix entries: linear (h = x - x^2) and renyi:2 (h = -x^2).
-POWER_SUMS = ("linear", "renyi:2")
+#: The functionals whose rows have closed forms in the matrix entries: linear (h = x - x^2)
+#: and renyi:alpha for alpha = 2, 3, 4 (h = -x^alpha).
+POWER_SUMS = ("linear", "renyi:2", "renyi:3", "renyi:4")
 #: The unit roundoff of float64.
 U = 2.0**-53
 
@@ -185,9 +186,24 @@ U = 2.0**-53
 def _closed_form_bound(functional: str, dim: int, outcomes: int, formed: float, summed: float, reference: float):
     """The bound on a row's distance from its closed form, as derived in the s-theorems test below."""
     def entropy(a):
-        return 3 * a + 2 * dim + 3 if functional == "linear" else 2 * (a + 1) + dim + 1
+        if functional == "linear":
+            return 3 * a + 2 * dim + 3
+        return parse_functional(functional).alpha * (a + 1) + dim + 1
 
     return U * (entropy(0) + entropy(formed) + summed + 1 + reference + 2 * (outcomes + 2))
+
+
+def _trace_power(mats: np.ndarray, alpha: int) -> np.ndarray:
+    """tr M^alpha of each matrix of a (..., d, d) stack, from alpha - 1 matrix products."""
+    power = mats
+    for _ in range(alpha - 1):
+        power = power @ mats
+    return power.trace(axis1=-2, axis2=-1).real
+
+
+def _trace_power_error(dim: int, alpha: int) -> float:
+    """The rounding, in units of u, of one ``_trace_power`` of a d x d density matrix (derived below)."""
+    return (alpha - 1) * math.sqrt(2.0) * (dim + 2) + dim - 1
 
 
 def _fsums(terms: np.ndarray) -> np.ndarray:
@@ -198,12 +214,16 @@ def _fsums(terms: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64])
 @pytest.mark.parametrize("response", ["1", "2", "d"])
 def test_power_sum_s_theorems_rows_equal_their_closed_forms(dim, response):
-    """The linear and renyi:2 margins equal formulas in the entries of rho and S, with no eigensolve.
+    """The linear and renyi:alpha margins equal formulas in the entries of rho and S, with no eigensolve.
 
-    With W_ik = |S_ik|^2, p_k = sum_i rho_ii W_ik and the Gram matrix G = S S^dagger:
+    With W_ik = |S_ik|^2, p_k = sum_i rho_ii W_ik, the branches
+    rho_k = rho_ij S_ik S_jk^* / p_k and the Gram matrix G = S S^dagger:
     - decoherence: S(rho o G) - S(rho) = sum_ij |rho_ij|^2 (1 - |G_ij|^2);
     - observation: S(rho) - sum_k p_k S(rho_k) = sum_ij |rho_ij|^2 (sum_k W_ik W_jk / p_k - 1).
     The linear forms also need sum_k W_ik = 1, which the draws hold to rounding.
+    For alpha = 3 and 4 the margins are tr rho^alpha - tr (rho o G)^alpha and
+    sum_k p_k tr rho_k^alpha - tr rho^alpha, each trace taken from alpha - 1
+    matrix products.
 
     The bound, in units of u = 2^-53, to first order in u.  Every matrix a row
     solves is a density matrix M, so ||M||_2 <= ||M||_F <= 1 and tr M = 1, and
@@ -220,19 +240,41 @@ def test_power_sum_s_theorems_rows_equal_their_closed_forms(dim, response):
     - Through h'.  The sum of h(x) = -x^2 moves by at most sum_i |h'(xi_i)| delta
       = 2 sum_i xi_i delta ~ 2 (a + 1) u.  The x part of linear entropy sums to
       the trace, which moves by |tr dM| + |tr E| <= (a + d) u, so linear entropy
-      moves by at most (3 a + d + 2) u.
+      moves by at most (3 a + d + 2) u.  For h(x) = -x^alpha, h'(x) = -alpha
+      x^(alpha - 1) and x^(alpha - 1) <= x on [0, 1], so the sum moves by at
+      most alpha sum_i xi_i delta ~ alpha (a + 1) u: 3 (a + 1) u for alpha = 3
+      and 4 (a + 1) u for alpha = 4.
     - Summing.  Higham's |fl(sum x_i) - sum x_i| <= gamma_{n-1} sum |x_i|
-      gives (d + 1) u for an entropy with its h evaluations; m + d for the
-      expected entropy, whose weights p_k are d-term dots; 1 for the margin.
-    - The reference.  Its terms carry (m + d + 20) u (observation) and
-      (3 m + 14) u (decoherence) of rounding in all, as sum_ij |rho_ij|^2
-      sum_k W_ik W_jk / p_k = sum_k p_k tr rho_k^2 <= 1 and sum_ij |rho_ij|^2
-      <= 1; ``math.fsum`` rounds their sum once, adding 1.
+      gives (d + 1) u for an entropy with its h evaluations (x^2 is rounded
+      once, and libm's pow, which x^3 and x^4 go through, to within one ulp,
+      2 u); m + d for the expected entropy, whose weights p_k are d-term dots;
+      1 for the margin.
+    - The reference, alpha = 2 and linear.  Its terms carry (m + d + 20) u
+      (observation) and (3 m + 14) u (decoherence) of rounding in all, as
+      sum_ij |rho_ij|^2 sum_k W_ik W_jk / p_k = sum_k p_k tr rho_k^2 <= 1 and
+      sum_ij |rho_ij|^2 <= 1; ``math.fsum`` rounds their sum once, adding 1.
+    - The reference, alpha = 3 and 4.  One trace tr M^alpha of a density
+      matrix M carries c = (alpha - 1) sqrt(2) (d + 2) + d - 1: each product
+      fl(P M) = P M + F has |F| <= sqrt(2) gamma_{d+2} |P| |M| (complex
+      d-term dots), so |tr(F M^r)| <= ||F||_F ||M^r||_F <= sqrt(2) (d + 2) u,
+      as ||P||_F, ||M||_F <= 1; the d diagonal entries, which sum to about
+      tr M^alpha <= 1, add d - 1.  An error dM in forming M moves the trace by
+      alpha |tr(M^(alpha - 1) dM)| <= alpha ||dM||_F.  The test forms rho o G
+      as the campaign does, to sqrt(2) (m + 4), and each branch to d + 10
+      (W_ik is |S_ik| squared, 3; p_k a d-term dot of them, d + 3; two
+      complex products, 4 sqrt(2); a division, 1).  So decoherence carries
+      2 c + alpha sqrt(2) (m + 4) + 1 (the subtraction), and observation
+      2 c + alpha (d + 10) + d + 4 (each weight p_k times its trace, d + 4,
+      and ``math.fsum``, 1).  Here 2 c is 4 sqrt(2) (d + 2) + 2 d - 2 for
+      alpha = 3 and 6 sqrt(2) (d + 2) + 2 d - 2 for alpha = 4.
     - The normalizations.  A probing row, divided by its computed norm, has
-      squared norm 1 within 2 (m + 2) u, and the linear forms inherit that.
-    So an entropy is off by at most (3 a + 2 d + 3) u (linear) or (2 a + d + 3) u
-    (renyi:2), and a row by the sum of its two entropies and the rest.  Higham
-    is *Accuracy and Stability of Numerical Algorithms*, chapters 3 and 4.
+      squared norm 1 within 2 (m + 2) u, and the linear forms inherit that;
+      the alpha = 3 and 4 references use no such identity, so for them this
+      term is slack.
+    So an entropy is off by at most (3 a + 2 d + 3) u (linear) or
+    (alpha (a + 1) + d + 1) u (renyi:alpha), and a row by the sum of its two
+    entropies and the rest.  Higham is *Accuracy and Stability of Numerical
+    Algorithms*, chapters 3 and 4.
     """
     m = {"1": 1, "2": 2, "d": dim}[response]
     cfg = CampaignConfig("verify-s-theorems", seed=100 * dim + m, dim=dim, response_dim=m, functionals=POWER_SUMS)
@@ -244,29 +286,50 @@ def test_power_sum_s_theorems_rows_equal_their_closed_forms(dim, response):
     probs = np.einsum("nii,nik->nk", rho, weights).real
     gram = probe @ probe.conj().swapaxes(-1, -2)
     squares = np.abs(rho) ** 2
-    closed = {
+    quadratic = {
         "decoherence": _fsums(squares * (1.0 - np.abs(gram) ** 2)),
         "observation": _fsums(squares * (np.einsum("nik,njk,nk->nij", weights, weights, 1.0 / probs) - 1.0)),
     }
-    terms = {"decoherence": (math.sqrt(2.0) * (m + 4), 0, 3 * m + 15), "observation": (dim + 7, m + dim, m + dim + 21)}
+    closed, references = {}, {}
+    for label in ("linear", "renyi:2"):
+        for side, reference in (("decoherence", 3 * m + 15), ("observation", m + dim + 21)):
+            closed[label, side], references[label, side] = quadratic[side], reference
+    masks = probe.swapaxes(-1, -2)[:, :, :, None] * probe.swapaxes(-1, -2).conj()[:, :, None, :]
+    branches = rho[:, None] * masks / probs[:, :, None, None]
+    for alpha in (3, 4):
+        label, c = f"renyi:{alpha}", _trace_power_error(dim, alpha)
+        own = _trace_power(rho, alpha)
+        closed[label, "decoherence"] = own - _trace_power(rho * gram, alpha)
+        closed[label, "observation"] = _fsums(np.concatenate([probs * _trace_power(branches, alpha), -own[:, None]], 1))
+        references[label, "decoherence"] = 2 * c + alpha * math.sqrt(2.0) * (m + 4) + 1
+        references[label, "observation"] = 2 * c + alpha * (dim + 10) + dim + 4
+    terms = {"decoherence": (math.sqrt(2.0) * (m + 4), 0), "observation": (dim + 7, m + dim)}
     assert len(columns["trial"]) == len(trials) * len(POWER_SUMS) * 2
     for trial, label, side, margin in zip(*(columns[name].tolist() for name in ("trial", "functional", "side", "margin"))):
-        bound = _closed_form_bound(label, dim, m, *terms[side])
-        assert abs(margin - closed[side][trial]) <= bound, (trial, label, side)
+        bound = _closed_form_bound(label, dim, m, *terms[side], references[label, side])
+        assert abs(margin - closed[label, side][trial]) <= bound, (trial, label, side)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64])
 @pytest.mark.parametrize("ensemble_size", [None, 1, 7])
 def test_power_sum_holevo_rows_equal_their_closed_form(dim, ensemble_size):
-    """The linear and renyi:2 Holevo gaps equal 1/2 sum_kl p_k p_l ||rho_k - rho_l||_F^2, with no eigensolve.
+    """The linear and renyi:alpha Holevo gaps equal formulas in the states' entries, with no eigensolve.
+
+    For linear and renyi:2 the gap is 1/2 sum_kl p_k p_l ||rho_k - rho_l||_F^2;
+    for alpha = 3 and 4 it is sum_k p_k tr rho_k^alpha - tr rho^alpha, with
+    rho = sum_k p_k rho_k, each trace taken from alpha - 1 matrix products.
 
     The bound is the s-theorems test's, for these rows: the drawn states are
     solved as drawn (a = 0), and the average sum_k p_k rho_k, an m-term sum of
     density matrices, is formed to a = m + 1.  The expected entropy's weights
-    are the drawn ones, so it sums to m u.  The reference's terms are each
-    formed to 6 u of their sum, which is at most 2, and ``math.fsum`` adds 1.
-    A mixture's weights sum to 1 within (m + 1) u, which the normalization term
-    covers.
+    are the drawn ones, so it sums to m u.  The alpha = 2 reference's terms are
+    each formed to 6 u of their sum, which is at most 2, and ``math.fsum`` adds
+    1.  An alpha = 3 or 4 reference carries c = (alpha - 1) sqrt(2) (d + 2) +
+    d - 1 for each trace, as derived there: c + 1 for the weighted traces of
+    the drawn states (one product each), c + alpha (m + 1) for the trace of
+    the average the test forms, and 1 for ``math.fsum``, so 2 c + alpha (m + 1)
+    + 2 in all.  A mixture's weights sum to 1 within (m + 1) u, which the
+    normalization term covers.
     """
     seed = dim + 10 * (ensemble_size or 0)
     cfg = CampaignConfig("holevo", seed=seed, dim=dim, ensemble_size=ensemble_size, functionals=POWER_SUMS)
@@ -278,10 +341,19 @@ def test_power_sum_holevo_rows_equal_their_closed_form(dim, ensemble_size):
     states = np.zeros(probs.shape + (dim, dim), dtype=complex)
     states[np.arange(m) < sizes[:, None]] = drawn
     gaps = np.abs(states[:, :, None] - states[:, None, :]) ** 2
-    closed = _fsums(0.5 * probs[:, :, None, None, None] * probs[:, None, :, None, None] * gaps)
+    quadratic = _fsums(0.5 * probs[:, :, None, None, None] * probs[:, None, :, None, None] * gaps)
+    closed = {"linear": quadratic, "renyi:2": quadratic}
+    references = {"linear": 13, "renyi:2": 13}
+    average = (probs[:, :, None, None] * states).sum(axis=1)
+    for alpha in (3, 4):
+        label = f"renyi:{alpha}"
+        weighted = probs * _trace_power(states, alpha)
+        closed[label] = _fsums(np.concatenate([weighted, -_trace_power(average, alpha)[:, None]], 1))
+        references[label] = 2 * _trace_power_error(dim, alpha) + alpha * (m + 1) + 2
     assert len(columns["trial"]) == len(trials) * len(POWER_SUMS)
     for trial, label, margin in zip(*(columns[name].tolist() for name in ("trial", "functional", "margin"))):
-        assert abs(margin - closed[trial]) <= _closed_form_bound(label, dim, m, m + 1, m, 13), (trial, label)
+        bound = _closed_form_bound(label, dim, m, m + 1, m, references[label])
+        assert abs(margin - closed[label][trial]) <= bound, (trial, label)
 
 
 def _row_columns(with_entropy_columns: bool) -> dict:

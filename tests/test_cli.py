@@ -27,9 +27,8 @@ from decobs.cli import (
     run_s_theorems,
     write_json,
 )
-from decobs.povm import counterexample_1, counterexample_2, probing_as_povm
+from decobs.povm import counterexample_1, counterexample_2
 from decobs.serialize import povm_to_json
-from decobs.states import basis_state
 
 LN2 = math.log(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -243,10 +242,9 @@ class TestPovmClassify:
         assert report["probing_realizable"] == "unknown"
         assert len(report["ancilla_basis"]) == 2
 
-    def test_probing_export_classifies_purity_preserving(self, capsys, tmp_path):
-        measurement = probing_as_povm([basis_state(2, 0), basis_state(2, 1)])
+    def test_probing_export_classifies_purity_preserving(self, capsys, tmp_path, cnot_probing):
         path = tmp_path / "probing.json"
-        path.write_text(json.dumps(povm_to_json(measurement)))
+        path.write_text(json.dumps(povm_to_json(cnot_probing)))
         code, report = run_json(capsys, "povm-classify", str(path))
         assert code == 0
         assert report["classification"] == "purity-preserving"
@@ -429,6 +427,56 @@ class TestJsonWriter:
             finally:
                 tracemalloc.stop()
         assert peak < 256 * 1024
+
+
+class WriteLog(io.StringIO):
+    """A text stream that records the length of each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(len(text))
+        return super().write(text)
+
+
+class TestBlockWrites:
+    """Both writers hand their stream blocks of 256 rows, one ``write`` a block, with the bytes unchanged."""
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 513])
+    def test_json_blocks_across_the_seams(self, count):
+        rows = [{"trial": i, "functional": "linear", "margin": 0.5 * i, "strict": None} for i in range(count)]
+        report = {"command": "synthetic", "summary": {"rows": count}, "rows": rows}
+        out = WriteLog()
+        write_json(report, out)
+        assert out.getvalue() == json.dumps(report, indent=2, allow_nan=False) + "\n"
+        # the head, one write a block, and the closing brackets
+        assert len(out.calls) == 2 + math.ceil(count / 256)
+
+    @pytest.mark.parametrize("trials", [1, 51, 52, 120])
+    def test_csv_blocks_are_the_row_by_row_bytes(self, monkeypatch, trials):
+        # five functionals make five rows a trial: 5, 255, 260 and 600 rows
+        cfg, result = _run_line(["holevo", "--dim", "2", "--trials", str(trials), "--format", "csv"])
+        rows = result.report["rows"]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(campaigns.ROW_KEYS[:-1])
+        trivial = {None: "", True: "true", False: "false"}
+        for row in rows:
+            writer.writerow([*(row[key] for key in campaigns.ROW_KEYS[:-2]), trivial[row["trivial"]]])
+        out = WriteLog()
+        monkeypatch.setattr(sys, "stdout", out)
+        _emit(result, cfg)
+        assert out.getvalue() == expected.getvalue()
+        assert len(out.calls) == math.ceil(len(rows) / 256)
+
+    def test_csv_of_no_rows_is_its_header(self, monkeypatch):
+        out = WriteLog()
+        monkeypatch.setattr(sys, "stdout", out)
+        _emit(SimpleNamespace(report={"rows": []}), SimpleNamespace(fmt="csv"))
+        assert out.getvalue() == ",".join(campaigns.ROW_KEYS[:-1]) + "\n"
+        assert len(out.calls) == 1
 
 
 class TestDuplicateFunctionals:

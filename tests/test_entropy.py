@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from decobs import matcore, sampling, states
 from decobs.entropy import (
     NEG_INFINITY,
+    EntropyFunctional,
     builtin_functionals,
     entropies_of_spectra,
     entropy,
@@ -58,6 +59,20 @@ class TestFunctionalConstruction:
         with pytest.raises(ValueError, match="renyi requires a finite alpha > 0"):
             parse_functional(f"renyi:{alpha}")
 
+    @pytest.mark.parametrize("text", ["renyi:x", "renyi:", "renyi:2:3"])
+    def test_rejects_unparsable_renyi_parameter(self, text):
+        with pytest.raises(ValueError, match=f"bad renyi parameter in '{text}'"):
+            parse_functional(text)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown entropy kind 'tsallis'"):
+            EntropyFunctional("tsallis")
+
+    @pytest.mark.parametrize("kind", ["von-neumann", "linear", "log-det"])
+    def test_rejects_alpha_outside_renyi(self, kind):
+        with pytest.raises(ValueError, match=f"alpha is only meaningful for renyi, not '{kind}'"):
+            EntropyFunctional(kind, alpha=2.0)
+
 
 class TestEntropyOfSpectrum:
     def test_maximally_mixed_qubit(self):
@@ -99,6 +114,16 @@ class TestEntropyOfSpectrum:
         with pytest.raises(ValidationError) as err:
             entropy_of_spectrum([], von_neumann())
         assert err.value.invariant == "spectrum-nonempty"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_spectrum(self, bad):
+        with pytest.raises(ValidationError) as err:
+            entropy_of_spectrum([1.0, bad], von_neumann())
+        assert err.value.invariant == "spectrum-finite"
+        # in a stack, the first failing row names the error
+        with pytest.raises(ValidationError) as err:
+            entropies_of_spectra(np.array([[0.5, 0.5], [1.0, bad], [1.5, -0.5]]), (linear(),))
+        assert err.value.invariant == "spectrum-finite"
 
     @pytest.mark.parametrize("shape", [(3, 0), (2, 3, 0), (0, 0)])
     def test_rejects_stacks_of_empty_spectra(self, shape):

@@ -27,9 +27,8 @@ EXPORTS = {
     "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "tensor_product"),
     "povm": (
         "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2", "is_purity_preserving",
-        "probing_as_povm", "purify_ancilla",
+        "purify_ancilla",
     ),
-    "processes": ("probing_joint_unitary",),
     "states": ("DensityMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure", "maximally_mixed"),
 }
 

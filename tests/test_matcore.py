@@ -121,6 +121,11 @@ class TestHermitianSpectrumIsTheValidatedSolve:
     def test_empty_stacks(self, shape, expected):
         assert matcore.hermitian_spectrum(np.zeros(shape, dtype=complex)).shape == expected
 
+    @pytest.mark.parametrize("kind", ["unitary", "Density", ""])
+    def test_an_unknown_kind_is_a_value_error(self, kind):
+        with pytest.raises(ValueError, match=f"kind must be 'density', 'gram' or 'hermitian', got '{kind}'"):
+            stacks.validate_stack(np.eye(2), kind)
+
 
 class TestSchurProduct:
     """The Schur (entrywise) product is numpy's ``*``, as the campaigns form it."""
@@ -239,3 +244,19 @@ class TestPredicates:
         with pytest.raises(ValidationError) as err:
             matcore.is_unitary(np.zeros((2, 3)))
         assert err.value.invariant == "square"
+
+    @pytest.mark.parametrize(
+        "check, values",
+        [
+            (matcore.is_unitary, np.eye(2)[None]),
+            (matcore.hermitian_spectrum, np.ones(2)),
+            (stacks.validate_probing_stack, np.ones(2)),
+            (stacks.validate_projector_stack, np.eye(2)),
+        ],
+        ids=["matrix", "stack", "probing-stack", "projector-stack"],
+    )
+    def test_rejects_wrong_rank(self, check, values):
+        with pytest.raises(ValidationError) as err:
+            check(values)
+        assert err.value.invariant == "matrix-rank"
+        assert f"ndim={values.ndim}" in str(err.value)

@@ -14,10 +14,9 @@ from decobs.povm import (
     counterexample_1,
     counterexample_2,
     is_purity_preserving,
-    probing_as_povm,
     purify_ancilla,
 )
-from decobs.stacks import average_stack, observe_stack
+from decobs.stacks import average_stack
 from decobs.tolerances import ZERO_PROBABILITY
 from decobs.states import (
     DensityMatrix,
@@ -120,51 +119,6 @@ class TestCounterexample2:
         assert before == pytest.approx(-0.5)
         assert after == pytest.approx(-1.0)
         assert after < before
-
-
-class TestProbingAsPovm:
-    @settings(max_examples=40)
-    @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
-    def test_matches_observe(self, n, d, seed):
-        rng = np.random.default_rng(seed)
-        responses = [states.random_pure(d, rng) for _ in range(n)]
-        rho = states.random_density(n, rng)
-        probs, branches, _ = apply_povm(rho, probing_as_povm(responses))
-        observed_probs, observed = observe_stack(rho.mat, np.array([r.amp for r in responses]))
-        # the whole stacks, dead branches included
-        assert probs.shape == observed_probs.shape and branches.shape == observed.shape
-        assert matcore.max_abs(probs - observed_probs) <= 1e-12
-        assert matcore.max_abs(branches - observed) <= 1e-12
-
-    def test_dead_branches_match_observe(self):
-        # |0><0| read through two basis responses in 3 outcomes: outcomes 1 and 2 are dead
-        responses = [basis_state(3, 0), basis_state(3, 1)]
-        rho = density_from_pure(basis_state(2, 0))
-        probs, branches, _ = apply_povm(rho, probing_as_povm(responses))
-        observed_probs, observed = observe_stack(rho.mat, np.array([r.amp for r in responses]))
-        assert probs.tolist() == observed_probs.tolist() == [1.0, 0.0, 0.0]
-        assert np.array_equal(branches, observed)
-
-    def test_orthonormal_responses_give_complete_readout(self):
-        responses = [basis_state(2, 0), basis_state(2, 1)]
-        rho = DensityMatrix(np.full((2, 2), 0.5))
-        probs, _, spectra = apply_povm(rho, probing_as_povm(responses))
-        assert np.allclose(probs, [0.5, 0.5])
-        assert (entropies_of_spectra(spectra, (linear(),))[0] <= 1e-9).all()
-
-    def test_identical_responses_leave_state_unchanged(self):
-        rng = np.random.default_rng(21)
-        response = states.random_pure(3, rng)
-        rho = states.random_density(2, rng)
-        probs, branches, _ = apply_povm(rho, probing_as_povm([response, response]))
-        for state in branches[probs > 0]:
-            assert matcore.max_abs(state - rho.mat) <= 1e-11
-
-    @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
-    def test_always_purity_preserving(self, n, d, seed):
-        rng = np.random.default_rng(seed)
-        responses = [states.random_pure(d, rng) for _ in range(n)]
-        assert is_purity_preserving(probing_as_povm(responses))
 
 
 class TestPurifyAncilla:
@@ -280,6 +234,21 @@ class TestPovmValidation:
                 ProjectorSet(tuple(np.diag(row).astype(complex) for row in np.eye(4))),
             )
         assert err.value.invariant == "ancilla-state-dim"
+
+    @pytest.mark.parametrize("object_dim, ancilla_dim", [(0, 2), (2, 0), (-1, 2)])
+    def test_rejects_non_positive_dims(self, object_dim, ancilla_dim):
+        projectors = counterexample_1()[0].joint_projectors
+        with pytest.raises(ValidationError) as err:
+            Povm(object_dim, ancilla_dim, density_from_pure(basis_state(2, 0)), np.eye(4), projectors)
+        assert err.value.invariant == "positive-dims"
+
+    @pytest.mark.parametrize("joint_dim", [2, 3, 8])
+    def test_rejects_unitary_of_the_wrong_dim(self, joint_dim):
+        projectors = counterexample_1()[0].joint_projectors
+        with pytest.raises(ValidationError) as err:
+            Povm(2, 2, density_from_pure(basis_state(2, 0)), np.eye(joint_dim), projectors)
+        assert err.value.invariant == "joint-unitary-dim"
+        assert f"got {joint_dim}, expected 4" in str(err.value)
 
 
 class TestPurityPreservation:

@@ -6,7 +6,6 @@ from decobs import campaigns, matcore, sampling, states
 from decobs.cli import CampaignConfig
 from decobs.entropy import entropies_of_spectra, linear
 from decobs.errors import ValidationError
-from decobs.processes import probing_joint_unitary
 from decobs.stacks import (
     average_stack,
     block_projectors,
@@ -19,6 +18,7 @@ from decobs.stacks import (
     validate_stack,
 )
 from decobs.states import DensityMatrix, basis_state, density_from_pure, maximally_mixed
+from decobs.tolerances import ZERO_PROBABILITY
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
@@ -121,6 +121,30 @@ class TestObserve:
         probe = sampling.probing_from_normals(rng.standard_normal(2 * dim * m), dim, m)
         probs, branches = observe_stack(rho.mat, probe)
         assert (entropies_of_spectra(validate_stack(branches[probs > 0.0], "density"), [linear()]) <= 1e-9).all()
+
+    def test_orthonormal_responses_give_complete_readout(self):
+        probs, branches = observe_stack(plus().mat, np.eye(2))
+        assert np.allclose(probs, [0.5, 0.5])
+        assert (entropies_of_spectra(validate_stack(branches, "density"), (linear(),))[0] <= 1e-9).all()
+
+    def test_identical_responses_leave_state_unchanged(self):
+        rng = np.random.default_rng(21)
+        response = states.random_pure(3, rng)
+        rho = states.random_density(2, rng)
+        probs, branches = observe_stack(rho.mat, np.array([response.amp, response.amp]))
+        for state in branches[probs > 0]:
+            assert matcore.max_abs(state - rho.mat) <= 1e-11
+
+    @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
+    def test_always_purity_preserving(self, n, d, seed):
+        # a pure input |psi> has pure branches D_k|psi> / ||D_k psi||, D_k = diag(S[:, k])
+        rng = np.random.default_rng(seed)
+        probe = np.array([states.random_pure(d, rng).amp for _ in range(n)])
+        psi = states.random_pure(n, rng).amp
+        probs, branches = observe_stack(np.outer(psi, psi.conj()), probe)
+        for k in np.flatnonzero(probs > 0.0):
+            amp = probe[:, k] * psi
+            assert matcore.max_abs(branches[k] - np.outer(amp, amp.conj()) / np.vdot(amp, amp).real) <= 1e-12
 
 
 class TestResponseGram:
@@ -251,44 +275,61 @@ class TestTriviality:
         assert not is_trivial_decoherence(plus(), checked_gram(np.eye(2)))
 
 
-class TestProbingJointUnitary:
-    def test_reference_responses_give_identity(self):
-        responses = [basis_state(2, 0), basis_state(2, 0)]
-        assert matcore.max_abs(probing_joint_unitary(responses) - np.eye(4)) <= 1e-12
+def stinespring(probe) -> np.ndarray:
+    """V = sum_k D_k (x) |k>, D_k = diag(S[:, k]): the probing |i>|e_0> -> |i>|e_i> as an isometry.
 
-    def test_orthonormal_responses_give_controlled_flip(self):
-        responses = [basis_state(2, 0), basis_state(2, 1)]
-        joint = probing_joint_unitary(responses)
-        expected = np.eye(4, dtype=complex)
-        expected[2:, 2:] = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert matcore.max_abs(joint - expected) <= 1e-12
+    It maps the object into object (x) pointer, object factor first, so
+    V[i * m + k, i] = S[i, k].
+    """
+    n, m = probe.shape
+    pointer = np.eye(m)
+    return sum(np.kron(np.diag(probe[:, k]), pointer[:, k : k + 1]) for k in range(m))
+
+
+def pointer_blocks(rho, probe) -> np.ndarray:
+    """Tr_env[(1 (x) |k><k|) V rho V^dagger (1 (x) |k><k|)] for every pointer reading k, shape (m, n, n)."""
+    n, m = probe.shape
+    v = stinespring(probe)
+    evolved = v @ rho @ v.conj().T
+    eye, pointer = np.eye(n), np.eye(m)
+    projectors = [matcore.tensor_product(eye, np.outer(pointer[k], pointer[k])) for k in range(m)]
+    return np.array([matcore.partial_trace(p @ evolved @ p, n, m, keep="first") for p in projectors])
+
+
+def pointer_readout(rho, probe) -> tuple[np.ndarray, np.ndarray]:
+    """The readout's probabilities and normalized branches, with p_k = 0 and an all-zero state when dead."""
+    blocks = pointer_blocks(rho, probe)
+    probs = blocks.trace(axis1=-2, axis2=-1).real
+    live = probs > ZERO_PROBABILITY
+    branches = np.zeros_like(blocks)
+    branches[live] = blocks[live] / probs[live, None, None]
+    return np.where(live, probs, 0.0), branches
+
+
+class TestStinespringIsometry:
+    """The probing's joint map, written out: V^dagger V = I, its partial trace
+    decoheres, and its pointer readout is ``observe_stack``."""
 
     @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
     def test_maps_reference_to_responses(self, n, d, seed):
         rng = np.random.default_rng(seed)
         responses = [states.random_pure(d, rng) for _ in range(n)]
-        joint = probing_joint_unitary(responses)
-        assert matcore.is_unitary(joint)
+        v = stinespring(np.array([r.amp for r in responses]))
+        assert matcore.max_abs(v.conj().T @ v - np.eye(n)) <= 1e-12
         for i, response in enumerate(responses):
-            vec = np.zeros(n * d, dtype=complex)
-            vec[i * d] = 1.0  # |o_i> (x) |first basis vector>
             expected = np.zeros(n * d, dtype=complex)
-            expected[i * d : (i + 1) * d] = response.amp
-            assert matcore.max_abs(joint @ vec - expected) <= 1e-12
+            expected[i * d : (i + 1) * d] = response.amp  # |o_i> (x) |response_i>
+            assert matcore.max_abs(v[:, i] - expected) <= 1e-12
 
     @settings(max_examples=50)
     @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
     def test_partial_trace_realizes_decoherence(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        responses = [states.random_pure(d, rng) for _ in range(n)]
+        probe = np.array([states.random_pure(d, rng).amp for _ in range(n)])
         rho = states.random_density(n, rng)
-        joint = probing_joint_unitary(responses)
-        reference = np.zeros((d, d), dtype=complex)
-        reference[0, 0] = 1.0
-        evolved = joint @ matcore.tensor_product(rho.mat, reference) @ joint.conj().T
-        reduced = matcore.partial_trace(evolved, n, d, keep="first")
-        expected = rho.mat * gram_from_unit_rows([response.amp for response in responses])
-        assert matcore.max_abs(reduced - expected) <= 1e-12
+        v = stinespring(probe)
+        reduced = matcore.partial_trace(v @ rho.mat @ v.conj().T, n, d, keep="first")
+        assert matcore.max_abs(reduced - rho.mat * gram_from_unit_rows(probe)) <= 1e-12
 
     @settings(max_examples=25)
     @given(n=st.integers(2, 3), d=st.integers(2, 3), seed=seeds)
@@ -296,28 +337,36 @@ class TestProbingJointUnitary:
         # the evolved joint state, pinched by the pointer projectors, is the
         # direct sum of p_k rho_k blocks produced by observation
         rng = np.random.default_rng(seed)
-        responses = [states.random_pure(d, rng) for _ in range(n)]
+        probe = np.array([states.random_pure(d, rng).amp for _ in range(n)])
         rho = states.random_density(n, rng)
-        probs, branches = observe_stack(rho.mat, np.array([r.amp for r in responses]))
-        joint = probing_joint_unitary(responses)
-        reference = np.zeros((d, d), dtype=complex)
-        reference[0, 0] = 1.0
-        evolved = joint @ matcore.tensor_product(rho.mat, reference) @ joint.conj().T
-        eye = np.eye(n, dtype=complex)
-        for k, (probability, state) in enumerate(zip(probs, branches)):
-            pointer = np.zeros((d, d), dtype=complex)
-            pointer[k, k] = 1.0
-            projector = matcore.tensor_product(eye, pointer)
-            block = matcore.partial_trace(projector @ evolved @ projector, n, d, keep="first")
+        probs, branches = observe_stack(rho.mat, probe)
+        for probability, state, block in zip(probs, branches, pointer_blocks(rho.mat, probe)):
             p = float(np.trace(block).real)
             assert abs(p - probability) <= 1e-12
             if probability > 0:
                 assert matcore.max_abs(block / p - state) <= 1e-11
 
-    def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ValidationError) as err:
-            probing_joint_unitary([basis_state(2, 0), basis_state(3, 0)])
-        assert err.value.invariant == "responses-same-dim"
+    @settings(max_examples=40)
+    @given(n=st.integers(2, 4), d=st.integers(2, 4), seed=seeds)
+    def test_matches_observe(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        probe = np.array([states.random_pure(d, rng).amp for _ in range(n)])
+        rho = states.random_density(n, rng)
+        probs, branches = pointer_readout(rho.mat, probe)
+        observed_probs, observed = observe_stack(rho.mat, probe)
+        # the whole stacks, dead branches included
+        assert probs.shape == observed_probs.shape and branches.shape == observed.shape
+        assert matcore.max_abs(probs - observed_probs) <= 1e-12
+        assert matcore.max_abs(branches - observed) <= 1e-12
+
+    def test_dead_branches_match_observe(self):
+        # |0><0| read through two basis responses in 3 outcomes: outcomes 1 and 2 are dead
+        probe = np.array([basis_state(3, 0).amp, basis_state(3, 1).amp])
+        rho = density_from_pure(basis_state(2, 0))
+        probs, branches = pointer_readout(rho.mat, probe)
+        observed_probs, observed = observe_stack(rho.mat, probe)
+        assert probs.tolist() == observed_probs.tolist() == [1.0, 0.0, 0.0]
+        assert np.array_equal(branches, observed)
 
 
 class TestSpectraUnchanged:

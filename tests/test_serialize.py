@@ -5,8 +5,7 @@ import pytest
 
 from decobs import matcore, sampling, serialize, stacks, states
 from decobs.errors import ValidationError
-from decobs.povm import counterexample_1, probing_as_povm
-from decobs.states import basis_state
+from decobs.povm import counterexample_1
 
 
 class TestMatrixRoundTrip:
@@ -35,6 +34,21 @@ class TestMatrixRoundTrip:
     def test_rejects_bad_entry(self):
         with pytest.raises(ValidationError):
             serialize.matrix_from_json({"rows": 1, "cols": 1, "data": [[1.0]]})
+
+    @pytest.mark.parametrize("obj", [[[1.0, 0.0]], "matrix", None], ids=["list", "string", "null"])
+    def test_rejects_non_object(self, obj):
+        with pytest.raises(ValidationError) as err:
+            serialize.matrix_from_json(obj, "m")
+        assert err.value.invariant == "json-matrix-object"
+        assert "m: expected an object" in str(err.value)
+
+    @pytest.mark.parametrize("entry", [[float("nan"), 0.0], [0.0, float("inf")], [-float("inf"), 0.0]])
+    def test_rejects_non_finite_entry(self, entry):
+        # json reads NaN and Infinity as floats, so they pass the entry check
+        obj = json.loads(json.dumps({"rows": 1, "cols": 2, "data": [[1.0, 0.0], entry]}))
+        with pytest.raises(ValidationError) as err:
+            serialize.matrix_from_json(obj)
+        assert err.value.invariant == "json-matrix-finite"
 
     def test_rejects_bool_shape(self):
         with pytest.raises(ValidationError) as err:
@@ -106,11 +120,9 @@ class TestPovmRoundTrip:
         assert back.object_dim == 2 and back.ancilla_dim == 2
         assert matcore.max_abs(back.joint_unitary - measurement.joint_unitary) == 0.0
 
-    def test_probing_lift_round_trip(self):
-        responses = [basis_state(2, 0), basis_state(2, 1)]
-        measurement = probing_as_povm(responses)
-        back = serialize.povm_from_json(serialize.povm_to_json(measurement))
-        for mine, ref in zip(back.joint_projectors, measurement.joint_projectors):
+    def test_probing_lift_round_trip(self, cnot_probing):
+        back = serialize.povm_from_json(serialize.povm_to_json(cnot_probing))
+        for mine, ref in zip(back.joint_projectors, cnot_probing.joint_projectors):
             assert matcore.max_abs(mine - ref) == 0.0
 
     def test_parse_error_carries_position(self, tmp_path):
@@ -124,3 +136,18 @@ class TestPovmRoundTrip:
         with pytest.raises(ValidationError) as err:
             serialize.povm_from_json({"object_dim": 2})
         assert "ancilla_dim" in str(err.value)
+
+    @pytest.mark.parametrize("obj", [[], "povm", 2], ids=["list", "string", "number"])
+    def test_rejects_non_object(self, obj):
+        with pytest.raises(ValidationError) as err:
+            serialize.povm_from_json(obj)
+        assert err.value.invariant == "json-povm-object"
+
+    @pytest.mark.parametrize("projectors", [[], {}, "P"], ids=["empty", "object", "string"])
+    def test_rejects_projectors_that_are_not_a_non_empty_list(self, projectors):
+        measurement, _ = counterexample_1()
+        obj = serialize.povm_to_json(measurement)
+        obj["projectors"] = projectors
+        with pytest.raises(ValidationError) as err:
+            serialize.povm_from_json(obj)
+        assert err.value.invariant == "json-povm-projectors"

@@ -216,6 +216,12 @@ class TestProjectorSet:
             ProjectorSet((np.diag([0.5, 0.5]).astype(complex), np.diag([0.5, 0.5]).astype(complex)))
         assert err.value.invariant == "projector-idempotent"
 
+    def test_rejects_mixed_dims(self):
+        with pytest.raises(ValidationError) as err:
+            ProjectorSet((np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 0.0]).astype(complex)))
+        assert err.value.invariant == "projectors-same-dim"
+        assert "projector 1" in str(err.value)
+
 
 class TestProbingMatrix:
     """A probing is a plain (n, m) array, checked by ``validate_probing_stack``."""

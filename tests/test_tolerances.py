@@ -26,7 +26,7 @@ def test_no_tolerance_literal_outside_the_table(path):
 
 
 def test_the_guard_sees_the_table():
-    assert len(small_float_literals(PACKAGE / "tolerances.py")) == 21
+    assert len(small_float_literals(PACKAGE / "tolerances.py")) == 20
 
 
 def test_the_table_is_a_leaf_module():
@@ -36,5 +36,5 @@ def test_the_table_is_a_leaf_module():
 
 def test_every_entry_is_a_positive_float():
     entries = {name: value for name, value in vars(tolerances).items() if name.isupper()}
-    assert len(entries) == 21
+    assert len(entries) == 20
     assert all(type(value) is float and value > 0.0 for value in entries.values())
