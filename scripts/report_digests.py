@@ -7,21 +7,20 @@ SHA-256 of its stdout with the JSON timestamp blanked, and the arguments.
 The grid covers every subcommand: dims 1 to 16, two seeds, JSON and CSV,
 nats and bits, default, unit and large response dims and ensemble sizes, all
 seven entropy functionals, ``--tol 1e-30``, both counterexamples with each
-functional, ``povm-classify`` on both counterexample exports, and the four
+functional, ``povm-classify`` on both counterexample exports, and the three
 seeded campaigns at dim 3 on each of three seeds longer than 32 bits.  The
 grid's last lines run each stacked campaign at dim 16 with 20 trials, which
 the default chunk budget splits into several chunks, so chunk seams are
 covered too, and then at dim 32 with 3 trials, the size of the benchmark's
 largest workload, where each trial's observation branches are a block of
-their own.  Two JSON lines follow with 2,000 trials each,
-``verify-s-theorems --dim 2`` with all seven functionals and ``luders-equiv
---dim 3``, so the JSON writer writes thousands of rows in one report, and
-then ``verify-s-theorems --dim 32 --trials 8``, two chunks.  The next
-three lines (``PARALLEL``) plan at least four chunks each, so that on two
-or more CPUs they run on two processes and the seams between workers are
-covered: ``verify-s-theorems`` and ``holevo`` at dim 32, and
-``majorization`` with a response dimension of 2,000, whose responses the
-chunk planner counts.  The last line, ``verify-s-theorems --dim 40
+their own.  A JSON line follows with 2,000 trials, ``verify-s-theorems
+--dim 2`` with all seven functionals, so the JSON writer writes 28,000 rows
+in one report, and then ``verify-s-theorems --dim 32 --trials 8``, two
+chunks.  The next three lines (``PARALLEL``) plan at least four chunks
+each, so that on two or more CPUs they run on two processes and the seams
+between workers are covered: ``verify-s-theorems`` and ``holevo`` at dim
+32, and ``majorization`` with a response dimension of 2,000, whose
+responses the chunk planner counts.  The last line, ``verify-s-theorems --dim 40
 --trials 2``, cuts each trial's branches into several blocks, so the seams
 of a trial's average are covered.
 
@@ -110,12 +109,10 @@ def grid() -> list[list[str]]:
                 sized = [] if response is None else ["--response-dim", str(response)]
                 for fmt in FORMATS:
                     configs.append(["majorization", *seeded, *sized, "--format", fmt])
-            for fmt in FORMATS:
-                configs.append(["luders-equiv", *seeded, "--format", fmt])
         configs.append(["majorization", "--dim", str(dim), "--trials", TRIALS, *TIGHT_TOL])
     for seed in LONG_SEEDS:
         seeded = ["--dim", "3", "--seed", str(seed), "--trials", TRIALS]
-        for command in ("verify-s-theorems", "holevo", "majorization", "luders-equiv"):
+        for command in ("verify-s-theorems", "holevo", "majorization"):
             configs.append([command, *seeded, *(every if command in ("verify-s-theorems", "holevo") else [])])
     for command in ("verify-s-theorems", "holevo"):
         for name in FUNCTIONALS:
@@ -138,7 +135,6 @@ def grid() -> list[list[str]]:
         ("verify-s-theorems", every),
         ("holevo", ["--ensemble-size", "7", *every]),
         ("majorization", []),
-        ("luders-equiv", []),
     ):
         for fmt in FORMATS:
             configs.append([command, *MULTI_CHUNK, *sized, "--format", fmt])
@@ -147,11 +143,9 @@ def grid() -> list[list[str]]:
         ("verify-s-theorems", ["--response-dim", "35", *every]),
         ("holevo", ["--ensemble-size", "7", *every]),
         ("majorization", []),
-        ("luders-equiv", []),
     ):
         configs.append([command, *LARGE, *sized, "--format", "json"])
     configs.append(["verify-s-theorems", "--dim", "2", *MANY_ROWS, *every, "--format", "json"])
-    configs.append(["luders-equiv", "--dim", "3", *MANY_ROWS, "--format", "json"])
     configs.append(list(TWO_CHUNKS))
     configs.extend(list(argv) for argv in PARALLEL)
     configs.append(list(SPLIT_TRIALS))

@@ -11,7 +11,6 @@ from decobs.cli import (
     CampaignConfig,
     run_counterexample,
     run_holevo,
-    run_luders,
     run_majorization,
     run_s_theorems,
     write_json,
@@ -56,9 +55,6 @@ def main() -> int:
             command="holevo", seed=args.seed, dim=dim, trials=args.trials, functionals=FUNCTIONALS
         )
         record(f"holevo-dim{dim}", run_holevo(cfg))
-
-        cfg = CampaignConfig(command="luders-equiv", seed=args.seed, dim=dim, trials=args.trials)
-        record(f"luders-equiv-dim{dim}", run_luders(cfg))
 
     for which in (1, 2):
         cfg = CampaignConfig(command="counterexample", which=which)

@@ -1,7 +1,7 @@
 """The campaigns behind the subcommands, and the report builder they share.
 
-A seeded campaign (``verify-s-theorems``, ``majorization``, ``holevo`` and
-``luders-equiv``) is a sampler, an evaluator and the chunk map.  The
+Each of the three seeded campaigns (``verify-s-theorems``, ``majorization``
+and ``holevo``) is a sampler, an evaluator and the chunk map.  The
 sampler, ``sample_*(cfg, chunk)``, draws each trial t of a chunk from stream
 (seed, t) in a fixed order and returns the chunk's stacks, transformed and
 not validated, and any block sizes; the samplers are the only code that
@@ -68,8 +68,8 @@ from .entropy import entropies_of_spectra, expected_entropy_stack, parse_functio
 from .errors import ValidationError
 from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
 from .stacks import (
-    average_stack, block_projectors, clean_probabilities, gram_from_unit_rows, observe_stack, pinch,
-    response_gram_stack, spectra_unchanged, validate_probing_stack, validate_projector_stack, validate_stack,
+    average_stack, block_projectors, clean_probabilities, gram_from_unit_rows, observe_stack, response_gram_stack,
+    spectra_unchanged, validate_probing_stack, validate_projector_stack, validate_stack,
 )
 from .tolerances import CONSISTENCY_TOL, NEAR_TRIVIAL_MARGIN, SINGULAR_SKIP
 
@@ -694,59 +694,6 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
         "units": cfg.units,
     }
     return _campaign_result(cfg, flags, _joined(blocks))
-
-
-def sample_luders(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """The chunk's states (n, d, d), not validated, and block sizes (a list of n tuples).
-
-    Trial t draws the normals of its state, then its block sizes.
-    """
-    dim = cfg.dim
-    raw = np.empty((len(chunk), 2 * dim * dim))
-    partitions = []
-    for i, rng in sampling.trial_streams(cfg.seed, chunk):
-        rng.standard_normal(out=raw[i])
-        partitions.append(sampling.random_block_sizes(dim, rng))
-    return sampling.density_from_normals(raw, dim), partitions
-
-
-def evaluate_luders(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
-    """The row columns of ``trials``, from the states and block sizes :func:`sample_luders` draws for them."""
-    rho, partitions = stacks
-    del stacks
-    _check_stacks(trials, (rho, "ndd"), (partitions, "p"))
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[-1]
-    projectors = block_projectors(partitions, dim, dim)
-
-    # state, partition, pinching, block Gram matrix, Schur form
-    validate_stack(rho, "density")
-    validate_projector_stack(projectors)
-    _, pinched = pinch(projectors, rho)
-    validate_stack(pinched, "density")
-    # the partition's indicator probing: row i is the indicator of the block that holds i
-    gram = response_gram_stack(projectors.diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2))
-    validate_stack(gram, "gram")
-    schur_form = rho * gram
-    validate_stack(schur_form, "density")
-    residual = abs(pinched - schur_form).max(axis=(-2, -1), initial=0.0)
-    return _grid_rows(
-        (len(rho),), trial=np.asarray(trials, dtype=int), functional="", side="luders-equivalence", lhs=residual,
-        rhs=CONSISTENCY_TOL, margin=CONSISTENCY_TOL - residual, violation=residual > CONSISTENCY_TOL,
-    )
-
-
-def run_luders(cfg: CampaignConfig) -> CampaignResult:
-    """Random diagonal partitions: pinching equals the block Schur form to CONSISTENCY_TOL.
-
-    The Lüders measurement by a diagonal partition is the probing whose
-    responses are block indicators, so the block Schur form is decoherence
-    by that probing: rho times its :func:`~decobs.stacks.response_gram_stack`.
-    Partitions have dead slots, as in :func:`run_majorization`.
-    """
-    chunks = plan_chunks(cfg.trials, _FAMILY_SLOTS * cfg.dim, cfg.dim)
-    blocks = _map_chunks(lambda chunk: evaluate_luders(cfg, chunk, sample_luders(cfg, chunk)), chunks)
-    return _campaign_result(cfg, {"dim": cfg.dim, "trials": cfg.trials}, _joined(blocks))
 
 
 def _exact_check(name: str, residual: float) -> dict:

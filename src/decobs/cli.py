@@ -15,9 +15,6 @@ counterexample
     value exactly.
 holevo
     Average branch entropy never exceeds the entropy of the average state.
-luders-equiv
-    Pinching over a diagonal projector partition equals the Schur form with
-    the block overlap matrix, to CONSISTENCY_TOL (``decobs.tolerances``).
 povm-classify
     Structural purity-preservation classification of a measurement JSON file.
 
@@ -54,7 +51,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .campaigns import (
-    ROW_KEYS, run_counterexample, run_holevo, run_luders, run_majorization, run_povm_classify, run_s_theorems,
+    ROW_KEYS, run_counterexample, run_holevo, run_majorization, run_povm_classify, run_s_theorems,
 )
 from .entropy import parse_functional
 from .tolerances import INEQUALITY_TOL
@@ -109,7 +106,6 @@ _DISPATCH = {
     "majorization": run_majorization,
     "counterexample": run_counterexample,
     "holevo": run_holevo,
-    "luders-equiv": run_luders,
     "povm-classify": run_povm_classify,
 }
 
@@ -163,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble-size", type=int, default=None, help="branches per mixture (default: random 2-5)")
     _add_entropy(p)
     _add_output(p)
-
-    p = sub.add_parser("luders-equiv", help="pinching equals block Schur form")
-    _add_seeded(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
     p = sub.add_parser("povm-classify", help="classify a measurement JSON file")
     p.add_argument("povm_file", help="path to a measurement JSON file")

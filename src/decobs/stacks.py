@@ -7,10 +7,11 @@ map: the value types of :mod:`decobs.states` call these kernels on one
 item.  The two maps of the paper are here only: observation
 (:func:`observe_stack`) and decoherence, the Schur product with
 :func:`response_gram_stack`.  A Lüders measurement by a diagonal partition
-is the probing whose responses are block indicators, so its block Gram
-matrix is :func:`response_gram_stack` of the diagonals of
-:func:`block_projectors`, and it has no kernel of its own.  This module
-imports no value type, so a campaign loads none.
+is the probing whose responses are block indicators, so it has no kernel of
+its own: its pinching (:func:`pinch`) is decoherence by the block Gram
+matrix, :func:`response_gram_stack` of the diagonals of
+:func:`block_projectors`.  This module imports no value type, so a campaign
+loads none.
 
 A failing stack raises the :class:`~decobs.errors.ValidationError` that its
 first failing item (in C order) raises as a value type, with the same

@@ -46,7 +46,7 @@ TRIVIALITY_TOL = 1e-9
 INEQUALITY_TOL = 1e-9
 #: Max-norm residuals in ``povm.ancilla_factors`` (purity preservation); loose: they compare products.
 PPPOVM_TOL = 1e-8
-#: Max-norm of an exact identity: the averaging, luders-equiv and counterexample checks.
+#: Max-norm of an exact identity: the averaging and counterexample checks.
 CONSISTENCY_TOL = 1e-12
 #: Largest margin of a nontrivial entropy row that still counts as near-trivial.
 NEAR_TRIVIAL_MARGIN = 1e-7

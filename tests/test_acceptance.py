@@ -13,12 +13,14 @@ import numpy as np
 
 from decobs import matcore, povm, sampling, states
 from decobs.campaigns import evaluate_s_theorems
-from decobs.cli import CampaignConfig, main, run_holevo, run_luders, run_majorization, run_s_theorems
+from decobs.cli import CampaignConfig, main, run_holevo, run_majorization, run_s_theorems
 from decobs.entropy import (
     builtin_functionals, entropies_of_spectra, entropy, expected_entropy_stack, linear, von_neumann,
 )
 from decobs.povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
-from decobs.stacks import average_stack
+from decobs.stacks import (
+    average_stack, block_projectors, pinch, response_gram_stack, validate_projector_stack, validate_stack,
+)
 from decobs.states import DensityMatrix, density_from_pure
 
 LN2 = math.log(2.0)
@@ -130,14 +132,35 @@ def test_criterion_05_consistency_identity():
 
 
 def test_criterion_06_luders_equivalence():
-    """Pinching equals the block-overlap Schur form on random diagonal partitions, to 1e-12."""
-    total = 0
+    """Pinching equals the block-overlap Schur form on random diagonal partitions, to 1e-12.
+
+    The Lüders measurement by a diagonal partition is the probing whose
+    rows are block indicators, so its block Schur form is rho times that
+    probing's Gram matrix.  Trial t draws its state's normals, then its block
+    sizes, from stream (106, t).
+    """
+    total, worst = 0, 0.0
     for dim in range(2, 9):
-        cfg = CampaignConfig(command="luders-equiv", seed=106, dim=dim, trials=72)
-        result = run_luders(cfg)
-        assert result.exit_code == 0, result.report["summary"]
-        total += cfg.trials
+        raw = np.empty((72, 2 * dim * dim))
+        partitions = []
+        for i, rng in sampling.trial_streams(106, range(72)):
+            rng.standard_normal(out=raw[i])
+            partitions.append(sampling.random_block_sizes(dim, rng))
+        rho = sampling.density_from_normals(raw, dim)
+        projectors = block_projectors(partitions, dim, dim)
+        validate_stack(rho, "density")
+        validate_projector_stack(projectors)
+        _, pinched = pinch(projectors, rho)
+        validate_stack(pinched, "density")
+        # row i of the indicator probing is the indicator of the block that holds i
+        gram = response_gram_stack(projectors.diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2))
+        validate_stack(gram, "gram")
+        schur_form = rho * gram
+        validate_stack(schur_form, "density")
+        worst = max(worst, abs(pinched - schur_form).max())
+        total += len(rho)
     assert total >= 500
+    assert worst <= 1e-12
     report_pass(6, f"{total} random diagonal partitions, all within 1e-12")
 
 

@@ -1,13 +1,13 @@
 """The stacked campaign kernels against one-trial-at-a-time references.
 
-The campaigns ``verify-s-theorems``, ``holevo``, ``majorization`` and
-``luders-equiv`` stack their trials and run every map, check and entropy
-once per chunk.  Here each campaign is replayed trial by trial, from the
-trial's own stream, through the value-type samplers and one-object kernel
-calls, and every row must come out exactly equal (``==``, not
-approximately).  The stack kernels must also agree bit for bit with the
-scalar types on hard inputs (dead branches, rank-deficient spectra, padded
-projector families) and raise the scalar types' errors.
+The campaigns ``verify-s-theorems``, ``holevo`` and ``majorization`` stack
+their trials and run every map, check and entropy once per chunk.  Here
+each campaign is replayed trial by trial, from the trial's own stream,
+through the value-type samplers and one-object kernel calls, and every row
+must come out exactly equal (``==``, not approximately).  The stack
+kernels must also agree bit for bit with the scalar types on hard inputs
+(dead branches, rank-deficient spectra, padded projector families) and
+raise the scalar types' errors.
 """
 
 import os
@@ -28,7 +28,6 @@ from decobs.errors import ValidationError
 from decobs.majorization import dominance, entropy_gap, fan_dominance, pinching_dominance, schur_dominance
 from decobs.states import DensityMatrix, ProjectorSet, PureState
 from decobs.tolerances import (
-    CONSISTENCY_TOL,
     NEAR_TRIVIAL_MARGIN,
     SINGULAR_EIGENVALUE,
     SINGULAR_SKIP,
@@ -151,12 +150,11 @@ SEEDED_COMMANDS = [
     ["holevo", "--dim", "5", "--trials", "25", "--seed", "5"],
     ["holevo", "--dim", "3", "--trials", "25", "--seed", "6", "--ensemble-size", "4", "--units", "bits"],
     ["majorization", "--dim", "5", "--trials", "25", "--seed", "8", "--response-dim", "7"],
-    ["luders-equiv", "--dim", "6", "--trials", "25", "--seed", "9"],
 ]
 
 
 def _with_format(argv, fmt):
-    takes_entropy = argv[0] not in ("majorization", "luders-equiv")
+    takes_entropy = argv[0] != "majorization"
     return argv + ["--format", fmt] + sum((["--entropy", f] for f in FUNCTIONALS if takes_entropy), [])
 
 
@@ -312,7 +310,7 @@ class TestChunkMap:
     """The chunk map gives the serial loop's report, error and exit code on any worker count."""
 
     @pytest.mark.parametrize(
-        "argv", SEEDED_COMMANDS + [["luders-equiv", "--dim", "2", "--trials", "1025", "--seed", "10"]]
+        "argv", SEEDED_COMMANDS + [["majorization", "--dim", "2", "--trials", "1025", "--seed", "10"]]
     )
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_output_does_not_depend_on_the_worker_count(self, capfd, monkeypatch, allowed_cpus, forks, argv, fmt):
@@ -768,31 +766,6 @@ def oracle_majorization(cfg):
     return rows
 
 
-def oracle_luders(cfg):
-    """luders-equiv replayed one trial at a time through the written-out formulas.
-
-    The pinching is sum_k P_k rho P_k over the diagonal block projectors, and
-    the block Schur form masks rho with the pattern labels_i == labels_j.
-    """
-    rows = []
-    for trial in range(cfg.trials):
-        rng = sampling.trial_stream(cfg.seed, trial)
-        rho = states.random_density(cfg.dim, rng)
-        sizes = sampling.random_block_sizes(cfg.dim, rng)
-        labels = np.repeat(np.arange(len(sizes)), sizes)
-        partition = ProjectorSet(tuple(np.diag((labels == k).astype(complex)) for k in range(len(sizes))))
-        pinched = DensityMatrix(sum(p @ rho.mat @ p for p in partition))
-        schur_form = DensityMatrix(rho.mat * (labels[:, None] == labels[None, :]))
-        residual = matcore.max_abs(pinched.mat - schur_form.mat)
-        rows.append(
-            _report_row(
-                trial, cfg.dim, "", "luders-equivalence", residual, CONSISTENCY_TOL,
-                CONSISTENCY_TOL - residual, None, residual > CONSISTENCY_TOL,
-            )
-        )
-    return rows
-
-
 def _majorization_grid():
     for dim, trials in ((1, 12), (2, 12), (3, 12), (5, 10), (8, 8), (16, 5)):
         for response_dim in sorted({1, dim, dim + 3}):
@@ -810,13 +783,6 @@ def test_majorization_rows_equal_the_scalar_oracle(dim, trials, response_dim, se
     expected = oracle_majorization(cfg)
     assert result.report["rows"] == expected
     assert result.exit_code == int(any(row["violation"] for row in expected))
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
-def test_luders_rows_equal_the_scalar_oracle(dim, seed):
-    cfg = cli.CampaignConfig("luders-equiv", seed=seed, dim=dim, trials=12 if dim < 16 else 6)
-    assert cli.run_luders(cfg).report["rows"] == oracle_luders(cfg)
 
 
 def _padded_family(partition, slots):
@@ -958,7 +924,7 @@ class TestStackedChecksRaiseTheScalarErrors:
         assert self.error_of(lambda: stacks.gram_from_unit_rows(rows)) == scalar
 
     def test_non_diagonal_projector(self):
-        # the block Gram of a rotated family, formed as luders-equiv forms it, fails the Gram check
+        # the Gram matrix of a rotated family's diagonals, formed as for a block-indicator probing, fails the Gram check
         partition = states.random_projector_partition(3, [1, 2], np.random.default_rng(25))
         stack = stacks.block_projectors([[3], [1, 2], [1, 1, 1], [2, 1]], 3, 3)
         stack[2] = _padded_family(partition, 3)
@@ -967,24 +933,21 @@ class TestStackedChecksRaiseTheScalarErrors:
         assert scalar[0] == "gram-unit-diagonal"
         assert self.error_of(lambda: stacks.validate_stack(grams, "gram")) == scalar
 
-    @pytest.mark.parametrize("command", ["majorization", "luders-equiv"])
-    def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch, command):
+    def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch):
         bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
         transform = sampling.density_from_normals
         calls = []
-        # the ten trials are one chunk; the sixth state drawn is trial 2's pinching
-        # state (the second transform of majorization) or trial 5's state
-        call, trial = {"majorization": (2, 2), "luders-equiv": (1, 5)}[command]
 
+        # the ten trials are one chunk; the second transform draws the pinching states
         def one_bad_draw(raw, n):
             calls.append(n)
             mats = transform(raw, n)
-            if len(calls) == call:
-                mats[trial] = bad
+            if len(calls) == 2:
+                mats[2] = bad
             return mats
 
         monkeypatch.setattr(sampling, "density_from_normals", one_bad_draw)
-        code = cli.main([command, "--dim", "3", "--trials", "10"])
+        code = cli.main(["majorization", "--dim", "3", "--trials", "10"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -23,8 +23,8 @@ from decobs.errors import ValidationError
 from decobs.tolerances import CONSISTENCY_TOL
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "decobs"
-SAMPLERS = ("sample_holevo", "sample_luders", "sample_majorization", "sample_s_theorems")
-EVALUATORS = ("evaluate_holevo", "evaluate_luders", "evaluate_majorization", "evaluate_s_theorems")
+SAMPLERS = ("sample_holevo", "sample_majorization", "sample_s_theorems")
+EVALUATORS = ("evaluate_holevo", "evaluate_majorization", "evaluate_s_theorems")
 #: The config fields that size a campaign's draws; an evaluator reads its shapes from its stacks instead.
 DRAW_FIELDS = {"dim", "response_dim", "ensemble_size", "trials", "seed"}
 FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det")
@@ -39,7 +39,6 @@ def _cases():
             cases.append(("majorization", {"dim": dim, "response_dim": response_dim}))
         for ensemble_size in (None, 3):
             cases.append(("holevo", {"dim": dim, "ensemble_size": ensemble_size}))
-        cases.append(("luders-equiv", {"dim": dim}))
     return [pytest.param(command, fields, id="-".join([command, *map(str, fields.values())])) for command, fields in cases]
 
 
@@ -47,11 +46,9 @@ SAMPLER_OF = {
     "verify-s-theorems": "sample_s_theorems",
     "majorization": "sample_majorization",
     "holevo": "sample_holevo",
-    "luders-equiv": "sample_luders",
 }
 COMMAND_OF = {
-    "evaluate_s_theorems": "verify-s-theorems", "evaluate_majorization": "majorization",
-    "evaluate_holevo": "holevo", "evaluate_luders": "luders-equiv",
+    "evaluate_s_theorems": "verify-s-theorems", "evaluate_majorization": "majorization", "evaluate_holevo": "holevo",
 }
 
 
@@ -496,9 +493,6 @@ def test_a_partition_of_another_dim_is_refused():
     drawn = list(campaigns.sample_majorization(cfg, range(3)))
     drawn[3] = [(1, 2), (1, 1), (3,)]
     assert _stacks_error("evaluate_majorization", cfg, range(3), tuple(drawn)).invariant == "stacks-same-dim"
-    luders = CampaignConfig("luders-equiv", dim=3)
-    rho, _ = campaigns.sample_luders(luders, range(3))
-    assert _stacks_error("evaluate_luders", luders, range(3), (rho, drawn[3])).invariant == "stacks-same-dim"
 
 
 def test_mixtures_need_one_drawn_state_per_live_slot():
@@ -520,15 +514,12 @@ def test_a_mixture_size_is_an_integer_within_the_slots(sizes):
 @pytest.mark.parametrize(
     "sizes", [(0, 0, 0, 3), (1.5, 1.5), (-1, 4), (), 3], ids=["zeros", "halves", "negative", "empty", "unnested"]
 )
-@pytest.mark.parametrize("evaluator", ["evaluate_luders", "evaluate_majorization"])
-def test_a_partition_needs_positive_integer_sizes(evaluator, sizes):
+def test_a_partition_needs_positive_integer_sizes(sizes):
     # each sums to the dim 3, or is empty, or is a bare size, and none is a partition of it
-    command = COMMAND_OF[evaluator]
-    cfg = CampaignConfig(command, dim=3)
-    drawn = list(getattr(campaigns, SAMPLER_OF[command])(cfg, range(2)))
-    at = 3 if command == "majorization" else 1
-    drawn[at] = [drawn[at][0], sizes]
-    error = _stacks_error(evaluator, cfg, range(2), tuple(drawn))
+    cfg = CampaignConfig("majorization", dim=3)
+    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn[3] = [drawn[3][0], sizes]
+    error = _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn))
     assert (error.invariant, str(error)) == ("positive-block-sizes", f"positive-block-sizes: {sizes}")
 
 
@@ -581,8 +572,8 @@ def _sometimes(strategy):
     partition=_sometimes(st.lists(st.sampled_from([-1, 0, 1, 2, 3, 1.5]), max_size=4).map(tuple)),
     size=_sometimes(st.sampled_from([-1, 0, 0.5, 2.5, 5, 9])),
 )
-@example("evaluate_luders", 1, 3, 1, 0, False, None, None, (0, 0, 0, 3), None)
-@example("evaluate_luders", 1, 3, 1, 0, False, None, None, (1.5, 1.5), None)
+@example("evaluate_majorization", 1, 3, 1, 0, False, None, None, (0, 0, 0, 3), None)
+@example("evaluate_majorization", 1, 3, 1, 0, False, None, None, (1.5, 1.5), None)
 @example("evaluate_majorization", 1, 3, 1, 0, False, None, None, (-1, 4), None)
 @example("evaluate_majorization", 1, 3, 1, 0, False, (5, 0, np.nan), None, None, None)
 @example("evaluate_majorization", 2, 3, 2, 0, True, None, 4, None, None)
@@ -607,8 +598,8 @@ def test_every_drawn_stack_gives_columns_or_a_validation_error(
     command = COMMAND_OF[evaluator]
     # where the unit rows (probings, responses) and the block sizes sit in each evaluator's stacks
     unit_rows = {"evaluate_s_theorems": 1, "evaluate_majorization": 1}.get(evaluator)
-    partitions = {"evaluate_majorization": 3, "evaluate_luders": 1}.get(evaluator)
-    fields = {"holevo": {"ensemble_size": width}, "luders-equiv": {}}.get(command, {"response_dim": width})
+    partitions = 3 if evaluator == "evaluate_majorization" else None
+    fields = {"ensemble_size": width} if command == "holevo" else {"response_dim": width}
     cfg = CampaignConfig(command, seed=seed, dim=dim, functionals=FUNCTIONALS, **fields)
     stacks = list(getattr(campaigns, SAMPLER_OF[command])(cfg, range(trials)))
     complex_at = [at for at, stack in enumerate(stacks) if isinstance(stack, np.ndarray) and np.iscomplexobj(stack)]

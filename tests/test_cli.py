@@ -22,7 +22,6 @@ from decobs.cli import (
     build_parser,
     main,
     run_holevo,
-    run_luders,
     run_majorization,
     run_s_theorems,
     write_json,
@@ -213,13 +212,27 @@ class TestHolevoCommand:
         assert report["flags"]["ensemble_size"] == 3
 
 
-class TestLudersCommand:
-    def test_campaign_passes(self, capsys):
-        code, report = run_json(capsys, "luders-equiv", "--dim", "6", "--trials", "20", "--seed", "8")
-        assert code == 0
-        assert report["summary"]["violations"] == 0
-        for row in report["rows"]:
-            assert row["lhs"] <= 1e-12
+SUBCOMMANDS = ["verify-s-theorems", "majorization", "counterexample", "holevo", "povm-classify"]
+
+
+class TestSubcommands:
+    def test_help_lists_the_five_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        # the subcommand lines sit under "positional arguments:", each indented by four spaces
+        listed = re.findall(r"^    (\S+) ", capsys.readouterr().out, flags=re.MULTILINE)
+        assert listed == SUBCOMMANDS
+        assert list(_DISPATCH) == SUBCOMMANDS
+
+    def test_luders_equiv_is_an_invalid_choice(self, capsys):
+        # its pinching identity is checked by test_processes.py's TestLuders and acceptance criterion 06
+        with pytest.raises(SystemExit) as exited:
+            main(["luders-equiv", "--dim", "2"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'luders-equiv'" in captured.err
 
 
 class TestPovmClassify:
@@ -353,7 +366,6 @@ ROW_CAMPAIGNS = [
     ["verify-s-theorems", *ENTROPY_FLAGS],
     ["majorization"],
     ["holevo", *ENTROPY_FLAGS],
-    ["luders-equiv"],
 ]
 
 
@@ -508,7 +520,7 @@ class TestCampaignConfigValidatesItself:
         [
             ("verify-s-theorems", {"tol": math.inf}, "--tol must be positive and finite"),
             ("verify-s-theorems", {"tol": math.nan}, "--tol must be positive and finite"),
-            ("luders-equiv", {"tol": 0.0}, "--tol must be positive and finite"),
+            ("majorization", {"tol": 0.0}, "--tol must be positive and finite"),
             ("verify-s-theorems", {"seed": -1}, "--seed must be >= 0"),
             ("verify-s-theorems", {"dim": 0}, "--dim must be >= 1"),
             ("majorization", {"trials": 0}, "--trials must be >= 1"),
@@ -570,7 +582,6 @@ class TestCampaignConfigValidatesItself:
             (("majorization",), {}),
             (("counterexample", "--which", "2"), {"which": 2}),
             (("holevo",), {}),
-            (("luders-equiv",), {}),
             (("povm-classify", "m.json"), {"povm_file": "m.json"}),
         ],
     )
@@ -673,7 +684,6 @@ class TestFreezeWindow:
             (run_s_theorems, "verify-s-theorems"),
             (run_majorization, "majorization"),
             (run_holevo, "holevo"),
-            (run_luders, "luders-equiv"),
         ],
     )
     def test_a_library_call_never_freezes(self, monkeypatch, run, command):

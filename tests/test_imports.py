@@ -67,12 +67,10 @@ def test_a_campaign_loads_the_kernel_layer_only():
     ]
     assert dataclasses == ["CampaignConfig", "CampaignResult", "Dominance", "EntropyFunctional"]
     assert campaigns == [
-        "run_counterexample", "run_holevo", "run_luders", "run_majorization", "run_povm_classify", "run_s_theorems",
+        "run_counterexample", "run_holevo", "run_majorization", "run_povm_classify", "run_s_theorems",
     ]
     assert main_is_function
-    assert dispatched == sorted(
-        ["verify-s-theorems", "majorization", "counterexample", "holevo", "luders-equiv", "povm-classify"]
-    )
+    assert dispatched == sorted(["verify-s-theorems", "majorization", "counterexample", "holevo", "povm-classify"])
 
 
 def test_the_package_root_loads_no_submodule():

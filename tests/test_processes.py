@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decobs import campaigns, matcore, sampling, states
-from decobs.cli import CampaignConfig
+from decobs import matcore, sampling, states
 from decobs.entropy import entropies_of_spectra, linear
-from decobs.errors import ValidationError
 from decobs.stacks import (
     average_stack,
     block_projectors,
@@ -184,8 +182,9 @@ class TestLuders:
     """A Lüders measurement by a diagonal partition is the probing whose responses are block indicators.
 
     The pinching is ``pinch`` on one item, and its block Schur form is
-    decoherence by the indicator probing, whose Gram matrix ``luders-equiv``
-    takes from ``response_gram_stack``.
+    decoherence by the indicator probing, whose Gram matrix is
+    ``response_gram_stack`` of the indicator rows.  No campaign runs this
+    identity; it is checked here and by acceptance criterion 06.
     """
 
     def test_trivial_projector(self):
@@ -216,13 +215,6 @@ class TestLuders:
         probe = projectors.diagonal(axis1=-2, axis2=-1).T
         schur_form = rho.mat * checked_gram(response_gram_stack(probe))
         assert matcore.max_abs(DensityMatrix(pinched).mat - schur_form) <= 1e-12
-
-    def test_rejects_shape_mismatch(self):
-        # a partition of another dim than the state's is refused before any map runs
-        cfg = CampaignConfig("luders-equiv", dim=2)
-        with pytest.raises(ValidationError) as err:
-            campaigns.evaluate_luders(cfg, range(1), (plus().mat[None], [(2, 1)]))
-        assert err.value.invariant == "stacks-same-dim"
 
 
 class TestVonNeumannReduce:

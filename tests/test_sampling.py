@@ -108,12 +108,11 @@ class TestBatchedSeeding:
             ("verify-s-theorems", "sample_s_theorems"),
             ("majorization", "sample_majorization"),
             ("holevo", "sample_holevo"),
-            ("luders-equiv", "sample_luders"),
         ],
     )
     @pytest.mark.parametrize("seed", [7, 2**64 + 3])
     def test_every_sampler_equals_its_oracle_replay(self, monkeypatch, command, sampler, seed):
-        # majorization, holevo and luders-equiv draw 32-bit bounded integers after normals
+        # majorization and holevo draw 32-bit bounded integers after normals
         cfg = CampaignConfig(command, seed=seed, dim=3)
         chunk = range(2**32 - 2, 2**32 + 2)
         drawn = getattr(campaigns, sampler)(cfg, chunk)
@@ -170,17 +169,18 @@ class TestChunkSeeding:
         assert mixes == [chunk[block] for block in blocks]
 
     def test_seeding_a_large_chunk_stays_within_the_chunk_budget(self):
-        # 16,384 trials: a dim-1 luders-equiv chunk
+        # the largest chunk a campaign plans, one 1 x 1 matrix a trial: holevo --dim 1 --ensemble-size 1
+        chunk = campaigns.plan_chunks(2**20, 1, 1)[0]
         tracemalloc.start()
         try:
-            for _ in sampling.trial_streams(5, range(16384)):
+            for _ in sampling.trial_streams(5, chunk):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= campaigns.CHUNK_BYTES
 
-    @pytest.mark.parametrize("command", ["verify-s-theorems", "majorization", "holevo", "luders-equiv"])
+    @pytest.mark.parametrize("command", ["verify-s-theorems", "majorization", "holevo"])
     def test_each_chunk_of_a_campaign_mixes_its_own_seeds(self, monkeypatch, mixes, command):
         cfg = CampaignConfig(command, seed=11, dim=2, trials=3)
         one_chunk = _DISPATCH[command](cfg).report
@@ -479,7 +479,6 @@ FILLS = {
     "majorization-first": lambda n, m: [(n, n)] * 2 + [(1, m)] * (2 * n) + [(n, n)] * 2,
     "majorization-second": lambda n, m: [(n, n)] * 6,
     "holevo": lambda n, m: [(n, n)] * 2 * m,
-    "luders-equiv": lambda n, m: [(n, n)] * 2,
 }
 
 

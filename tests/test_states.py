@@ -122,7 +122,7 @@ class TestGramFromVectors:
 class TestGramFromProjectors:
     """A diagonal partition's block Gram matrix is ``response_gram_stack`` of its indicator probing.
 
-    Row i of that probing holds (P_k)_ii over the slots k, as ``luders-equiv`` forms it.
+    Row i of that probing holds (P_k)_ii over the slots k.
     """
 
     @staticmethod
