@@ -150,6 +150,7 @@ SEEDED_COMMANDS = [
     ["holevo", "--dim", "5", "--trials", "25", "--seed", "5"],
     ["holevo", "--dim", "3", "--trials", "25", "--seed", "6", "--ensemble-size", "4", "--units", "bits"],
     ["majorization", "--dim", "5", "--trials", "25", "--seed", "8", "--response-dim", "7"],
+    ["majorization", "--dim", "6", "--trials", "25", "--seed", "9"],
 ]
 
 
@@ -785,6 +786,40 @@ def test_majorization_rows_equal_the_scalar_oracle(dim, trials, response_dim, se
     assert result.exit_code == int(any(row["violation"] for row in expected))
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
+def test_pinching_rows_equal_the_scalar_oracle(dim, seed):
+    """Diagonal-partition pinchings on the stack kernels, against the formulas written out one trial at a time.
+
+    Trial t draws its state's normals in one fill, then its block sizes, from
+    stream (seed, t), as acceptance criterion 06 draws them.  The pinching is
+    sum_k P_k rho P_k over the diagonal block projectors, and the block Schur
+    form masks rho with the pattern labels_i == labels_j.  Both sides copy or
+    zero each entry of rho, so they agree exactly, trial by trial.
+    """
+    trials = range(12 if dim < 16 else 6)
+    raw = np.empty((len(trials), 2 * dim * dim))
+    partitions = []
+    for i, rng in sampling.trial_streams(seed, trials):
+        rng.standard_normal(out=raw[i])
+        partitions.append(sampling.random_block_sizes(dim, rng))
+    rho = sampling.density_from_normals(raw, dim)
+    projectors = stacks.block_projectors(partitions, dim, dim)
+    _, pinched = stacks.pinch(projectors, rho)
+    gram = stacks.response_gram_stack(projectors.diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2))
+    for trial in trials:
+        rng = sampling.trial_stream(seed, trial)
+        state = states.random_density(dim, rng)
+        sizes = sampling.random_block_sizes(dim, rng)
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        partition = ProjectorSet(tuple(np.diag((labels == k).astype(complex)) for k in range(len(sizes))))
+        assert (partitions[trial], rho[trial].tolist()) == (sizes, state.mat.tolist())
+        assert np.array_equal(pinched[trial], sum(p @ state.mat @ p for p in partition))
+        assert np.array_equal(rho[trial] * gram[trial], state.mat * (labels[:, None] == labels[None, :]))
+    assert np.array_equal(pinched, rho * gram)
+    stacks.validate_stack(pinched, "density")
+
+
 def _padded_family(partition, slots):
     family = np.zeros((slots, partition.dim, partition.dim), dtype=complex)
     family[: len(partition)] = partition.projectors
@@ -933,21 +968,24 @@ class TestStackedChecksRaiseTheScalarErrors:
         assert scalar[0] == "gram-unit-diagonal"
         assert self.error_of(lambda: stacks.validate_stack(grams, "gram")) == scalar
 
-    def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command,call", [("majorization", 2), ("verify-s-theorems", 1), ("holevo", 1)])
+    def test_campaign_exits_2_with_the_scalar_error(self, capsys, monkeypatch, command, call):
         bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
         transform = sampling.density_from_normals
         calls = []
 
-        # the ten trials are one chunk; the second transform draws the pinching states
+        # the ten trials are one chunk; the third state of the call'th transform is
+        # replaced: majorization's second transform draws its pinching states, and the
+        # other campaigns draw all their states (holevo's mixtures stacked) in one
         def one_bad_draw(raw, n):
             calls.append(n)
             mats = transform(raw, n)
-            if len(calls) == 2:
+            if len(calls) == call:
                 mats[2] = bad
             return mats
 
         monkeypatch.setattr(sampling, "density_from_normals", one_bad_draw)
-        code = cli.main(["majorization", "--dim", "3", "--trials", "10"])
+        code = cli.main([command, "--dim", "3", "--trials", "10"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

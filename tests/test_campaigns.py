@@ -20,6 +20,7 @@ from decobs import campaigns, sampling
 from decobs.cli import CampaignConfig
 from decobs.entropy import parse_functional
 from decobs.errors import ValidationError
+from decobs.stacks import block_projectors
 from decobs.tolerances import CONSISTENCY_TOL
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "decobs"
@@ -155,6 +156,36 @@ def test_a_one_column_probing_leaves_every_state_as_it_was():
     assert np.array_equal(columns["lhs"][decoherence], columns["rhs"][decoherence])
     assert (columns["margin"][decoherence] == 0.0).all()
     assert residual <= CONSISTENCY_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
+def test_luders_measurements_pass_the_s_theorems_rows(dim, seed):
+    """A Lüders measurement by a diagonal partition is the probing whose rows are block indicators.
+
+    Its observation rows are the Groenewold-Lindblad inequality
+    S(rho) >= sum_k p_k S(P_k rho P_k / p_k), and its decoherence rows say that
+    pinching does not lower entropy.  No campaign draws these 0/1 probings,
+    so they go through the s-theorems evaluator here.  Each probing has dim
+    columns, so a partition into fewer blocks leaves dead branches.
+    """
+    trials = 12 if dim < 16 else 6
+    rng = np.random.default_rng(seed)
+    rho = sampling.density_from_normals(_normals(seed + 100, trials, 2 * dim * dim), dim)
+    partitions = [sampling.random_block_sizes(dim, rng) for _ in range(trials)]
+    probe = block_projectors(partitions, dim, dim).diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2)
+    cfg = CampaignConfig("verify-s-theorems", functionals=FUNCTIONALS)
+    columns, skipped, residual = campaigns.evaluate_s_theorems(cfg, range(trials), (rho, probe))
+    assert skipped == 0
+    assert len(columns["trial"]) == trials * len(FUNCTIONALS) * 2
+    assert not columns["violation"].any()
+    # the branch average is the pinching, and the Schur form masks rho with the same 0/1 pattern
+    assert residual <= CONSISTENCY_TOL
+    # a partition into one block is the trivial probing: both of its trial's rows keep the spectrum
+    one_block = [t for t, sizes in enumerate(partitions) if len(sizes) == 1]
+    assert columns["trivial"][np.isin(columns["trial"], one_block)].all()
+    # and the draws hold partitions into several blocks wherever the dim has them
+    assert dim == 1 or len(one_block) < trials
 
 
 def test_a_one_state_mixture_has_no_holevo_gap():

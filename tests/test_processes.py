@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, sampling, states
-from decobs.entropy import entropies_of_spectra, linear
+from decobs.entropy import entropies_of_spectra, entropy, linear, parse_functional
 from decobs.stacks import (
     average_stack,
     block_projectors,
@@ -16,10 +16,12 @@ from decobs.stacks import (
     validate_stack,
 )
 from decobs.states import DensityMatrix, basis_state, density_from_pure, maximally_mixed
-from decobs.tolerances import ZERO_PROBABILITY
+from decobs.tolerances import INEQUALITY_TOL, ZERO_PROBABILITY
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
+#: Every functional the campaigns' entropy flags take, at the Rényi orders the tests use.
+FUNCTIONALS = ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det", "renyi:0.1", "renyi:3")
 
 
 def plus() -> DensityMatrix:
@@ -215,6 +217,32 @@ class TestLuders:
         probe = projectors.diagonal(axis1=-2, axis2=-1).T
         schur_form = rho.mat * checked_gram(response_gram_stack(probe))
         assert matcore.max_abs(DensityMatrix(pinched).mat - schur_form) <= 1e-12
+
+    @given(dim=dims, seed=seeds)
+    def test_the_finest_partition_is_the_von_neumann_reduction(self, dim, seed):
+        rho = states.random_density(dim, np.random.default_rng(seed))
+        _, pinched = pinch(block_projectors([[1] * dim], dim, dim)[0], rho.mat)
+        assert np.array_equal(pinched, np.diag(np.diag(rho.mat)))
+
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    @given(dim=dims, seed=seeds)
+    def test_groenewold_lindblad_chain(self, functional, dim, seed):
+        """sum_k p_k S(P_k rho P_k / p_k) <= S(rho) <= S(sum_k P_k rho P_k), to INEQUALITY_TOL.
+
+        The left inequality is Groenewold-Lindblad's: observing which block
+        holds the state does not raise its expected entropy.  The right one
+        says that pinching, decoherence by the indicator probing, does not
+        lower it.
+        """
+        rng = np.random.default_rng(seed)
+        rho = states.random_density(dim, rng)
+        sizes = sampling.random_block_sizes(dim, rng)
+        pieces, pinched = pinch(block_projectors([sizes], len(sizes), dim)[0], rho.mat)
+        f = parse_functional(functional)
+        probs = pieces.trace(axis1=-2, axis2=-1).real
+        expected = sum(p * entropy(DensityMatrix(piece / p), f) for p, piece in zip(probs, pieces))
+        assert expected <= entropy(rho, f) + INEQUALITY_TOL
+        assert entropy(rho, f) <= entropy(DensityMatrix(pinched), f) + INEQUALITY_TOL
 
 
 class TestVonNeumannReduce:

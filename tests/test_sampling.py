@@ -473,12 +473,14 @@ class TestTransforms:
 
 #: campaign fill -> the per-object draws it replaces, as (rows, cols) real
 #: blocks in stream order, for dimension n and response dimension (or, for
-#: holevo, mixture size) m
+#: holevo, mixture size) m; "pinching" is the state fill that acceptance
+#: criterion 06 and the pinching oracle test make before drawing block sizes
 FILLS = {
     "verify-s-theorems": lambda n, m: [(n, n)] * 2 + [(n, m)] * 2,
     "majorization-first": lambda n, m: [(n, n)] * 2 + [(1, m)] * (2 * n) + [(n, n)] * 2,
     "majorization-second": lambda n, m: [(n, n)] * 6,
     "holevo": lambda n, m: [(n, n)] * 2 * m,
+    "pinching": lambda n, m: [(n, n)] * 2,
 }
 
 
