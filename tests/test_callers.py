@@ -1,8 +1,8 @@
 """Every function and class of ``decobs`` has a caller outside the tests, or a stated role.
 
-A function or class has a caller when a module of ``src/decobs`` other than
-``__init__`` or a script under ``scripts/`` reads its name (as a name or an
-attribute) outside its own body.  Reads inside the bodies of the functions
+A function or class has a caller when a module of ``src/decobs`` or a script
+under ``scripts/`` reads its name (as a name or an attribute) outside its own
+body.  Reads inside the bodies of the functions
 and classes listed in ``TEST_ONLY`` do not count, so one test-only name
 cannot give another a caller.  Nor does a name read where the same top-level
 definition binds it (a parameter or an assignment target), so a local
@@ -58,8 +58,6 @@ def reads() -> list[tuple[str, str | None]]:
     """(name read, enclosing top-level package function or class, or None) for every read in the sources."""
     found = []
     for path in SOURCES:
-        if path == PACKAGE / "__init__.py":
-            continue
         for top in ast.parse(path.read_text()).body:
             owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and path.parent == PACKAGE else None
             nodes = list(ast.walk(top))

@@ -1,4 +1,4 @@
-"""The import path: a campaign loads the kernel layer only, and the package root loads nothing.
+"""The import path: a campaign loads the kernel layer only, and the package root loads and exports nothing.
 
 Each check runs in a fresh interpreter, because this test process has
 long since imported every module.
@@ -16,22 +16,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-
-#: Every name ``decobs`` exports, by the module it comes from.
-EXPORTS = {
-    "entropy": (
-        "EntropyFunctional", "builtin_functionals", "entropy", "entropy_of_spectrum", "linear", "log_det",
-        "parse_functional", "renyi", "to_bits", "von_neumann",
-    ),
-    "errors": ("ValidationError",),
-    "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "tensor_product"),
-    "povm": (
-        "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2", "is_purity_preserving",
-        "purify_ancilla",
-    ),
-    "states": ("DensityMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure", "maximally_mixed"),
-}
-
 
 def run_python(code: str):
     """Run ``code`` in a fresh interpreter that imports from ``src``; return what it prints as JSON."""
@@ -74,29 +58,17 @@ def test_a_campaign_loads_the_kernel_layer_only():
 
 
 def test_the_package_root_loads_no_submodule():
-    loaded = run_python("import json, sys, decobs\nprint(json.dumps([m for m in sys.modules if m.startswith('decobs.')]))")
-    assert loaded == []
-
-
-def test_the_package_exports_exactly_these_names():
-    # a name left in the package's table after its function is deleted fails here
-    import decobs
-
-    assert decobs._EXPORTS == EXPORTS
-
-
-@pytest.mark.parametrize("first", ["decobs", "decobs.cli"])
-def test_every_exported_name_is_its_home_modules_object(first):
-    # loading a submodule binds it on the package; the function `entropy` must still win
-    wrong = run_python(
-        f"import importlib, json\nimport {first}\nimport decobs\n"
-        f"exports = {EXPORTS!r}\n"
-        "wrong = [name for home, names in exports.items() for name in names\n"
-        "         if getattr(decobs, name) is not getattr(importlib.import_module('decobs.' + home), name)\n"
-        "         or name not in dir(decobs)]\n"
-        "print(json.dumps(wrong))\n"
+    # the root exports no name, so `decobs.entropy` is the module, as the import system binds it
+    loaded, public, entropy_is_the_module = run_python(
+        "import json, sys, decobs\n"
+        "loaded = [m for m in sys.modules if m.startswith('decobs.')]\n"
+        "public = [n for n in dir(decobs) if not n.startswith('_')]\n"
+        "import decobs.entropy\n"
+        "print(json.dumps([loaded, public, decobs.entropy is sys.modules['decobs.entropy']]))\n"
     )
-    assert wrong == []
+    assert loaded == []
+    assert public == []
+    assert entropy_is_the_module
 
 
 def test_an_unknown_name_is_an_attribute_error():
