@@ -17,6 +17,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
+#: The 28 names the package root exported before it stopped exporting any, by the module that defines each.
+FORMER_ROOT_NAMES = {
+    "entropy": (
+        "EntropyFunctional", "builtin_functionals", "entropy", "entropy_of_spectrum", "linear", "log_det",
+        "parse_functional", "renyi", "to_bits", "von_neumann",
+    ),
+    "errors": ("ValidationError",),
+    "matcore": ("hermitian_spectrum", "is_unitary", "partial_trace", "tensor_product"),
+    "povm": (
+        "Povm", "ancilla_factors", "apply_povm", "counterexample_1", "counterexample_2", "is_purity_preserving",
+        "purify_ancilla",
+    ),
+    "states": ("DensityMatrix", "ProjectorSet", "PureState", "basis_state", "density_from_pure", "maximally_mixed"),
+}
+
+
 def run_python(code: str):
     """Run ``code`` in a fresh interpreter that imports from ``src``; return what it prints as JSON."""
     env = dict(os.environ)
@@ -69,6 +85,14 @@ def test_the_package_root_loads_no_submodule():
     assert loaded == []
     assert public == []
     assert entropy_is_the_module
+
+
+@pytest.mark.parametrize("home", sorted(FORMER_ROOT_NAMES))
+def test_every_former_root_name_is_defined_in_its_home_module(home):
+    # the names left the root, not the package: each is imported from the module that defines it
+    module = importlib.import_module(f"decobs.{home}")
+    misplaced = [name for name in FORMER_ROOT_NAMES[home] if getattr(module, name).__module__ != module.__name__]
+    assert misplaced == []
 
 
 def test_an_unknown_name_is_an_attribute_error():
