@@ -55,7 +55,6 @@ import contextlib
 import math
 import os
 import pickle
-import signal
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress, repeat
@@ -68,8 +67,8 @@ from .entropy import entropies_of_spectra, expected_entropy_stack, parse_functio
 from .errors import ValidationError
 from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
 from .stacks import (
-    average_stack, block_projectors, clean_probabilities, gram_from_unit_rows, observe_stack, response_gram_stack,
-    spectra_unchanged, validate_probing_stack, validate_projector_stack, validate_stack,
+    _blocks, average_stack, block_projectors, clean_probabilities, gram_from_unit_rows, observe_stack,
+    response_gram_stack, spectra_unchanged, validate_probing_stack, validate_projector_stack, validate_stack,
 )
 from .tolerances import CONSISTENCY_TOL, NEAR_TRIVIAL_MARGIN, SINGULAR_SKIP
 
@@ -249,11 +248,11 @@ def plan_chunks(trials: int, slots: int, dim: int) -> list[range]:
     and decohered state (its branches stream through in blocks of their
     own, :func:`_branch_blocks`), the padded mixture states, or the
     projector families with their pinched pieces.  Each chunk holds as many
-    trials as keep those stacks within :data:`CHUNK_BYTES`, and at least one.
+    trials as keep those stacks within :data:`CHUNK_BYTES`, and at least
+    one, as :func:`~decobs.stacks._blocks` plans them.
     """
     per_trial = slots * dim * dim * np.dtype(complex).itemsize
-    size = max(1, CHUNK_BYTES // per_trial)
-    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+    return [range(trials)[block] for block in _blocks(trials, per_trial, CHUNK_BYTES)]
 
 
 def _branch_blocks(trials: int, outcomes: int, dim: int) -> list[tuple[slice, slice]]:
@@ -261,15 +260,19 @@ def _branch_blocks(trials: int, outcomes: int, dim: int) -> list[tuple[slice, sl
 
     A block holds as many whole trials' branch states, complex (dim, dim)
     matrices, as fit :data:`CHUNK_BYTES`.  A trial whose branches do not fit
-    is cut into blocks of as many outcomes as fit, and at least one.  The
-    blocks run in trial-then-outcome order, so their branches, one block
-    after another, are the chunk's branch stack in C order.
+    is cut into blocks of as many outcomes as fit, and at least one.  Both
+    cuts are :func:`~decobs.stacks._blocks` plans: trials by their branches'
+    bytes, then outcomes by one branch's, whose one block then spans all of
+    a whole trial's outcomes.  The blocks run in trial-then-outcome order,
+    so their branches, one block after another, are the chunk's branch
+    stack in C order.
     """
-    size = max(1, CHUNK_BYTES // (dim * dim * np.dtype(complex).itemsize))
-    if size >= outcomes:
-        step = size // outcomes
-        return [(slice(start, start + step), slice(None)) for start in range(0, trials, step)]
-    return [(slice(t, t + 1), slice(k, k + size)) for t in range(trials) for k in range(0, outcomes, size)]
+    branch = dim * dim * np.dtype(complex).itemsize
+    return [
+        (block, part)
+        for block in _blocks(trials, outcomes * branch, CHUNK_BYTES)
+        for part in _blocks(outcomes, branch, CHUNK_BYTES)
+    ]
 
 
 def _pin(cpus) -> None:
@@ -364,6 +367,9 @@ def _map_chunks(evaluate, chunks: list[range]) -> list:
     finally:
         for pid, out in pipes.items():
             if pid not in sent:
+                # loaded only here: a call that kills no worker never pays for it
+                import signal
+
                 os.kill(pid, signal.SIGKILL)
             if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
                 sent.pop(pid, None)

@@ -58,8 +58,14 @@ class EntropyFunctional:
 
     @property
     def label(self) -> str:
+        """The selector that :func:`parse_functional` reads back to this functional.
+
+        A Rényi order is shown in ``:g`` form when that reads back to it,
+        and as its ``repr`` otherwise: ``renyi:2``, but ``renyi:0.5000001``.
+        """
         if self.kind == "renyi":
-            return f"renyi:{self.alpha:g}"
+            short = f"{self.alpha:g}"
+            return f"renyi:{short if float(short) == self.alpha else repr(self.alpha)}"
         return self.kind
 
 

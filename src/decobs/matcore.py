@@ -125,18 +125,23 @@ def partial_trace(
 ) -> np.ndarray:
     """Trace out one tensor factor of a square matrix on a product space.
 
-    ``keep`` selects the surviving factor ("first" or "second"); the total
-    trace is preserved either way.
+    This is the package's one partial trace.  ``keep`` selects the surviving
+    factor ("first" or "second"); the total trace is preserved either way.
+    ``mat`` may also be a finite (..., D, D) stack, each matrix traced bit
+    for bit as it is alone: :func:`~decobs.povm.apply_povm` traces the
+    ancilla out of all its branches at once.
     """
-    mat = require_square(mat)
-    if dim_first < 1 or dim_second < 1 or mat.shape[0] != dim_first * dim_second:
+    mat = square_stack(mat)
+    if not np.isfinite(mat).all():
+        raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
+    if dim_first < 1 or dim_second < 1 or mat.shape[-1] != dim_first * dim_second:
         raise ValidationError(
             "factor-dimensions",
-            detail=f"matrix dim {mat.shape[0]} != {dim_first} * {dim_second}",
+            detail=f"matrix dim {mat.shape[-1]} != {dim_first} * {dim_second}",
         )
-    blocks = mat.reshape(dim_first, dim_second, dim_first, dim_second)
+    blocks = mat.reshape(mat.shape[:-2] + (dim_first, dim_second, dim_first, dim_second))
     if keep == "first":
-        return np.einsum("ikjk->ij", blocks)
+        return np.einsum("...ikjk->...ij", blocks)
     if keep == "second":
-        return np.einsum("kikj->ij", blocks)
+        return np.einsum("...kikj->...ij", blocks)
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")

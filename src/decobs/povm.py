@@ -31,7 +31,7 @@ import numpy as np
 
 from . import matcore, sampling
 from .errors import ValidationError
-from .stacks import clean_probabilities, validate_stack
+from .stacks import clean_probabilities, normalize_branches, validate_stack
 from .states import (
     DensityMatrix,
     ProjectorSet,
@@ -43,7 +43,7 @@ from .states import (
     random_projector_partition,
     random_pure,
 )
-from .tolerances import PPPOVM_TOL, ZERO_PROBABILITY
+from .tolerances import PPPOVM_TOL
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,13 @@ def apply_povm(rho: DensityMatrix, measurement: Povm) -> tuple[np.ndarray, np.nd
     matrix.  Returns the branch stacks as :func:`~decobs.stacks.observe_stack`
     does: the probabilities, shape (k,), checked and cleaned by
     :func:`~decobs.stacks.clean_probabilities`; the states, shape (k, n, n),
-    with p_k exactly 0 and an all-zero state for each dead branch (p_k at or
-    below the zero threshold); and the spectra of the live branches, in k
-    order, which :func:`~decobs.stacks.validate_stack` solves as it checks
-    them as density matrices.
+    normalized by :func:`~decobs.stacks.normalize_branches`, so a dead
+    branch has p_k exactly 0 and an all-zero state; and the spectra of the
+    live branches, in k order, which :func:`~decobs.stacks.validate_stack`
+    solves as it checks them as density matrices.
 
     All branches are built at once, each rounded as the one-projector
-    ``P @ evolved @ P`` and partial trace round it.
+    ``P @ evolved @ P`` and :func:`~decobs.matcore.partial_trace` round it.
     """
     if rho.dim != measurement.object_dim:
         raise ValidationError(
@@ -130,14 +130,9 @@ def apply_povm(rho: DensityMatrix, measurement: Povm) -> tuple[np.ndarray, np.nd
     joint = matcore.tensor_product(rho.mat, measurement.ancilla_state.mat)
     evolved = unitary @ joint @ unitary.conj().T
     projectors = np.array(measurement.joint_projectors.projectors)
-    projected = projectors @ evolved @ projectors
-    reduced = np.einsum("...ikjk->...ij", projected.reshape(-1, n, d, n, d))
-    probs = reduced.trace(axis1=-2, axis2=-1).real
-    live = probs > ZERO_PROBABILITY
-    probs[~live] = 0.0
-    states = np.zeros_like(reduced)
-    states[live] = reduced[live] / probs[live, None, None]
-    spectra = validate_stack(states[live], "density")
+    reduced = matcore.partial_trace(projectors @ evolved @ projectors, n, d, keep="first")
+    probs, states = normalize_branches(reduced.trace(axis1=-2, axis2=-1).real, reduced)
+    spectra = validate_stack(states[probs > 0.0], "density")
     return clean_probabilities(probs), states, spectra
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import matcore
 from .errors import ValidationError
-from .stacks import _blocks
+from .stacks import _blocks, validate_stack
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
@@ -212,9 +212,17 @@ def hermitian_from_normals(raw, n: int) -> np.ndarray:
 
 
 def unit_spectral_radius(h) -> np.ndarray:
-    """A (..., n, n) Hermitian stack rescaled to unit spectral radius; zero matrices stay."""
+    """A (..., n, n) Hermitian stack rescaled to unit spectral radius; zero matrices stay.
+
+    The radii come from the spectra that the ``"hermitian"`` kind of
+    :func:`~decobs.stacks.validate_stack` solves, so a stack that is not
+    finite and Hermitian is refused here, with its first failing matrix's
+    residual.  The solve symmetrizes each matrix first, which leaves an
+    exactly Hermitian one, as :func:`hermitian_from_normals` makes them,
+    as it is.
+    """
     h = np.asarray(h, dtype=complex)
-    radius = abs(np.linalg.eigvalsh(h)).max(axis=-1, initial=0.0)[..., None, None]
+    radius = abs(validate_stack(h, "hermitian")).max(axis=-1, initial=0.0)[..., None, None]
     return np.divide(h, radius, out=h.copy(), where=radius > 0)
 
 

@@ -115,13 +115,15 @@ def _flat_stack(arr: np.ndarray, item_ndim: int) -> np.ndarray:
     return arr.reshape((math.prod(arr.shape[:-item_ndim]),) + arr.shape[-item_ndim:])
 
 
-def _blocks(count: int, item_bytes: int) -> list[slice]:
-    """Consecutive slices of ``count`` stacked items, each block within :data:`_BLOCK_BYTES`.
+def _blocks(count: int, item_bytes: int, budget: int = _BLOCK_BYTES) -> list[slice]:
+    """Consecutive slices of ``count`` stacked items, each block within ``budget`` bytes, and at least one item.
 
-    A validator checks one block at a time, in stack order, so its
-    temporaries stay small whatever the stack size.
+    This is the package's one byte planner.  A validator checks one block at
+    a time, in stack order, so its temporaries stay small whatever the stack
+    size; the campaigns cut their trials into chunks, and a chunk's branches
+    into blocks, with it.
     """
-    size = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    size = max(1, budget // max(1, item_bytes))
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
@@ -303,8 +305,7 @@ def gram_from_unit_rows(rows) -> np.ndarray:
     differ from 1.0 by a few ulps (for dim-1 families too).
     """
     rows = np.asarray(rows, dtype=complex)
-    rows = rows / unit_vector_norms(rows)[..., None]
-    return rows @ rows.conj().swapaxes(-1, -2)
+    return response_gram_stack(rows / unit_vector_norms(rows)[..., None])
 
 
 def block_projectors(partitions: Sequence[Sequence[int]], slots: int, dim: int) -> np.ndarray:
@@ -331,9 +332,9 @@ def observe_stack(rhos, probes) -> tuple[np.ndarray, np.ndarray]:
     """Observation branches of a (..., d, d) state stack under (..., d, m) probings.
 
     Returns the branch probabilities, shape (..., m), and the branch states
-    rho_ij S_ik S_jk^* / p_k, shape (..., m, d, d).  Dead branches (p_k at or
-    below the zero threshold) get probability exactly 0 and an all-zero
-    state.  The states are not validated.
+    rho_ij S_ik S_jk^* / p_k, shape (..., m, d, d), normalized by
+    :func:`normalize_branches`, so a dead branch has probability exactly 0
+    and an all-zero state.  The states are not validated.
 
     Every entry is rounded exactly as the one-branch-at-a-time formula
     rho * outer(S[:, k], S[:, k].conj()) / p_k rounds it, so a stack of one
@@ -347,7 +348,7 @@ def observe_stack(rhos, probes) -> tuple[np.ndarray, np.ndarray]:
     - the masks S_ik S_jk^* are built by broadcasting, the same elementwise
       products as ``np.outer``; ``einsum`` rounds the complex products
       differently;
-    - rho * mask / p_k keeps that operand order and is done in place.
+    - rho * mask, then / p_k, keeps that operand order and is done in place.
     """
     rhos = np.asarray(rhos, dtype=complex)
     probes = np.asarray(probes, dtype=complex)
@@ -355,10 +356,22 @@ def observe_stack(rhos, probes) -> tuple[np.ndarray, np.ndarray]:
     columns = np.ascontiguousarray(probes.swapaxes(-1, -2))
     weights = np.abs(columns) ** 2
     probs = (populations[..., None, None, :] @ weights[..., None])[..., 0, 0]
-    live = probs > ZERO_PROBABILITY
-    probs[~live] = 0.0
     states = columns[..., :, None] * columns.conj()[..., None, :]
     np.multiply(rhos[..., None, :, :], states, out=states)
+    return normalize_branches(probs, states)
+
+
+def normalize_branches(probs: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bayes-update a (..., m) probability stack and its (..., m, d, d) unnormalized branches, in place.
+
+    A branch with p_k at or below :data:`~decobs.tolerances.ZERO_PROBABILITY`
+    is dead: its probability becomes exactly 0 and its state all zeros.
+    Every live state is divided by its p_k, as the complex array
+    ``state / p_k`` divides it.  Returns ``probs`` and ``states``; both must
+    be writable float and complex arrays.
+    """
+    live = probs > ZERO_PROBABILITY
+    probs[~live] = 0.0
     np.divide(states, np.where(live, probs, 1.0)[..., None, None], out=states)
     states[~live] = 0.0
     return probs, states

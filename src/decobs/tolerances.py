@@ -26,9 +26,9 @@ COMPLETENESS_TOL = 1e-9
 PROBABILITY_SUM_TOL = 1e-10
 #: -p_k: the non-negative probability check of ``stacks.clean_probabilities``.
 NEGATIVE_PROBABILITY_TOL = 1e-12
-#: Branch probabilities at or below this are dead: zeroed by ``stacks.clean_probabilities``,
-#: ``stacks.observe_stack`` and ``povm.apply_povm``, and skipped by
-#: ``entropy.expected_entropy_stack``.
+#: Branch probabilities at or below this are dead: zeroed by ``stacks.clean_probabilities``
+#: and by ``stacks.normalize_branches`` (the Bayes update of ``stacks.observe_stack`` and
+#: ``povm.apply_povm``), and skipped by ``entropy.expected_entropy_stack``.
 ZERO_PROBABILITY = 1e-12
 #: Eigenvalues at or below this are exact zeros in ``entropies_of_spectra``; log-det is -inf.
 SINGULAR_EIGENVALUE = 1e-14

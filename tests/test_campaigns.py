@@ -562,6 +562,16 @@ def test_a_non_finite_hermitian_pair_is_refused_before_its_spectral_radius(value
     assert _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn)).invariant == "finite-entries"
 
 
+def test_a_non_hermitian_pair_is_refused_at_its_spectral_radius_with_its_own_residual():
+    # the rescale solves the pair with the one symmetrized eigvalsh, so it checks it there
+    cfg = CampaignConfig("majorization", dim=3)
+    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn[5][1, 0, 2, 1] += 0.5
+    error = _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn))
+    broken = drawn[5][1, 0]
+    assert (error.invariant, error.residual) == ("hermitian", abs(broken - broken.conj().T).max())
+
+
 @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
 def test_a_singular_or_non_finite_ginibre_matrix_is_refused_before_its_phases(value):
     cfg = CampaignConfig("majorization", dim=3)

@@ -145,10 +145,11 @@ class TestCounterexampleCommand:
         assert report["entropy"]["of_average"] == pytest.approx(-1.0)
 
     def test_rows_use_the_selected_order_not_its_rounded_label(self, capsys):
-        # the label keeps 6 significant digits; the rows and the entropy block use the full order
+        # the label is the full order, which its 6-digit :g form would round away;
+        # the rows and the entropy block use that order too
         code, report = run_json(capsys, "counterexample", "--which", "2", "--entropy", "renyi:0.1234567891")
         assert code == 0
-        renyi_rows = {row["side"]: row for row in report["rows"] if row["functional"] == "renyi:0.123457"}
+        renyi_rows = {row["side"]: row for row in report["rows"] if row["functional"] == "renyi:0.1234567891"}
         assert renyi_rows["decoherence"]["lhs"] == report["entropy"]["before"]
         assert renyi_rows["observation"]["lhs"] == report["entropy"]["expected_after_observation"]
         assert renyi_rows["decoherence"]["rhs"] == report["entropy"]["of_average"]
@@ -495,7 +496,7 @@ class TestDuplicateFunctionals:
     @pytest.mark.parametrize("command", ["verify-s-theorems", "holevo"])
     @pytest.mark.parametrize(
         "selectors, label",
-        [(("renyi:0.1234567", "renyi:0.1234568"), "renyi:0.123457"), (("log-det", "log-det"), "log-det")],
+        [(("renyi:0.5", "renyi:0.50"), "renyi:0.5"), (("log-det", "log-det"), "log-det")],
     )
     def test_selectors_sharing_a_label_exit_2(self, capsys, command, selectors, label):
         entropy_flags = [flag for name in selectors for flag in ("--entropy", name)]
@@ -512,6 +513,28 @@ class TestDuplicateFunctionals:
         code, report = run_json(capsys, "holevo", "--trials", "1", "--entropy", "renyi:0.5", "--entropy", "renyi:0.50001")
         assert code == 0
         assert report["flags"]["entropy"] == ["renyi:0.5", "renyi:0.50001"]
+
+    @pytest.mark.parametrize(
+        "selectors", [("renyi:0.5", "renyi:0.5000001"), ("renyi:0.1234567", "renyi:0.1234568")]
+    )
+    def test_orders_apart_past_the_sixth_digit_are_distinct(self, capsys, selectors):
+        entropy_flags = [flag for name in selectors for flag in ("--entropy", name)]
+        code, report = run_json(capsys, "verify-s-theorems", "--dim", "2", "--trials", "1", *entropy_flags)
+        assert code == 0
+        assert report["flags"]["entropy"] == list(selectors)
+        assert sorted({row["functional"] for row in report["rows"]}) == sorted(selectors)
+
+    def test_a_report_replays_from_its_labels(self, capsys):
+        # renyi:1.0000001 was labelled renyi:1, an order the CLI refuses
+        argv = ["verify-s-theorems", "--dim", "2", "--trials", "1", "--entropy", "renyi:1.0000001"]
+        code, out, _ = run_cli(capsys, *argv)
+        report = json.loads(out)
+        assert code == 0
+        assert report["flags"]["entropy"] == ["renyi:1.0000001"]
+        assert {row["functional"] for row in report["rows"]} == {"renyi:1.0000001"}
+        replayed = [flag for label in report["flags"]["entropy"] for flag in ("--entropy", label)]
+        again, replay, _ = run_cli(capsys, *argv[:-2], *replayed)
+        assert (again, strip_timestamp(replay)) == (code, strip_timestamp(out))
 
 
 class TestCampaignConfigValidatesItself:

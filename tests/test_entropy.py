@@ -37,8 +37,15 @@ dims = st.integers(min_value=2, max_value=8)
 
 class TestFunctionalConstruction:
     def test_parse_round_trip(self):
-        for text in ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det"):
+        for text in ("von-neumann", "linear", "renyi:0.5", "renyi:2", "log-det", "renyi:0.1", "renyi:3"):
             assert parse_functional(text).label == text
+
+    @given(alpha=st.floats(min_value=1e-300, max_value=1e300).filter(lambda a: a != 1.0))
+    def test_every_renyi_label_reads_back_to_its_order(self, alpha):
+        label = renyi(alpha).label
+        assert parse_functional(label) == renyi(alpha)
+        # the short form whenever it reads back
+        assert label == f"renyi:{alpha:g}" or float(f"{alpha:g}") != alpha
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):

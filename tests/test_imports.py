@@ -46,18 +46,22 @@ def run_python(code: str):
 def test_a_campaign_loads_the_kernel_layer_only():
     # the benchmark times the functions named run_* that it finds in vars(decobs.cli),
     # and wraps them wherever a module holds them, the dispatch table included;
-    # a dataclass is counted once however many modules hold it
-    loaded, dataclasses, campaigns, main_is_function, dispatched = run_python(
+    # a dataclass is counted once however many modules hold it; `signal` is
+    # loaded only to kill a worker, and `csv` only to write a CSV report
+    loaded, dataclasses, campaigns, main_is_function, dispatched, added = run_python(
         "import dataclasses, inspect, json, sys\n"
+        "before = set(sys.modules)\n"
         "import decobs.cli\n"
+        "added = sorted({'signal', 'csv'} & (set(sys.modules) - before))\n"
         "names = sorted(m for m in sys.modules if m.startswith('decobs.'))\n"
         "made = sorted(v.__name__ for v in {v for m in names for v in vars(sys.modules[m]).values()\n"
         "                                   if isinstance(v, type) and dataclasses.is_dataclass(v)})\n"
         "cli = vars(decobs.cli)\n"
         "runs = sorted(n for n, v in cli.items() if n.startswith('run_') and inspect.isfunction(v))\n"
         "same = sorted(c for c, f in cli['_DISPATCH'].items() if cli.get(f.__name__) is f)\n"
-        "print(json.dumps([names, made, runs, inspect.isfunction(cli.get('main')), same]))\n"
+        "print(json.dumps([names, made, runs, inspect.isfunction(cli.get('main')), same, added]))\n"
     )
+    assert added == []
     assert not {"decobs.states", "decobs.processes", "decobs.povm", "decobs.serialize"} & set(loaded)
     assert loaded == [
         f"decobs.{name}"
