@@ -261,11 +261,11 @@ def _branch_blocks(trials: int, outcomes: int, dim: int) -> list[tuple[slice, sl
     A block holds as many whole trials' branch states, complex (dim, dim)
     matrices, as fit :data:`CHUNK_BYTES`.  A trial whose branches do not fit
     is cut into blocks of as many outcomes as fit, and at least one.  Both
-    cuts are :func:`~decobs.stacks._blocks` plans: trials by their branches'
-    bytes, then outcomes by one branch's, whose one block then spans all of
-    a whole trial's outcomes.  The blocks run in trial-then-outcome order,
-    so their branches, one block after another, are the chunk's branch
-    stack in C order.
+    cuts are :func:`~decobs.stacks._blocks` plans: the trials by the bytes
+    of their branches, then the outcomes by the bytes of one branch, which
+    is one block of all outcomes whenever a whole trial fits.  The blocks
+    run in trial-then-outcome order, so their branches, one block after
+    another, are the chunk's branch stack in C order.
     """
     branch = dim * dim * np.dtype(complex).itemsize
     return [

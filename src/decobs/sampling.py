@@ -218,8 +218,8 @@ def unit_spectral_radius(h) -> np.ndarray:
     :func:`~decobs.stacks.validate_stack` solves, so a stack that is not
     finite and Hermitian is refused here, with its first failing matrix's
     residual.  The solve symmetrizes each matrix first, which leaves an
-    exactly Hermitian one, as :func:`hermitian_from_normals` makes them,
-    as it is.
+    exactly Hermitian matrix, as :func:`hermitian_from_normals` makes them,
+    as it is, so the radii are those of the matrices given.
     """
     h = np.asarray(h, dtype=complex)
     radius = abs(validate_stack(h, "hermitian")).max(axis=-1, initial=0.0)[..., None, None]

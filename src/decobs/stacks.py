@@ -6,12 +6,13 @@ returns plain arrays, and each is the only implementation of its check or
 map: the value types of :mod:`decobs.states` call these kernels on one
 item.  The two maps of the paper are here only: observation
 (:func:`observe_stack`) and decoherence, the Schur product with
-:func:`response_gram_stack`.  A Lüders measurement by a diagonal partition
-is the probing whose responses are block indicators, so it has no kernel of
-its own: its pinching (:func:`pinch`) is decoherence by the block Gram
-matrix, :func:`response_gram_stack` of the diagonals of
-:func:`block_projectors`.  This module imports no value type, so a campaign
-loads none.
+:func:`response_gram_stack`.  Every branch stack, a probing's or a
+measurement's, is Bayes-updated by :func:`normalize_branches`.  A Lüders
+measurement by a diagonal partition is the probing whose responses are
+block indicators, so it has no kernel of its own: its pinching
+(:func:`pinch`) is decoherence by the block Gram matrix,
+:func:`response_gram_stack` of the diagonals of :func:`block_projectors`.
+This module imports no value type, so a campaign loads none.
 
 A failing stack raises the :class:`~decobs.errors.ValidationError` that its
 first failing item (in C order) raises as a value type, with the same
@@ -116,7 +117,7 @@ def _flat_stack(arr: np.ndarray, item_ndim: int) -> np.ndarray:
 
 
 def _blocks(count: int, item_bytes: int, budget: int = _BLOCK_BYTES) -> list[slice]:
-    """Consecutive slices of ``count`` stacked items, each block within ``budget`` bytes, and at least one item.
+    """Consecutive slices of ``count`` stacked items, each within ``budget`` bytes or of one item.
 
     This is the package's one byte planner.  A validator checks one block at
     a time, in stack order, so its temporaries stay small whatever the stack
