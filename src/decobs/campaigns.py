@@ -55,7 +55,6 @@ import contextlib
 import math
 import os
 import pickle
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress, repeat
 from typing import TYPE_CHECKING
@@ -66,6 +65,7 @@ from . import matcore, sampling
 from .entropy import entropies_of_spectra, expected_entropy_stack, parse_functional, to_bits, von_neumann
 from .errors import ValidationError
 from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
+from .records import Record
 from .stacks import (
     _blocks, average_stack, block_projectors, clean_probabilities, gram_from_unit_rows, observe_stack,
     response_gram_stack, spectra_unchanged, validate_probing_stack, validate_projector_stack, validate_stack,
@@ -90,10 +90,13 @@ _MAX_MIXTURE_SIZE = 5
 _FAMILY_SLOTS = 2
 
 
-@dataclass
-class CampaignResult:
-    report: dict
-    exit_code: int
+class CampaignResult(Record):
+    """A campaign's report, as :func:`_campaign_result` builds it, and the exit code it earns."""
+
+    __slots__ = ("report", "exit_code")
+
+    def __init__(self, report: dict, exit_code: int):
+        self._set(report, exit_code)
 
 
 #: The keys of a report row, in order; rows that carry ``strict`` end with it.
@@ -602,7 +605,7 @@ def evaluate_majorization(cfg: CampaignConfig, trials: range, stacks: tuple) -> 
     validate_projector_stack(projectors)
     *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)
     del projectors
-    hermitian = sampling.unit_spectral_radius(_finite(hermitian))
+    hermitian = sampling.unit_spectral_radius(hermitian)
     *_, fan = fan_dominance(hermitian[:, 0], hermitian[:, 1])
 
     # each row is its check's worst prefix: dominated prefix sum <= dominating one

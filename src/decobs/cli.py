@@ -33,71 +33,83 @@ import, while interpreter teardown walks them as before.  A library call of
 a ``run_*`` function freezes nothing.  Both writers read the
 row dicts the campaigns' report builder makes, and hand stdout blocks of
 ``_BLOCK_ROWS`` rows, one ``write`` a block, so no string of the whole
-report is made.  CSV goes out through ``csv.writer``, which is loaded when
-it writes.  JSON goes out through :func:`write_json`, which gives the bytes
-of ``json.dumps(report, indent=2)``: the report's head through
-``json.dumps``, then each row through json's C encoder.
+report is made.  CSV goes out through ``csv.writer``, and JSON through
+:func:`write_json`, which gives the bytes of ``json.dumps(report,
+indent=2)``: the report's head through ``json.dumps``, then each row
+through json's C encoder.  Each writer loads its module when it writes, so
+``import decobs.cli`` loads neither ``csv`` nor ``json``; nor does it load
+``dataclasses``, since the config, the result and the kernels' values are
+:mod:`decobs.records` classes.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .campaigns import (
     ROW_KEYS, run_counterexample, run_holevo, run_majorization, run_povm_classify, run_s_theorems,
 )
 from .entropy import parse_functional
+from .records import FrozenRecord
 from .tolerances import INEQUALITY_TOL
 
 if TYPE_CHECKING:
     from .campaigns import CampaignResult
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    command: str
-    seed: int = 0
-    dim: int = 2
-    trials: int = 100
-    response_dim: int | None = None
-    functionals: tuple[str, ...] = ("von-neumann",)
-    tol: float = INEQUALITY_TOL
-    fmt: str = "json"
-    units: str = "nats"
-    ensemble_size: int | None = None
-    which: int | None = None
-    povm_file: str | None = None
+class CampaignConfig(FrozenRecord):
+    """The settings of one campaign: a subcommand and its flags, as the CLI parses them."""
 
-    def __post_init__(self):
+    __slots__ = (
+        "command", "seed", "dim", "trials", "response_dim", "functionals", "tol", "fmt", "units", "ensemble_size",
+        "which", "povm_file",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        seed: int = 0,
+        dim: int = 2,
+        trials: int = 100,
+        response_dim: int | None = None,
+        functionals: tuple[str, ...] = ("von-neumann",),
+        tol: float = INEQUALITY_TOL,
+        fmt: str = "json",
+        units: str = "nats",
+        ensemble_size: int | None = None,
+        which: int | None = None,
+        povm_file: str | None = None,
+    ):
         """Reject a config no campaign can run, with the message the CLI prints."""
-        labels = [parse_functional(text).label for text in self.functionals]
+        self._set(
+            command, seed, dim, trials, response_dim, functionals, tol, fmt, units, ensemble_size, which, povm_file
+        )
+        labels = [parse_functional(text).label for text in functionals]
         for i, label in enumerate(labels):
             # rows are told apart by label alone
             if label in labels[:i]:
                 raise ValueError(f"duplicate entropy functional {label!r}")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("--seed must be >= 0")
-        if self.dim < 1:
+        if dim < 1:
             raise ValueError("--dim must be >= 1")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("--trials must be >= 1")
-        if self.response_dim is not None and self.response_dim < 1:
+        if response_dim is not None and response_dim < 1:
             raise ValueError("--response-dim must be >= 1")
-        if self.ensemble_size is not None and self.ensemble_size < 1:
+        if ensemble_size is not None and ensemble_size < 1:
             raise ValueError("--ensemble-size must be >= 1")
         # inf would pass every check vacuously and nan would fail every one
-        if not (self.tol > 0 and math.isfinite(self.tol)):
+        if not (tol > 0 and math.isfinite(tol)):
             raise ValueError("--tol must be positive and finite")
-        if self.command == "counterexample" and self.which not in (1, 2):
+        if command == "counterexample" and which not in (1, 2):
             raise ValueError("--which must be 1 or 2")
-        if self.units not in ("nats", "bits"):
+        if units not in ("nats", "bits"):
             raise ValueError("--units must be nats or bits")
 
 
@@ -175,9 +187,6 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
     return CampaignConfig(**fields)
 
 
-#: Encodes one flat row dict as its lines in an ``indent=2`` report, without
-#: the braces' own lines; ``json`` runs its C encoder when no indent is set.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 #: Rows per ``write`` of both writers; each write to an unbuffered stdout is a system call.
 _BLOCK_ROWS = 256
 
@@ -190,13 +199,17 @@ def write_json(report: dict, stream) -> None:
     rest of the report goes through ``json.dumps``; each row is encoded alone
     inside its fixed indent, and the rows are written in blocks of
     ``_BLOCK_ROWS``, one ``write`` a block, so no string of the whole report
-    is made.
+    is made.  ``json`` is loaded here, as ``csv`` is by the CSV writer, so
+    that a CSV report never loads it.
     """
+    import json
+
     head = dict(report)
     rows = head.pop("rows")
     opening = "\n    {\n      " if rows else ""
     stream.write(json.dumps(head, indent=2, allow_nan=False)[:-2] + ',\n  "rows": [' + opening)
-    encode = _ROW_ENCODER.encode
+    # one flat row's lines inside its braces; json runs its C encoder when no indent is set
+    encode = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
     separator = "\n    },\n    {\n      "
     for start in range(0, len(rows), _BLOCK_ROWS):
         # a block after the first opens with the separator that closes its predecessor

@@ -16,13 +16,13 @@ Built-ins, selected by string:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import matcore
 from .errors import ValidationError
+from .records import FrozenRecord
 from .tolerances import SINGULAR_EIGENVALUE, SPECTRUM_RANGE_TOL, SPECTRUM_SUM_TOL, ZERO_PROBABILITY
 
 if TYPE_CHECKING:
@@ -37,24 +37,23 @@ NEG_INFINITY = float("-inf")
 _KINDS = ("von-neumann", "linear", "renyi", "log-det")
 
 
-@dataclass(frozen=True)
-class EntropyFunctional:
+class EntropyFunctional(FrozenRecord):
     """A concave scalar function h evaluated entrywise over a spectrum."""
 
-    kind: str
-    alpha: float | None = None
+    __slots__ = ("kind", "alpha")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown entropy kind {self.kind!r}")
-        if self.kind == "renyi":
+    def __init__(self, kind: str, alpha: float | None = None):
+        self._set(kind, alpha)
+        if kind not in _KINDS:
+            raise ValueError(f"unknown entropy kind {kind!r}")
+        if kind == "renyi":
             # nan would fail every check and inf would zero every entropy
-            if self.alpha is None or not (0.0 < self.alpha < math.inf):
+            if alpha is None or not (0.0 < alpha < math.inf):
                 raise ValueError("renyi requires a finite alpha > 0")
-            if self.alpha == 1.0:
+            if alpha == 1.0:
                 raise ValueError("renyi alpha = 1 is excluded; use von-neumann")
-        elif self.alpha is not None:
-            raise ValueError(f"alpha is only meaningful for renyi, not {self.kind!r}")
+        elif alpha is not None:
+            raise ValueError(f"alpha is only meaningful for renyi, not {kind!r}")
 
     @property
     def label(self) -> str:

@@ -12,11 +12,10 @@ Every dominance check sorts and prefix-sums each pair once, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import matcore
+from .records import FrozenRecord
 from .stacks import pinch
 
 
@@ -30,19 +29,24 @@ def _padded_descending(a, b) -> tuple[np.ndarray, np.ndarray]:
     return -np.sort(-a, axis=-1), -np.sort(-b, axis=-1)
 
 
-@dataclass(frozen=True)
-class Dominance:
+class Dominance(FrozenRecord):
     """cumsum(lam) - cumsum(mu) of pairs sorted descending, read at each pair's smallest margin.
 
     For one pair the fields other than ``margins`` are floats; for stacks
     of pairs they are arrays of the stacks' leading shape.
     """
 
-    margins: np.ndarray
-    worst_margin: float
-    dominator_prefix: float  # the prefix sums of lam and mu at the smallest margin
-    dominated_prefix: float
-    sum_residual: float  # |sum lam - sum mu|, from the last prefix sums
+    __slots__ = ("margins", "worst_margin", "dominator_prefix", "dominated_prefix", "sum_residual")
+
+    def __init__(
+        self,
+        margins: np.ndarray,
+        worst_margin: float,
+        dominator_prefix: float,  # the prefix sums of lam and mu at the smallest margin
+        dominated_prefix: float,
+        sum_residual: float,  # |sum lam - sum mu|, from the last prefix sums
+    ):
+        self._set(margins, worst_margin, dominator_prefix, dominated_prefix, sum_residual)
 
     def holds(self, tol: float):
         """True when the totals agree within tol and every prefix margin is >= -tol (per pair)."""

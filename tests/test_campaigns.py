@@ -572,6 +572,15 @@ def test_a_non_hermitian_pair_is_refused_at_its_spectral_radius_with_its_own_res
     assert (error.invariant, error.residual) == ("hermitian", abs(broken - broken.conj().T).max())
 
 
+def test_a_bad_hermitian_stack_raises_the_error_of_its_first_failing_matrix():
+    # the radius solve is the pairs' one scan, so an earlier non-Hermitian pair wins over a later NaN
+    cfg = CampaignConfig("majorization", dim=3)
+    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn[5][0, 1, 2, 1] += 0.5
+    drawn[5][1, 0, 0, 0] = np.nan
+    assert _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn)).invariant == "hermitian"
+
+
 @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
 def test_a_singular_or_non_finite_ginibre_matrix_is_refused_before_its_phases(value):
     cfg = CampaignConfig("majorization", dim=3)

@@ -46,35 +46,55 @@ def run_python(code: str):
 def test_a_campaign_loads_the_kernel_layer_only():
     # the benchmark times the functions named run_* that it finds in vars(decobs.cli),
     # and wraps them wherever a module holds them, the dispatch table included;
-    # a dataclass is counted once however many modules hold it; `signal` is
-    # loaded only to kill a worker, and `csv` only to write a CSV report
-    loaded, dataclasses, campaigns, main_is_function, dispatched, added = run_python(
-        "import dataclasses, inspect, json, sys\n"
+    # `signal` is loaded only to kill a worker, and `csv` and `json` only by their
+    # writers; the config, result and kernel values are records, not dataclasses,
+    # so neither `dataclasses` nor the `copy` it imports is loaded; numpy is loaded
+    # first, and the checks' own imports come after the snapshot
+    loaded, made, campaigns, main_is_function, dispatched, added = run_python(
+        "import sys, numpy\n"
         "before = set(sys.modules)\n"
         "import decobs.cli\n"
-        "added = sorted({'signal', 'csv'} & (set(sys.modules) - before))\n"
+        "added = sorted({'signal', 'csv', 'json', 'dataclasses', 'copy'} & (set(sys.modules) - before))\n"
+        "import inspect, json\n"
         "names = sorted(m for m in sys.modules if m.startswith('decobs.'))\n"
-        "made = sorted(v.__name__ for v in {v for m in names for v in vars(sys.modules[m]).values()\n"
-        "                                   if isinstance(v, type) and dataclasses.is_dataclass(v)})\n"
+        "made = sorted(v.__name__ for m in names for v in vars(sys.modules[m]).values()\n"
+        "              if isinstance(v, type) and hasattr(v, '__dataclass_fields__'))\n"
         "cli = vars(decobs.cli)\n"
         "runs = sorted(n for n, v in cli.items() if n.startswith('run_') and inspect.isfunction(v))\n"
         "same = sorted(c for c, f in cli['_DISPATCH'].items() if cli.get(f.__name__) is f)\n"
         "print(json.dumps([names, made, runs, inspect.isfunction(cli.get('main')), same, added]))\n"
     )
     assert added == []
+    assert made == []
     assert not {"decobs.states", "decobs.processes", "decobs.povm", "decobs.serialize"} & set(loaded)
     assert loaded == [
         f"decobs.{name}"
         for name in (
-            "campaigns", "cli", "entropy", "errors", "majorization", "matcore", "sampling", "stacks", "tolerances",
+            "campaigns", "cli", "entropy", "errors", "majorization", "matcore", "records", "sampling", "stacks",
+            "tolerances",
         )
     ]
-    assert dataclasses == ["CampaignConfig", "CampaignResult", "Dominance", "EntropyFunctional"]
     assert campaigns == [
         "run_counterexample", "run_holevo", "run_majorization", "run_povm_classify", "run_s_theorems",
     ]
     assert main_is_function
     assert dispatched == sorted(["verify-s-theorems", "majorization", "counterexample", "holevo", "povm-classify"])
+
+
+def test_a_csv_report_leaves_json_unloaded():
+    # the report goes to a buffer, so that this interpreter's stdout carries only the answer
+    code, csv_loaded, json_loaded, header = run_python(
+        "import contextlib, io, sys\n"
+        "import decobs.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = decobs.cli.main(['holevo', '--dim', '2', '--trials', '3', '--format', 'csv'])\n"
+        "found = ['csv' in sys.modules, 'json' in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps([code, *found, out.getvalue().splitlines()[0]]))\n"
+    )
+    assert (code, csv_loaded, json_loaded) == (0, True, False)
+    assert header.startswith("trial,dim,functional,")
 
 
 def test_the_package_root_loads_no_submodule():
