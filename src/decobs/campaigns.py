@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import matcore, sampling
-from .entropy import entropies_of_spectra, expected_entropy_stack, parse_functional, to_bits, von_neumann
+from .entropy import entropies_of_spectra, expected_entropy_stack, to_bits, von_neumann
 from .errors import ValidationError
 from .majorization import fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
 from .records import Record
@@ -434,13 +434,6 @@ def _check_stacks(trials: range, *forms: tuple) -> None:
             raise ValidationError("mixture-sizes", detail=f"{sizes.tolist()} in {named[axis]} slots")
 
 
-def _finite(stack: np.ndarray) -> np.ndarray:
-    """``stack``, unless it holds NaN or Inf: a transform that factors a stack needs finite entries."""
-    if not np.isfinite(stack).all():
-        raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
-    return stack
-
-
 def sample_s_theorems(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np.ndarray]:
     """The chunk's states, (n, d, d), and probings, (n, d, m), not validated.
 
@@ -465,7 +458,6 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     # real stacks are valid; cast them once, so that they round as their complex casts do
     rho, probe = (np.asarray(stack, dtype=complex) for stack in (rho, probe))
     dim, response_dim = probe.shape[-2:]
-    functionals = [parse_functional(text) for text in cfg.functionals]
 
     # the checks run in the order a one-trial loop makes them: state,
     # probing, branches, branch probabilities, average, Gram, decohered state
@@ -501,10 +493,10 @@ def evaluate_s_theorems(cfg: CampaignConfig, trials: range, stacks: tuple) -> tu
     dec_trivial = spectra_unchanged(lam_rho, lam_dec)
 
     # log-det skips a singular state
-    log_det = np.array([f.kind == "log-det" for f in functionals], dtype=bool)
+    log_det = np.array([f.kind == "log-det" for f in cfg.functionals], dtype=bool)
     regular = (lam_rho[:, -1] >= SINGULAR_SKIP)[:, None] | ~log_det
     columns = _chain_rows(
-        functionals, trials, probs, lam_branch, (lam_rho, lam_dec), ("observation", "decoherence"), cfg.tol,
+        cfg.functionals, trials, probs, lam_branch, (lam_rho, lam_dec), ("observation", "decoherence"), cfg.tol,
         keep=regular[..., None], trivial=np.stack((obs_trivial, dec_trivial), axis=-1),
     )
     return columns, int(np.count_nonzero(~regular)), consistency
@@ -536,7 +528,7 @@ def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
         "dim": cfg.dim,
         "trials": cfg.trials,
         "response_dim": response_dim,
-        "entropy": [parse_functional(text).label for text in cfg.functionals],
+        "entropy": [f.label for f in cfg.functionals],
         "tol": cfg.tol,
         "units": cfg.units,
     }
@@ -600,7 +592,7 @@ def evaluate_majorization(cfg: CampaignConfig, trials: range, stacks: tuple) -> 
     _, schur = schur_dominance(lam_rho, rho * env)
     lam_input = validate_stack(pinch_input, "density")
     projectors = sampling.conjugated_projectors(
-        sampling.haar_from_ginibre(_finite(ginibre)), block_projectors(partitions, dim, dim)
+        sampling.haar_from_ginibre(ginibre), block_projectors(partitions, dim, dim)
     )
     validate_projector_stack(projectors)
     *_, upper, lower = pinching_dominance(lam_input, pinch_input, projectors)
@@ -669,7 +661,6 @@ def evaluate_holevo(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     del stacks
     _check_stacks(trials, (sizes, "n", "s"), (probs, "ns"), (drawn, "kdd"))
     drawn = np.asarray(drawn, dtype=complex)
-    functionals = [parse_functional(text) for text in cfg.functionals]
     present = np.arange(probs.shape[-1]) < sizes[:, None]
     if len(drawn) != np.count_nonzero(present):
         raise ValidationError("stacks-same-trials", detail=f"{len(drawn)} states, {np.count_nonzero(present)} slots")
@@ -682,7 +673,7 @@ def evaluate_holevo(cfg: CampaignConfig, trials: range, stacks: tuple) -> dict:
     average = average_stack(probs, mats)
     lam_avg = validate_stack(average, "density")
     lam_live = lam_state[(probs > 0.0)[present]]
-    return _chain_rows(functionals, trials, probs, lam_live, (lam_avg,), ("holevo",), cfg.tol)
+    return _chain_rows(cfg.functionals, trials, probs, lam_live, (lam_avg,), ("holevo",), cfg.tol)
 
 
 def run_holevo(cfg: CampaignConfig) -> CampaignResult:
@@ -698,7 +689,7 @@ def run_holevo(cfg: CampaignConfig) -> CampaignResult:
         "dim": cfg.dim,
         "trials": cfg.trials,
         "ensemble_size": cfg.ensemble_size,
-        "entropy": [parse_functional(text).label for text in cfg.functionals],
+        "entropy": [f.label for f in cfg.functionals],
         "tol": cfg.tol,
         "units": cfg.units,
     }
@@ -716,17 +707,13 @@ def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
     Hard checks (all to CONSISTENCY_TOL): branch probabilities, live branch
     states, and the von Neumann entropy jump; plus the purity-preservation
     classification and the identity of the violated side.  The selected
-    functional's entropies are reported alongside; it must be exactly one,
-    since the report's entropy fields name one.  The measurement's branch
+    functional's entropies are reported alongside; the config holds exactly
+    one, since the report's entropy fields name one.  The measurement's branch
     stacks are averaged and evaluated by the seeded campaigns' kernels.
     """
     from .povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
 
-    if len(cfg.functionals) > 1:
-        raise ValueError("counterexample takes at most one --entropy")
-    if not cfg.functionals:
-        raise ValueError("counterexample needs one entropy functional, and none was given")
-    functional = parse_functional(cfg.functionals[0])
+    (functional,) = cfg.functionals
     vn = von_neumann()
     if cfg.which == 1:
         measurement, initial = counterexample_1()

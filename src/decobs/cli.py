@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 from .campaigns import (
     ROW_KEYS, run_counterexample, run_holevo, run_majorization, run_povm_classify, run_s_theorems,
 )
-from .entropy import parse_functional
+from .entropy import EntropyFunctional, parse_functional
 from .records import FrozenRecord
 from .tolerances import INEQUALITY_TOL
 
@@ -77,7 +77,7 @@ class CampaignConfig(FrozenRecord):
         dim: int = 2,
         trials: int = 100,
         response_dim: int | None = None,
-        functionals: tuple[str, ...] = ("von-neumann",),
+        functionals: tuple[str | EntropyFunctional, ...] = ("von-neumann",),
         tol: float = INEQUALITY_TOL,
         fmt: str = "json",
         units: str = "nats",
@@ -85,11 +85,16 @@ class CampaignConfig(FrozenRecord):
         which: int | None = None,
         povm_file: str | None = None,
     ):
-        """Reject a config no campaign can run, with the message the CLI prints."""
+        """Parse the entropy selectors, and reject a config no campaign can run, with the message the CLI prints.
+
+        ``functionals`` holds the parsed :class:`~decobs.entropy.EntropyFunctional`
+        values, which are all the campaigns read of the selectors.
+        """
+        functionals = tuple(parse_functional(text) for text in functionals)
         self._set(
             command, seed, dim, trials, response_dim, functionals, tol, fmt, units, ensemble_size, which, povm_file
         )
-        labels = [parse_functional(text).label for text in functionals]
+        labels = [functional.label for functional in functionals]
         for i, label in enumerate(labels):
             # rows are told apart by label alone
             if label in labels[:i]:
@@ -111,6 +116,11 @@ class CampaignConfig(FrozenRecord):
             raise ValueError("--which must be 1 or 2")
         if units not in ("nats", "bits"):
             raise ValueError("--units must be nats or bits")
+        # the report's entropy fields name one functional
+        if command == "counterexample" and len(functionals) > 1:
+            raise ValueError("counterexample takes at most one --entropy")
+        if command == "counterexample" and not functionals:
+            raise ValueError("counterexample needs one entropy functional, and none was given")
 
 
 _DISPATCH = {

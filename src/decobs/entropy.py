@@ -84,8 +84,14 @@ def log_det() -> EntropyFunctional:
     return EntropyFunctional("log-det")
 
 
-def parse_functional(text: str) -> EntropyFunctional:
-    """Parse a selector string: von-neumann | linear | renyi:<alpha> | log-det."""
+def parse_functional(text: str | EntropyFunctional) -> EntropyFunctional:
+    """Parse a selector string: von-neumann | linear | renyi:<alpha> | log-det.
+
+    A functional is returned as it is, so a config built again from its
+    parsed fields (by pickle or copy) parses them to themselves.
+    """
+    if isinstance(text, EntropyFunctional):
+        return text
     name = text.strip()
     if name == "von-neumann":
         return von_neumann()

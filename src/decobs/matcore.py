@@ -24,9 +24,26 @@ def as_matrix(values) -> np.ndarray:
     mat = np.asarray(values, dtype=complex)
     if mat.ndim != 2:
         raise ValidationError("matrix-rank", detail=f"expected 2-d array, got ndim={mat.ndim}")
-    if mat.size and not np.all(np.isfinite(mat)):
+    return require_finite(mat)
+
+
+def require_finite(items, check=None):
+    """``items``, or ``check(items)``, unless an entry is NaN or Inf: then "finite-entries" is raised.
+
+    This is the package's one finiteness gate.  ``items`` is a stack of
+    items along its first axis.  With ``check``, a function that raises the
+    error of an item that fails it, the items before the first non-finite
+    one are given to ``check`` before "finite-entries" is raised, so a stack
+    raises the error of its first failing item in C order.  Every entry is
+    scanned once.
+    """
+    items = np.asarray(items)
+    finite = np.isfinite(items).all(axis=tuple(range(1, items.ndim)))
+    if not finite.all():
+        if check is not None:
+            check(items[: first_failure(~finite)])
         raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
-    return mat
+    return items if check is None else check(items)
 
 
 def max_abs(values) -> float:
@@ -66,17 +83,16 @@ def vector_norms(vectors) -> np.ndarray:
 
 
 def require_square(values) -> np.ndarray:
-    mat = as_matrix(values)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValidationError("square", detail=f"shape {mat.shape}")
-    return mat
+    """Coerce input to a finite square 2-d complex array."""
+    return square_stack(as_matrix(values))
 
 
 def square_stack(values) -> np.ndarray:
     """Coerce input to a complex (..., d, d) stack of square matrices.
 
-    A single matrix is a stack with no leading axes.  Entries are not
-    checked here: a stack validator checks them matrix by matrix.
+    A single matrix is a stack with no leading axes.  This is the package's
+    one squareness check.  Entries are not checked here: a stack validator
+    gives them to :func:`require_finite` with its own checks.
     """
     mats = np.asarray(values, dtype=complex)
     if mats.ndim < 2:
@@ -131,9 +147,7 @@ def partial_trace(
     for bit as it is alone: :func:`~decobs.povm.apply_povm` traces the
     ancilla out of all its branches at once.
     """
-    mat = square_stack(mat)
-    if not np.isfinite(mat).all():
-        raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
+    mat = require_finite(square_stack(mat))
     if dim_first < 1 or dim_second < 1 or mat.shape[-1] != dim_first * dim_second:
         raise ValidationError(
             "factor-dimensions",

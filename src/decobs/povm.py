@@ -46,7 +46,7 @@ from .states import (
 from .tolerances import PPPOVM_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Ancilla state + joint unitary + joint projector family."""
 

@@ -172,10 +172,13 @@ def haar_from_ginibre(z) -> np.ndarray:
     The triangular factor's diagonal phases are divided out so the factor has
     positive real diagonal, which is what makes the distribution Haar rather
     than merely unitary.  A stacked QR factors each matrix bit for bit as it
-    factors the matrix alone.  A singular matrix whose triangular factor has
-    a zero on its diagonal, whose phase is 0/0, raises "ginibre-full-rank".
+    factors the matrix alone.  A stack with a NaN or Inf entry raises
+    "finite-entries" before the QR, which would factor its matrix into a
+    "unitary" with NaN columns.  A singular matrix whose triangular factor
+    has a zero on its diagonal, whose phase is 0/0, raises
+    "ginibre-full-rank".
     """
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(matcore.require_finite(z))
     diag = r.diagonal(axis1=-2, axis2=-1)
     if not diag.all():
         raise ValidationError("ginibre-full-rank", detail="a triangular factor has a zero on its diagonal")

@@ -22,6 +22,7 @@ rounds that item alone, so a stack of one gives the scalar result bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -98,13 +99,9 @@ def validate_stack(mats, kind: str) -> np.ndarray:
     mats = matcore.square_stack(mats)
     flat = _flat_stack(mats, 2)
     spectra = np.empty(flat.shape[:-1])
+    check = functools.partial(_check_square_stack, kind=kind)
     for block in _blocks(len(flat), flat[:1].nbytes):
-        finite = np.isfinite(flat[block]).all(axis=(-2, -1))
-        if not finite.all():
-            # the matrices before the first non-finite one are checked first
-            _check_square_stack(flat[block][: matcore.first_failure(~finite)], kind)
-            raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
-        spectra[block] = _check_square_stack(flat[block], kind)
+        spectra[block] = matcore.require_finite(flat[block], check)
     return spectra.reshape(mats.shape[:-1])
 
 
@@ -170,11 +167,7 @@ def validate_probing_stack(mats) -> None:
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim < 2:
         raise ValidationError("matrix-rank", detail=f"expected a stack of matrices, got ndim={mats.ndim}")
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    if not finite.all():
-        _check_unit_rows(mats.reshape((-1,) + mats.shape[-2:])[: matcore.first_failure(~finite)])
-        raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
-    _check_unit_rows(mats)
+    matcore.require_finite(_flat_stack(mats, 2), _check_unit_rows)
 
 
 def _projector_residuals(mats: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -241,13 +234,17 @@ def validate_projector_stack(mats) -> None:
     flat = _flat_stack(mats, 3)
     if len(flat) and not flat.shape[1]:
         raise ValidationError("projectors-nonempty")
-    finite = np.isfinite(flat).all(axis=(-3, -2, -1))
+    matcore.require_finite(flat, _check_projector_families)
+
+
+def _check_projector_families(flat: np.ndarray) -> None:
+    """The ProjectorSet checks on a finite (n, k, d, d) stack: raise its first failing family's error."""
     live = flat.any(axis=(-2, -1))
     # families of equal length (last live slot + 1) are checked together on their live slots
     length = (live * np.arange(1, live.shape[-1] + 1)).max(axis=-1, initial=0)
-    failed = ~finite
-    for size in sorted(set(length[finite].tolist())):
-        members = np.nonzero(finite & (length == size))[0]
+    failed = np.zeros(len(flat), dtype=bool)
+    for size in sorted(set(length.tolist())):
+        members = np.nonzero(length == size)[0]
         for block in _blocks(len(members), flat[0, :size].nbytes):
             chosen = members[block]
             hermitian, idempotent, orthogonal, complete = _projector_residuals(flat[chosen, :size])
@@ -258,10 +255,7 @@ def validate_projector_stack(mats) -> None:
                 | (complete > COMPLETENESS_TOL)
             )
     if failed.any():
-        first = matcore.first_failure(failed)
-        if not finite[first]:
-            raise ValidationError("finite-entries", detail="matrix contains NaN or Inf")
-        _raise_projector_error(flat[first])
+        _raise_projector_error(flat[matcore.first_failure(failed)])
 
 
 def clean_probabilities(probs) -> np.ndarray:

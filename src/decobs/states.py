@@ -3,7 +3,9 @@
 Construction performs full invariant checking; instances hold read-only
 arrays and can be shared freely between threads.  A failed check raises a
 :class:`~decobs.errors.ValidationError` naming the invariant and the
-measured residual.
+measured residual.  A value, like a :class:`~decobs.povm.Povm`, equals only
+itself and hashes by identity: field-wise ``==`` on arrays gives no single
+truth value.
 
 Every check is a kernel of :mod:`decobs.stacks` called on one item, and every
 sampler here (``random_density``, ``random_pure``, ...) is a draw and a
@@ -36,7 +38,7 @@ def _readonly(values, dtype=complex) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
@@ -48,7 +50,7 @@ class DensityMatrix:
     """
 
     mat: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = matcore.require_square(self.mat)
@@ -61,7 +63,7 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex column vector."""
 
@@ -77,7 +79,7 @@ class PureState:
         return self.amp.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSet:
     """Complete family of mutually orthogonal Hermitian projectors."""
 

@@ -176,10 +176,19 @@ class TestCounterexampleCommand:
         assert err.strip() == "error: counterexample takes at most one --entropy"
 
     def test_rejects_no_entropy(self):
-        # the CLI always passes one (von-neumann by default); a library caller can pass none
+        # the CLI always passes one (von-neumann by default); a library caller can pass none,
+        # and the config refuses it when it is built, before any campaign runs
         with pytest.raises(ValueError) as err:
-            campaigns.run_counterexample(CampaignConfig("counterexample", which=1, functionals=()))
+            CampaignConfig("counterexample", which=1, functionals=())
         assert str(err.value) == "counterexample needs one entropy functional, and none was given"
+
+    def test_a_config_with_two_entropies_is_refused_when_built(self):
+        with pytest.raises(ValueError) as err:
+            CampaignConfig("counterexample", which=1, functionals=("linear", "renyi:2"))
+        assert str(err.value) == "counterexample takes at most one --entropy"
+        # the checks every campaign shares come first, in the CLI's order
+        with pytest.raises(ValueError, match="^--units must be nats or bits$"):
+            CampaignConfig("counterexample", which=1, functionals=("linear", "renyi:2"), units="hartley")
 
     def test_bits_display(self, capsys):
         code, report = run_json(capsys, "counterexample", "--which", "1", "--units", "bits")

@@ -56,7 +56,8 @@ def test_a_repr_names_the_class_and_its_fields_in_order():
     assert repr(EntropyFunctional("renyi", 0.5)) == "EntropyFunctional(kind='renyi', alpha=0.5)"
     assert repr(CampaignConfig("counterexample", which=2)) == (
         "CampaignConfig(command='counterexample', seed=0, dim=2, trials=100, response_dim=None,"
-        " functionals=('von-neumann',), tol=1e-09, fmt='json', units='nats', ensemble_size=None,"
+        " functionals=(EntropyFunctional(kind='von-neumann', alpha=None),), tol=1e-09, fmt='json', units='nats',"
+        " ensemble_size=None,"
         " which=2, povm_file=None)"
     )
     assert repr(Dominance(np.array([0.5]), 0.5, 1.0, 0.5, 0.0)) == (
@@ -73,6 +74,16 @@ def test_a_campaign_result_is_a_mutable_unhashable_value():
         hash(result)
     result.exit_code = 0
     assert result.exit_code == 0
+
+
+def test_a_config_holds_the_functionals_it_parses_through_pickle_and_copy():
+    cfg = CampaignConfig("holevo", functionals=("linear", " renyi:2.0"))
+    assert cfg.functionals == (EntropyFunctional("linear"), EntropyFunctional("renyi", 2.0))
+    for same in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+        assert same == cfg
+        assert all(type(functional) is EntropyFunctional for functional in same.functionals)
+    # a parsed functional parses to itself
+    assert CampaignConfig("holevo", functionals=cfg.functionals).functionals == cfg.functionals
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
-"""Each kernel rule of the paper's maps has one implementation in ``decobs``.
+"""Each kernel rule of the paper's maps, and each input rule, has one implementation in ``decobs``.
 
 The two maps come down to a few rules: an eigenvalue solve, the Bayes
 update rho_k = D_k rho D_k^dagger / p_k of a branch, a partial trace, a Gram
-product, and the byte planner that cuts stacks into blocks.  Each test reads
-the package's source and checks that one rule is written in one place; the
-others call it.
+product, and the byte planner that cuts stacks into blocks.  Their inputs
+are checked by a few more: finite entries, square matrices, and a config
+that parses and refuses every setting before a campaign runs.  Each test
+reads the package's source and checks that one rule is written in one
+place; the others call it.
 """
 
 import ast
@@ -84,3 +86,37 @@ def test_unit_row_overlaps_are_the_response_gram():
         and isinstance(node.func, ast.Name)
     }
     assert "response_gram_stack" in calls
+
+
+def written(constant: str) -> set[tuple[str, str | None]]:
+    """Where the string ``constant`` is written."""
+    return {
+        (module, owner)
+        for module, owner, node in nodes()
+        if isinstance(node, ast.Constant) and node.value == constant
+    }
+
+
+def test_finite_entries_are_checked_by_one_gate():
+    assert written("finite-entries") == {("matcore", "require_finite")}
+
+
+def test_squareness_is_checked_in_one_place():
+    assert written("square") == {("matcore", "square_stack")}
+
+
+def test_only_the_config_parses_entropy_selectors():
+    # the campaigns read the functionals the config holds
+    assert readers("parse_functional") == {("cli", None), ("cli", "CampaignConfig")}
+
+
+def test_the_campaigns_raise_no_value_error():
+    # the config refuses every setting that no campaign can run
+    raised = {
+        sub.id
+        for module, _, node in nodes()
+        if module == "campaigns" and isinstance(node, ast.Raise) and node.exc is not None
+        for sub in ast.walk(node.exc)
+        if isinstance(sub, ast.Name)
+    }
+    assert "ValidationError" in raised and "ValueError" not in raised

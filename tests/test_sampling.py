@@ -246,6 +246,16 @@ class TestHaarUnitary:
         u = states.haar_unitary(dim, np.random.default_rng(seed))
         assert matcore.is_unitary(u)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_ginibre_stack_is_refused_before_its_qr(self, value):
+        # without the check, QR factors such a matrix into a "unitary" with NaN columns
+        z = sampling.ginibre_from_normals(np.random.default_rng(0).standard_normal((3, 8)), 2)
+        z[1, 0, 1] = value
+        for ginibre in (z, z[1]):
+            with pytest.raises(ValidationError) as err:
+                sampling.haar_from_ginibre(ginibre)
+            assert err.value.invariant == "finite-entries"
+
     def test_first_moment_matches_haar(self):
         # E|U_00|^2 = 1/n for Haar measure
         rng = np.random.default_rng(2024)

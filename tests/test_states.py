@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from decobs import matcore, states
 from decobs.entropy import entropy, linear
 from decobs.errors import ValidationError
+from decobs.povm import counterexample_2
 from decobs.states import DensityMatrix, ProjectorSet, PureState, basis_state, density_from_pure, maximally_mixed
 from decobs.sampling import probing_from_normals, random_block_sizes
 from decobs.stacks import (
@@ -302,6 +303,24 @@ class TestDensityMatrixSpectrum:
     def test_construction_solves_one_matrix(self, solved):
         DensityMatrix(np.diag([0.7, 0.3]))
         assert solved[0] == 1
+
+
+#: Builders of each value type: two calls build two values with equal fields.
+VALUES = {
+    "density": lambda: maximally_mixed(2),
+    "pure": lambda: basis_state(2, 0),
+    "projectors": lambda: ProjectorSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
+    "povm": lambda: counterexample_2()[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_a_value_equals_only_itself_and_hashes(name):
+    # field-wise == on arrays has no single truth value, so a value is compared by identity
+    value, twin = VALUES[name](), VALUES[name]()
+    assert value == value and value != twin
+    assert value in [twin, value] and twin not in [value]
+    assert len({value, twin, value}) == 2
 
 
 class TestEmptyInputs:
