@@ -14,8 +14,9 @@ which is where the campaigns run them.
 The package root defines only ``__version__`` and exports no other name:
 import each name from its module (``from decobs.entropy import entropy``).
 So ``import decobs`` loads no submodule, and ``import decobs.cli`` loads
-only what a campaign runs: the kernel modules, not the value types of
-:mod:`decobs.states`.
+the campaigns' shared core and the kernel modules it calls, not the value
+types of :mod:`decobs.states`; a call then loads its own campaign module
+of :mod:`decobs.campaigns`, and no other.
 """
 
 __version__ = "0.1.0"

@@ -11,6 +11,11 @@ Built-ins, selected by string:
   von Neumann functional covers that limit);
 * ``"log-det"`` -- h(x) = ln x, returning the -inf sentinel on (numerically)
   singular spectra.
+
+The verdict of an entropy inequality, lhs <= rhs + tol with its margin
+(:func:`inequality_verdict`), is here too, beside the entropies it judges,
+so that the entropy campaigns, which judge every row with it through
+``campaigns._chain_rows``, load no :mod:`decobs.majorization`.
 """
 
 from __future__ import annotations
@@ -221,6 +226,24 @@ def expected_entropy_stack(probs, entropies) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         terms = np.where(probs > ZERO_PROBABILITY, probs * np.asarray(entropies, dtype=float), 0.0)
     return matcore.sequential_sum(terms)
+
+
+def entropy_gap(rhs, lhs):
+    """rhs - lhs, elementwise, with equal infinities treated as a zero gap.
+
+    Floats give a float; arrays give an array.
+    """
+    rhs, lhs = np.asarray(rhs, dtype=float), np.asarray(lhs, dtype=float)
+    # -inf - -inf is nan, and warns, before the mask replaces it
+    with np.errstate(invalid="ignore"):
+        gap = np.where(rhs == lhs, 0.0, rhs - lhs)
+    return gap if gap.ndim else float(gap)
+
+
+def inequality_verdict(lhs, rhs, tol: float):
+    """The margin ``entropy_gap(rhs, lhs)`` of lhs <= rhs + tol, and whether it holds, elementwise."""
+    holds = np.asarray(lhs, dtype=float) <= np.asarray(rhs, dtype=float) + tol
+    return entropy_gap(rhs, lhs), (holds if holds.ndim else bool(holds))
 
 
 def entropy(rho: DensityMatrix, functional: EntropyFunctional) -> float:

@@ -4,7 +4,10 @@ Hermitian eigendecomposition, Kronecker products, partial traces,
 and a unitarity predicate; checks read their tolerances from
 :mod:`decobs.tolerances`, in max-norm.
 Functions operate on plain numpy arrays, never mutate their inputs, and
-return freshly allocated results.
+return freshly allocated results.  The checks scan a matrix's entries once,
+through :func:`require_finite`; the maps (:func:`tensor_product`,
+:func:`partial_trace`) do not scan them, so a value's checked matrices are
+not scanned again on their way into a measurement.
 
 Tensor layout convention: the first factor is block-major, i.e. the row index
 ``i * dim_second + k`` addresses factor states ``(i, k)``.  ``partial_trace``
@@ -20,11 +23,11 @@ from .tolerances import HERMITIAN_TOL
 
 
 def as_matrix(values) -> np.ndarray:
-    """Coerce input to a 2-d complex array, rejecting NaN/Inf entries."""
+    """Coerce input to a 2-d complex array; its entries are not checked here."""
     mat = np.asarray(values, dtype=complex)
     if mat.ndim != 2:
         raise ValidationError("matrix-rank", detail=f"expected 2-d array, got ndim={mat.ndim}")
-    return require_finite(mat)
+    return mat
 
 
 def require_finite(items, check=None):
@@ -83,8 +86,8 @@ def vector_norms(vectors) -> np.ndarray:
 
 
 def require_square(values) -> np.ndarray:
-    """Coerce input to a finite square 2-d complex array."""
-    return square_stack(as_matrix(values))
+    """Coerce input to a finite square 2-d complex array: rank, then entries, then squareness."""
+    return square_stack(require_finite(as_matrix(values)))
 
 
 def square_stack(values) -> np.ndarray:
@@ -132,7 +135,11 @@ def hermitian_spectrum(mat: np.ndarray) -> np.ndarray:
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with first-factor-major block layout."""
+    """Kronecker product of two 2-d arrays, with first-factor-major block layout.
+
+    A map, not a check: the entries are not scanned, so NaN or Inf comes
+    out where it went in, for the check of the result to catch.
+    """
     return np.kron(as_matrix(a), as_matrix(b))
 
 
@@ -143,11 +150,12 @@ def partial_trace(
 
     This is the package's one partial trace.  ``keep`` selects the surviving
     factor ("first" or "second"); the total trace is preserved either way.
-    ``mat`` may also be a finite (..., D, D) stack, each matrix traced bit
-    for bit as it is alone: :func:`~decobs.povm.apply_povm` traces the
-    ancilla out of all its branches at once.
+    ``mat`` may also be a (..., D, D) stack, each matrix traced bit for bit
+    as it is alone: :func:`~decobs.povm.apply_povm` traces the ancilla out
+    of all its branches at once.  Like :func:`tensor_product`, it is a map
+    and does not scan the entries.
     """
-    mat = require_finite(square_stack(mat))
+    mat = square_stack(mat)
     if dim_first < 1 or dim_second < 1 or mat.shape[-1] != dim_first * dim_second:
         raise ValidationError(
             "factor-dimensions",

@@ -1,18 +1,18 @@
-"""Stack kernels: every check and map of the package on (..., d, d) stacks.
+"""Stack kernels: the checks and maps every campaign runs, on (..., d, d) stacks.
 
 This is the layer the seeded campaigns run on.  Each function takes plain
-numpy stacks of states, probings, Gram matrices or projector families and
-returns plain arrays, and each is the only implementation of its check or
-map: the value types of :mod:`decobs.states` call these kernels on one
-item.  The two maps of the paper are here only: observation
-(:func:`observe_stack`) and decoherence, the Schur product with
-:func:`response_gram_stack`.  Every branch stack, a probing's or a
-measurement's, is Bayes-updated by :func:`normalize_branches`.  A Lüders
-measurement by a diagonal partition is the probing whose responses are
-block indicators, so it has no kernel of its own: its pinching
-(:func:`pinch`) is decoherence by the block Gram matrix,
-:func:`response_gram_stack` of the diagonals of :func:`block_projectors`.
-This module imports no value type, so a campaign loads none.
+numpy stacks of states, probings or Gram matrices and returns plain arrays,
+and each is the only implementation of its check or map: the value types
+of :mod:`decobs.states` call these kernels on one item.  The two maps of
+the paper are here only: observation (:func:`observe_stack`) and
+decoherence, the Schur product with :func:`response_gram_stack`.  Every
+branch stack, a probing's or a measurement's, is Bayes-updated by
+:func:`normalize_branches`.  The projector-family kernels (their checks,
+the block families of a partition, the pinching and the Gram matrices of
+unit rows) are run by the ``majorization`` campaign and the value types
+only, so they live in :mod:`decobs.majorization`, which the entropy
+campaigns never load.  This module imports no value type, so a campaign
+loads none.
 
 A failing stack raises the :class:`~decobs.errors.ValidationError` that its
 first failing item (in C order) raises as a value type, with the same
@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
 
 import numpy as np
 
 from . import matcore
 from .errors import ValidationError
 from .tolerances import (
-    COMPLETENESS_TOL, HERMITIAN_TOL, IDEMPOTENT_TOL, NEGATIVE_PROBABILITY_TOL, ORTHOGONALITY_TOL,
-    PROBABILITY_SUM_TOL, PSD_TOL, TRACE_TOL, TRIVIALITY_TOL, UNIT_DIAGONAL_TOL, UNIT_NORM_TOL,
-    ZERO_PROBABILITY,
+    HERMITIAN_TOL, NEGATIVE_PROBABILITY_TOL, PROBABILITY_SUM_TOL, PSD_TOL, TRACE_TOL, TRIVIALITY_TOL,
+    UNIT_DIAGONAL_TOL, UNIT_NORM_TOL, ZERO_PROBABILITY,
 )
 
 #: Largest block of a stack, in bytes, that :func:`validate_stack` checks at
@@ -170,94 +168,6 @@ def validate_probing_stack(mats) -> None:
     matcore.require_finite(_flat_stack(mats, 2), _check_unit_rows)
 
 
-def _projector_residuals(mats: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ProjectorSet residuals of a finite (n, k, d, d) stack of families.
-
-    Returns the Hermitian and idempotent residuals, (n, k), the
-    orthogonality residuals of the pairs (i, j), i < j, in the order the
-    scalar loop visits them, (n, k (k - 1) / 2), and the completeness
-    residuals, (n,).
-    """
-    slots, dim = mats.shape[-3], mats.shape[-1]
-    hermitian = abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    square = mats @ mats
-    square -= mats
-    idempotent = abs(square).max(axis=(-2, -1), initial=0.0)
-    del square
-    orthogonal = np.empty((len(mats), slots * (slots - 1) // 2))
-    done = 0
-    for i in range(slots - 1):
-        products = abs(mats[:, i : i + 1] @ mats[:, i + 1 :])
-        orthogonal[:, done : done + slots - 1 - i] = products.max(axis=(-2, -1), initial=0.0)
-        done += slots - 1 - i
-    total = np.zeros((len(mats), dim, dim), dtype=complex)
-    for k in range(slots):
-        total += mats[:, k]
-    total -= np.eye(dim)
-    return hermitian, idempotent, orthogonal, abs(total).max(axis=(-2, -1), initial=0.0)
-
-
-def _raise_projector_error(family: np.ndarray) -> None:
-    """Raise the error a failing (k, d, d) family raises as a ProjectorSet."""
-    hermitian, idempotent, orthogonal, complete = (r[0].tolist() for r in _projector_residuals(family[None]))
-    for idx, (residual, idempotent_residual) in enumerate(zip(hermitian, idempotent)):
-        if residual > HERMITIAN_TOL:
-            raise ValidationError("projector-hermitian", residual=residual, detail=f"projector {idx}")
-        if idempotent_residual > IDEMPOTENT_TOL:
-            raise ValidationError("projector-idempotent", residual=idempotent_residual, detail=f"projector {idx}")
-    pairs = [(i, j) for i in range(len(family)) for j in range(i + 1, len(family))]
-    for (i, j), residual in zip(pairs, orthogonal):
-        if residual > ORTHOGONALITY_TOL:
-            raise ValidationError("projectors-orthogonal", residual=residual, detail=f"pair ({i}, {j})")
-    raise ValidationError("projectors-complete", residual=complete)
-
-
-def validate_projector_stack(mats) -> None:
-    """Run the ``ProjectorSet`` checks on a (..., k, d, d) stack of families.
-
-    Each family is k slots of (d, d) matrices.  A family with fewer
-    projectors is padded with dead slots, all-zero matrices: a zero matrix
-    passes every check and adds exact zeros to the completeness sum, so a
-    padded family checks as the family alone does, and trailing dead slots
-    are not checked at all.
-
-    The checks run in the scalar order: finite entries; then projector by
-    projector, Hermitian and then idempotent; then orthogonality pair by
-    pair (i < j); then completeness.  A failing stack raises the error its
-    first failing family (in C order) raises as a ProjectorSet, with the
-    same invariant, residual and detail; families without slots raise the
-    ``projectors-nonempty`` of an empty ProjectorSet.
-    """
-    mats = matcore.square_stack(mats)
-    if mats.ndim < 3:
-        raise ValidationError("matrix-rank", detail=f"expected a stack of projector families, got ndim={mats.ndim}")
-    flat = _flat_stack(mats, 3)
-    if len(flat) and not flat.shape[1]:
-        raise ValidationError("projectors-nonempty")
-    matcore.require_finite(flat, _check_projector_families)
-
-
-def _check_projector_families(flat: np.ndarray) -> None:
-    """The ProjectorSet checks on a finite (n, k, d, d) stack: raise its first failing family's error."""
-    live = flat.any(axis=(-2, -1))
-    # families of equal length (last live slot + 1) are checked together on their live slots
-    length = (live * np.arange(1, live.shape[-1] + 1)).max(axis=-1, initial=0)
-    failed = np.zeros(len(flat), dtype=bool)
-    for size in sorted(set(length.tolist())):
-        members = np.nonzero(length == size)[0]
-        for block in _blocks(len(members), flat[0, :size].nbytes):
-            chosen = members[block]
-            hermitian, idempotent, orthogonal, complete = _projector_residuals(flat[chosen, :size])
-            failed[chosen] = (
-                (hermitian > HERMITIAN_TOL).any(axis=-1)
-                | (idempotent > IDEMPOTENT_TOL).any(axis=-1)
-                | (orthogonal > ORTHOGONALITY_TOL).any(axis=-1)
-                | (complete > COMPLETENESS_TOL)
-            )
-    if failed.any():
-        _raise_projector_error(flat[matcore.first_failure(failed)])
-
-
 def clean_probabilities(probs) -> np.ndarray:
     """Run the branch probability checks on a (..., m) stack.
 
@@ -289,38 +199,6 @@ def clean_probabilities(probs) -> np.ndarray:
                 )
         raise ValidationError("probabilities-sum-to-one", residual=float(residual.flat[first]))
     return cleaned
-
-
-def gram_from_unit_rows(rows) -> np.ndarray:
-    """Overlap matrices of a (..., n, m) stack of unit row families, not validated.
-
-    Every row gets the ``PureState`` checks, is divided by its own norm, and
-    the overlaps are the products of the rows.  A renormalized row has norm 1
-    only to rounding, and so has each diagonal overlap: a diagonal entry can
-    differ from 1.0 by a few ulps (for dim-1 families too).
-    """
-    rows = np.asarray(rows, dtype=complex)
-    return response_gram_stack(rows / unit_vector_norms(rows)[..., None])
-
-
-def block_projectors(partitions: Sequence[Sequence[int]], slots: int, dim: int) -> np.ndarray:
-    """Diagonal block projectors of n partitions of dim, as an (n, slots, dim, dim) stack.
-
-    Family i holds the projectors onto the consecutive blocks of
-    ``partitions[i]``, in order; its slots past the blocks are dead
-    (all-zero).  The whole stack is one scatter of ones onto the diagonal.
-    The sizes are not checked: each partition must have at most ``slots``
-    positive sizes adding up to ``dim``.
-    """
-    counts = np.array([len(sizes) for sizes in partitions], dtype=np.intp)
-    sizes = np.array([size for part in partitions for size in part], dtype=np.intp)
-    mats = np.zeros((len(counts), slots, dim, dim), dtype=complex)
-    # each diagonal index of each family, with the slot of the block it lies in
-    first_block = np.repeat(np.cumsum(counts) - counts, counts)
-    slot = np.repeat(np.arange(len(sizes)) - first_block, sizes)
-    index = np.tile(np.arange(dim), len(counts))
-    mats[np.repeat(np.arange(len(counts)), dim), slot, index, index] = 1.0
-    return mats
 
 
 def observe_stack(rhos, probes) -> tuple[np.ndarray, np.ndarray]:
@@ -394,28 +272,6 @@ def response_gram_stack(probes) -> np.ndarray:
     """Row Gram matrices S S^dagger of a (..., n, m) probing stack."""
     probes = np.asarray(probes)
     return probes @ probes.conj().swapaxes(-1, -2)
-
-
-def pinch(projectors, mats) -> tuple[np.ndarray, np.ndarray]:
-    """The pieces P_k H P_k and the pinching sum_k P_k H P_k of (..., d, d) matrices.
-
-    ``projectors`` is a (..., k, d, d) stack of families, whose dead slots
-    are all-zero matrices, and ``mats`` has the same leading shape.  Returns
-    the pieces, shape (..., k, d, d), and their sum, shape (..., d, d), added
-    left to right over k from 0; a dead slot's piece is not computed, is
-    zero and adds exact zeros.  The triple products round as ``p @ h @ p``
-    does for one matrix.
-    """
-    projectors = np.asarray(projectors, dtype=complex)
-    mats = np.asarray(mats, dtype=complex)
-    live = projectors.any(axis=(-2, -1))
-    chosen = projectors[live]
-    pieces = np.zeros_like(projectors)
-    pieces[live] = chosen @ mats[np.nonzero(live)[:-1]] @ chosen
-    total = np.zeros(pieces.shape[:-3] + pieces.shape[-2:], dtype=complex)
-    for k in range(pieces.shape[-3]):
-        total += pieces[..., k, :, :]
-    return pieces, total
 
 
 def spectra_unchanged(before, after) -> np.ndarray:

@@ -7,14 +7,15 @@ measured residual.  A value, like a :class:`~decobs.povm.Povm`, equals only
 itself and hashes by identity: field-wise ``==`` on arrays gives no single
 truth value.
 
-Every check is a kernel of :mod:`decobs.stacks` called on one item, and every
+Every check is a stack kernel (of :mod:`decobs.stacks`, or for projector
+families of :mod:`decobs.majorization`) called on one item, and every
 sampler here (``random_density``, ``random_pure``, ...) is a draw and a
 transform of :mod:`decobs.sampling` wrapped in a value type.  The campaigns
 use the kernels and transforms directly.  A probing and a Gram matrix have
 no value type: each is a plain array, checked by
 :func:`~decobs.stacks.validate_probing_stack` or by the ``"gram"`` kind of
 :func:`~decobs.stacks.validate_stack`, and a diagonal block partition is a
-family of :func:`~decobs.stacks.block_projectors`.  The measurement code
+family of :func:`~decobs.majorization.block_projectors`.  The measurement code
 (:mod:`decobs.povm`, ``counterexample`` and ``povm-classify``) builds on
 these types, and a measurement's branches are stacks, as a probing's are:
 probabilities and states from :func:`~decobs.povm.apply_povm`.
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import matcore, sampling
 from .errors import ValidationError
-from .stacks import block_projectors, unit_vector_norms, validate_projector_stack, validate_stack
+from .majorization import block_projectors, validate_projector_stack
+from .stacks import unit_vector_norms, validate_stack
 
 
 def _readonly(values, dtype=complex) -> np.ndarray:
@@ -53,7 +55,11 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = matcore.require_square(self.mat)
+        mat = np.asarray(self.mat, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            # a malformed matrix raises rank, then finite entries, then squareness
+            matcore.require_square(mat)
+        # the one scan of the entries
         spectrum = validate_stack(mat, "density")
         object.__setattr__(self, "mat", _readonly(mat))
         object.__setattr__(self, "spectrum", _readonly(spectrum, dtype=float))
@@ -86,13 +92,18 @@ class ProjectorSet:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = [matcore.require_square(p) for p in self.projectors]
+        mats = [np.asarray(p, dtype=complex) for p in self.projectors]
         if not mats:
             raise ValidationError("projectors-nonempty")
-        dim = mats[0].shape[0]
-        for idx, p in enumerate(mats):
-            if p.shape[0] != dim:
-                raise ValidationError("projectors-same-dim", detail=f"projector {idx}")
+        shape = mats[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(p.shape != shape for p in mats):
+            # a malformed family raises its first bad projector's error, projector by
+            # projector: rank, finite entries, squareness; then the common dim
+            mats = [matcore.require_square(p) for p in mats]
+            for idx, p in enumerate(mats):
+                if p.shape[0] != mats[0].shape[0]:
+                    raise ValidationError("projectors-same-dim", detail=f"projector {idx}")
+        # the one scan of the entries
         validate_projector_stack(np.array(mats))
         object.__setattr__(self, "projectors", tuple(_readonly(p) for p in mats))
 

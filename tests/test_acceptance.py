@@ -12,15 +12,14 @@ import time
 import numpy as np
 
 from decobs import matcore, povm, sampling, states
-from decobs.campaigns import evaluate_s_theorems
+from decobs.campaigns.s_theorems import evaluate_s_theorems
 from decobs.cli import CampaignConfig, main, run_holevo, run_majorization, run_s_theorems
 from decobs.entropy import (
     builtin_functionals, entropies_of_spectra, entropy, expected_entropy_stack, linear, von_neumann,
 )
 from decobs.povm import apply_povm, counterexample_1, counterexample_2, is_purity_preserving
-from decobs.stacks import (
-    average_stack, block_projectors, pinch, response_gram_stack, validate_projector_stack, validate_stack,
-)
+from decobs.majorization import block_projectors, pinch, validate_projector_stack
+from decobs.stacks import average_stack, response_gram_stack, validate_stack
 from decobs.states import DensityMatrix, density_from_pure
 
 LN2 = math.log(2.0)

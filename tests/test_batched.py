@@ -17,15 +17,17 @@ import time
 import numpy as np
 import pytest
 
-from decobs import campaigns, cli, matcore, sampling, stacks, states
+from decobs import campaigns, cli, majorization, matcore, sampling, stacks, states
+from decobs.campaigns import holevo, s_theorems, spectral
 from decobs.entropy import (
     NEG_INFINITY,
     entropies_of_spectra,
+    entropy_gap,
     entropy_of_spectrum,
     parse_functional,
 )
 from decobs.errors import ValidationError
-from decobs.majorization import dominance, entropy_gap, fan_dominance, pinching_dominance, schur_dominance
+from decobs.majorization import dominance, fan_dominance, pinching_dominance, schur_dominance
 from decobs.states import DensityMatrix, ProjectorSet, PureState
 from decobs.tolerances import (
     NEAR_TRIVIAL_MARGIN,
@@ -219,7 +221,7 @@ class TestBranchBlocks:
     def observed(self, monkeypatch, allowed_cpus):
         """(trials, branches, bytes of branch states) of each ``observe_stack`` call of the campaign."""
         allowed_cpus(1)
-        observe = campaigns.observe_stack
+        observe = s_theorems.observe_stack
         calls = []
 
         def recording(rhos, probes):
@@ -227,15 +229,15 @@ class TestBranchBlocks:
             calls.append((len(rhos), probs.size, branches.nbytes))
             return probs, branches
 
-        monkeypatch.setattr(campaigns, "observe_stack", recording)
+        monkeypatch.setattr(s_theorems, "observe_stack", recording)
         return calls
 
     @pytest.fixture
     def planned(self, monkeypatch):
         """The chunk lists the campaigns hand to the chunk map."""
-        mapped = campaigns._map_chunks
+        mapped = s_theorems._map_chunks
         plans = []
-        monkeypatch.setattr(campaigns, "_map_chunks", lambda run, chunks: plans.append(chunks) or mapped(run, chunks))
+        monkeypatch.setattr(s_theorems, "_map_chunks", lambda run, chunks: plans.append(chunks) or mapped(run, chunks))
         return plans
 
     @pytest.mark.parametrize(
@@ -265,7 +267,7 @@ class TestBranchBlocks:
         non_psd = np.diag([1.5, -0.5] + [0.0] * 38).astype(complex)
         bad_trace = np.eye(40, dtype=complex)
         planted = dict(zip((2, 4), (non_psd, bad_trace) if order == "psd-first" else (bad_trace, non_psd)))
-        observe = campaigns.observe_stack
+        observe = s_theorems.observe_stack
         blocks = []
 
         def planting(rhos, probes):
@@ -275,7 +277,7 @@ class TestBranchBlocks:
                 branches[0, 5] = planted[len(blocks)]
             return probs, branches
 
-        monkeypatch.setattr(campaigns, "observe_stack", planting)
+        monkeypatch.setattr(s_theorems, "observe_stack", planting)
         assert cli.main(["verify-s-theorems", "--dim", "40", "--trials", "2"]) == 2
         # no block is built past the failing one, and its error is the earlier bad branch's
         assert len(blocks) == 2
@@ -335,7 +337,7 @@ class TestChunkMap:
     @staticmethod
     def plant(monkeypatch, planted):
         """Draw verify-s-theorems one trial a chunk; a trial's state is ``planted(trial)`` unless that is None."""
-        sample = campaigns.sample_s_theorems
+        sample = s_theorems.sample_s_theorems
 
         def wrapped(cfg, chunk):
             rho, probe = sample(cfg, chunk)
@@ -345,7 +347,7 @@ class TestChunkMap:
                     rho[i] = state
             return rho, probe
 
-        monkeypatch.setattr(campaigns, "sample_s_theorems", wrapped)
+        monkeypatch.setattr(s_theorems, "sample_s_theorems", wrapped)
         monkeypatch.setattr(campaigns, "CHUNK_BYTES", 1)
 
     @pytest.mark.parametrize("first", [1, 2])
@@ -646,7 +648,7 @@ def test_entropy_kernel_on_rank_deficient_spectra_is_bit_identical(dim):
     "kind, draw",
     [
         ("density", states.random_density),
-        ("gram", lambda n, rng: stacks.gram_from_unit_rows(
+        ("gram", lambda n, rng: majorization.gram_from_unit_rows(
             sampling.pure_from_normals(rng.standard_normal((n, 2 * n)), n)
         )),
     ],
@@ -746,7 +748,7 @@ def oracle_majorization(cfg):
         rng = sampling.trial_stream(cfg.seed, trial)
         rho = states.random_density(dim, rng)
         responses = sampling.pure_from_normals(rng.standard_normal((dim, 2 * response_dim)), response_dim)
-        gram = stacks.gram_from_unit_rows(responses)
+        gram = majorization.gram_from_unit_rows(responses)
         stacks.validate_stack(gram, "gram")
         _, schur = schur_dominance(rho.spectrum, rho.mat * gram)
         pinch_input = states.random_density(dim, rng).mat
@@ -804,8 +806,8 @@ def test_pinching_rows_equal_the_scalar_oracle(dim, seed):
         rng.standard_normal(out=raw[i])
         partitions.append(sampling.random_block_sizes(dim, rng))
     rho = sampling.density_from_normals(raw, dim)
-    projectors = stacks.block_projectors(partitions, dim, dim)
-    _, pinched = stacks.pinch(projectors, rho)
+    projectors = majorization.block_projectors(partitions, dim, dim)
+    _, pinched = majorization.pinch(projectors, rho)
     gram = stacks.response_gram_stack(projectors.diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2))
     for trial in trials:
         rng = sampling.trial_stream(seed, trial)
@@ -834,7 +836,7 @@ def test_pinch_matches_the_one_projector_formula(dim):
         mats.append(states.random_density(dim, rng).mat)
         partitions.append(states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng))
     families = np.array([_padded_family(partition, dim) for partition in partitions])
-    pieces, totals = stacks.pinch(families, np.array(mats))
+    pieces, totals = majorization.pinch(families, np.array(mats))
     for partition, mat, piece_row, total_stack in zip(partitions, mats, pieces, totals):
         total = np.zeros((dim, dim), dtype=complex)
         for p, piece in zip(partition, piece_row):
@@ -848,7 +850,7 @@ def test_block_projector_families_are_the_diagonal_blocks():
     rng = np.random.default_rng(61)
     for dim in (1, 2, 5, 8):
         partitions = [sampling.random_block_sizes(dim, rng) for _ in range(20)]
-        families = stacks.block_projectors(partitions, dim, dim)
+        families = majorization.block_projectors(partitions, dim, dim)
         assert families.shape == (20, dim, dim, dim)
         for sizes, family in zip(partitions, families):
             expected = np.zeros((dim, dim, dim), dtype=complex)
@@ -885,7 +887,7 @@ def test_stacked_samplers_match_the_one_matrix_formulas():
     responses = sampling.pure_from_normals(rng.standard_normal((7, 5, 22)), 11)
     bases = sampling.haar_from_ginibre(ginibre)
     rescaled = sampling.unit_spectral_radius(hermitian)
-    grams = stacks.gram_from_unit_rows(responses)
+    grams = majorization.gram_from_unit_rows(responses)
     for i in range(7):
         q, r = np.linalg.qr(ginibre[i])
         assert np.array_equal(bases[i], q * (r.diagonal() / np.abs(r.diagonal())))
@@ -925,18 +927,18 @@ class TestStackedChecksRaiseTheScalarErrors:
         stack = self.families(9, np.random.default_rng(21))
         stack[4] = 0.0
         stack[4, : len(bad)] = bad
-        assert self.error_of(lambda: stacks.validate_projector_stack(stack)) == scalar
-        assert self.error_of(lambda: stacks.validate_projector_stack(stack.reshape(3, 3, 3, 3, 3))) == scalar
+        assert self.error_of(lambda: majorization.validate_projector_stack(stack)) == scalar
+        assert self.error_of(lambda: majorization.validate_projector_stack(stack.reshape(3, 3, 3, 3, 3))) == scalar
 
     def test_projector_family_past_a_block_seam(self):
         stack = self.families(700, np.random.default_rng(22))
         assert stack[:1].nbytes * 700 > 2 * stacks._BLOCK_BYTES
-        stacks.validate_projector_stack(stack)
+        majorization.validate_projector_stack(stack)
         bad = tuple(np.asarray(p, dtype=complex) for p in self.BAD_FAMILIES["projectors-complete"])
         stack[650] = 0.0
         stack[650, :2] = bad
         stack[660, 0, 0, 1] = 1e-3
-        assert self.error_of(lambda: stacks.validate_projector_stack(stack)) == self.error_of(lambda: ProjectorSet(bad))
+        assert self.error_of(lambda: majorization.validate_projector_stack(stack)) == self.error_of(lambda: ProjectorSet(bad))
 
     def test_non_hermitian_matrix(self):
         rng = np.random.default_rng(23)
@@ -956,12 +958,12 @@ class TestStackedChecksRaiseTheScalarErrors:
         rows[3, 2] *= 1.0 + 1e-6
         scalar = self.error_of(lambda: PureState(rows[3, 2]))
         assert scalar[0] == "pure-unit-norm"
-        assert self.error_of(lambda: stacks.gram_from_unit_rows(rows)) == scalar
+        assert self.error_of(lambda: majorization.gram_from_unit_rows(rows)) == scalar
 
     def test_non_diagonal_projector(self):
         # the Gram matrix of a rotated family's diagonals, formed as for a block-indicator probing, fails the Gram check
         partition = states.random_projector_partition(3, [1, 2], np.random.default_rng(25))
-        stack = stacks.block_projectors([[3], [1, 2], [1, 1, 1], [2, 1]], 3, 3)
+        stack = majorization.block_projectors([[3], [1, 2], [1, 1, 1], [2, 1]], 3, 3)
         stack[2] = _padded_family(partition, 3)
         grams = stacks.response_gram_stack(stack.diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2))
         scalar = self.error_of(lambda: stacks.validate_stack(grams[2], "gram"))
@@ -995,7 +997,7 @@ class TestStackedChecksRaiseTheScalarErrors:
         # the five trials are one chunk, whose families are built at once; trial
         # 2's is broken, only the rotated partition is validated, and
         # conjugation keeps the broken identity
-        build = campaigns.block_projectors
+        build = spectral.block_projectors
 
         def slot_one_repeats_slot_zero(partitions, slots, dim):
             mats = build(partitions, slots, dim)
@@ -1003,7 +1005,7 @@ class TestStackedChecksRaiseTheScalarErrors:
             mats[2, 1] = mats[2, 0]
             return mats
 
-        monkeypatch.setattr(campaigns, "block_projectors", slot_one_repeats_slot_zero)
+        monkeypatch.setattr(spectral, "block_projectors", slot_one_repeats_slot_zero)
         code = cli.main(["majorization", "--dim", "4", "--trials", "5"])
         captured = capsys.readouterr()
         assert code == 2

@@ -1,6 +1,7 @@
 """Every function and class of ``decobs`` has a caller outside the tests, or a stated role.
 
-A function or class has a caller when a module of ``src/decobs`` or a script
+A function or class has a caller when a module of ``src/decobs`` (its
+``campaigns`` package included) or a script
 under ``scripts/`` reads its name (as a name or an attribute) outside its own
 body.  Reads inside the bodies of the functions
 and classes listed in ``TEST_ONLY`` do not count, so one test-only name
@@ -17,7 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "decobs"
-SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 #: Public functions and classes that only tests call, each with its role:
 #: "oracle" for the scalar API that the tests replay the campaigns through or
@@ -38,7 +39,7 @@ def top_level(kind) -> set[str]:
     """The names of the package's top-level definitions of an AST node ``kind``, dunders aside."""
     return {
         node.name
-        for path in PACKAGE.glob("*.py")
+        for path in PACKAGE.rglob("*.py")
         for node in ast.parse(path.read_text()).body
         if isinstance(node, kind) and not node.name.startswith("__")
     }
@@ -59,7 +60,8 @@ def reads() -> list[tuple[str, str | None]]:
     found = []
     for path in SOURCES:
         for top in ast.parse(path.read_text()).body:
-            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and path.parent == PACKAGE else None
+            in_package = path.is_relative_to(PACKAGE)
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and in_package else None
             nodes = list(ast.walk(top))
             local = {node.arg for node in nodes if isinstance(node, ast.arg)}
             local |= {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from decobs import campaigns, sampling
+from decobs.campaigns import holevo, s_theorems, spectral
 from decobs.cli import CampaignConfig
 from decobs.entropy import parse_functional
 from decobs.errors import ValidationError
-from decobs.stacks import block_projectors
+from decobs.majorization import block_projectors
 from decobs.tolerances import CONSISTENCY_TOL
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "decobs"
@@ -48,6 +49,12 @@ SAMPLER_OF = {
     "majorization": "sample_majorization",
     "holevo": "sample_holevo",
 }
+#: The campaign module that holds each sampler, evaluator and ``run_*`` function.
+MODULE_OF = {
+    **dict.fromkeys(("sample_s_theorems", "evaluate_s_theorems", "run_s_theorems"), s_theorems),
+    **dict.fromkeys(("sample_majorization", "evaluate_majorization", "run_majorization"), spectral),
+    **dict.fromkeys(("sample_holevo", "evaluate_holevo", "run_holevo"), holevo),
+}
 COMMAND_OF = {
     "evaluate_s_theorems": "verify-s-theorems", "evaluate_majorization": "majorization", "evaluate_holevo": "holevo",
 }
@@ -55,7 +62,7 @@ COMMAND_OF = {
 
 @pytest.mark.parametrize("command,fields", _cases())
 def test_a_chunk_draws_its_trials_one_at_a_time(command, fields):
-    sample = getattr(campaigns, SAMPLER_OF[command])
+    sample = campaign_function(SAMPLER_OF[command])
     cfg = CampaignConfig(command, seed=7 * fields["dim"], **fields)
     chunk = range(3, 10)
     drawn = sample(cfg, chunk)
@@ -69,16 +76,21 @@ def test_a_chunk_draws_its_trials_one_at_a_time(command, fields):
             assert value == sum(parts, [])
 
 
+def campaign_function(name: str):
+    """The sampler, evaluator or ``run_*`` function ``name``, from its campaign module."""
+    return getattr(MODULE_OF[name], name)
+
+
 def readers_of(target: str) -> set[tuple[str, str | None]]:
     """(module file, enclosing top-level function or None) for every read of ``target`` in the package."""
     readers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         for top in ast.parse(path.read_text()).body:
             owner = top.name if isinstance(top, ast.FunctionDef) else None
             for node in ast.walk(top):
                 name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
                 if name == target and not isinstance(node, ast.FunctionDef):
-                    readers.add((path.name, owner))
+                    readers.add((path.relative_to(PACKAGE).as_posix(), owner))
     return readers
 
 
@@ -93,14 +105,16 @@ def test_only_the_samplers_read_the_trial_streams():
 @pytest.mark.parametrize("kernel", ["entropies_of_spectra", "expected_entropy_stack", "inequality_verdict"])
 def test_only_the_chain_kernel_computes_and_judges_entropy_rows(kernel):
     # every entropy row is a link of one chain, so expected entropy and the verdict have one implementation
-    owners = {owner for path, owner in readers_of(kernel) if path == "campaigns.py"}
-    # None is the module's import of the kernel
+    owners = {owner for path, owner in readers_of(kernel) if path.startswith("campaigns/")}
+    # None is the shared core's import of the kernel; no campaign module reads it
     assert owners == {None, "_chain_rows"}
 
 
 def test_each_evaluator_is_a_module_function_that_reads_only_its_stacks():
     tops = {
-        top.name: top for top in ast.parse((PACKAGE / "campaigns.py").read_text()).body
+        top.name: top
+        for path in sorted((PACKAGE / "campaigns").glob("*.py"))
+        for top in ast.parse(path.read_text()).body
         if isinstance(top, ast.FunctionDef)
     }
     assert set(EVALUATORS) <= set(tops)
@@ -126,7 +140,7 @@ def test_pure_states_skip_log_det_and_keep_their_spectrum_when_observed():
     probe = sampling.probing_from_normals(_normals(2, 3, 2 * 4 * 4), 4, 4)
     cfg = CampaignConfig("verify-s-theorems", functionals=FUNCTIONALS)
     # the evaluator's rows come judged: margin, violation and strict
-    columns, skipped, residual = campaigns.evaluate_s_theorems(cfg, range(3), (rho, probe))
+    columns, skipped, residual = s_theorems.evaluate_s_theorems(cfg, range(3), (rho, probe))
     # every state is singular, so each trial's log-det rows are skipped
     assert skipped == 3
     assert parse_functional("log-det").label not in columns["functional"]
@@ -145,7 +159,7 @@ def test_a_one_column_probing_leaves_every_state_as_it_was():
     rho = sampling.density_from_normals(_normals(3, trials, 2 * dim * dim), dim)
     # the config's sizes are not the stacks'; the evaluator reads the stacks'
     cfg = CampaignConfig("verify-s-theorems", dim=2, response_dim=3, functionals=FUNCTIONALS)
-    columns, skipped, residual = campaigns.evaluate_s_theorems(cfg, range(trials), (rho, np.ones((trials, dim, 1))))
+    columns, skipped, residual = s_theorems.evaluate_s_theorems(cfg, range(trials), (rho, np.ones((trials, dim, 1))))
     assert skipped == 0
     assert len(columns["trial"]) == trials * len(FUNCTIONALS) * 2
     assert columns["trivial"].all()
@@ -175,7 +189,7 @@ def test_luders_measurements_pass_the_s_theorems_rows(dim, seed):
     partitions = [sampling.random_block_sizes(dim, rng) for _ in range(trials)]
     probe = block_projectors(partitions, dim, dim).diagonal(axis1=-2, axis2=-1).swapaxes(-1, -2)
     cfg = CampaignConfig("verify-s-theorems", functionals=FUNCTIONALS)
-    columns, skipped, residual = campaigns.evaluate_s_theorems(cfg, range(trials), (rho, probe))
+    columns, skipped, residual = s_theorems.evaluate_s_theorems(cfg, range(trials), (rho, probe))
     assert skipped == 0
     assert len(columns["trial"]) == trials * len(FUNCTIONALS) * 2
     assert not columns["violation"].any()
@@ -195,7 +209,7 @@ def test_a_one_state_mixture_has_no_holevo_gap():
     probs = np.zeros((len(trials), 3))
     probs[:, 0] = 1.0
     cfg = CampaignConfig("holevo", dim=7, ensemble_size=2, functionals=FUNCTIONALS)
-    columns = campaigns.evaluate_holevo(cfg, trials, (sizes, probs, states))
+    columns = holevo.evaluate_holevo(cfg, trials, (sizes, probs, states))
     assert np.array_equal(columns["lhs"], columns["rhs"])
     assert columns["trial"].tolist() == [t for t in trials for _ in FUNCTIONALS]
     assert (columns["margin"] == 0.0).all()
@@ -307,8 +321,8 @@ def test_power_sum_s_theorems_rows_equal_their_closed_forms(dim, response):
     m = {"1": 1, "2": 2, "d": dim}[response]
     cfg = CampaignConfig("verify-s-theorems", seed=100 * dim + m, dim=dim, response_dim=m, functionals=POWER_SUMS)
     trials = range(8 if dim <= 16 else 3)
-    rho, probe = campaigns.sample_s_theorems(cfg, trials)
-    columns, _, _ = campaigns.evaluate_s_theorems(cfg, trials, (rho, probe))
+    rho, probe = s_theorems.sample_s_theorems(cfg, trials)
+    columns, _, _ = s_theorems.evaluate_s_theorems(cfg, trials, (rho, probe))
 
     weights = np.abs(probe) ** 2
     probs = np.einsum("nii,nik->nk", rho, weights).real
@@ -362,8 +376,8 @@ def test_power_sum_holevo_rows_equal_their_closed_form(dim, ensemble_size):
     seed = dim + 10 * (ensemble_size or 0)
     cfg = CampaignConfig("holevo", seed=seed, dim=dim, ensemble_size=ensemble_size, functionals=POWER_SUMS)
     trials = range(8)
-    sizes, probs, drawn = campaigns.sample_holevo(cfg, trials)
-    columns = campaigns.evaluate_holevo(cfg, trials, (sizes, probs, drawn))
+    sizes, probs, drawn = holevo.sample_holevo(cfg, trials)
+    columns = holevo.evaluate_holevo(cfg, trials, (sizes, probs, drawn))
 
     m = probs.shape[-1]
     states = np.zeros(probs.shape + (dim, dim), dtype=complex)
@@ -435,7 +449,7 @@ def _bitwise_equal(a: dict, b: dict) -> bool:
 @pytest.mark.parametrize("command,run", [("verify-s-theorems", "run_s_theorems"), ("holevo", "run_holevo")])
 def test_no_functionals_give_an_empty_report(command, run):
     cfg = CampaignConfig(command, dim=3, trials=5, functionals=())
-    result = getattr(campaigns, run)(cfg)
+    result = campaign_function(run)(cfg)
     assert result.exit_code == 0
     assert result.report["rows"] == []
     assert result.report["summary"]["rows"] == 0
@@ -448,7 +462,7 @@ def test_an_evaluator_with_no_functionals_returns_empty_columns(command):
         "holevo": ("sample_holevo", "evaluate_holevo"),
     }[command]
     cfg = CampaignConfig(command, dim=3, functionals=())
-    evaluated = getattr(campaigns, evaluator)(cfg, range(4), getattr(campaigns, sampler)(cfg, range(4)))
+    evaluated = campaign_function(evaluator)(cfg, range(4), campaign_function(sampler)(cfg, range(4)))
     columns = evaluated[0] if command == "verify-s-theorems" else evaluated
     assert {"trial", "functional", "side", "lhs", "rhs"} <= columns.keys()
     assert all(column.shape == (0,) for column in columns.values())
@@ -460,8 +474,8 @@ def test_a_real_state_stack_gives_the_rows_of_its_complex_cast():
     assert rho.dtype == np.float64
     probe = sampling.probing_from_normals(_normals(5, trials, 2 * dim * 4), dim, 4)
     cfg = CampaignConfig("verify-s-theorems", functionals=FUNCTIONALS)
-    real = campaigns.evaluate_s_theorems(cfg, range(trials), (rho, probe))
-    cast = campaigns.evaluate_s_theorems(cfg, range(trials), (rho.astype(complex), probe))
+    real = s_theorems.evaluate_s_theorems(cfg, range(trials), (rho, probe))
+    cast = s_theorems.evaluate_s_theorems(cfg, range(trials), (rho.astype(complex), probe))
     assert _bitwise_equal(real[0], cast[0])
     assert real[1:] == cast[1:]
     assert len(real[0]["trial"]) == trials * len(FUNCTIONALS) * 2
@@ -472,12 +486,12 @@ def test_a_real_state_stack_gives_the_rows_of_its_complex_cast():
 def test_trials_must_match_the_stacks(evaluator, trials):
     command = COMMAND_OF[evaluator]
     cfg = CampaignConfig(command, dim=3)
-    drawn = getattr(campaigns, SAMPLER_OF[command])(cfg, range(3))
+    drawn = campaign_function(SAMPLER_OF[command])(cfg, range(3))
     with pytest.raises(ValidationError) as err:
-        getattr(campaigns, evaluator)(cfg, trials, drawn)
+        campaign_function(evaluator)(cfg, trials, drawn)
     assert err.value.invariant == "stacks-same-trials"
     # the three trials they were drawn for label them
-    evaluated = getattr(campaigns, evaluator)(cfg, range(5, 8), drawn)
+    evaluated = campaign_function(evaluator)(cfg, range(5, 8), drawn)
     columns = evaluated[0] if command == "verify-s-theorems" else evaluated
     assert sorted(set(columns["trial"].tolist())) == [5, 6, 7]
 
@@ -486,7 +500,7 @@ def test_trials_must_match_the_stacks(evaluator, trials):
 def test_an_empty_chunk_gives_empty_columns(evaluator):
     command = COMMAND_OF[evaluator]
     cfg = CampaignConfig(command, dim=3)
-    sample, evaluate = getattr(campaigns, SAMPLER_OF[command]), getattr(campaigns, evaluator)
+    sample, evaluate = campaign_function(SAMPLER_OF[command]), campaign_function(evaluator)
     empty, full = evaluate(cfg, range(0), sample(cfg, range(0))), evaluate(cfg, range(2), sample(cfg, range(2)))
     if command == "verify-s-theorems":
         assert empty[1:] == (0, 0.0)
@@ -500,35 +514,35 @@ def test_an_empty_chunk_gives_empty_columns(evaluator):
 
 def _stacks_error(evaluator: str, cfg: CampaignConfig, trials: range, stacks: tuple) -> ValidationError:
     with pytest.raises(ValidationError) as err:
-        getattr(campaigns, evaluator)(cfg, trials, stacks)
+        campaign_function(evaluator)(cfg, trials, stacks)
     return err.value
 
 
 def test_states_and_probings_of_different_dims_are_refused():
     cfg = CampaignConfig("verify-s-theorems", dim=3)
-    rho, _ = campaigns.sample_s_theorems(cfg, range(3))
-    _, probe = campaigns.sample_s_theorems(CampaignConfig("verify-s-theorems", dim=2, response_dim=3), range(3))
+    rho, _ = s_theorems.sample_s_theorems(cfg, range(3))
+    _, probe = s_theorems.sample_s_theorems(CampaignConfig("verify-s-theorems", dim=2, response_dim=3), range(3))
     assert probe.shape == (3, 2, 3)
     assert _stacks_error("evaluate_s_theorems", cfg, range(3), (rho, probe)).invariant == "stacks-same-dim"
 
 
 def test_one_state_is_not_a_stack_of_trials():
     cfg = CampaignConfig("verify-s-theorems", dim=3)
-    rho, probe = campaigns.sample_s_theorems(cfg, range(3))
+    rho, probe = s_theorems.sample_s_theorems(cfg, range(3))
     # a (3, 3) state holds 3 entries, one per trial, but has the wrong rank
     assert _stacks_error("evaluate_s_theorems", cfg, range(3), (rho[0], probe)).invariant == "stacks-same-dim"
 
 
 def test_a_partition_of_another_dim_is_refused():
     cfg = CampaignConfig("majorization", dim=3)
-    drawn = list(campaigns.sample_majorization(cfg, range(3)))
+    drawn = list(spectral.sample_majorization(cfg, range(3)))
     drawn[3] = [(1, 2), (1, 1), (3,)]
     assert _stacks_error("evaluate_majorization", cfg, range(3), tuple(drawn)).invariant == "stacks-same-dim"
 
 
 def test_mixtures_need_one_drawn_state_per_live_slot():
     cfg = CampaignConfig("holevo", dim=3)
-    sizes, probs, drawn = campaigns.sample_holevo(cfg, range(3))
+    sizes, probs, drawn = holevo.sample_holevo(cfg, range(3))
     assert len(drawn) == sizes.sum()
     error = _stacks_error("evaluate_holevo", cfg, range(3), (sizes, probs, drawn[:-1]))
     assert error.invariant == "stacks-same-trials"
@@ -537,7 +551,7 @@ def test_mixtures_need_one_drawn_state_per_live_slot():
 @pytest.mark.parametrize("sizes", [[2.5, 3.0], [9, 3], [0, 3]], ids=["fraction", "past-the-slots", "zero"])
 def test_a_mixture_size_is_an_integer_within_the_slots(sizes):
     cfg = CampaignConfig("holevo", dim=2, ensemble_size=3)
-    _, probs, drawn = campaigns.sample_holevo(cfg, range(2))
+    _, probs, drawn = holevo.sample_holevo(cfg, range(2))
     error = _stacks_error("evaluate_holevo", cfg, range(2), (np.array(sizes), probs, drawn))
     assert (error.invariant, str(error)) == ("mixture-sizes", f"mixture-sizes: {sizes} in 3 slots")
 
@@ -548,7 +562,7 @@ def test_a_mixture_size_is_an_integer_within_the_slots(sizes):
 def test_a_partition_needs_positive_integer_sizes(sizes):
     # each sums to the dim 3, or is empty, or is a bare size, and none is a partition of it
     cfg = CampaignConfig("majorization", dim=3)
-    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn = list(spectral.sample_majorization(cfg, range(2)))
     drawn[3] = [drawn[3][0], sizes]
     error = _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn))
     assert (error.invariant, str(error)) == ("positive-block-sizes", f"positive-block-sizes: {sizes}")
@@ -557,7 +571,7 @@ def test_a_partition_needs_positive_integer_sizes(sizes):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_a_non_finite_hermitian_pair_is_refused_before_its_spectral_radius(value):
     cfg = CampaignConfig("majorization", dim=3)
-    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn = list(spectral.sample_majorization(cfg, range(2)))
     drawn[5][1, 0, 2, 1] = value
     assert _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn)).invariant == "finite-entries"
 
@@ -565,7 +579,7 @@ def test_a_non_finite_hermitian_pair_is_refused_before_its_spectral_radius(value
 def test_a_non_hermitian_pair_is_refused_at_its_spectral_radius_with_its_own_residual():
     # the rescale solves the pair with the one symmetrized eigvalsh, so it checks it there
     cfg = CampaignConfig("majorization", dim=3)
-    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn = list(spectral.sample_majorization(cfg, range(2)))
     drawn[5][1, 0, 2, 1] += 0.5
     error = _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn))
     broken = drawn[5][1, 0]
@@ -575,7 +589,7 @@ def test_a_non_hermitian_pair_is_refused_at_its_spectral_radius_with_its_own_res
 def test_a_bad_hermitian_stack_raises_the_error_of_its_first_failing_matrix():
     # the radius solve is the pairs' one scan, so an earlier non-Hermitian pair wins over a later NaN
     cfg = CampaignConfig("majorization", dim=3)
-    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn = list(spectral.sample_majorization(cfg, range(2)))
     drawn[5][0, 1, 2, 1] += 0.5
     drawn[5][1, 0, 0, 0] = np.nan
     assert _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn)).invariant == "hermitian"
@@ -584,7 +598,7 @@ def test_a_bad_hermitian_stack_raises_the_error_of_its_first_failing_matrix():
 @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
 def test_a_singular_or_non_finite_ginibre_matrix_is_refused_before_its_phases(value):
     cfg = CampaignConfig("majorization", dim=3)
-    drawn = list(campaigns.sample_majorization(cfg, range(2)))
+    drawn = list(spectral.sample_majorization(cfg, range(2)))
     drawn[4][1] = value
     expected = "ginibre-full-rank" if value == 0.0 else "finite-entries"
     assert _stacks_error("evaluate_majorization", cfg, range(2), tuple(drawn)).invariant == expected
@@ -595,7 +609,7 @@ def test_a_singular_or_non_finite_ginibre_matrix_is_refused_before_its_phases(va
 def _evaluated(evaluator: str, cfg: CampaignConfig, trials: range, stacks: list):
     """The row columns an evaluator returns for the stacks, or the invariant of the error it raises."""
     try:
-        evaluated = getattr(campaigns, evaluator)(cfg, trials, tuple(stacks))
+        evaluated = campaign_function(evaluator)(cfg, trials, tuple(stacks))
     except ValidationError as error:
         return error.invariant
     columns = evaluated[0] if evaluator == "evaluate_s_theorems" else evaluated
@@ -651,7 +665,7 @@ def test_every_drawn_stack_gives_columns_or_a_validation_error(
     partitions = 3 if evaluator == "evaluate_majorization" else None
     fields = {"ensemble_size": width} if command == "holevo" else {"response_dim": width}
     cfg = CampaignConfig(command, seed=seed, dim=dim, functionals=FUNCTIONALS, **fields)
-    stacks = list(getattr(campaigns, SAMPLER_OF[command])(cfg, range(trials)))
+    stacks = list(campaign_function(SAMPLER_OF[command])(cfg, range(trials)))
     complex_at = [at for at, stack in enumerate(stacks) if isinstance(stack, np.ndarray) and np.iscomplexobj(stack)]
     if real:
         for at in complex_at:

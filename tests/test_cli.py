@@ -17,6 +17,7 @@ from decobs import campaigns
 from decobs.cli import (
     _DISPATCH,
     CampaignConfig,
+    _campaign,
     _config_from_args,
     _emit,
     build_parser,
@@ -721,8 +722,9 @@ class TestFreezeWindow:
     def test_a_library_call_never_freezes(self, monkeypatch, run, command):
         freezes, counts = [], []
         monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
-        plan = campaigns.plan_chunks
+        module = _campaign(command)
+        plan = module.plan_chunks
         # the chunk planner runs inside every seeded campaign
-        monkeypatch.setattr(campaigns, "plan_chunks", lambda *args: counts.append(gc.get_freeze_count()) or plan(*args))
+        monkeypatch.setattr(module, "plan_chunks", lambda *args: counts.append(gc.get_freeze_count()) or plan(*args))
         run(CampaignConfig(command, dim=2, trials=3))
         assert freezes == [] and counts == [0]

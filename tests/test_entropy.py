@@ -20,7 +20,7 @@ from decobs.entropy import (
     to_bits,
     von_neumann,
 )
-from decobs.campaigns import evaluate_s_theorems
+from decobs.campaigns.s_theorems import evaluate_s_theorems
 from decobs.cli import CampaignConfig
 from decobs.errors import ValidationError
 from decobs.states import (

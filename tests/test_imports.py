@@ -1,13 +1,19 @@
-"""The import path: a campaign loads the kernel layer only, and the package root loads and exports nothing.
+"""The import path: a call loads its own campaign only, and the package root loads and exports nothing.
 
-Each check runs in a fresh interpreter, because this test process has
-long since imported every module.
+``import decobs.cli`` loads the campaigns' shared core and the kernel
+modules it calls, and no campaign module; :func:`decobs.cli.main` loads the
+parsed command's campaign module before it freezes the heap.  Each check
+runs in a fresh interpreter, because this test process has long since
+imported every module.  The in-process tests and the digest grid load every
+campaign module, so only these checks see a campaign that misses an import.
 """
 
 import ast
+import hashlib
 import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -33,19 +39,70 @@ FORMER_ROOT_NAMES = {
 }
 
 
-def run_python(code: str):
-    """Run ``code`` in a fresh interpreter that imports from ``src``; return what it prints as JSON."""
+#: The ``decobs`` modules that ``import decobs.cli`` loads, and so every subcommand.
+SHARED = (
+    "decobs.campaigns", "decobs.cli", "decobs.entropy", "decobs.errors", "decobs.matcore", "decobs.records",
+    "decobs.stacks", "decobs.tolerances",
+)
+
+#: The modules each subcommand loads on top of ``SHARED``: its campaign module and what that module runs.
+#: The projector-family kernels of ``decobs.majorization`` check the families of a measurement too.
+OWN = {
+    "verify-s-theorems": ("decobs.campaigns.s_theorems", "decobs.sampling"),
+    "majorization": ("decobs.campaigns.spectral", "decobs.majorization", "decobs.sampling"),
+    "holevo": ("decobs.campaigns.holevo", "decobs.sampling"),
+    **dict.fromkeys(
+        ("counterexample", "povm-classify"),
+        ("decobs.campaigns.measurements", "decobs.majorization", "decobs.povm", "decobs.sampling", "decobs.states"),
+    ),
+}
+
+
+def python_env() -> dict:
+    """This process's environment, with ``src`` first on the import path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(code: str):
+    """Run ``code`` in a fresh interpreter that imports from ``src``; return what it prints as JSON."""
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=python_env(), timeout=60, check=True
     )
     return json.loads(result.stdout)
 
 
+#: ``python -m decobs ARGS``, as ``-m`` runs it (``runpy.run_module``), which
+#: also writes to stderr, as its last line, the ``decobs.*`` modules loaded when
+#: ``gc.freeze`` was called and those loaded at the end.
+WATCHED_RUN = """
+import gc, json, runpy, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("decobs."))
+
+frozen = []
+freeze = gc.freeze
+
+def watched():
+    frozen.append(loaded())
+    freeze()
+
+gc.freeze = watched
+sys.argv = ["decobs", *sys.argv[1:]]
+try:
+    runpy.run_module("decobs", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("\\n" + json.dumps([frozen, loaded()]))
+"""
+
+
 def test_a_campaign_loads_the_kernel_layer_only():
-    # the benchmark times the functions named run_* that it finds in vars(decobs.cli),
-    # and wraps them wherever a module holds them, the dispatch table included;
+    # `import decobs.cli` loads no campaign module, and no decobs.majorization or
+    # decobs.sampling, which only the campaign modules import; the benchmark times
+    # the functions named run_* that it finds in vars(decobs.cli), and wraps them
+    # wherever a module holds them, the dispatch table included;
     # `signal` is loaded only to kill a worker, and `csv` and `json` only by their
     # writers; the config, result and kernel values are records, not dataclasses,
     # so neither `dataclasses` nor the `copy` it imports is loaded; numpy is loaded
@@ -67,18 +124,37 @@ def test_a_campaign_loads_the_kernel_layer_only():
     assert added == []
     assert made == []
     assert not {"decobs.states", "decobs.processes", "decobs.povm", "decobs.serialize"} & set(loaded)
-    assert loaded == [
-        f"decobs.{name}"
-        for name in (
-            "campaigns", "cli", "entropy", "errors", "majorization", "matcore", "records", "sampling", "stacks",
-            "tolerances",
-        )
-    ]
+    assert loaded == list(SHARED)
     assert campaigns == [
         "run_counterexample", "run_holevo", "run_majorization", "run_povm_classify", "run_s_theorems",
     ]
     assert main_is_function
     assert dispatched == sorted(["verify-s-theorems", "majorization", "counterexample", "holevo", "povm-classify"])
+
+
+def digest_lines() -> dict[str, str]:
+    """The lines of ``tests/report_digests.txt`` by their argv."""
+    lines = (ROOT / "tests" / "report_digests.txt").read_text().splitlines()
+    return {line.split(" ", 2)[2]: line for line in lines}
+
+
+@pytest.mark.parametrize("command", sorted(OWN))
+def test_each_subcommand_alone_loads_its_own_campaign_module_before_the_freeze(tmp_path, command):
+    # the first grid line of the command; povm-classify reads a file the grid script writes
+    argv = next(argv for argv in digest_lines() if argv.split()[0] == command)
+    script = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))
+    for name, build in script["POVM_FILES"].items():
+        (tmp_path / name).write_text(json.dumps(script["povm_to_json"](build())))
+    result = subprocess.run(
+        [sys.executable, "-c", WATCHED_RUN, *argv.split()],
+        capture_output=True, text=True, env=python_env(), cwd=tmp_path, timeout=60,
+    )
+    text = script["_TIMESTAMP"].sub('"timestamp": ""', result.stdout)
+    assert f"{result.returncode} {hashlib.sha256(text.encode()).hexdigest()} {argv}" == digest_lines()[argv]
+    frozen, at_exit = json.loads(result.stderr.splitlines()[-1])
+    assert frozen == [sorted(SHARED + OWN[command])]
+    # the measurement file reader loads when it reads, as the report writers do
+    assert at_exit == sorted(SHARED + OWN[command] + (("decobs.serialize",) if command == "povm-classify" else ()))
 
 
 def test_a_csv_report_leaves_json_unloaded():

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, sampling, states
 from decobs.cli import CampaignConfig, run_holevo, run_majorization
-from decobs.entropy import builtin_functionals, entropy, expected_entropy_stack, log_det, von_neumann
-from decobs.majorization import dominance, fan_dominance, inequality_verdict, pinching_dominance, schur_dominance
+from decobs.entropy import (
+    builtin_functionals, entropy, expected_entropy_stack, inequality_verdict, log_det, von_neumann,
+)
+from decobs.majorization import dominance, fan_dominance, gram_from_unit_rows, pinching_dominance, schur_dominance
 from decobs.states import DensityMatrix, ProjectorSet, basis_state, density_from_pure, maximally_mixed
-from decobs.stacks import average_stack, clean_probabilities, gram_from_unit_rows, validate_stack
+from decobs.stacks import average_stack, clean_probabilities, validate_stack
 from decobs.tolerances import INEQUALITY_TOL
 
 LN2 = math.log(2.0)

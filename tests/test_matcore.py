@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decobs import matcore, sampling, stacks, states
+from decobs import majorization, matcore, sampling, stacks, states
 from decobs.errors import ValidationError
 
 dims = st.integers(min_value=2, max_value=8)
@@ -251,7 +251,7 @@ class TestPredicates:
             (matcore.is_unitary, np.eye(2)[None]),
             (matcore.hermitian_spectrum, np.ones(2)),
             (stacks.validate_probing_stack, np.ones(2)),
-            (stacks.validate_projector_stack, np.eye(2)),
+            (majorization.validate_projector_stack, np.eye(2)),
         ],
         ids=["matrix", "stack", "probing-stack", "projector-stack"],
     )

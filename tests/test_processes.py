@@ -4,12 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from decobs import matcore, sampling, states
 from decobs.entropy import entropies_of_spectra, entropy, linear, parse_functional
+from decobs.majorization import block_projectors, gram_from_unit_rows, pinch
 from decobs.stacks import (
     average_stack,
-    block_projectors,
-    gram_from_unit_rows,
     observe_stack,
-    pinch,
     response_gram_stack,
     spectra_unchanged,
     validate_probing_stack,

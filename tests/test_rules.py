@@ -6,7 +6,9 @@ product, and the byte planner that cuts stacks into blocks.  Their inputs
 are checked by a few more: finite entries, square matrices, and a config
 that parses and refuses every setting before a campaign runs.  Each test
 reads the package's source and checks that one rule is written in one
-place; the others call it.
+place; the others call it.  The last rule is the one the import path
+rests on: each subcommand's campaign is a module of its own, which imports
+the campaigns' shared core and no other campaign.
 """
 
 import ast
@@ -15,13 +17,22 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "decobs"
 
 
+def module_name(path: Path) -> str:
+    """The dotted name of a package file inside ``decobs``: "stacks", "campaigns", "campaigns.holevo".
+
+    The package root is "__init__".
+    """
+    parts = path.relative_to(PACKAGE).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" and len(parts) > 1 else parts)
+
+
 def nodes():
     """(module, enclosing top-level function or class or None, node) for every AST node of the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         for top in ast.parse(path.read_text()).body:
             owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
             for node in ast.walk(top):
-                yield path.stem, owner, node
+                yield module_name(path), owner, node
 
 
 def readers(name: str) -> set[tuple[str, str | None]]:
@@ -81,7 +92,7 @@ def test_unit_row_overlaps_are_the_response_gram():
     calls = {
         node.func.id
         for module, owner, node in nodes()
-        if (module, owner) == ("stacks", "gram_from_unit_rows")
+        if (module, owner) == ("majorization", "gram_from_unit_rows")
         and isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
     }
@@ -115,8 +126,51 @@ def test_the_campaigns_raise_no_value_error():
     raised = {
         sub.id
         for module, _, node in nodes()
-        if module == "campaigns" and isinstance(node, ast.Raise) and node.exc is not None
+        if module.split(".")[0] == "campaigns" and isinstance(node, ast.Raise) and node.exc is not None
         for sub in ast.walk(node.exc)
         if isinstance(sub, ast.Name)
     }
     assert "ValidationError" in raised and "ValueError" not in raised
+
+
+def imported(path: Path) -> set[str]:
+    """The package modules that the import statements of a package file name, by :func:`module_name`.
+
+    ``from . import name`` names the module ``name`` when the package has
+    one, and otherwise the package whose attribute it reads.
+    """
+    known = {module_name(other) for other in PACKAGE.rglob("*.py")}
+    here = module_name(path).split(".")
+    package = here if path.name == "__init__.py" else here[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("decobs.") for alias in node.names if alias.name.startswith("decobs."))
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = package[: len(package) - node.level + 1] + (node.module.split(".") if node.module else [])
+        elif (node.module or "").startswith("decobs."):
+            base = node.module.split(".")[1:]
+        else:
+            continue
+        for alias in node.names:
+            name = ".".join(base + [alias.name])
+            found.add(name if name in known else ".".join(base))
+    return found
+
+
+def test_no_campaign_module_imports_another_and_the_core_imports_none():
+    # main compiles only the parsed command's campaign module, so that module may not pull in another
+    campaigns = {module_name(path): path for path in (PACKAGE / "campaigns").glob("*.py")}
+    assert set(campaigns) == {
+        "campaigns", "campaigns.holevo", "campaigns.measurements", "campaigns.s_theorems", "campaigns.spectral",
+    }
+    crossed = {
+        name: sorted(imported(path) & set(campaigns) - {name, "campaigns"}) for name, path in campaigns.items()
+    }
+    assert crossed == dict.fromkeys(campaigns, [])
+    # every campaign module imports the core, which imports no campaign module
+    assert all("campaigns" in imported(path) for name, path in campaigns.items() if name != "campaigns")
+    assert imported(campaigns["campaigns"]) & set(campaigns) == set()

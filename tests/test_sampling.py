@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decobs import campaigns, matcore, povm, sampling, stacks, states
+from decobs import campaigns, cli, majorization, matcore, povm, sampling, stacks, states
 from decobs.cli import _DISPATCH, CampaignConfig
 from decobs.errors import ValidationError
 from decobs.povm import is_purity_preserving
@@ -115,9 +115,9 @@ class TestBatchedSeeding:
         # majorization and holevo draw 32-bit bounded integers after normals
         cfg = CampaignConfig(command, seed=seed, dim=3)
         chunk = range(2**32 - 2, 2**32 + 2)
-        drawn = getattr(campaigns, sampler)(cfg, chunk)
+        drawn = getattr(cli._campaign(command), sampler)(cfg, chunk)
         monkeypatch.setattr(sampling, "trial_streams", _oracle_streams)
-        replayed = getattr(campaigns, sampler)(cfg, chunk)
+        replayed = getattr(cli._campaign(command), sampler)(cfg, chunk)
         assert len(drawn) == len(replayed)
         for ours, theirs in zip(drawn, replayed):
             if isinstance(ours, np.ndarray):
@@ -299,12 +299,12 @@ class TestOtherSamplers:
     @given(n=st.integers(1, 6), d=st.integers(1, 6), seed=seeds)
     def test_gram_entries_bounded(self, n, d, seed):
         rows = sampling.pure_from_normals(np.random.default_rng(seed).standard_normal((n, 2 * d)), d)
-        assert np.all(np.abs(stacks.gram_from_unit_rows(rows)) <= 1.0 + 1e-12)
+        assert np.all(np.abs(majorization.gram_from_unit_rows(rows)) <= 1.0 + 1e-12)
 
     @given(n=st.integers(2, 6), seed=seeds)
     def test_phase_only_gram_is_rank_one(self, n, seed):
         rows = sampling.pure_from_normals(np.random.default_rng(seed).standard_normal((n, 2)), 1)
-        gram = stacks.gram_from_unit_rows(rows)
+        gram = majorization.gram_from_unit_rows(rows)
         assert np.all(np.abs(np.abs(gram) - 1.0) <= 1e-12)
         lam = matcore.hermitian_spectrum(gram)
         assert lam[0] == pytest.approx(n)
@@ -354,7 +354,7 @@ class TestOtherSamplers:
     @given(n=st.integers(2, 5), d=st.integers(1, 5), seed=seeds)
     def test_gram_sampler_output_validates(self, n, d, seed):
         rows = sampling.pure_from_normals(np.random.default_rng(seed).standard_normal((n, 2 * d)), d)
-        stacks.validate_stack(stacks.gram_from_unit_rows(rows), "gram")
+        stacks.validate_stack(majorization.gram_from_unit_rows(rows), "gram")
 
 
 def _gaussian(rng, shape):

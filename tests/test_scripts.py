@@ -107,6 +107,7 @@ def test_report_digests_blanks_the_timestamp():
 
 def test_report_digests_multi_chunk_lines_split_into_chunks(monkeypatch):
     from decobs import campaigns
+    from decobs.campaigns import holevo, s_theorems, spectral
 
     script = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))
     lines = [argv for argv in script["grid"]() if argv[1:5] == ["--dim", "16", "--trials", "20"]]
@@ -114,7 +115,8 @@ def test_report_digests_multi_chunk_lines_split_into_chunks(monkeypatch):
     assert {argv[0] for argv in lines} == {"verify-s-theorems", "holevo", "majorization"}
     plan = campaigns.plan_chunks
     chunks = []
-    monkeypatch.setattr(campaigns, "plan_chunks", lambda *args: chunks.append(plan(*args)) or chunks[-1])
+    for module in (s_theorems, spectral, holevo):
+        monkeypatch.setattr(module, "plan_chunks", lambda *args: chunks.append(plan(*args)) or chunks[-1])
     for argv in lines:
         chunks.clear()
         assert script["digest"](argv).startswith("0 ")

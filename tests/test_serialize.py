@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from decobs import matcore, sampling, serialize, stacks, states
+from decobs import majorization, matcore, sampling, serialize, stacks, states
 from decobs.errors import ValidationError
 from decobs.povm import counterexample_1
 
@@ -88,7 +88,7 @@ class TestTypedRoundTrips:
 
     def test_gram(self):
         rows = sampling.pure_from_normals(np.random.default_rng(3).standard_normal((3, 4)), 2)
-        gram = stacks.gram_from_unit_rows(rows)
+        gram = majorization.gram_from_unit_rows(rows)
         stacks.validate_stack(gram, "gram")
         back = serialize.matrix_from_json(serialize.matrix_to_json(gram))
         stacks.validate_stack(back, "gram")

@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 from decobs import matcore, states
 from decobs.entropy import entropy, linear
 from decobs.errors import ValidationError
-from decobs.povm import counterexample_2
+from decobs.povm import apply_povm, counterexample_1, counterexample_2
 from decobs.states import DensityMatrix, ProjectorSet, PureState, basis_state, density_from_pure, maximally_mixed
 from decobs.sampling import probing_from_normals, random_block_sizes
+from decobs.majorization import block_projectors, gram_from_unit_rows, validate_projector_stack
 from decobs.stacks import (
-    block_projectors, clean_probabilities, gram_from_unit_rows, response_gram_stack, unit_vector_norms,
-    validate_probing_stack, validate_projector_stack, validate_stack,
+    clean_probabilities, response_gram_stack, unit_vector_norms, validate_probing_stack, validate_stack,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -359,3 +359,81 @@ class TestEmptyInputs:
             assert self.invariant_of(lambda: validate_projector_stack(np.zeros(shape))) == scalar
         # no family at all has nothing to check
         validate_projector_stack(np.zeros((0, 0, 2, 2)))
+
+
+NAN_3X2 = np.array([[np.nan, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
+class TestOneFiniteScan:
+    """A value scans its entries once, through ``matcore.require_finite``, and fails in its old order.
+
+    The order is rank, then finite entries, then squareness, then the
+    value's own checks, matrix by matrix; then, for a family, a common dim.
+    A measurement does not scan its checked values again: the maps it runs
+    them through (``tensor_product``, ``partial_trace``) scan nothing, and only
+    the check of its branches does.
+    """
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The list of ``require_finite`` calls made since the fixture was set up."""
+        gate = matcore.require_finite
+        calls = []
+        monkeypatch.setattr(matcore, "require_finite", lambda *args, **kwargs: calls.append(1) or gate(*args, **kwargs))
+        return calls
+
+    def test_each_value_scans_once(self, scans):
+        DensityMatrix(np.eye(2) / 2)
+        assert len(scans) == 1
+        scans.clear()
+        ProjectorSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        assert len(scans) == 1
+        measurement, rho = counterexample_1()
+        scans.clear()
+        apply_povm(rho, measurement)
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize(
+        "mat, invariant",
+        [
+            (NAN_3X2, "finite-entries"),
+            (np.zeros((3, 2)), "square"),
+            (np.zeros((2, 2, 2)), "matrix-rank"),
+            (np.array(1.0), "matrix-rank"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "finite-entries"),
+            (np.array([[0.0, 1.0], [0.0, 1.0]]), "density-hermitian"),
+        ],
+        ids=["nan-not-square", "not-square", "3-d", "0-d", "nan", "not-hermitian"],
+    )
+    def test_a_density_matrix_fails_in_the_old_order(self, mat, invariant):
+        with pytest.raises(ValidationError) as err:
+            DensityMatrix(mat)
+        assert err.value.invariant == invariant
+
+    @pytest.mark.parametrize(
+        "projectors, invariant",
+        [
+            ((NAN_3X2,), "finite-entries"),
+            ((np.eye(2), NAN_3X2), "finite-entries"),
+            ((np.zeros((3, 2)), np.full((3, 2), np.nan)), "square"),
+            ((np.full((2, 2), np.nan), np.eye(3)), "finite-entries"),
+            ((np.full((2, 2), np.nan), np.zeros((2, 2, 2))), "finite-entries"),
+            ((np.eye(2), np.eye(3)), "projectors-same-dim"),
+            ((np.eye(2), np.full((2, 2), np.nan)), "finite-entries"),
+            ((np.eye(2), np.eye(2)), "projectors-orthogonal"),
+        ],
+        ids=[
+            "nan-not-square", "second-nan-not-square", "not-square-before-nan", "nan-before-other-dim",
+            "nan-before-3-d", "other-dim", "nan", "not-orthogonal",
+        ],
+    )
+    def test_a_projector_family_fails_in_the_old_order(self, projectors, invariant):
+        with pytest.raises(ValidationError) as err:
+            ProjectorSet(projectors)
+        assert err.value.invariant == invariant
+
+    def test_the_maps_carry_non_finite_entries_through(self):
+        nan = np.full((2, 2), np.nan)
+        assert np.isnan(matcore.tensor_product(nan, np.eye(2))).all()
+        assert np.isnan(matcore.partial_trace(np.kron(nan, np.eye(2)), 2, 2)).all()
+

@@ -8,7 +8,8 @@ import pytest
 from decobs import tolerances
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "decobs"
-MODULES = sorted(PACKAGE.glob("*.py"))
+#: Every module of the package, the ``campaigns`` package's included.
+MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
 def small_float_literals(path: Path) -> list[tuple[int, float]]:
@@ -20,7 +21,9 @@ def small_float_literals(path: Path) -> list[tuple[int, float]]:
     ]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tolerances.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p != PACKAGE / "tolerances.py"], ids=lambda p: p.relative_to(PACKAGE).as_posix()
+)
 def test_no_tolerance_literal_outside_the_table(path):
     assert small_float_literals(path) == []
 
