@@ -34,9 +34,12 @@ campaign module, which it imports on a library call's first use.  Then
 :func:`main` freezes the garbage collector's heap (``gc.freeze``), the
 campaign module's objects among it, and unfreezes it before it returns,
 whatever the outcome: collections during the campaign, and in the workers
-it forks, then skip the objects left by import, while interpreter teardown
-walks them as before.  A library call of a ``run_*`` function freezes
-nothing.  Both writers read the
+it forks, then skip the objects left by import.  A library call of
+:func:`main` or of a ``run_*`` function leaves nothing frozen.  The process
+entry :func:`command`, which ``python -m decobs`` and the installed
+``decobs`` script both run, freezes the heap again once :func:`main` has
+returned, so the collections of interpreter teardown skip the whole heap
+of a process that is about to end.  Both writers read the
 row dicts the campaigns' report builder makes, and hand stdout blocks of
 ``_BLOCK_ROWS`` rows, one ``write`` a block, so no string of the whole
 report is made.  CSV goes out through ``csv.writer``, and JSON through
@@ -306,6 +309,19 @@ def main(argv=None) -> int:
         gc.unfreeze()
 
 
+def command() -> int:
+    """The process entry: :func:`main` on ``sys.argv``, then the heap frozen for the interpreter's teardown.
+
+    Only a process that is about to end calls it: the collections of
+    interpreter teardown then skip the whole heap, which the end of the
+    process releases anyway.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 def _run(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_args(args)
@@ -326,4 +342,4 @@ def _run(args: argparse.Namespace) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(command())

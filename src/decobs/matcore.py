@@ -112,9 +112,12 @@ def first_failure(bad: np.ndarray) -> int:
 
 def is_unitary(mat: np.ndarray) -> bool:
     """U^dagger U equals the identity within HERMITIAN_TOL in max-norm."""
-    mat = require_square(mat)
-    gram = mat.conj().T @ mat
-    return max_abs(gram - np.eye(mat.shape[0])) <= HERMITIAN_TOL
+    return unitary_residual(require_square(mat)) <= HERMITIAN_TOL
+
+
+def unitary_residual(mat: np.ndarray) -> float:
+    """max|U^dagger U - I| of a square matrix whose entries are already checked finite."""
+    return max_abs(mat.conj().T @ mat - np.eye(mat.shape[0]))
 
 
 def hermitian_spectrum(mat: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from .states import (
     random_projector_partition,
     random_pure,
 )
-from .tolerances import PPPOVM_TOL
+from .tolerances import HERMITIAN_TOL, PPPOVM_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +69,9 @@ class Povm:
             raise ValidationError(
                 "joint-unitary-dim", detail=f"got {unitary.shape[0]}, expected {self.joint_dim}"
             )
-        if not matcore.is_unitary(unitary):
-            residual = matcore.max_abs(unitary.conj().T @ unitary - np.eye(self.joint_dim))
+        # the entries were scanned by require_square, and U^dagger U is formed once
+        residual = matcore.unitary_residual(unitary)
+        if residual > HERMITIAN_TOL:
             raise ValidationError("joint-unitary", residual=residual)
         if self.joint_projectors.dim != self.joint_dim:
             raise ValidationError(

@@ -21,6 +21,7 @@ from decobs.cli import (
     _config_from_args,
     _emit,
     build_parser,
+    command,
     main,
     run_holevo,
     run_majorization,
@@ -728,3 +729,28 @@ class TestFreezeWindow:
         monkeypatch.setattr(module, "plan_chunks", lambda *args: counts.append(gc.get_freeze_count()) or plan(*args))
         run(CampaignConfig(command, dim=2, trials=3))
         assert freezes == [] and counts == [0]
+
+
+class TestProcessEntry:
+    """``command`` runs ``main`` as the module names it, then freezes the heap for teardown, whatever ``main`` does."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        return calls
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_main_then_the_freeze_then_main_s_code(self, monkeypatch, calls, code):
+        # looked up in the module at call time, so the benchmark's wrapper of main is the one that runs
+        monkeypatch.setattr(sys.modules["decobs.cli"], "main", lambda: calls.append("main") or code)
+        assert command() == code
+        assert calls == ["main", "freeze"]
+
+    def test_a_usage_error_still_freezes(self, monkeypatch, capsys, calls):
+        monkeypatch.setattr(sys, "argv", ["decobs", "no-such-command"])
+        with pytest.raises(SystemExit) as exit_:
+            command()
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert calls == ["freeze"]

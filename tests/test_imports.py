@@ -2,7 +2,8 @@
 
 ``import decobs.cli`` loads the campaigns' shared core and the kernel
 modules it calls, and no campaign module; :func:`decobs.cli.main` loads the
-parsed command's campaign module before it freezes the heap.  Each check
+parsed command's campaign module before it freezes the heap, and the process
+entry :func:`decobs.cli.command` freezes it once more after ``main``.  Each check
 runs in a fresh interpreter, because this test process has long since
 imported every module.  The in-process tests and the digest grid load every
 campaign module, so only these checks see a campaign that misses an import.
@@ -74,8 +75,8 @@ def run_python(code: str):
 
 
 #: ``python -m decobs ARGS``, as ``-m`` runs it (``runpy.run_module``), which
-#: also writes to stderr, as its last line, the ``decobs.*`` modules loaded when
-#: ``gc.freeze`` was called and those loaded at the end.
+#: also writes to stderr, as its last line, the ``decobs.*`` modules loaded at
+#: each ``gc.freeze`` call, those loaded at the end, and the freeze count then.
 WATCHED_RUN = """
 import gc, json, runpy, sys
 
@@ -94,7 +95,7 @@ sys.argv = ["decobs", *sys.argv[1:]]
 try:
     runpy.run_module("decobs", run_name="__main__", alter_sys=True)
 finally:
-    sys.stderr.write("\\n" + json.dumps([frozen, loaded()]))
+    sys.stderr.write("\\n" + json.dumps([frozen, loaded(), gc.get_freeze_count()]))
 """
 
 
@@ -151,10 +152,59 @@ def test_each_subcommand_alone_loads_its_own_campaign_module_before_the_freeze(t
     )
     text = script["_TIMESTAMP"].sub('"timestamp": ""', result.stdout)
     assert f"{result.returncode} {hashlib.sha256(text.encode()).hexdigest()} {argv}" == digest_lines()[argv]
-    frozen, at_exit = json.loads(result.stderr.splitlines()[-1])
-    assert frozen == [sorted(SHARED + OWN[command])]
+    frozen, at_exit, _ = json.loads(result.stderr.splitlines()[-1])
     # the measurement file reader loads when it reads, as the report writers do
     assert at_exit == sorted(SHARED + OWN[command] + (("decobs.serialize",) if command == "povm-classify" else ()))
+    # main's window around the campaign, then the process entry's freeze for teardown
+    assert frozen == [sorted(SHARED + OWN[command]), at_exit]
+
+
+#: One digest-grid line for each of exit codes 0 and 1.
+EXIT_LINES = {
+    0: "verify-s-theorems --dim 2 --seed 0 --trials 4 --entropy von-neumann --entropy linear --entropy renyi:0.5"
+    " --entropy renyi:2 --entropy log-det --entropy renyi:0.1 --entropy renyi:3 --format json --units nats",
+    1: "majorization --dim 2 --trials 4 --tol 1e-30",
+}
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_LINES))
+def test_python_m_decobs_ends_with_the_heap_frozen_and_its_grid_line(code):
+    argv = EXIT_LINES[code]
+    result = subprocess.run(
+        [sys.executable, "-c", WATCHED_RUN, *argv.split()], capture_output=True, text=True, env=python_env(), timeout=60
+    )
+    timestamp = runpy.run_path(str(ROOT / "scripts" / "report_digests.py"))["_TIMESTAMP"]
+    text = timestamp.sub('"timestamp": ""', result.stdout)
+    assert f"{result.returncode} {hashlib.sha256(text.encode()).hexdigest()} {argv}" == digest_lines()[argv]
+    assert result.returncode == code
+    assert json.loads(result.stderr.splitlines()[-1])[2] > 0
+
+
+def test_an_input_error_still_exits_2_with_the_heap_frozen():
+    # no grid line exits 2; the config refuses the dim before any trial runs
+    result = subprocess.run(
+        [sys.executable, "-c", WATCHED_RUN, "verify-s-theorems", "--dim", "0"],
+        capture_output=True, text=True, env=python_env(), timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    lines = result.stderr.splitlines()
+    assert lines[0] == "error: --dim must be >= 1"
+    assert json.loads(lines[-1])[2] > 0
+
+
+def test_the_installed_script_and_python_m_run_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["decobs"]
+    tree = ast.parse((SRC / "decobs" / "__main__.py").read_text())
+    imported = [
+        (node.module, alias.name) for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    ]
+    called = [
+        node.args[0].func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit" and isinstance(node.args[0], ast.Call)
+    ]
+    assert imported == [("cli", called[0])] and len(called) == 1
+    assert target == f"decobs.cli:{called[0]}"
 
 
 def test_a_csv_report_leaves_json_unloaded():

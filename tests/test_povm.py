@@ -251,6 +251,34 @@ class TestPovmValidation:
         assert f"got {joint_dim}, expected 4" in str(err.value)
 
 
+    def test_rebuilding_counterexample_1_scans_its_unitary_once(self, monkeypatch):
+        measurement, _ = counterexample_1()
+        scans = []
+        scan = matcore.require_finite
+        monkeypatch.setattr(matcore, "require_finite", lambda *args: scans.append(1) or scan(*args))
+        rebuilt = Povm(
+            measurement.object_dim, measurement.ancilla_dim, measurement.ancilla_state, measurement.joint_unitary,
+            measurement.joint_projectors,
+        )
+        assert len(scans) == 1
+        assert np.array_equal(rebuilt.joint_unitary, measurement.joint_unitary)
+
+    @pytest.mark.parametrize(
+        "unitary, residual", [(np.eye(4) * 2.0, 3.0), (np.eye(4) + 1e-9, 2.000000165480742e-09)]
+    )
+    def test_a_non_unitary_reports_its_gram_residual(self, unitary, residual):
+        projectors = counterexample_1()[0].joint_projectors
+        with pytest.raises(ValidationError) as err:
+            Povm(2, 2, density_from_pure(basis_state(2, 0)), unitary, projectors)
+        assert (err.value.invariant, err.value.residual) == ("joint-unitary", residual)
+
+    def test_the_dim_is_checked_before_unitarity(self):
+        projectors = counterexample_1()[0].joint_projectors
+        with pytest.raises(ValidationError) as err:
+            Povm(2, 2, density_from_pure(basis_state(2, 0)), np.eye(3) * 2.0, projectors)
+        assert err.value.invariant == "joint-unitary-dim"
+
+
 class TestPurityPreservation:
     @settings(max_examples=25)
     @given(n=st.integers(2, 3), d=st.integers(2, 4), seed=seeds)
