@@ -1,20 +1,14 @@
 """Run every verification campaign and write JSON reports to an output directory.
 
-Usage: python scripts/run_all_campaigns.py [--seed N] [--trials N] [--outdir DIR]
+Usage: python scripts/run_all_campaigns.py [--seed N] [--trials N] [--dims N [N ...]] [--outdir DIR]
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from decobs.cli import (
-    CampaignConfig,
-    run_counterexample,
-    run_holevo,
-    run_majorization,
-    run_s_theorems,
-    write_json,
-)
+from decobs.campaigns import CampaignConfig
+from decobs.cli import run_counterexample, run_holevo, run_majorization, run_s_theorems, write_json
 from decobs.entropy import builtin_functionals
 
 FUNCTIONALS = tuple(f.label for f in builtin_functionals())

@@ -5,14 +5,15 @@ learn: 1 gives trivial (phase-only) probing with margins pinned near zero,
 and large values approach a complete measurement.  Emits a plot-ready CSV
 of mean inequality margins per (response_dim, functional, side) to stdout.
 
-Usage: python scripts/sweep_response_dim.py [--dim N] [--trials N] [--seed N]
+Usage: python scripts/sweep_response_dim.py [--dim N] [--max-response-dim N] [--trials N] [--seed N]
 """
 
 import argparse
 import csv
 import sys
 
-from decobs.cli import CampaignConfig, run_s_theorems
+from decobs.campaigns import CampaignConfig
+from decobs.cli import run_s_theorems
 from decobs.entropy import builtin_functionals
 
 FUNCTIONALS = tuple(f.label for f in builtin_functionals())

@@ -6,8 +6,14 @@ only the campaign it runs: :mod:`~decobs.campaigns.s_theorems`
 (``verify-s-theorems``), :mod:`~decobs.campaigns.spectral`
 (``majorization``), :mod:`~decobs.campaigns.holevo` (``holevo``), and
 :mod:`~decobs.campaigns.measurements` (``counterexample`` and
-``povm-classify``).  A campaign module imports this core and the kernels
-it runs, and no other campaign module; this core imports none.
+``povm-classify``), as :data:`CAMPAIGN_MODULES` maps them.  A campaign
+module imports this core and the kernels it runs, and no other campaign
+module; this core imports none.  A campaign's settings are a
+:class:`CampaignConfig`, which refuses every setting that no campaign can
+run, so no campaign raises ``ValueError``; its outcome is a
+:class:`CampaignResult`.  Both live here, under :mod:`decobs.cli`, so every
+import points down the layers: the CLI imports this package, and no module
+of it imports the CLI.
 
 Each of the three seeded campaigns is a sampler, an evaluator and the chunk
 map.  The sampler, ``sample_*(cfg, chunk)``, draws each trial t of a chunk
@@ -56,29 +62,98 @@ value type and no :mod:`decobs.majorization`.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import pickle
 from datetime import datetime, timezone
 from itertools import compress, repeat
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import matcore
-from ..entropy import entropies_of_spectra, expected_entropy_stack, inequality_verdict, to_bits
+from ..entropy import (
+    EntropyFunctional, entropies_of_spectra, expected_entropy_stack, inequality_verdict, parse_functional, to_bits,
+)
 from ..errors import ValidationError
-from ..records import Record
+from ..records import FrozenRecord, Record
 from ..stacks import _blocks
-from ..tolerances import NEAR_TRIVIAL_MARGIN
-
-if TYPE_CHECKING:
-    from ..cli import CampaignConfig
+from ..tolerances import INEQUALITY_TOL, NEAR_TRIVIAL_MARGIN
 
 #: Budget, in bytes, of a chunk's stacks, and of each block of observation
 #: branches.  At dim 4 a whole 200-trial ``verify-s-theorems`` campaign is one
 #: chunk and one block; at dim 32 with 32 branches a chunk holds 4 trials
 #: and a block the branches of one.
 CHUNK_BYTES = 512 * 1024
+
+
+#: The module of this package that runs each subcommand, by subcommand.
+CAMPAIGN_MODULES = {
+    "verify-s-theorems": "s_theorems",
+    "majorization": "spectral",
+    "counterexample": "measurements",
+    "holevo": "holevo",
+    "povm-classify": "measurements",
+}
+
+
+class CampaignConfig(FrozenRecord):
+    """The settings of one campaign: a subcommand and its flags, as the CLI parses them."""
+
+    __slots__ = (
+        "command", "seed", "dim", "trials", "response_dim", "functionals", "tol", "units", "ensemble_size", "which",
+        "povm_file",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        seed: int = 0,
+        dim: int = 2,
+        trials: int = 100,
+        response_dim: int | None = None,
+        functionals: tuple[str | EntropyFunctional, ...] = ("von-neumann",),
+        tol: float = INEQUALITY_TOL,
+        units: str = "nats",
+        ensemble_size: int | None = None,
+        which: int | None = None,
+        povm_file: str | None = None,
+    ):
+        """Parse the entropy selectors, and reject a config no campaign can run, with the message the CLI prints.
+
+        ``functionals`` holds the parsed :class:`~decobs.entropy.EntropyFunctional`
+        values, which are all the campaigns read of the selectors.
+        """
+        if command not in CAMPAIGN_MODULES:
+            raise ValueError(f"command must be one of {', '.join(CAMPAIGN_MODULES)}, got {command!r}")
+        functionals = tuple(parse_functional(text) for text in functionals)
+        self._set(command, seed, dim, trials, response_dim, functionals, tol, units, ensemble_size, which, povm_file)
+        labels = [functional.label for functional in functionals]
+        for i, label in enumerate(labels):
+            # rows are told apart by label alone
+            if label in labels[:i]:
+                raise ValueError(f"duplicate entropy functional {label!r}")
+        if seed < 0:
+            raise ValueError("--seed must be >= 0")
+        if dim < 1:
+            raise ValueError("--dim must be >= 1")
+        if trials < 1:
+            raise ValueError("--trials must be >= 1")
+        if response_dim is not None and response_dim < 1:
+            raise ValueError("--response-dim must be >= 1")
+        if ensemble_size is not None and ensemble_size < 1:
+            raise ValueError("--ensemble-size must be >= 1")
+        # inf would pass every check vacuously and nan would fail every one
+        if not (tol > 0 and math.isfinite(tol)):
+            raise ValueError("--tol must be positive and finite")
+        if command == "counterexample" and which not in (1, 2):
+            raise ValueError("--which must be 1 or 2")
+        if units not in ("nats", "bits"):
+            raise ValueError("--units must be nats or bits")
+        # the report's entropy fields name one functional
+        if command == "counterexample" and len(functionals) > 1:
+            raise ValueError("counterexample takes at most one --entropy")
+        if command == "counterexample" and not functionals:
+            raise ValueError("counterexample needs one entropy functional, and none was given")
 
 
 class CampaignResult(Record):

@@ -8,18 +8,14 @@ sum_k p_k S(rho_k) <= S(sum_k p_k rho_k) with
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .. import sampling
 from ..errors import ValidationError
 from ..stacks import average_stack, clean_probabilities, validate_stack
-from . import _campaign_result, _chain_rows, _check_stacks, _joined, _map_chunks, plan_chunks
-
-if TYPE_CHECKING:
-    from ..cli import CampaignConfig
-    from . import CampaignResult
+from . import (
+    CampaignConfig, CampaignResult, _campaign_result, _chain_rows, _check_stacks, _joined, _map_chunks, plan_chunks,
+)
 
 #: Random mixtures in the holevo campaign have 2 to this many branches.
 _MAX_MIXTURE_SIZE = 5

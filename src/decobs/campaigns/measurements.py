@@ -13,7 +13,6 @@ when it reads the file.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,10 +21,7 @@ from ..entropy import von_neumann
 from ..povm import ancilla_factors, apply_povm, counterexample_1, counterexample_2, is_purity_preserving
 from ..stacks import average_stack, validate_stack
 from ..tolerances import CONSISTENCY_TOL
-from . import CampaignResult, _base_report, _campaign_result, _chain_rows, _shown
-
-if TYPE_CHECKING:
-    from ..cli import CampaignConfig
+from . import CampaignConfig, CampaignResult, _base_report, _campaign_result, _chain_rows, _shown
 
 
 def _exact_check(name: str, residual: float) -> dict:

@@ -9,8 +9,6 @@ expected branch entropy <= S(rho) <= S(rho o G) with
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .. import sampling
@@ -19,11 +17,10 @@ from ..stacks import (
     validate_probing_stack, validate_stack,
 )
 from ..tolerances import CONSISTENCY_TOL, SINGULAR_SKIP
-from . import _branch_blocks, _campaign_result, _chain_rows, _check_stacks, _joined, _map_chunks, plan_chunks
-
-if TYPE_CHECKING:
-    from ..cli import CampaignConfig
-    from . import CampaignResult
+from . import (
+    CampaignConfig, CampaignResult, _branch_blocks, _campaign_result, _chain_rows, _check_stacks, _joined, _map_chunks,
+    plan_chunks,
+)
 
 
 def sample_s_theorems(cfg: CampaignConfig, chunk: range) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,6 @@ campaign loads.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .. import sampling
@@ -20,11 +18,9 @@ from ..majorization import (
     validate_projector_stack,
 )
 from ..stacks import validate_stack
-from . import _campaign_result, _check_stacks, _grid_rows, _joined, _map_chunks, plan_chunks
-
-if TYPE_CHECKING:
-    from ..cli import CampaignConfig
-    from . import CampaignResult
+from . import (
+    CampaignConfig, CampaignResult, _campaign_result, _check_stacks, _grid_rows, _joined, _map_chunks, plan_chunks,
+)
 
 #: A projector family has dim slots, and the families and a second stack of
 #: their size (the pinched pieces, or a product's temporaries) are alive at

@@ -25,12 +25,15 @@ Rerunning with identical flags and seed reproduces the report byte for byte
 (timestamp field aside).
 
 The campaigns themselves live in :mod:`decobs.campaigns`, one module for
-each (``_MODULES``); this module is argparse, the config, dispatch and the
-two writers.  ``import decobs.cli`` loads the campaigns' shared core and
-no campaign module.  :func:`main` imports the parsed command's campaign
-module, and only that one, after parsing the arguments, so a call compiles
-only the campaign it runs; each ``run_*`` here is a short entry into its
-campaign module, which it imports on a library call's first use.  Then
+each (``CAMPAIGN_MODULES``), beside the config they read
+(``CampaignConfig``) and the result they return; this module is argparse,
+dispatch and the two writers, and only ``decobs.__main__`` imports it.
+``import decobs.cli`` loads the campaigns' shared core and no campaign
+module.  :func:`main` imports the parsed command's campaign module, and
+only that one, after parsing the arguments, so a call compiles only the
+campaign it runs; each ``run_*`` here is a short entry into its campaign
+module, which it imports on a library call's first use, and refuses a
+config of another subcommand.  Then
 :func:`main` freezes the garbage collector's heap (``gc.freeze``), the
 campaign module's objects among it, and unfreezes it before it returns,
 whatever the outcome: collections during the campaign, and in the workers
@@ -56,90 +59,26 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
-import math
 import os
 import sys
 
-from .campaigns import ROW_KEYS, CampaignResult
-from .entropy import EntropyFunctional, parse_functional
-from .records import FrozenRecord
+from .campaigns import CAMPAIGN_MODULES, ROW_KEYS, CampaignConfig, CampaignResult
 from .tolerances import INEQUALITY_TOL
-
-
-class CampaignConfig(FrozenRecord):
-    """The settings of one campaign: a subcommand and its flags, as the CLI parses them."""
-
-    __slots__ = (
-        "command", "seed", "dim", "trials", "response_dim", "functionals", "tol", "fmt", "units", "ensemble_size",
-        "which", "povm_file",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        seed: int = 0,
-        dim: int = 2,
-        trials: int = 100,
-        response_dim: int | None = None,
-        functionals: tuple[str | EntropyFunctional, ...] = ("von-neumann",),
-        tol: float = INEQUALITY_TOL,
-        fmt: str = "json",
-        units: str = "nats",
-        ensemble_size: int | None = None,
-        which: int | None = None,
-        povm_file: str | None = None,
-    ):
-        """Parse the entropy selectors, and reject a config no campaign can run, with the message the CLI prints.
-
-        ``functionals`` holds the parsed :class:`~decobs.entropy.EntropyFunctional`
-        values, which are all the campaigns read of the selectors.
-        """
-        functionals = tuple(parse_functional(text) for text in functionals)
-        self._set(
-            command, seed, dim, trials, response_dim, functionals, tol, fmt, units, ensemble_size, which, povm_file
-        )
-        labels = [functional.label for functional in functionals]
-        for i, label in enumerate(labels):
-            # rows are told apart by label alone
-            if label in labels[:i]:
-                raise ValueError(f"duplicate entropy functional {label!r}")
-        if seed < 0:
-            raise ValueError("--seed must be >= 0")
-        if dim < 1:
-            raise ValueError("--dim must be >= 1")
-        if trials < 1:
-            raise ValueError("--trials must be >= 1")
-        if response_dim is not None and response_dim < 1:
-            raise ValueError("--response-dim must be >= 1")
-        if ensemble_size is not None and ensemble_size < 1:
-            raise ValueError("--ensemble-size must be >= 1")
-        # inf would pass every check vacuously and nan would fail every one
-        if not (tol > 0 and math.isfinite(tol)):
-            raise ValueError("--tol must be positive and finite")
-        if command == "counterexample" and which not in (1, 2):
-            raise ValueError("--which must be 1 or 2")
-        if units not in ("nats", "bits"):
-            raise ValueError("--units must be nats or bits")
-        # the report's entropy fields name one functional
-        if command == "counterexample" and len(functionals) > 1:
-            raise ValueError("counterexample takes at most one --entropy")
-        if command == "counterexample" and not functionals:
-            raise ValueError("counterexample needs one entropy functional, and none was given")
-
-
-#: The module of :mod:`decobs.campaigns` that runs each subcommand.
-_MODULES = {
-    "verify-s-theorems": "s_theorems",
-    "majorization": "spectral",
-    "counterexample": "measurements",
-    "holevo": "holevo",
-    "povm-classify": "measurements",
-}
 
 
 def _campaign(command: str):
     """The campaign module of ``command``, imported on its first use."""
-    return importlib.import_module(f"{__package__}.campaigns.{_MODULES[command]}")
+    return importlib.import_module(f"{__package__}.campaigns.{CAMPAIGN_MODULES[command]}")
+
+
+def _campaign_of(cfg: CampaignConfig, command: str):
+    """The campaign module of ``command``, for a config of that subcommand only.
+
+    A report is named by ``cfg.command``, so a config of another subcommand is refused.
+    """
+    if cfg.command != command:
+        raise ValueError(f"the {command} campaign cannot run a {cfg.command} config")
+    return _campaign(command)
 
 
 # The benchmark times the run_* functions it finds here, so each stays a
@@ -148,27 +87,27 @@ def _campaign(command: str):
 
 def run_s_theorems(cfg: CampaignConfig) -> CampaignResult:
     """The ``verify-s-theorems`` campaign: :func:`decobs.campaigns.s_theorems.run_s_theorems`."""
-    return _campaign("verify-s-theorems").run_s_theorems(cfg)
+    return _campaign_of(cfg, "verify-s-theorems").run_s_theorems(cfg)
 
 
 def run_majorization(cfg: CampaignConfig) -> CampaignResult:
     """The ``majorization`` campaign: :func:`decobs.campaigns.spectral.run_majorization`."""
-    return _campaign("majorization").run_majorization(cfg)
+    return _campaign_of(cfg, "majorization").run_majorization(cfg)
 
 
 def run_counterexample(cfg: CampaignConfig) -> CampaignResult:
     """The ``counterexample`` command: :func:`decobs.campaigns.measurements.run_counterexample`."""
-    return _campaign("counterexample").run_counterexample(cfg)
+    return _campaign_of(cfg, "counterexample").run_counterexample(cfg)
 
 
 def run_holevo(cfg: CampaignConfig) -> CampaignResult:
     """The ``holevo`` campaign: :func:`decobs.campaigns.holevo.run_holevo`."""
-    return _campaign("holevo").run_holevo(cfg)
+    return _campaign_of(cfg, "holevo").run_holevo(cfg)
 
 
 def run_povm_classify(cfg: CampaignConfig) -> CampaignResult:
     """The ``povm-classify`` command: :func:`decobs.campaigns.measurements.run_povm_classify`."""
-    return _campaign("povm-classify").run_povm_classify(cfg)
+    return _campaign_of(cfg, "povm-classify").run_povm_classify(cfg)
 
 
 _DISPATCH = {
@@ -239,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
     fields = dict(vars(args))
+    del fields["fmt"]
     selectors = fields.pop("entropy", None)
     if selectors:
         fields["functionals"] = tuple(selectors)
@@ -276,8 +216,8 @@ def write_json(report: dict, stream) -> None:
     stream.write("\n    }\n  ]\n}\n" if rows else "]\n}\n")
 
 
-def _emit(result: CampaignResult, cfg: CampaignConfig) -> None:
-    if cfg.fmt == "csv":
+def _emit(result: CampaignResult, fmt: str) -> None:
+    if fmt == "csv":
         import csv
         import io
 
@@ -330,7 +270,7 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(result, cfg)
+        _emit(result, args.fmt)
         # flushed here, so that a reader closing the pipe early is caught here
         sys.stdout.flush()
     except BrokenPipeError:

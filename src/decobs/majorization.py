@@ -31,7 +31,7 @@ import numpy as np
 from . import matcore
 from .errors import ValidationError
 from .records import FrozenRecord
-from .stacks import _blocks, _flat_stack, response_gram_stack, unit_vector_norms
+from .stacks import _blocks, _flat_stack, response_gram_stack, unit_vector_norms, validate_stack
 from .tolerances import COMPLETENESS_TOL, HERMITIAN_TOL, IDEMPOTENT_TOL, ORTHOGONALITY_TOL
 
 
@@ -96,7 +96,7 @@ def schur_dominance(lam_rho, schur) -> tuple[np.ndarray, Dominance]:
     ``lam_rho`` holds the spectra of the states, (..., d), and ``schur``
     the products, (..., d, d).
     """
-    lam_schur = matcore.hermitian_spectrum(schur)
+    lam_schur = validate_stack(schur, "hermitian")
     return lam_schur, dominance(lam_rho, lam_schur)
 
 
@@ -112,10 +112,10 @@ def pinching_dominance(lam, hermitian, projectors) -> tuple[np.ndarray, np.ndarr
     pieces, pinched = pinch(projectors, hermitian)
     live = np.asarray(projectors).any(axis=(-2, -1))
     piece_spectra = np.zeros(pieces.shape[:-1])
-    piece_spectra[live] = matcore.hermitian_spectrum(pieces[live])
+    piece_spectra[live] = validate_stack(pieces[live], "hermitian")
     del pieces
     parts = matcore.sequential_sum(piece_spectra.swapaxes(-1, -2))
-    lam_pinched = matcore.hermitian_spectrum(pinched)
+    lam_pinched = validate_stack(pinched, "hermitian")
     return parts, lam_pinched, dominance(parts, lam), dominance(lam, lam_pinched)
 
 
@@ -125,7 +125,7 @@ def fan_dominance(a, b) -> tuple[np.ndarray, np.ndarray, Dominance]:
     ``a`` and ``b`` are Hermitian (..., d, d) stacks of the same shape; the
     three spectra of each pair come from one solve, in the order A, B, A + B.
     """
-    spectra = matcore.hermitian_spectrum(np.stack((a, b, a + b), axis=-3))
+    spectra = validate_stack(np.stack((a, b, a + b), axis=-3), "hermitian")
     combined = spectra[..., 0, :] + spectra[..., 1, :]
     lam_sum = spectra[..., 2, :]
     return combined, lam_sum, dominance(combined, lam_sum)

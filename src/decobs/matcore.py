@@ -1,8 +1,10 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition, Kronecker products, partial traces,
-and a unitarity predicate; checks read their tolerances from
-:mod:`decobs.tolerances`, in max-norm.
+Kronecker products, partial traces, the unitarity residual, and the two
+input rules every check shares: finite entries and squareness.  This is the
+bottom of the kernel layer: it imports :mod:`decobs.errors` and nothing
+else of the package.  Hermitian spectra are the ``"hermitian"`` kind of
+:func:`decobs.stacks.validate_stack`, which builds on this module.
 Functions operate on plain numpy arrays, never mutate their inputs, and
 return freshly allocated results.  The checks scan a matrix's entries once,
 through :func:`require_finite`; the maps (:func:`tensor_product`,
@@ -19,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .tolerances import HERMITIAN_TOL
 
 
 def as_matrix(values) -> np.ndarray:
@@ -110,31 +111,9 @@ def first_failure(bad: np.ndarray) -> int:
     return int(np.argmax(np.ravel(bad)))
 
 
-def is_unitary(mat: np.ndarray) -> bool:
-    """U^dagger U equals the identity within HERMITIAN_TOL in max-norm."""
-    return unitary_residual(require_square(mat)) <= HERMITIAN_TOL
-
-
 def unitary_residual(mat: np.ndarray) -> float:
     """max|U^dagger U - I| of a square matrix whose entries are already checked finite."""
     return max_abs(mat.conj().T @ mat - np.eye(mat.shape[0]))
-
-
-def hermitian_spectrum(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted in non-increasing order.
-
-    ``mat`` may also be a (..., d, d) stack; each matrix's spectrum then runs
-    along the last axis of the result, bit for bit what the matrix alone
-    gives.  Every matrix must be finite and Hermitian within
-    :data:`~decobs.tolerances.HERMITIAN_TOL` in max-norm; a stack raises the
-    error of its first failing matrix (in C order), with that matrix's
-    residual.  Each matrix is symmetrized before the solve so the result
-    does not depend on which triangle carries the rounding noise.  This is
-    the ``"hermitian"`` kind of :func:`~decobs.stacks.validate_stack`.
-    """
-    from .stacks import validate_stack  # stacks imports this module
-
-    return validate_stack(mat, "hermitian")
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

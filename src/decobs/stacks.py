@@ -86,8 +86,8 @@ def validate_stack(mats, kind: str) -> np.ndarray:
     ``"hermitian"`` kind checks finite entries and Hermitian only, and
     raises ``finite-entries`` or ``hermitian``.  The return value is the
     spectra of the symmetrized matrices, non-increasing, shape (..., d):
-    the PSD check solves them anyway, and they are what
-    :func:`~decobs.matcore.hermitian_spectrum` returns.
+    the PSD check solves them anyway.  The ``"hermitian"`` kind is the
+    package's spectrum of a Hermitian matrix or stack, on any such input.
 
     A failing stack raises the error its first failing matrix (in C order)
     raises as a value type, with the same invariant and residual.

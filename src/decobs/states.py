@@ -19,6 +19,10 @@ family of :func:`~decobs.majorization.block_projectors`.  The measurement code
 (:mod:`decobs.povm`, ``counterexample`` and ``povm-classify``) builds on
 these types, and a measurement's branches are stacks, as a probing's are:
 probabilities and states from :func:`~decobs.povm.apply_povm`.
+
+This module is the base of the value layer: it imports the kernel modules
+it wraps and nothing above them, and no kernel module imports it
+(:mod:`decobs.entropy` names :class:`DensityMatrix` in annotations only).
 """
 
 from __future__ import annotations
@@ -46,9 +50,8 @@ class DensityMatrix:
 
     ``spectrum`` holds its eigenvalues in non-increasing order, read-only:
     the PSD check solves them, in the one symmetrized solve of
-    :func:`~decobs.stacks.validate_stack` that
-    :func:`~decobs.matcore.hermitian_spectrum` also runs, so they are bit
-    for bit what that returns for ``mat``.
+    :func:`~decobs.stacks.validate_stack` that its ``"hermitian"`` kind
+    also runs, so they are bit for bit what that kind returns for ``mat``.
     """
 
     mat: np.ndarray

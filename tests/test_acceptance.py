@@ -234,7 +234,7 @@ def test_criterion_09_strictness_spot_checks():
         DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1])),
     ]
     for rho in mixed_states:
-        lam = matcore.hermitian_spectrum(rho.mat)
+        lam = validate_stack(rho.mat, "hermitian")
         assert np.min(np.abs(np.diff(lam))) > 1e-3, "curated states must be nondegenerate"
         for label, margin in zip(labels, margins(rho, "observation")):
             assert margin > 1e-6, (label, margin)

@@ -68,8 +68,8 @@ def oracle_s_theorems(cfg):
         averaged = DensityMatrix(stacks.average_stack(probs, states_after))
         decohered = DensityMatrix(rho.mat * stacks.response_gram_stack(probe))
         consistency = max(consistency, matcore.max_abs(averaged.mat - decohered.mat))
-        lam_rho = matcore.hermitian_spectrum(rho.mat)
-        lam_dec = matcore.hermitian_spectrum(decohered.mat)
+        lam_rho = stacks.validate_stack(rho.mat, "hermitian")
+        lam_dec = stacks.validate_stack(decohered.mat, "hermitian")
         branches = [(p, DensityMatrix(state).spectrum) for p, state in zip(probs.tolist(), states_after) if p > 0.0]
         obs_trivial = all(matcore.max_abs(lam - lam_rho) <= TRIVIALITY_TOL for _, lam in branches)
         dec_trivial = matcore.max_abs(lam_dec - lam_rho) <= TRIVIALITY_TOL
@@ -98,8 +98,8 @@ def oracle_holevo(cfg):
         mixed = [DensityMatrix(mat) for mat in sampling.density_from_normals(normals, cfg.dim)]
         live = [(p, rho) for p, rho in zip(probs.tolist(), mixed) if p > 0.0]
         average = DensityMatrix(stacks.average_stack([p for p, _ in live], np.array([rho.mat for _, rho in live])))
-        lam_avg = matcore.hermitian_spectrum(average.mat)
-        branches = [(p, matcore.hermitian_spectrum(rho.mat)) for p, rho in live]
+        lam_avg = stacks.validate_stack(average.mat, "hermitian")
+        branches = [(p, stacks.validate_stack(rho.mat, "hermitian")) for p, rho in live]
         for f in functionals:
             lhs = 0.0
             for p, lam in branches:
@@ -627,7 +627,7 @@ def _rank_deficient_spectra(dim, count, rng):
         rank = 1 + index % dim
         g = sampling.complex_from_normals(rng.standard_normal(2 * dim * rank), (dim, rank))
         mat = g @ g.conj().T
-        lam = matcore.hermitian_spectrum(mat / np.trace(mat).real)
+        lam = stacks.validate_stack(mat / np.trace(mat).real, "hermitian")
         if index % 3 == 0:
             lam[rank:] = 0.0
         spectra.append(lam)
@@ -654,12 +654,12 @@ def test_entropy_kernel_on_rank_deficient_spectra_is_bit_identical(dim):
     ],
 )
 def test_validated_spectra_are_the_hermitian_spectra(kind, draw):
-    """validate_stack returns every spectrum non-increasing, as hermitian_spectrum and DensityMatrix do."""
+    """validate_stack returns every spectrum non-increasing, as its "hermitian" kind and DensityMatrix do."""
     rng = np.random.default_rng(3)
     draws = [draw(5, rng) for _ in range(6)]
     stack = np.array([d.mat if kind == "density" else d for d in draws]).reshape(2, 3, 5, 5)
     spectra = stacks.validate_stack(stack, kind)
-    assert np.array_equal(spectra, matcore.hermitian_spectrum(stack))
+    assert np.array_equal(spectra, stacks.validate_stack(stack, "hermitian"))
     if kind == "density":
         assert np.array_equal(spectra[1, 2], DensityMatrix(stack[1, 2]).spectrum)
 
@@ -754,7 +754,7 @@ def oracle_majorization(cfg):
         pinch_input = states.random_density(dim, rng).mat
         partition = states.random_projector_partition(dim, sampling.random_block_sizes(dim, rng), rng)
         *_, upper, lower = pinching_dominance(
-            matcore.hermitian_spectrum(pinch_input), pinch_input, np.array(partition.projectors)
+            stacks.validate_stack(pinch_input, "hermitian"), pinch_input, np.array(partition.projectors)
         )
         a = states.random_hermitian(dim, rng)
         *_, fan = fan_dominance(a, states.random_hermitian(dim, rng))
@@ -947,10 +947,10 @@ class TestStackedChecksRaiseTheScalarErrors:
         bad[0, 2] += 1e-6
         stack[4] = bad
         stack[6, 1, 0] += 1.0
-        scalar = self.error_of(lambda: matcore.hermitian_spectrum(bad))
+        scalar = self.error_of(lambda: stacks.validate_stack(bad, "hermitian"))
         assert scalar[0] == "hermitian"
-        assert self.error_of(lambda: matcore.hermitian_spectrum(stack)) == scalar
-        assert self.error_of(lambda: matcore.hermitian_spectrum(stack.reshape(3, 3, 3, 3))) == scalar
+        assert self.error_of(lambda: stacks.validate_stack(stack, "hermitian")) == scalar
+        assert self.error_of(lambda: stacks.validate_stack(stack.reshape(3, 3, 3, 3), "hermitian")) == scalar
 
     def test_response_vector_off_the_unit_sphere(self):
         rng = np.random.default_rng(24)

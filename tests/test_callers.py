@@ -26,8 +26,8 @@ SOURCES = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py")
 TEST_ONLY = {
     **dict.fromkeys(
         (
-            "haar_unitary", "is_unitary", "purify_ancilla", "random_density", "random_hermitian",
-            "random_projector_partition", "random_pure", "trial_stream",
+            "haar_unitary", "purify_ancilla", "random_density", "random_hermitian", "random_projector_partition",
+            "random_pure", "trial_stream",
         ),
         "oracle",
     ),

@@ -236,6 +236,7 @@ class TestSubcommands:
         listed = re.findall(r"^    (\S+) ", capsys.readouterr().out, flags=re.MULTILINE)
         assert listed == SUBCOMMANDS
         assert list(_DISPATCH) == SUBCOMMANDS
+        assert list(campaigns.CAMPAIGN_MODULES) == SUBCOMMANDS
 
     def test_luders_equiv_is_an_invalid_choice(self, capsys):
         # its pinching identity is checked by test_processes.py's TestLuders and acceptance criterion 06
@@ -382,9 +383,9 @@ ROW_CAMPAIGNS = [
 
 
 def _run_line(argv):
-    """The config and result of one command line, run without emitting."""
-    cfg = _config_from_args(build_parser().parse_args(argv))
-    return cfg, _DISPATCH[cfg.command](cfg)
+    """The format and result of one command line, run without emitting."""
+    args = build_parser().parse_args(argv)
+    return args.fmt, _DISPATCH[args.command](_config_from_args(args))
 
 
 class TestJsonWriter:
@@ -392,8 +393,8 @@ class TestJsonWriter:
 
     @staticmethod
     def assert_emits_dumps(capsys, argv):
-        cfg, result = _run_line(argv)
-        _emit(result, cfg)
+        fmt, result = _run_line(argv)
+        _emit(result, fmt)
         assert capsys.readouterr().out == json.dumps(result.report, indent=2, allow_nan=False) + "\n"
         # what the writer relies on: rows come last and are flat
         assert list(result.report)[-1] == "rows"
@@ -440,13 +441,13 @@ class TestJsonWriter:
         # the benchmark's probe-small call: its 2,000-row report is 567 KB, so
         # one string of it alone would break the bound
         functionals = [flag for name in EVERY_FUNCTIONAL[:5] for flag in ("--entropy", name)]
-        cfg, result = _run_line(["verify-s-theorems", "--dim", "4", "--trials", "200", *functionals])
+        fmt, result = _run_line(["verify-s-theorems", "--dim", "4", "--trials", "200", *functionals])
         assert len(result.report["rows"]) == 2000
         with open(os.devnull, "w") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             tracemalloc.start()
             try:
-                _emit(result, cfg)
+                _emit(result, fmt)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -481,7 +482,7 @@ class TestBlockWrites:
     @pytest.mark.parametrize("trials", [1, 51, 52, 120])
     def test_csv_blocks_are_the_row_by_row_bytes(self, monkeypatch, trials):
         # five functionals make five rows a trial: 5, 255, 260 and 600 rows
-        cfg, result = _run_line(["holevo", "--dim", "2", "--trials", str(trials), "--format", "csv"])
+        fmt, result = _run_line(["holevo", "--dim", "2", "--trials", str(trials), "--format", "csv"])
         rows = result.report["rows"]
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
@@ -491,14 +492,14 @@ class TestBlockWrites:
             writer.writerow([*(row[key] for key in campaigns.ROW_KEYS[:-2]), trivial[row["trivial"]]])
         out = WriteLog()
         monkeypatch.setattr(sys, "stdout", out)
-        _emit(result, cfg)
+        _emit(result, fmt)
         assert out.getvalue() == expected.getvalue()
         assert len(out.calls) == math.ceil(len(rows) / 256)
 
     def test_csv_of_no_rows_is_its_header(self, monkeypatch):
         out = WriteLog()
         monkeypatch.setattr(sys, "stdout", out)
-        _emit(SimpleNamespace(report={"rows": []}), SimpleNamespace(fmt="csv"))
+        _emit(SimpleNamespace(report={"rows": []}), "csv")
         assert out.getvalue() == ",".join(campaigns.ROW_KEYS[:-1]) + "\n"
         assert len(out.calls) == 1
 
@@ -564,6 +565,12 @@ class TestCampaignConfigValidatesItself:
             ("counterexample", {}, "--which must be 1 or 2"),
             ("holevo", {"units": "furlongs"}, "--units must be nats or bits"),
             ("verify-s-theorems", {"functionals": ("renyi:1",)}, "renyi alpha = 1 is excluded; use von-neumann"),
+            (
+                "bogus",
+                {},
+                "command must be one of verify-s-theorems, majorization, counterexample, holevo, povm-classify,"
+                " got 'bogus'",
+            ),
         ],
     )
     def test_library_callers_get_the_cli_message(self, command, fields, message):
@@ -608,6 +615,19 @@ class TestCampaignConfigValidatesItself:
     def test_campaigns_are_not_reached(self):
         with pytest.raises(ValueError):
             run_s_theorems(CampaignConfig("verify-s-theorems", tol=math.inf))
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_a_run_entry_refuses_a_config_of_another_subcommand(self, capsys, monkeypatch, command):
+        # the report would carry the config's command over another campaign's rows
+        other = CampaignConfig("verify-s-theorems" if command != "verify-s-theorems" else "holevo", dim=2, trials=2)
+        message = f"the {command} campaign cannot run a {other.command} config"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _DISPATCH[command](other)
+        # main maps the refusal to exit 2, as it does every config error
+        monkeypatch.setattr(sys.modules["decobs.cli"], "_config_from_args", lambda args: other)
+        argv = {"counterexample": ["--which", "1"], "povm-classify": ["m.json"]}.get(command, [])
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, fields",

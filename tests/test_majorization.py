@@ -55,7 +55,7 @@ def entropy_order(rho1, rho2, functional):
 
 def pinching_checks(h, partition):
     """The spectrum of h, then the pinching kernel's parts, pinched spectrum and upper and lower dominances."""
-    lam = matcore.hermitian_spectrum(h)
+    lam = validate_stack(h, "hermitian")
     return (lam, *pinching_dominance(lam, h, np.array(partition.projectors)))
 
 
@@ -346,7 +346,7 @@ class TestEntropyFromMajorizationConsistency:
         rng = np.random.default_rng(seed)
         rho = states.random_density(dim, rng)
         u = states.haar_unitary(dim, rng)
-        lam = matcore.hermitian_spectrum(rho.mat)
+        lam = validate_stack(rho.mat, "hermitian")
         mu = mixed_toward_uniform(lam, rng.uniform(0.0, 1.0))
         softer = DensityMatrix(u @ np.diag(mu) @ u.conj().T)
         for f in builtin_functionals():

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from decobs import majorization, matcore, sampling, stacks, states
 from decobs.errors import ValidationError
+from decobs.tolerances import HERMITIAN_TOL
 
 dims = st.integers(min_value=2, max_value=8)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -16,11 +19,11 @@ def _gaussian(rng, rows, cols):
 
 class TestHermitianSpectrum:
     def test_diagonal(self):
-        lam = matcore.hermitian_spectrum(np.diag([0.5, 0.5]).astype(complex))
+        lam = stacks.validate_stack(np.diag([0.5, 0.5]).astype(complex), "hermitian")
         assert np.allclose(lam, [0.5, 0.5])
 
     def test_rank_one_projector(self, plus_density):
-        lam = matcore.hermitian_spectrum(plus_density)
+        lam = stacks.validate_stack(plus_density, "hermitian")
         assert np.allclose(lam, [1.0, 0.0], atol=1e-14)
 
     @given(seed=seeds)
@@ -33,10 +36,10 @@ class TestHermitianSpectrum:
         det = np.linalg.det(h).real
         disc = np.sqrt(tr**2 - 4.0 * det)
         expected = np.array([(tr + disc) / 2.0, (tr - disc) / 2.0])
-        assert np.allclose(matcore.hermitian_spectrum(h), expected, atol=1e-10)
+        assert np.allclose(stacks.validate_stack(h, "hermitian"), expected, atol=1e-10)
 
     def test_descending_order(self):
-        lam = matcore.hermitian_spectrum(np.diag([0.1, 0.7, 0.2]).astype(complex))
+        lam = stacks.validate_stack(np.diag([0.1, 0.7, 0.2]).astype(complex), "hermitian")
         assert np.all(np.diff(lam) <= 0)
 
     @given(dim=dims, seed=seeds)
@@ -44,7 +47,7 @@ class TestHermitianSpectrum:
         rng = np.random.default_rng(seed)
         g = _gaussian(rng, dim, dim)
         h = (g + g.conj().T) / 2.0
-        lam = matcore.hermitian_spectrum(h)
+        lam = stacks.validate_stack(h, "hermitian")
         assert abs(lam.sum() - np.trace(h).real) <= 1e-10 * dim
 
     @given(dim=dims, seed=seeds)
@@ -53,23 +56,23 @@ class TestHermitianSpectrum:
         g = _gaussian(rng, dim, dim)
         h = (g + g.conj().T) / 2.0
         u = states.haar_unitary(dim, rng)
-        before = matcore.hermitian_spectrum(h)
-        after = matcore.hermitian_spectrum(u @ h @ u.conj().T)
+        before = stacks.validate_stack(h, "hermitian")
+        after = stacks.validate_stack(u @ h @ u.conj().T, "hermitian")
         assert matcore.max_abs(after - before) <= 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError) as err:
-            matcore.hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            stacks.validate_stack(np.array([[0.0, 1.0], [0.0, 0.0]]), "hermitian")
         assert err.value.invariant == "hermitian"
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError) as err:
-            matcore.hermitian_spectrum(np.zeros((2, 3)))
+            stacks.validate_stack(np.zeros((2, 3)), "hermitian")
         assert err.value.invariant == "square"
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
-            matcore.hermitian_spectrum(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+            stacks.validate_stack(np.array([[np.nan, 0.0], [0.0, 0.0]]), "hermitian")
 
 
 def _density_stacks():
@@ -96,12 +99,12 @@ def _density_stacks():
 
 
 class TestHermitianSpectrumIsTheValidatedSolve:
-    """hermitian_spectrum is validate_stack's one symmetrized solve, without the unit and PSD checks."""
+    """The ``"hermitian"`` kind is validate_stack's one symmetrized solve, without the unit and PSD checks."""
 
     @pytest.mark.parametrize("name", list(_density_stacks()))
     def test_bit_for_bit_the_density_spectra(self, name):
         stack = _density_stacks()[name]
-        spectra = matcore.hermitian_spectrum(stack)
+        spectra = stacks.validate_stack(stack, "hermitian")
         assert spectra.view(np.uint64).tolist() == stacks.validate_stack(stack, "density").view(np.uint64).tolist()
         # the written-out solve: symmetrize, solve, reverse
         written = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)[..., ::-1]
@@ -111,15 +114,15 @@ class TestHermitianSpectrumIsTheValidatedSolve:
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError) as err:
-            matcore.hermitian_spectrum(np.array([np.eye(2), skew, nan]))
+            stacks.validate_stack(np.array([np.eye(2), skew, nan]), "hermitian")
         assert (err.value.invariant, err.value.residual) == ("hermitian", 1.0)
         with pytest.raises(ValidationError) as err:
-            matcore.hermitian_spectrum(np.array([np.eye(2), nan, skew]))
+            stacks.validate_stack(np.array([np.eye(2), nan, skew]), "hermitian")
         assert (err.value.invariant, err.value.residual) == ("finite-entries", None)
 
     @pytest.mark.parametrize("shape, expected", [((0, 3, 3), (0, 3)), ((2, 0, 0), (2, 0))])
     def test_empty_stacks(self, shape, expected):
-        assert matcore.hermitian_spectrum(np.zeros(shape, dtype=complex)).shape == expected
+        assert stacks.validate_stack(np.zeros(shape, dtype=complex), "hermitian").shape == expected
 
     @pytest.mark.parametrize("kind", ["unitary", "Density", ""])
     def test_an_unknown_kind_is_a_value_error(self, kind):
@@ -225,31 +228,31 @@ class TestPartialTrace:
 class TestPredicates:
     def test_identity(self):
         eye = np.eye(3)
-        assert matcore.is_unitary(eye)
+        assert matcore.unitary_residual(eye) <= HERMITIAN_TOL
         # Hermitian: the spectrum solves without raising; PSD: its smallest eigenvalue is >= 0
-        assert matcore.hermitian_spectrum(eye)[-1] >= 0.0
+        assert stacks.validate_stack(eye, "hermitian")[-1] >= 0.0
 
     def test_flip(self):
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert matcore.is_unitary(flip)
+        assert matcore.unitary_residual(flip) <= HERMITIAN_TOL
         # Hermitian, and not PSD: its smallest eigenvalue is -1
-        assert matcore.hermitian_spectrum(flip)[-1] == -1.0
+        assert stacks.validate_stack(flip, "hermitian")[-1] == -1.0
 
     @given(dim=dims, seed=seeds)
     def test_haar_sample_is_unitary(self, dim, seed):
         u = states.haar_unitary(dim, np.random.default_rng(seed))
-        assert matcore.is_unitary(u)
+        assert matcore.unitary_residual(u) <= HERMITIAN_TOL
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError) as err:
-            matcore.is_unitary(np.zeros((2, 3)))
+            matcore.require_square(np.zeros((2, 3)))
         assert err.value.invariant == "square"
 
     @pytest.mark.parametrize(
         "check, values",
         [
-            (matcore.is_unitary, np.eye(2)[None]),
-            (matcore.hermitian_spectrum, np.ones(2)),
+            (matcore.require_square, np.eye(2)[None]),
+            (functools.partial(stacks.validate_stack, kind="hermitian"), np.ones(2)),
             (stacks.validate_probing_stack, np.ones(2)),
             (majorization.validate_projector_stack, np.eye(2)),
         ],

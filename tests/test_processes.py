@@ -406,11 +406,11 @@ class TestSpectraUnchanged:
         rho = states.random_density(dim, rng)
         env = checked_gram(gram_from_unit_rows(sampling.pure_from_normals(rng.standard_normal((dim, 2 * dim)), dim)))
         probe = sampling.probing_from_normals(rng.standard_normal(2 * dim * dim), dim, dim)
-        after = matcore.hermitian_spectrum(rho.mat * env)
-        reference = matcore.hermitian_spectrum(rho.mat)
+        after = validate_stack(rho.mat * env, "hermitian")
+        reference = validate_stack(rho.mat, "hermitian")
         assert is_trivial_decoherence(rho, env) == bool(matcore.max_abs(after - reference) <= 1e-9)
         probs, states_after = observe_stack(rho.mat, probe)
-        branches = [matcore.hermitian_spectrum(state) for state in states_after[probs > 0.0]]
+        branches = [validate_stack(state, "hermitian") for state in states_after[probs > 0.0]]
         expected = all(matcore.max_abs(lam - reference) <= 1e-9 for lam in branches)
         assert is_trivial_probing(rho, probe) == expected
 

@@ -6,8 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from decobs.campaigns import CampaignResult
-from decobs.cli import CampaignConfig
+from decobs.campaigns import CampaignConfig, CampaignResult
 from decobs.entropy import EntropyFunctional
 from decobs.majorization import Dominance, dominance
 
@@ -56,9 +55,8 @@ def test_a_repr_names_the_class_and_its_fields_in_order():
     assert repr(EntropyFunctional("renyi", 0.5)) == "EntropyFunctional(kind='renyi', alpha=0.5)"
     assert repr(CampaignConfig("counterexample", which=2)) == (
         "CampaignConfig(command='counterexample', seed=0, dim=2, trials=100, response_dim=None,"
-        " functionals=(EntropyFunctional(kind='von-neumann', alpha=None),), tol=1e-09, fmt='json', units='nats',"
-        " ensemble_size=None,"
-        " which=2, povm_file=None)"
+        " functionals=(EntropyFunctional(kind='von-neumann', alpha=None),), tol=1e-09, units='nats',"
+        " ensemble_size=None, which=2, povm_file=None)"
     )
     assert repr(Dominance(np.array([0.5]), 0.5, 1.0, 0.5, 0.0)) == (
         "Dominance(margins=array([0.5]), worst_margin=0.5, dominator_prefix=1.0, dominated_prefix=0.5,"

@@ -6,9 +6,11 @@ product, and the byte planner that cuts stacks into blocks.  Their inputs
 are checked by a few more: finite entries, square matrices, and a config
 that parses and refuses every setting before a campaign runs.  Each test
 reads the package's source and checks that one rule is written in one
-place; the others call it.  The last rule is the one the import path
+place; the others call it.  The last rules are the ones the import path
 rests on: each subcommand's campaign is a module of its own, which imports
-the campaigns' shared core and no other campaign.
+the campaigns' shared core and no other campaign, and every import points
+down the layers, so the package's modules import one another without a
+cycle.
 """
 
 import ast
@@ -118,15 +120,18 @@ def test_squareness_is_checked_in_one_place():
 
 def test_only_the_config_parses_entropy_selectors():
     # the campaigns read the functionals the config holds
-    assert readers("parse_functional") == {("cli", None), ("cli", "CampaignConfig")}
+    assert readers("parse_functional") == {("campaigns", None), ("campaigns", "CampaignConfig")}
 
 
 def test_the_campaigns_raise_no_value_error():
-    # the config refuses every setting that no campaign can run
+    # the config refuses every setting that no campaign can run; it is the one ValueError of the package
     raised = {
         sub.id
-        for module, _, node in nodes()
-        if module.split(".")[0] == "campaigns" and isinstance(node, ast.Raise) and node.exc is not None
+        for module, owner, node in nodes()
+        if module.split(".")[0] == "campaigns"
+        and (module, owner) != ("campaigns", "CampaignConfig")
+        and isinstance(node, ast.Raise)
+        and node.exc is not None
         for sub in ast.walk(node.exc)
         if isinstance(sub, ast.Name)
     }
@@ -174,3 +179,42 @@ def test_no_campaign_module_imports_another_and_the_core_imports_none():
     # every campaign module imports the core, which imports no campaign module
     assert all("campaigns" in imported(path) for name, path in campaigns.items() if name != "campaigns")
     assert imported(campaigns["campaigns"]) & set(campaigns) == set()
+
+
+def import_graph() -> dict[str, set[str]]:
+    """The package modules that each package module imports, by :func:`module_name`.
+
+    Every import statement counts: at module level, inside a function and
+    under ``TYPE_CHECKING``.  ``decobs.cli`` also imports, through
+    ``importlib``, the campaign module of each subcommand in the table it reads.
+    """
+    from decobs.campaigns import CAMPAIGN_MODULES
+
+    graph = {module_name(path): imported(path) - {module_name(path)} for path in PACKAGE.rglob("*.py")}
+    graph["cli"] |= {f"campaigns.{name}" for name in CAMPAIGN_MODULES.values()}
+    return graph
+
+
+def reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    """The modules that ``start`` imports, directly or through other modules."""
+    seen, todo = set(), list(graph[start])
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo.extend(graph[module])
+    return seen
+
+
+def test_imports_point_down_the_layers_without_a_cycle():
+    graph = import_graph()
+    reach = {module: reachable(graph, module) for module in graph}
+    # each cycle as the modules it joins: those that import one another
+    cycles = {
+        tuple(sorted(other for other in reach[module] if module in reach[other]))
+        for module in graph
+        if module in reach[module]
+    }
+    assert sorted(cycles) == []
+    # the bottom of the kernel layer: every check and map builds on it
+    assert graph["matcore"] <= {"errors", "tolerances"}

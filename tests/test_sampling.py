@@ -9,6 +9,7 @@ from decobs import campaigns, cli, majorization, matcore, povm, sampling, stacks
 from decobs.cli import _DISPATCH, CampaignConfig
 from decobs.errors import ValidationError
 from decobs.povm import is_purity_preserving
+from decobs.tolerances import HERMITIAN_TOL
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=8)
@@ -244,7 +245,7 @@ class TestHaarUnitary:
     @given(dim=dims, seed=seeds)
     def test_unitary_at_tolerance(self, dim, seed):
         u = states.haar_unitary(dim, np.random.default_rng(seed))
-        assert matcore.is_unitary(u)
+        assert matcore.unitary_residual(u) <= HERMITIAN_TOL
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_a_non_finite_ginibre_stack_is_refused_before_its_qr(self, value):
@@ -271,7 +272,7 @@ class TestRandomDensity:
     @given(dim=dims, seed=seeds)
     def test_validates(self, dim, seed):
         rho = states.random_density(dim, np.random.default_rng(seed))
-        lam = matcore.hermitian_spectrum(rho.mat)
+        lam = stacks.validate_stack(rho.mat, "hermitian")
         assert lam[-1] >= -1e-12
         assert abs(lam.sum() - 1.0) <= 1e-10
 
@@ -306,7 +307,7 @@ class TestOtherSamplers:
         rows = sampling.pure_from_normals(np.random.default_rng(seed).standard_normal((n, 2)), 1)
         gram = majorization.gram_from_unit_rows(rows)
         assert np.all(np.abs(np.abs(gram) - 1.0) <= 1e-12)
-        lam = matcore.hermitian_spectrum(gram)
+        lam = stacks.validate_stack(gram, "hermitian")
         assert lam[0] == pytest.approx(n)
         assert matcore.max_abs(lam[1:]) <= 1e-9
 
@@ -325,7 +326,7 @@ class TestOtherSamplers:
     def test_projector_partition_spectra(self):
         partition = states.random_projector_partition(4, [2, 2], np.random.default_rng(6))
         for p in partition:
-            assert matcore.hermitian_spectrum(p) == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-9)
+            assert stacks.validate_stack(p, "hermitian") == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-9)
 
     def test_projector_partition_rejects_bad_split(self):
         with pytest.raises(ValidationError) as err:

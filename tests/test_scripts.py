@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs end to end on a tiny size."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -21,6 +22,20 @@ def run_script(name: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
     )
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda path: path.name)
+def test_a_script_s_docstring_names_every_flag_it_parses(path):
+    tree = ast.parse(path.read_text())
+    flags = [
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and arg.value.startswith("--")
+    ]
+    doc = ast.get_docstring(tree) or ""
+    assert [flag for flag in flags if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", doc)] == []
 
 
 def _reject_constant(name):

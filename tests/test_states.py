@@ -85,7 +85,7 @@ class TestPurity:
     @given(dim=dims, seed=seeds)
     def test_equals_spectrum_square_sum(self, dim, seed):
         rho = states.random_density(dim, np.random.default_rng(seed))
-        lam = matcore.hermitian_spectrum(rho.mat)
+        lam = validate_stack(rho.mat, "hermitian")
         purity = np.trace(rho.mat @ rho.mat).real
         assert abs(purity - (lam**2).sum()) <= 1e-10
         assert abs(entropy(rho, linear()) - (1.0 - purity)) <= 1e-10
@@ -282,12 +282,12 @@ class TestDensityMatrixSpectrum:
     @given(dim=st.integers(1, 8), seed=seeds)
     def test_is_the_hermitian_spectrum_bit_for_bit(self, dim, seed):
         rho = states.random_density(dim, np.random.default_rng(seed))
-        assert np.array_equal(rho.spectrum, matcore.hermitian_spectrum(rho.mat))
+        assert np.array_equal(rho.spectrum, validate_stack(rho.mat, "hermitian"))
         assert rho.spectrum.dtype == float
 
     def test_rank_deficient_state_keeps_its_zero(self):
         rho = density_from_pure(PureState(np.array([1.0, 1.0]) / np.sqrt(2.0)))
-        assert np.array_equal(rho.spectrum, matcore.hermitian_spectrum(rho.mat))
+        assert np.array_equal(rho.spectrum, validate_stack(rho.mat, "hermitian"))
         assert rho.spectrum[0] == pytest.approx(1.0)
 
     def test_is_readonly(self):
